@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import (Cutoff, equitightness_check, operator_cutoff_norm,
                           tail_mass)
-from .elliptic_solver import EpSolveConfig, PhiSpec, combine_with_laplacian, solve_ep
+from .elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from .errors import ConfigurationError
 from .evolution import (FluxSpec, ProblemSpec, cfl_limit, flux_divergence, run)
 from .grid_field import GridFunction, TimeGrid, UniformGrid

@@ -40,10 +40,6 @@ def _emit_error(kind, exc):
     print(json.dumps(record), file=sys.stderr)
 
 
-def _float_str(x):
-    return repr(float(x))
-
-
 def _out_dir(args, cfg):
     out = args.out if getattr(args, "out", None) else cfg.get("output_dir")
     if out is None:
@@ -78,7 +74,7 @@ def cmd_run(args):
     from .config import build_plan, load_config
     from .diagnostics import equitightness_check
     from .evolution import run
-    from .grid_field import GridFunction, write_field_csv
+    from .grid_field import GridFunction, _format_float, write_field_csv
 
     cfg = load_config(args.config)
     if args.dry_run:
@@ -96,16 +92,15 @@ def cmd_run(args):
                         GridFunction(plan.grid, report.trajectory.fields[j]))
 
     eq_reports = []
-    stencil = plan.problem.operator.build_stencil(plan.grid)
     for R in plan.diagnostics["R_list"]:
         eq_reports.append(equitightness_check(
             report.trajectory, plan.problem, R=R, r=plan.diagnostics["r"],
-            stencil=stencil))
+            stencil=report.stencil))
     lines = ["R,lhs,rhs,pass"]
     for eq in eq_reports:
         flag = "true" if eq.passed else "false"
-        lines.append(f"{_float_str(eq.R)},{_float_str(eq.lhs)},"
-                     f"{_float_str(eq.rhs_total)},{flag}")
+        lines.append(f"{_format_float(eq.R)},{_format_float(eq.lhs)},"
+                     f"{_format_float(eq.rhs_total)},{flag}")
     (out / "equitightness.csv").write_text("\n".join(lines) + "\n")
 
     _write_json(out / "report.json", {
@@ -128,6 +123,7 @@ def cmd_study(args):
     from .config import build_plan, load_config
     from .diagnostics import ct_lr_distance
     from .evolution import run
+    from .grid_field import _format_float
 
     import numpy as np
 
@@ -173,7 +169,7 @@ def cmd_study(args):
     out = _out_dir(args, cfg)
     lines = ["level,h,error"]
     for level, h, err in rows:
-        lines.append(f"{level},{_float_str(h)},{_float_str(err)}")
+        lines.append(f"{level},{_format_float(h)},{_format_float(err)}")
     (out / "study.csv").write_text("\n".join(lines) + "\n")
     _write_json(out / "study.json", {
         "config": cfg,
@@ -200,9 +196,9 @@ def cmd_check(args):
 
 def cmd_stencil(args):
     from .config import build_measure, load_stencil_config
-    from .elliptic_solver import combine_with_laplacian
     from .grid_field import UniformGrid
-    from .levy_operators import (OperatorSpec, check_moments, write_stencil_csv)
+    from .levy_operators import (OperatorSpec, check_moments, combine_with_laplacian,
+                                 write_stencil_csv)
 
     cfg = load_stencil_config(args.config)
     p = cfg["problem"]

@@ -8,10 +8,13 @@ neighbor sum and solves the strictly increasing scalar equation
 
     s + dt * W * phi(s) = rho_beta + dt * sum_gamma w_gamma phi(w(beta+gamma))
 
-per node (W the total weight), by safeguarded Newton inside the bracket
-[min(0, b), max(0, b)].  The sweep map is a sup-norm contraction with
-factor dt*W*Lip(phi) / (1 + dt*W*Lip(phi)), so iteration counts grow with
-dt * W but not with the grid size.
+per node, by safeguarded Newton inside the bracket [min(0, b), max(0, b)].
+The operator L is the pair (stencil, c) of ``levy_operators``: the sum runs
+over the measure offsets plus, for c = 1, the 2N nearest neighbors at
+weight 1/h^2, and W = ``_total_weight(stencil, c)`` is their total weight.
+The sweep map is a sup-norm contraction with factor
+dt*W*Lip(phi) / (1 + dt*W*Lip(phi)), so iteration counts grow with dt * W
+but not with the grid size.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
-from .levy_operators import WeightedStencil, apply_stencil, _neighbor_sum
+from .levy_operators import _neighbor_sum, _total_weight, apply_stencil
 
 __all__ = [
     "PhiSpec",
@@ -31,7 +34,6 @@ __all__ = [
     "EpResult",
     "scalar_resolvent",
     "solve_ep",
-    "combine_with_laplacian",
 ]
 
 
@@ -278,25 +280,6 @@ def scalar_resolvent(phi, lam, b, tol=1e-13, max_iter=300):
     return float(out[0])
 
 
-def combine_with_laplacian(stencil, c):
-    """One stencil holding the measure weights plus c/h^2 at the nearest
-    neighbors, so a solve touches a single weight family."""
-    if c == 0:
-        return stencil
-    inv_h2 = 1.0 / stencil.h ** 2
-    merged = {}
-    for off, w in zip(stencil.offsets, stencil.weights):
-        merged[tuple(int(g) for g in off)] = float(w)
-    for i in range(stencil.dim):
-        for sign in (1, -1):
-            key = tuple(sign if j == i else 0 for j in range(stencil.dim))
-            merged[key] = merged.get(key, 0.0) + inv_h2
-    offs = np.array(sorted(merged.keys()), dtype=int)
-    wts = np.array([merged[tuple(o)] for o in offs])
-    return WeightedStencil(h=stencil.h, dim=stencil.dim, offsets=offs, weights=wts,
-                           tail_mass_beyond_support=stencil.tail_mass_beyond_support)
-
-
 def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     """Solve w - dt * (c Laplacian + stencil)[phi(w)] = rho.
 
@@ -318,8 +301,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     if dt == 0.0 or phi.kind == "zero":
         return finish(rho_vals.copy(), 0)
 
-    comb = combine_with_laplacian(stencil, c)
-    W = comb.total_weight
+    W = _total_weight(stencil, c)
     lam = dt * W
     if warm_start is None:
         w = rho_vals.copy()
@@ -330,7 +312,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     sweeps = 0
     while True:
         p = phi.value(w)
-        ns = _neighbor_sum(comb, p)
+        ns = _neighbor_sum(stencil, c, p)
         res = w - dt * (ns - W * p) - rho_vals
         if float(np.max(np.abs(res))) <= cfg.residual_tol:
             return finish(w, sweeps)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .grid_field import GridFunction, Trajectory, project_cell_average, project_source, shifted
-from .elliptic_solver import EpSolveConfig, combine_with_laplacian, solve_ep
-from .levy_operators import OperatorSpec, _neighbor_sum
+from .elliptic_solver import EpSolveConfig, solve_ep
+from .levy_operators import OperatorSpec, WeightedStencil, _neighbor_sum, _total_weight
 
 __all__ = [
     "FluxSpec",
@@ -218,11 +218,11 @@ def cfl_limit(flux, h, dim):
     return h / (2.0 * dim * L)
 
 
-def escape_weights(combined_stencil, shape):
-    """Per node, the total weight of jumps that land outside the box; the
-    diffusive mass leak rate is h^N * sum phi(U) * escape."""
-    ones = np.ones(shape)
-    return combined_stencil.total_weight - _neighbor_sum(combined_stencil, ones)
+def escape_weights(stencil, c, shape):
+    """Per node, the total weight of jumps of the operator (stencil, c) that
+    land outside the box; the diffusive mass leak rate is
+    h^N * sum phi(U) * escape."""
+    return _total_weight(stencil, c) - _neighbor_sum(stencil, c, np.ones(shape))
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,8 @@ class RunReport:
     identity_gap[j] = mass[j] - (mass[0] + source_cum[j]
                       - leak_diffusive[j] - leak_convective[j]);
     up to rounding it equals residual_mass_cum[j], the accumulated signed
-    mass of the reported solver residuals.
+    mass of the reported solver residuals.  ``stencil`` is the measure
+    stencil the run built, kept for the diagnostics and not serialized.
     """
 
     trajectory: Trajectory
@@ -280,6 +281,7 @@ class RunReport:
     residuals: np.ndarray
     min_value: np.ndarray
     max_value: np.ndarray
+    stencil: WeightedStencil
 
     def to_json_dict(self):
         return {
@@ -305,8 +307,7 @@ def run(problem, grid, time_grid, config=None):
     c = problem.operator.c
     if problem.flux is not None:
         validate_flux(problem.flux, dim=grid.dim)
-    comb = combine_with_laplacian(stencil, c)
-    esc = escape_weights(comb, grid.shape)
+    esc = escape_weights(stencil, c, grid.shape)
     vol = grid.cell_volume
 
     u0 = project_cell_average(problem.initial, grid)
@@ -360,4 +361,5 @@ def run(problem, grid, time_grid, config=None):
                      leak_diffusive=leak_d, leak_convective=leak_c,
                      residual_mass_cum=res_cum, identity_gap=gap,
                      sweeps=np.array(sweeps, dtype=int), residuals=np.array(residuals),
-                     min_value=np.array(mins), max_value=np.array(maxs))
+                     min_value=np.array(mins), max_value=np.array(maxs),
+                     stencil=stencil)

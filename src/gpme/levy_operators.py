@@ -2,27 +2,30 @@
 difference quadratures of symmetric jump measures.
 
 A stencil is a finite symmetric family of lattice offsets z_gamma = h*gamma
-with nonnegative weights; it acts on a field by
+with nonnegative weights.  The discrete operator is the pair (stencil, c):
 
-    L[psi](x) = sum_gamma (psi(x + z_gamma) - psi(x)) * w_gamma,
+    L[psi](x) = sum_gamma (psi(x + z_gamma) - psi(x)) * w_gamma
+                + c * sum_i (psi(x + h e_i) + psi(x - h e_i) - 2 psi(x)) / h^2,
 
-optionally on top of the standard second-difference Laplacian (weight 1/h^2
-at the 2N nearest neighbors).  Weights for a jump measure are the measure of
-each lattice cell, so the total mass on any region is preserved by
-construction; the origin cell is excluded.
+the measure quadrature plus, for c = 1, the standard second-difference
+Laplacian.  On a grid it is applied by one path, ``_neighbor_sum`` and
+``_total_weight``; ``combine_with_laplacian`` merges the two parts into one
+weight list only for inspection and pointwise evaluation.  Weights for a
+jump measure are the measure of each lattice cell, so the total mass on any
+region is preserved by construction; the origin cell is excluded.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, signal
 
 from .errors import ConfigurationError, DataError, StencilError
-from .grid_field import GridFunction, shifted
+from .grid_field import GridFunction, _format_float, shifted
 from .profiles import sphere_area
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "measure_stencil",
     "apply_stencil",
     "apply_to_points",
+    "combine_with_laplacian",
     "check_moments",
     "testfunction_moment_bound",
     "consistency_error",
@@ -96,27 +100,20 @@ class MeasureSpec:
                 ffm = True
             object.__setattr__(self, "finite_first_moment", ffm)
 
-    def radial_density(self, r):
-        """Density value at radius r (> 0)."""
+    def radial_density(self, r, dim):
+        """Density value at radius r (> 0) in dimension dim."""
         r = np.asarray(r, dtype=float)
         if self.kind == "fractional":
-            out = self.scale * r ** (-(1.0 * self.dim_hint + self.alpha))
+            out = self.scale * r ** (-(1.0 * dim + self.alpha))
         elif self.kind == "split":
-            near = r ** (-(self.dim_hint + self.beta))
-            far = r ** (-(self.dim_hint + self.alpha))
+            near = r ** (-(dim + self.beta))
+            far = r ** (-(dim + self.alpha))
             out = self.scale * np.where(r <= 1.0, near, far)
         else:
             out = self.scale * np.asarray(self.density(r), dtype=float)
         if self.truncation is not None:
             out = np.where(r > self.truncation, 0.0, out)
         return out
-
-    # density exponents need N; stored transiently by measure_stencil
-    dim_hint: int = field(default=1, compare=False)
-
-    def with_dim(self, dim):
-        object.__setattr__(self, "dim_hint", dim)
-        return self
 
     def mass_beyond(self, R, dim):
         """Measure of {|z| > R}; closed form for power tails, quadrature
@@ -131,10 +128,9 @@ class MeasureSpec:
             a = self.alpha
             top = 0.0 if hi == math.inf else hi ** (-a) / a
             return self.scale * area * (R ** (-a) / a - top)
-        self.with_dim(dim)
 
         def g(r):
-            return area * r ** (dim - 1) * float(self.radial_density(r))
+            return area * r ** (dim - 1) * float(self.radial_density(r, dim))
 
         if hi == math.inf:
             val, err = integrate.quad(g, R, math.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
@@ -261,7 +257,7 @@ _GL20 = np.polynomial.legendre.leggauss(20)
 def _gl_cell_mass_1d(measure, center, half):
     nodes, wts = _GL20
     pts = center + half * nodes
-    vals = measure.radial_density(np.abs(pts))
+    vals = measure.radial_density(np.abs(pts), 1)
     return half * float(np.dot(wts, vals))
 
 
@@ -289,7 +285,7 @@ def _cell_weight_quad(measure, center, h, dim):
         grids = np.meshgrid(*([center[i] + half * nodes for i in range(dim)]), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
         r = np.sqrt(np.sum(pts ** 2, axis=1))
-        vals = measure.radial_density(r)
+        vals = measure.radial_density(r, dim)
         wcombo = np.ones(len(nodes) ** dim)
         for i in range(dim):
             rep = np.meshgrid(*([wts] * dim), indexing="ij")[i].reshape(-1)
@@ -312,7 +308,6 @@ def measure_stencil(measure, grid, support_radius=None):
     """
     h = grid.h
     dim = grid.dim
-    measure.with_dim(dim)
     if support_radius is None:
         support_radius = 2.0 * max(grid.half_extents)
     if measure.truncation is not None:
@@ -332,7 +327,7 @@ def measure_stencil(measure, grid, support_radius=None):
             lo = (g - 0.5) * h
             hi = (g + 0.5) * h
             if measure.weight_rule == "midpoint_density":
-                w = float(measure.radial_density(g * h)) * h
+                w = float(measure.radial_density(g * h, 1)) * h
             elif use_closed:
                 w = _cell_weight_1d_power(measure, lo, hi)
             else:
@@ -359,7 +354,8 @@ def measure_stencil(measure, grid, support_radius=None):
             else:
                 center = off.astype(float) * h
                 if measure.weight_rule == "midpoint_density":
-                    w = float(measure.radial_density(float(np.linalg.norm(center)))) * h ** dim
+                    r = float(np.linalg.norm(center))
+                    w = float(measure.radial_density(r, dim)) * h ** dim
                 else:
                     w = _cell_weight_quad(measure, center, h, dim)
                 seen[key] = w
@@ -372,43 +368,70 @@ def measure_stencil(measure, grid, support_radius=None):
                            weights=np.array(weights), tail_mass_beyond_support=float(tail))
 
 
-def _neighbor_sum(stencil, values):
-    """sum_gamma w_gamma * values(beta + gamma) with zero extension."""
-    if stencil.n_offsets == 0:
-        return np.zeros_like(values)
+def _total_weight(stencil, c):
+    """W = sum_gamma w_gamma + c * 2N/h^2, the total jump weight of the
+    operator (stencil, c) at every node."""
+    W = stencil.total_weight
+    if c:
+        W += 2 * stencil.dim * (1.0 / stencil.h ** 2)
+    return W
+
+
+def _neighbor_sum(stencil, c, values):
+    """sum_gamma w_gamma * values(beta + gamma) plus c/h^2 times the 2N
+    nearest neighbors, with zero extension outside the box."""
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
         out = np.zeros_like(values)
         for off, w in zip(stencil.offsets, stencil.weights):
             out += w * shifted(values, tuple(off))
-        return out
-    # dense symmetric kernel: correlation equals convolution
-    kern = stencil.dense_kernel()
-    return signal.convolve(values, kern, mode="same", method="auto")
-
-
-def _laplace_term(values, h, dim):
-    out = -2.0 * dim * values.copy()
-    for i in range(dim):
-        off = [0] * dim
-        off[i] = 1
-        out += shifted(values, tuple(off))
-        off[i] = -1
-        out += shifted(values, tuple(off))
-    return out / (h * h)
+    else:
+        # dense symmetric kernel: correlation equals convolution
+        out = signal.convolve(values, stencil.dense_kernel(), mode="same", method="auto")
+    if c:
+        inv_h2 = 1.0 / stencil.h ** 2
+        # -e_0, ..., -e_{N-1}, +e_{N-1}, ..., +e_0 is the order the merged
+        # offsets sort in, so a pure Laplacian rounds as its weight list does
+        steps = [(i, -1) for i in range(stencil.dim)]
+        steps += [(i, 1) for i in reversed(range(stencil.dim))]
+        for axis, step in steps:
+            dst = [slice(None)] * stencil.dim
+            src = [slice(None)] * stencil.dim
+            dst[axis] = slice(1, None) if step < 0 else slice(None, -1)
+            src[axis] = slice(None, -1) if step < 0 else slice(1, None)
+            out[tuple(dst)] += inv_h2 * values[tuple(src)]
+    return out
 
 
 def apply_stencil(stencil, c, u):
-    """c * discrete Laplacian of u plus the stencil part, zero extension
-    outside the box."""
+    """The operator (stencil, c) applied to u, zero extension outside the
+    box."""
     if c not in (0, 1):
         raise ConfigurationError("local factor c must be 0 or 1", field="operator.c")
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    out = _neighbor_sum(stencil, vals) - stencil.total_weight * vals
-    if c == 1:
-        out = out + _laplace_term(vals, stencil.h, stencil.dim)
+    out = _neighbor_sum(stencil, c, vals) - _total_weight(stencil, c) * vals
     if isinstance(u, GridFunction):
         return GridFunction(u.grid, out)
     return out
+
+
+def combine_with_laplacian(stencil, c):
+    """One stencil holding the measure weights plus c/h^2 at the nearest
+    neighbors: the whole operator as a single weight list, for inspection
+    and pointwise evaluation."""
+    if c == 0:
+        return stencil
+    inv_h2 = 1.0 / stencil.h ** 2
+    merged = {}
+    for off, w in zip(stencil.offsets, stencil.weights):
+        merged[tuple(int(g) for g in off)] = float(w)
+    for i in range(stencil.dim):
+        for sign in (1, -1):
+            key = tuple(sign if j == i else 0 for j in range(stencil.dim))
+            merged[key] = merged.get(key, 0.0) + inv_h2
+    offs = np.array(sorted(merged.keys()), dtype=int)
+    wts = np.array([merged[tuple(o)] for o in offs])
+    return WeightedStencil(h=stencil.h, dim=stencil.dim, offsets=offs, weights=wts,
+                           tail_mass_beyond_support=stencil.tail_mass_beyond_support)
 
 
 def apply_to_points(stencil, c, fn, points):
@@ -417,22 +440,14 @@ def apply_to_points(stencil, c, fn, points):
 
     points: (M, N) array.  Returns (M,) values.
     """
+    merged = combine_with_laplacian(stencil, c)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     base = np.asarray(fn(pts), dtype=float).reshape(pts.shape[0])
-    out = -stencil.total_weight * base
-    h = stencil.h
-    for off, w in zip(stencil.offsets, stencil.weights):
-        out += w * np.asarray(fn(pts + h * off), dtype=float).reshape(pts.shape[0])
-    if c == 1:
-        acc = -2.0 * stencil.dim * base
-        for i in range(stencil.dim):
-            e = np.zeros(stencil.dim)
-            e[i] = h
-            acc += np.asarray(fn(pts + e), dtype=float).reshape(pts.shape[0])
-            acc += np.asarray(fn(pts - e), dtype=float).reshape(pts.shape[0])
-        out += acc / (h * h)
+    out = -merged.total_weight * base
+    for off, w in zip(merged.offsets, merged.weights):
+        out += w * np.asarray(fn(pts + merged.h * off), dtype=float).reshape(pts.shape[0])
     return out
 
 
@@ -572,13 +587,11 @@ def levy_reference(measure, profile, far_cut=60.0, inner_cut=1e-5):
     -psi(x) * mu(|z| > far_cut) (the shifted values are negligible for a
     decaying profile).
     """
-    measure.with_dim(1)
-
     def second_moment_near(d):
         if measure.kind in ("fractional", "split"):
             expo = measure.beta if measure.kind == "split" else measure.alpha
             return measure.scale * d ** (2.0 - expo) / (2.0 - expo)
-        val, _ = integrate.quad(lambda s: s * s * float(measure.radial_density(s)),
+        val, _ = integrate.quad(lambda s: s * s * float(measure.radial_density(s, 1)),
                                 0.0, d, epsabs=1e-16, epsrel=1e-12)
         return val
 
@@ -590,7 +603,7 @@ def levy_reference(measure, profile, far_cut=60.0, inner_cut=1e-5):
         def integrand(s):
             plus = profile.value((x + s).reshape(-1, 1))
             minus = profile.value((x - s).reshape(-1, 1))
-            return (plus + minus - 2.0 * base) * float(measure.radial_density(s))
+            return (plus + minus - 2.0 * base) * float(measure.radial_density(s, 1))
 
         out, _ = integrate.quad_vec(integrand, inner_cut, far_cut,
                                     epsabs=1e-12, epsrel=1e-11)
@@ -638,10 +651,6 @@ class OperatorSpec:
         if self.measure is None:
             return WeightedStencil.empty(grid.h, grid.dim)
         return measure_stencil(self.measure, grid, self.support_radius)
-
-
-def _format_float(x):
-    return repr(float(x))
 
 
 def write_stencil_csv(path, stencil):

@@ -16,12 +16,11 @@ import numpy as np
 
 from gpme.config import build_plan, load_config
 from gpme.diagnostics import Cutoff, ct_lr_distance, equitightness_check, operator_cutoff_norm
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, combine_with_laplacian,
-                                  solve_ep)
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from gpme.evolution import FluxSpec, cfl_limit, run, step_cde, step_gpme
 from gpme.grid_field import UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
-                                 check_moments)
+                                 check_moments, combine_with_laplacian)
 from gpme.presets import preset_names
 
 

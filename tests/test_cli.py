@@ -1,18 +1,40 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
+import importlib
+import importlib.util
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gpme.levy_operators
 from gpme.cli import main
 
 TINY_RUN = {
     "preset": "heat_gaussian_1d",
     "problem": {"h": 0.5, "T": 0.1, "box_half_extent": 4.0},
     "diagnostics": {"R_list": [1.5], "save_stride": 4},
+}
+
+# the coarse 2-D plane of the benchmark's measure workload: m = 2 under the
+# Laplacian plus a unit-order fractional measure
+PLANE_RUN = {
+    "problem": {
+        "dim": 2,
+        "operator": {"c": 1, "support_radius": None, "measure": {
+            "kind": "fractional", "alpha": 1.0, "scale": 1.0 / math.pi,
+            "truncation": None, "weight_rule": "cell_mass"}},
+        "phi": {"kind": "power", "exponent": 2.0}, "flux": None,
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "spread": 0.25},
+        "source": None, "box_half_extent": 4.0, "h": 0.5, "T": 0.5,
+        "dt": {"policy": "linear", "factor": 0.5}, "exact": None,
+    },
+    "diagnostics": {"R_list": [1.0, 2.0, 3.0], "r": 1.0, "save_stride": 1},
 }
 
 
@@ -120,6 +142,61 @@ def test_stencil_dumps_laplacian_weights(tmp_path):
     assert body == [("-1", "4.0"), ("1", "4.0")]
     moments = json.loads((out / "moments.json").read_text())["moments"]
     assert moments["far_mass"] == 0.0
+
+
+def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
+    build = gpme.levy_operators.measure_stencil
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gpme.levy_operators, "measure_stencil", counted)
+    cfg = write_cfg(tmp_path, PLANE_RUN)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def _load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracing_binds_entry_points(tmp_path):
+    # the traced benchmark run replaces these attributes and binds their
+    # arguments by name; a renamed function or parameter must fail here
+    tracing = _load_bench_tracing()
+    signatures = {}
+    for module_name, attr, name in tracing.ENTRY_POINTS:
+        fn = getattr(importlib.import_module(module_name), attr)
+        assert callable(fn), f"{module_name}.{attr}"
+        signatures.setdefault(name, []).append(inspect.signature(fn))
+
+    reads = {name: set() for name in tracing._COUNTS}
+
+    def recording(name, count):
+        class Reads(dict):
+            def __getitem__(self, key):
+                reads[name].add(key)
+                return super().__getitem__(key)
+
+        return lambda args, result: count(Reads(args), result)
+
+    for name, count in list(tracing._COUNTS.items()):
+        tracing._COUNTS[name] = recording(name, count)
+    tracer = tracing.Tracer()
+    cfg = write_cfg(tmp_path, PLANE_RUN)
+    with tracer.recording("run"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    assert set(tracing._COUNTS) <= {s["name"] for s in tracer.spans}
+    for name, keys in reads.items():
+        for sig in signatures[name]:
+            assert keys <= set(sig.parameters), (name, keys - set(sig.parameters))
 
 
 def test_report_json_identical_across_out_dirs(tmp_path):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, combine_with_laplacian,
-                                  scalar_resolvent, solve_ep)
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec, scalar_resolvent, solve_ep
 from gpme.grid_field import GridFunction, UniformGrid, discrete_lr_norm
-from gpme.levy_operators import WeightedStencil, laplacian_stencil
+from gpme.levy_operators import WeightedStencil, combine_with_laplacian, laplacian_stencil
 
 
 def test_scalar_closed_forms():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from gpme.config import build_plan, load_config
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec, combine_with_laplacian
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec
 from gpme.errors import ConfigurationError
 from gpme.evolution import (FluxSpec, ProblemSpec, cfl_limit, escape_weights,
                             flux_divergence, one_sided_difference, run,
                             step_cde, step_gpme)
 from gpme.grid_field import GridFunction, TimeGrid, UniformGrid, discrete_lr_norm
-from gpme.levy_operators import OperatorSpec, WeightedStencil, laplacian_stencil
+from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
+                                 apply_stencil, laplacian_stencil, measure_stencil)
 from gpme.profiles import BarenblattExact, BarenblattProfile, GaussianProfile
 
 
@@ -56,8 +57,14 @@ def test_cfl_limit_inclusive():
 
 def test_escape_weights_boundary_only():
     g = UniformGrid.from_box(1, 0.5, 1.0)
-    esc = escape_weights(combine_with_laplacian(_empty(g), 1), g.shape)
+    esc = escape_weights(_empty(g), 1, g.shape)
     np.testing.assert_allclose(esc, [4.0, 0.0, 0.0, 0.0, 4.0])
+    # in 2-D with a measure, the escape rate is minus the operator on ones
+    g2 = UniformGrid.from_box(2, 0.5, 1.0)
+    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g2)
+    ones = np.ones(g2.shape)
+    np.testing.assert_array_equal(escape_weights(st, 1, g2.shape),
+                                  -apply_stencil(st, 1, ones))
 
 
 def test_run_ledger_identity_pme():

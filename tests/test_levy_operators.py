@@ -7,9 +7,9 @@ from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
                                  apply_stencil, apply_to_points, check_moments,
-                                 consistency_error, laplacian_reference,
-                                 laplacian_stencil, levy_reference,
-                                 measure_stencil)
+                                 combine_with_laplacian, consistency_error,
+                                 laplacian_reference, laplacian_stencil,
+                                 levy_reference, measure_stencil)
 from gpme.levy_operators import testfunction_moment_bound as tf_moment_bound
 from gpme.profiles import GaussianProfile, PoissonKernelProfile
 
@@ -39,6 +39,13 @@ def test_c_flag_equals_explicit_laplacian():
     np.testing.assert_allclose(apply_stencil(empty, 1, u),
                                apply_stencil(laplacian_stencil(g), 0, u),
                                atol=1e-14)
+    # 2-D measure plus local part: the pair (st, 1) acts as its merged weights
+    g2 = UniformGrid.from_box(2, 0.5, 2.0)
+    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g2)
+    u2 = rng.normal(size=g2.shape)
+    np.testing.assert_allclose(apply_stencil(st, 1, u2),
+                               apply_stencil(combine_with_laplacian(st, 1), 0, u2),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_fractional_unit_cell_weight_oracle():
@@ -47,6 +54,16 @@ def test_fractional_unit_cell_weight_oracle():
     st = measure_stencil(m, UniformGrid.from_box(1, 1.0, 6.0))
     i = int(np.argmin(np.abs(st.offset_radii() - 1.0)))
     assert st.weights[i] == pytest.approx(4.0 / 3.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("built_dim", [1, 2])
+def test_radial_density_takes_dim(built_dim):
+    # the density exponent is -(N + alpha) for the N passed in, whatever
+    # stencil was last built from the same spec
+    m = MeasureSpec(kind="fractional", alpha=1.0)
+    measure_stencil(m, UniformGrid.from_box(built_dim, 1.0, 2.0))
+    assert m.radial_density(2.0, 2) == 2.0 ** -3
+    assert m.radial_density(2.0, 1) == 2.0 ** -2
 
 
 def test_stencil_symmetry():
