@@ -21,7 +21,6 @@ _EXPORTS = {
     "DataError": "errors",
     "StencilError": "errors",
     "NonConvergenceError": "errors",
-    "QuadratureError": "errors",
     # grids and fields
     "UniformGrid": "grid_field",
     "TimeGrid": "grid_field",

@@ -77,10 +77,10 @@ def cmd_run(args):
     from .grid_field import GridFunction, _format_float, write_field_csv
 
     cfg = load_config(args.config)
+    plan = build_plan(cfg)
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0
-    plan = build_plan(cfg)
     report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
 
     out = _out_dir(args, cfg)
@@ -131,6 +131,8 @@ def cmd_study(args):
     if args.levels is None or args.levels < 2:
         from .errors import ConfigurationError
         raise ConfigurationError("study needs --levels >= 2", field="levels")
+    # the coarsest plan checks every value; finer levels only halve h
+    coarse = build_plan(cfg)
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0
@@ -139,16 +141,14 @@ def cmd_study(args):
     r = cfg["diagnostics"]["r"]
     rows = []
     trajs = []
-    plans = []
     for level in range(args.levels):
         h = h0 / 2 ** level
-        plan = build_plan(cfg, h=h)
+        plan = coarse if level == 0 else build_plan(cfg, h=h)
         report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
-        plans.append(plan)
         trajs.append(report.trajectory)
         print(f"level {level}: h {h!r}, steps {plan.time_grid.n_steps}")
 
-    exact = plans[0].exact
+    exact = coarse.exact
     if exact is not None:
         for level, traj in enumerate(trajs):
             err = _exact_error(traj, exact, r)
@@ -195,31 +195,28 @@ def cmd_check(args):
 
 
 def cmd_stencil(args):
-    from .config import build_measure, load_stencil_config
+    from .config import build_operator, load_stencil_config
     from .grid_field import UniformGrid
-    from .levy_operators import (OperatorSpec, check_moments, combine_with_laplacian,
-                                 write_stencil_csv)
+    from .levy_operators import check_moments, combine_with_laplacian, write_stencil_csv
 
     cfg = load_stencil_config(args.config)
     p = cfg["problem"]
+    grid = UniformGrid.from_box(p["dim"], p["h"], p["box_half_extent"])
+    operator = build_operator(p["operator"])
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0
-    grid = UniformGrid.from_box(p["dim"], p["h"], p["box_half_extent"])
-    operator = OperatorSpec(c=p["operator"]["c"],
-                            measure=build_measure(p["operator"]["measure"]),
-                            support_radius=p["operator"]["support_radius"])
     # dump the weights of the whole operator: the local part contributes
     # its 1/h^2 nearest-neighbor weights alongside the measure cells
     stencil = combine_with_laplacian(operator.build_stencil(grid), operator.c)
 
-    mcfg = p["operator"]["measure"]
-    if mcfg is None:
+    measure = operator.measure
+    if measure is None:
         report = check_moments(stencil, variant="A")
-    elif mcfg.get("alpha") is not None:
+    elif measure.alpha is not None:
         R_list = [R for R in cfg["diagnostics"]["R_list"] if R > 1.0] or [2.0, 4.0, 8.0]
         report = check_moments(stencil, variant="A_double_prime",
-                               alpha=mcfg["alpha"], R_list=R_list)
+                               alpha=measure.alpha, R_list=R_list)
     else:
         report = check_moments(stencil, variant="A_prime")
 

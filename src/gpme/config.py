@@ -2,6 +2,16 @@
 preset merging, and builders turning a validated config into the runtime
 objects (grid, time grid, problem, solver settings, exact reference).
 
+The checks are split in two, and each is made once.  load_config checks
+the schema: unknown keys, JSON types (every list element included),
+required presence, the shapes that depend on ``dim``, defaults, and the
+values that exist only here (``dt.policy``, ``exact``, the custom-density
+``form``, ``diagnostics``, ``output_dir``, ``preset``).  Every other value
+is checked by the constructor of the spec that holds it (MeasureSpec,
+OperatorSpec, PhiSpec, FluxSpec, the profiles, UniformGrid, TimeGrid,
+EpSolveConfig) when build_plan builds it, and its ConfigurationError names
+the dotted config path of that value.
+
 Unknown keys are errors: a config that parses is a complete provenance
 record of the run.
 """
@@ -24,7 +34,7 @@ __all__ = [
     "merge_config",
     "RunPlan",
     "build_plan",
-    "build_measure",
+    "build_operator",
     "dt_for",
 ]
 
@@ -41,22 +51,40 @@ def _check_keys(block, allowed, path):
             raise ConfigurationError(f"unknown key {path}.{key}", field=f"{path}.{key}")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _get_number(block, key, path, required=False, default=None, positive=False,
-                nonneg=False, integer=False):
+                integer=False):
     if key not in block or block[key] is None:
         if required:
             raise ConfigurationError(f"missing {path}.{key}", field=f"{path}.{key}")
         return default
     v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigurationError(f"{path}.{key} must be a number", field=f"{path}.{key}")
-    if integer and int(v) != v:
+    if integer and not float(v).is_integer():
         raise ConfigurationError(f"{path}.{key} must be an integer", field=f"{path}.{key}")
     if positive and not (v > 0):
         raise ConfigurationError(f"{path}.{key} must be positive", field=f"{path}.{key}")
-    if nonneg and not (v >= 0):
-        raise ConfigurationError(f"{path}.{key} must be nonnegative", field=f"{path}.{key}")
     return int(v) if integer else float(v)
+
+
+def _number_list(v, field, length=None, positive=False):
+    """v as a list of floats, rejected at field unless it is a list (of the
+    given length) whose every entry is a number (positive if asked)."""
+    if not (isinstance(v, list) and (length is None or len(v) == length)
+            and all(_is_number(x) and (x > 0 or not positive) for x in v)):
+        size = "" if length is None else f"{length} "
+        what = "positive numbers" if positive else "numbers"
+        raise ConfigurationError(f"{field} must be a list of {size}{what}", field=field)
+    return [float(x) for x in v]
+
+
+def _optional_number_list(block, key, path, length=None):
+    v = block.get(key)
+    return None if v is None else _number_list(v, f"{path}.{key}", length)
 
 
 def _validate_measure(m, path):
@@ -67,26 +95,21 @@ def _validate_measure(m, path):
                     "tail_order", "finite_first_moment", "form", "exponent",
                     "location"}, path)
     kind = m.get("kind")
-    if kind not in ("fractional", "split", "custom"):
-        raise ConfigurationError(f"{path}.kind must be fractional, split, or custom",
-                                 field=f"{path}.kind")
     out = {"kind": kind}
-    out["alpha"] = _get_number(m, "alpha", path, required=kind in ("fractional", "split"))
-    out["beta"] = _get_number(m, "beta", path, required=kind == "split")
-    out["scale"] = _get_number(m, "scale", path, default=1.0, positive=True)
-    out["truncation"] = _get_number(m, "truncation", path, positive=True)
-    out["tail_order"] = _get_number(m, "tail_order", path, positive=True)
+    out["alpha"] = _get_number(m, "alpha", path)
+    out["beta"] = _get_number(m, "beta", path)
+    out["scale"] = _get_number(m, "scale", path, default=1.0)
+    out["truncation"] = _get_number(m, "truncation", path)
+    out["tail_order"] = _get_number(m, "tail_order", path)
     ffm = m.get("finite_first_moment")
     if ffm is not None and not isinstance(ffm, bool):
         raise ConfigurationError(f"{path}.finite_first_moment must be a boolean",
                                  field=f"{path}.finite_first_moment")
     out["finite_first_moment"] = ffm
-    wr = m.get("weight_rule", "cell_mass")
-    if wr not in ("cell_mass", "midpoint_density"):
-        raise ConfigurationError(f"{path}.weight_rule must be cell_mass or midpoint_density",
-                                 field=f"{path}.weight_rule")
-    out["weight_rule"] = wr
+    out["weight_rule"] = m.get("weight_rule", "cell_mass")
     if kind == "custom":
+        # the density of a custom measure is named by a closed form that
+        # exists only here; MeasureSpec receives the built callable
         form = m.get("form")
         if form not in ("inverse_power", "pole"):
             raise ConfigurationError(f"{path}.form must be inverse_power or pole for "
@@ -104,63 +127,29 @@ def _validate_phi(p, path):
         raise ConfigurationError(f"missing {path}", field=path)
     _require_dict(p, path)
     _check_keys(p, {"kind", "exponent", "latent", "slope", "table_u", "table_phi"}, path)
-    kind = p.get("kind")
-    if kind not in ("power", "stefan", "linear", "table", "zero"):
-        raise ConfigurationError(f"{path}.kind must be power, stefan, linear, table, or zero",
-                                 field=f"{path}.kind")
-    out = {"kind": kind}
-    out["exponent"] = _get_number(p, "exponent", path, required=kind == "power", positive=True)
-    out["latent"] = _get_number(p, "latent", path, required=kind == "stefan", positive=True)
-    out["slope"] = _get_number(p, "slope", path, default=1.0, nonneg=True)
-    for key in ("table_u", "table_phi"):
-        v = p.get(key)
-        if kind == "table" and v is None:
-            raise ConfigurationError(f"missing {path}.{key}", field=f"{path}.{key}")
-        if v is not None and not (isinstance(v, list) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-            raise ConfigurationError(f"{path}.{key} must be a list of numbers",
-                                     field=f"{path}.{key}")
-        out[key] = [float(x) for x in v] if v is not None else None
-    return out
+    return {
+        "kind": p.get("kind"),
+        "exponent": _get_number(p, "exponent", path),
+        "latent": _get_number(p, "latent", path),
+        "slope": _get_number(p, "slope", path, default=1.0),
+        "table_u": _optional_number_list(p, "table_u", path),
+        "table_phi": _optional_number_list(p, "table_phi", path),
+    }
 
 
-def _validate_flux(f, path):
+def _validate_flux(f, path, dim):
     if f is None:
         return None
     _require_dict(f, path)
     _check_keys(f, {"kind", "u_range", "numerical", "velocity", "table_u", "table_f"}, path)
-    kind = f.get("kind")
-    if kind not in ("burgers", "linear", "table"):
-        raise ConfigurationError(f"{path}.kind must be burgers, linear, or table",
-                                 field=f"{path}.kind")
-    out = {"kind": kind}
-    ur = f.get("u_range")
-    if not (isinstance(ur, list) and len(ur) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in ur)
-            and ur[1] > ur[0]):
-        raise ConfigurationError(f"{path}.u_range must be [lo, hi] with hi > lo",
-                                 field=f"{path}.u_range")
-    out["u_range"] = [float(ur[0]), float(ur[1])]
-    num = f.get("numerical", "engquist_osher")
-    if num not in ("engquist_osher", "lax_friedrichs"):
-        raise ConfigurationError(f"{path}.numerical must be engquist_osher or lax_friedrichs",
-                                 field=f"{path}.numerical")
-    out["numerical"] = num
-    vel = f.get("velocity")
-    if kind == "linear":
-        if not (isinstance(vel, list) and len(vel) >= 1 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in vel)):
-            raise ConfigurationError(f"{path}.velocity must be a list of numbers",
-                                     field=f"{path}.velocity")
-        out["velocity"] = [float(x) for x in vel]
-    else:
-        out["velocity"] = None
-    for key in ("table_u", "table_f"):
-        v = f.get(key)
-        if kind == "table" and v is None:
-            raise ConfigurationError(f"missing {path}.{key}", field=f"{path}.{key}")
-        out[key] = [float(x) for x in v] if v is not None else None
-    return out
+    return {
+        "kind": f.get("kind"),
+        "u_range": _number_list(f.get("u_range"), f"{path}.u_range", length=2),
+        "numerical": f.get("numerical", "engquist_osher"),
+        "velocity": _optional_number_list(f, "velocity", path, length=dim),
+        "table_u": _optional_number_list(f, "table_u", path),
+        "table_f": _optional_number_list(f, "table_f", path),
+    }
 
 
 _PROFILE_KEYS = {
@@ -178,27 +167,20 @@ def _validate_profile(b, path, dim):
         raise ConfigurationError(f"missing {path}", field=path)
     _require_dict(b, path)
     kind = b.get("kind")
-    if kind not in _PROFILE_KEYS:
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
         raise ConfigurationError(
             f"{path}.kind must be one of {sorted(_PROFILE_KEYS)}", field=f"{path}.kind")
     _check_keys(b, _PROFILE_KEYS[kind] | {"kind"}, path)
     out = {"kind": kind}
     if kind == "gaussian":
         out["amplitude"] = _get_number(b, "amplitude", path, required=True)
-        out["spread"] = _get_number(b, "spread", path, required=True, positive=True)
-        center = b.get("center")
-        if center is not None:
-            if not (isinstance(center, list) and len(center) == dim):
-                raise ConfigurationError(f"{path}.center must be a list of {dim} numbers",
-                                         field=f"{path}.center")
-            out["center"] = [float(x) for x in center]
-        else:
-            out["center"] = [0.0] * dim
+        out["spread"] = _get_number(b, "spread", path, required=True)
+        out["center"] = _optional_number_list(b, "center", path, length=dim) or [0.0] * dim
     elif kind == "barenblatt":
-        out["coeff"] = _get_number(b, "coeff", path, positive=True)
-        out["time"] = _get_number(b, "time", path, required=True, positive=True)
+        out["coeff"] = _get_number(b, "coeff", path)
+        out["time"] = _get_number(b, "time", path, required=True)
     elif kind == "poisson":
-        out["t0"] = _get_number(b, "t0", path, required=True, positive=True)
+        out["t0"] = _get_number(b, "t0", path, required=True)
     elif kind == "step":
         out["left"] = _get_number(b, "left", path, required=True)
         out["right"] = _get_number(b, "right", path, required=True)
@@ -208,7 +190,8 @@ def _validate_profile(b, path, dim):
         out["hi"] = _get_number(b, "hi", path, required=True)
     else:
         out["value"] = _get_number(b, "value", path, required=True)
-    if kind in ("barenblatt", "poisson", "step", "indicator") and dim != 1:
+    # dim < 1 is left to the grid, which names problem.dim
+    if kind in ("barenblatt", "poisson", "step", "indicator") and dim > 1:
         raise ConfigurationError(f"{path}.kind {kind!r} is one-dimensional only",
                                  field=f"{path}.kind")
     return out
@@ -236,31 +219,25 @@ def _validate_source(s, path, dim):
     return out
 
 
-_EXACT_NAMES = (None, "heat_gaussian", "barenblatt", "poisson", "shock")
+# the reference each exact solution needs as initial data
+_EXACT_DATA = {"heat_gaussian": "gaussian", "barenblatt": "barenblatt",
+               "poisson": "poisson", "shock": "step"}
 
 _PROBLEM_KEYS = {"dim", "operator", "phi", "flux", "initial", "source",
                  "box_half_extent", "h", "T", "dt", "exact"}
 
 
 def _validate_operator(op):
+    path = "problem.operator"
     if op is None:
-        raise ConfigurationError("missing problem.operator", field="problem.operator")
-    _require_dict(op, "problem.operator")
-    _check_keys(op, {"c", "measure", "support_radius"}, "problem.operator")
-    c = _get_number(op, "c", "problem.operator", default=1, integer=True)
-    if c not in (0, 1):
-        raise ConfigurationError("problem.operator.c must be 0 or 1",
-                                 field="problem.operator.c")
-    out = {
-        "c": c,
-        "measure": _validate_measure(op.get("measure"), "problem.operator.measure"),
-        "support_radius": _get_number(op, "support_radius", "problem.operator",
-                                      positive=True),
+        raise ConfigurationError(f"missing {path}", field=path)
+    _require_dict(op, path)
+    _check_keys(op, {"c", "measure", "support_radius"}, path)
+    return {
+        "c": _get_number(op, "c", path, default=1, integer=True),
+        "measure": _validate_measure(op.get("measure"), f"{path}.measure"),
+        "support_radius": _get_number(op, "support_radius", path),
     }
-    if c == 0 and out["measure"] is None:
-        raise ConfigurationError("operator has neither local part nor measure",
-                                 field="problem.operator")
-    return out
 
 
 def _validate_problem(p):
@@ -270,18 +247,17 @@ def _validate_problem(p):
     _require_dict(p, path)
     _check_keys(p, _PROBLEM_KEYS, path)
     out = {}
-    out["dim"] = _get_number(p, "dim", path, default=1, integer=True, positive=True)
+    out["dim"] = _get_number(p, "dim", path, default=1, integer=True)
     out["operator"] = _validate_operator(p.get("operator"))
     if "phi" not in p:
         raise ConfigurationError("missing problem.phi", field="problem.phi")
     out["phi"] = _validate_phi(p.get("phi"), "problem.phi")
-    out["flux"] = _validate_flux(p.get("flux"), "problem.flux")
+    out["flux"] = _validate_flux(p.get("flux"), "problem.flux", out["dim"])
     out["initial"] = _validate_profile(p.get("initial"), "problem.initial", out["dim"])
     out["source"] = _validate_source(p.get("source"), "problem.source", out["dim"])
-    out["box_half_extent"] = _get_number(p, "box_half_extent", path, required=True,
-                                         positive=True)
-    out["h"] = _get_number(p, "h", path, required=True, positive=True)
-    out["T"] = _get_number(p, "T", path, required=True, positive=True)
+    out["box_half_extent"] = _get_number(p, "box_half_extent", path, required=True)
+    out["h"] = _get_number(p, "h", path, required=True)
+    out["T"] = _get_number(p, "T", path, required=True)
     dt = p.get("dt")
     if dt is None:
         raise ConfigurationError("missing problem.dt", field="problem.dt")
@@ -292,13 +268,11 @@ def _validate_problem(p):
         raise ConfigurationError("problem.dt.policy must be linear or quadratic",
                                  field="problem.dt.policy")
     out["dt"] = {"policy": pol,
-                 "factor": _get_number(dt, "factor", "problem.dt", required=True,
-                                       positive=True)}
+                 "factor": _get_number(dt, "factor", "problem.dt", required=True)}
     exact = p.get("exact")
-    if exact not in _EXACT_NAMES:
-        raise ConfigurationError(
-            f"problem.exact must be one of {[e for e in _EXACT_NAMES if e]}",
-            field="problem.exact")
+    if exact not in (None, *_EXACT_DATA):
+        raise ConfigurationError(f"problem.exact must be one of {list(_EXACT_DATA)}",
+                                 field="problem.exact")
     out["exact"] = exact
     return out
 
@@ -310,11 +284,11 @@ def _validate_solver(s):
     _require_dict(s, path)
     _check_keys(s, {"residual_tol", "scalar_tol", "max_sweeps", "max_scalar_iter"}, path)
     return {
-        "residual_tol": _get_number(s, "residual_tol", path, default=1e-13, positive=True),
-        "scalar_tol": _get_number(s, "scalar_tol", path, default=1e-14, positive=True),
-        "max_sweeps": _get_number(s, "max_sweeps", path, integer=True, positive=True),
+        "residual_tol": _get_number(s, "residual_tol", path, default=1e-13),
+        "scalar_tol": _get_number(s, "scalar_tol", path, default=1e-14),
+        "max_sweeps": _get_number(s, "max_sweeps", path, integer=True),
         "max_scalar_iter": _get_number(s, "max_scalar_iter", path, default=300,
-                                       integer=True, positive=True),
+                                       integer=True),
     }
 
 
@@ -324,16 +298,12 @@ def _validate_diagnostics(d):
         d = {}
     _require_dict(d, path)
     _check_keys(d, {"R_list", "r", "save_stride"}, path)
-    rl = d.get("R_list", [])
-    if not (isinstance(rl, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in rl)):
-        raise ConfigurationError("diagnostics.R_list must be a list of positive numbers",
-                                 field="diagnostics.R_list")
+    rl = _number_list(d.get("R_list", []), "diagnostics.R_list", positive=True)
     r = _get_number(d, "r", path, default=1.0)
     if not (r >= 1.0):
         raise ConfigurationError("diagnostics.r must be >= 1", field="diagnostics.r")
     return {
-        "R_list": [float(x) for x in rl],
+        "R_list": rl,
         "r": r,
         "save_stride": _get_number(d, "save_stride", path, default=1, integer=True,
                                    positive=True),
@@ -417,14 +387,13 @@ def load_stencil_config(source):
         raise ConfigurationError("missing problem block", field="problem")
     _require_dict(p, "problem")
     _check_keys(p, _PROBLEM_KEYS, "problem")
-    dim = _get_number(p, "dim", "problem", default=1, integer=True, positive=True)
     return {
         "problem": {
-            "dim": dim,
+            "dim": _get_number(p, "dim", "problem", default=1, integer=True),
             "operator": _validate_operator(p.get("operator")),
-            "h": _get_number(p, "h", "problem", required=True, positive=True),
+            "h": _get_number(p, "h", "problem", required=True),
             "box_half_extent": _get_number(p, "box_half_extent", "problem",
-                                           required=True, positive=True),
+                                           required=True),
         },
         "diagnostics": _validate_diagnostics(raw.get("diagnostics")),
     }
@@ -451,50 +420,61 @@ class RunPlan:
     exact: object
 
 
-def build_measure(mcfg):
-    from .levy_operators import MeasureSpec
-    if mcfg is None:
-        return None
-    kw = dict(kind=mcfg["kind"], alpha=mcfg["alpha"], beta=mcfg["beta"],
-              scale=mcfg["scale"], truncation=mcfg["truncation"],
-              tail_order=mcfg["tail_order"],
-              finite_first_moment=mcfg["finite_first_moment"],
-              weight_rule=mcfg["weight_rule"])
-    if mcfg["kind"] == "custom":
-        if mcfg["form"] == "inverse_power":
+def build_operator(ocfg):
+    """The OperatorSpec of a validated problem.operator block."""
+    from .levy_operators import MeasureSpec, OperatorSpec
+    mcfg = ocfg["measure"]
+    measure = None
+    if mcfg is not None:
+        density = None
+        if mcfg.get("form") == "inverse_power":
             q = mcfg["exponent"]
-            kw["density"] = lambda r: np.power(r, -q)
-        else:
+            density = lambda r: np.power(r, -q)
+        elif mcfg.get("form") == "pole":
             loc = mcfg["location"]
-            kw["density"] = lambda r: 1.0 / np.abs(r - loc)
-    return MeasureSpec(**kw)
+            density = lambda r: 1.0 / np.abs(r - loc)
+        measure = MeasureSpec(kind=mcfg["kind"], alpha=mcfg["alpha"], beta=mcfg["beta"],
+                              density=density, scale=mcfg["scale"],
+                              truncation=mcfg["truncation"],
+                              tail_order=mcfg["tail_order"],
+                              finite_first_moment=mcfg["finite_first_moment"],
+                              weight_rule=mcfg["weight_rule"])
+    return OperatorSpec(c=ocfg["c"], measure=measure,
+                        support_radius=ocfg["support_radius"])
 
 
-def _build_profile(bcfg, dim):
+def _build_profile(bcfg, dim, path):
+    """The profile of a validated data block.  Profiles appear at more than
+    one config location, so their fields are relative and path prefixes
+    them here."""
     from . import profiles as pr
     kind = bcfg["kind"]
-    if kind == "gaussian":
-        return pr.GaussianProfile(bcfg["amplitude"], bcfg["spread"],
-                                  tuple(bcfg["center"]), dim)
-    if kind == "barenblatt":
-        coeff = bcfg["coeff"]
-        if coeff is None:
-            coeff = pr.BarenblattProfile.coeff_for_unit_mass()
-        return pr.BarenblattProfile(coeff, bcfg["time"])
-    if kind == "poisson":
-        return pr.PoissonKernelProfile(bcfg["t0"])
-    if kind == "step":
-        return pr.StepProfile(bcfg["left"], bcfg["right"], bcfg["position"])
-    if kind == "indicator":
-        return pr.IndicatorProfile(bcfg["lo"], bcfg["hi"])
-    return pr.ConstantProfile(bcfg["value"], dim)
+    try:
+        if kind == "gaussian":
+            return pr.GaussianProfile(bcfg["amplitude"], bcfg["spread"],
+                                      tuple(bcfg["center"]), dim)
+        if kind == "barenblatt":
+            coeff = bcfg["coeff"]
+            if coeff is None:
+                coeff = pr.BarenblattProfile.coeff_for_unit_mass()
+            return pr.BarenblattProfile(coeff, bcfg["time"])
+        if kind == "poisson":
+            return pr.PoissonKernelProfile(bcfg["t0"])
+        if kind == "step":
+            return pr.StepProfile(bcfg["left"], bcfg["right"], bcfg["position"])
+        if kind == "indicator":
+            return pr.IndicatorProfile(bcfg["lo"], bcfg["hi"])
+        return pr.ConstantProfile(bcfg["value"], dim)
+    except ConfigurationError as e:
+        field = f"{path}.{e.field}" if e.field else path
+        raise ConfigurationError(str(e), field=field) from None
 
 
 def _build_source(scfg, dim):
     from . import profiles as pr
     if scfg is None:
         return None
-    spatial = _build_profile(scfg["spatial"], dim)
+    spatial = _build_profile(scfg["spatial"], dim, "problem.source.spatial")
     t = scfg["temporal"]
     if t["kind"] == "constant":
         temporal = pr.ConstantInTime(t["value"])
@@ -503,73 +483,64 @@ def _build_source(scfg, dim):
     return pr.SeparableSource(spatial, temporal)
 
 
-def _build_exact(pcfg):
+def _build_exact(name, initial, init_kind, dim):
+    """The closed-form reference named by problem.exact, started from the
+    built initial profile."""
     from . import profiles as pr
-    name = pcfg["exact"]
     if name is None:
         return None
-    init = pcfg["initial"]
+    if init_kind != _EXACT_DATA[name]:
+        raise ConfigurationError(f"{name} reference needs {_EXACT_DATA[name]} data",
+                                 field="problem.exact")
     if name == "heat_gaussian":
-        if init["kind"] != "gaussian":
-            raise ConfigurationError("heat_gaussian reference needs gaussian data",
-                                     field="problem.exact")
-        return pr.HeatGaussianExact(init["amplitude"], init["spread"], pcfg["dim"])
+        return pr.HeatGaussianExact(initial.amplitude, initial.spread, dim)
     if name == "barenblatt":
-        if init["kind"] != "barenblatt":
-            raise ConfigurationError("barenblatt reference needs barenblatt data",
-                                     field="problem.exact")
-        coeff = init["coeff"]
-        if coeff is None:
-            coeff = pr.BarenblattProfile.coeff_for_unit_mass()
-        return pr.BarenblattExact(coeff, init["time"])
+        return pr.BarenblattExact(initial.coeff, initial.t)
     if name == "poisson":
-        if init["kind"] != "poisson":
-            raise ConfigurationError("poisson reference needs poisson data",
-                                     field="problem.exact")
-        return pr.PoissonExact(init["t0"])
-    if init["kind"] != "step":
-        raise ConfigurationError("shock reference needs step data", field="problem.exact")
-    return pr.ShockExact(init["left"], init["right"])
+        return pr.PoissonExact(initial.t0)
+    return pr.ShockExact(initial.left, initial.right)
+
+
+def _tuple(values):
+    return None if values is None else tuple(values)
 
 
 def build_plan(cfg, h=None):
     """Materialize a validated config; h overrides the configured mesh
-    width (refinement studies reuse one config across levels)."""
+    width (refinement studies reuse one config across levels).  Every
+    value check not made by load_config is made here, by the spec
+    constructors."""
     from .elliptic_solver import EpSolveConfig, PhiSpec
     from .evolution import FluxSpec, ProblemSpec
     from .grid_field import TimeGrid, UniformGrid
-    from .levy_operators import OperatorSpec
 
     p = cfg["problem"]
     dim = p["dim"]
-    hh = float(h) if h is not None else p["h"]
-    grid = UniformGrid.from_box(dim, hh, p["box_half_extent"])
-    time_grid = TimeGrid.uniform(p["T"], dt_for(p, hh))
-
-    measure = build_measure(p["operator"]["measure"])
-    operator = OperatorSpec(c=p["operator"]["c"], measure=measure,
-                            support_radius=p["operator"]["support_radius"])
+    operator = build_operator(p["operator"])
     phi_cfg = p["phi"]
     phi = PhiSpec(kind=phi_cfg["kind"], exponent=phi_cfg["exponent"],
                   latent=phi_cfg["latent"], slope=phi_cfg["slope"],
-                  table_u=tuple(phi_cfg["table_u"]) if phi_cfg["table_u"] else None,
-                  table_phi=tuple(phi_cfg["table_phi"]) if phi_cfg["table_phi"] else None)
+                  table_u=_tuple(phi_cfg["table_u"]),
+                  table_phi=_tuple(phi_cfg["table_phi"]))
     flux_cfg = p["flux"]
     if flux_cfg is None:
         flux = None
     else:
         flux = FluxSpec(kind=flux_cfg["kind"], u_range=tuple(flux_cfg["u_range"]),
                         numerical=flux_cfg["numerical"],
-                        velocity=tuple(flux_cfg["velocity"]) if flux_cfg["velocity"] else None,
-                        table_u=tuple(flux_cfg["table_u"]) if flux_cfg["table_u"] else None,
-                        table_f=tuple(flux_cfg["table_f"]) if flux_cfg["table_f"] else None)
-    problem = ProblemSpec(operator=operator, phi=phi,
-                          initial=_build_profile(p["initial"], dim),
+                        velocity=_tuple(flux_cfg["velocity"]),
+                        table_u=_tuple(flux_cfg["table_u"]),
+                        table_f=_tuple(flux_cfg["table_f"]))
+    initial = _build_profile(p["initial"], dim, "problem.initial")
+    problem = ProblemSpec(operator=operator, phi=phi, initial=initial,
                           source=_build_source(p["source"], dim), flux=flux)
+    hh = float(h) if h is not None else p["h"]
+    grid = UniformGrid.from_box(dim, hh, p["box_half_extent"])
+    time_grid = TimeGrid.uniform(p["T"], dt_for(p, hh))
     s = cfg["solver"]
     solver = EpSolveConfig(residual_tol=s["residual_tol"], scalar_tol=s["scalar_tol"],
                            max_sweeps=s["max_sweeps"],
                            max_scalar_iter=s["max_scalar_iter"])
     return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
                    solver=solver, diagnostics=cfg["diagnostics"],
-                   exact=_build_exact(p))
+                   exact=_build_exact(p["exact"], initial, p["initial"]["kind"], dim))

@@ -66,14 +66,11 @@ class PhiSpec:
             if self.latent is None or not (self.latent > 0.0):
                 raise ConfigurationError("stefan nonlinearity needs latent > 0",
                                          field="problem.phi.latent")
-        elif self.kind == "linear":
-            if not (self.slope >= 0.0):
-                raise ConfigurationError("linear slope must be nonnegative",
-                                         field="problem.phi.slope")
         elif self.kind == "table":
-            if self.table_u is None or self.table_phi is None:
-                raise ConfigurationError("table nonlinearity needs table_u and table_phi",
-                                         field="problem.phi")
+            for name in ("table_u", "table_phi"):
+                if getattr(self, name) is None:
+                    raise ConfigurationError(f"table nonlinearity needs {name}",
+                                             field=f"problem.phi.{name}")
             u = np.asarray(self.table_u, dtype=float)
             p = np.asarray(self.table_phi, dtype=float)
             if u.ndim != 1 or u.shape != p.shape or u.size < 2:
@@ -90,9 +87,12 @@ class PhiSpec:
                                          field="problem.phi.table_phi")
             object.__setattr__(self, "table_u", tuple(float(x) for x in u))
             object.__setattr__(self, "table_phi", tuple(float(x) for x in p))
-        elif self.kind != "zero":
+        elif self.kind not in ("linear", "zero"):
             raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}",
                                      field="problem.phi.kind")
+        if not (self.slope >= 0.0):
+            raise ConfigurationError("phi slope must be nonnegative",
+                                     field="problem.phi.slope")
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -198,6 +198,9 @@ class EpSolveConfig:
             raise ConfigurationError("scalar_tol must be positive", field="solver.scalar_tol")
         if self.max_sweeps is not None and self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1", field="solver.max_sweeps")
+        if not (self.max_scalar_iter >= 1):
+            raise ConfigurationError("max_scalar_iter must be at least 1",
+                                     field="solver.max_scalar_iter")
 
     def sweep_cap(self, node_count):
         if self.max_sweeps is not None:

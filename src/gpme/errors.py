@@ -36,7 +36,3 @@ class NonConvergenceError(GpmeError):
         super().__init__(message)
         self.residual = residual
         self.sweeps = sweeps
-
-
-class QuadratureError(GpmeError):
-    """A reference quadrature failed to converge."""

@@ -75,9 +75,10 @@ class FluxSpec:
                                          field="problem.flux.velocity")
             object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
         if self.kind == "table":
-            if self.table_u is None or self.table_f is None:
-                raise ConfigurationError("table flux needs table_u and table_f",
-                                         field="problem.flux")
+            for name in ("table_u", "table_f"):
+                if getattr(self, name) is None:
+                    raise ConfigurationError(f"table flux needs {name}",
+                                             field=f"problem.flux.{name}")
             u = np.asarray(self.table_u, dtype=float)
             f = np.asarray(self.table_f, dtype=float)
             if u.ndim != 1 or u.shape != f.shape or u.size < 2 or np.any(np.diff(u) <= 0.0):
@@ -251,7 +252,7 @@ def step_cde(stencil, c, phi, flux, dt, h, u_prev, g=None, config=None, warm_sta
     if dt > limit * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates the convective step bound {limit:g}",
-            field="time.dt")
+            field="problem.dt.factor")
     rho = np.asarray(u_prev, dtype=float) - dt * flux_divergence(flux, u_prev, h)
     if g is not None:
         rho = rho + dt * np.asarray(g, dtype=float)

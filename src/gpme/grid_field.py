@@ -29,6 +29,13 @@ __all__ = [
 ]
 
 
+def _check_mesh(dim, h):
+    if dim < 1:
+        raise ConfigurationError("grid dimension must be >= 1", field="problem.dim")
+    if not (h > 0.0) or not np.isfinite(h):
+        raise ConfigurationError("mesh width h must be positive and finite", field="problem.h")
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Centered uniform lattice on a box.
@@ -52,10 +59,7 @@ class UniformGrid:
     index_bounds: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigurationError("grid dimension must be >= 1", field="grid.dim")
-        if not (self.h > 0.0) or not np.isfinite(self.h):
-            raise ConfigurationError("mesh width h must be positive and finite", field="grid.h")
+        _check_mesh(self.dim, self.h)
         if len(self.index_bounds) != self.dim or any(k < 0 for k in self.index_bounds):
             raise ConfigurationError("index bounds must list one K >= 0 per axis", field="grid")
 
@@ -63,14 +67,17 @@ class UniformGrid:
     def from_box(cls, dim, h, half_extent):
         """Build the largest centered lattice whose cells stay inside the
         requested box; the origin node is always retained."""
+        _check_mesh(dim, h)
         if np.ndim(half_extent) == 0:
             half_extent = (float(half_extent),) * dim
         if len(half_extent) != dim:
-            raise ConfigurationError("one half-extent per axis required", field="grid.half_extent")
+            raise ConfigurationError("one half-extent per axis required",
+                                     field="problem.box_half_extent")
         bounds = []
         for L in half_extent:
-            if not (L > 0.0):
-                raise ConfigurationError("half-extent must be positive", field="grid.half_extent")
+            if not (L > 0.0) or not np.isfinite(L):
+                raise ConfigurationError("half-extent must be positive and finite",
+                                         field="problem.box_half_extent")
             # node hK is kept while its cell midpoint stays within the box:
             # K = floor(L/h + 1/2), floating-point slop absorbed
             bounds.append(int(np.floor(L / h + 0.5 + 1e-12)))
@@ -106,17 +113,6 @@ class UniformGrid:
     def node_radii(self):
         """Euclidean |x_beta| per node, shape ``grid.shape``."""
         return np.sqrt(np.sum(self.coords() ** 2, axis=-1))
-
-    def index_array(self, axis):
-        k = self.index_bounds[axis]
-        return np.arange(-k, k + 1)
-
-    def same_layout(self, other):
-        return (
-            self.dim == other.dim
-            and self.index_bounds == other.index_bounds
-            and abs(self.h - other.h) <= 1e-12 * self.h
-        )
 
     def cell_of(self, points):
         """Multi-index of the cell containing each point, or None-marker for
@@ -159,8 +155,10 @@ class TimeGrid:
     @classmethod
     def uniform(cls, T, dt_target):
         """Uniform grid with J = ceil(T/dt_target) steps hitting T exactly."""
-        if not (T > 0.0) or not (dt_target > 0.0):
-            raise ConfigurationError("T and dt must be positive", field="time")
+        if not (T > 0.0):
+            raise ConfigurationError("final time T must be positive", field="problem.T")
+        if not (dt_target > 0.0):
+            raise ConfigurationError("time step must be positive", field="problem.dt.factor")
         J = max(1, int(np.ceil(T / dt_target - 1e-12)))
         return cls(np.linspace(0.0, T, J + 1))
 

@@ -77,21 +77,29 @@ class MeasureSpec:
     weight_rule: str = "cell_mass"
 
     def __post_init__(self):
+        path = "problem.operator.measure"
         if self.kind not in ("fractional", "split", "custom"):
-            raise ConfigurationError(f"unknown measure kind {self.kind!r}", field="operator.measure")
-        if self.kind in ("fractional", "split"):
+            raise ConfigurationError(f"unknown measure kind {self.kind!r}; expected "
+                                     "fractional, split, or custom", field=f"{path}.kind")
+        # alpha also sets the moment bound of a custom measure when given
+        if self.kind in ("fractional", "split") or self.alpha is not None:
             if self.alpha is None or not (0.0 < self.alpha < 2.0):
-                raise ConfigurationError("alpha must lie in (0, 2)", field="operator.measure.alpha")
+                raise ConfigurationError("alpha must lie in (0, 2)", field=f"{path}.alpha")
         if self.kind == "split" and (self.beta is None or not (0.0 < self.beta < 2.0)):
-            raise ConfigurationError("beta must lie in (0, 2)", field="operator.measure.beta")
+            raise ConfigurationError("beta must lie in (0, 2)", field=f"{path}.beta")
         if self.kind == "custom" and not callable(self.density):
             raise ConfigurationError("custom measure needs a radial density callable",
-                                     field="operator.measure.density")
+                                     field=f"{path}.form")
         if self.weight_rule not in ("cell_mass", "midpoint_density"):
             raise ConfigurationError("weight_rule must be cell_mass or midpoint_density",
-                                     field="operator.measure.weight_rule")
+                                     field=f"{path}.weight_rule")
         if not (self.scale > 0.0):
-            raise ConfigurationError("measure scale must be positive", field="operator.measure.scale")
+            raise ConfigurationError("measure scale must be positive", field=f"{path}.scale")
+        for name in ("truncation", "tail_order"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0.0):
+                raise ConfigurationError(f"measure {name} must be positive",
+                                         field=f"{path}.{name}")
         if self.tail_order is None and self.kind in ("fractional", "split"):
             object.__setattr__(self, "tail_order", self.alpha)
         if self.finite_first_moment is None:
@@ -314,7 +322,8 @@ def measure_stencil(measure, grid, support_radius=None):
         support_radius = min(support_radius, measure.truncation + 0.5 * h)
     kmax = int(np.floor(support_radius / h + 0.5 + 1e-12))
     if kmax < 1:
-        raise ConfigurationError("support radius leaves no offsets", field="operator.measure")
+        raise ConfigurationError("support radius leaves no offsets",
+                                 field="problem.operator.support_radius")
 
     offsets = []
     weights = []
@@ -643,9 +652,14 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.c not in (0, 1):
-            raise ConfigurationError("operator factor c must be 0 or 1", field="operator.c")
+            raise ConfigurationError("operator factor c must be 0 or 1",
+                                     field="problem.operator.c")
         if self.c == 0 and self.measure is None:
-            raise ConfigurationError("operator needs c = 1 or a jump measure", field="operator")
+            raise ConfigurationError("operator needs c = 1 or a jump measure",
+                                     field="problem.operator")
+        if self.support_radius is not None and not (self.support_radius > 0.0):
+            raise ConfigurationError("support radius must be positive",
+                                     field="problem.operator.support_radius")
 
     def build_stencil(self, grid):
         if self.measure is None:

@@ -3,9 +3,13 @@
 A spatial profile knows how to evaluate itself pointwise, how to average
 itself exactly over lattice cells, and how to report the continuum norms the
 diagnostics need (sup, L^1, tail mass outside a ball, cutoff-weighted L^1).
-Symbolic families (constant, affine, Gaussian, Barenblatt, indicator, step)
+Symbolic families (constant, Gaussian, Barenblatt, indicator, step)
 carry closed-form integrals; anything else falls back to fixed-order
 Gauss-Legendre per cell.
+
+A profile can sit at more than one config location (initial data, source),
+so the ``field`` of a ConfigurationError raised here names the key inside
+the data block only; the caller that knows the block's path prefixes it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import ConfigurationError, DataError
 __all__ = [
     "SpatialProfile",
     "ConstantProfile",
-    "AffineProfile",
     "GaussianProfile",
     "BarenblattProfile",
     "PoissonKernelProfile",
@@ -34,7 +37,6 @@ __all__ = [
     "SeparableSource",
     "ConstantInTime",
     "LinearInTime",
-    "CustomTemporal",
     "HeatGaussianExact",
     "BarenblattExact",
     "PoissonExact",
@@ -160,33 +162,6 @@ class ConstantProfile(SpatialProfile):
 
 
 @dataclass(frozen=True)
-class AffineProfile(SpatialProfile):
-    """a . x + b; cell averages equal midpoint values exactly."""
-
-    slope: tuple
-    offset: float = 0.0
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.slope, dtype=float))
-        object.__setattr__(self, "slope", tuple(s))
-
-    @property
-    def dim(self):
-        return len(self.slope)
-
-    def value(self, points):
-        pts = _as_points(points, self.dim)
-        return pts @ np.asarray(self.slope) + self.offset
-
-    def cell_averages(self, grid):
-        coords = grid.coords()
-        return coords @ np.asarray(self.slope) + self.offset
-
-    def sup_norm(self):
-        return math.inf if any(s != 0.0 for s in self.slope) else abs(self.offset)
-
-
-@dataclass(frozen=True)
 class GaussianProfile(SpatialProfile):
     """A * exp(-|x - center|^2 / (4 s))."""
 
@@ -197,7 +172,7 @@ class GaussianProfile(SpatialProfile):
 
     def __post_init__(self):
         if not (self.spread > 0.0):
-            raise ConfigurationError("gaussian spread must be positive", field="initial.spread")
+            raise ConfigurationError("gaussian spread must be positive", field="spread")
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if len(c) != self.dim:
             c = np.zeros(self.dim)
@@ -256,8 +231,10 @@ class BarenblattProfile(SpatialProfile):
     t: float
 
     def __post_init__(self):
-        if not (self.coeff > 0.0 and self.t > 0.0):
-            raise ConfigurationError("barenblatt needs coeff > 0 and t > 0", field="initial")
+        if not (self.coeff > 0.0):
+            raise ConfigurationError("barenblatt needs coeff > 0", field="coeff")
+        if not (self.t > 0.0):
+            raise ConfigurationError("barenblatt needs t > 0", field="time")
 
     @property
     def peak(self):
@@ -319,7 +296,7 @@ class PoissonKernelProfile(SpatialProfile):
 
     def __post_init__(self):
         if not (self.t0 > 0.0):
-            raise ConfigurationError("poisson kernel needs t0 > 0", field="initial.t0")
+            raise ConfigurationError("poisson kernel needs t0 > 0", field="t0")
 
     def value(self, points):
         pts = _as_points(points, 1)
@@ -354,7 +331,7 @@ class IndicatorProfile(SpatialProfile):
 
     def __post_init__(self):
         if not (self.hi > self.lo):
-            raise ConfigurationError("indicator needs hi > lo", field="initial")
+            raise ConfigurationError("indicator needs hi > lo", field="hi")
 
     def value(self, points):
         pts = _as_points(points, 1)
@@ -535,23 +512,6 @@ class LinearInTime:
     def abs_integral(self, t0, t1):
         # t >= 0 along every run
         return abs(0.5 * self.slope) * (t1 * t1 - t0 * t0)
-
-
-class CustomTemporal:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def integral(self, t0, t1):
-        mid = 0.5 * (t0 + t1)
-        half = 0.5 * (t1 - t0)
-        vals = [self.fn(mid + 2.0 * half * xi) for xi in _GL_NODES]
-        return float(2.0 * half * np.dot(_GL_WEIGHTS, vals))
-
-    def abs_integral(self, t0, t1):
-        mid = 0.5 * (t0 + t1)
-        half = 0.5 * (t1 - t0)
-        vals = [abs(self.fn(mid + 2.0 * half * xi)) for xi in _GL_NODES]
-        return float(2.0 * half * np.dot(_GL_WEIGHTS, vals))
 
 
 class SeparableSource:

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import gpme
 import gpme.levy_operators
 from gpme.cli import main
+from gpme.config import merge_config
 
 TINY_RUN = {
     "preset": "heat_gaussian_1d",
@@ -111,10 +113,56 @@ def test_unknown_check_suite(capsys):
     assert main(["check", "no_such_suite"]) == 2
 
 
-def test_check_moments_passes(capsys):
-    assert main(["check", "moments"]) == 0
+@pytest.mark.parametrize("suite", ["moments", "resolvent", "evolution", "equitightness",
+                                   "all"])
+def test_check_moments_passes(capsys, suite):
+    assert main(["check", suite]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out.splitlines()[-1]
+
+
+# overrides of TINY_RUN that break one value, and the field that names it
+REJECTED = {
+    "fractional_alpha": ({"operator": {"c": 0, "measure": {
+        "kind": "fractional", "alpha": 3.0}}}, "problem.operator.measure.alpha"),
+    "split_beta": ({"operator": {"c": 0, "measure": {
+        "kind": "split", "alpha": 1.0, "beta": 2.5}}}, "problem.operator.measure.beta"),
+    "split_without_beta": ({"operator": {"c": 0, "measure": {
+        "kind": "split", "alpha": 1.0}}}, "problem.operator.measure.beta"),
+    "c_2": ({"operator": {"c": 2}}, "problem.operator.c"),
+    "c_0_without_measure": ({"operator": {"c": 0}}, "problem.operator"),
+    "unsorted_phi_table": ({"phi": {"kind": "table", "table_u": [0, 1, 0.5],
+                                    "table_phi": [0, 1, 2]}}, "problem.phi.table_u"),
+    "unknown_phi_kind": ({"phi": {"kind": "cubic"}}, "problem.phi.kind"),
+    "exact_needs_its_data": ({"exact": "barenblatt"}, "problem.exact"),
+    "indicator_source_lo_above_hi": ({"source": {"spatial": {
+        "kind": "indicator", "lo": 1.0, "hi": -1.0}}}, "problem.source.spatial.hi"),
+    "negative_source_spread": ({"source": {"spatial": {
+        "kind": "gaussian", "amplitude": 1.0, "spread": -1.0}}},
+        "problem.source.spatial.spread"),
+    "flux_table_string": ({"flux": {"kind": "table", "u_range": [0, 1], "table_u": [0, 1],
+                                    "table_f": "ab"}}, "problem.flux.table_f"),
+    "flux_table_boolean": ({"flux": {"kind": "table", "u_range": [0, 1], "table_u": [0, 1],
+                                     "table_f": [True, 1]}}, "problem.flux.table_f"),
+    "center_string": ({"initial": {"center": ["x"]}}, "problem.initial.center"),
+    "velocity_shorter_than_dim": ({"dim": 2, "flux": {
+        "kind": "linear", "u_range": [0, 1], "velocity": [1.0]}}, "problem.flux.velocity"),
+}
+
+
+@pytest.mark.parametrize("override, field", REJECTED.values(), ids=REJECTED.keys())
+def test_dry_run_rejects_what_run_rejects(tmp_path, capsys, override, field):
+    cfg = write_cfg(tmp_path, merge_config(TINY_RUN, {"problem": override}))
+    commands = [["run", "--dry-run"], ["run", "--out", str(tmp_path / "o")]]
+    if field.startswith("problem.operator"):
+        commands += [["stencil", "--dry-run"], ["stencil", "--out", str(tmp_path / "s")]]
+    for command in commands:
+        assert main([*command, "--config", cfg]) == 2, command
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert (record["error"], record["field"]) == ("configuration", field), command
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 
 def test_pole_measure_reports_offending_cell(tmp_path, capsys):
@@ -197,6 +245,12 @@ def test_bench_tracing_binds_entry_points(tmp_path):
     for name, keys in reads.items():
         for sig in signatures[name]:
             assert keys <= set(sig.parameters), (name, keys - set(sig.parameters))
+
+
+def test_every_export_resolves():
+    # a deleted name must not leave a dangling lazy export behind
+    for name in gpme.__all__:
+        getattr(gpme, name)
 
 
 def test_report_json_identical_across_out_dirs(tmp_path):
