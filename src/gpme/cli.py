@@ -203,6 +203,7 @@ def cmd_stencil(args):
     p = cfg["problem"]
     grid = UniformGrid.from_box(p["dim"], p["h"], p["box_half_extent"])
     operator = build_operator(p["operator"])
+    operator.check_grid(grid)
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0

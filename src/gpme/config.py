@@ -10,7 +10,9 @@ values that exist only here (``dt.policy``, ``exact``, the custom-density
 is checked by the constructor of the spec that holds it (MeasureSpec,
 OperatorSpec, PhiSpec, FluxSpec, the profiles, UniformGrid, TimeGrid,
 EpSolveConfig) when build_plan builds it, and its ConfigurationError names
-the dotted config path of that value.
+the dotted config path of that value.  The three values that need the grid
+or the time steps (support radius, dt factor, tail radii) are checked by
+build_plan through the same function the run calls later.
 
 Unknown keys are errors: a config that parses is a complete provenance
 record of the run.
@@ -493,12 +495,12 @@ def _build_exact(name, initial, init_kind, dim):
         raise ConfigurationError(f"{name} reference needs {_EXACT_DATA[name]} data",
                                  field="problem.exact")
     if name == "heat_gaussian":
-        return pr.HeatGaussianExact(initial.amplitude, initial.spread, dim)
+        return pr.HeatGaussianExact(initial.amplitude, initial.spread, initial.center, dim)
     if name == "barenblatt":
         return pr.BarenblattExact(initial.coeff, initial.t)
     if name == "poisson":
         return pr.PoissonExact(initial.t0)
-    return pr.ShockExact(initial.left, initial.right)
+    return pr.ShockExact(initial.left, initial.right, initial.position)
 
 
 def _tuple(values):
@@ -509,9 +511,10 @@ def build_plan(cfg, h=None):
     """Materialize a validated config; h overrides the configured mesh
     width (refinement studies reuse one config across levels).  Every
     value check not made by load_config is made here, by the spec
-    constructors."""
+    constructors and the checks that need the grid or the time steps."""
+    from .diagnostics import check_cutoff_radius
     from .elliptic_solver import EpSolveConfig, PhiSpec
-    from .evolution import FluxSpec, ProblemSpec
+    from .evolution import FluxSpec, ProblemSpec, check_convective_step
     from .grid_field import TimeGrid, UniformGrid
 
     p = cfg["problem"]
@@ -537,6 +540,11 @@ def build_plan(cfg, h=None):
     hh = float(h) if h is not None else p["h"]
     grid = UniformGrid.from_box(dim, hh, p["box_half_extent"])
     time_grid = TimeGrid.uniform(p["T"], dt_for(p, hh))
+    operator.check_grid(grid)
+    if flux is not None:
+        check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
+    for R in cfg["diagnostics"]["R_list"]:
+        check_cutoff_radius(R, grid, "diagnostics.R_list")
     s = cfg["solver"]
     solver = EpSolveConfig(residual_tol=s["residual_tol"], scalar_tol=s["scalar_tol"],
                            max_sweeps=s["max_sweeps"],

@@ -31,6 +31,7 @@ __all__ = [
     "smooth_step_d2",
     "Cutoff",
     "build_cutoff",
+    "check_cutoff_radius",
     "operator_cutoff_norm",
     "forward_difference_norms",
     "tail_mass",
@@ -161,13 +162,18 @@ def build_cutoff(R, grid):
     return cut.on_grid(grid), cut
 
 
+def check_cutoff_radius(R, grid, field):
+    """Reject a cutoff radius R that the box does not contain."""
+    if min(grid.half_extents) < R:
+        raise ConfigurationError("cutoff radius exceeds the box", field=field)
+
+
 def operator_cutoff_norm(stencil, c, cutoff, grid, p):
     """Discrete surrogate for the L^p norm of the operator applied to 𝒳_R:
     the stencil acts on the nodal values of 𝒳_R - 1 (compactly supported, so
     zero extension is exact), and the measure mass beyond the stencil
     support contributes (1 - 𝒳_R) times the analytic remainder."""
-    if min(grid.half_extents) < cutoff.R:
-        raise ConfigurationError("cutoff radius exceeds the box", field="R")
+    check_cutoff_radius(cutoff.R, grid, "R")
     X = cutoff.on_grid(grid).values
     v = apply_stencil(stencil, c, X - 1.0) + (1.0 - X) * stencil.tail_mass_beyond_support
     return lr_norm_of_values(v, grid.cell_volume, p)
@@ -176,8 +182,7 @@ def operator_cutoff_norm(stencil, c, cutoff, grid, p):
 def forward_difference_norms(cutoff, grid, p):
     """sum_i of the L^p norms of the one-sided differences of 𝒳_R at grid
     spacing; the convective counterpart of operator_cutoff_norm."""
-    if min(grid.half_extents) < cutoff.R:
-        raise ConfigurationError("cutoff radius exceeds the box", field="R")
+    check_cutoff_radius(cutoff.R, grid, "R")
     X = cutoff.on_grid(grid).values - 1.0
     total = 0.0
     for axis in range(grid.dim):

@@ -128,14 +128,6 @@ class PhiSpec:
             return np.where((u < tu[0]) | (u > tu[-1]), 0.0, out)
         return np.zeros_like(u)
 
-    @property
-    def is_linear(self):
-        return self.kind == "linear" or self.kind == "zero"
-
-    @property
-    def linear_slope(self):
-        return self.slope if self.kind == "linear" else 0.0
-
     def max_slope(self, bound):
         """Largest slope attained on [-bound, bound]."""
         if self.kind == "power":

@@ -35,6 +35,7 @@ __all__ = [
     "step_gpme",
     "step_cde",
     "cfl_limit",
+    "check_convective_step",
     "run",
 ]
 
@@ -219,6 +220,15 @@ def cfl_limit(flux, h, dim):
     return h / (2.0 * dim * L)
 
 
+def check_convective_step(flux, dt, h, dim):
+    """Reject an explicit step dt above the convective bound cfl_limit."""
+    limit = cfl_limit(flux, h, dim)
+    if dt > limit * (1.0 + 1e-12):
+        raise ConfigurationError(
+            f"dt = {dt:g} violates the convective step bound {limit:g}",
+            field="problem.dt.factor")
+
+
 def escape_weights(stencil, c, shape):
     """Per node, the total weight of jumps of the operator (stencil, c) that
     land outside the box; the diffusive mass leak rate is
@@ -248,11 +258,7 @@ def step_gpme(stencil, c, phi, dt, u_prev, g=None, config=None, warm_start=None)
 
 def step_cde(stencil, c, phi, flux, dt, h, u_prev, g=None, config=None, warm_start=None):
     """Explicit monotone convection then the implicit diffusion solve."""
-    limit = cfl_limit(flux, h, np.asarray(u_prev).ndim)
-    if dt > limit * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"dt = {dt:g} violates the convective step bound {limit:g}",
-            field="problem.dt.factor")
+    check_convective_step(flux, dt, h, np.asarray(u_prev).ndim)
     rho = np.asarray(u_prev, dtype=float) - dt * flux_divergence(flux, u_prev, h)
     if g is not None:
         rho = rho + dt * np.asarray(g, dtype=float)

@@ -13,11 +13,20 @@ Laplacian.  On a grid it is applied by one path, ``_neighbor_sum`` and
 weight list only for inspection and pointwise evaluation.  Weights for a
 jump measure are the measure of each lattice cell, so the total mass on any
 region is preserved by construction; the origin cell is excluded.
+
+``measure_stencil`` builds them by one path in every dimension.  The
+measures are radial, so a cell and its images under the lattice's
+reflections and axis permutations have one mass: each symmetry class,
+represented by sorted(|gamma|), is weighed once.  The rule per class is
+midpoint density times h^N for ``weight_rule = midpoint_density``, the
+closed form for fractional and split measures on the line, and tensor
+Gauss-Legendre (20 nodes on the line, 8 per axis above) otherwise; a
+custom density must also pass a half-cell refinement check.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +57,10 @@ __all__ = [
 
 # direct shift loop below this offset count, dense-kernel convolution above
 _KERNEL_THRESHOLD = 64
+# quadrature points evaluated at once when weighing cells: bounds the memory
+# of a 3-D build, whose 10^4 - 10^5 classes take 512 nodes each (4096 with
+# the custom-density check)
+_GL_BLOCK_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -140,10 +153,7 @@ class MeasureSpec:
         def g(r):
             return area * r ** (dim - 1) * float(self.radial_density(r, dim))
 
-        if hi == math.inf:
-            val, err = integrate.quad(g, R, math.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
-        else:
-            val, err = integrate.quad(g, R, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+        val, _ = integrate.quad(g, R, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
         if not np.isfinite(val):
             raise StencilError("tail mass quadrature did not converge")
         return val
@@ -259,122 +269,90 @@ def _cell_weight_1d_power(measure, lo, hi):
     return measure.scale * out
 
 
-_GL20 = np.polynomial.legendre.leggauss(20)
-
-
-def _gl_cell_mass_1d(measure, center, half):
-    nodes, wts = _GL20
-    pts = center + half * nodes
-    vals = measure.radial_density(np.abs(pts), 1)
-    return half * float(np.dot(wts, vals))
-
-
-def _cell_weight_quad(measure, center, h, dim):
-    """Cell mass by tensor Gauss-Legendre; a well-posed density is bounded
-    on every non-origin cell, so fixed order suffices.  Custom densities
-    additionally get a half-cell refinement check: a pole inside the cell
-    makes the two estimates disagree, which a single quadrature cannot
-    see."""
-    if dim == 1:
-        half = 0.5 * h
-        out = _gl_cell_mass_1d(measure, center[0], half)
-        if measure.kind == "custom":
-            fine = (_gl_cell_mass_1d(measure, center[0] - 0.5 * half, 0.5 * half)
-                    + _gl_cell_mass_1d(measure, center[0] + 0.5 * half, 0.5 * half))
-            if not np.isfinite(fine) or abs(fine - out) > 1e-6 * (1.0 + abs(fine)):
-                raise StencilError(
-                    "density not integrable on the cell at "
-                    f"{tuple(float(c) for c in center)}",
-                    cell=tuple(int(round(c / h)) for c in center))
-            out = fine
-    else:
-        nodes, wts = np.polynomial.legendre.leggauss(8)
-        half = 0.5 * h
-        grids = np.meshgrid(*([center[i] + half * nodes for i in range(dim)]), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        r = np.sqrt(np.sum(pts ** 2, axis=1))
-        vals = measure.radial_density(r, dim)
-        wcombo = np.ones(len(nodes) ** dim)
-        for i in range(dim):
-            rep = np.meshgrid(*([wts] * dim), indexing="ij")[i].reshape(-1)
-            wcombo = wcombo * rep
-        out = (half ** dim) * float(np.dot(wcombo, vals))
-    if not np.isfinite(out):
-        raise StencilError(
-            f"cell quadrature non-finite near {tuple(float(c) for c in center)}",
-            cell=tuple(int(round(c / h)) for c in center))
+def _gl_cell_masses(measure, centers, half):
+    """Tensor Gauss-Legendre masses of the cells centers + [-half, half]^N,
+    one per row of centers; a well-posed density is bounded on every
+    non-origin cell, so a fixed order suffices."""
+    dim = centers.shape[1]
+    nodes, wts = np.polynomial.legendre.leggauss(20 if dim == 1 else 8)
+    unit = np.array(list(itertools.product(nodes, repeat=dim)))
+    weight = np.prod(list(itertools.product(wts, repeat=dim)), axis=1)
+    out = np.empty(len(centers))
+    block = max(1, _GL_BLOCK_POINTS // len(weight))
+    for start in range(0, len(centers), block):
+        pts = centers[start:start + block, None, :] + half * unit
+        vals = measure.radial_density(np.sqrt(np.sum(pts ** 2, axis=-1)), dim)
+        out[start:start + block] = half ** dim * np.sum(vals * weight, axis=-1)
     return out
+
+
+def _class_weights(measure, classes, h):
+    """Cell mass per class representative (a row of sorted |gamma|), by the
+    rule the module docstring gives.  Non-finite weights are left to
+    WeightedStencil."""
+    dim = classes.shape[1]
+    centers = classes * h
+    if measure.weight_rule == "midpoint_density":
+        return measure.radial_density(np.sqrt(np.sum(centers ** 2, axis=1)), dim) * h ** dim
+    if dim == 1 and measure.kind in ("fractional", "split"):
+        # scalar arithmetic: the vectorized power rounds differently
+        return np.array([_cell_weight_1d_power(measure, (g - 0.5) * h, (g + 0.5) * h)
+                         for g in classes[:, 0]])
+    coarse = _gl_cell_masses(measure, centers, 0.5 * h)
+    if measure.kind != "custom":
+        return coarse
+    # a pole inside a cell makes the 2^N sub-cell estimate disagree with
+    # the whole-cell one, which a single quadrature cannot see
+    quarter = 0.25 * h
+    fine = sum(_gl_cell_masses(measure, centers + quarter * np.array(signs), quarter)
+               for signs in itertools.product((-1.0, 1.0), repeat=dim))
+    bad = ~np.isfinite(fine) | (np.abs(fine - coarse) > 1e-6 * (1.0 + np.abs(fine)))
+    if np.any(bad):
+        cell = tuple(int(g) for g in classes[np.argmax(bad)])
+        raise StencilError("density not integrable on the cell at "
+                           f"{tuple(float(g * h) for g in cell)}", cell=cell)
+    return fine
+
+
+def _support_index(measure, grid, support_radius):
+    """The support radius the measure stencil covers (default: the box
+    diameter, capped by a truncation) and K, the largest index it reaches;
+    a radius below h/2 leaves no offsets and is rejected."""
+    if support_radius is None:
+        support_radius = 2.0 * max(grid.half_extents)
+    if measure.truncation is not None:
+        support_radius = min(support_radius, measure.truncation + 0.5 * grid.h)
+    kmax = int(np.floor(support_radius / grid.h + 0.5 + 1e-12))
+    if kmax < 1:
+        raise ConfigurationError("support radius leaves no offsets",
+                                 field="problem.operator.support_radius")
+    return support_radius, kmax
 
 
 def measure_stencil(measure, grid, support_radius=None):
     """Weights omega_gamma = mu(z_gamma + cell) for all offsets with
-    |z_gamma| <= support_radius (default: the box diameter).
+    0 < |z_gamma| <= support_radius (default: the box diameter).
 
-    The mass of the measure beyond the covered region is recorded in
-    ``tail_mass_beyond_support`` so moment checks can add the analytic
-    remainder instead of silently dropping it.
+    One path for every dimension: each class of offsets with the same
+    sorted(|gamma|) is weighed once, by the rule per measure that the
+    module docstring gives, and its weight gathered back to the class, so
+    the weights are exactly symmetric.  The mass beyond the covered region
+    is recorded in ``tail_mass_beyond_support`` so moment checks can add
+    the analytic remainder instead of silently dropping it.
     """
     h = grid.h
     dim = grid.dim
-    if support_radius is None:
-        support_radius = 2.0 * max(grid.half_extents)
-    if measure.truncation is not None:
-        support_radius = min(support_radius, measure.truncation + 0.5 * h)
-    kmax = int(np.floor(support_radius / h + 0.5 + 1e-12))
-    if kmax < 1:
-        raise ConfigurationError("support radius leaves no offsets",
-                                 field="problem.operator.support_radius")
-
-    offsets = []
-    weights = []
-    if dim == 1:
-        use_closed = measure.kind in ("fractional", "split") and measure.weight_rule == "cell_mass"
-        gammas = np.arange(1, kmax + 1)
-        keep = gammas * h <= support_radius + 1e-12
-        gammas = gammas[keep]
-        for g in gammas:
-            lo = (g - 0.5) * h
-            hi = (g + 0.5) * h
-            if measure.weight_rule == "midpoint_density":
-                w = float(measure.radial_density(g * h, 1)) * h
-            elif use_closed:
-                w = _cell_weight_1d_power(measure, lo, hi)
-            else:
-                w = _cell_weight_quad(measure, np.array([g * h]), h, 1)
-            offsets.append([int(g)])
-            weights.append(w)
-            offsets.append([-int(g)])
-            weights.append(w)
-        covered_edge = (float(gammas[-1]) + 0.5) * h if len(gammas) else 0.5 * h
-    else:
-        rng = np.arange(-kmax, kmax + 1)
-        mesh = np.meshgrid(*([rng] * dim), indexing="ij")
-        all_off = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        radii = h * np.sqrt(np.sum(all_off.astype(float) ** 2, axis=1))
-        mask = (radii > 0.0) & (radii <= support_radius + 1e-12)
-        all_off = all_off[mask]
-        # quadrature once per sign-canonical representative, mirrored after
-        seen = {}
-        for off in all_off:
-            key = tuple(off)
-            mkey = tuple(-off)
-            if mkey in seen:
-                w = seen[mkey]
-            else:
-                center = off.astype(float) * h
-                if measure.weight_rule == "midpoint_density":
-                    r = float(np.linalg.norm(center))
-                    w = float(measure.radial_density(r, dim)) * h ** dim
-                else:
-                    w = _cell_weight_quad(measure, center, h, dim)
-                seen[key] = w
-            offsets.append(list(off))
-            weights.append(w)
-        covered_edge = support_radius
-
-    tail = measure.mass_beyond(covered_edge, dim)
-    return WeightedStencil(h=h, dim=dim, offsets=np.array(offsets, dtype=int),
-                           weights=np.array(weights), tail_mass_beyond_support=float(tail))
+    support_radius, kmax = _support_index(measure, grid, support_radius)
+    offsets = np.indices((2 * kmax + 1,) * dim).reshape(dim, -1).T - kmax
+    radii = h * np.sqrt(np.sum(offsets.astype(float) ** 2, axis=1))
+    offsets = offsets[(radii > 0.0) & (radii <= support_radius + 1e-12)]
+    classes, members = np.unique(np.sort(np.abs(offsets), axis=1), axis=0,
+                                 return_inverse=True)
+    weights = _class_weights(measure, classes, h)[members.reshape(-1)]
+    # on the line the covered cells tile [-edge, edge] exactly
+    edge = float(np.max(offsets, initial=0) + 0.5) * h if dim == 1 else support_radius
+    return WeightedStencil(h=h, dim=dim, offsets=offsets, weights=weights,
+                           tail_mass_beyond_support=float(measure.mass_beyond(edge, dim)))
 
 
 def _total_weight(stencil, c):
@@ -496,9 +474,6 @@ class MomentReport:
             "alpha": self.alpha,
             "truncation_remainder": self.truncation_remainder,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def check_moments(stencil, variant="A", alpha=None, R_list=None):
@@ -660,6 +635,12 @@ class OperatorSpec:
         if self.support_radius is not None and not (self.support_radius > 0.0):
             raise ConfigurationError("support radius must be positive",
                                      field="problem.operator.support_radius")
+
+    def check_grid(self, grid):
+        """The check build_stencil makes on the grid before it builds: the
+        support radius must reach the nearest cells."""
+        if self.measure is not None:
+            _support_index(self.measure, grid, self.support_radius)
 
     def build_stencil(self, grid):
         if self.measure is None:

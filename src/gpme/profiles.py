@@ -548,19 +548,20 @@ class SeparableSource:
 
 @dataclass(frozen=True)
 class HeatGaussianExact:
-    """u_t = u_xx started from A exp(-|x|^2/(4 s0))."""
+    """u_t = u_xx started from A exp(-|x - center|^2/(4 s0))."""
 
     amplitude: float
     spread: float
+    center: tuple
     dim: int = 1
 
     def initial(self):
-        return GaussianProfile(self.amplitude, self.spread, (0.0,) * self.dim, self.dim)
+        return GaussianProfile(self.amplitude, self.spread, self.center, self.dim)
 
     def at_time(self, t):
         s = self.spread + t
         amp = self.amplitude * (self.spread / s) ** (self.dim / 2.0)
-        return GaussianProfile(amp, s, (0.0,) * self.dim, self.dim)
+        return GaussianProfile(amp, s, self.center, self.dim)
 
 
 @dataclass(frozen=True)
@@ -592,17 +593,19 @@ class PoissonExact:
 @dataclass(frozen=True)
 class ShockExact:
     """Entropy solution of the quadratic conservation law for step data
-    left > right: a single shock moving at the Rankine-Hugoniot speed."""
+    left > right at ``position``: a single shock moving at the
+    Rankine-Hugoniot speed."""
 
     left: float
     right: float
+    position: float
 
     @property
     def speed(self):
         return 0.5 * (self.left + self.right)
 
     def initial(self):
-        return StepProfile(self.left, self.right, 0.0)
+        return StepProfile(self.left, self.right, self.position)
 
     def at_time(self, t):
-        return StepProfile(self.left, self.right, self.speed * t)
+        return StepProfile(self.left, self.right, self.position + self.speed * t)

@@ -121,8 +121,9 @@ def test_check_moments_passes(capsys, suite):
     assert "checks passed" in out.splitlines()[-1]
 
 
-# overrides of TINY_RUN that break one value, and the field that names it
-REJECTED = {
+# overrides of TINY_RUN's problem block that break one value, and the field
+# that names it
+PROBLEM_REJECTED = {
     "fractional_alpha": ({"operator": {"c": 0, "measure": {
         "kind": "fractional", "alpha": 3.0}}}, "problem.operator.measure.alpha"),
     "split_beta": ({"operator": {"c": 0, "measure": {
@@ -147,12 +148,23 @@ REJECTED = {
     "center_string": ({"initial": {"center": ["x"]}}, "problem.initial.center"),
     "velocity_shorter_than_dim": ({"dim": 2, "flux": {
         "kind": "linear", "u_range": [0, 1], "velocity": [1.0]}}, "problem.flux.velocity"),
+    # checks that need the grid or the time steps, made before any computing
+    "support_radius_below_half_h": ({"operator": {"c": 1, "support_radius": 0.2, "measure": {
+        "kind": "fractional", "alpha": 1.0}}}, "problem.operator.support_radius"),
+    "dt_above_convective_bound": ({"flux": {"kind": "burgers", "u_range": [0, 1]},
+                                   "T": 2.0, "dt": {"policy": "linear", "factor": 2.0}},
+                                  "problem.dt.factor"),
 }
+# the same as whole-config overrides, plus the values outside the problem block
+REJECTED = {name: ({"problem": override}, field)
+            for name, (override, field) in PROBLEM_REJECTED.items()}
+REJECTED["tail_radius_beyond_box"] = ({"diagnostics": {"R_list": [1.5, 100.0]}},
+                                      "diagnostics.R_list")
 
 
 @pytest.mark.parametrize("override, field", REJECTED.values(), ids=REJECTED.keys())
 def test_dry_run_rejects_what_run_rejects(tmp_path, capsys, override, field):
-    cfg = write_cfg(tmp_path, merge_config(TINY_RUN, {"problem": override}))
+    cfg = write_cfg(tmp_path, merge_config(TINY_RUN, override))
     commands = [["run", "--dry-run"], ["run", "--out", str(tmp_path / "o")]]
     if field.startswith("problem.operator"):
         commands += [["stencil", "--dry-run"], ["stencil", "--out", str(tmp_path / "s")]]
@@ -176,6 +188,20 @@ def test_pole_measure_reports_offending_cell(tmp_path, capsys):
     assert record["error"] == "runtime"
     assert "not integrable" in record["message"]
     assert record["cell"] == [1]
+
+
+def test_pole_measure_in_the_plane_reports_a_cell(tmp_path, capsys):
+    # the half-cell refinement check holds in every dimension
+    cfg = write_cfg(tmp_path, {"problem": {
+        "dim": 2, "h": 0.5, "box_half_extent": 2.0,
+        "operator": {"c": 0, "measure": {"kind": "custom", "form": "pole",
+                                         "exponent": 1.5, "location": 0.75}},
+    }})
+    assert main(["stencil", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    record, _ = last_err_record(capsys)
+    assert record["error"] == "runtime"
+    assert "not integrable" in record["message"]
+    assert len(record["cell"]) == 2
 
 
 def test_stencil_dumps_laplacian_weights(tmp_path):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad, quad
 
+from gpme import levy_operators
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
@@ -197,3 +199,60 @@ def test_operator_norm_bound_splits_near_and_far():
         for p in (1.0, 2.0, np.inf):
             rhs = norm(psi2, p) * second_moment + 2.0 * norm(psi, p) * far
             assert norm(applied, p) <= rhs * (1.0 + 1e-9)
+
+
+def _weights_by_offset(st):
+    return {tuple(int(g) for g in off): w for off, w in zip(st.offsets, st.weights)}
+
+
+def test_cell_mass_oracle_2d():
+    # alpha = 1 in the plane: density |z|^-3, integrated over each cell
+    m = MeasureSpec(kind="fractional", alpha=1.0)
+    h = 0.5
+    w = _weights_by_offset(measure_stencil(m, UniformGrid.from_box(2, h, 2.0)))
+    for off in [(1, 0), (1, 1), (2, 1), (3, 0), (0, -2)]:
+        (x0, x1), (y0, y1) = [((g - 0.5) * h, (g + 0.5) * h) for g in off]
+        want, _ = dblquad(lambda y, x: float(m.radial_density(np.hypot(x, y), 2)),
+                          x0, x1, y0, y1, epsabs=0.0, epsrel=1e-12)
+        assert w[off] == pytest.approx(want, rel=1e-6), off
+
+
+def test_midpoint_rule_weights_2d():
+    m = MeasureSpec(kind="fractional", alpha=1.0, weight_rule="midpoint_density")
+    h = 0.5
+    w = _weights_by_offset(measure_stencil(m, UniformGrid.from_box(2, h, 2.0)))
+    for off in [(1, 0), (1, 2), (-3, 1)]:
+        assert w[off] == pytest.approx(np.hypot(*off) ** -3 / h, rel=1e-14), off
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_weights_are_exactly_symmetric(dim):
+    # every reflection and axis permutation of a cell carries the same weight
+    m = MeasureSpec(kind="split", alpha=1.5, beta=0.5, scale=0.7)
+    w = _weights_by_offset(measure_stencil(m, UniformGrid.from_box(dim, 0.5, 1.5)))
+    for off, weight in w.items():
+        assert weight == w[tuple(sorted(abs(g) for g in off))], off
+
+
+def test_cell_masses_do_not_depend_on_the_block_size(monkeypatch):
+    m = MeasureSpec(kind="custom", density=lambda r: np.exp(-r), tail_order=2.0)
+    g = UniformGrid.from_box(3, 0.5, 1.5)
+    whole = measure_stencil(m, g)
+    monkeypatch.setattr(levy_operators, "_GL_BLOCK_POINTS", 3 * 512)
+    blocked = measure_stencil(m, g)
+    np.testing.assert_array_equal(blocked.weights, whole.weights)
+
+
+@pytest.mark.parametrize("measure, h", [
+    (MeasureSpec(kind="split", alpha=1.5, beta=0.5, scale=0.7), 0.3),
+    (MeasureSpec(kind="fractional", alpha=1.2, truncation=2.0), 0.3),
+], ids=["split", "truncated"])
+def test_cell_mass_closed_form_on_the_line(measure, h):
+    # the split point r = 1 and the truncation radius 2 fall inside cells
+    st = measure_stencil(measure, UniformGrid.from_box(1, h, 3.0))
+    for off, w in _weights_by_offset(st).items():
+        lo, hi = sorted(((abs(off[0]) - 0.5) * h, (abs(off[0]) + 0.5) * h))
+        kinks = [r for r in (1.0, 2.0) if lo < r < hi] or None
+        want, _ = quad(lambda r: float(measure.radial_density(r, 1)), lo, hi,
+                       points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert w == pytest.approx(want, rel=1e-12, abs=0.0), off

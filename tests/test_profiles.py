@@ -76,7 +76,7 @@ def test_poisson_kernel_normalized():
 
 
 def test_heat_gaussian_exact_spreads_and_conserves():
-    ex = HeatGaussianExact(1.0 / np.sqrt(np.pi), 0.25)
+    ex = HeatGaussianExact(1.0 / np.sqrt(np.pi), 0.25, (0.0,))
     assert ex.initial().l1_norm() == pytest.approx(1.0)
     late = ex.at_time(0.5)
     assert late.l1_norm() == pytest.approx(1.0)
@@ -106,7 +106,7 @@ def test_step_profile_and_shift_distance():
 
 
 def test_shock_exact_moves_at_mean_flux_speed():
-    ex = ShockExact(1.0, 0.0)
+    ex = ShockExact(1.0, 0.0, 0.0)
     prof = ex.at_time(0.5)
     v = prof.value(np.array([[0.2], [0.3]]))
     np.testing.assert_allclose(v, [1.0, 0.0])
@@ -122,3 +122,19 @@ def test_temporal_factors_integrate():
     assert c.integral(0.0, 0.5) == pytest.approx(1.0)
     lin = LinearInTime(2.0)
     assert lin.integral(0.0, 1.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("override", [
+    {"preset": "heat_gaussian_1d", "problem": {"initial": {"center": [1.0]}}},
+    {"preset": "heat_gaussian_1d", "problem": {
+        "dim": 2, "h": 0.25, "box_half_extent": 2.0,
+        "initial": {"center": [0.5, -0.25]}}, "diagnostics": {"R_list": []}},
+    {"preset": "burgers_riemann_1d", "problem": {"initial": {"position": 0.3}}},
+], ids=["gaussian_off_centre", "gaussian_off_centre_2d", "step_off_origin"])
+def test_exact_reference_starts_from_the_initial_data(override):
+    from gpme.config import build_plan, load_config
+    from gpme.grid_field import project_cell_average
+
+    plan = build_plan(load_config(override))
+    np.testing.assert_array_equal(plan.exact.at_time(0.0).cell_averages(plan.grid),
+                                  project_cell_average(plan.problem.initial, plan.grid).values)
