@@ -72,12 +72,14 @@ def _exact_error(traj, exact, r):
 
 def cmd_run(args):
     from .config import build_plan, load_config
-    from .diagnostics import equitightness_check
+    from .diagnostics import check_cutoff_radius, equitightness_check
     from .evolution import run
     from .grid_field import GridFunction, _format_float, write_field_csv
 
     cfg = load_config(args.config)
     plan = build_plan(cfg)
+    for R in plan.diagnostics["R_list"]:
+        check_cutoff_radius(R, plan.grid, "diagnostics.R_list")
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0

@@ -10,9 +10,10 @@ values that exist only here (``dt.policy``, ``exact``, the custom-density
 is checked by the constructor of the spec that holds it (MeasureSpec,
 OperatorSpec, PhiSpec, FluxSpec, the profiles, UniformGrid, TimeGrid,
 EpSolveConfig) when build_plan builds it, and its ConfigurationError names
-the dotted config path of that value.  The three values that need the grid
-or the time steps (support radius, dt factor, tail radii) are checked by
-build_plan through the same function the run calls later.
+the dotted config path of that value.  The two values that need the grid
+or the time steps (support radius, dt factor) are checked by build_plan
+through the same function the run calls later; the tail radii, which only
+``gpme run`` reads, are checked by that command before it computes.
 
 Unknown keys are errors: a config that parses is a complete provenance
 record of the run.
@@ -512,7 +513,6 @@ def build_plan(cfg, h=None):
     width (refinement studies reuse one config across levels).  Every
     value check not made by load_config is made here, by the spec
     constructors and the checks that need the grid or the time steps."""
-    from .diagnostics import check_cutoff_radius
     from .elliptic_solver import EpSolveConfig, PhiSpec
     from .evolution import FluxSpec, ProblemSpec, check_convective_step
     from .grid_field import TimeGrid, UniformGrid
@@ -543,8 +543,6 @@ def build_plan(cfg, h=None):
     operator.check_grid(grid)
     if flux is not None:
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
-    for R in cfg["diagnostics"]["R_list"]:
-        check_cutoff_radius(R, grid, "diagnostics.R_list")
     s = cfg["solver"]
     solver = EpSolveConfig(residual_tol=s["residual_tol"], scalar_tol=s["scalar_tol"],
                            max_sweeps=s["max_sweeps"],

@@ -57,10 +57,6 @@ __all__ = [
 
 # direct shift loop below this offset count, dense-kernel convolution above
 _KERNEL_THRESHOLD = 64
-# quadrature points evaluated at once when weighing cells: bounds the memory
-# of a 3-D build, whose 10^4 - 10^5 classes take 512 nodes each (4096 with
-# the custom-density check)
-_GL_BLOCK_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -277,13 +273,9 @@ def _gl_cell_masses(measure, centers, half):
     nodes, wts = np.polynomial.legendre.leggauss(20 if dim == 1 else 8)
     unit = np.array(list(itertools.product(nodes, repeat=dim)))
     weight = np.prod(list(itertools.product(wts, repeat=dim)), axis=1)
-    out = np.empty(len(centers))
-    block = max(1, _GL_BLOCK_POINTS // len(weight))
-    for start in range(0, len(centers), block):
-        pts = centers[start:start + block, None, :] + half * unit
-        vals = measure.radial_density(np.sqrt(np.sum(pts ** 2, axis=-1)), dim)
-        out[start:start + block] = half ** dim * np.sum(vals * weight, axis=-1)
-    return out
+    pts = centers[:, None, :] + half * unit
+    vals = measure.radial_density(np.sqrt(np.sum(pts ** 2, axis=-1)), dim)
+    return half ** dim * np.sum(vals * weight, axis=-1)
 
 
 def _class_weights(measure, classes, h):

@@ -177,6 +177,17 @@ def test_dry_run_rejects_what_run_rejects(tmp_path, capsys, override, field):
     assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 
+def test_study_accepts_tail_radii_it_does_not_read(tmp_path, capsys):
+    # the box half-extent shrinks from 2.25 to 2.025 as h halves, so the
+    # radius fits the coarse box only; study never evaluates tail bounds
+    cfg = write_cfg(tmp_path, merge_config(TINY_RUN, {
+        "problem": {"h": 0.3, "box_half_extent": 2.0},
+        "diagnostics": {"R_list": [2.2]}}))
+    out = tmp_path / "o"
+    assert main(["study", "--config", cfg, "--levels", "2", "--out", str(out)]) == 0
+    assert (out / "study.csv").exists()
+
+
 def test_pole_measure_reports_offending_cell(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"problem": {
         "h": 0.5, "box_half_extent": 2.0,

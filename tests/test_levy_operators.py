@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from gpme import levy_operators
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
@@ -232,15 +231,6 @@ def test_weights_are_exactly_symmetric(dim):
     w = _weights_by_offset(measure_stencil(m, UniformGrid.from_box(dim, 0.5, 1.5)))
     for off, weight in w.items():
         assert weight == w[tuple(sorted(abs(g) for g in off))], off
-
-
-def test_cell_masses_do_not_depend_on_the_block_size(monkeypatch):
-    m = MeasureSpec(kind="custom", density=lambda r: np.exp(-r), tail_order=2.0)
-    g = UniformGrid.from_box(3, 0.5, 1.5)
-    whole = measure_stencil(m, g)
-    monkeypatch.setattr(levy_operators, "_GL_BLOCK_POINTS", 3 * 512)
-    blocked = measure_stencil(m, g)
-    np.testing.assert_array_equal(blocked.weights, whole.weights)
 
 
 @pytest.mark.parametrize("measure, h", [
