@@ -2,15 +2,21 @@
 
 Each suite re-verifies the structural guarantees of one layer at desk
 scale: moment sums of stencils, order/contraction properties of the
-resolvent, the ledger and stability properties of full runs, and the
-uniform tail certificate with its cutoff scalings.  Every check reports a
-measured slack so a regression shows up as a number, not just a flag.
+resolvent and the scheme, the ledger of full runs, and the uniform tail
+certificate with its cutoff scalings.  The suites are the one home of
+these oracles: the tests and the acceptance criteria assert the results
+computed here instead of recomputing them.
+
+Every check measures a value and compares it with the bound it must not
+exceed: it passes when value <= bound, and its slack bound - value is the
+margin left, so a regression shows up as a number, not just a flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -18,11 +24,12 @@ from .diagnostics import (Cutoff, equitightness_check, operator_cutoff_norm,
                           tail_mass)
 from .elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from .errors import ConfigurationError
-from .evolution import (FluxSpec, ProblemSpec, cfl_limit, flux_divergence, run)
+from .evolution import (FluxSpec, ProblemSpec, cfl_limit, flux_divergence, run,
+                        step_cde, step_gpme)
 from .grid_field import GridFunction, TimeGrid, UniformGrid
-from .levy_operators import (MeasureSpec, OperatorSpec, apply_stencil, check_moments,
-                             laplacian_stencil, measure_stencil,
-                             testfunction_moment_bound)
+from .levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
+                             check_moments, combine_with_laplacian, laplacian_stencil,
+                             measure_stencil, testfunction_moment_bound)
 from .profiles import (BarenblattProfile, ConstantInTime, GaussianProfile,
                        PoissonKernelProfile, SeparableSource)
 
@@ -31,68 +38,87 @@ __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A measured value and the bound it must not exceed."""
+
     name: str
-    passed: bool
-    slack: float
+    value: float
+    bound: float
     detail: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "bound", float(self.bound))
+
+    @property
+    def passed(self):
+        return self.value <= self.bound
+
+    @property
+    def slack(self):
+        return self.bound - self.value
 
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
-        msg = f"{self.name}: {tag} (slack {self.slack:.3e})"
+        msg = (f"{self.name}: {tag} (value {self.value:.3e}, bound {self.bound:.3e}, "
+               f"slack {self.slack:.3e})")
         if self.detail:
             msg += f"  {self.detail}"
         return msg
 
 
-def _result(name, passed, slack, detail=""):
-    return CheckResult(name=name, passed=bool(passed), slack=float(slack), detail=detail)
+def _worst(name, pairs, detail=""):
+    """The (value, bound) pair with the least slack; a NaN value wins."""
+    values, bounds = np.array(pairs, dtype=float).T
+    i = int(np.argmax(values - bounds))
+    return CheckResult(name, values[i], bounds[i], detail)
 
 
 # ---------------------------------------------------------------------------
 # moments
 
 
-def _moments_suite():
+def _moments_suite(barenblatt):
     out = []
-    grid = UniformGrid.from_box(1, 0.5, 4.0)
-    lap = laplacian_stencil(grid)
-    rep = check_moments(lap, variant="A")
-    out.append(_result("laplacian_far_mass_zero", rep.far_mass == 0.0, rep.far_mass))
-    # two offsets at distance h with weight 1/h^2 each
-    gap = abs(rep.near_second_moment - 2.0)
-    out.append(_result("laplacian_near_second_moment", gap <= 1e-12, gap))
+    far, gap = [], []
+    # the Laplacian as plain weights and as the local part c = 1 of an
+    # empty measure stencil
+    for stencil in (laplacian_stencil(UniformGrid.from_box(1, 0.5, 4.0)),
+                    combine_with_laplacian(WeightedStencil.empty(0.25, 1), 1)):
+        rep = check_moments(stencil, variant="A")
+        far.append(rep.far_mass)
+        # two offsets at distance h with weight 1/h^2 each
+        gap.append(abs(rep.near_second_moment - 2.0))
+    out.append(CheckResult("laplacian_far_mass_zero", max(far), 0.0, "h in {0.5, 0.25}"))
+    out.append(CheckResult("laplacian_near_second_moment", max(gap), 1e-12))
 
     m = MeasureSpec(kind="fractional", alpha=1.0)
-    unit = UniformGrid.from_box(1, 1.0, 8.0)
-    st = measure_stencil(m, unit)
+    st = measure_stencil(m, UniformGrid.from_box(1, 1.0, 8.0))
+    # alpha = 1, h = 1: the integral of 2 r^-2 over [1/2, 3/2] is 4/3
     w1 = st.weights[np.argmin(np.abs(st.offset_radii() - 1.0))]
-    gap = abs(w1 - 4.0 / 3.0)
-    out.append(_result("fractional_unit_cell_weight", gap <= 1e-12, gap,
-                       "closed-form antiderivative oracle"))
+    out.append(CheckResult("fractional_unit_cell_weight", abs(w1 - 4.0 / 3.0), 1e-13,
+                           "closed-form antiderivative oracle"))
 
     vals = []
     for h in (0.125, 0.0625, 0.03125):
         g = UniformGrid.from_box(1, h, 24.0)
         s = measure_stencil(m, g, support_radius=20.0)
-        rep2 = check_moments(s, variant="A_double_prime", alpha=1.0,
-                             R_list=[2.0, 4.0, 8.0, 16.0])
-        vals.extend(v for _, v in rep2.a_pp_values)
-    ratio = max(vals) / min(vals)
-    out.append(_result("fractional_a_pp_flat", ratio <= 10.0, ratio,
-                       f"{len(vals)} (h, R) pairs"))
+        rep = check_moments(s, variant="A_double_prime", alpha=1.0,
+                            R_list=[2.0, 4.0, 8.0, 16.0])
+        vals.extend(v for _, v in rep.a_pp_values)
+    out.append(CheckResult("fractional_a_pp_flat", max(vals) / min(vals), 10.0,
+                           f"A'' max/min over {len(vals)} (h, R) pairs"))
 
     # certifying test functions dominate the raw sums
-    rep3 = check_moments(st, variant="A_prime")
-    raw = float(np.sum(np.minimum(st.offset_radii() ** 2, st.offset_radii())
-                       * st.weights))
-    bound = testfunction_moment_bound(st, "A_prime")
-    out.append(_result("a_prime_testfunction_dominates", bound + 1e-12 >= raw,
-                       bound - raw, f"far first moment {rep3.far_first_moment:.3e}"))
-    repR = check_moments(st, variant="A_double_prime", alpha=1.0, R_list=[4.0])
-    boundR = testfunction_moment_bound(st, "A_double_prime", alpha=1.0, R=4.0)
-    out.append(_result("a_pp_testfunction_dominates",
-                       boundR + 1e-12 >= repR.a_pp_values[0][1],
-                       boundR - repR.a_pp_values[0][1]))
+    pairs = []
+    for stencil in (st, measure_stencil(m, UniformGrid.from_box(1, 0.25, 8.0))):
+        r = stencil.offset_radii()
+        pairs.append((np.sum(np.minimum(r ** 2, r) * stencil.weights),
+                      testfunction_moment_bound(stencil, "A_prime")))
+    out.append(_worst("a_prime_testfunction_dominates", pairs, "h in {1, 0.25}"))
+    rep = check_moments(st, variant="A_double_prime", alpha=1.0, R_list=[4.0])
+    out.append(CheckResult("a_pp_testfunction_dominates", rep.a_pp_values[0][1],
+                           testfunction_moment_bound(st, "A_double_prime", alpha=1.0,
+                                                     R=4.0)))
     return out
 
 
@@ -100,71 +126,49 @@ def _moments_suite():
 # resolvent
 
 
-def _tridiagonal_oracle():
-    grid = UniformGrid.from_box(1, 1.0, 1.0)
-    st = laplacian_stencil(grid)
-    phi = PhiSpec(kind="linear", slope=1.0)
-    rho = np.array([0.0, 1.0, 0.0])
-    res = solve_ep(st, 0, phi, 1.0, rho, config=EpSolveConfig(residual_tol=1e-12))
-    target = np.array([1.0 / 7.0, 3.0 / 7.0, 1.0 / 7.0])
-    return float(np.max(np.abs(res.w - target)))
-
-
-def _resolvent_suite():
+def _resolvent_suite(barenblatt):
     out = []
-    gap = _tridiagonal_oracle()
-    out.append(_result("tridiagonal_oracle", gap <= 1e-10, gap,
-                       "3-node identity nonlinearity"))
+    # 3 nodes, h = dt = 1, rho = e_2: the exact resolvent is (1, 3, 1)/7
+    # for both forms of the Laplacian
+    grid = UniformGrid.from_box(1, 1.0, 1.0)
+    rho = np.array([0.0, 1.0, 0.0])
+    target = np.array([1.0, 3.0, 1.0]) / 7.0
+    errs, residuals = [], []
+    for stencil, c in ((laplacian_stencil(grid), 0), (WeightedStencil.empty(1.0, 1), 1)):
+        res = solve_ep(stencil, c, PhiSpec(kind="linear"), 1.0, rho,
+                       config=EpSolveConfig(residual_tol=1e-12))
+        errs.append(float(np.max(np.abs(res.w - target))))
+        residuals.append(res.residual)
+    out.append(CheckResult("tridiagonal_oracle", max(errs + residuals), 1e-10,
+                           f"max error {max(errs):.2e}, residual {max(residuals):.2e}, "
+                           "both operator forms"))
 
-    rng = np.random.default_rng(7)
-    grid = UniformGrid.from_box(1, 0.25, 2.0)
-    st = laplacian_stencil(grid)
-    phi = PhiSpec(kind="linear", slope=1.0)
-    dt = 0.1
-    rho = rng.normal(size=grid.shape)
-    res = solve_ep(st, 0, phi, dt, rho, config=EpSolveConfig(residual_tol=1e-13))
-    n = grid.shape[0]
-    A = np.eye(n)
-    lam = dt / grid.h ** 2
-    for i in range(n):
-        A[i, i] += 2.0 * lam
-        if i > 0:
-            A[i, i - 1] -= lam
-        if i + 1 < n:
-            A[i, i + 1] -= lam
-    direct = np.linalg.solve(A, rho)
-    gap = float(np.max(np.abs(res.w - direct)))
-    out.append(_result("dense_linear_cross_check", gap <= 1e-10, gap))
-
-    phi2 = PhiSpec(kind="power", exponent=2.0)
-    rho_a = np.abs(rng.normal(size=grid.shape))
-    rho_b = rho_a + np.abs(rng.normal(size=grid.shape))
-    cfg = EpSolveConfig(residual_tol=1e-12)
-    wa = solve_ep(st, 0, phi2, dt, rho_a, config=cfg).w
-    wb = solve_ep(st, 0, phi2, dt, rho_b, config=cfg).w
-    worst = float(np.max(wa - wb))
-    out.append(_result("resolvent_comparison", worst <= 1e-9, worst,
-                       "ordered data stays ordered"))
-    vol = grid.cell_volume
-    lhs = vol * float(np.sum(np.maximum(wa - wb, 0.0)))
-    rhs = vol * float(np.sum(np.maximum(rho_a - rho_b, 0.0)))
-    out.append(_result("resolvent_l1_contraction", lhs <= rhs + 1e-9, lhs - rhs))
+    errs = []
+    for h, L, dt, seed in ((0.25, 2.0, 0.1, 7), (0.5, 3.0, 0.3, 11)):
+        g = UniformGrid.from_box(1, h, L)
+        rho = np.random.default_rng(seed).normal(size=g.shape)
+        res = solve_ep(laplacian_stencil(g), 0, PhiSpec(kind="linear"), dt, rho,
+                       config=EpSolveConfig(residual_tol=1e-13))
+        n, lam = g.shape[0], dt / h ** 2
+        A = (1.0 + 2.0 * lam) * np.eye(n) - lam * (np.eye(n, k=1) + np.eye(n, k=-1))
+        errs.append(float(np.max(np.abs(res.w - np.linalg.solve(A, rho)))))
+    out.append(CheckResult("dense_linear_cross_check", max(errs), 1e-10,
+                           "h in {0.25, 0.5}"))
 
     # weighted tail inequality for the solved field
     grid2 = UniformGrid.from_box(1, 0.25, 6.0)
     st2 = laplacian_stencil(grid2)
-    prof = GaussianProfile(1.0, 0.25)
-    rho2 = prof.cell_averages(grid2)
+    phi2 = PhiSpec(kind="power", exponent=2.0)
+    rho2 = GaussianProfile(1.0, 0.25).cell_averages(grid2)
     res2 = solve_ep(st2, 0, phi2, 0.2, rho2, config=EpSolveConfig(residual_tol=1e-13))
-    cut = Cutoff(R=3.0, dim=1)
-    X = cut.on_grid(grid2).values
+    X = Cutoff(R=3.0, dim=1).on_grid(grid2).values
     vol2 = grid2.cell_volume
     lhs = vol2 * float(np.sum(np.abs(res2.w) * X))
     LX = apply_stencil(st2, 0, X - 1.0)
     rhs = (vol2 * float(np.sum(np.abs(rho2) * X))
            + 0.2 * vol2 * float(np.sum(np.abs(phi2.value(res2.w)) * np.abs(LX))))
-    out.append(_result("resolvent_weighted_tail", lhs <= rhs + 1e-10, lhs - rhs,
-                       "cutoff-weighted mass moves only through the operator"))
+    out.append(CheckResult("resolvent_weighted_tail", lhs, rhs + 1e-10,
+                           "cutoff-weighted mass moves only through the operator"))
     return out
 
 
@@ -177,63 +181,105 @@ def _small_problem(phi, initial, flux=None, measure=None, c=1, source=None):
     return ProblemSpec(operator=op, phi=phi, initial=initial, source=source, flux=flux)
 
 
-def _evolution_suite():
-    out = []
-    grid = UniformGrid.from_box(1, 0.1, 6.0)
-    tg = TimeGrid.uniform(0.2, 0.05)
+def _barenblatt_run():
+    """The m = 2 Barenblatt run that the evolution and tail suites read."""
     prob = _small_problem(PhiSpec(kind="power", exponent=2.0),
                           BarenblattProfile(BarenblattProfile.coeff_for_unit_mass(), 1.0))
-    rep = run(prob, grid, tg, config=EpSolveConfig(residual_tol=1e-13))
-    gap = float(np.max(np.abs(rep.identity_gap)))
-    tol = 1e-9 * (1.0 + rep.mass[0])
-    out.append(_result("mass_ledger_identity", gap <= tol, gap,
-                       f"{tg.n_steps} steps"))
-    leak = float(abs(rep.leak_diffusive[-1]))
-    out.append(_result("compact_support_conservation", leak <= 1e-12, leak,
-                       "box 3x wider than the support"))
+    rep = run(prob, UniformGrid.from_box(1, 0.1, 6.0), TimeGrid.uniform(0.2, 0.05),
+              config=EpSolveConfig(residual_tol=1e-13))
+    return prob, rep
 
-    rng = np.random.default_rng(11)
-    grid2 = UniformGrid.from_box(1, 0.2, 2.0)
-    tg2 = TimeGrid.uniform(0.2, 0.1)
-    st2 = laplacian_stencil(grid2)
-    phi2 = PhiSpec(kind="power", exponent=2.0)
-    a = np.abs(rng.normal(size=grid2.shape))
-    b = a + np.abs(rng.normal(size=grid2.shape))
+
+def _order_sweep():
+    """Comparison, L^1 contraction and L^1 / sup stability, worst over 20
+    seeds of three steps each: four kinds of phi, the local and the
+    fractional operator, a Burgers flux on every third seed, and ordered
+    sources forcing each pair of solutions."""
+    grid = UniformGrid.from_box(1, 0.25, 6.0)
+    vol = grid.cell_volume
+    n = grid.node_count
+    lap = WeightedStencil.empty(grid.h, grid.dim)
+    frac = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0)
+                        ).build_stencil(grid)
+    phis = [PhiSpec(kind="power", exponent=0.5), PhiSpec(kind="linear"),
+            PhiSpec(kind="power", exponent=2.0),
+            PhiSpec(kind="stefan", latent=0.5)]
     cfg = EpSolveConfig(residual_tol=1e-12)
-    ua, ub = a.copy(), b.copy()
-    for dt in tg2.steps:
-        ua = solve_ep(st2, 0, phi2, dt, ua, config=cfg).w
-        ub = solve_ep(st2, 0, phi2, dt, ub, config=cfg).w
-    worst = float(np.max(ua - ub))
-    out.append(_result("evolution_monotone", worst <= 1e-9, worst))
-    vol = grid2.cell_volume
-    lhs = vol * float(np.sum(np.maximum(ua - ub, 0.0)))
-    rhs = vol * float(np.sum(np.maximum(a - b, 0.0)))
-    out.append(_result("evolution_l1_contraction", lhs <= rhs + 1e-9, lhs - rhs))
-    sup = float(np.max(np.abs(ub)))
-    sup0 = float(np.max(np.abs(b)))
-    out.append(_result("evolution_linf_stability", sup <= sup0 + 1e-9, sup - sup0))
+    tol = 1e-8
+    pairs = {"evolution_monotone": [], "evolution_l1_contraction": [],
+             "evolution_l1_stability": [], "evolution_linf_stability": []}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        phi = phis[seed % 4]
+        stencil, c = (lap, 1) if seed % 2 == 0 else (frac, 0)
+        flux = FluxSpec(kind="burgers", u_range=(0.0, 1.0)) if seed % 3 == 0 else None
+        if flux is None:
+            u = rng.uniform(-1.0, 1.0, n)
+            v = u + rng.uniform(0.0, 0.5, n)
+            dt = 0.05
+        else:
+            u = rng.uniform(0.0, 0.7, n)
+            v = np.minimum(u + rng.uniform(0.0, 0.2, n), 0.95)
+            dt = 0.9 * cfl_limit(flux, grid.h, grid.dim)
+        g_lo = rng.uniform(-0.2, 0.2, (3, n))
+        g_hi = g_lo + rng.uniform(0.0, 0.1, (3, n))
+        if flux is not None:
+            g_lo = np.abs(g_lo)
+            g_hi = g_lo + rng.uniform(0.0, 0.1, (3, n))
+        u0, v0 = u.copy(), v.copy()
+        src_l1 = src_sup = src_gap = 0.0
+        for step in range(3):
+            if flux is None:
+                u = step_gpme(stencil, c, phi, dt, u, g=g_lo[step], config=cfg).w
+                v = step_gpme(stencil, c, phi, dt, v, g=g_hi[step], config=cfg).w
+            else:
+                u = step_cde(stencil, c, phi, flux, dt, grid.h, u,
+                             g=g_lo[step], config=cfg).w
+                v = step_cde(stencil, c, phi, flux, dt, grid.h, v,
+                             g=g_hi[step], config=cfg).w
+            src_l1 += dt * vol * float(np.sum(np.abs(g_lo[step])))
+            src_sup += dt * float(np.max(np.abs(g_lo[step])))
+            src_gap += dt * vol * float(np.sum(np.maximum(g_hi[step] - g_lo[step], 0.0)))
+            # ordered data stay ordered, pointwise and in the L^1 positive part
+            pairs["evolution_monotone"].append(
+                (max(np.max(u - v), vol * np.sum(np.maximum(u - v, 0.0))), tol))
+            pairs["evolution_l1_contraction"].append(
+                (vol * np.sum(np.maximum(v - u, 0.0)),
+                 vol * np.sum(np.maximum(v0 - u0, 0.0)) + src_gap + tol))
+            pairs["evolution_l1_stability"].append(
+                (vol * np.sum(np.abs(u)), vol * np.sum(np.abs(u0)) + src_l1 + tol))
+            pairs["evolution_linf_stability"].append(
+                (np.max(np.abs(u)), np.max(np.abs(u0)) + src_sup + tol))
+    return [_worst(name, p, "worst of 20 seeds x 3 steps") for name, p in pairs.items()]
 
+
+def _evolution_suite(barenblatt):
+    out = []
+    _, rep = barenblatt()
+    out.append(CheckResult("mass_ledger_identity", np.max(np.abs(rep.identity_gap)),
+                           1e-9 * (1.0 + rep.mass[0]), f"{len(rep.sweeps)} steps"))
+    out.append(CheckResult("compact_support_conservation", abs(rep.leak_diffusive[-1]),
+                           1e-12, "box 3x wider than the support"))
+    out.extend(_order_sweep())
+
+    grid = UniformGrid.from_box(1, 0.2, 2.0)
     flux = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
     try:
-        from .evolution import step_cde
-        step_cde(laplacian_stencil(grid2), 1, PhiSpec(kind="zero"), flux,
-                 grid2.h, grid2.h, np.zeros(grid2.shape))
-        out.append(_result("cfl_violation_rejected", False, 1.0,
-                           "oversized step accepted"))
+        step_cde(laplacian_stencil(grid), 1, PhiSpec(kind="zero"), flux,
+                 grid.h, grid.h, np.zeros(grid.shape))
+        accepted = 1.0
     except ConfigurationError:
-        out.append(_result("cfl_violation_rejected", True, 0.0))
+        accepted = 0.0
+    out.append(CheckResult("cfl_violation_rejected", accepted, 0.0,
+                           "oversized steps accepted"))
 
     # one explicit upwind step of the linear flux, hand-checked
     h = 0.5
     u = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
     lin = FluxSpec(kind="linear", u_range=(0.0, 1.0), velocity=(1.0,))
-    div = flux_divergence(lin, u, h)
-    dt = cfl_limit(lin, h, 1)
-    stepped = u - dt * div
+    stepped = u - cfl_limit(lin, h, 1) * flux_divergence(lin, u, h)
     expected = np.array([0.0, 0.5, 0.5, 0.0, 0.0])
-    gap = float(np.max(np.abs(stepped - expected)))
-    out.append(_result("upwind_hand_oracle", gap <= 1e-14, gap))
+    out.append(CheckResult("upwind_hand_oracle", np.max(np.abs(stepped - expected)), 1e-14))
     return out
 
 
@@ -241,67 +287,65 @@ def _evolution_suite():
 # equitightness
 
 
-def _equitightness_suite():
+def _tail_bound(name, eq):
+    # a certificate the theory does not assert bounds nothing
+    bound = eq.bound if eq.bound_asserted else -math.inf
+    return CheckResult(name, eq.lhs, bound, eq.note)
+
+
+def _equitightness_suite(barenblatt):
     out = []
-    grid = UniformGrid.from_box(1, 0.1, 6.0)
-    tg = TimeGrid.uniform(0.2, 0.05)
-    prob = _small_problem(PhiSpec(kind="power", exponent=2.0),
-                          BarenblattProfile(BarenblattProfile.coeff_for_unit_mass(), 1.0))
-    rep = run(prob, grid, tg, config=EpSolveConfig(residual_tol=1e-13))
-    eq = equitightness_check(rep.trajectory, prob, R=3.0, r=1.0)
-    out.append(_result("tail_bound_local_quadratic", eq.passed and eq.bound_asserted,
-                       eq.rhs_total - eq.lhs, f"lhs {eq.lhs:.3e} rhs {eq.rhs_total:.3e}"))
+    prob, rep = barenblatt()
+    out.append(_tail_bound("tail_bound_local_quadratic",
+                           equitightness_check(rep.trajectory, prob, R=3.0, r=1.0)))
 
     m = MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / math.pi)
-    gridf = UniformGrid.from_box(1, 0.2, 8.0)
-    tgf = TimeGrid.uniform(0.2, 0.1)
     probf = _small_problem(PhiSpec(kind="linear", slope=1.0),
                            PoissonKernelProfile(1.0), measure=m, c=0)
-    repf = run(probf, gridf, tgf, config=EpSolveConfig(residual_tol=1e-12))
-    eqf = equitightness_check(repf.trajectory, probf, R=4.0, r=1.0)
-    out.append(_result("tail_bound_fractional_linear", eqf.passed and eqf.bound_asserted,
-                       eqf.rhs_total - eqf.lhs,
-                       f"lhs {eqf.lhs:.3e} rhs {eqf.rhs_total:.3e}"))
+    repf = run(probf, UniformGrid.from_box(1, 0.2, 8.0), TimeGrid.uniform(0.2, 0.1),
+               config=EpSolveConfig(residual_tol=1e-12))
+    out.append(_tail_bound("tail_bound_fractional_linear",
+                           equitightness_check(repf.trajectory, probf, R=4.0, r=1.0)))
 
     # source term enters the bound through both integrability pieces
     src = SeparableSource(GaussianProfile(0.5, 0.25), ConstantInTime(1.0))
     probs = _small_problem(PhiSpec(kind="power", exponent=2.0),
                            GaussianProfile(1.0, 0.25), source=src)
-    reps = run(probs, grid, tg, config=EpSolveConfig(residual_tol=1e-13))
-    eqs = equitightness_check(reps.trajectory, probs, R=3.0, r=1.0)
-    out.append(_result("tail_bound_with_source", eqs.passed,
-                       eqs.rhs_total - eqs.lhs,
-                       f"lhs {eqs.lhs:.3e} rhs {eqs.rhs_total:.3e}"))
+    grid = rep.trajectory.grid
+    reps = run(probs, grid, rep.trajectory.time_grid,
+               config=EpSolveConfig(residual_tol=1e-13))
+    out.append(_tail_bound("tail_bound_with_source",
+                           equitightness_check(reps.trajectory, probs, R=3.0, r=1.0)))
 
-    # cutoff derivative scalings R^(N/p - k)
+    # cutoff derivative scalings ||D^k X_R||_p ~ R^(N/p - k)
     worst = 0.0
     for p in (2.0, math.inf):
         for k in (1, 2):
             n4 = Cutoff(R=4.0, dim=1).derivative_norm(k, p)
             n8 = Cutoff(R=8.0, dim=1).derivative_norm(k, p)
-            over = 1.0 / p if p != math.inf else 0.0
-            predicted = 2.0 ** (over - k)
+            predicted = 2.0 ** (1.0 / p - k)
             worst = max(worst, abs(n8 / n4 / predicted - 1.0))
-    out.append(_result("cutoff_derivative_scaling", worst <= 1e-4, worst,
-                       "R in {4, 8}, k in {1, 2}, p in {2, inf}"))
+    out.append(CheckResult("cutoff_derivative_scaling", worst, 1e-4,
+                           "R in {4, 8}, k in {1, 2}, p in {2, inf}"))
 
     # operator-applied cutoff decays like R^(N/p - alpha)
     m1 = MeasureSpec(kind="fractional", alpha=1.0)
     gbig = UniformGrid.from_box(1, 0.125, 9.0)
     stb = measure_stencil(m1, gbig, support_radius=18.0)
-    norms = []
-    for R in (2.0, 4.0, 8.0):
-        norms.append(operator_cutoff_norm(stb, 0, Cutoff(R=R, dim=1), gbig, math.inf))
-    slopes = np.diff(np.log2(norms))
-    target = 0.0 - 1.0
-    worst = float(np.max(np.abs(slopes - target)))
-    out.append(_result("operator_cutoff_slope", worst <= 0.3, worst,
-                       f"log2 slopes {[f'{s:.3f}' for s in slopes]} target {target:g}"))
+    gaps, parts = [], []
+    for p in (2.0, math.inf):
+        norms = [operator_cutoff_norm(stb, 0, Cutoff(R=R, dim=1), gbig, p)
+                 for R in (2.0, 4.0, 8.0)]
+        slopes = np.diff(np.log2(norms))
+        target = 1.0 / p - 1.0
+        gaps.extend(np.abs(slopes - target))
+        parts.append(f"p={p:g}: {', '.join(f'{s:.3f}' for s in slopes)} vs {target:g}")
+    out.append(CheckResult("operator_cutoff_slope", max(gaps), 0.3,
+                           f"log2 slopes {'; '.join(parts)}"))
 
     # tail mass is monotone in R
     u = GridFunction(grid, np.abs(GaussianProfile(1.0, 0.3).cell_averages(grid)))
-    t2, t4 = tail_mass(u, 2.0), tail_mass(u, 4.0)
-    out.append(_result("tail_mass_monotone", t4 <= t2, t2 - t4))
+    out.append(CheckResult("tail_mass_monotone", tail_mass(u, 4.0), tail_mass(u, 2.0)))
     return out
 
 
@@ -318,14 +362,14 @@ def suite_names():
 
 
 def run_suite(name):
-    """Execute one suite (or all of them) and return the CheckResults."""
-    if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
+    """Execute one suite (or all of them) and return the CheckResults.
+
+    Each suite takes a callable returning the shared Barenblatt run; it is
+    computed on first use and at most once per call."""
+    if name != "all" and name not in SUITES:
         raise ConfigurationError(
             f"unknown suite {name!r}; choose from {', '.join(suite_names())}",
             field="suite")
-    return SUITES[name]()
+    barenblatt = cache(_barenblatt_run)
+    keys = list(SUITES) if name == "all" else [name]
+    return [res for key in keys for res in SUITES[key](barenblatt)]

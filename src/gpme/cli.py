@@ -37,6 +37,11 @@ def _emit_error(kind, exc):
     cell = getattr(exc, "cell", None)
     if cell is not None:
         record["cell"] = list(cell)
+    # a stalled solve says how far it got
+    for key in ("residual", "sweeps"):
+        value = getattr(exc, key, None)
+        if value is not None:
+            record[key] = value
     print(json.dumps(record), file=sys.stderr)
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .grid_field import GridFunction, Trajectory, project_cell_average, project_source, shifted
+from .errors import ConfigurationError
+from .grid_field import Trajectory, project_cell_average, project_source, shifted
 from .elliptic_solver import EpSolveConfig, solve_ep
 from .levy_operators import OperatorSpec, WeightedStencil, _neighbor_sum, _total_weight
 
@@ -342,7 +342,7 @@ def run(problem, grid, time_grid, config=None):
         else:
             conv_inc = 0.0
             result = step_gpme(stencil, c, problem.phi, dt, u, g=g, config=cfg)
-        w = result.w if not isinstance(result.w, GridFunction) else result.w.values
+        w = result.w
         p = problem.phi.value(w)
         fields.append(w)
         mass.append(vol * float(np.sum(w)))

@@ -9,7 +9,7 @@ everywhere in this package (zero extension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,11 +259,9 @@ def project_source(source, grid, time_grid):
     """Per-step space-time averages of the forcing term.
 
     Returns a list of value arrays, one per step j = 1..J, each the average of
-    g over cell x time slab.  Returns None for an identically zero source.
+    g over cell x time slab.  A source of None (no forcing) gives None.
     """
-    from .profiles import ZeroSource
-
-    if source is None or isinstance(source, ZeroSource) or getattr(source, "is_zero", False):
+    if source is None:
         return None
     arrays = source.project(grid, time_grid)
     for j, arr in enumerate(arrays):

@@ -33,7 +33,6 @@ __all__ = [
     "StepProfile",
     "CustomProfile",
     "as_profile",
-    "ZeroSource",
     "SeparableSource",
     "ConstantInTime",
     "LinearInTime",
@@ -167,15 +166,20 @@ class GaussianProfile(SpatialProfile):
 
     amplitude: float
     spread: float
-    center: tuple = (0.0,)
+    center: tuple = None
     dim: int = 1
 
     def __post_init__(self):
         if not (self.spread > 0.0):
             raise ConfigurationError("gaussian spread must be positive", field="spread")
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if len(c) != self.dim:
+        if self.center is None:
             c = np.zeros(self.dim)
+        else:
+            c = np.atleast_1d(np.asarray(self.center, dtype=float))
+            if len(c) != self.dim:
+                raise ConfigurationError(
+                    f"gaussian center has {len(c)} coordinates, dim is {self.dim}",
+                    field="center")
         object.__setattr__(self, "center", tuple(c))
 
     @property
@@ -473,22 +477,6 @@ def _tail_abs_quad_radial(profile, R):
 # sources
 
 
-class ZeroSource:
-    is_zero = True
-
-    def project(self, grid, time_grid):
-        return None
-
-    def l1l1_norm(self, T):
-        return 0.0
-
-    def l1linf_norm(self, T):
-        return 0.0
-
-    def weighted_l1l1(self, weight, T):
-        return 0.0
-
-
 class ConstantInTime:
     def __init__(self, c=1.0):
         self.c = float(c)
@@ -516,8 +504,6 @@ class LinearInTime:
 
 class SeparableSource:
     """g(x, t) = spatial(x) * temporal(t)."""
-
-    is_zero = False
 
     def __init__(self, spatial, temporal):
         self.spatial = as_profile(spatial)

@@ -2,11 +2,11 @@
 
 Each test prints a single ``criterion N: PASS/FAIL`` line with the
 measured quantities, then asserts. Budgets are wall-clock seconds and
-fail the criterion when exceeded.
+fail the criterion when exceeded. Criteria 1, 3, 6 and 7 read named
+results of the ``gpme check`` suites, the one home of those oracles.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -14,13 +14,11 @@ from time import perf_counter
 
 import numpy as np
 
+from gpme.checks import run_suite
 from gpme.config import build_plan, load_config
-from gpme.diagnostics import Cutoff, ct_lr_distance, equitightness_check, operator_cutoff_norm
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
-from gpme.evolution import FluxSpec, cfl_limit, run, step_cde, step_gpme
-from gpme.grid_field import UniformGrid, lr_norm_of_values
-from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
-                                 check_moments, combine_with_laplacian)
+from gpme.diagnostics import ct_lr_distance, equitightness_check
+from gpme.evolution import run
+from gpme.grid_field import lr_norm_of_values
 from gpme.presets import preset_names
 
 
@@ -33,15 +31,19 @@ def _within(elapsed, budget):
     return elapsed < budget, f"{elapsed:.1f}s of {budget:g}s budget"
 
 
-def test_criterion_1_ep_oracle():
+def _check_verdict(n, suite, names, budget):
+    """Criterion n holds when the named results of one `gpme check` suite
+    pass within the time budget."""
     t0 = perf_counter()
-    grid = UniformGrid.from_box(1, 1.0, 1.5)
-    res = solve_ep(WeightedStencil.empty(1.0, grid.dim), 1,
-                   PhiSpec(kind="linear"), 1.0, np.array([0.0, 1.0, 0.0]))
-    err = float(np.max(np.abs(res.w - np.array([1, 3, 1]) / 7.0)))
-    elapsed = perf_counter() - t0
-    in_time, t_msg = _within(elapsed, 1.0)
-    _verdict(1, err <= 1e-10 and in_time, f"max error {err:.2e}, {t_msg}")
+    results = {res.name: res for res in run_suite(suite)}
+    picked = [results[name] for name in names]
+    in_time, t_msg = _within(perf_counter() - t0, budget)
+    detail = "; ".join(f"{r.name} {r.value:.3g} <= {r.bound:.3g}" for r in picked)
+    _verdict(n, all(r.passed for r in picked) and in_time, f"{detail}, {t_msg}")
+
+
+def test_criterion_1_ep_oracle():
+    _check_verdict(1, "resolvent", ["tridiagonal_oracle"], 1.0)
 
 
 def test_criterion_2_ledger_identity_every_preset():
@@ -70,72 +72,9 @@ def test_criterion_2_ledger_identity_every_preset():
 
 
 def test_criterion_3_contraction_comparison_stability():
-    t0 = perf_counter()
-    grid = UniformGrid.from_box(1, 0.25, 6.0)
-    vol = grid.cell_volume
-    n = grid.node_count
-    lap = WeightedStencil.empty(grid.h, grid.dim)
-    frac = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0)
-                        ).build_stencil(grid)
-    phis = [PhiSpec(kind="power", exponent=0.5), PhiSpec(kind="linear"),
-            PhiSpec(kind="power", exponent=2.0),
-            PhiSpec(kind="stefan", latent=0.5)]
-    cfg = EpSolveConfig(residual_tol=1e-12)
-    slack = 1e-8
-    failures = []
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        phi = phis[seed % 4]
-        stencil, c = (lap, 1) if seed % 2 == 0 else (frac, 0)
-        flux = FluxSpec(kind="burgers", u_range=(0.0, 1.0)) if seed % 3 == 0 else None
-        if flux is None:
-            u = rng.uniform(-1.0, 1.0, n)
-            v = u + rng.uniform(0.0, 0.5, n)
-            dt = 0.05
-        else:
-            u = rng.uniform(0.0, 0.7, n)
-            v = np.minimum(u + rng.uniform(0.0, 0.2, n), 0.95)
-            dt = 0.9 * cfl_limit(flux, grid.h, grid.dim)
-        g_lo = rng.uniform(-0.2, 0.2, (3, n))
-        g_hi = g_lo + rng.uniform(0.0, 0.1, (3, n))
-        if flux is not None:
-            g_lo = np.abs(g_lo)
-            g_hi = g_lo + rng.uniform(0.0, 0.1, (3, n))
-        u0, v0 = u.copy(), v.copy()
-        src_l1 = src_sup = src_gap = 0.0
-        for step in range(3):
-            if flux is None:
-                u = step_gpme(stencil, c, phi, dt, u, g=g_lo[step], config=cfg).w
-                v = step_gpme(stencil, c, phi, dt, v, g=g_hi[step], config=cfg).w
-            else:
-                u = step_cde(stencil, c, phi, flux, dt, grid.h, u,
-                             g=g_lo[step], config=cfg).w
-                v = step_cde(stencil, c, phi, flux, dt, grid.h, v,
-                             g=g_hi[step], config=cfg).w
-            src_l1 += dt * vol * float(np.sum(np.abs(g_lo[step])))
-            src_sup += dt * float(np.max(np.abs(g_lo[step])))
-            src_gap += dt * vol * float(np.sum(np.maximum(g_hi[step] - g_lo[step], 0.0)))
-            if np.max(u - v) > slack:
-                failures.append(f"seed {seed} comparison {np.max(u - v):.1e}")
-            pos_rev = vol * float(np.sum(np.maximum(u - v, 0.0)))
-            if pos_rev > slack:
-                failures.append(f"seed {seed} positive-part {pos_rev:.1e}")
-            contr = vol * float(np.sum(np.maximum(v - u, 0.0)))
-            bound = vol * float(np.sum(np.maximum(v0 - u0, 0.0))) + src_gap
-            if contr > bound + slack:
-                failures.append(f"seed {seed} contraction {contr - bound:.1e}")
-            l1 = vol * float(np.sum(np.abs(u)))
-            l1_bound = vol * float(np.sum(np.abs(u0))) + src_l1
-            if l1 > l1_bound + slack:
-                failures.append(f"seed {seed} l1 {l1 - l1_bound:.1e}")
-            sup = float(np.max(np.abs(u)))
-            sup_bound = float(np.max(np.abs(u0))) + src_sup
-            if sup > sup_bound + slack:
-                failures.append(f"seed {seed} sup {sup - sup_bound:.1e}")
-    elapsed = perf_counter() - t0
-    in_time, t_msg = _within(elapsed, 120.0)
-    detail = f"20 seeds clean, {t_msg}" if not failures else "; ".join(failures[:4])
-    _verdict(3, not failures and in_time, detail)
+    _check_verdict(3, "evolution", ["evolution_monotone", "evolution_l1_contraction",
+                                    "evolution_l1_stability", "evolution_linf_stability"],
+                   120.0)
 
 
 def test_criterion_4_equitightness_bound():
@@ -227,49 +166,12 @@ def test_criterion_5_exact_solution_convergence():
 
 
 def test_criterion_6_moment_checkers():
-    t0 = perf_counter()
-    values = []
-    for h in (1.0 / 8, 1.0 / 16, 1.0 / 32):
-        grid = UniformGrid.from_box(1, h, 17.0)
-        stencil = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0)
-                               ).build_stencil(grid)
-        rep = check_moments(stencil, variant="A_double_prime", alpha=1.0,
-                            R_list=[2.0, 4.0, 8.0, 16.0])
-        values.extend(row["value"] for row in rep.to_json_dict()["a_pp_values"])
-    ratio = max(values) / min(values)
-    lap = check_moments(combine_with_laplacian(WeightedStencil.empty(0.25, 1), 1),
-                        variant="A")
-    far = lap.to_json_dict()["far_mass"]
-    elapsed = perf_counter() - t0
-    in_time, t_msg = _within(elapsed, 10.0)
-    _verdict(6, ratio <= 10.0 and far == 0.0 and in_time,
-             f"A'' max/min {ratio:.2f} over 12 pairs, laplacian far mass {far!r}, {t_msg}")
+    _check_verdict(6, "moments", ["fractional_a_pp_flat", "laplacian_far_mass_zero"], 10.0)
 
 
 def test_criterion_7_cutoff_scalings():
-    t0 = perf_counter()
-    ok = True
-    parts = []
-    for k in (1, 2):
-        for p in (2.0, math.inf):
-            ratio = Cutoff(8.0).derivative_norm(k, p) / Cutoff(4.0).derivative_norm(k, p)
-            expect = 2.0 ** ((0.0 if p == math.inf else 1.0 / p) - k)
-            rel = abs(ratio / expect - 1.0)
-            ok = ok and rel <= 1e-4
-            parts.append(f"k={k} p={p:g} rel {rel:.1e}")
-    grid = UniformGrid.from_box(1, 1.0 / 16, 12.0)
-    stencil = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0)
-                           ).build_stencil(grid)
-    for p in (2.0, math.inf):
-        n4 = operator_cutoff_norm(stencil, 0, Cutoff(4.0), grid, p)
-        n8 = operator_cutoff_norm(stencil, 0, Cutoff(8.0), grid, p)
-        slope = math.log2(n8 / n4)
-        target = (0.0 if p == math.inf else 1.0 / p) - 1.0
-        ok = ok and abs(slope - target) <= 0.3
-        parts.append(f"op p={p:g} slope {slope:.2f} vs {target:g}")
-    elapsed = perf_counter() - t0
-    in_time, t_msg = _within(elapsed, 30.0)
-    _verdict(7, ok and in_time, "; ".join(parts) + f", {t_msg}")
+    _check_verdict(7, "equitightness", ["cutoff_derivative_scaling", "operator_cutoff_slope"],
+                   30.0)
 
 
 def test_criterion_8_self_convergence_cde():

@@ -102,6 +102,15 @@ def test_unknown_preset_is_rejected(capsys):
     assert record["error"] == "configuration"
 
 
+def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(TINY_RUN, solver={"max_sweeps": 1}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    record, _ = last_err_record(capsys)
+    assert record["error"] == "runtime"
+    assert record["sweeps"] == 1
+    assert record["residual"] > 0.0
+
+
 def test_study_needs_two_levels(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_RUN)
     assert main(["study", "--config", cfg, "--levels", "1"]) == 2
@@ -113,8 +122,7 @@ def test_unknown_check_suite(capsys):
     assert main(["check", "no_such_suite"]) == 2
 
 
-@pytest.mark.parametrize("suite", ["moments", "resolvent", "evolution", "equitightness",
-                                   "all"])
+@pytest.mark.parametrize("suite", ["moments", "all"])
 def test_check_moments_passes(capsys, suite):
     assert main(["check", suite]) == 0
     out = capsys.readouterr().out

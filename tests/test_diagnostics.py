@@ -17,7 +17,7 @@ from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import run
 from gpme.grid_field import GridFunction, TimeGrid, Trajectory, UniformGrid
 from gpme.levy_operators import MeasureSpec, OperatorSpec
-from gpme.profiles import IndicatorProfile, StepProfile
+from gpme.profiles import IndicatorProfile
 
 
 def test_smooth_step_endpoints_and_monotone():
@@ -47,16 +47,6 @@ def test_cutoff_vanishes_inside_saturates_outside():
     v = cut.value_radial(r)
     assert v[0] == 0.0 and v[1] == 0.0 and v[3] == 1.0 and v[4] == 1.0
     assert 0.0 < v[2] < 1.0
-
-
-def test_cutoff_derivative_norm_scaling():
-    # ||D^k X_R||_p scales like R^(N/p - k)
-    for k in (1, 2):
-        for p in (2.0, np.inf):
-            n4 = Cutoff(4.0).derivative_norm(k, p)
-            n8 = Cutoff(8.0).derivative_norm(k, p)
-            want = 2.0 ** (1.0 / p - k) if np.isfinite(p) else 2.0 ** (-k)
-            assert n8 / n4 == pytest.approx(want, rel=1e-4)
 
 
 def test_cutoff_sup_norm_is_one_and_l2_rejected_at_order_zero():

@@ -7,11 +7,9 @@ from scipy.integrate import dblquad, quad
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
-                                 apply_stencil, apply_to_points, check_moments,
-                                 combine_with_laplacian, consistency_error,
-                                 laplacian_reference, laplacian_stencil,
-                                 levy_reference, measure_stencil)
-from gpme.levy_operators import testfunction_moment_bound as tf_moment_bound
+                                 apply_stencil, apply_to_points, combine_with_laplacian,
+                                 consistency_error, laplacian_reference,
+                                 laplacian_stencil, levy_reference, measure_stencil)
 from gpme.profiles import GaussianProfile, PoissonKernelProfile
 
 
@@ -49,14 +47,6 @@ def test_c_flag_equals_explicit_laplacian():
                                rtol=0.0, atol=1e-12)
 
 
-def test_fractional_unit_cell_weight_oracle():
-    # alpha = 1, h = 1: integral of 2 r^-2 over [1/2, 3/2] is 4/3
-    m = MeasureSpec(kind="fractional", alpha=1.0)
-    st = measure_stencil(m, UniformGrid.from_box(1, 1.0, 6.0))
-    i = int(np.argmin(np.abs(st.offset_radii() - 1.0)))
-    assert st.weights[i] == pytest.approx(4.0 / 3.0, abs=1e-13)
-
-
 @pytest.mark.parametrize("built_dim", [1, 2])
 def test_radial_density_takes_dim(built_dim):
     # the density exponent is -(N + alpha) for the N passed in, whatever
@@ -83,33 +73,6 @@ def test_fractional_tail_mass_decreases_with_reach():
     near = measure_stencil(m, g, support_radius=4.0)
     far = measure_stencil(m, g, support_radius=8.0)
     assert near.tail_mass_beyond_support > far.tail_mass_beyond_support > 0.0
-
-
-def test_moments_variant_A():
-    g = UniformGrid.from_box(1, 0.5, 4.0)
-    rep = check_moments(laplacian_stencil(g), variant="A")
-    assert rep.far_mass == 0.0
-    assert rep.near_second_moment == pytest.approx(2.0, abs=1e-12)
-
-
-def test_a_double_prime_flat_across_scales():
-    m = MeasureSpec(kind="fractional", alpha=1.0)
-    vals = []
-    for h in (0.125, 0.0625):
-        g = UniformGrid.from_box(1, h, 20.0)
-        st = measure_stencil(m, g, support_radius=18.0)
-        rep = check_moments(st, variant="A_double_prime", alpha=1.0,
-                            R_list=[2.0, 4.0, 8.0])
-        vals.extend(v for _, v in rep.a_pp_values)
-    assert max(vals) / min(vals) <= 10.0
-
-
-def test_testfunction_bound_dominates_moment_sums():
-    m = MeasureSpec(kind="fractional", alpha=1.0)
-    st = measure_stencil(m, UniformGrid.from_box(1, 0.25, 8.0))
-    raw = float(np.sum(np.minimum(st.offset_radii() ** 2, st.offset_radii())
-                       * st.weights))
-    assert tf_moment_bound(st, "A_prime") + 1e-12 >= raw
 
 
 def test_laplacian_consistency_second_order():

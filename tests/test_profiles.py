@@ -26,6 +26,14 @@ def test_gaussian_closed_forms():
     assert prof.abs_tail_mass(3.0) == pytest.approx(2.0 * tail, rel=1e-10)
 
 
+def test_gaussian_center_length_must_match_dim():
+    with pytest.raises(ConfigurationError) as exc:
+        GaussianProfile(1.0, 0.25, (1.0, 2.0), 1)
+    assert exc.value.field == "center"
+    # an omitted centre is the origin of the profile's dimension
+    assert GaussianProfile(1.0, 0.25, dim=2).center == (0.0, 0.0)
+
+
 def test_gaussian_cell_average_second_order():
     prof = GaussianProfile(1.0, 0.25)
     from gpme.grid_field import UniformGrid
