@@ -122,7 +122,8 @@ def test_unknown_check_suite(capsys):
     assert main(["check", "no_such_suite"]) == 2
 
 
-@pytest.mark.parametrize("suite", ["moments", "all"])
+@pytest.mark.parametrize("suite", ["moments", "resolvent", "evolution", "equitightness",
+                                   "all"])
 def test_check_moments_passes(capsys, suite):
     assert main(["check", suite]) == 0
     out = capsys.readouterr().out
