@@ -37,8 +37,8 @@ def _emit_error(kind, exc):
     cell = getattr(exc, "cell", None)
     if cell is not None:
         record["cell"] = list(cell)
-    # a stalled solve says how far it got
-    for key in ("residual", "sweeps"):
+    # a stalled solve says where it stopped and how far it got
+    for key in ("step", "residual", "sweeps"):
         value = getattr(exc, key, None)
         if value is not None:
             record[key] = value

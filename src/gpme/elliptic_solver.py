@@ -1,20 +1,36 @@
 """Nonlinear resolvent solves: given rho, find w with
 
-    w - dt * L[phi(w)] = rho
+    F(w) = w - dt * L[phi(w)] - rho = 0
 
 for a monotone nonlinearity phi (phi(0) = 0) and the discrete operator L.
-The system decouples under nonlinear Jacobi: each sweep freezes the
-neighbor sum and solves the strictly increasing scalar equation
+The operator L is the pair (stencil, c) of ``levy_operators``: the sum runs
+over the measure offsets plus, for c = 1, the 2N nearest neighbors at
+weight 1/h^2, and W = ``_total_weight(stencil, c)`` is their total weight.
+
+F is an M-function: its Jacobian I - dt * A * diag(phi'(w)), with A the
+matrix of L, has unit-dominant columns and nonpositive off-diagonals, so it
+is a nonsingular M-matrix for every phi' >= 0, the flat part of a Stefan
+nonlinearity included (Ortega & Rheinboldt, Iterative Solution of
+Nonlinear Equations in Several Variables, 1970, ch. 13).  When L is
+applied by the shift loop (at most ``_KERNEL_THRESHOLD`` measure offsets)
+its matrix is sparse, and every iteration is a safeguarded Newton step:
+one sparse LU solve of J delta = -F(w), in v = phi(w) instead of w for
+power exponents below 1 (phi' is unbounded at 0, while the inverse's
+derivative is bounded there), the result clipped to the comparison
+bracket [min(0, min rho), max(0, max rho)].  The step is kept only if it
+lowers the sup-norm residual; otherwise the iteration falls back to one
+nonlinear Jacobi sweep from the previous iterate.  Operators with a dense
+measure kernel take the Jacobi sweep in every iteration.
+
+The sweep freezes the neighbor sum and solves the strictly increasing
+scalar equation
 
     s + dt * W * phi(s) = rho_beta + dt * sum_gamma w_gamma phi(w(beta+gamma))
 
 per node, by safeguarded Newton inside the bracket [min(0, b), max(0, b)].
-The operator L is the pair (stencil, c) of ``levy_operators``: the sum runs
-over the measure offsets plus, for c = 1, the 2N nearest neighbors at
-weight 1/h^2, and W = ``_total_weight(stencil, c)`` is their total weight.
-The sweep map is a sup-norm contraction with factor
-dt*W*Lip(phi) / (1 + dt*W*Lip(phi)), so iteration counts grow with dt * W
-but not with the grid size.
+It is a sup-norm contraction with factor dt*W*Lip(phi) / (1 + dt*W*Lip(phi)),
+so a run of sweeps alone needs a number of iterations that grows with
+dt * W but not with the grid size.
 """
 
 from __future__ import annotations
@@ -23,10 +39,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
-from .levy_operators import _neighbor_sum, _total_weight, apply_stencil
+from .levy_operators import (_KERNEL_THRESHOLD, _neighbor_matrix, _neighbor_sum,
+                             _total_weight, apply_stencil)
 
 __all__ = [
     "PhiSpec",
@@ -172,10 +191,12 @@ class EpSolveConfig:
     """Iteration controls for the resolvent solve.
 
     residual_tol is the sup-norm stopping level for the full residual
-    w - dt L[phi(w)] - rho.  scalar_tol is the absolute residual level for
-    each per-node scalar solve; the scalar iteration also stops once its
-    bracket has collapsed to rounding width.  max_sweeps None means
-    max(1000, 10 * node count).
+    w - dt L[phi(w)] - rho, relative to the data: the solve stops once the
+    residual is at most residual_tol * max(1, |rho|_inf).  scalar_tol is
+    the absolute residual level for each per-node scalar solve; the scalar
+    iteration also stops once its bracket has collapsed to rounding width.
+    max_sweeps caps the iterations of either kind, Newton steps and
+    Jacobi sweeps alike; None means max(1000, 10 * node count).
     """
 
     residual_tol: float = 1e-10
@@ -206,13 +227,15 @@ class EpResult:
 
     residual_field is recomputed from scratch after the iteration (one
     stencil application), so the reported residual does not rely on the
-    iteration's own bookkeeping.
+    iteration's own bookkeeping.  sweeps counts iterations of either kind;
+    fallbacks counts the Newton steps rejected for a Jacobi sweep.
     """
 
     w: np.ndarray
     residual: float
     sweeps: int
     residual_field: np.ndarray
+    fallbacks: int
 
 
 def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
@@ -275,11 +298,37 @@ def scalar_resolvent(phi, lam, b, tol=1e-13, max_iter=300):
     return float(out[0])
 
 
+def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
+    """One nonlinear Jacobi sweep: every node solves its scalar equation
+    against the frozen neighbor sum ns = sum_gamma w_gamma phi(w(.+gamma))."""
+    return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w, cfg.scalar_tol,
+                               cfg.max_scalar_iter)
+
+
+def _newton_step(phi, K, w, res, lo, hi):
+    """w plus the Newton correction for F(w) = w + K phi(w) - rho, where
+    K = -dt A is the sparse matrix of -dt L and res = F(w), clipped to
+    [lo, hi]."""
+    rhs = -res.ravel()
+    if phi.kind == "power" and phi.exponent < 1.0:
+        # in v = phi(w) the map is beta(v) + K v - rho, beta = phi^(-1)
+        inv = 1.0 / phi.exponent
+        v = phi.value(w).ravel()
+        jac = sparse.diags(inv * np.abs(v) ** (inv - 1.0)) + K
+        v = v + spsolve(jac, rhs)
+        cand = np.sign(v) * np.abs(v) ** inv
+    else:
+        jac = sparse.identity(w.size) + K @ sparse.diags(phi.derivative(w).ravel())
+        cand = w.ravel() + spsolve(jac, rhs)
+    return np.clip(cand.reshape(w.shape), lo, hi)
+
+
 def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     """Solve w - dt * (c Laplacian + stencil)[phi(w)] = rho.
 
-    Returns an EpResult; raises NonConvergenceError when the sweep cap is
-    hit with the residual still above tolerance.
+    Returns an EpResult; raises NonConvergenceError, naming the node with
+    the worst residual, when the iteration cap is hit with the residual
+    still above tolerance.
     """
     cfg = config if config is not None else EpSolveConfig()
     if dt < 0.0:
@@ -287,34 +336,53 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     grid = rho.grid if isinstance(rho, GridFunction) else None
     rho_vals = rho.values if isinstance(rho, GridFunction) else np.asarray(rho, dtype=float)
 
-    def finish(w, sweeps):
+    def finish(w, sweeps, fallbacks):
         res_field = w - dt * apply_stencil(stencil, c, phi.value(w)) - rho_vals
         out = GridFunction(grid, w) if grid is not None else w
         return EpResult(w=out, residual=float(np.max(np.abs(res_field))),
-                        sweeps=sweeps, residual_field=res_field)
+                        sweeps=sweeps, residual_field=res_field, fallbacks=fallbacks)
 
     if dt == 0.0 or phi.kind == "zero":
-        return finish(rho_vals.copy(), 0)
+        return finish(rho_vals.copy(), 0, 0)
 
     W = _total_weight(stencil, c)
-    lam = dt * W
     if warm_start is None:
         w = rho_vals.copy()
     else:
         wv = warm_start.values if isinstance(warm_start, GridFunction) else warm_start
         w = np.asarray(wv, dtype=float).copy()
     cap = cfg.sweep_cap(rho_vals.size)
-    sweeps = 0
-    while True:
+    tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho_vals))))
+    K = None
+    if stencil.n_offsets <= _KERNEL_THRESHOLD:
+        K = dt * (W * sparse.identity(rho_vals.size, format="csr")
+                  - _neighbor_matrix(stencil, c, rho_vals.shape))
+        lo = min(0.0, float(np.min(rho_vals)))
+        hi = max(0.0, float(np.max(rho_vals)))
+
+    def evaluate(w):
         p = phi.value(w)
         ns = _neighbor_sum(stencil, c, p)
         res = w - dt * (ns - W * p) - rho_vals
-        if float(np.max(np.abs(res))) <= cfg.residual_tol:
-            return finish(w, sweeps)
+        return ns, res, float(np.max(np.abs(res)))
+
+    sweeps = fallbacks = 0
+    ns, res, r = evaluate(w)
+    while r > tol:
         if sweeps >= cap:
+            cell = np.unravel_index(np.argmax(np.abs(res)), res.shape)
             raise NonConvergenceError(
-                f"resolvent solve stalled after {sweeps} sweeps",
-                residual=float(np.max(np.abs(res))), sweeps=sweeps)
-        b = rho_vals + dt * ns
-        w = _solve_scalar_batch(phi, lam, b, w, cfg.scalar_tol, cfg.max_scalar_iter)
+                f"resolvent solve stalled after {sweeps} sweeps at residual {r:.3g}, "
+                f"above the tolerance {tol:.3g}",
+                residual=r, sweeps=sweeps, cell=tuple(int(i) for i in cell))
         sweeps += 1
+        if K is not None:
+            cand = _newton_step(phi, K, w, res, lo, hi)
+            trial = evaluate(cand)
+            if trial[2] < r:
+                w, (ns, res, r) = cand, trial
+                continue
+            fallbacks += 1
+        w = _jacobi_sweep(phi, dt, W, rho_vals, ns, w, cfg)
+        ns, res, r = evaluate(w)
+    return finish(w, sweeps, fallbacks)

@@ -30,9 +30,16 @@ class StencilError(GpmeError):
 
 
 class NonConvergenceError(GpmeError):
-    """Iterative solve hit its sweep budget before reaching tolerance."""
+    """Iterative solve hit its sweep budget before reaching tolerance.
 
-    def __init__(self, message, residual=None, sweeps=None):
+    ``cell`` is the grid index of the node with the worst residual and
+    ``step`` the index of the time step whose solve stalled (set by the
+    time loop), each when known.
+    """
+
+    def __init__(self, message, residual=None, sweeps=None, cell=None, step=None):
         super().__init__(message)
         self.residual = residual
         self.sweeps = sweeps
+        self.cell = cell
+        self.step = step

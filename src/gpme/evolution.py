@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import Trajectory, project_cell_average, project_source, shifted
 from .elliptic_solver import EpSolveConfig, solve_ep
 from .levy_operators import OperatorSpec, WeightedStencil, _neighbor_sum, _total_weight
@@ -335,13 +335,17 @@ def run(problem, grid, time_grid, config=None):
     u = u0.values
     for j, dt in enumerate(steps):
         g = sources[j] if sources is not None else None
-        if problem.flux is not None:
-            conv_inc = dt * boundary_outflow(problem.flux, u, grid.h)
-            result = step_cde(stencil, c, problem.phi, problem.flux, dt, grid.h,
-                              u, g=g, config=cfg)
-        else:
-            conv_inc = 0.0
-            result = step_gpme(stencil, c, problem.phi, dt, u, g=g, config=cfg)
+        try:
+            if problem.flux is not None:
+                conv_inc = dt * boundary_outflow(problem.flux, u, grid.h)
+                result = step_cde(stencil, c, problem.phi, problem.flux, dt, grid.h,
+                                  u, g=g, config=cfg)
+            else:
+                conv_inc = 0.0
+                result = step_gpme(stencil, c, problem.phi, dt, u, g=g, config=cfg)
+        except NonConvergenceError as exc:
+            exc.step = j
+            raise
         w = result.w
         p = problem.phi.value(w)
         fields.append(w)

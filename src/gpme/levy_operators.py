@@ -9,8 +9,10 @@ with nonnegative weights.  The discrete operator is the pair (stencil, c):
 
 the measure quadrature plus, for c = 1, the standard second-difference
 Laplacian.  On a grid it is applied by one path, ``_neighbor_sum`` and
-``_total_weight``; ``combine_with_laplacian`` merges the two parts into one
-weight list only for inspection and pointwise evaluation.  Weights for a
+``_total_weight``; ``_neighbor_matrix`` writes the same neighbor sum as a
+sparse matrix for the resolvent's Newton steps, and ``combine_with_laplacian``
+merges the two parts into one weight list only for inspection and pointwise
+evaluation.  Weights for a
 jump measure are the measure of each lattice cell, so the total mass on any
 region is preserved by construction; the origin cell is excluded.
 
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import integrate, signal, sparse
 
 from .errors import ConfigurationError, DataError, StencilError
 from .grid_field import GridFunction, _format_float, shifted
@@ -55,7 +57,9 @@ __all__ = [
     "write_stencil_csv",
 ]
 
-# direct shift loop below this offset count, dense-kernel convolution above
+# up to this offset count the shift loop applies a stencil and the resolvent
+# solve takes sparse Newton steps; above it, dense-kernel convolution and
+# Jacobi sweeps
 _KERNEL_THRESHOLD = 64
 
 
@@ -379,6 +383,32 @@ def _neighbor_sum(stencil, c, values):
             src[axis] = slice(None, -1) if step < 0 else slice(1, None)
             out[tuple(dst)] += inv_h2 * values[tuple(src)]
     return out
+
+
+def _neighbor_matrix(stencil, c, shape):
+    """The linear map values -> _neighbor_sum(stencil, c, values) on a box
+    of the given shape, as a CSR matrix over the C-order flattened nodes:
+    the same offsets and weights, the same c/h^2 nearest neighbors and the
+    same zero extension (a jump leaving the box has no column)."""
+    offsets = list(stencil.offsets)
+    weights = list(stencil.weights)
+    if c:
+        unit = np.eye(stencil.dim, dtype=int)
+        offsets += list(unit) + list(-unit)
+        weights += [1.0 / stencil.h ** 2] * (2 * stencil.dim)
+    size = math.prod(shape)
+    index = np.arange(size).reshape(shape)
+    rows, cols, vals = [], [], []
+    for off, w in zip(offsets, weights):
+        # row beta reads column beta + off wherever both lie in the box
+        dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(shape, off))
+        src = tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off))
+        rows.append(index[dst].ravel())
+        cols.append(index[src].ravel())
+        vals.append(np.full(rows[-1].size, w))
+    # duplicate entries (a measure offset on a nearest neighbor) are summed
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(size, size))
 
 
 def apply_stencil(stencil, c, u):

@@ -19,8 +19,7 @@ _GAUSS_AMP = 1.0 / math.sqrt(math.pi)
 
 PRESETS = {
     # linear diffusion, Gaussian data, closed-form solution.  dt = 16 h^2
-    # keeps the time error at the spatial order through refinement studies;
-    # the resulting lambda = 16 needs a raised sweep cap.
+    # keeps the time error at the spatial order through refinement studies.
     "heat_gaussian_1d": {
         "problem": {
             "dim": 1,
@@ -35,7 +34,7 @@ PRESETS = {
             "dt": {"policy": "quadratic", "factor": 16.0},
             "exact": "heat_gaussian",
         },
-        "solver": {"residual_tol": 1e-13, "scalar_tol": 1e-14, "max_sweeps": 6000},
+        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [1.5, 3.0, 4.5], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -60,11 +59,8 @@ PRESETS = {
         "output_dir": None,
     },
     # fast diffusion m = 0.5: Hoelder-only nonlinearity, ell = 0.5.  phi'
-    # blows up at u = 0, so wherever u is tiny the Jacobi sweeps relax a
-    # near-singular tridiagonal system and need O(width^2) sweeps across
-    # the small-u region; sharp-support data and a tight box keep that
-    # region narrow.  Sweep counts stay in the tens of thousands on fine
-    # grids, hence the explicit cap.
+    # blows up at u = 0; sharp-support data and a tight box keep the
+    # small-u region narrow.
     "fast_diffusion_1d": {
         "problem": {
             "dim": 1,
@@ -79,7 +75,7 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": None,
         },
-        "solver": dict(_SOLVER, max_sweeps=200000),
+        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [0.5, 1.0, 1.5], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },

@@ -103,12 +103,18 @@ def test_unknown_preset_is_rejected(capsys):
 
 
 def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, dict(TINY_RUN, solver={"max_sweeps": 1}))
+    # nonlinear phi: one Newton step solves a linear problem exactly
+    cfg = write_cfg(tmp_path, merge_config(TINY_RUN, {
+        "problem": {"phi": {"kind": "power", "exponent": 2.0}},
+        "solver": {"max_sweeps": 1}}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     record, _ = last_err_record(capsys)
     assert record["error"] == "runtime"
     assert record["sweeps"] == 1
     assert record["residual"] > 0.0
+    # the first step stalls, worst at the data's peak, node 8 of 17
+    assert record["step"] == 0
+    assert record["cell"] == [8]
 
 
 def test_study_needs_two_levels(tmp_path, capsys):

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec, scalar_resolvent, solve_ep
+from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, scalar_resolvent,
+                                  solve_ep)
 from gpme.grid_field import GridFunction, UniformGrid, discrete_lr_norm
-from gpme.levy_operators import WeightedStencil, combine_with_laplacian, laplacian_stencil
+from gpme.levy_operators import (MeasureSpec, WeightedStencil, _neighbor_sum, _total_weight,
+                                 apply_stencil, combine_with_laplacian, laplacian_stencil,
+                                 measure_stencil)
 
 
 def test_scalar_closed_forms():
@@ -105,6 +108,70 @@ def test_sweep_cap_raises():
                  0.5, rho, config=EpSolveConfig(residual_tol=1e-13, max_sweeps=2))
     assert exc.value.sweeps == 2
     assert "stalled" in str(exc.value)
+    assert "tolerance 1e-13" in str(exc.value)
+    assert len(exc.value.cell) == 1 and 0 <= exc.value.cell[0] < g.shape[0]
+
+
+@pytest.mark.parametrize("amplitude", [1e6, 1e-8])
+def test_stopping_test_scales_with_data(amplitude):
+    # at 1e6 an absolute 1e-10 lies below what double precision reaches
+    g = UniformGrid.from_box(1, 0.1, 3.0)
+    assert g.shape == (61,)
+    empty = WeightedStencil.empty(g.h, g.dim)
+    rho = amplitude * np.exp(-g.axis_coords(0) ** 2 / 0.5)
+    dt = 0.005
+    out = solve_ep(empty, 1, PhiSpec(kind="linear"), dt, rho, config=EpSolveConfig())
+    assert out.residual <= 1e-10 * max(1.0, amplitude)
+    dense = np.eye(g.shape[0]) - dt * np.column_stack(
+        [apply_stencil(empty, 1, e) for e in np.eye(g.shape[0])])
+    np.testing.assert_allclose(out.w, np.linalg.solve(dense, rho), rtol=0.0,
+                               atol=1e-12 * amplitude)
+
+
+PHIS = {
+    "power_0.5": PhiSpec(kind="power", exponent=0.5),
+    "power_2": PhiSpec(kind="power", exponent=2.0),
+    "stefan": PhiSpec(kind="stefan", latent=0.5),
+    "table": PhiSpec(kind="table", table_u=(-1.0, 0.0, 0.5, 2.0),
+                     table_phi=(-2.0, 0.0, 0.25, 1.0)),
+    "linear": PhiSpec(kind="linear", slope=2.0),
+}
+
+
+@pytest.mark.parametrize("dim,h", [(1, 0.25), (2, 0.5)])
+@pytest.mark.parametrize("name", sorted(PHIS))
+def test_newton_matches_jacobi_fixed_point(name, dim, h):
+    # the Jacobi sweep is the fallback, and the reference: iterate it to
+    # its fixed point on the Laplacian plus a short fractional stencil
+    phi = PHIS[name]
+    g = UniformGrid.from_box(dim, h, 2.0)
+    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g, support_radius=2 * h)
+    rho = np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape)
+    dt = 0.1
+    cfg = EpSolveConfig(scalar_tol=1e-15)
+    ref = rho.copy()
+    for _ in range(20000):
+        new = _jacobi_sweep(phi, dt, _total_weight(st, 1), rho,
+                            _neighbor_sum(st, 1, phi.value(ref)), ref, cfg)
+        done = np.max(np.abs(new - ref)) <= 1e-15
+        ref = new
+        if done:
+            break
+    else:
+        pytest.fail("Jacobi reference did not settle")
+    out = solve_ep(st, 1, phi, dt, rho, config=EpSolveConfig(residual_tol=1e-13))
+    assert out.fallbacks < out.sweeps <= 10
+    np.testing.assert_allclose(out.w, ref, rtol=0.0, atol=1e-10)
+
+
+def test_stefan_newton_falls_back_and_converges():
+    # Newton's linearization misjudges nodes that cross the latent plateau
+    g = UniformGrid.from_box(1, 0.1, 3.0)
+    rho = 1.5 * np.exp(-g.axis_coords(0) ** 2)
+    out = solve_ep(WeightedStencil.empty(g.h, g.dim), 1, PhiSpec(kind="stefan", latent=0.5),
+                   0.1, rho, config=EpSolveConfig(residual_tol=1e-13))
+    assert out.fallbacks >= 1
+    assert out.residual <= 1e-13 * 1.5
 
 
 def test_combine_with_laplacian_merges_rows():

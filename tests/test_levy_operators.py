@@ -6,7 +6,8 @@ from scipy.integrate import dblquad, quad
 
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid
-from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
+from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
+                                 WeightedStencil, _neighbor_matrix, _neighbor_sum,
                                  apply_stencil, apply_to_points, combine_with_laplacian,
                                  consistency_error, laplacian_reference,
                                  laplacian_stencil, levy_reference, measure_stencil)
@@ -28,6 +29,24 @@ def test_laplacian_exact_on_quadratics():
     out = apply_stencil(laplacian_stencil(g), 0, u)
     # zero extension spoils the two boundary cells only
     np.testing.assert_allclose(out[1:-1], 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("kind", ["laplacian", "fractional"])
+def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
+    g = UniformGrid.from_box(dim, 0.25, 1.5)
+    if kind == "laplacian":
+        st = laplacian_stencil(g)
+    else:
+        st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
+                             support_radius=4 * g.h)
+    # the shift loop applies it, so the solver takes Newton steps on it
+    assert st.n_offsets <= _KERNEL_THRESHOLD
+    v = np.random.default_rng(3).normal(size=g.shape)
+    ref = _neighbor_sum(st, c, v)
+    out = (_neighbor_matrix(st, c, g.shape) @ v.ravel()).reshape(g.shape)
+    np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
 
 
 def test_c_flag_equals_explicit_laplacian():
