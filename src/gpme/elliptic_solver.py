@@ -11,16 +11,19 @@ F is an M-function: its Jacobian I - dt * A * diag(phi'(w)), with A the
 matrix of L, has unit-dominant columns and nonpositive off-diagonals, so it
 is a nonsingular M-matrix for every phi' >= 0, the flat part of a Stefan
 nonlinearity included (Ortega & Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, 1970, ch. 13).  When L is
-applied by the shift loop (at most ``_KERNEL_THRESHOLD`` measure offsets)
-its matrix is sparse, and every iteration is a safeguarded Newton step:
-one sparse LU solve of J delta = -F(w), in v = phi(w) instead of w for
-power exponents below 1 (phi' is unbounded at 0, while the inverse's
-derivative is bounded there), the result clipped to the comparison
-bracket [min(0, min rho), max(0, max rho)].  The step is kept only if it
-lowers the sup-norm residual; otherwise the iteration falls back to one
-nonlinear Jacobi sweep from the previous iterate.  Operators with a dense
-measure kernel take the Jacobi sweep in every iteration.
+Nonlinear Equations in Several Variables, 1970, ch. 13).  Every iteration
+is a safeguarded Newton step: solve J delta = -F(w), in v = phi(w) instead
+of w for power exponents below 1 (phi' is unbounded at 0, while the
+inverse's derivative is bounded there), and clip the result to the
+comparison bracket [min(0, min rho), max(0, max rho)].  The step is kept
+if it lowers the sup-norm residual; otherwise it is halved, up to four
+times, and if no length does, the iteration falls back to one nonlinear
+Jacobi sweep from the previous iterate.  The offset count picks the
+linear solve: up to ``_KERNEL_THRESHOLD`` measure offsets, sparse LU on
+the matrix of ``levy_operators._neighbor_matrix``; above it, restarted
+GMRES with J applied matrix-free through the operator's rFFT spectrum,
+computed once per solve (an inexact Newton step, Kelley, Iterative
+Methods for Linear and Nonlinear Equations, 1995, ch. 6).
 
 The sweep freezes the neighbor sum and solves the strictly increasing
 scalar equation
@@ -40,12 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import spsolve, splu
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
-from .levy_operators import (_KERNEL_THRESHOLD, _neighbor_matrix, _neighbor_sum,
-                             _total_weight, apply_stencil)
+from .levy_operators import (_KERNEL_THRESHOLD, WeightedStencil, _neighbor_matrix,
+                             _neighbor_operator, _total_weight, apply_stencil)
 
 __all__ = [
     "PhiSpec",
@@ -54,6 +58,15 @@ __all__ = [
     "scalar_resolvent",
     "solve_ep",
 ]
+
+# a rejected Newton step is halved up to this many times before the
+# iteration falls back to a Jacobi sweep
+_HALVINGS = 4
+# GMRES stops once the linear residual's 2-norm is this share of the
+# stopping level, or after _RESTARTS cycles of _RESTART iterations
+_GMRES_SHARE = 0.1
+_RESTART = 20
+_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -225,10 +238,11 @@ class EpSolveConfig:
 class EpResult:
     """Solution of one resolvent problem.
 
-    residual_field is recomputed from scratch after the iteration (one
-    stencil application), so the reported residual does not rely on the
+    residual_field is computed from the returned w by one application of
+    the operator, so the reported residual does not rely on the
     iteration's own bookkeeping.  sweeps counts iterations of either kind;
-    fallbacks counts the Newton steps rejected for a Jacobi sweep.
+    fallbacks counts the iterations in which the Newton step and all its
+    halvings were rejected for a Jacobi sweep.
     """
 
     w: np.ndarray
@@ -242,9 +256,8 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
     """Solve s + lam * phi(s) = b elementwise.
 
     The root lies in [min(0, b), max(0, b)] because s and phi(s) share their
-    sign.  Power exponents 1/2 and 2 reduce to quadratics and solve in
-    closed form (written to avoid cancellation); everything else runs
-    Newton from the warm start, clipped to the bracket.  A Newton step is
+    sign.  A linear phi solves in closed form; everything else runs Newton
+    from the warm start, clipped to the bracket.  A Newton step is
     rejected (midpoint instead) when the derivative degenerates or the step
     leaves the open bracket, and every fourth iteration bisects regardless
     so the bracket width provably collapses.
@@ -254,13 +267,6 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
         return b.copy()
     if phi.kind == "linear":
         return b / (1.0 + lam * phi.slope)
-    if phi.kind == "power" and phi.exponent == 0.5:
-        ab = np.abs(b)
-        y = 2.0 * ab / (lam + np.sqrt(lam * lam + 4.0 * ab))
-        return np.sign(b) * y * y
-    if phi.kind == "power" and phi.exponent == 2.0:
-        ab = np.abs(b)
-        return np.sign(b) * 2.0 * ab / (1.0 + np.sqrt(1.0 + 4.0 * lam * ab))
     lo = np.minimum(0.0, b)
     hi = np.maximum(0.0, b)
     s = np.clip(np.asarray(warm, dtype=float).copy(), lo, hi)
@@ -272,7 +278,7 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
         hi = np.where(active & pos, s, hi)
         lo = np.where(active & ~pos, s, lo)
         small = np.abs(fval) <= tol
-        collapsed = (hi - lo) <= 4.0 * eps * np.maximum(1.0, np.abs(s))
+        collapsed = (hi - lo) <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
         active = active & ~(small | collapsed)
         if not np.any(active):
             return s
@@ -305,22 +311,120 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
                                cfg.max_scalar_iter)
 
 
-def _newton_step(phi, K, w, res, lo, hi):
-    """w plus the Newton correction for F(w) = w + K phi(w) - rho, where
-    K = -dt A is the sparse matrix of -dt L and res = F(w), clipped to
-    [lo, hi]."""
+def _linear_solver(stencil, c, shape, dt, W, neighbor):
+    """solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs, where
+    K = dt (W I - A) is the matrix of -dt L on a box of the given shape.
+
+    Up to ``_KERNEL_THRESHOLD`` measure offsets K is assembled from
+    ``_neighbor_matrix`` and the system solved by sparse LU.  Above it the
+    system is solved by GMRES, K applied matrix-free through ``neighbor``,
+    to a residual of at most tol in the 2-norm (an inexact step: the
+    caller's safeguard judges it).  For c = 1 GMRES is preconditioned by
+    the sparse LU of the near part's Jacobian: K with A cut to the c/h^2
+    neighbors and the measure offsets with |gamma|_inf <= 1, the diagonal
+    kept whole.  For c = 0 GMRES runs unpreconditioned: in w the
+    Jacobian's spectrum lies in [1, 1 + 2 dt W max phi'].
+    """
+    size = math.prod(shape)
+    identity = sparse.identity(size, format="csr")
+    if stencil.n_offsets <= _KERNEL_THRESHOLD:
+        K = dt * (W * identity - _neighbor_matrix(stencil, c, shape))
+
+        def solve(a, d, rhs, tol):
+            return spsolve(sparse.diags(a) + K @ sparse.diags(d), rhs)
+        return solve
+    if c:
+        close = np.max(np.abs(stencil.offsets), axis=1) <= 1
+        near = WeightedStencil(h=stencil.h, dim=stencil.dim, offsets=stencil.offsets[close],
+                               weights=stencil.weights[close])
+        K_near = dt * (W * identity - _neighbor_matrix(near, c, shape))
+
+    def solve(a, d, rhs, tol):
+        def matvec(x):
+            y = d * x
+            return a * x + dt * (W * y - neighbor(y.reshape(shape)).ravel())
+
+        precondition = None
+        if c:
+            precondition = splu(sparse.csc_matrix(sparse.diags(a) + K_near @ sparse.diags(d))).solve
+        return _gmres(matvec, precondition, rhs, tol)
+    return solve
+
+
+def _dot(u, v):
+    # numpy's pairwise sum, not BLAS ddot: OpenBLAS splits long vectors
+    # across threads, which would make the result depend on GPME_THREADS
+    return float(np.sum(u * v))
+
+
+def _gmres(matvec, precondition, b, tol):
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, right
+    preconditioned by ``precondition`` when one is given: Arnoldi by
+    modified Gram-Schmidt, the small least-squares problem by Givens
+    rotations.  Returns x once |b - A x|_2 <= tol, or after ``_RESTARTS``
+    cycles of ``_RESTART`` iterations.  Every reduction is a numpy sum, so
+    the iterates are the same bits under any thread count."""
+    x = np.zeros_like(b)
+    r = b
+    for _ in range(_RESTARTS):
+        beta = math.sqrt(_dot(r, r))
+        if beta <= tol:
+            break
+        basis, directions = [r / beta], []
+        R = np.zeros((_RESTART, _RESTART))
+        cs, sn = np.zeros(_RESTART), np.zeros(_RESTART)
+        g = np.zeros(_RESTART + 1)
+        g[0] = beta
+        for j in range(_RESTART):
+            directions.append(basis[j] if precondition is None else precondition(basis[j]))
+            v = matvec(directions[j])
+            for i in range(j + 1):
+                R[i, j] = _dot(basis[i], v)
+                v = v - R[i, j] * basis[i]
+            below = math.sqrt(_dot(v, v))
+            for i in range(j):
+                R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
+                                        cs[i] * R[i + 1, j] - sn[i] * R[i, j])
+            norm = math.hypot(R[j, j], below)
+            cs[j], sn[j] = R[j, j] / norm, below / norm
+            R[j, j] = norm
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            # |g[j + 1]| is the residual norm, 0 once the Krylov space is
+            # invariant (below = 0)
+            if abs(g[j + 1]) <= tol:
+                break
+            basis.append(v / below)
+        y = solve_triangular(R[:j + 1, :j + 1], g[:j + 1])
+        for coef, direction in zip(y, directions):
+            x = x + coef * direction
+        if abs(g[j + 1]) <= tol:
+            break
+        r = b - matvec(x)
+    return x
+
+
+def _newton_candidates(phi, solve, w, res, lo, hi, tol):
+    """The Newton step for F(w) = w + K phi(w) - rho, with res = F(w), and
+    then that step halved, up to ``_HALVINGS`` times; each candidate
+    clipped to [lo, hi].  The step is taken in v = phi(w) for power
+    exponents below 1."""
     rhs = -res.ravel()
     if phi.kind == "power" and phi.exponent < 1.0:
         # in v = phi(w) the map is beta(v) + K v - rho, beta = phi^(-1)
         inv = 1.0 / phi.exponent
-        v = phi.value(w).ravel()
-        jac = sparse.diags(inv * np.abs(v) ** (inv - 1.0)) + K
-        v = v + spsolve(jac, rhs)
-        cand = np.sign(v) * np.abs(v) ** inv
+        base = phi.value(w).ravel()
+        step = solve(inv * np.abs(base) ** (inv - 1.0), np.ones(w.size), rhs, tol)
+
+        def back(v):
+            return np.sign(v) * np.abs(v) ** inv
     else:
-        jac = sparse.identity(w.size) + K @ sparse.diags(phi.derivative(w).ravel())
-        cand = w.ravel() + spsolve(jac, rhs)
-    return np.clip(cand.reshape(w.shape), lo, hi)
+        base = w.ravel()
+        step = solve(np.ones(w.size), phi.derivative(w).ravel(), rhs, tol)
+
+        def back(x):
+            return x
+    for k in range(_HALVINGS + 1):
+        yield np.clip(back(base + step / 2 ** k).reshape(w.shape), lo, hi)
 
 
 def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
@@ -336,14 +440,14 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     grid = rho.grid if isinstance(rho, GridFunction) else None
     rho_vals = rho.values if isinstance(rho, GridFunction) else np.asarray(rho, dtype=float)
 
-    def finish(w, sweeps, fallbacks):
-        res_field = w - dt * apply_stencil(stencil, c, phi.value(w)) - rho_vals
+    def finish(w, res_field, sweeps, fallbacks):
         out = GridFunction(grid, w) if grid is not None else w
         return EpResult(w=out, residual=float(np.max(np.abs(res_field))),
                         sweeps=sweeps, residual_field=res_field, fallbacks=fallbacks)
 
     if dt == 0.0 or phi.kind == "zero":
-        return finish(rho_vals.copy(), 0, 0)
+        w = rho_vals.copy()
+        return finish(w, w - dt * apply_stencil(stencil, c, phi.value(w)) - rho_vals, 0, 0)
 
     W = _total_weight(stencil, c)
     if warm_start is None:
@@ -353,16 +457,14 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
         w = np.asarray(wv, dtype=float).copy()
     cap = cfg.sweep_cap(rho_vals.size)
     tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho_vals))))
-    K = None
-    if stencil.n_offsets <= _KERNEL_THRESHOLD:
-        K = dt * (W * sparse.identity(rho_vals.size, format="csr")
-                  - _neighbor_matrix(stencil, c, rho_vals.shape))
-        lo = min(0.0, float(np.min(rho_vals)))
-        hi = max(0.0, float(np.max(rho_vals)))
+    lo = min(0.0, float(np.min(rho_vals)))
+    hi = max(0.0, float(np.max(rho_vals)))
+    neighbor = _neighbor_operator(stencil, c, rho_vals.shape)
+    solve = _linear_solver(stencil, c, rho_vals.shape, dt, W, neighbor)
 
     def evaluate(w):
         p = phi.value(w)
-        ns = _neighbor_sum(stencil, c, p)
+        ns = neighbor(p)
         res = w - dt * (ns - W * p) - rho_vals
         return ns, res, float(np.max(np.abs(res)))
 
@@ -376,13 +478,13 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
                 f"above the tolerance {tol:.3g}",
                 residual=r, sweeps=sweeps, cell=tuple(int(i) for i in cell))
         sweeps += 1
-        if K is not None:
-            cand = _newton_step(phi, K, w, res, lo, hi)
+        for cand in _newton_candidates(phi, solve, w, res, lo, hi, _GMRES_SHARE * tol):
             trial = evaluate(cand)
             if trial[2] < r:
                 w, (ns, res, r) = cand, trial
-                continue
+                break
+        else:
             fallbacks += 1
-        w = _jacobi_sweep(phi, dt, W, rho_vals, ns, w, cfg)
-        ns, res, r = evaluate(w)
-    return finish(w, sweeps, fallbacks)
+            w = _jacobi_sweep(phi, dt, W, rho_vals, ns, w, cfg)
+            ns, res, r = evaluate(w)
+    return finish(w, res, sweeps, fallbacks)

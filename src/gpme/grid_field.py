@@ -9,6 +9,7 @@ everywhere in this package (zero extension).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,14 +332,13 @@ def _format_float(x):
 
 def write_field_csv(path, u):
     """Serialize a field as ``beta_1,...,beta_N,value`` rows in lexicographic
-    index order."""
+    index order, each value in the shortest round-trip form of
+    ``_format_float``."""
     grid = u.grid
     header = ",".join(f"beta_{i + 1}" for i in range(grid.dim)) + ",value"
-    lows = [-k for k in grid.index_bounds]
-    lines = [header]
-    flat = u.values.reshape(-1)
-    for pos, idx in enumerate(np.ndindex(*grid.shape)):
-        beta = [idx[i] + lows[i] for i in range(grid.dim)]
-        lines.append(",".join(str(b) for b in beta) + "," + _format_float(flat[pos]))
+    # the product of the per-axis labels runs in C order, as the values do
+    labels = [[f"{b}," for b in range(-k, k + 1)] for k in grid.index_bounds]
+    prefixes = map("".join, itertools.product(*labels))
+    values = map(_format_float, u.values.reshape(-1).tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + "\n".join(map(str.__add__, prefixes, values)) + "\n")

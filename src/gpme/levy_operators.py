@@ -8,10 +8,14 @@ with nonnegative weights.  The discrete operator is the pair (stencil, c):
                 + c * sum_i (psi(x + h e_i) + psi(x - h e_i) - 2 psi(x)) / h^2,
 
 the measure quadrature plus, for c = 1, the standard second-difference
-Laplacian.  On a grid it is applied by one path, ``_neighbor_sum`` and
-``_total_weight``; ``_neighbor_matrix`` writes the same neighbor sum as a
-sparse matrix for the resolvent's Newton steps, and ``combine_with_laplacian``
-merges the two parts into one weight list only for inspection and pointwise
+Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
+(with ``_neighbor_sum`` for a single array) and ``_total_weight``: a shift
+loop for short stencils, and for dense kernels an rFFT convolution whose
+kernel spectrum is computed once per operator and reused by every
+application.  ``_neighbor_matrix`` writes the neighbor sum of a short
+stencil (or of a dense kernel's near part) as a sparse matrix for the
+resolvent's Newton steps, and ``combine_with_laplacian`` merges the two
+parts into one weight list only for inspection and pointwise
 evaluation.  Weights for a
 jump measure are the measure of each lattice cell, so the total mass on any
 region is preserved by construction; the origin cell is excluded.
@@ -33,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal, sparse
+from scipy import fft, integrate, sparse
 
 from .errors import ConfigurationError, DataError, StencilError
 from .grid_field import GridFunction, _format_float, shifted
@@ -57,9 +61,9 @@ __all__ = [
     "write_stencil_csv",
 ]
 
-# up to this offset count the shift loop applies a stencil and the resolvent
-# solve takes sparse Newton steps; above it, dense-kernel convolution and
-# Jacobi sweeps
+# up to this offset count the shift loop applies a stencil and the
+# resolvent's Newton steps solve by sparse LU; above it, rFFT convolution
+# and matrix-free GMRES
 _KERNEL_THRESHOLD = 64
 
 
@@ -197,7 +201,6 @@ class WeightedStencil:
             w[morder], w, rtol=0.0, atol=0.0
         ):
             raise StencilError("stencil weights are not symmetric under reflection")
-        object.__setattr__(self, "_kernel", None)
 
     @property
     def n_offsets(self):
@@ -210,22 +213,6 @@ class WeightedStencil:
     def offset_radii(self):
         """Euclidean |z_gamma| per offset."""
         return self.h * np.sqrt(np.sum(self.offsets.astype(float) ** 2, axis=1))
-
-    def max_index_radius(self):
-        if self.n_offsets == 0:
-            return 0
-        return int(np.max(np.abs(self.offsets)))
-
-    def dense_kernel(self):
-        """Weights as a dense (2K+1)^N array; kernel[K,...,K] = 0."""
-        if self._kernel is not None:
-            return self._kernel
-        K = self.max_index_radius()
-        kern = np.zeros((2 * K + 1,) * self.dim)
-        idx = tuple((self.offsets[:, i] + K) for i in range(self.dim))
-        kern[idx] = self.weights
-        object.__setattr__(self, "_kernel", kern)
-        return kern
 
     @classmethod
     def empty(cls, h, dim):
@@ -360,29 +347,61 @@ def _total_weight(stencil, c):
     return W
 
 
-def _neighbor_sum(stencil, c, values):
-    """sum_gamma w_gamma * values(beta + gamma) plus c/h^2 times the 2N
-    nearest neighbors, with zero extension outside the box."""
+def _neighbor_operator(stencil, c, shape):
+    """The map values -> sum_gamma w_gamma * values(beta + gamma) plus c/h^2
+    times the 2N nearest neighbors, with zero extension outside a box of
+    the given shape: the one path by which the operator is applied.
+
+    Up to ``_KERNEL_THRESHOLD`` offsets the shift loop sums the terms.
+    Above it the measure part is a circular convolution by rFFT with the
+    kernel's spectrum, computed here once for every later call.  The
+    kernel is symmetric, so correlation equals convolution and its
+    spectrum is real.  Offsets at least n_i long on some axis never land
+    in the box and are dropped; with the rest reaching K_i, a circular
+    length of n_i + K_i per axis wraps every jump out of the box onto the
+    zero padding, never onto a node.
+    """
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
-        out = np.zeros_like(values)
-        for off, w in zip(stencil.offsets, stencil.weights):
-            out += w * shifted(values, tuple(off))
+        def measure(values):
+            out = np.zeros_like(values)
+            for off, w in zip(stencil.offsets, stencil.weights):
+                out += w * shifted(values, tuple(off))
+            return out
     else:
-        # dense symmetric kernel: correlation equals convolution
-        out = signal.convolve(values, stencil.dense_kernel(), mode="same", method="auto")
-    if c:
-        inv_h2 = 1.0 / stencil.h ** 2
-        # -e_0, ..., -e_{N-1}, +e_{N-1}, ..., +e_0 is the order the merged
-        # offsets sort in, so a pure Laplacian rounds as its weight list does
-        steps = [(i, -1) for i in range(stencil.dim)]
-        steps += [(i, 1) for i in reversed(range(stencil.dim))]
-        for axis, step in steps:
-            dst = [slice(None)] * stencil.dim
-            src = [slice(None)] * stencil.dim
-            dst[axis] = slice(1, None) if step < 0 else slice(None, -1)
-            src[axis] = slice(None, -1) if step < 0 else slice(1, None)
-            out[tuple(dst)] += inv_h2 * values[tuple(src)]
-    return out
+        inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
+        offsets = stencil.offsets[inside]
+        reach = np.max(np.abs(offsets), axis=0, initial=0)
+        lengths = tuple(fft.next_fast_len(int(n + k), real=True)
+                        for n, k in zip(shape, reach))
+        kernel = np.zeros(lengths)
+        kernel[tuple(offsets.T)] = stencil.weights[inside]
+        spectrum = fft.rfftn(kernel).real
+        box = tuple(slice(0, n) for n in shape)
+
+        def measure(values):
+            return fft.irfftn(fft.rfftn(values, lengths) * spectrum, lengths)[box]
+    inv_h2 = 1.0 / stencil.h ** 2
+    # -e_0, ..., -e_{N-1}, +e_{N-1}, ..., +e_0 is the order the merged
+    # offsets sort in, so a pure Laplacian rounds as its weight list does
+    steps = [(i, -1) for i in range(stencil.dim)]
+    steps += [(i, 1) for i in reversed(range(stencil.dim))]
+
+    def apply(values):
+        out = measure(values)
+        if c:
+            for axis, step in steps:
+                dst = [slice(None)] * stencil.dim
+                src = [slice(None)] * stencil.dim
+                dst[axis] = slice(1, None) if step < 0 else slice(None, -1)
+                src[axis] = slice(None, -1) if step < 0 else slice(1, None)
+                out[tuple(dst)] += inv_h2 * values[tuple(src)]
+        return out
+    return apply
+
+
+def _neighbor_sum(stencil, c, values):
+    """The neighbor sum of ``_neighbor_operator`` for one array."""
+    return _neighbor_operator(stencil, c, values.shape)(values)
 
 
 def _neighbor_matrix(stencil, c, shape):
@@ -397,6 +416,9 @@ def _neighbor_matrix(stencil, c, shape):
         offsets += list(unit) + list(-unit)
         weights += [1.0 / stencil.h ** 2] * (2 * stencil.dim)
     size = math.prod(shape)
+    if not offsets:
+        # the zero operator: no measure and no local part
+        return sparse.csr_matrix((size, size))
     index = np.arange(size).reshape(shape)
     rows, cols, vals = [], [], []
     for off, w in zip(offsets, weights):

@@ -314,16 +314,35 @@ def test_report_json_identical_across_out_dirs(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_RUN)
-    outs = {}
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        env = dict(os.environ, GPME_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from gpme.cli import main; sys.exit(main(sys.argv[1:]))",
-             "run", "--config", cfg, "--out", str(out)],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outs[threads] = (out / "report.json").read_bytes()
-    assert outs["1"] == outs["4"]
+    # the dense-kernel runs take GMRES steps, whose inner products must
+    # not change with the thread count; the one step on 12289 nodes takes
+    # them past the length at which OpenBLAS splits a dot product
+    runs = {"tiny": TINY_RUN,
+            "frac_coarse": {"preset": "frac_heat_poisson_1d",
+                            "problem": {"h": 0.125, "T": 0.125}},
+            "frac_long": {"preset": "frac_heat_poisson_1d",
+                          "problem": {"h": 1.0 / 128, "T": 1.0 / 256}}}
+    for name, run in runs.items():
+        cfg = write_cfg(tmp_path, run, name=f"{name}.json")
+        outs = {}
+        for threads in ("1", "4"):
+            out = tmp_path / f"{name}_t{threads}"
+            env = dict(os.environ, GPME_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from gpme.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "run", "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outs[threads] = (out / "report.json").read_bytes()
+        assert outs["1"] == outs["4"], name
+
+
+def test_cli_does_not_import_scipy_signal():
+    # scipy.signal alone took about 0.6 s of every run's set-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gpme.cli, gpme.evolution; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

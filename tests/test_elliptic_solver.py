@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, scalar_resolvent,
-                                  solve_ep)
+from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _gmres, _jacobi_sweep,
+                                  scalar_resolvent, solve_ep)
 from gpme.grid_field import GridFunction, UniformGrid, discrete_lr_norm
-from gpme.levy_operators import (MeasureSpec, WeightedStencil, _neighbor_sum, _total_weight,
-                                 apply_stencil, combine_with_laplacian, laplacian_stencil,
-                                 measure_stencil)
+from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil, _neighbor_sum,
+                                 _total_weight, apply_stencil, combine_with_laplacian,
+                                 laplacian_stencil, measure_stencil)
 
 
 def test_scalar_closed_forms():
@@ -64,8 +64,12 @@ def test_scalar_residual_property(b, lam, m):
 def test_fast_paths_identity():
     g = UniformGrid.from_box(1, 0.5, 2.0)
     rho = GridFunction(g, np.linspace(-1, 1, g.shape[0]))
-    for phi, dt in ((PhiSpec(kind="zero"), 0.7), (PhiSpec(kind="power", exponent=2.0), 0.0)):
-        out = solve_ep(laplacian_stencil(g), 0, phi, dt, rho)
+    lap = laplacian_stencil(g)
+    # the last pair is the zero operator: no measure and c = 0
+    for st, phi, dt in ((lap, PhiSpec(kind="zero"), 0.7),
+                        (lap, PhiSpec(kind="power", exponent=2.0), 0.0),
+                        (WeightedStencil.empty(g.h, g.dim), PhiSpec(kind="linear"), 0.1)):
+        out = solve_ep(st, 0, phi, dt, rho)
         np.testing.assert_array_equal(out.w.values, rho.values)
         assert out.sweeps == 0
 
@@ -138,14 +142,22 @@ PHIS = {
 }
 
 
-@pytest.mark.parametrize("dim,h", [(1, 0.25), (2, 0.5)])
+@pytest.mark.parametrize("dim,h,reach", [
+    pytest.param(1, 0.25, 2, id="1-0.25"),
+    pytest.param(2, 0.5, 2, id="2-0.5"),
+    pytest.param(1, 0.125, None, id="1-0.125-full"),
+    pytest.param(2, 0.5, None, id="2-0.5-full"),
+])
 @pytest.mark.parametrize("name", sorted(PHIS))
-def test_newton_matches_jacobi_fixed_point(name, dim, h):
+def test_newton_matches_jacobi_fixed_point(name, dim, h, reach):
     # the Jacobi sweep is the fallback, and the reference: iterate it to
-    # its fixed point on the Laplacian plus a short fractional stencil
+    # its fixed point on the Laplacian plus a fractional stencil, short
+    # (sparse LU steps) or over the box diameter (GMRES steps)
     phi = PHIS[name]
     g = UniformGrid.from_box(dim, h, 2.0)
-    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g, support_radius=2 * h)
+    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
+                         support_radius=None if reach is None else reach * h)
+    assert (st.n_offsets > _KERNEL_THRESHOLD) == (reach is None)
     rho = np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape)
     dt = 0.1
     cfg = EpSolveConfig(scalar_tol=1e-15)
@@ -162,6 +174,23 @@ def test_newton_matches_jacobi_fixed_point(name, dim, h):
     out = solve_ep(st, 1, phi, dt, rho, config=EpSolveConfig(residual_tol=1e-13))
     assert out.fallbacks < out.sweeps <= 10
     np.testing.assert_allclose(out.w, ref, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [15, 60])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_gmres_matches_a_direct_solve(n, preconditioned):
+    # 60 unknowns take more than one restart cycle of 20 iterations
+    rng = np.random.default_rng(n)
+    A = np.diag(np.linspace(1.0, 5.0, n)) + rng.normal(scale=0.3 / np.sqrt(n), size=(n, n))
+    b = rng.normal(size=n)
+    inverse_diagonal = 1.0 / np.diag(A)
+    x = _gmres(lambda v: A @ v, (lambda v: inverse_diagonal * v) if preconditioned else None,
+               b, 1e-12)
+    assert np.linalg.norm(A @ x - b) <= 1e-12
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0.0, atol=1e-11)
+    # one unknown: the Krylov space is invariant after one step, which
+    # must end the iteration, even at tolerance 0, without dividing by 0
+    np.testing.assert_array_equal(_gmres(lambda v: 2.0 * v, None, np.array([3.0]), 0.0), [1.5])
 
 
 def test_stefan_newton_falls_back_and_converges():

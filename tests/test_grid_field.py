@@ -115,3 +115,20 @@ def test_write_field_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "beta_1,value"
+
+
+@pytest.mark.parametrize("dim,h,box", [(1, 0.5, 2.0), (2, 0.5, 1.0), (3, 1.0, 1.0)])
+def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
+    # a plain reference formats one row at a time; the writer must give
+    # its bytes exactly, signed zero and subnormals included
+    g = UniformGrid.from_box(dim, h, box)
+    special = [-0.0, 5e-324, 1e-5, 1e16, -2.5, -1e-300, 0.1, 1.0 / 3.0]
+    values = np.resize(np.array(special), g.node_count).reshape(g.shape)
+    values *= np.random.default_rng(2).choice([1.0, -1.0], size=g.shape)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, GridFunction(g, values))
+    lines = [",".join(f"beta_{i + 1}" for i in range(dim)) + ",value"]
+    for idx in np.ndindex(*g.shape):
+        beta = [idx[i] - g.index_bounds[i] for i in range(dim)]
+        lines.append(",".join(str(b) for b in beta) + "," + repr(float(values[idx])))
+    assert path.read_text() == "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from gpme.errors import ConfigurationError, StencilError
-from gpme.grid_field import UniformGrid
+from gpme.grid_field import UniformGrid, shifted
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
                                  WeightedStencil, _neighbor_matrix, _neighbor_sum,
                                  apply_stencil, apply_to_points, combine_with_laplacian,
@@ -33,20 +33,47 @@ def test_laplacian_exact_on_quadratics():
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("c", [0, 1])
-@pytest.mark.parametrize("kind", ["laplacian", "fractional"])
+@pytest.mark.parametrize("kind", ["laplacian", "fractional", "empty"])
 def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
     g = UniformGrid.from_box(dim, 0.25, 1.5)
     if kind == "laplacian":
         st = laplacian_stencil(g)
-    else:
+    elif kind == "fractional":
         st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                              support_radius=4 * g.h)
-    # the shift loop applies it, so the solver takes Newton steps on it
+    else:
+        # for c = 0 the zero operator: an empty matrix of the box's size
+        st = WeightedStencil.empty(g.h, dim)
+    # the shift loop applies it, so the solver's Newton steps use this matrix
     assert st.n_offsets <= _KERNEL_THRESHOLD
     v = np.random.default_rng(3).normal(size=g.shape)
     ref = _neighbor_sum(st, c, v)
     out = (_neighbor_matrix(st, c, g.shape) @ v.ravel()).reshape(g.shape)
     np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dim,h,box", [(1, 0.125, 6.0), (2, 0.25, 1.5)])
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("support", ["diameter", "half_box"])
+def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
+    # the default support is the box diameter: offsets reach past the box
+    # and are dropped; on half the box they stop inside it, and a circular
+    # length below n + K would wrap the longest jumps onto nodes
+    g = UniformGrid.from_box(dim, h, box)
+    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
+                         support_radius=None if support == "diameter" else box)
+    assert st.n_offsets > _KERNEL_THRESHOLD
+    reach = np.max(np.abs(st.offsets))
+    assert reach >= max(g.shape) if support == "diameter" else reach < max(g.shape) - 1
+    v = np.random.default_rng(4).normal(size=g.shape)
+    ref = np.zeros(g.shape)
+    for off, w in zip(st.offsets, st.weights):
+        ref += w * shifted(v, tuple(off))
+    if c:
+        for off in np.vstack([np.eye(dim, dtype=int), -np.eye(dim, dtype=int)]):
+            ref += shifted(v, tuple(off)) / h ** 2
+    np.testing.assert_allclose(_neighbor_sum(st, c, v), ref, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(v)))
 
 
 def test_c_flag_equals_explicit_laplacian():
