@@ -1,11 +1,12 @@
 """Executable property suites behind the ``check`` subcommand.
 
 Each suite re-verifies the structural guarantees of one layer at desk
-scale: moment sums of stencils, order/contraction properties of the
-resolvent and the scheme, the ledger of full runs, and the uniform tail
-certificate with its cutoff scalings.  The suites are the one home of
-these oracles: the tests and the acceptance criteria assert the results
-computed here instead of recomputing them.
+scale: moment sums of stencils and their consistency with the continuum
+operators, order/contraction properties of the resolvent and the scheme,
+the ledger of full runs, and the uniform tail certificate with its cutoff
+scalings.  The suites are the one home of these oracles: the tests and the
+acceptance criteria assert the results computed here instead of
+recomputing them.
 
 Every check measures a value and compares it with the bound it must not
 exceed: it passes when value <= bound, and its slack bound - value is the
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from scipy import integrate
 
 from .diagnostics import (Cutoff, equitightness_check, operator_cutoff_norm,
                           tail_mass)
@@ -119,7 +121,92 @@ def _moments_suite(barenblatt):
     out.append(CheckResult("a_pp_testfunction_dominates", rep.a_pp_values[0][1],
                            testfunction_moment_bound(st, "A_double_prime", alpha=1.0,
                                                      R=4.0)))
+
+    # consistency with the continuum operators: halving h at least halves
+    # the Laplacian's L^1 error (second order quarters it), and the
+    # fractional error falls
+    gauss = GaussianProfile(1.0, 0.25)
+    errs = []
+    for h in (0.1, 0.05):
+        g = UniformGrid.from_box(1, h, 6.0)
+        errs.append(_continuum_l1_gap(laplacian_stencil(g), 0, gauss,
+                                      _gaussian_laplacian(gauss), g))
+    out.append(CheckResult("laplacian_consistency_order", errs[1] / errs[0], 0.5,
+                           "L1 error ratio, h 0.1 -> 0.05, gaussian"))
+    # alpha = 1 at scale 1/pi generates the Poisson kernel flow, whose
+    # generator has the closed form (x^2 - t^2) / (pi (x^2 + t^2)^2)
+    cauchy = MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / math.pi)
+    kernel = PoissonKernelProfile(1.0)
+    reference = _principal_value(cauchy, kernel)
+    x = np.array([0.0, 0.5, 2.0])
+    exact = (x ** 2 - 1.0) / (math.pi * (x ** 2 + 1.0) ** 2)
+    out.append(CheckResult("levy_reference_poisson_oracle",
+                           np.max(np.abs(reference(x[:, None]) - exact)), 5e-7,
+                           "principal-value quadrature at x in {0, 0.5, 2}"))
+    errs = []
+    for h in (0.25, 0.125):
+        g = UniformGrid.from_box(1, h, 20.0)
+        errs.append(_continuum_l1_gap(measure_stencil(cauchy, g), 0, kernel, reference, g))
+    out.append(CheckResult("fractional_consistency_improves", errs[1] / errs[0], 1.0,
+                           "L1 error ratio, h 0.25 -> 0.125, Poisson kernel"))
     return out
+
+
+def _continuum_l1_gap(stencil, c, profile, reference, grid):
+    """Discrete L^1 distance over the grid nodes between the operator
+    (stencil, c) applied to the profile and a continuum reference.  The
+    profile is evaluated at the shifted nodes themselves, so the box does
+    not truncate it, and the measure mass beyond the support acts on it as
+    -psi(x) times that mass (the far values of a decaying profile are
+    negligible)."""
+    pts = grid.coords().reshape(-1, grid.dim)
+    merged = combine_with_laplacian(stencil, c)
+    base = profile.value(pts)
+    disc = -merged.total_weight * base
+    for off, w in zip(merged.offsets, merged.weights):
+        disc += w * profile.value(pts + merged.h * off)
+    disc -= base * stencil.tail_mass_beyond_support
+    return float(grid.cell_volume * np.sum(np.abs(disc - reference(pts))))
+
+
+def _gaussian_laplacian(profile):
+    """The exact Laplacian of a GaussianProfile A exp(-|x - c|^2 / (4 s))."""
+    def reference(points):
+        d2 = np.sum((points - np.asarray(profile.center)) ** 2, axis=-1)
+        s = profile.spread
+        return profile.value(points) * (d2 / (4.0 * s * s) - profile.dim / (2.0 * s))
+    return reference
+
+
+def _principal_value(measure, profile):
+    """Principal-value action of a fractional measure on a smooth decaying
+    profile on the line, by adaptive quadrature of the symmetrized
+    difference
+
+        integral_0^inf (psi(x+s) + psi(x-s) - 2 psi(x)) rho(s) ds.
+
+    Below s = 1e-5 the symmetrized difference drowns in rounding, so that
+    piece is psi''(x) times the exact second moment of the density on
+    (0, 1e-5).  The far field beyond s = 60 contributes
+    -psi(x) * mu(|z| > 60)."""
+    inner_cut, far_cut = 1e-5, 60.0
+
+    def reference(points):
+        x = points[:, 0]
+        base = profile.value(points)
+
+        def at(y):
+            return profile.value(y[:, None])
+
+        def integrand(s):
+            return (at(x + s) + at(x - s) - 2.0 * base) * float(measure.radial_density(s, 1))
+
+        out, _ = integrate.quad_vec(integrand, inner_cut, far_cut, epsabs=1e-12, epsrel=1e-11)
+        d2h = 1e-3
+        d2 = (at(x + d2h) + at(x - d2h) - 2.0 * base) / (d2h * d2h)
+        near = measure.scale * inner_cut ** (2.0 - measure.alpha) / (2.0 - measure.alpha)
+        return out + d2 * near - base * measure.mass_beyond(far_cut, 1)
+    return reference
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,11 @@ def _write_json(path, obj):
 def _exact_error(traj, exact, r):
     """sup over knots and midpoints of the L^r distance between the run's
     interpolant and the exact profile's cell averages."""
-    import numpy as np
-
+    from .diagnostics import _sample_times
     from .grid_field import lr_norm_of_values
 
-    knots = traj.time_grid.knots
-    times = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
     worst = 0.0
-    for t in times:
+    for t in _sample_times(traj.time_grid.knots):
         ref = exact.at_time(float(t)).cell_averages(traj.grid)
         vals = traj.values_at_time(float(t))
         worst = max(worst, lr_norm_of_values(vals - ref, traj.grid.cell_volume, r))

@@ -281,17 +281,21 @@ def _validate_problem(p):
 
 
 def _validate_solver(s):
+    from .elliptic_solver import EpSolveConfig
     path = "solver"
     if s is None:
         s = {}
     _require_dict(s, path)
     _check_keys(s, {"residual_tol", "scalar_tol", "max_sweeps", "max_scalar_iter"}, path)
+    # an omitted value takes EpSolveConfig's default, the one home of them
     return {
-        "residual_tol": _get_number(s, "residual_tol", path, default=1e-13),
-        "scalar_tol": _get_number(s, "scalar_tol", path, default=1e-14),
-        "max_sweeps": _get_number(s, "max_sweeps", path, integer=True),
-        "max_scalar_iter": _get_number(s, "max_scalar_iter", path, default=300,
-                                       integer=True),
+        "residual_tol": _get_number(s, "residual_tol", path,
+                                    default=EpSolveConfig.residual_tol),
+        "scalar_tol": _get_number(s, "scalar_tol", path, default=EpSolveConfig.scalar_tol),
+        "max_sweeps": _get_number(s, "max_sweeps", path, default=EpSolveConfig.max_sweeps,
+                                  integer=True),
+        "max_scalar_iter": _get_number(s, "max_scalar_iter", path,
+                                       default=EpSolveConfig.max_scalar_iter, integer=True),
     }
 
 
@@ -543,10 +547,6 @@ def build_plan(cfg, h=None):
     operator.check_grid(grid)
     if flux is not None:
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
-    s = cfg["solver"]
-    solver = EpSolveConfig(residual_tol=s["residual_tol"], scalar_tol=s["scalar_tol"],
-                           max_sweeps=s["max_sweeps"],
-                           max_scalar_iter=s["max_scalar_iter"])
     return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
-                   solver=solver, diagnostics=cfg["diagnostics"],
+                   solver=EpSolveConfig(**cfg["solver"]), diagnostics=cfg["diagnostics"],
                    exact=_build_exact(p["exact"], initial, p["initial"]["kind"], dim))

@@ -1,7 +1,6 @@
 """Analytical instruments for runs: the smooth radial cutoff family, tail
 masses, the uniform-tail (equitightness) certificate with its explicit
-constants, translation and time moduli, and sup-in-time L^r distances
-between space-time interpolants.
+constants, and sup-in-time L^r distances between space-time interpolants.
 
 The cutoff 𝒳_R vanishes on |x| <= R/2, equals 1 on |x| >= R, and its
 transition is the classical smooth step sigma(s) = e(s)/(e(s)+e(1-s)) with
@@ -39,8 +38,6 @@ __all__ = [
     "admissible_threshold",
     "EquitightnessReport",
     "equitightness_check",
-    "translation_modulus",
-    "time_equicontinuity_profile",
     "ct_lr_distance",
 ]
 
@@ -124,12 +121,6 @@ class Cutoff:
         if order == 2:
             return fac * smooth_step_d2(s)
         raise ConfigurationError("derivative order must be 1 or 2", field="order")
-
-    def value(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        return self.value_radial(np.sqrt(np.sum(pts ** 2, axis=-1)))
 
     def on_grid(self, grid):
         return GridFunction(grid, self.value_radial(grid.node_radii()))
@@ -299,8 +290,9 @@ class EquitightnessReport:
         }
 
 
-def _sample_times(time_grid):
-    knots = time_grid.knots
+def _sample_times(knots):
+    """The knots and the midpoints between them, in order: the times at
+    which the runs sample the piecewise-linear time interpolant."""
     mids = 0.5 * (knots[:-1] + knots[1:])
     return np.sort(np.concatenate([knots, mids]))
 
@@ -332,7 +324,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
         g_piece = source.weighted_l1l1(cutoff, T)
     M = sup0 + g_l1linf
 
-    ell = problem.phi.hoelder_exponent(M)
+    ell = problem.phi.hoelder_exponent()
     seminorm = problem.phi.hoelder_seminorm(M)
     p, q = conjugate_exponents(ell)
     data_l1 = l1_0 + g_l1l1
@@ -352,7 +344,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     rhs = M ** (r - 1.0) * (u0_piece + g_piece + C * op_piece + conv_constant * conv_piece)
 
     lhs = 0.0
-    for t in _sample_times(traj.time_grid):
+    for t in _sample_times(traj.time_grid.knots):
         vals = traj.values_at_time(float(t))
         lhs = max(lhs, tail_mass(GridFunction(grid, vals), R, r))
 
@@ -377,50 +369,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
         bound_asserted=bool(asserted), note=note)
 
 
-def translation_modulus(f, shifts):
-    """Table of zeta -> sup over sampled |xi| <= zeta of the L^1 distance
-    between f and its xi-translate.
-
-    f is either a profile descriptor (closed-form or quadrature distance)
-    or a GridFunction (shifts must then be lattice-aligned)."""
-    entries = []
-    if isinstance(f, GridFunction):
-        h = f.grid.h
-        for xi in shifts:
-            vec = np.atleast_1d(np.asarray(xi, dtype=float))
-            steps = vec / h
-            k = np.rint(steps).astype(int)
-            if np.max(np.abs(steps - k)) > 1e-9:
-                raise ConfigurationError("grid shifts must be lattice-aligned", field="shifts")
-            d = f.grid.cell_volume * float(np.sum(np.abs(f.values - shifted(f.values, tuple(k)))))
-            entries.append((float(np.linalg.norm(vec)), d))
-    else:
-        for xi in shifts:
-            zeta = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-            entries.append((zeta, float(f.shift_l1_distance(xi))))
-    entries.sort(key=lambda e: e[0])
-    table = []
-    running = 0.0
-    for zeta, d in entries:
-        running = max(running, d)
-        table.append((zeta, running))
-    return table
-
-
-def time_equicontinuity_profile(traj, r=1.0):
-    """Symmetric matrix of L^r distances between saved knots."""
-    n = len(traj.fields)
-    vol = traj.grid.cell_volume
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = lr_norm_of_values(traj.fields[i] - traj.fields[j], vol, r)
-            out[i, j] = d
-            out[j, i] = d
-    return out
-
-
-def ct_lr_distance(traj_a, traj_b, r=1.0, times=None):
+def ct_lr_distance(traj_a, traj_b, r=1.0):
     """sup over sampled times of the L^r distance between the two
     space-time interpolants, evaluated on the finer grid's cells."""
     Ta = traj_a.time_grid.final_time
@@ -432,12 +381,8 @@ def ct_lr_distance(traj_a, traj_b, r=1.0, times=None):
     else:
         target = traj_b.grid
     pts = target.coords().reshape(-1, target.dim)
-    if times is None:
-        knots = np.union1d(traj_a.time_grid.knots, traj_b.time_grid.knots)
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        times = np.sort(np.concatenate([knots, mids]))
     worst = 0.0
-    for t in times:
+    for t in _sample_times(np.union1d(traj_a.time_grid.knots, traj_b.time_grid.knots)):
         va = eval_spacetime_interpolant(traj_a, pts, float(t))
         vb = eval_spacetime_interpolant(traj_b, pts, float(t))
         worst = max(worst, lr_norm_of_values(va - vb, target.cell_volume, r))

@@ -55,7 +55,6 @@ __all__ = [
     "PhiSpec",
     "EpSolveConfig",
     "EpResult",
-    "scalar_resolvent",
     "solve_ep",
 ]
 
@@ -160,25 +159,8 @@ class PhiSpec:
             return np.where((u < tu[0]) | (u > tu[-1]), 0.0, out)
         return np.zeros_like(u)
 
-    def max_slope(self, bound):
-        """Largest slope attained on [-bound, bound]."""
-        if self.kind == "power":
-            m = self.exponent
-            if m >= 1.0:
-                return m * bound ** (m - 1.0)
-            return math.inf if bound > 0.0 else 0.0
-        if self.kind == "stefan":
-            return 1.0
-        if self.kind == "linear":
-            return self.slope
-        if self.kind == "table":
-            tu = np.asarray(self.table_u)
-            tp = np.asarray(self.table_phi)
-            return float(np.max(np.diff(tp) / np.diff(tu)))
-        return 0.0
-
-    def hoelder_exponent(self, bound=None):
-        """Regularity exponent in (0, 1] valid on [-bound, bound]."""
+    def hoelder_exponent(self):
+        """Regularity exponent in (0, 1], valid on every bounded interval."""
         if self.kind == "power" and self.exponent < 1.0:
             return self.exponent
         return 1.0
@@ -195,7 +177,7 @@ class PhiSpec:
         if self.kind == "linear":
             return self.slope
         if self.kind == "table":
-            return self.max_slope(bound)
+            return float(np.max(np.diff(self.table_phi) / np.diff(self.table_u)))
         return 0.0
 
 
@@ -212,8 +194,8 @@ class EpSolveConfig:
     Jacobi sweeps alike; None means max(1000, 10 * node count).
     """
 
-    residual_tol: float = 1e-10
-    scalar_tol: float = 1e-13
+    residual_tol: float = 1e-13
+    scalar_tol: float = 1e-14
     max_sweeps: int = None
     max_scalar_iter: int = 300
 
@@ -295,13 +277,6 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
     fval = s + lam * phi.value(s) - b
     worst = float(np.max(np.abs(np.where(active, fval, 0.0))))
     raise NonConvergenceError("scalar resolvent did not converge", residual=worst)
-
-
-def scalar_resolvent(phi, lam, b, tol=1e-13, max_iter=300):
-    """Root of s + lam * phi(s) = b for a single value."""
-    out = _solve_scalar_batch(phi, float(lam), np.array([float(b)]),
-                              np.array([float(b)]), tol, max_iter)
-    return float(out[0])
 
 
 def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):

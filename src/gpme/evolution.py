@@ -30,7 +30,6 @@ __all__ = [
     "RunReport",
     "validate_flux",
     "flux_divergence",
-    "one_sided_difference",
     "escape_weights",
     "step_gpme",
     "step_cde",
@@ -165,19 +164,6 @@ def validate_flux(flux, dim=1, samples=33):
         if np.max(np.diff(F, axis=1)) > 1e-10 * scale:
             raise ConfigurationError("numerical flux increases in its second argument",
                                      field="problem.flux")
-
-
-def one_sided_difference(values, axis, h, direction):
-    """(v(beta) - v(beta - e)) / h for direction "backward", or the forward
-    mirror; zero extension."""
-    off = [0] * values.ndim
-    if direction == "backward":
-        off[axis] = -1
-        return (values - shifted(values, tuple(off))) / h
-    if direction == "forward":
-        off[axis] = 1
-        return (shifted(values, tuple(off)) - values) / h
-    raise ConfigurationError("direction must be backward or forward", field="direction")
 
 
 def flux_divergence(flux, values, h):

@@ -24,7 +24,7 @@ __all__ = [
     "project_cell_average",
     "project_source",
     "eval_spacetime_interpolant",
-    "discrete_lr_norm",
+    "lr_norm_of_values",
     "write_field_csv",
     "shifted",
 ]
@@ -192,9 +192,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
         vals.flags.writeable = False
 
-    def with_values(self, values):
-        return GridFunction(self.grid, np.array(values, dtype=float))
-
     def mass(self):
         """h^N * sum of values (signed)."""
         return self.grid.cell_volume * float(np.sum(self.values))
@@ -222,9 +219,6 @@ class Trajectory:
                 raise ConfigurationError("field shape does not match grid", field="trajectory")
             arr.flags.writeable = False
 
-    def field_at_knot(self, j):
-        return self.fields[j]
-
     def values_at_time(self, t):
         """Nodal values of the interpolant at time t (linear in t between
         knots, U^0 at t = 0)."""
@@ -243,14 +237,9 @@ class Trajectory:
 def project_cell_average(profile, grid):
     """Project data onto the lattice by exact cell averages.
 
-    ``profile`` is a spatial descriptor (see :mod:`gpme.profiles`) or a plain
-    callable on points of shape (M, N); callables are averaged by fixed
-    Gauss-Legendre quadrature per cell.
+    ``profile`` is a spatial descriptor (see :mod:`gpme.profiles`).
     """
-    from .profiles import as_profile
-
-    prof = as_profile(profile)
-    vals = prof.cell_averages(grid)
+    vals = profile.cell_averages(grid)
     if not np.all(np.isfinite(vals)):
         raise DataError("projection produced non-finite cell averages")
     return GridFunction(grid, vals)
@@ -282,16 +271,12 @@ def eval_spacetime_interpolant(traj, points, t):
     return np.where(inside, flat, 0.0)
 
 
-def discrete_lr_norm(u, r):
-    """(h^N sum |U|^r)^(1/r); max-norm for r = inf.
+def lr_norm_of_values(values, cell_volume, r):
+    """(h^N sum |U|^r)^(1/r) for cell volume h^N; max-norm for r = inf.
 
     numpy's pairwise summation keeps the reduction well conditioned and
     deterministic for a fixed shape.
     """
-    return lr_norm_of_values(u.values, u.grid.cell_volume, r)
-
-
-def lr_norm_of_values(values, cell_volume, r):
     values = np.asarray(values)
     if np.isinf(r):
         return float(np.max(np.abs(values))) if values.size else 0.0

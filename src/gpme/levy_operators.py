@@ -15,10 +15,10 @@ kernel spectrum is computed once per operator and reused by every
 application.  ``_neighbor_matrix`` writes the neighbor sum of a short
 stencil (or of a dense kernel's near part) as a sparse matrix for the
 resolvent's Newton steps, and ``combine_with_laplacian`` merges the two
-parts into one weight list only for inspection and pointwise
-evaluation.  Weights for a
-jump measure are the measure of each lattice cell, so the total mass on any
-region is preserved by construction; the origin cell is excluded.
+parts into one weight list for inspection only (``gpme stencil`` and the
+moment checks).  Weights for a jump measure are the measure of each lattice
+cell, so the total mass on any region is preserved by construction; the
+origin cell is excluded.
 
 ``measure_stencil`` builds them by one path in every dimension.  The
 measures are radial, so a cell and its images under the lattice's
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft, integrate, sparse
 
-from .errors import ConfigurationError, DataError, StencilError
+from .errors import ConfigurationError, StencilError
 from .grid_field import GridFunction, _format_float, shifted
 from .profiles import sphere_area
 
@@ -51,13 +51,9 @@ __all__ = [
     "laplacian_stencil",
     "measure_stencil",
     "apply_stencil",
-    "apply_to_points",
     "combine_with_laplacian",
     "check_moments",
     "testfunction_moment_bound",
-    "consistency_error",
-    "laplacian_reference",
-    "levy_reference",
     "write_stencil_csv",
 ]
 
@@ -447,8 +443,7 @@ def apply_stencil(stencil, c, u):
 
 def combine_with_laplacian(stencil, c):
     """One stencil holding the measure weights plus c/h^2 at the nearest
-    neighbors: the whole operator as a single weight list, for inspection
-    and pointwise evaluation."""
+    neighbors: the whole operator as a single weight list, for inspection."""
     if c == 0:
         return stencil
     inv_h2 = 1.0 / stencil.h ** 2
@@ -463,23 +458,6 @@ def combine_with_laplacian(stencil, c):
     wts = np.array([merged[tuple(o)] for o in offs])
     return WeightedStencil(h=stencil.h, dim=stencil.dim, offsets=offs, weights=wts,
                            tail_mass_beyond_support=stencil.tail_mass_beyond_support)
-
-
-def apply_to_points(stencil, c, fn, points):
-    """Apply the operator to a genuine function (no truncation of the
-    argument): fn is evaluated at every shifted point.
-
-    points: (M, N) array.  Returns (M,) values.
-    """
-    merged = combine_with_laplacian(stencil, c)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    base = np.asarray(fn(pts), dtype=float).reshape(pts.shape[0])
-    out = -merged.total_weight * base
-    for off, w in zip(merged.offsets, merged.weights):
-        out += w * np.asarray(fn(pts + merged.h * off), dtype=float).reshape(pts.shape[0])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,84 +559,6 @@ def testfunction_moment_bound(stencil, variant, alpha=None, R=None):
         psi_shift = np.where(inside, R ** (alpha - 2.0) * radii ** 2, R ** alpha)
         return float(np.sum(psi_shift * w)) + R ** alpha * stencil.tail_mass_beyond_support
     raise ConfigurationError(f"unknown bound variant {variant!r}", field="variant")
-
-
-# ---------------------------------------------------------------------------
-# consistency against continuum references
-
-
-def laplacian_reference(profile):
-    """Analytic Laplacian for the profiles that have one."""
-    from .profiles import GaussianProfile
-
-    if isinstance(profile, GaussianProfile):
-        def ref(points):
-            pts = np.asarray(points, dtype=float)
-            vals = profile.value(pts)
-            d2 = np.sum((pts - np.asarray(profile.center)) ** 2, axis=-1)
-            s = profile.spread
-            return vals * (d2 / (4.0 * s * s) - profile.dim / (2.0 * s))
-
-        return ref
-    raise DataError("no analytic Laplacian for this profile")
-
-
-def levy_reference(measure, profile, far_cut=60.0, inner_cut=1e-5):
-    """Principal-value action of the measure on a smooth decaying profile in
-    one dimension, by adaptive quadrature of the symmetrized difference:
-
-        integral_0^inf (psi(x+s) + psi(x-s) - 2 psi(x)) rho(s) ds
-
-    Below ``inner_cut`` the symmetrized difference drowns in rounding, so
-    that piece is replaced by psi''(x) times the exact second moment of the
-    density on (0, inner_cut).  The far field beyond ``far_cut`` contributes
-    -psi(x) * mu(|z| > far_cut) (the shifted values are negligible for a
-    decaying profile).
-    """
-    def second_moment_near(d):
-        if measure.kind in ("fractional", "split"):
-            expo = measure.beta if measure.kind == "split" else measure.alpha
-            return measure.scale * d ** (2.0 - expo) / (2.0 - expo)
-        val, _ = integrate.quad(lambda s: s * s * float(measure.radial_density(s, 1)),
-                                0.0, d, epsabs=1e-16, epsrel=1e-12)
-        return val
-
-    def ref(points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 1)
-        x = pts[:, 0]
-        base = profile.value(pts)
-
-        def integrand(s):
-            plus = profile.value((x + s).reshape(-1, 1))
-            minus = profile.value((x - s).reshape(-1, 1))
-            return (plus + minus - 2.0 * base) * float(measure.radial_density(s, 1))
-
-        out, _ = integrate.quad_vec(integrand, inner_cut, far_cut,
-                                    epsabs=1e-12, epsrel=1e-11)
-        d2h = 1e-3
-        d2 = (profile.value((x + d2h).reshape(-1, 1))
-              + profile.value((x - d2h).reshape(-1, 1)) - 2.0 * base) / (d2h * d2h)
-        out = out + d2 * second_moment_near(inner_cut)
-        out = out - base * measure.mass_beyond(far_cut, 1)
-        return out
-
-    return ref
-
-
-def consistency_error(stencil, c, profile, reference, grid):
-    """Discrete L1 distance between the stencil applied to the profile and a
-    continuum reference, over the grid nodes.
-
-    The profile is evaluated at shifted nodes directly (no box truncation),
-    and the analytic remainder of a truncated measure is accounted for by
-    subtracting psi(x) times the remainder mass (the shifted values beyond
-    the support radius are negligible for decaying profiles).
-    """
-    pts = grid.coords().reshape(-1, grid.dim)
-    disc = apply_to_points(stencil, c, profile.value, pts)
-    disc = disc - profile.value(pts) * stencil.tail_mass_beyond_support
-    ref = np.asarray(reference(pts), dtype=float).reshape(-1)
-    return float(grid.cell_volume * np.sum(np.abs(disc - ref)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Shipped experiment configurations.
 
-Each preset is a complete config dict in the JSON schema accepted by
-config.load_config; user files may name one via "preset" and override
-individual keys.  All presets are one-dimensional desk-scale runs.
+Each preset is a config dict in the JSON schema accepted by
+config.load_config, which fills in the solver block from EpSolveConfig's
+defaults; user files may name one via "preset" and override individual
+keys.  All presets are one-dimensional desk-scale runs.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import copy
 import math
 
 __all__ = ["PRESETS", "preset_names", "get_preset"]
-
-_SOLVER = {"residual_tol": 1e-13, "scalar_tol": 1e-14, "max_sweeps": None}
 
 # unit-mass Gaussian: amplitude (4 pi s)^(-1/2) at spread s = 0.25
 _GAUSS_AMP = 1.0 / math.sqrt(math.pi)
@@ -34,7 +33,6 @@ PRESETS = {
             "dt": {"policy": "quadratic", "factor": 16.0},
             "exact": "heat_gaussian",
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [1.5, 3.0, 4.5], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -54,7 +52,6 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": "barenblatt",
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [1.875, 3.75, 5.625], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -75,7 +72,6 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": None,
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [0.5, 1.0, 1.5], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -95,7 +91,6 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": None,
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [1.5, 3.0, 4.5], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -123,7 +118,6 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": "poisson",
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [12.0, 24.0, 36.0], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -145,7 +139,6 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": "shock",
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },
@@ -171,7 +164,6 @@ PRESETS = {
             "dt": {"policy": "linear", "factor": 0.5},
             "exact": None,
         },
-        "solver": dict(_SOLVER),
         "diagnostics": {"R_list": [1.5, 3.0, 4.5], "r": 1.0, "save_stride": 1},
         "output_dir": None,
     },

@@ -3,9 +3,8 @@
 A spatial profile knows how to evaluate itself pointwise, how to average
 itself exactly over lattice cells, and how to report the continuum norms the
 diagnostics need (sup, L^1, tail mass outside a ball, cutoff-weighted L^1).
-Symbolic families (constant, Gaussian, Barenblatt, indicator, step)
-carry closed-form integrals; anything else falls back to fixed-order
-Gauss-Legendre per cell.
+Every family (constant, Gaussian, Barenblatt, Poisson kernel, indicator,
+step) carries closed-form cell averages.
 
 A profile can sit at more than one config location (initial data, source),
 so the ``field`` of a ConfigurationError raised here names the key inside
@@ -31,8 +30,6 @@ __all__ = [
     "PoissonKernelProfile",
     "IndicatorProfile",
     "StepProfile",
-    "CustomProfile",
-    "as_profile",
     "SeparableSource",
     "ConstantInTime",
     "LinearInTime",
@@ -42,11 +39,6 @@ __all__ = [
     "ShockExact",
     "sphere_area",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-# rescaled to the reference cell (-1/2, 1/2] with unit total weight
-_GL_NODES = 0.5 * _GL_NODES
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 def sphere_area(dim):
@@ -64,22 +56,14 @@ def _as_points(x, dim):
 
 
 class SpatialProfile:
-    """Base descriptor.  Subclasses fill in the closed forms they have."""
+    """Base descriptor.  Subclasses give ``value`` and ``cell_averages``
+    and fill in the closed-form norms they have."""
 
     dim = 1
     is_radial = False
 
     def value(self, points):
         raise NotImplementedError
-
-    def __call__(self, points):
-        return self.value(_as_points(points, self.dim))
-
-    # -- projection ---------------------------------------------------------
-
-    def cell_averages(self, grid):
-        """Default: tensor Gauss-Legendre of order 5 on every cell."""
-        return _quadrature_cell_averages(self, grid)
 
     # -- continuum norms ----------------------------------------------------
 
@@ -118,24 +102,6 @@ class SpatialProfile:
             inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
             return inner + self.abs_tail_mass(R)
         raise DataError("cutoff-weighted L1 needs a one-dimensional or radial profile")
-
-    def shift_l1_distance(self, xi):
-        """L1 distance between f and its translate f(. + xi)."""
-        if self.dim != 1:
-            raise DataError("translation modulus implemented for one dimension")
-        xi = float(np.asarray(xi).reshape(-1)[0])
-
-        def g(x):
-            a = float(self.value(np.array([[x]]))[0])
-            b = float(self.value(np.array([[x + xi]]))[0])
-            return abs(a - b)
-
-        lo, hi = self._quad_window()
-        val = 0.0
-        pieces = np.linspace(lo - abs(xi), hi + abs(xi), 9)
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            val += integrate.quad(g, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
-        return val
 
     def _quad_window(self):
         return (-50.0, 50.0)
@@ -283,9 +249,6 @@ class BarenblattProfile(SpatialProfile):
         a, b = self.peak, self.curvature
         return 2.0 * (a * (xs - R) - b * (xs ** 3 - R ** 3) / 3.0)
 
-    def _quad_window(self):
-        return (-self.support_radius, self.support_radius)
-
     @staticmethod
     def coeff_for_unit_mass():
         """coeff such that the profile mass is exactly one at every time."""
@@ -321,9 +284,6 @@ class PoissonKernelProfile(SpatialProfile):
 
     def abs_tail_mass(self, R):
         return 1.0 - (2.0 / math.pi) * math.atan(R / self.t0)
-
-    def _quad_window(self):
-        return (-200.0 * self.t0, 200.0 * self.t0)
 
 
 @dataclass(frozen=True)
@@ -361,13 +321,6 @@ class IndicatorProfile(SpatialProfile):
         right = max(0.0, self.hi - max(self.lo, R))
         return left + right
 
-    def shift_l1_distance(self, xi):
-        xi = float(np.asarray(xi).reshape(-1)[0])
-        return 2.0 * min(abs(xi), self.hi - self.lo)
-
-    def _quad_window(self):
-        return (self.lo - 1.0, self.hi + 1.0)
-
 
 @dataclass(frozen=True)
 class StepProfile(SpatialProfile):
@@ -392,60 +345,6 @@ class StepProfile(SpatialProfile):
 
     def sup_norm(self):
         return max(abs(self.left), abs(self.right))
-
-    def shift_l1_distance(self, xi):
-        xi = float(np.asarray(xi).reshape(-1)[0])
-        return abs(self.left - self.right) * abs(xi)
-
-
-class CustomProfile(SpatialProfile):
-    """Wraps a plain callable on point arrays; integrals by quadrature."""
-
-    def __init__(self, fn, dim=1, sup=None, l1=None):
-        self.fn = fn
-        self.dim = dim
-        self._sup = sup
-        self._l1 = l1
-
-    def value(self, points):
-        pts = _as_points(points, self.dim)
-        out = np.asarray(self.fn(pts), dtype=float)
-        if out.shape != pts.shape[:-1]:
-            out = out.reshape(pts.shape[:-1])
-        return out
-
-    def sup_norm(self):
-        if self._sup is None:
-            raise DataError("custom profile has no declared sup norm")
-        return self._sup
-
-    def l1_norm(self):
-        if self._l1 is None:
-            raise DataError("custom profile has no declared L1 norm")
-        return self._l1
-
-
-def as_profile(obj):
-    if isinstance(obj, SpatialProfile):
-        return obj
-    if callable(obj):
-        return CustomProfile(obj)
-    raise DataError(f"cannot interpret {type(obj).__name__} as a spatial profile")
-
-
-def _quadrature_cell_averages(profile, grid):
-    """Tensor-product Gauss-Legendre (order 5 per axis) cell averages."""
-    coords = grid.coords()
-    flat = coords.reshape(-1, grid.dim)
-    total = np.zeros(flat.shape[0])
-    for combo in np.ndindex(*(len(_GL_NODES),) * grid.dim):
-        w = 1.0
-        shift = np.empty(grid.dim)
-        for i, k in enumerate(combo):
-            w *= _GL_WEIGHTS[k]
-            shift[i] = _GL_NODES[k] * grid.h
-        total += w * profile.value(flat + shift)
-    return total.reshape(grid.shape)
 
 
 def _tail_abs_quad_1d(profile, R):
@@ -506,7 +405,7 @@ class SeparableSource:
     """g(x, t) = spatial(x) * temporal(t)."""
 
     def __init__(self, spatial, temporal):
-        self.spatial = as_profile(spatial)
+        self.spatial = spatial
         self.temporal = temporal
 
     def project(self, grid, time_grid):

@@ -13,6 +13,8 @@ NAMES = [
     "laplacian_far_mass_zero", "laplacian_near_second_moment",
     "fractional_unit_cell_weight", "fractional_a_pp_flat",
     "a_prime_testfunction_dominates", "a_pp_testfunction_dominates",
+    "laplacian_consistency_order", "levy_reference_poisson_oracle",
+    "fractional_consistency_improves",
     # resolvent
     "tridiagonal_oracle", "dense_linear_cross_check", "resolvent_weighted_tail",
     # evolution

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -303,6 +304,42 @@ def test_every_export_resolves():
     # a deleted name must not leave a dangling lazy export behind
     for name in gpme.__all__:
         getattr(gpme, name)
+
+
+def _public(tree):
+    """The names of a module's __all__ when it is a literal list."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _loads(tree):
+    """(name, top-level definition it sits in) for every name or attribute
+    the module loads."""
+    out = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((node.id, owner))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add((node.attr, owner))
+    return out
+
+
+def test_every_public_name_is_used_in_the_package():
+    # the package is what its commands reach: a name in a module's __all__
+    # is loaded somewhere in src/gpme outside its own definition
+    # (gpme/__init__.py re-exports names from these lists)
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(gpme.__file__).parent.glob("*.py")}
+    loads = [(name, (module, owner))
+             for module, tree in trees.items() for name, owner in _loads(tree)]
+    unused = [f"{module}.{name}" for module, tree in trees.items() for name in _public(tree)
+              if all(n != name or where == (module, name) for n, where in loads)]
+    assert unused == []
 
 
 def test_report_json_identical_across_out_dirs(tmp_path):

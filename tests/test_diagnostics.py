@@ -10,14 +10,12 @@ from gpme.diagnostics import (Cutoff, admissible_threshold, build_cutoff,
                               conjugate_exponents, ct_lr_distance,
                               equitightness_check, forward_difference_norms,
                               operator_cutoff_norm, smooth_step, smooth_step_d1,
-                              smooth_step_d2, tail_mass, time_equicontinuity_profile,
-                              translation_modulus)
+                              smooth_step_d2, tail_mass)
 from gpme.elliptic_solver import EpSolveConfig
 from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import run
 from gpme.grid_field import GridFunction, TimeGrid, Trajectory, UniformGrid
 from gpme.levy_operators import MeasureSpec, OperatorSpec
-from gpme.profiles import IndicatorProfile
 
 
 def test_smooth_step_endpoints_and_monotone():
@@ -90,33 +88,6 @@ def test_forward_difference_norm_tracks_gradient():
     _, cut = build_cutoff(4.0, g)
     disc = forward_difference_norms(cut, g, np.inf)
     assert disc == pytest.approx(Cutoff(4.0).derivative_norm(1, np.inf), rel=0.02)
-
-
-def test_translation_modulus_indicator():
-    table = translation_modulus(IndicatorProfile(-1.0, 1.0), [0.25, 0.5, 1.0])
-    want = {0.25: 0.5, 0.5: 1.0, 1.0: 2.0}
-    for shift, val in table:
-        assert val == pytest.approx(want[shift], rel=1e-8)
-    # running max keeps the table monotone
-    vals = [v for _, v in table]
-    assert vals == sorted(vals)
-
-
-def test_translation_modulus_grid_function():
-    g = UniformGrid.from_box(1, 0.5, 3.0)
-    u = GridFunction(g, (np.abs(g.axis_coords(0)) <= 1.0).astype(float))
-    table = translation_modulus(u, [0.5, 1.0])
-    assert table[0][1] == pytest.approx(1.0)
-    assert table[1][1] == pytest.approx(2.0)
-
-
-def test_time_equicontinuity_matrix():
-    g = UniformGrid.from_box(1, 0.5, 1.0)
-    tr = Trajectory(g, TimeGrid(np.array([0.0, 1.0])), (np.zeros(5), np.ones(5)))
-    mat = time_equicontinuity_profile(tr, 1.0)
-    assert mat.shape == (2, 2)
-    assert mat[0, 0] == 0.0
-    assert mat[0, 1] == pytest.approx(2.5)
 
 
 def test_ct_distance_zero_self_positive_shifted():

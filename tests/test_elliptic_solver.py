@@ -7,46 +7,51 @@ from hypothesis import strategies as st
 
 from gpme.errors import ConfigurationError, NonConvergenceError
 from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _gmres, _jacobi_sweep,
-                                  scalar_resolvent, solve_ep)
-from gpme.grid_field import GridFunction, UniformGrid, discrete_lr_norm
+                                  _solve_scalar_batch, solve_ep)
+from gpme.grid_field import GridFunction, UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil, _neighbor_sum,
                                  _total_weight, apply_stencil, combine_with_laplacian,
                                  laplacian_stencil, measure_stencil)
 
 
+def scalar_root(phi, lam, b):
+    """Root of s + lam * phi(s) = b for one value, warm-started at b."""
+    return float(_solve_scalar_batch(phi, lam, np.array([b]), np.array([b]), 1e-13, 300)[0])
+
+
 def test_scalar_closed_forms():
     # s + s^2 = 2 and s + sqrt(s) = 2 both have root 1
-    assert scalar_resolvent(PhiSpec(kind="power", exponent=2.0), 1.0, 2.0) == pytest.approx(1.0)
-    assert scalar_resolvent(PhiSpec(kind="power", exponent=0.5), 1.0, 2.0) == pytest.approx(1.0)
+    assert scalar_root(PhiSpec(kind="power", exponent=2.0), 1.0, 2.0) == pytest.approx(1.0)
+    assert scalar_root(PhiSpec(kind="power", exponent=0.5), 1.0, 2.0) == pytest.approx(1.0)
     # odd symmetry
-    assert scalar_resolvent(PhiSpec(kind="power", exponent=2.0), 1.0, -2.0) == pytest.approx(-1.0)
-    assert scalar_resolvent(PhiSpec(kind="power", exponent=0.5), 1.0, 0.0) == 0.0
+    assert scalar_root(PhiSpec(kind="power", exponent=2.0), 1.0, -2.0) == pytest.approx(-1.0)
+    assert scalar_root(PhiSpec(kind="power", exponent=0.5), 1.0, 0.0) == 0.0
 
 
 def test_scalar_linear_and_zero_paths():
-    assert scalar_resolvent(PhiSpec(kind="linear", slope=3.0), 2.0, 7.0) == pytest.approx(1.0)
-    assert scalar_resolvent(PhiSpec(kind="zero"), 5.0, 0.3) == pytest.approx(0.3)
-    assert scalar_resolvent(PhiSpec(kind="power", exponent=2.0), 0.0, 0.3) == pytest.approx(0.3)
+    assert scalar_root(PhiSpec(kind="linear", slope=3.0), 2.0, 7.0) == pytest.approx(1.0)
+    assert scalar_root(PhiSpec(kind="zero"), 5.0, 0.3) == pytest.approx(0.3)
+    assert scalar_root(PhiSpec(kind="power", exponent=2.0), 0.0, 0.3) == pytest.approx(0.3)
 
 
 def test_scalar_stefan_branches():
     phi = PhiSpec(kind="stefan", latent=0.5)
     # below the latent plateau phi vanishes
-    assert scalar_resolvent(phi, 1.0, 0.3) == pytest.approx(0.3)
+    assert scalar_root(phi, 1.0, 0.3) == pytest.approx(0.3)
     # above it: s + (s - 1/2) = 2
-    assert scalar_resolvent(phi, 1.0, 2.0) == pytest.approx(1.25)
+    assert scalar_root(phi, 1.0, 2.0) == pytest.approx(1.25)
 
 
 def test_scalar_table_interior_and_clamped():
     phi = PhiSpec(kind="table", table_u=(-1.0, 0.0, 1.0), table_phi=(-1.0, 0.0, 1.0))
-    assert scalar_resolvent(phi, 1.0, 0.5) == pytest.approx(0.25)
+    assert scalar_root(phi, 1.0, 0.5) == pytest.approx(0.25)
     # beyond the table phi is frozen at 1
-    assert scalar_resolvent(phi, 1.0, 3.0) == pytest.approx(2.0)
+    assert scalar_root(phi, 1.0, 3.0) == pytest.approx(2.0)
 
 
 def test_scalar_newton_path_general_exponent():
     phi = PhiSpec(kind="power", exponent=1.5)
-    s = scalar_resolvent(phi, 2.0, 3.0)
+    s = scalar_root(phi, 2.0, 3.0)
     assert abs(s + 2.0 * s ** 1.5 - 3.0) < 1e-11
 
 
@@ -55,7 +60,7 @@ def test_scalar_newton_path_general_exponent():
        m=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
 def test_scalar_residual_property(b, lam, m):
     phi = PhiSpec(kind="power", exponent=m)
-    s = scalar_resolvent(phi, lam, b)
+    s = scalar_root(phi, lam, b)
     res = s + lam * float(phi.value(np.array([s]))[0]) - b
     assert abs(res) < 1e-9 * (1.0 + abs(b))
     assert min(0.0, b) - 1e-12 <= s <= max(0.0, b) + 1e-12
@@ -233,7 +238,7 @@ def test_lp_interpolation_bound():
     out = solve_ep(laplacian_stencil(g), 0, phi, 0.3, GridFunction(g, rho),
                    config=EpSolveConfig(residual_tol=1e-12))
     sup_rho = float(np.max(np.abs(rho)))
-    l1_rho = discrete_lr_norm(GridFunction(g, rho), 1)
+    l1_rho = lr_norm_of_values(rho, g.cell_volume, 1)
     for p in (1.0, 2.0, np.inf):
-        lhs = discrete_lr_norm(out.w, p)
+        lhs = lr_norm_of_values(out.w.values, g.cell_volume, p)
         assert lhs <= sup_rho ** (1.0 - 1.0 / p) * l1_rho ** (1.0 / p) + 1e-8

@@ -6,8 +6,8 @@ import pytest
 from gpme.config import build_plan, load_config
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec
 from gpme.errors import ConfigurationError
-from gpme.evolution import (FluxSpec, cfl_limit, escape_weights, flux_divergence,
-                            one_sided_difference, run, step_cde, step_gpme)
+from gpme.evolution import (FluxSpec, cfl_limit, escape_weights, flux_divergence, run,
+                            step_cde, step_gpme)
 from gpme.grid_field import TimeGrid, UniformGrid
 from gpme.levy_operators import (MeasureSpec, WeightedStencil, apply_stencil,
                                  measure_stencil)
@@ -33,14 +33,6 @@ def test_flux_divergence_upwind_direction():
     fl = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
     v = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(flux_divergence(fl, v, 0.5), [0.0, 1.0, -1.0, 0.0, 0.0])
-
-
-def test_one_sided_difference():
-    v = np.array([0.0, 1.0, 3.0])
-    np.testing.assert_allclose(one_sided_difference(v, 0, 1.0, "forward"),
-                               [1.0, 2.0, -3.0])
-    np.testing.assert_allclose(one_sided_difference(v, 0, 1.0, "backward"),
-                               [0.0, 1.0, 2.0])
 
 
 def test_cfl_limit_inclusive():
@@ -97,7 +89,7 @@ def test_pme_compact_support_no_leak():
     rep = run(plan.problem, plan.grid, plan.time_grid,
               config=EpSolveConfig(residual_tol=1e-13, max_sweeps=100000))
     assert abs(rep.leak_diffusive[-1]) <= 1e-12
-    final = rep.trajectory.field_at_knot(plan.time_grid.n_steps)
+    final = rep.trajectory.fields[plan.time_grid.n_steps]
     support = prof.at_time(0.5).support_radius
     x = plan.grid.axis_coords(0)
     outside = np.abs(x) > 3.0 * support

@@ -5,7 +5,7 @@ import pytest
 
 from gpme.errors import ConfigurationError, DataError
 from gpme.grid_field import (GridFunction, TimeGrid, Trajectory, UniformGrid,
-                             discrete_lr_norm, eval_spacetime_interpolant,
+                             eval_spacetime_interpolant, lr_norm_of_values,
                              project_cell_average, shifted, write_field_csv)
 from gpme.profiles import ConstantProfile, GaussianProfile
 
@@ -54,12 +54,11 @@ def test_shifted_2d_axis():
     np.testing.assert_array_equal(out[:, 2], 0.0)
 
 
-def test_discrete_lr_norm_hand_values():
-    g = UniformGrid.from_box(1, 0.5, 1.0)
-    u = GridFunction(g, np.array([1.0, -2.0, 0.0, 2.0, -1.0]))
-    assert discrete_lr_norm(u, 1) == pytest.approx(3.0)
-    assert discrete_lr_norm(u, 2) == pytest.approx(np.sqrt(0.5 * 10.0))
-    assert discrete_lr_norm(u, np.inf) == pytest.approx(2.0)
+def test_lr_norm_of_values_hand_values():
+    u = np.array([1.0, -2.0, 0.0, 2.0, -1.0])
+    assert lr_norm_of_values(u, 0.5, 1) == pytest.approx(3.0)
+    assert lr_norm_of_values(u, 0.5, 2) == pytest.approx(np.sqrt(0.5 * 10.0))
+    assert lr_norm_of_values(u, 0.5, np.inf) == pytest.approx(2.0)
 
 
 def test_project_constant_is_exact():
@@ -91,7 +90,7 @@ def test_trajectory_linear_interpolation_in_time():
     tr = Trajectory(g, TimeGrid(np.array([0.0, 1.0])),
                     (np.zeros(5), np.ones(5)))
     np.testing.assert_allclose(tr.values_at_time(0.25), 0.25)
-    np.testing.assert_allclose(tr.field_at_knot(1), 1.0)
+    np.testing.assert_allclose(tr.fields[1], 1.0)
     with pytest.raises(DataError):
         tr.values_at_time(2.0)
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
-"""Stencil assembly: weights, moments, symmetry, consistency."""
+"""Stencil assembly: weights, moments, symmetry; the consistency oracle
+lives in the ``moments`` suite of gpme.checks."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid, shifted
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
                                  WeightedStencil, _neighbor_matrix, _neighbor_sum,
-                                 apply_stencil, apply_to_points, combine_with_laplacian,
-                                 consistency_error, laplacian_reference,
-                                 laplacian_stencil, levy_reference, measure_stencil)
-from gpme.profiles import GaussianProfile, PoissonKernelProfile
+                                 apply_stencil, combine_with_laplacian, laplacian_stencil,
+                                 measure_stencil)
+from gpme.profiles import GaussianProfile
 
 
 def test_laplacian_stencil_weights():
@@ -119,46 +119,6 @@ def test_fractional_tail_mass_decreases_with_reach():
     near = measure_stencil(m, g, support_radius=4.0)
     far = measure_stencil(m, g, support_radius=8.0)
     assert near.tail_mass_beyond_support > far.tail_mass_beyond_support > 0.0
-
-
-def test_laplacian_consistency_second_order():
-    prof = GaussianProfile(1.0, 0.25)
-    ref = laplacian_reference(prof)
-    errs = []
-    for h in (0.1, 0.05):
-        g = UniformGrid.from_box(1, h, 6.0)
-        errs.append(consistency_error(laplacian_stencil(g), 0, prof, ref, g))
-    assert errs[1] < errs[0] / 2.0
-
-
-def test_levy_reference_matches_poisson_closed_form():
-    # alpha = 1 at scale 1/pi generates the Poisson kernel flow, whose
-    # generator has the closed form (x^2 - t^2) / (pi (x^2 + t^2)^2)
-    m = MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / np.pi)
-    prof = PoissonKernelProfile(1.0)
-    ref = levy_reference(m, prof)
-    xs = np.array([[0.0], [0.5], [2.0]])
-    want = (xs[:, 0] ** 2 - 1.0) / (np.pi * (xs[:, 0] ** 2 + 1.0) ** 2)
-    got = np.array([ref(np.array([p])) for p in xs]).ravel()
-    np.testing.assert_allclose(got, want, atol=5e-7)
-
-
-def test_fractional_consistency_improves():
-    m = MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / np.pi)
-    prof = PoissonKernelProfile(1.0)
-    ref = levy_reference(m, prof)
-    errs = []
-    for h in (0.25, 0.125):
-        g = UniformGrid.from_box(1, h, 20.0)
-        errs.append(consistency_error(measure_stencil(m, g), 0, prof, ref, g))
-    assert errs[1] < errs[0]
-
-
-def test_apply_to_points_smooth_probe():
-    g = UniformGrid.from_box(1, 0.25, 6.0)
-    st = laplacian_stencil(g)
-    out = apply_to_points(st, 0, lambda p: p[:, 0] ** 2, np.array([[0.0], [1.0]]))
-    np.testing.assert_allclose(out, 2.0, atol=1e-10)
 
 
 def test_custom_pole_density_rejected():

@@ -8,7 +8,7 @@ from gpme.errors import ConfigurationError
 from gpme.profiles import (BarenblattExact, BarenblattProfile, ConstantInTime,
                            GaussianProfile, HeatGaussianExact, IndicatorProfile,
                            LinearInTime, PoissonExact, PoissonKernelProfile,
-                           ShockExact, StepProfile, as_profile, sphere_area)
+                           ShockExact, StepProfile, sphere_area)
 
 
 def test_sphere_area_low_dims():
@@ -109,8 +109,6 @@ def test_step_profile_and_shift_distance():
     prof = StepProfile(1.0, 0.0, position=0.0)
     v = prof.value(np.array([[-0.5], [0.5]]))
     np.testing.assert_allclose(v, [1.0, 0.0])
-    # translating a unit jump by xi costs exactly |xi|
-    assert prof.shift_l1_distance(0.3) == pytest.approx(0.3, rel=1e-8)
 
 
 def test_shock_exact_moves_at_mean_flux_speed():
@@ -118,11 +116,6 @@ def test_shock_exact_moves_at_mean_flux_speed():
     prof = ex.at_time(0.5)
     v = prof.value(np.array([[0.2], [0.3]]))
     np.testing.assert_allclose(v, [1.0, 0.0])
-
-
-def test_as_profile_wraps_callables():
-    prof = as_profile(lambda x: np.exp(-np.abs(x[:, 0])))
-    assert prof.value(np.array([[0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_temporal_factors_integrate():
