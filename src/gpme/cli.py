@@ -74,7 +74,8 @@ def _exact_error(traj, exact, r):
 
 def cmd_run(args):
     from .config import build_plan, load_config
-    from .diagnostics import check_cutoff_radius, equitightness_check
+    from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
+    from .errors import ConfigurationError, DataError
     from .evolution import run
     from .grid_field import GridFunction, _format_float, write_field_csv
 
@@ -82,6 +83,13 @@ def cmd_run(args):
     plan = build_plan(cfg)
     for R in plan.diagnostics["R_list"]:
         check_cutoff_radius(R, plan.grid, "diagnostics.R_list")
+    if plan.diagnostics["R_list"]:
+        # the tail bound reads the data's norms: ask for them before any computing
+        try:
+            data_bounds(plan.problem, plan.time_grid.final_time)
+        except DataError as e:
+            raise ConfigurationError(f"a tail radius needs the data's norms: {e}",
+                                     field="diagnostics.R_list") from e
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0

@@ -37,6 +37,7 @@ __all__ = [
     "conjugate_exponents",
     "admissible_threshold",
     "EquitightnessReport",
+    "data_bounds",
     "equitightness_check",
     "ct_lr_distance",
 ]
@@ -297,6 +298,18 @@ def _sample_times(knots):
     return np.sort(np.concatenate([knots, mids]))
 
 
+def data_bounds(problem, T):
+    """(M, L) for the tail bound over [0, T]: the sup bound
+    M = |u0|_inf + |g|_{L1(0,T; L_inf)} and the data size
+    L = |u0|_1 + |g|_{L1(0,T; L1)}, from the data's closed-form norms.
+    Raises DataError when the data expose no such norm."""
+    M, L = problem.initial.sup_norm(), problem.initial.l1_norm()
+    if problem.source is not None:
+        M += problem.source.l1linf_norm(T)
+        L += problem.source.l1l1_norm(T)
+    return M, L
+
+
 def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=None):
     """Evaluate the uniform tail bound for a finished trajectory.
 
@@ -310,27 +323,15 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     if stencil is None:
         stencil = problem.operator.build_stencil(grid)
 
-    initial = problem.initial
-    source = problem.source
-    sup0 = initial.sup_norm()
-    l1_0 = initial.l1_norm()
-    if source is None:
-        g_l1l1 = 0.0
-        g_l1linf = 0.0
-        g_piece = 0.0
-    else:
-        g_l1l1 = source.l1l1_norm(T)
-        g_l1linf = source.l1linf_norm(T)
-        g_piece = source.weighted_l1l1(cutoff, T)
-    M = sup0 + g_l1linf
+    M, data_l1 = data_bounds(problem, T)
+    g_piece = 0.0 if problem.source is None else problem.source.weighted_l1l1(cutoff, T)
 
     ell = problem.phi.hoelder_exponent()
     seminorm = problem.phi.hoelder_seminorm(M)
     p, q = conjugate_exponents(ell)
-    data_l1 = l1_0 + g_l1l1
     C = seminorm * M ** (ell - 1.0 / q) * data_l1 ** (1.0 / q)
 
-    u0_piece = initial.weighted_abs_l1(cutoff)
+    u0_piece = problem.initial.weighted_abs_l1(cutoff)
     op_piece = T * operator_cutoff_norm(stencil, problem.operator.c, cutoff, grid, p)
 
     if problem.flux is not None:

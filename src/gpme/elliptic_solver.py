@@ -19,11 +19,14 @@ comparison bracket [min(0, min rho), max(0, max rho)].  The step is kept
 if it lowers the sup-norm residual; otherwise it is halved, up to four
 times, and if no length does, the iteration falls back to one nonlinear
 Jacobi sweep from the previous iterate.  The offset count picks the
-linear solve: up to ``_KERNEL_THRESHOLD`` measure offsets, sparse LU on
-the matrix of ``levy_operators._neighbor_matrix``; above it, restarted
+linear solve: up to ``_KERNEL_THRESHOLD`` measure offsets a direct one,
+banded LU on the line (LAPACK band storage filled from the offsets, no
+sparse matrix) and sparse LU on the matrix of
+``levy_operators._neighbor_matrix`` for N >= 2; above it, restarted
 GMRES with J applied matrix-free through the operator's rFFT spectrum,
 computed once per solve (an inexact Newton step, Kelley, Iterative
-Methods for Linear and Nonlinear Equations, 1995, ch. 6).
+Methods for Linear and Nonlinear Equations, 1995, ch. 6).  Both LU
+factorizations are well-posed because J is a nonsingular M-matrix.
 
 The sweep freezes the neighbor sum and solves the strictly increasing
 scalar equation
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_banded, solve_triangular
 from scipy.sparse.linalg import spsolve, splu
 
 from .errors import ConfigurationError, NonConvergenceError
@@ -286,23 +289,57 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
                                cfg.max_scalar_iter)
 
 
+def _banded_solver(stencil, c, n, dt, W):
+    """The short-stencil solve on a line of n nodes by banded LU with
+    partial pivoting (LAPACK gbsv, or gtsv for a tridiagonal band).
+    Offset gamma of the neighbor sum sits on band row k - gamma of the
+    storage, k the half-bandwidth; its entry in column j is
+    -dt w_gamma d_j wherever node j - gamma lies on the line.  Offsets as
+    long as the line never land on it, so k is at most n - 1."""
+    offsets = stencil.offsets[:, 0].tolist()
+    weights = stencil.weights.tolist()
+    if c:
+        offsets += [1, -1]
+        weights += [1.0 / stencil.h ** 2] * 2
+    k = min(max(map(abs, offsets), default=0), n - 1)
+    bands = np.zeros((2 * k + 1, n))
+    for off, w in zip(offsets, weights):
+        if abs(off) <= k:
+            # a measure offset on a nearest neighbor adds to its weight
+            bands[k - off, max(off, 0):n + min(off, 0)] -= dt * w
+    dtW = dt * W
+
+    def solve(a, d, rhs, tol):
+        ab = bands * d
+        ab[k] += a + dtW * d
+        return solve_banded((k, k), ab, rhs, check_finite=False)
+    return solve
+
+
 def _linear_solver(stencil, c, shape, dt, W, neighbor):
     """solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs, where
     K = dt (W I - A) is the matrix of -dt L on a box of the given shape.
 
-    Up to ``_KERNEL_THRESHOLD`` measure offsets K is assembled from
-    ``_neighbor_matrix`` and the system solved by sparse LU.  Above it the
-    system is solved by GMRES, K applied matrix-free through ``neighbor``,
-    to a residual of at most tol in the 2-norm (an inexact step: the
-    caller's safeguard judges it).  For c = 1 GMRES is preconditioned by
-    the sparse LU of the near part's Jacobian: K with A cut to the c/h^2
-    neighbors and the measure offsets with |gamma|_inf <= 1, the diagonal
-    kept whole.  For c = 0 GMRES runs unpreconditioned: in w the
-    Jacobian's spectrum lies in [1, 1 + 2 dt W max phi'].
+    Up to ``_KERNEL_THRESHOLD`` measure offsets the system is solved
+    directly: on the line by banded LU, storage filled straight from the
+    offsets (``_banded_solver``), and for N >= 2 by sparse LU, K assembled
+    from ``_neighbor_matrix``.  Either factorization is well-posed because
+    the matrix is a nonsingular M-matrix for every d >= 0.  Above the
+    threshold the system is solved by GMRES, K applied matrix-free through
+    ``neighbor``, to a residual of at most tol in the 2-norm (an inexact
+    step: the caller's safeguard judges it).  For c = 1 GMRES is
+    preconditioned by the sparse LU of the near part's Jacobian: K with A
+    cut to the c/h^2 neighbors and the measure offsets with
+    |gamma|_inf <= 1, the diagonal kept whole.  For c = 0 GMRES runs
+    unpreconditioned: in w the Jacobian's spectrum lies in
+    [1, 1 + 2 dt W max phi'].
     """
+    short = stencil.n_offsets <= _KERNEL_THRESHOLD
+    if short and len(shape) == 1:
+        return _banded_solver(stencil, c, shape[0], dt, W)
     size = math.prod(shape)
     identity = sparse.identity(size, format="csr")
-    if stencil.n_offsets <= _KERNEL_THRESHOLD:
+    if short:
         K = dt * (W * identity - _neighbor_matrix(stencil, c, shape))
 
         def solve(a, d, rhs, tol):

@@ -13,12 +13,12 @@ Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
 loop for short stencils, and for dense kernels an rFFT convolution whose
 kernel spectrum is computed once per operator and reused by every
 application.  ``_neighbor_matrix`` writes the neighbor sum of a short
-stencil (or of a dense kernel's near part) as a sparse matrix for the
-resolvent's Newton steps, and ``combine_with_laplacian`` merges the two
-parts into one weight list for inspection only (``gpme stencil`` and the
-moment checks).  Weights for a jump measure are the measure of each lattice
-cell, so the total mass on any region is preserved by construction; the
-origin cell is excluded.
+stencil in two and more dimensions (or of a dense kernel's near part) as
+a sparse matrix for the resolvent's Newton steps, and
+``combine_with_laplacian`` merges the two parts into one weight list for
+inspection only (``gpme stencil`` and the moment checks).  Weights for a
+jump measure are the measure of each lattice cell, so the total mass on
+any region is preserved by construction; the origin cell is excluded.
 
 ``measure_stencil`` builds them by one path in every dimension.  The
 measures are radial, so a cell and its images under the lattice's
@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 # up to this offset count the shift loop applies a stencil and the
-# resolvent's Newton steps solve by sparse LU; above it, rFFT convolution
-# and matrix-free GMRES
+# resolvent's Newton steps solve directly, by banded LU on the line and
+# sparse LU above it; beyond it, rFFT convolution and matrix-free GMRES
 _KERNEL_THRESHOLD = 64
 
 
@@ -404,20 +404,25 @@ def _neighbor_matrix(stencil, c, shape):
     """The linear map values -> _neighbor_sum(stencil, c, values) on a box
     of the given shape, as a CSR matrix over the C-order flattened nodes:
     the same offsets and weights, the same c/h^2 nearest neighbors and the
-    same zero extension (a jump leaving the box has no column)."""
+    same zero extension (a jump leaving the box has no column).  The
+    resolvent builds it for short stencils with N >= 2 and for the near
+    part of a dense kernel; on the line a short stencil's Newton system
+    goes to band storage instead."""
     offsets = list(stencil.offsets)
     weights = list(stencil.weights)
     if c:
         unit = np.eye(stencil.dim, dtype=int)
         offsets += list(unit) + list(-unit)
         weights += [1.0 / stencil.h ** 2] * (2 * stencil.dim)
+    # a jump at least as long as the box on some axis never lands in it
+    pairs = [(off, w) for off, w in zip(offsets, weights) if np.all(np.abs(off) < shape)]
     size = math.prod(shape)
-    if not offsets:
+    if not pairs:
         # the zero operator: no measure and no local part
         return sparse.csr_matrix((size, size))
     index = np.arange(size).reshape(shape)
     rows, cols, vals = [], [], []
-    for off, w in zip(offsets, weights):
+    for off, w in pairs:
         # row beta reads column beta + off wherever both lie in the box
         dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(shape, off))
         src = tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off))

@@ -176,6 +176,10 @@ REJECTED = {name: ({"problem": override}, field)
             for name, (override, field) in PROBLEM_REJECTED.items()}
 REJECTED["tail_radius_beyond_box"] = ({"diagnostics": {"R_list": [1.5, 100.0]}},
                                       "diagnostics.R_list")
+# step data has no closed-form L1 norm, which the tail bound needs
+REJECTED["tail_radius_without_l1_norm"] = ({"preset": "burgers_riemann_1d",
+                                            "diagnostics": {"R_list": [1.0]}},
+                                           "diagnostics.R_list")
 
 
 @pytest.mark.parametrize("override, field", REJECTED.values(), ids=REJECTED.keys())
@@ -353,12 +357,16 @@ def test_report_json_identical_across_out_dirs(tmp_path):
 def test_thread_count_does_not_change_bytes(tmp_path):
     # the dense-kernel runs take GMRES steps, whose inner products must
     # not change with the thread count; the one step on 12289 nodes takes
-    # them past the length at which OpenBLAS splits a dot product
+    # them past the length at which OpenBLAS splits a dot product.  The
+    # Stefan run takes banded LU steps on 1537 nodes (LAPACK gtsv, the
+    # tridiagonal case of scipy's solve_banded).
     runs = {"tiny": TINY_RUN,
             "frac_coarse": {"preset": "frac_heat_poisson_1d",
                             "problem": {"h": 0.125, "T": 0.125}},
             "frac_long": {"preset": "frac_heat_poisson_1d",
-                          "problem": {"h": 1.0 / 128, "T": 1.0 / 256}}}
+                          "problem": {"h": 1.0 / 128, "T": 1.0 / 256}},
+            "stefan_fine": {"preset": "stefan_1d",
+                            "problem": {"h": 1.0 / 128, "T": 1.0 / 64}}}
     for name, run in runs.items():
         cfg = write_cfg(tmp_path, run, name=f"{name}.json")
         outs = {}

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpme.elliptic_solver
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _gmres, _jacobi_sweep,
+from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _gmres, _jacobi_sweep, _linear_solver,
                                   _solve_scalar_batch, solve_ep)
 from gpme.grid_field import GridFunction, UniformGrid, lr_norm_of_values
-from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil, _neighbor_sum,
+from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
+                                 _neighbor_matrix, _neighbor_operator, _neighbor_sum,
                                  _total_weight, apply_stencil, combine_with_laplacian,
                                  laplacian_stencil, measure_stencil)
 
@@ -147,17 +149,19 @@ PHIS = {
 }
 
 
-@pytest.mark.parametrize("dim,h,reach", [
-    pytest.param(1, 0.25, 2, id="1-0.25"),
-    pytest.param(2, 0.5, 2, id="2-0.5"),
-    pytest.param(1, 0.125, None, id="1-0.125-full"),
-    pytest.param(2, 0.5, None, id="2-0.5-full"),
+@pytest.mark.parametrize("dim,h,reach,c", [
+    pytest.param(1, 0.25, 2, 1, id="1-0.25"),
+    pytest.param(1, 0.25, 2, 0, id="1-0.25-c0"),
+    pytest.param(2, 0.5, 2, 1, id="2-0.5"),
+    pytest.param(1, 0.125, None, 1, id="1-0.125-full"),
+    pytest.param(2, 0.5, None, 1, id="2-0.5-full"),
 ])
 @pytest.mark.parametrize("name", sorted(PHIS))
-def test_newton_matches_jacobi_fixed_point(name, dim, h, reach):
+def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c):
     # the Jacobi sweep is the fallback, and the reference: iterate it to
-    # its fixed point on the Laplacian plus a fractional stencil, short
-    # (sparse LU steps) or over the box diameter (GMRES steps)
+    # its fixed point on c times the Laplacian plus a fractional stencil,
+    # short (banded LU steps on the line, sparse LU on the plane) or over
+    # the box diameter (GMRES steps)
     phi = PHIS[name]
     g = UniformGrid.from_box(dim, h, 2.0)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
@@ -168,17 +172,65 @@ def test_newton_matches_jacobi_fixed_point(name, dim, h, reach):
     cfg = EpSolveConfig(scalar_tol=1e-15)
     ref = rho.copy()
     for _ in range(20000):
-        new = _jacobi_sweep(phi, dt, _total_weight(st, 1), rho,
-                            _neighbor_sum(st, 1, phi.value(ref)), ref, cfg)
+        new = _jacobi_sweep(phi, dt, _total_weight(st, c), rho,
+                            _neighbor_sum(st, c, phi.value(ref)), ref, cfg)
         done = np.max(np.abs(new - ref)) <= 1e-15
         ref = new
         if done:
             break
     else:
         pytest.fail("Jacobi reference did not settle")
-    out = solve_ep(st, 1, phi, dt, rho, config=EpSolveConfig(residual_tol=1e-13))
+    out = solve_ep(st, c, phi, dt, rho, config=EpSolveConfig(residual_tol=1e-13))
     assert out.fallbacks < out.sweeps <= 10
     np.testing.assert_allclose(out.w, ref, rtol=0.0, atol=1e-10)
+
+
+def _line_stencil(name):
+    g = UniformGrid.from_box(1, 0.25, 2.0)
+    if name == "empty":
+        return WeightedStencil.empty(g.h, g.dim)
+    if name == "reach_2":
+        return measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
+                               support_radius=2 * g.h)
+    # reaching +-4, on and past the nearest neighbors
+    return WeightedStencil(h=g.h, dim=1, offsets=[[-4], [-1], [1], [4]],
+                           weights=[0.5, 3.0, 3.0, 0.5])
+
+
+@pytest.mark.parametrize("name,c,n", [
+    pytest.param("empty", 1, 17, id="empty-c1"),
+    pytest.param("reach_2", 0, 17, id="reach_2-c0"),
+    pytest.param("reach_2", 1, 17, id="reach_2-c1"),
+    pytest.param("reach_4", 1, 1, id="reach_4-1_node"),
+    pytest.param("reach_4", 1, 3, id="reach_4-3_nodes"),
+])
+def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
+    # the line's short-stencil Newton system, solved from band storage,
+    # against the dense matrix of _neighbor_matrix
+    st = _line_stencil(name)
+    W, dt = _total_weight(st, c), 0.1
+    K = dt * (W * np.eye(n) - _neighbor_matrix(st, c, (n,)).toarray())
+
+    def refuse(*args):
+        raise AssertionError("a sparse matrix was assembled on the line")
+    monkeypatch.setattr(gpme.elliptic_solver, "_neighbor_matrix", refuse)
+    solve = _linear_solver(st, c, (n,), dt, W, _neighbor_operator(st, c, (n,)))
+    rng = np.random.default_rng(n)
+    rhs = rng.normal(size=n)
+    w = rng.uniform(-0.5, 1.5, size=n)
+    stefan, root = PhiSpec(kind="stefan", latent=0.5), PhiSpec(kind="power", exponent=0.5)
+    # the w form across the Stefan plateau (d = 0 there), and the v form
+    # of m = 1/2, a = (phi^(-1))'(v), d = 1
+    for a, d in ((np.ones(n), stefan.derivative(w)),
+                 (2.0 * np.abs(root.value(w)), np.ones(n))):
+        x = solve(a, d, rhs, 0.0)
+        ref = np.linalg.solve(np.diag(a) + K * d, rhs)
+        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
+    # a whole solve on the line takes Newton steps without a sparse matrix
+    g = UniformGrid.from_box(1, st.h, 2.0)
+    out = solve_ep(st, c, PhiSpec(kind="power", exponent=2.0), dt,
+                   np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape))
+    assert out.sweeps > out.fallbacks
 
 
 @pytest.mark.parametrize("n", [15, 60])

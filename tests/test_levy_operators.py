@@ -33,12 +33,13 @@ def test_laplacian_exact_on_quadratics():
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("c", [0, 1])
-@pytest.mark.parametrize("kind", ["laplacian", "fractional", "empty"])
+@pytest.mark.parametrize("kind", ["laplacian", "fractional", "empty", "past_box"])
 def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
-    g = UniformGrid.from_box(dim, 0.25, 1.5)
+    # past_box: a 3-node box per axis, offsets reaching 4 past its edges
+    g = UniformGrid.from_box(dim, 0.25, 0.3 if kind == "past_box" else 1.5)
     if kind == "laplacian":
         st = laplacian_stencil(g)
-    elif kind == "fractional":
+    elif kind in ("fractional", "past_box"):
         st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                              support_radius=4 * g.h)
     else:
