@@ -7,26 +7,24 @@ The operator L is the pair (stencil, c) of ``levy_operators``: the sum runs
 over the measure offsets plus, for c = 1, the 2N nearest neighbors at
 weight 1/h^2, and W = ``_total_weight(stencil, c)`` is their total weight.
 
-F is an M-function: its Jacobian I - dt * A * diag(phi'(w)), with A the
-matrix of L, has unit-dominant columns and nonpositive off-diagonals, so it
-is a nonsingular M-matrix for every phi' >= 0, the flat part of a Stefan
-nonlinearity included (Ortega & Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, 1970, ch. 13).  Every iteration
-is a safeguarded Newton step: solve J delta = -F(w), in v = phi(w) instead
-of w for power exponents below 1 (phi' is unbounded at 0, while the
-inverse's derivative is bounded there), and clip the result to the
-comparison bracket [min(0, min rho), max(0, max rho)].  The step is kept
-if it lowers the sup-norm residual; otherwise it is halved, up to four
-times, and if no length does, the iteration falls back to one nonlinear
-Jacobi sweep from the previous iterate.  The offset count picks the
-linear solve: up to ``_KERNEL_THRESHOLD`` measure offsets a direct one,
-banded LU on the line (LAPACK band storage filled from the offsets, no
-sparse matrix) and sparse LU on the matrix of
-``levy_operators._neighbor_matrix`` for N >= 2; above it, restarted
-GMRES with J applied matrix-free through the operator's rFFT spectrum,
-computed once per solve (an inexact Newton step, Kelley, Iterative
-Methods for Linear and Nonlinear Equations, 1995, ch. 6).  Both LU
-factorizations are well-posed because J is a nonsingular M-matrix.
+F is an M-function: its Jacobian I + K D, with K = dt (W I - A) the
+matrix of -dt L and D = diag(phi'(w)), has unit-dominant columns and
+nonpositive off-diagonals, so it is a nonsingular M-matrix for every
+phi' >= 0, the flat part of a Stefan nonlinearity included (Ortega &
+Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+Variables, 1970, ch. 13).  Every iteration is a safeguarded Newton step:
+solve J delta = -F(w), in v = phi(w) instead of w for power exponents
+below 1 (phi' is unbounded at 0, while the inverse's derivative is
+bounded there), and clip the result to the comparison bracket
+[min(0, min rho), max(0, max rho)].  The step is kept if it lowers the
+sup-norm residual; otherwise it is halved, up to four times, and if no
+length does, the iteration falls back to one nonlinear Jacobi sweep from
+the previous iterate.  The stencil weights are symmetric, so K is
+symmetric positive definite and ``_linear_solver`` solves each Newton
+system in an SPD form: by banded Cholesky on the line for a short
+stencil, and otherwise by Jacobi-preconditioned conjugate gradients (an
+inexact Newton step, Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, ch. 6).
 
 The sweep freezes the neighbor sum and solves the strictly increasing
 scalar equation
@@ -46,13 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded, solve_triangular
-from scipy.sparse.linalg import spsolve, splu
+from scipy.linalg import solveh_banded
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
-from .levy_operators import (_KERNEL_THRESHOLD, WeightedStencil, _neighbor_matrix,
-                             _neighbor_operator, _total_weight, apply_stencil)
+from .levy_operators import (_KERNEL_THRESHOLD, _neighbor_matrix, _neighbor_operator,
+                             _total_weight, apply_stencil)
 
 __all__ = [
     "PhiSpec",
@@ -64,11 +61,10 @@ __all__ = [
 # a rejected Newton step is halved up to this many times before the
 # iteration falls back to a Jacobi sweep
 _HALVINGS = 4
-# GMRES stops once the linear residual's 2-norm is this share of the
-# stopping level, or after _RESTARTS cycles of _RESTART iterations
-_GMRES_SHARE = 0.1
-_RESTART = 20
-_RESTARTS = 10
+# conjugate gradients stop once the Newton system's residual is this
+# share of the stopping level in the 2-norm, or after _CG_CAP iterations
+_CG_SHARE = 0.1
+_CG_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -289,77 +285,94 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
                                cfg.max_scalar_iter)
 
 
-def _banded_solver(stencil, c, n, dt, W):
-    """The short-stencil solve on a line of n nodes by banded LU with
-    partial pivoting (LAPACK gbsv, or gtsv for a tridiagonal band).
-    Offset gamma of the neighbor sum sits on band row k - gamma of the
-    storage, k the half-bandwidth; its entry in column j is
-    -dt w_gamma d_j wherever node j - gamma lies on the line.  Offsets as
-    long as the line never land on it, so k is at most n - 1."""
+def _banded_cholesky(stencil, c, n, dt, W):
+    """solve(a, s, b, tol): z with (diag(a) + S K S) z = b for a short
+    stencil on a line of n nodes, by banded Cholesky (LAPACK pbsv, or ptsv
+    for a tridiagonal band) on upper band storage.  Offset gamma > 0 of the
+    neighbor sum sits on row k - gamma, k the half-bandwidth: its entry in
+    column j is -dt w_gamma s_(j-gamma) s_j wherever node j - gamma lies on
+    the line, and the mirrored offset's entries are the omitted lower
+    half.  Offsets as long as the line never land on it, so k is at most
+    n - 1."""
     offsets = stencil.offsets[:, 0].tolist()
     weights = stencil.weights.tolist()
     if c:
         offsets += [1, -1]
         weights += [1.0 / stencil.h ** 2] * 2
     k = min(max(map(abs, offsets), default=0), n - 1)
-    bands = np.zeros((2 * k + 1, n))
+    upper = np.zeros((k + 1, n))
     for off, w in zip(offsets, weights):
-        if abs(off) <= k:
+        if 0 < off <= k:
             # a measure offset on a nearest neighbor adds to its weight
-            bands[k - off, max(off, 0):n + min(off, 0)] -= dt * w
+            upper[k - off, off:] -= dt * w
     dtW = dt * W
 
-    def solve(a, d, rhs, tol):
-        ab = bands * d
-        ab[k] += a + dtW * d
-        return solve_banded((k, k), ab, rhs, check_finite=False)
+    def solve(a, s, b, tol):
+        ab = upper * s
+        for off in range(1, k + 1):
+            ab[k - off, off:] *= s[:n - off]
+        ab[k] = a + dtW * s * s
+        return solveh_banded(ab, b, check_finite=False)
     return solve
 
 
 def _linear_solver(stencil, c, shape, dt, W, neighbor):
     """solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs, where
-    K = dt (W I - A) is the matrix of -dt L on a box of the given shape.
+    K = dt (W I - A) is the matrix of -dt L on a box of the given shape,
+    for the two systems a Newton step builds: d = 1 with a >= 0 (in v), or
+    a = 1 with d >= 0 (in w).
 
-    Up to ``_KERNEL_THRESHOLD`` measure offsets the system is solved
-    directly: on the line by banded LU, storage filled straight from the
-    offsets (``_banded_solver``), and for N >= 2 by sparse LU, K assembled
-    from ``_neighbor_matrix``.  Either factorization is well-posed because
-    the matrix is a nonsingular M-matrix for every d >= 0.  Above the
-    threshold the system is solved by GMRES, K applied matrix-free through
-    ``neighbor``, to a residual of at most tol in the 2-norm (an inexact
-    step: the caller's safeguard judges it).  For c = 1 GMRES is
-    preconditioned by the sparse LU of the near part's Jacobian: K with A
-    cut to the c/h^2 neighbors and the measure offsets with
-    |gamma|_inf <= 1, the diagonal kept whole.  For c = 0 GMRES runs
-    unpreconditioned: in w the Jacobian's spectrum lies in
-    [1, 1 + 2 dt W max phi'].
+    The weights are symmetric, so K is a symmetric nonsingular M-matrix,
+    hence positive definite, and both systems are solved in the SPD form
+    diag(a) + S K S.  A d of all ones is that form with S = I.  Otherwise
+    a = 1, and (I + S K S) z = S rhs with S = diag(d)^(1/2) is mapped back
+    by x = rhs - K S z, which divides by no entry of d: the flat part of a
+    Stefan nonlinearity (d = 0) needs no care.
+
+    Up to ``_KERNEL_THRESHOLD`` measure offsets on the line the SPD system
+    is solved directly, by banded Cholesky (``_banded_cholesky``).  For
+    N >= 2 and for every dense kernel it is solved by Jacobi-preconditioned
+    conjugate gradients (``_pcg``): on the CSR matrix of K, from
+    ``levy_operators._neighbor_matrix``, for a short stencil, and with A
+    applied through ``neighbor``'s rFFT spectrum for a dense kernel.  The
+    result is an inexact Newton step whose residual is at most tol in the
+    2-norm (the caller's safeguard judges it).  In w that residual is
+    K S r_z for the residual r_z of z, and |K S r_z| <= 2 dt W max(s) |r_z|,
+    so z is solved to that share of tol.
     """
+    dtW = dt * W
     short = stencil.n_offsets <= _KERNEL_THRESHOLD
-    if short and len(shape) == 1:
-        return _banded_solver(stencil, c, shape[0], dt, W)
-    size = math.prod(shape)
-    identity = sparse.identity(size, format="csr")
-    if short:
-        K = dt * (W * identity - _neighbor_matrix(stencil, c, shape))
+    if short and len(shape) > 1:
+        size = math.prod(shape)
+        matrix = dt * (W * sparse.identity(size, format="csr")
+                       - _neighbor_matrix(stencil, c, shape))
+        K = matrix.dot
+        # every row stores its diagonal, so diag(a) + S K S is the same
+        # sparsity with the entries rescaled
+        rows = np.repeat(np.arange(size), np.diff(matrix.indptr))
+        on_diagonal = np.flatnonzero(rows == matrix.indices)
 
-        def solve(a, d, rhs, tol):
-            return spsolve(sparse.diags(a) + K @ sparse.diags(d), rhs)
-        return solve
-    if c:
-        close = np.max(np.abs(stencil.offsets), axis=1) <= 1
-        near = WeightedStencil(h=stencil.h, dim=stencil.dim, offsets=stencil.offsets[close],
-                               weights=stencil.weights[close])
-        K_near = dt * (W * identity - _neighbor_matrix(near, c, shape))
+        def spd(a, s, b, tol):
+            M = matrix.copy()
+            M.data *= s[rows] * s[M.indices]
+            M.data[on_diagonal] += a
+            return _pcg(M.dot, M.data[on_diagonal], b, tol)
+    else:
+        def K(y):
+            return dt * (W * y - neighbor(y.reshape(shape)).ravel())
+
+        if short:
+            spd = _banded_cholesky(stencil, c, shape[0], dt, W)
+        else:
+            def spd(a, s, b, tol):
+                return _pcg(lambda x: a * x + s * K(s * x), a + dtW * s * s, b, tol)
 
     def solve(a, d, rhs, tol):
-        def matvec(x):
-            y = d * x
-            return a * x + dt * (W * y - neighbor(y.reshape(shape)).ravel())
-
-        precondition = None
-        if c:
-            precondition = splu(sparse.csc_matrix(sparse.diags(a) + K_near @ sparse.diags(d))).solve
-        return _gmres(matvec, precondition, rhs, tol)
+        if (d == 1.0).all():
+            return spd(a, d, rhs, tol)
+        s = np.sqrt(d)
+        bound = 2.0 * dtW * float(s.max())
+        return rhs - K(s * spd(a, s, s * rhs, tol / bound if bound else tol))
     return solve
 
 
@@ -369,49 +382,34 @@ def _dot(u, v):
     return float(np.sum(u * v))
 
 
-def _gmres(matvec, precondition, b, tol):
-    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, right
-    preconditioned by ``precondition`` when one is given: Arnoldi by
-    modified Gram-Schmidt, the small least-squares problem by Givens
-    rotations.  Returns x once |b - A x|_2 <= tol, or after ``_RESTARTS``
-    cycles of ``_RESTART`` iterations.  Every reduction is a numpy sum, so
-    the iterates are the same bits under any thread count."""
+def _pcg(matvec, diagonal, b, tol):
+    """Conjugate gradients (Hestenes & Stiefel 1952; Saad, Iterative
+    Methods for Sparse Linear Systems, 2003, ch. 6 and 9) for the SPD
+    system A x = b from x = 0, preconditioned by diag(A)^(-1) (Jacobi).
+    Returns x once the recurred residual |b - A x|_2 is at most tol, or
+    its iterate after ``_CG_CAP`` iterations for the caller's safeguard to
+    judge.  Every reduction is a numpy sum, so the iterates are the same
+    bits under any thread count."""
     x = np.zeros_like(b)
-    r = b
-    for _ in range(_RESTARTS):
-        beta = math.sqrt(_dot(r, r))
-        if beta <= tol:
+    r = b.copy()
+    z = r / diagonal
+    p = z.copy()
+    rz = _dot(r, z)
+    for _ in range(_CG_CAP):
+        # rz = 0 at r = 0; p^T A p = 0 only if p underflows
+        if rz == 0.0 or math.sqrt(_dot(r, r)) <= tol:
             break
-        basis, directions = [r / beta], []
-        R = np.zeros((_RESTART, _RESTART))
-        cs, sn = np.zeros(_RESTART), np.zeros(_RESTART)
-        g = np.zeros(_RESTART + 1)
-        g[0] = beta
-        for j in range(_RESTART):
-            directions.append(basis[j] if precondition is None else precondition(basis[j]))
-            v = matvec(directions[j])
-            for i in range(j + 1):
-                R[i, j] = _dot(basis[i], v)
-                v = v - R[i, j] * basis[i]
-            below = math.sqrt(_dot(v, v))
-            for i in range(j):
-                R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
-                                        cs[i] * R[i + 1, j] - sn[i] * R[i, j])
-            norm = math.hypot(R[j, j], below)
-            cs[j], sn[j] = R[j, j] / norm, below / norm
-            R[j, j] = norm
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-            # |g[j + 1]| is the residual norm, 0 once the Krylov space is
-            # invariant (below = 0)
-            if abs(g[j + 1]) <= tol:
-                break
-            basis.append(v / below)
-        y = solve_triangular(R[:j + 1, :j + 1], g[:j + 1])
-        for coef, direction in zip(y, directions):
-            x = x + coef * direction
-        if abs(g[j + 1]) <= tol:
+        q = matvec(p)
+        pq = _dot(p, q)
+        if pq <= 0.0:
             break
-        r = b - matvec(x)
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        np.divide(r, diagonal, out=z)
+        rz, previous = _dot(r, z), rz
+        p *= rz / previous
+        p += z
     return x
 
 
@@ -490,7 +488,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
                 f"above the tolerance {tol:.3g}",
                 residual=r, sweeps=sweeps, cell=tuple(int(i) for i in cell))
         sweeps += 1
-        for cand in _newton_candidates(phi, solve, w, res, lo, hi, _GMRES_SHARE * tol):
+        for cand in _newton_candidates(phi, solve, w, res, lo, hi, _CG_SHARE * tol):
             trial = evaluate(cand)
             if trial[2] < r:
                 w, (ns, res, r) = cand, trial

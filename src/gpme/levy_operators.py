@@ -13,8 +13,8 @@ Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
 loop for short stencils, and for dense kernels an rFFT convolution whose
 kernel spectrum is computed once per operator and reused by every
 application.  ``_neighbor_matrix`` writes the neighbor sum of a short
-stencil in two and more dimensions (or of a dense kernel's near part) as
-a sparse matrix for the resolvent's Newton steps, and
+stencil in two and more dimensions as a sparse matrix, on which the
+resolvent's Newton steps run conjugate gradients, and
 ``combine_with_laplacian`` merges the two parts into one weight list for
 inspection only (``gpme stencil`` and the moment checks).  Weights for a
 jump measure are the measure of each lattice cell, so the total mass on
@@ -57,9 +57,10 @@ __all__ = [
     "write_stencil_csv",
 ]
 
-# up to this offset count the shift loop applies a stencil and the
-# resolvent's Newton steps solve directly, by banded LU on the line and
-# sparse LU above it; beyond it, rFFT convolution and matrix-free GMRES
+# up to this offset count the shift loop applies a stencil, and the
+# resolvent's Newton steps are solved by banded Cholesky on the line and
+# by conjugate gradients on a CSR matrix above it; beyond it, rFFT
+# convolution, and conjugate gradients applying it matrix-free
 _KERNEL_THRESHOLD = 64
 
 
@@ -381,16 +382,19 @@ def _neighbor_operator(stencil, c, shape):
     # offsets sort in, so a pure Laplacian rounds as its weight list does
     steps = [(i, -1) for i in range(stencil.dim)]
     steps += [(i, 1) for i in reversed(range(stencil.dim))]
+    moves = []
+    for axis, step in steps:
+        dst = [slice(None)] * stencil.dim
+        src = [slice(None)] * stencil.dim
+        dst[axis] = slice(1, None) if step < 0 else slice(None, -1)
+        src[axis] = slice(None, -1) if step < 0 else slice(1, None)
+        moves.append((tuple(dst), tuple(src)))
 
     def apply(values):
         out = measure(values)
         if c:
-            for axis, step in steps:
-                dst = [slice(None)] * stencil.dim
-                src = [slice(None)] * stencil.dim
-                dst[axis] = slice(1, None) if step < 0 else slice(None, -1)
-                src[axis] = slice(None, -1) if step < 0 else slice(1, None)
-                out[tuple(dst)] += inv_h2 * values[tuple(src)]
+            for dst, src in moves:
+                out[dst] += inv_h2 * values[src]
         return out
     return apply
 
@@ -405,9 +409,8 @@ def _neighbor_matrix(stencil, c, shape):
     of the given shape, as a CSR matrix over the C-order flattened nodes:
     the same offsets and weights, the same c/h^2 nearest neighbors and the
     same zero extension (a jump leaving the box has no column).  The
-    resolvent builds it for short stencils with N >= 2 and for the near
-    part of a dense kernel; on the line a short stencil's Newton system
-    goes to band storage instead."""
+    resolvent builds it for short stencils with N >= 2; on the line a
+    short stencil's Newton system goes to band storage instead."""
     offsets = list(stencil.offsets)
     weights = list(stencil.weights)
     if c:

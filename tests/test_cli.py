@@ -355,18 +355,22 @@ def test_report_json_identical_across_out_dirs(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
-    # the dense-kernel runs take GMRES steps, whose inner products must
-    # not change with the thread count; the one step on 12289 nodes takes
-    # them past the length at which OpenBLAS splits a dot product.  The
-    # Stefan run takes banded LU steps on 1537 nodes (LAPACK gtsv, the
-    # tridiagonal case of scipy's solve_banded).
+    # the dense-kernel runs and the plane take conjugate-gradient steps,
+    # whose inner products must not change with the thread count; the one
+    # step on 12289 nodes of the line, and the one on the plane's 16641,
+    # take them past the length at which OpenBLAS splits a dot product.
+    # The Stefan run takes banded Cholesky steps on 1537 nodes (LAPACK
+    # ptsv, the tridiagonal case of scipy's solveh_banded).
     runs = {"tiny": TINY_RUN,
             "frac_coarse": {"preset": "frac_heat_poisson_1d",
                             "problem": {"h": 0.125, "T": 0.125}},
             "frac_long": {"preset": "frac_heat_poisson_1d",
                           "problem": {"h": 1.0 / 128, "T": 1.0 / 256}},
             "stefan_fine": {"preset": "stefan_1d",
-                            "problem": {"h": 1.0 / 128, "T": 1.0 / 64}}}
+                            "problem": {"h": 1.0 / 128, "T": 1.0 / 64}},
+            # m = 2 under the Laplacian alone, on the CSR path
+            "plane_fine": merge_config(PLANE_RUN, {"problem": {
+                "operator": {"measure": None}, "h": 1.0 / 16, "T": 1.0 / 32}})}
     for name, run in runs.items():
         cfg = write_cfg(tmp_path, run, name=f"{name}.json")
         outs = {}

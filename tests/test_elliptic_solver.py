@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gpme.elliptic_solver
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _gmres, _jacobi_sweep, _linear_solver,
+from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _linear_solver, _pcg,
                                   _solve_scalar_batch, solve_ep)
 from gpme.grid_field import GridFunction, UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
@@ -160,8 +160,9 @@ PHIS = {
 def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c):
     # the Jacobi sweep is the fallback, and the reference: iterate it to
     # its fixed point on c times the Laplacian plus a fractional stencil,
-    # short (banded LU steps on the line, sparse LU on the plane) or over
-    # the box diameter (GMRES steps)
+    # short (banded Cholesky steps on the line, conjugate gradients on the
+    # CSR matrix on the plane) or over the box diameter (conjugate
+    # gradients through the rFFT)
     phi = PHIS[name]
     g = UniformGrid.from_box(dim, h, 2.0)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
@@ -234,20 +235,101 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
 
 
 @pytest.mark.parametrize("n", [15, 60])
-@pytest.mark.parametrize("preconditioned", [False, True])
-def test_gmres_matches_a_direct_solve(n, preconditioned):
-    # 60 unknowns take more than one restart cycle of 20 iterations
+def test_pcg_matches_a_direct_solve(n):
+    # an SPD matrix with a spread diagonal, which the Jacobi preconditioner
+    # evens out
     rng = np.random.default_rng(n)
-    A = np.diag(np.linspace(1.0, 5.0, n)) + rng.normal(scale=0.3 / np.sqrt(n), size=(n, n))
+    B = rng.normal(scale=0.3 / np.sqrt(n), size=(n, n))
+    A = np.diag(np.linspace(1.0, 50.0, n)) + B @ B.T
     b = rng.normal(size=n)
-    inverse_diagonal = 1.0 / np.diag(A)
-    x = _gmres(lambda v: A @ v, (lambda v: inverse_diagonal * v) if preconditioned else None,
-               b, 1e-12)
+    x = _pcg(lambda v: A @ v, np.diag(A), b, 1e-12)
     assert np.linalg.norm(A @ x - b) <= 1e-12
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0.0, atol=1e-11)
-    # one unknown: the Krylov space is invariant after one step, which
-    # must end the iteration, even at tolerance 0, without dividing by 0
-    np.testing.assert_array_equal(_gmres(lambda v: 2.0 * v, None, np.array([3.0]), 0.0), [1.5])
+    # one unknown: the first step is exact and leaves r = 0, which must
+    # end the iteration, even at tolerance 0, without dividing by 0
+    np.testing.assert_array_equal(_pcg(lambda v: 2.0 * v, np.array([2.0]), np.array([3.0]), 0.0),
+                                  [1.5])
+
+
+def _dense_K(stencil, c, shape, dt):
+    """K = dt (W I - A), A assembled column by column from _neighbor_sum."""
+    size = int(np.prod(shape))
+    A = np.column_stack([_neighbor_sum(stencil, c, e.reshape(shape)).ravel()
+                         for e in np.eye(size)])
+    return dt * (_total_weight(stencil, c) * np.eye(size) - A)
+
+
+# each linear-solve path: (dim, h, measure reach in cells or None for the
+# box diameter, c)
+SOLVE_PATHS = {
+    "banded": (1, 0.125, 2, 1),
+    "csr_cg": (2, 0.5, 2, 1),
+    "dense_cg_c0": (2, 0.5, None, 0),
+    "dense_cg_c1": (2, 0.5, None, 1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
+def test_linear_solve_property(path):
+    dim, h, reach, c = SOLVE_PATHS[path]
+    g = UniformGrid.from_box(dim, h, 2.0)
+    stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
+                              support_radius=None if reach is None else reach * h)
+    n = int(np.prod(g.shape))
+    expected = {"banded": ["solveh_banded"], "csr_cg": ["_neighbor_matrix", "_pcg"]}
+    taken = []
+
+    def spy(name):
+        real = getattr(gpme.elliptic_solver, name)
+
+        def record(*args, **kwargs):
+            taken.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    @settings(max_examples=25, deadline=None)
+    @given(system=st.sampled_from(["w", "v"]), dt=st.floats(1e-3, 10.0),
+           share=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+    def check(system, dt, share, seed):
+        # d >= 0 with zeros (a Stefan plateau) and a = 1, or a >= 0 with
+        # zeros (v = 0 under m < 1) and d = 1
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 3.0, n) * (rng.random(n) >= share)
+        weights[rng.integers(n)] = 0.0
+        a, d = (np.ones(n), weights) if system == "w" else (weights, np.ones(n))
+        rhs = rng.normal(size=n)
+        W = _total_weight(stencil, c)
+        tol = 1e-12 * np.linalg.norm(rhs)
+        taken.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("solveh_banded", "_pcg", "_neighbor_matrix"):
+                mp.setattr(gpme.elliptic_solver, name, spy(name))
+            solve = _linear_solver(stencil, c, g.shape, dt, W,
+                                   _neighbor_operator(stencil, c, g.shape))
+            x = solve(a, d, rhs, tol)
+        assert taken == expected.get(path, ["_pcg"])
+        J = np.diag(a) + _dense_K(stencil, c, g.shape, dt) * d
+        assert np.linalg.norm(J @ x - rhs) <= tol + 1e-14 * dt * W * np.linalg.norm(rhs)
+        ref = np.linalg.solve(J, rhs)
+        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9 * np.max(np.abs(ref)))
+    check()
+
+
+def test_cg_cap_is_left_to_the_safeguard(monkeypatch):
+    # a conjugate gradient cut off after one iteration returns a poor step:
+    # the halvings and the fallback judge it, and the solve either meets
+    # the stopping level or names a cell, never returns above it
+    monkeypatch.setattr(gpme.elliptic_solver, "_CG_CAP", 1)
+    g = UniformGrid.from_box(2, 0.5, 2.0)
+    rho = np.random.default_rng(3).uniform(0.0, 1.5, size=g.shape)
+    cfg = EpSolveConfig(max_sweeps=40)
+    try:
+        out = solve_ep(WeightedStencil.empty(g.h, g.dim), 1, PhiSpec(kind="power", exponent=2.0),
+                       0.25, rho, config=cfg)
+    except NonConvergenceError as exc:
+        assert len(exc.cell) == 2
+    else:
+        assert out.residual <= cfg.residual_tol * max(1.0, np.max(np.abs(rho)))
 
 
 def test_stefan_newton_falls_back_and_converges():
