@@ -127,8 +127,7 @@ class PhiSpec:
     def value(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "power":
-            m = self.exponent
-            return np.sign(u) * np.abs(u) ** m
+            return np.sign(u) * np.abs(u) ** self.exponent
         if self.kind == "stefan":
             return np.maximum(u - self.latent, 0.0) + np.minimum(u, 0.0)
         if self.kind == "linear":
@@ -150,8 +149,7 @@ class PhiSpec:
         if self.kind == "linear":
             return np.full_like(u, self.slope)
         if self.kind == "table":
-            tu = np.asarray(self.table_u)
-            tp = np.asarray(self.table_phi)
+            tu, tp = np.asarray(self.table_u), np.asarray(self.table_phi)
             slopes = np.diff(tp) / np.diff(tu)
             seg = np.clip(np.searchsorted(tu, u, side="right") - 1, 0, len(slopes) - 1)
             out = slopes[seg]
@@ -305,13 +303,12 @@ def _banded_cholesky(stencil, c, n, dt, W):
         if 0 < off <= k:
             # a measure offset on a nearest neighbor adds to its weight
             upper[k - off, off:] -= dt * w
-    dtW = dt * W
 
     def solve(a, s, b, tol):
         ab = upper * s
         for off in range(1, k + 1):
             ab[k - off, off:] *= s[:n - off]
-        ab[k] = a + dtW * s * s
+        ab[k] = a + dt * W * s * s
         return solveh_banded(ab, b, check_finite=False)
     return solve
 
@@ -324,10 +321,10 @@ def _linear_solver(stencil, c, shape, dt, W, neighbor):
 
     The weights are symmetric, so K is a symmetric nonsingular M-matrix,
     hence positive definite, and both systems are solved in the SPD form
-    diag(a) + S K S.  A d of all ones is that form with S = I.  Otherwise
-    a = 1, and (I + S K S) z = S rhs with S = diag(d)^(1/2) is mapped back
-    by x = rhs - K S z, which divides by no entry of d: the flat part of a
-    Stefan nonlinearity (d = 0) needs no care.
+    diag(a) + S K S: with S = I for d = 1, and otherwise as
+    (I + S K S) z = S rhs, S = diag(d)^(1/2), mapped back by
+    x = rhs - K S z, which divides by no entry of d (the flat part of a
+    Stefan nonlinearity, d = 0, needs no care).
 
     Up to ``_KERNEL_THRESHOLD`` measure offsets on the line the SPD system
     is solved directly, by banded Cholesky (``_banded_cholesky``).  For
@@ -336,11 +333,11 @@ def _linear_solver(stencil, c, shape, dt, W, neighbor):
     ``levy_operators._neighbor_matrix``, for a short stencil, and with A
     applied through ``neighbor``'s rFFT spectrum for a dense kernel.  The
     result is an inexact Newton step whose residual is at most tol in the
-    2-norm (the caller's safeguard judges it).  In w that residual is
-    K S r_z for the residual r_z of z, and |K S r_z| <= 2 dt W max(s) |r_z|,
-    so z is solved to that share of tol.
+    2-norm, up to rounding (the caller's safeguard judges it).  In w it is
+    K S r_z for the residual r_z of z, at most 2 dt W max(s) |r_z|: z is
+    solved to that share of tol, and as the map back grows z's rounding by
+    that factor, an x left above tol gets one iterative refinement step.
     """
-    dtW = dt * W
     short = stencil.n_offsets <= _KERNEL_THRESHOLD
     if short and len(shape) > 1:
         size = math.prod(shape)
@@ -365,14 +362,18 @@ def _linear_solver(stencil, c, shape, dt, W, neighbor):
             spd = _banded_cholesky(stencil, c, shape[0], dt, W)
         else:
             def spd(a, s, b, tol):
-                return _pcg(lambda x: a * x + s * K(s * x), a + dtW * s * s, b, tol)
+                return _pcg(lambda x: a * x + s * K(s * x), a + dt * W * s * s, b, tol)
 
     def solve(a, d, rhs, tol):
         if (d == 1.0).all():
             return spd(a, d, rhs, tol)
         s = np.sqrt(d)
-        bound = 2.0 * dtW * float(s.max())
-        return rhs - K(s * spd(a, s, s * rhs, tol / bound if bound else tol))
+        z_tol = tol / (2.0 * dt * W * float(s.max()) or 1.0)
+        x = rhs - K(s * spd(a, s, s * rhs, z_tol))
+        r = rhs - x - K(d * x)
+        if _dot(r, r) > tol * tol:
+            x += r - K(s * spd(a, s, s * r, z_tol))
+        return x
     return solve
 
 
