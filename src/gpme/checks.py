@@ -22,8 +22,8 @@ from functools import cache
 import numpy as np
 from scipy import integrate
 
-from .diagnostics import (Cutoff, equitightness_check, operator_cutoff_norm,
-                          tail_mass)
+from .diagnostics import (Cutoff, build_cutoff, equitightness_check,
+                          operator_cutoff_norm, tail_mass)
 from .elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from .errors import ConfigurationError
 from .evolution import (FluxSpec, ProblemSpec, cfl_limit, flux_divergence, run,
@@ -421,7 +421,7 @@ def _equitightness_suite(barenblatt):
     stb = measure_stencil(m1, gbig, support_radius=18.0)
     gaps, parts = [], []
     for p in (2.0, math.inf):
-        norms = [operator_cutoff_norm(stb, 0, Cutoff(R=R, dim=1), gbig, p)
+        norms = [operator_cutoff_norm(stb, 0, build_cutoff(R, gbig)[0], p)
                  for R in (2.0, 4.0, 8.0)]
         slopes = np.diff(np.log2(norms))
         target = 1.0 / p - 1.0

@@ -43,24 +43,19 @@ __all__ = [
 ]
 
 
-def _bump(s):
-    """exp(-1/s) for s > 0, zero otherwise; safe at s = 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def smooth_step(s):
-    """Monotone C^inf step: 0 for s <= 0, 1 for s >= 1."""
+    """Monotone C^inf step: 0 for s <= 0, 1 for s >= 1, and
+    e(s)/(e(s)+e(1-s)) with e(s) = exp(-1/s) between.
+
+    Both exponentials are taken over the whole array; outside (0, 1) their
+    overflow, infinities and nans are masked by the two branches, and inside
+    it at most one of them underflows, so the quotient is always defined
+    there (nan stays nan)."""
     s = np.asarray(s, dtype=float)
-    a = _bump(s)
-    b = _bump(1.0 - s)
-    with np.errstate(invalid="ignore"):
-        out = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, a / (a + b)))
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.exp(-1.0 / s)
+        b = np.exp(-1.0 / (1.0 - s))
+        return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, a / (a + b)))
 
 
 def smooth_step_d1(s):
@@ -113,6 +108,21 @@ class Cutoff:
         r = np.asarray(r, dtype=float)
         return smooth_step(2.0 * r / self.R - 1.0)
 
+    def _value_at(self, r):
+        """value_radial for one float radius, the form the quadrature
+        integrands call: smooth_step's operations on Python floats, with
+        numpy's exp kept (math.exp differs from it by an ulp on some
+        arguments), so it returns value_radial's bits at a fraction of the
+        per-call cost."""
+        s = 2.0 * r / self.R - 1.0
+        if s <= 0.0:
+            return 0.0
+        if s >= 1.0:
+            return 1.0
+        a = float(np.exp(-1.0 / s))
+        b = float(np.exp(-1.0 / (1.0 - s)))
+        return a / (a + b)
+
     def radial_derivative(self, r, order=1):
         r = np.asarray(r, dtype=float)
         s = 2.0 * r / self.R - 1.0
@@ -149,7 +159,9 @@ class Cutoff:
 
 
 def build_cutoff(R, grid):
-    """Nodal 𝒳_R on the given grid plus the smooth evaluator."""
+    """Nodal 𝒳_R on the given grid plus the smooth evaluator.  The box must
+    contain R, so that the nodal values reach 1 inside it."""
+    check_cutoff_radius(R, grid, "R")
     cut = Cutoff(R=float(R), dim=grid.dim)
     return cut.on_grid(grid), cut
 
@@ -160,27 +172,28 @@ def check_cutoff_radius(R, grid, field):
         raise ConfigurationError("cutoff radius exceeds the box", field=field)
 
 
-def operator_cutoff_norm(stencil, c, cutoff, grid, p):
-    """Discrete surrogate for the L^p norm of the operator applied to 𝒳_R:
-    the stencil acts on the nodal values of 𝒳_R - 1 (compactly supported, so
-    zero extension is exact), and the measure mass beyond the stencil
-    support contributes (1 - 𝒳_R) times the analytic remainder."""
-    check_cutoff_radius(cutoff.R, grid, "R")
-    X = cutoff.on_grid(grid).values
-    v = apply_stencil(stencil, c, X - 1.0) + (1.0 - X) * stencil.tail_mass_beyond_support
-    return lr_norm_of_values(v, grid.cell_volume, p)
+def operator_cutoff_norm(stencil, c, X, p):
+    """Discrete surrogate for the L^p norm of the operator applied to 𝒳_R,
+    from the nodal cutoff X of build_cutoff: the stencil acts on the nodal
+    values of 𝒳_R - 1 (compactly supported, so zero extension is exact), and
+    the measure mass beyond the stencil support contributes (1 - 𝒳_R) times
+    the analytic remainder."""
+    vals = X.values
+    v = apply_stencil(stencil, c, vals - 1.0) + (1.0 - vals) * stencil.tail_mass_beyond_support
+    return lr_norm_of_values(v, X.grid.cell_volume, p)
 
 
-def forward_difference_norms(cutoff, grid, p):
-    """sum_i of the L^p norms of the one-sided differences of 𝒳_R at grid
-    spacing; the convective counterpart of operator_cutoff_norm."""
-    check_cutoff_radius(cutoff.R, grid, "R")
-    X = cutoff.on_grid(grid).values - 1.0
+def forward_difference_norms(X, p):
+    """sum_i of the L^p norms of the one-sided differences of the nodal
+    cutoff X at grid spacing; the convective counterpart of
+    operator_cutoff_norm."""
+    grid = X.grid
+    vals = X.values - 1.0
     total = 0.0
     for axis in range(grid.dim):
         off = [0] * grid.dim
         off[axis] = 1
-        d = (shifted(X, tuple(off)) - X) / grid.h
+        d = (shifted(vals, tuple(off)) - vals) / grid.h
         total += lr_norm_of_values(d, grid.cell_volume, p)
     return total
 
@@ -188,12 +201,14 @@ def forward_difference_norms(cutoff, grid, p):
 def tail_mass(u, R, r=1.0):
     """h^N sum over |x_beta| > R of |U_beta|^r; straddling cells counted by
     their center."""
+    return _masked_tail(u.values, u.grid.node_radii() > R, u.grid.cell_volume, r)
+
+
+def _masked_tail(values, mask, cell_volume, r):
+    """tail_mass with the mask of the nodes beyond R given."""
     if not (r >= 1.0):
         raise ConfigurationError("r must be >= 1", field="r")
-    radii = u.grid.node_radii()
-    vals = np.abs(u.values)
-    mask = radii > R
-    return u.grid.cell_volume * float(np.sum(np.where(mask, vals ** r, 0.0)))
+    return cell_volume * float(np.sum(np.where(mask, np.abs(values) ** r, 0.0)))
 
 
 def conjugate_exponents(ell):
@@ -332,22 +347,23 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     C = seminorm * M ** (ell - 1.0 / q) * data_l1 ** (1.0 / q)
 
     u0_piece = problem.initial.weighted_abs_l1(cutoff)
-    op_piece = T * operator_cutoff_norm(stencil, problem.operator.c, cutoff, grid, p)
+    op_piece = T * operator_cutoff_norm(stencil, problem.operator.c, X_nodal, p)
 
     if problem.flux is not None:
         L_F = problem.flux.max_lipschitz(grid.dim)
         conv_constant = 2.0 * L_F * M ** (1.0 - 1.0 / q) * data_l1 ** (1.0 / q)
-        conv_piece = T * forward_difference_norms(cutoff, grid, p)
+        conv_piece = T * forward_difference_norms(X_nodal, p)
     else:
         conv_constant = 0.0
         conv_piece = 0.0
 
     rhs = M ** (r - 1.0) * (u0_piece + g_piece + C * op_piece + conv_constant * conv_piece)
 
+    mask = grid.node_radii() > R
     lhs = 0.0
     for t in _sample_times(traj.time_grid.knots):
         vals = traj.values_at_time(float(t))
-        lhs = max(lhs, tail_mass(GridFunction(grid, vals), R, r))
+        lhs = max(lhs, _masked_tail(vals, mask, grid.cell_volume, r))
 
     threshold = admissible_threshold(problem.operator, grid.dim)
     asserted = threshold is not None and threshold < ell <= 1.0

@@ -83,11 +83,12 @@ class SpatialProfile:
 
     def weighted_abs_l1(self, weight):
         """Integral of |f(x)| * w(|x|) where w is a radial weight that
-        vanishes for |x| <= R/2 and equals 1 for |x| >= R (a cutoff field)."""
+        vanishes for |x| <= R/2 and equals 1 for |x| >= R (a
+        ``diagnostics.Cutoff``, read one float radius at a time)."""
         R = weight.R
         if self.dim == 1:
             def g(x):
-                return abs(float(self.value(np.array([[x]]))[0])) * float(weight.value_radial(abs(x)))
+                return abs(float(self.value(np.array([[x]]))[0])) * weight._value_at(abs(x))
 
             inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
             inner += integrate.quad(g, -R, -0.5 * R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
@@ -97,7 +98,7 @@ class SpatialProfile:
 
             def g(r):
                 v = abs(float(self.value(np.array([[r] + [0.0] * (self.dim - 1)]))[0]))
-                return area * r ** (self.dim - 1) * v * float(weight.value_radial(r))
+                return area * r ** (self.dim - 1) * v * weight._value_at(r)
 
             inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
             return inner + self.abs_tail_mass(R)

@@ -1,21 +1,23 @@
 """Cutoffs, tail masses, and the tail-control certificate."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gpme.config import build_plan, load_config
-from gpme.diagnostics import (Cutoff, admissible_threshold, build_cutoff,
+from gpme.diagnostics import (Cutoff, _sample_times, admissible_threshold, build_cutoff,
                               conjugate_exponents, ct_lr_distance,
                               equitightness_check, forward_difference_norms,
                               operator_cutoff_norm, smooth_step, smooth_step_d1,
                               smooth_step_d2, tail_mass)
-from gpme.elliptic_solver import EpSolveConfig
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec
 from gpme.errors import ConfigurationError, DataError
-from gpme.evolution import run
+from gpme.evolution import ProblemSpec, run
 from gpme.grid_field import GridFunction, TimeGrid, Trajectory, UniformGrid
 from gpme.levy_operators import MeasureSpec, OperatorSpec
+from gpme.profiles import GaussianProfile, PoissonKernelProfile
 
 
 def test_smooth_step_endpoints_and_monotone():
@@ -77,16 +79,20 @@ def test_admissible_threshold():
 
 
 def test_operator_cutoff_norm_needs_room():
+    # the nodal cutoff that operator_cutoff_norm reads is built only when
+    # the box contains R
     g = UniformGrid.from_box(1, 0.25, 2.0)
-    op = OperatorSpec(c=1, measure=None)
     with pytest.raises(ConfigurationError):
-        operator_cutoff_norm(op.build_stencil(g), 1, Cutoff(4.0), g, np.inf)
+        build_cutoff(4.0, g)
+    X, _ = build_cutoff(2.0, g)
+    st = OperatorSpec(c=1, measure=None).build_stencil(g)
+    assert operator_cutoff_norm(st, 1, X, np.inf) > 0.0
 
 
 def test_forward_difference_norm_tracks_gradient():
     g = UniformGrid.from_box(1, 0.01, 6.0)
-    _, cut = build_cutoff(4.0, g)
-    disc = forward_difference_norms(cut, g, np.inf)
+    X, _ = build_cutoff(4.0, g)
+    disc = forward_difference_norms(X, np.inf)
     assert disc == pytest.approx(Cutoff(4.0).derivative_norm(1, np.inf), rel=0.02)
 
 
@@ -131,7 +137,6 @@ def test_equitightness_not_asserted_with_flux_at_finite_p():
     from gpme.levy_operators import OperatorSpec
     from gpme.elliptic_solver import PhiSpec
     from gpme.grid_field import project_cell_average
-    from gpme.profiles import GaussianProfile
 
     g2 = UniformGrid.from_box(2, 0.5, 4.0)
     prof = GaussianProfile(1.0, 0.25, dim=2)
@@ -153,3 +158,96 @@ def test_equitightness_report_serializes():
     back = json.loads(blob)
     assert back["p"] == "inf"
     assert back["passed"] is True
+
+
+def _random_trajectory(dim, h, half_extent, seed):
+    g = UniformGrid.from_box(dim, h, half_extent)
+    rng = np.random.default_rng(seed)
+    knots = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
+    fields = tuple(rng.standard_normal(g.shape) for _ in knots)
+    return Trajectory(g, TimeGrid(knots), fields)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("dim,h,half_extent,R", [(1, 0.125, 4.0, 1.5), (2, 0.25, 3.0, 2.0)])
+def test_certificate_lhs_matches_brute_force(dim, h, half_extent, R, r):
+    traj = _random_trajectory(dim, h, half_extent, seed=dim)
+    prob = ProblemSpec(operator=OperatorSpec(c=1, measure=None),
+                       phi=PhiSpec(kind="linear"),
+                       initial=GaussianProfile(1.0, 0.25, dim=dim))
+    report = equitightness_check(traj, prob, R, r=r)
+    want = max(tail_mass(GridFunction(traj.grid, traj.values_at_time(float(t))), R, r)
+               for t in _sample_times(traj.time_grid.knots))
+    assert report.lhs == want
+
+
+def _smooth_step_by_definition(s):
+    def e(x):
+        return math.exp(-1.0 / x) if x > 0.0 else 0.0
+
+    a, b = e(s), e(1.0 - s)
+    return a / (a + b) if a + b > 0.0 else math.nan
+
+
+@pytest.mark.parametrize("s", [-0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52,
+                               math.inf, -math.inf, math.nan])
+def test_smooth_step_edge_inputs_match_definition(s):
+    got = float(smooth_step(s))
+    want = _smooth_step_by_definition(s)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_scalar_cutoff_matches_value_radial():
+    # the form quad integrates gives the array form's bits (well inside an
+    # ulp), so the certificate's u0 and source pieces do not move
+    cut = Cutoff(2.5)
+    r = np.random.default_rng(7).uniform(0.0, 1.5 * cut.R, 100_000)
+    r[:3] = (0.5 * cut.R, cut.R, 0.0)
+    scalar = np.array([cut._value_at(x) for x in r.tolist()])
+    assert np.array_equal(scalar, cut.value_radial(r))
+
+
+def _simpson(f, a, b, n=4000):
+    x = np.linspace(a, b, n + 1)
+    y = f(x)
+    return (b - a) / (3.0 * n) * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
+                                  + 2.0 * np.sum(y[2:-1:2]))
+
+
+def _weighted_l1_gaussian_1d():
+    A, s, R = 1.3, 0.4, 2.0
+    tail = A * 2.0 * math.sqrt(math.pi * s) * math.erfc(R / (2.0 * math.sqrt(s)))
+    return GaussianProfile(A, s), R, tail
+
+
+def _weighted_l1_poisson_1d():
+    t0, R = 0.7, 3.0
+    return PoissonKernelProfile(t0), R, 1.0 - (2.0 / math.pi) * math.atan(R / t0)
+
+
+def _weighted_l1_gaussian_2d():
+    A, s, R = 0.9, 0.3, 1.5
+    # integral over r > R of 2 pi r A exp(-r^2/(4 s))
+    return GaussianProfile(A, s, dim=2), R, 4.0 * math.pi * A * s * math.exp(-R * R / (4.0 * s))
+
+
+@pytest.mark.parametrize("case", [_weighted_l1_gaussian_1d, _weighted_l1_poisson_1d,
+                                  _weighted_l1_gaussian_2d])
+def test_weighted_abs_l1_matches_simpson_oracle(case):
+    prof, R, tail = case()
+    cut = Cutoff(R, dim=prof.dim)
+    if prof.dim == 1:
+        def f(x):
+            return np.abs(prof.value(x[:, None])) * cut.value_radial(np.abs(x))
+
+        inner = _simpson(f, 0.5 * R, R) + _simpson(f, -R, -0.5 * R)
+    else:
+        def f(r):
+            pts = np.stack([r, np.zeros_like(r)], axis=-1)
+            return 2.0 * math.pi * r * np.abs(prof.value(pts)) * cut.value_radial(r)
+
+        inner = _simpson(f, 0.5 * R, R)
+    assert prof.weighted_abs_l1(cut) == pytest.approx(inner + tail, rel=1e-10, abs=0.0)

@@ -121,7 +121,7 @@ def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
     # a plain reference formats one row at a time; the writer must give
     # its bytes exactly, signed zero and subnormals included
     g = UniformGrid.from_box(dim, h, box)
-    special = [-0.0, 5e-324, 1e-5, 1e16, -2.5, -1e-300, 0.1, 1.0 / 3.0]
+    special = [-0.0, 5e-324, 1e-5, 1e16, -2.5, -1e-300, 0.1, 1.0 / 3.0, np.inf, np.nan]
     values = np.resize(np.array(special), g.node_count).reshape(g.shape)
     values *= np.random.default_rng(2).choice([1.0, -1.0], size=g.shape)
     path = tmp_path / "field.csv"
