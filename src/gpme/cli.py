@@ -77,7 +77,7 @@ def cmd_run(args):
     from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
     from .errors import ConfigurationError, DataError
     from .evolution import run
-    from .grid_field import GridFunction, _format_float, write_field_csv
+    from .grid_field import GridFunction, _format_float, _row_labels, write_field_csv
 
     cfg = load_config(args.config)
     plan = build_plan(cfg)
@@ -99,9 +99,10 @@ def cmd_run(args):
     stride = plan.diagnostics["save_stride"]
     n_knots = len(report.trajectory.fields)
     saved = sorted(set(range(0, n_knots, stride)) | {n_knots - 1})
+    labels = _row_labels(plan.grid)
     for j in saved:
         write_field_csv(out / f"field_{j:05d}.csv",
-                        GridFunction(plan.grid, report.trajectory.fields[j]))
+                        GridFunction(plan.grid, report.trajectory.fields[j]), labels)
 
     eq_reports = []
     for R in plan.diagnostics["R_list"]:

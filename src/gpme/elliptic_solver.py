@@ -22,9 +22,12 @@ length does, the iteration falls back to one nonlinear Jacobi sweep from
 the previous iterate.  The stencil weights are symmetric, so K is
 symmetric positive definite and ``_linear_solver`` solves each Newton
 system in an SPD form: by banded Cholesky on the line for a short
-stencil, and otherwise by Jacobi-preconditioned conjugate gradients (an
-inexact Newton step, Kelley, Iterative Methods for Linear and Nonlinear
-Equations, 1995, ch. 6).
+stencil, and otherwise by preconditioned conjugate gradients (an inexact
+Newton step, Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, ch. 6), preconditioned by Jacobi, or for a dense kernel
+with constant coefficients by the inverse of the operator's circulant.
+The operator, and whatever of the linear solver does not depend on dt,
+is built once per box (``_Resolvent``).
 
 The sweep freezes the neighbor sum and solves the strictly increasing
 scalar equation
@@ -48,8 +51,8 @@ from scipy.linalg import solveh_banded
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
-from .levy_operators import (_KERNEL_THRESHOLD, _neighbor_matrix, _neighbor_operator,
-                             _total_weight, apply_stencil)
+from .levy_operators import (_KERNEL_THRESHOLD, _circular, _neighbor_matrix,
+                             _neighbor_operator, _total_weight, apply_stencil)
 
 __all__ = [
     "PhiSpec",
@@ -283,41 +286,60 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
                                cfg.max_scalar_iter)
 
 
-def _banded_cholesky(stencil, c, n, dt, W):
-    """solve(a, s, b, tol): z with (diag(a) + S K S) z = b for a short
-    stencil on a line of n nodes, by banded Cholesky (LAPACK pbsv, or ptsv
-    for a tridiagonal band) on upper band storage.  Offset gamma > 0 of the
-    neighbor sum sits on row k - gamma, k the half-bandwidth: its entry in
-    column j is -dt w_gamma s_(j-gamma) s_j wherever node j - gamma lies on
-    the line, and the mirrored offset's entries are the omitted lower
-    half.  Offsets as long as the line never land on it, so k is at most
-    n - 1."""
+def _banded_cholesky(stencil, c, n, W):
+    """at(dt) -> solve(a, s, b, tol): z with (diag(a) + S K S) z = b for a
+    short stencil on a line of n nodes, by banded Cholesky (LAPACK pbsv, or
+    ptsv for a tridiagonal band) on upper band storage.  Offset gamma > 0
+    of the neighbor sum sits on row k - gamma, k the half-bandwidth: its
+    entry in column j is -dt w_gamma s_(j-gamma) s_j wherever node
+    j - gamma lies on the line, and the mirrored offset's entries are the
+    omitted lower half.  Offsets as long as the line never land on it, so
+    k is at most n - 1."""
     offsets = stencil.offsets[:, 0].tolist()
     weights = stencil.weights.tolist()
     if c:
         offsets += [1, -1]
         weights += [1.0 / stencil.h ** 2] * 2
     k = min(max(map(abs, offsets), default=0), n - 1)
-    upper = np.zeros((k + 1, n))
-    for off, w in zip(offsets, weights):
-        if 0 < off <= k:
+    band = [(off, w) for off, w in zip(offsets, weights) if 0 < off <= k]
+
+    def at(dt):
+        upper = np.zeros((k + 1, n))
+        for off, w in band:
             # a measure offset on a nearest neighbor adds to its weight
             upper[k - off, off:] -= dt * w
 
-    def solve(a, s, b, tol):
-        ab = upper * s
-        for off in range(1, k + 1):
-            ab[k - off, off:] *= s[:n - off]
-        ab[k] = a + dt * W * s * s
-        return solveh_banded(ab, b, check_finite=False)
-    return solve
+        def solve(a, s, b, tol):
+            ab = upper * s
+            for off in range(1, k + 1):
+                ab[k - off, off:] *= s[:n - off]
+            ab[k] = a + dt * W * s * s
+            return solveh_banded(ab, b, check_finite=False)
+        return solve
+    return at
 
 
-def _linear_solver(stencil, c, shape, dt, W, neighbor):
-    """solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs, where
-    K = dt (W I - A) is the matrix of -dt L on a box of the given shape,
-    for the two systems a Newton step builds: d = 1 with a >= 0 (in v), or
-    a = 1 with d >= 0 (in w).
+def _jacobi(diagonal):
+    """r -> r / diagonal: the Jacobi preconditioner of a matrix with that
+    diagonal."""
+    return lambda r: r / diagonal
+
+
+def _circulant(neighbor, lam, shape):
+    """r -> irfftn(rfftn(r, L) / lam, L) on the box of the given shape: the
+    inverse of the circulant with eigenvalues lam on ``neighbor``'s lengths
+    L, restricted to the box.  For lam > 0 it is a principal block of an
+    SPD matrix, hence SPD."""
+    inverse = 1.0 / lam
+    return lambda r: _circular(r.reshape(shape), inverse, neighbor.lengths).ravel()
+
+
+def _linear_solver(stencil, c, shape, W, neighbor):
+    """at(dt) -> solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs,
+    where K = dt (W I - A) is the matrix of -dt L on a box of the given
+    shape, for the two systems a Newton step builds: d = 1 with a >= 0 (in
+    v), or a = 1 with d >= 0 (in w).  Everything that does not depend on
+    dt is built here, once for all the solves on the box.
 
     The weights are symmetric, so K is a symmetric nonsingular M-matrix,
     hence positive definite, and both systems are solved in the SPD form
@@ -328,53 +350,96 @@ def _linear_solver(stencil, c, shape, dt, W, neighbor):
 
     Up to ``_KERNEL_THRESHOLD`` measure offsets on the line the SPD system
     is solved directly, by banded Cholesky (``_banded_cholesky``).  For
-    N >= 2 and for every dense kernel it is solved by Jacobi-preconditioned
-    conjugate gradients (``_pcg``): on the CSR matrix of K, from
-    ``levy_operators._neighbor_matrix``, for a short stencil, and with A
-    applied through ``neighbor``'s rFFT spectrum for a dense kernel.  The
-    result is an inexact Newton step whose residual is at most tol in the
-    2-norm, up to rounding (the caller's safeguard judges it).  In w it is
-    K S r_z for the residual r_z of z, at most 2 dt W max(s) |r_z|: z is
-    solved to that share of tol, and as the map back grows z's rounding by
-    that factor, an x left above tol gets one iterative refinement step.
+    N >= 2 and for every dense kernel it is solved by preconditioned
+    conjugate gradients (``_pcg``).  A short stencil's K is the CSR matrix
+    from ``levy_operators._neighbor_matrix``, with a Jacobi
+    preconditioner.  A dense kernel's A is applied through ``neighbor``'s
+    rFFT spectrum.  There K is block Toeplitz, the restriction to the box
+    of the circulant dt (W - symbol) on ``neighbor``'s circular lengths,
+    so for a constant a > 0 and a constant s (a linear phi) the system is
+    preconditioned by the inverse of the circulant with eigenvalues
+    lam = a + s^2 dt (W - symbol) (``_circulant``; T. Chan, SIAM J. Sci.
+    Stat. Comput. 9, 1988; Lei & Sun, J. Comput. Phys. 242, 2013).  The
+    kept weights sum to at most W, so lam >= a > 0.  Any other a or s,
+    a = 0 included, keeps Jacobi.
+
+    The result is an inexact Newton step whose residual is at most tol in
+    the 2-norm, up to rounding (the caller's safeguard judges it).  In w
+    it is K S r_z for the residual r_z of z, at most 2 dt W max(s) |r_z|:
+    z is solved to that share of tol, and as the map back grows z's
+    rounding by that factor, an x left above tol gets one iterative
+    refinement step.
     """
     short = stencil.n_offsets <= _KERNEL_THRESHOLD
     if short and len(shape) > 1:
         size = math.prod(shape)
-        matrix = dt * (W * sparse.identity(size, format="csr")
-                       - _neighbor_matrix(stencil, c, shape))
-        K = matrix.dot
+        base = W * sparse.identity(size, format="csr") - _neighbor_matrix(stencil, c, shape)
         # every row stores its diagonal, so diag(a) + S K S is the same
         # sparsity with the entries rescaled
-        rows = np.repeat(np.arange(size), np.diff(matrix.indptr))
-        on_diagonal = np.flatnonzero(rows == matrix.indices)
+        rows = np.repeat(np.arange(size), np.diff(base.indptr))
+        on_diagonal = np.flatnonzero(rows == base.indices)
 
-        def spd(a, s, b, tol):
-            M = matrix.copy()
-            M.data *= s[rows] * s[M.indices]
-            M.data[on_diagonal] += a
-            return _pcg(M.dot, M.data[on_diagonal], b, tol)
+        def system(dt):
+            matrix = dt * base
+
+            def spd(a, s, b, tol):
+                M = matrix.copy()
+                M.data *= s[rows] * s[M.indices]
+                M.data[on_diagonal] += a
+                return _pcg(M.dot, _jacobi(M.data[on_diagonal]), b, tol)
+            return matrix.dot, spd
     else:
-        def K(y):
-            return dt * (W * y - neighbor(y.reshape(shape)).ravel())
+        def matvec(dt):
+            return lambda y: dt * (W * y - neighbor(y.reshape(shape)).ravel())
 
         if short:
-            spd = _banded_cholesky(stencil, c, shape[0], dt, W)
-        else:
-            def spd(a, s, b, tol):
-                return _pcg(lambda x: a * x + s * K(s * x), a + dt * W * s * s, b, tol)
+            banded = _banded_cholesky(stencil, c, shape[0], W)
 
-    def solve(a, d, rhs, tol):
-        if (d == 1.0).all():
-            return spd(a, d, rhs, tol)
-        s = np.sqrt(d)
-        z_tol = tol / (2.0 * dt * W * float(s.max()) or 1.0)
-        x = rhs - K(s * spd(a, s, s * rhs, z_tol))
-        r = rhs - x - K(d * x)
-        if _dot(r, r) > tol * tol:
-            x += r - K(s * spd(a, s, s * r, z_tol))
-        return x
-    return solve
+            def system(dt):
+                return matvec(dt), banded(dt)
+        else:
+            gap = W - neighbor.symbol
+
+            def system(dt):
+                K = matvec(dt)
+
+                def spd(a, s, b, tol):
+                    if a[0] > 0.0 and (a == a[0]).all() and (s == s[0]).all():
+                        precondition = _circulant(neighbor, a[0] + s[0] * s[0] * dt * gap,
+                                                  shape)
+                    else:
+                        precondition = _jacobi(a + dt * W * s * s)
+                    return _pcg(lambda x: a * x + s * K(s * x), precondition, b, tol)
+                return K, spd
+
+    def at(dt):
+        K, spd = system(dt)
+
+        def solve(a, d, rhs, tol):
+            if (d == 1.0).all():
+                return spd(a, d, rhs, tol)
+            s = np.sqrt(d)
+            z_tol = tol / (2.0 * dt * W * float(s.max()) or 1.0)
+            x = rhs - K(s * spd(a, s, s * rhs, z_tol))
+            r = rhs - x - K(d * x)
+            if _dot(r, r) > tol * tol:
+                x += r - K(s * spd(a, s, s * r, z_tol))
+            return x
+        return solve
+    return at
+
+
+class _Resolvent:
+    """What every resolvent solve of the operator (stencil, c) on a box of
+    the given shape shares, whatever its dt and data: the total weight W,
+    the neighbor sum of ``_neighbor_operator``, and ``linear_solver``,
+    ``_linear_solver``'s at(dt).  ``evolution.run`` builds one per run and
+    hands it to every step; ``solve_ep`` builds its own when given none."""
+
+    def __init__(self, stencil, c, shape):
+        self.W = _total_weight(stencil, c)
+        self.neighbor = _neighbor_operator(stencil, c, shape)
+        self.linear_solver = _linear_solver(stencil, c, shape, self.W, self.neighbor)
 
 
 def _dot(u, v):
@@ -383,17 +448,17 @@ def _dot(u, v):
     return float(np.sum(u * v))
 
 
-def _pcg(matvec, diagonal, b, tol):
+def _pcg(matvec, precondition, b, tol):
     """Conjugate gradients (Hestenes & Stiefel 1952; Saad, Iterative
     Methods for Sparse Linear Systems, 2003, ch. 6 and 9) for the SPD
-    system A x = b from x = 0, preconditioned by diag(A)^(-1) (Jacobi).
-    Returns x once the recurred residual |b - A x|_2 is at most tol, or
-    its iterate after ``_CG_CAP`` iterations for the caller's safeguard to
-    judge.  Every reduction is a numpy sum, so the iterates are the same
-    bits under any thread count."""
+    system A x = b from x = 0, preconditioned by the SPD map
+    ``precondition``, r -> M^(-1) r.  Returns x once the recurred residual
+    |b - A x|_2 is at most tol, or its iterate after ``_CG_CAP``
+    iterations for the caller's safeguard to judge.  Every reduction is a
+    numpy sum, so the iterates are the same bits under any thread count."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / diagonal
+    z = precondition(r)
     p = z.copy()
     rz = _dot(r, z)
     for _ in range(_CG_CAP):
@@ -407,7 +472,7 @@ def _pcg(matvec, diagonal, b, tol):
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        np.divide(r, diagonal, out=z)
+        z = precondition(r)
         rz, previous = _dot(r, z), rz
         p *= rz / previous
         p += z
@@ -438,12 +503,14 @@ def _newton_candidates(phi, solve, w, res, lo, hi, tol):
         yield np.clip(back(base + step / 2 ** k).reshape(w.shape), lo, hi)
 
 
-def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
+def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=None):
     """Solve w - dt * (c Laplacian + stencil)[phi(w)] = rho.
 
     Returns an EpResult; raises NonConvergenceError, naming the node with
     the worst residual, when the iteration cap is hit with the residual
-    still above tolerance.
+    still above tolerance.  ``resolvent`` is a ``_Resolvent`` of
+    (stencil, c) on rho's box, for a caller that solves many times on one
+    box; by default the solve builds its own.
     """
     cfg = config if config is not None else EpSolveConfig()
     if dt < 0.0:
@@ -460,7 +527,9 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
         w = rho_vals.copy()
         return finish(w, w - dt * apply_stencil(stencil, c, phi.value(w)) - rho_vals, 0, 0)
 
-    W = _total_weight(stencil, c)
+    if resolvent is None:
+        resolvent = _Resolvent(stencil, c, rho_vals.shape)
+    W, neighbor = resolvent.W, resolvent.neighbor
     if warm_start is None:
         w = rho_vals.copy()
     else:
@@ -470,8 +539,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None):
     tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho_vals))))
     lo = min(0.0, float(np.min(rho_vals)))
     hi = max(0.0, float(np.max(rho_vals)))
-    neighbor = _neighbor_operator(stencil, c, rho_vals.shape)
-    solve = _linear_solver(stencil, c, rho_vals.shape, dt, W, neighbor)
+    solve = resolvent.linear_solver(dt)
 
     def evaluate(w):
         p = phi.value(w)

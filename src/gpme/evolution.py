@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import Trajectory, project_cell_average, project_source, shifted
-from .elliptic_solver import EpSolveConfig, solve_ep
-from .levy_operators import OperatorSpec, WeightedStencil, _neighbor_sum, _total_weight
+from .elliptic_solver import EpSolveConfig, _Resolvent, solve_ep
+from .levy_operators import OperatorSpec, WeightedStencil, _neighbor_operator, _total_weight
 
 __all__ = [
     "FluxSpec",
@@ -215,11 +215,14 @@ def check_convective_step(flux, dt, h, dim):
             field="problem.dt.factor")
 
 
-def escape_weights(stencil, c, shape):
+def escape_weights(stencil, c, shape, neighbor=None):
     """Per node, the total weight of jumps of the operator (stencil, c) that
     land outside the box; the diffusive mass leak rate is
-    h^N * sum phi(U) * escape."""
-    return _total_weight(stencil, c) - _neighbor_sum(stencil, c, np.ones(shape))
+    h^N * sum phi(U) * escape.  ``neighbor`` is the operator's
+    ``_neighbor_operator`` on the box, built here when not given."""
+    if neighbor is None:
+        neighbor = _neighbor_operator(stencil, c, shape)
+    return _total_weight(stencil, c) - neighbor(np.ones(shape))
 
 
 @dataclass(frozen=True)
@@ -233,23 +236,29 @@ class ProblemSpec:
     flux: object = None
 
 
-def step_gpme(stencil, c, phi, dt, u_prev, g=None, config=None, warm_start=None):
-    """One implicit step without convection; returns the EpResult."""
+def step_gpme(stencil, c, phi, dt, u_prev, g=None, config=None, warm_start=None,
+              resolvent=None):
+    """One implicit step without convection; returns the EpResult.
+    ``resolvent`` is passed on to ``solve_ep``."""
     rho = np.asarray(u_prev, dtype=float)
     if g is not None:
         rho = rho + dt * np.asarray(g, dtype=float)
     return solve_ep(stencil, c, phi, dt, rho, config=config,
-                    warm_start=u_prev if warm_start is None else warm_start)
+                    warm_start=u_prev if warm_start is None else warm_start,
+                    resolvent=resolvent)
 
 
-def step_cde(stencil, c, phi, flux, dt, h, u_prev, g=None, config=None, warm_start=None):
-    """Explicit monotone convection then the implicit diffusion solve."""
+def step_cde(stencil, c, phi, flux, dt, h, u_prev, g=None, config=None, warm_start=None,
+             resolvent=None):
+    """Explicit monotone convection then the implicit diffusion solve.
+    ``resolvent`` is passed on to ``solve_ep``."""
     check_convective_step(flux, dt, h, np.asarray(u_prev).ndim)
     rho = np.asarray(u_prev, dtype=float) - dt * flux_divergence(flux, u_prev, h)
     if g is not None:
         rho = rho + dt * np.asarray(g, dtype=float)
     return solve_ep(stencil, c, phi, dt, rho, config=config,
-                    warm_start=u_prev if warm_start is None else warm_start)
+                    warm_start=u_prev if warm_start is None else warm_start,
+                    resolvent=resolvent)
 
 
 @dataclass(frozen=True)
@@ -294,13 +303,15 @@ class RunReport:
 
 def run(problem, grid, time_grid, config=None):
     """March the implicit scheme across time_grid and account for every
-    unit of mass; returns a RunReport."""
+    unit of mass; returns a RunReport.  The operator is built once, on the
+    grid's box, for the escape weights and every step's solve."""
     cfg = config if config is not None else EpSolveConfig()
     stencil = problem.operator.build_stencil(grid)
     c = problem.operator.c
     if problem.flux is not None:
         validate_flux(problem.flux, dim=grid.dim)
-    esc = escape_weights(stencil, c, grid.shape)
+    resolvent = _Resolvent(stencil, c, grid.shape)
+    esc = escape_weights(stencil, c, grid.shape, resolvent.neighbor)
     vol = grid.cell_volume
 
     u0 = project_cell_average(problem.initial, grid)
@@ -325,10 +336,11 @@ def run(problem, grid, time_grid, config=None):
             if problem.flux is not None:
                 conv_inc = dt * boundary_outflow(problem.flux, u, grid.h)
                 result = step_cde(stencil, c, problem.phi, problem.flux, dt, grid.h,
-                                  u, g=g, config=cfg)
+                                  u, g=g, config=cfg, resolvent=resolvent)
             else:
                 conv_inc = 0.0
-                result = step_gpme(stencil, c, problem.phi, dt, u, g=g, config=cfg)
+                result = step_gpme(stencil, c, problem.phi, dt, u, g=g, config=cfg,
+                                   resolvent=resolvent)
         except NonConvergenceError as exc:
             exc.step = j
             raise

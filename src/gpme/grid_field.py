@@ -315,10 +315,23 @@ def _format_float(x):
     return repr(float(x))
 
 
-def write_field_csv(path, u):
+def _row_labels(grid):
+    """The ``beta_1,...,beta_N,`` label of each row of ``write_field_csv``
+    on the grid, newline first, in C order: built once per grid by a
+    caller that writes many fields on it."""
+    # the first axis's labels open each row; the product of the per-axis
+    # labels runs in C order, as the values do
+    seps = ["\n"] + [""] * (grid.dim - 1)
+    labels = [[f"{sep}{b}," for b in range(-k, k + 1)]
+              for sep, k in zip(seps, grid.index_bounds)]
+    return list(map("".join, itertools.product(*labels)))
+
+
+def write_field_csv(path, u, labels=None):
     """Serialize a field as ``beta_1,...,beta_N,value`` rows in lexicographic
     index order, each value in the shortest round-trip form of
-    ``_format_float``.
+    ``_format_float``.  ``labels`` are the grid's ``_row_labels``, built
+    here when not given.
 
     ``tolist`` already gives Python floats, so mapping the builtin ``repr``
     over them calls ``float.__repr__`` on each, the bytes of
@@ -327,14 +340,9 @@ def write_field_csv(path, u):
     raises the peak resident memory of a run by about 0.6 MB.)"""
     grid = u.grid
     header = ",".join(f"beta_{i + 1}" for i in range(grid.dim)) + ",value"
-    # the first axis's labels open each row; the product of the per-axis
-    # labels runs in C order, as the values do
-    seps = ["\n"] + [""] * (grid.dim - 1)
-    labels = [[f"{sep}{b}," for b in range(-k, k + 1)]
-              for sep, k in zip(seps, grid.index_bounds)]
     values = u.values.reshape(-1).tolist()
     rows = [None] * (2 * len(values))
-    rows[0::2] = map("".join, itertools.product(*labels))
+    rows[0::2] = _row_labels(grid) if labels is None else labels
     rows[1::2] = map(repr, values)
     text = header + "".join(rows) + "\n"
     with open(path, "w") as fh:

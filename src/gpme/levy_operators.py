@@ -12,13 +12,15 @@ Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
 (with ``_neighbor_sum`` for a single array) and ``_total_weight``: a shift
 loop for short stencils, and for dense kernels an rFFT convolution whose
 kernel spectrum is computed once per operator and reused by every
-application.  ``_neighbor_matrix`` writes the neighbor sum of a short
-stencil in two and more dimensions as a sparse matrix, on which the
-resolvent's Newton steps run conjugate gradients, and
-``combine_with_laplacian`` merges the two parts into one weight list for
-inspection only (``gpme stencil`` and the moment checks).  Weights for a
-jump measure are the measure of each lattice cell, so the total mass on
-any region is preserved by construction; the origin cell is excluded.
+application; that operator also exposes the real symbol of the whole
+neighbor sum, which the resolvent inverts as a circulant preconditioner.
+``_neighbor_matrix`` writes the neighbor sum of a short stencil in two
+and more dimensions as a sparse matrix, on which the resolvent's Newton
+steps run conjugate gradients, and ``combine_with_laplacian`` merges
+the two parts into one weight list for inspection only (``gpme stencil``
+and the moment checks).  Weights for a jump measure are the measure of
+each lattice cell, so the total mass on any region is preserved by
+construction; the origin cell is excluded.
 
 ``measure_stencil`` builds them by one path in every dimension.  The
 measures are radial, so a cell and its images under the lattice's
@@ -344,20 +346,54 @@ def _total_weight(stencil, c):
     return W
 
 
+@dataclass(frozen=True, eq=False)
+class _NeighborOperator:
+    """The neighbor sum of the operator (stencil, c) on one box, as
+    ``_neighbor_operator`` builds it: calling it applies the map.
+
+    For a dense kernel it also carries the circular lengths L of its rFFT
+    convolution and the real ``symbol`` of the whole neighbor sum on them:
+    the kernel's spectrum plus, for c = 1, 2/h^2 sum_i cos(2 pi k_i / L_i)
+    for the nearest neighbors.  Restricted to the box,
+    ``_circular(values, symbol, lengths)`` is the neighbor sum.  Both are
+    None for a short stencil."""
+
+    apply: object
+    lengths: tuple = None
+    symbol: np.ndarray = None
+
+    def __call__(self, values):
+        return self.apply(values)
+
+
+def _circular(values, multiplier, lengths):
+    """irfftn(rfftn(values, L) * multiplier, L) on the circular lengths L,
+    restricted to the box of values: a circular convolution when the
+    multiplier is a kernel's spectrum."""
+    box = tuple(slice(0, n) for n in values.shape)
+    return fft.irfftn(fft.rfftn(values, lengths) * multiplier, lengths)[box]
+
+
 def _neighbor_operator(stencil, c, shape):
     """The map values -> sum_gamma w_gamma * values(beta + gamma) plus c/h^2
     times the 2N nearest neighbors, with zero extension outside a box of
-    the given shape: the one path by which the operator is applied.
+    the given shape: the one path by which the operator is applied, as a
+    ``_NeighborOperator``.  A caller that applies it many times on one box
+    builds it once (``evolution.run`` does, for a whole run).
 
     Up to ``_KERNEL_THRESHOLD`` offsets the shift loop sums the terms.
     Above it the measure part is a circular convolution by rFFT with the
     kernel's spectrum, computed here once for every later call.  The
     kernel is symmetric, so correlation equals convolution and its
     spectrum is real.  Offsets at least n_i long on some axis never land
-    in the box and are dropped; with the rest reaching K_i, a circular
-    length of n_i + K_i per axis wraps every jump out of the box onto the
-    zero padding, never onto a node.
+    in the box and are dropped; with the rest reaching K_i (at least 1 for
+    c = 1), a circular length of n_i + K_i per axis wraps every jump out of
+    the box onto the zero padding, never onto a node.  The same holds for
+    the nearest neighbors, so the symbol, with their cosines added to the
+    spectrum, gives the whole neighbor sum on the box.
     """
+    inv_h2 = 1.0 / stencil.h ** 2
+    lengths = symbol = None
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
         def measure(values):
             out = np.zeros_like(values)
@@ -367,17 +403,21 @@ def _neighbor_operator(stencil, c, shape):
     else:
         inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
         offsets = stencil.offsets[inside]
-        reach = np.max(np.abs(offsets), axis=0, initial=0)
+        reach = np.max(np.abs(offsets), axis=0, initial=c)
         lengths = tuple(fft.next_fast_len(int(n + k), real=True)
                         for n, k in zip(shape, reach))
         kernel = np.zeros(lengths)
         kernel[tuple(offsets.T)] = stencil.weights[inside]
         spectrum = fft.rfftn(kernel).real
-        box = tuple(slice(0, n) for n in shape)
+        symbol = spectrum
+        for axis, L in enumerate(lengths if c else ()):
+            # the last axis holds the rFFT's half spectrum, k <= L/2
+            k = np.arange(spectrum.shape[axis]).reshape(
+                [-1 if i == axis else 1 for i in range(stencil.dim)])
+            symbol = symbol + 2.0 * inv_h2 * np.cos(2.0 * np.pi * k / L)
 
         def measure(values):
-            return fft.irfftn(fft.rfftn(values, lengths) * spectrum, lengths)[box]
-    inv_h2 = 1.0 / stencil.h ** 2
+            return _circular(values, spectrum, lengths)
     # -e_0, ..., -e_{N-1}, +e_{N-1}, ..., +e_0 is the order the merged
     # offsets sort in, so a pure Laplacian rounds as its weight list does
     steps = [(i, -1) for i in range(stencil.dim)]
@@ -396,7 +436,7 @@ def _neighbor_operator(stencil, c, shape):
             for dst, src in moves:
                 out[dst] += inv_h2 * values[src]
         return out
-    return apply
+    return _NeighborOperator(apply, lengths, symbol)
 
 
 def _neighbor_sum(stencil, c, values):

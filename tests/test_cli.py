@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gpme
+import gpme.elliptic_solver
 import gpme.levy_operators
 from gpme.cli import main
 from gpme.config import merge_config
@@ -261,6 +262,27 @@ def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, PLANE_RUN)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
+    # a dense kernel's operator, spectrum and symbol are built once for the
+    # escape weights and every step's solve; the tail certificate, which
+    # applies the operator once per radius, is left out
+    build = gpme.levy_operators._neighbor_operator
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (gpme.levy_operators, gpme.elliptic_solver):
+        monkeypatch.setattr(module, "_neighbor_operator", counted)
+    cfg = write_cfg(tmp_path, {"preset": "frac_heat_poisson_1d",
+                               "problem": {"h": 0.125, "T": 0.25},
+                               "diagnostics": {"R_list": []}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+    assert calls[0][0].n_offsets > gpme.levy_operators._KERNEL_THRESHOLD
 
 
 def _load_bench_tracing():

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import gpme.elliptic_solver
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _linear_solver, _pcg,
+from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg, _Resolvent,
                                   _solve_scalar_batch, solve_ep)
 from gpme.grid_field import GridFunction, UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
-                                 _neighbor_matrix, _neighbor_operator, _neighbor_sum,
-                                 _total_weight, apply_stencil, combine_with_laplacian,
-                                 laplacian_stencil, measure_stencil)
+                                 _neighbor_matrix, _neighbor_sum, _total_weight,
+                                 apply_stencil, combine_with_laplacian, laplacian_stencil,
+                                 measure_stencil)
 
 
 def scalar_root(phi, lam, b):
@@ -215,7 +215,7 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
     def refuse(*args):
         raise AssertionError("a sparse matrix was assembled on the line")
     monkeypatch.setattr(gpme.elliptic_solver, "_neighbor_matrix", refuse)
-    solve = _linear_solver(st, c, (n,), dt, W, _neighbor_operator(st, c, (n,)))
+    solve = _Resolvent(st, c, (n,)).linear_solver(dt)
     rng = np.random.default_rng(n)
     rhs = rng.normal(size=n)
     w = rng.uniform(-0.5, 1.5, size=n)
@@ -243,12 +243,13 @@ def test_pcg_matches_a_direct_solve(n, preconditioned):
     B = rng.normal(scale=0.3 / np.sqrt(n), size=(n, n))
     A = np.diag(np.linspace(1.0, 50.0, n)) + B @ B.T
     b = rng.normal(size=n)
-    x = _pcg(lambda v: A @ v, np.diag(A) if preconditioned else np.ones(n), b, 1e-12)
+    diagonal = np.diag(A) if preconditioned else np.ones(n)
+    x = _pcg(lambda v: A @ v, lambda r: r / diagonal, b, 1e-12)
     assert np.linalg.norm(A @ x - b) <= 1e-12
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0.0, atol=1e-11)
     # one unknown: the first step is exact and leaves r = 0, which must
     # end the iteration, even at tolerance 0, without dividing by 0
-    np.testing.assert_array_equal(_pcg(lambda v: 2.0 * v, np.array([2.0]), np.array([3.0]), 0.0),
+    np.testing.assert_array_equal(_pcg(lambda v: 2.0 * v, lambda r: r / 2.0, np.array([3.0]), 0.0),
                                   [1.5])
 
 
@@ -261,61 +262,92 @@ def _dense_K(stencil, c, shape, dt):
 
 
 # each linear-solve path: (dim, h, measure reach in cells or None for the
-# box diameter, c)
+# box diameter, c, coefficients).  "varying" draws either Newton system
+# with zeros in its coefficient; "v" is the v system with a constant a > 0
+# and "w" the w system with a constant d, as a linear phi gives them
 SOLVE_PATHS = {
-    "banded": (1, 0.125, 2, 1),
-    "csr_cg": (2, 0.5, 2, 1),
-    "dense_cg_c0": (2, 0.5, None, 0),
-    "dense_cg_c1": (2, 0.5, None, 1),
+    "banded": (1, 0.125, 2, 1, "varying"),
+    "csr_cg": (2, 0.5, 2, 1, "varying"),
+    "dense_cg_c0": (2, 0.5, None, 0, "varying"),
+    "dense_cg_c1": (2, 0.5, None, 1, "varying"),
+    "dense_circulant_v": (1, 0.125, None, 0, "v"),
+    "dense_circulant_w": (2, 0.5, None, 1, "w"),
 }
+
+
+def _spy(taken, name):
+    real = getattr(gpme.elliptic_solver, name)
+
+    def record(*args, **kwargs):
+        taken.append(name)
+        return real(*args, **kwargs)
+    return record
 
 
 @pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
 def test_linear_solve_property(path):
-    dim, h, reach, c = SOLVE_PATHS[path]
+    dim, h, reach, c, coefficients = SOLVE_PATHS[path]
     g = UniformGrid.from_box(dim, h, 2.0)
     stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                               support_radius=None if reach is None else reach * h)
     n = int(np.prod(g.shape))
-    expected = {"banded": ["solveh_banded"], "csr_cg": ["_neighbor_matrix", "_pcg"]}
+    # what the path calls once per box, and per SPD solve: a dense kernel is
+    # preconditioned by its circulant for constant coefficients, by Jacobi
+    # otherwise
+    setup = ["_neighbor_matrix"] if path == "csr_cg" else []
+    per_solve = {"banded": ["solveh_banded"], "csr_cg": ["_jacobi", "_pcg"]}.get(
+        path, ["_jacobi" if coefficients == "varying" else "_circulant", "_pcg"])
     taken = []
-
-    def spy(name):
-        real = getattr(gpme.elliptic_solver, name)
-
-        def record(*args, **kwargs):
-            taken.append(name)
-            return real(*args, **kwargs)
-        return record
 
     @settings(max_examples=25, deadline=None)
     @given(system=st.sampled_from(["w", "v"]), dt=st.floats(1e-3, 10.0),
-           share=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
-    def check(system, dt, share, seed):
+           share=st.floats(0.0, 0.9), level=st.floats(1e-3, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def check(system, dt, share, level, seed):
         # d >= 0 with zeros (a Stefan plateau) and a = 1, or a >= 0 with
-        # zeros (v = 0 under m < 1) and d = 1
+        # zeros (v = 0 under m < 1) and d = 1; or one of them constant
         rng = np.random.default_rng(seed)
         weights = rng.uniform(0.0, 3.0, n) * (rng.random(n) >= share)
         weights[rng.integers(n)] = 0.0
+        if coefficients != "varying":
+            system, weights = coefficients, np.full(n, level)
         a, d = (np.ones(n), weights) if system == "w" else (weights, np.ones(n))
         rhs = rng.normal(size=n)
         W = _total_weight(stencil, c)
         tol = 1e-12 * np.linalg.norm(rhs)
         taken.clear()
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("solveh_banded", "_pcg", "_neighbor_matrix"):
-                mp.setattr(gpme.elliptic_solver, name, spy(name))
-            solve = _linear_solver(stencil, c, g.shape, dt, W,
-                                   _neighbor_operator(stencil, c, g.shape))
+            for name in ("solveh_banded", "_pcg", "_neighbor_matrix", "_jacobi", "_circulant"):
+                mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
+            solve = _Resolvent(stencil, c, g.shape).linear_solver(dt)
             x = solve(a, d, rhs, tol)
-        # the path's solver, and once more if x takes a refinement step
-        want = expected.get(path, ["_pcg"])
-        assert taken in (want, want + want[-1:])
+        # one SPD solve, and one more if x takes a refinement step
+        assert taken in (setup + per_solve, setup + 2 * per_solve)
         J = np.diag(a) + _dense_K(stencil, c, g.shape, dt) * d
         assert np.linalg.norm(J @ x - rhs) <= tol + 1e-14 * dt * W * np.linalg.norm(rhs)
         ref = np.linalg.solve(J, rhs)
         np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9 * np.max(np.abs(ref)))
     check()
+
+
+def test_zero_a_takes_jacobi():
+    # the v system at v = 0 everywhere under m < 1 has a = 0: K alone.  No
+    # offset of the box-diameter kernel leaves this box, so the circulant
+    # would have the eigenvalue a + dt (W - symbol(0)) = 0; Jacobi divides
+    # by the diagonal dt W instead
+    g = UniformGrid.from_box(2, 0.5, 2.0)
+    stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g)
+    n, dt = int(np.prod(g.shape)), 0.5
+    rhs = np.random.default_rng(5).normal(size=n)
+    taken = []
+    with pytest.MonkeyPatch.context() as mp, np.errstate(divide="raise", invalid="raise"):
+        for name in ("_jacobi", "_circulant"):
+            mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
+        solve = _Resolvent(stencil, 0, g.shape).linear_solver(dt)
+        x = solve(np.zeros(n), np.ones(n), rhs, 1e-12 * np.linalg.norm(rhs))
+    assert taken == ["_jacobi"]
+    np.testing.assert_allclose(x, np.linalg.solve(_dense_K(stencil, 0, g.shape, dt), rhs),
+                               rtol=0.0, atol=1e-9 * np.max(np.abs(x)))
 
 
 def test_cg_cap_is_left_to_the_safeguard(monkeypatch):

@@ -8,7 +8,8 @@ from scipy.integrate import dblquad, quad
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid, shifted
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
-                                 WeightedStencil, _neighbor_matrix, _neighbor_sum,
+                                 WeightedStencil, _circular, _neighbor_matrix,
+                                 _neighbor_operator, _neighbor_sum,
                                  apply_stencil, combine_with_laplacian, laplacian_stencil,
                                  measure_stencil)
 from gpme.profiles import GaussianProfile
@@ -59,7 +60,9 @@ def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
 def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     # the default support is the box diameter: offsets reach past the box
     # and are dropped; on half the box they stop inside it, and a circular
-    # length below n + K would wrap the longest jumps onto nodes
+    # length below n + K would wrap the longest jumps onto nodes.  The
+    # operator's exposed symbol, c/h^2 nearest neighbors included, gives
+    # the same neighbor sum on the box
     g = UniformGrid.from_box(dim, h, box)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                          support_radius=None if support == "diameter" else box)
@@ -74,6 +77,9 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
         for off in np.vstack([np.eye(dim, dtype=int), -np.eye(dim, dtype=int)]):
             ref += shifted(v, tuple(off)) / h ** 2
     np.testing.assert_allclose(_neighbor_sum(st, c, v), ref, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(v)))
+    op = _neighbor_operator(st, c, g.shape)
+    np.testing.assert_allclose(_circular(v, op.symbol, op.lengths), op(v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
 
 
