@@ -108,7 +108,7 @@ def cmd_run(args):
     for R in plan.diagnostics["R_list"]:
         eq_reports.append(equitightness_check(
             report.trajectory, plan.problem, R=R, r=plan.diagnostics["r"],
-            stencil=report.stencil))
+            stencil=report.stencil, neighbor=report.neighbor))
     lines = ["R,lhs,rhs,pass"]
     for eq in eq_reports:
         flag = "true" if eq.passed else "false"

@@ -172,14 +172,16 @@ def check_cutoff_radius(R, grid, field):
         raise ConfigurationError("cutoff radius exceeds the box", field=field)
 
 
-def operator_cutoff_norm(stencil, c, X, p):
+def operator_cutoff_norm(stencil, c, X, p, neighbor=None):
     """Discrete surrogate for the L^p norm of the operator applied to 𝒳_R,
     from the nodal cutoff X of build_cutoff: the stencil acts on the nodal
     values of 𝒳_R - 1 (compactly supported, so zero extension is exact), and
     the measure mass beyond the stencil support contributes (1 - 𝒳_R) times
-    the analytic remainder."""
+    the analytic remainder.  ``neighbor`` is the operator's neighbor sum on
+    X's box, as ``apply_stencil`` takes it."""
     vals = X.values
-    v = apply_stencil(stencil, c, vals - 1.0) + (1.0 - vals) * stencil.tail_mass_beyond_support
+    v = (apply_stencil(stencil, c, vals - 1.0, neighbor)
+         + (1.0 - vals) * stencil.tail_mass_beyond_support)
     return lr_norm_of_values(v, X.grid.cell_volume, p)
 
 
@@ -325,13 +327,17 @@ def data_bounds(problem, T):
     return M, L
 
 
-def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=None):
+def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=None,
+                        neighbor=None):
     """Evaluate the uniform tail bound for a finished trajectory.
 
     The left side samples the time interpolant at knots and midpoints
     (piecewise linear in time, so the per-cell sup sits at a knot); the
     right side assembles the declared data norms, the regularity constants
-    of phi on [-M, M], and the discrete operator norm of the cutoff."""
+    of phi on [-M, M], and the discrete operator norm of the cutoff.
+    ``stencil`` and ``neighbor`` are the run's measure stencil and its
+    neighbor sum on the grid's box (``RunReport`` keeps both); each is
+    built here when not given."""
     grid = traj.grid
     T = traj.time_grid.final_time
     X_nodal, cutoff = build_cutoff(R, grid)
@@ -347,7 +353,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     C = seminorm * M ** (ell - 1.0 / q) * data_l1 ** (1.0 / q)
 
     u0_piece = problem.initial.weighted_abs_l1(cutoff)
-    op_piece = T * operator_cutoff_norm(stencil, problem.operator.c, X_nodal, p)
+    op_piece = T * operator_cutoff_norm(stencil, problem.operator.c, X_nodal, p, neighbor)
 
     if problem.flux is not None:
         L_F = problem.flux.max_lipschitz(grid.dim)

@@ -29,6 +29,15 @@ with constant coefficients by the inverse of the operator's circulant.
 The operator, and whatever of the linear solver does not depend on dt,
 is built once per box (``_Resolvent``).
 
+For a nonlinear phi each linear solve is asked only for the quadratic
+forcing level max(_CG_SHARE tol, min(_CG_SHARE, |F(w)|_2) |F(w)|_2) in
+the 2-norm, tol the stopping level: far from the root the solve stops
+early, and a forcing term O(|F(w)|) keeps Newton's local quadratic
+convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  A linear phi's
+Newton system is the problem itself, so it is solved to _CG_SHARE tol
+at once, and one Newton step meets the stopping level.
+
 The sweep freezes the neighbor sum and solves the strictly increasing
 scalar equation
 
@@ -52,7 +61,9 @@ from scipy.linalg import solveh_banded
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
 from .levy_operators import (_KERNEL_THRESHOLD, _circular, _neighbor_matrix,
-                             _neighbor_operator, _total_weight, apply_stencil)
+                             _neighbor_operator, _total_weight)
+# not called here; bench/tracing.py wraps this module's apply_stencil
+from .levy_operators import apply_stencil  # noqa: F401
 
 __all__ = [
     "PhiSpec",
@@ -64,8 +75,9 @@ __all__ = [
 # a rejected Newton step is halved up to this many times before the
 # iteration falls back to a Jacobi sweep
 _HALVINGS = 4
-# conjugate gradients stop once the Newton system's residual is this
-# share of the stopping level in the 2-norm, or after _CG_CAP iterations
+# a Newton system is solved to at least this share of the stopping level
+# in the 2-norm, and it is also the forcing term's largest factor;
+# conjugate gradients stop there or after _CG_CAP iterations
 _CG_SHARE = 0.1
 _CG_CAP = 500
 
@@ -368,7 +380,9 @@ def _linear_solver(stencil, c, shape, W, neighbor):
     it is K S r_z for the residual r_z of z, at most 2 dt W max(s) |r_z|:
     z is solved to that share of tol, and as the map back grows z's
     rounding by that factor, an x left above tol gets one iterative
-    refinement step.
+    refinement step.  ``solve_ep`` passes the forcing level as tol for a
+    nonlinear phi and _CG_SHARE times its stopping level for a linear one;
+    banded Cholesky reads tol only in that refinement test.
     """
     short = stencil.n_offsets <= _KERNEL_THRESHOLD
     if short and len(shape) > 1:
@@ -524,8 +538,9 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
                         sweeps=sweeps, residual_field=res_field, fallbacks=fallbacks)
 
     if dt == 0.0 or phi.kind == "zero":
+        # w = rho solves it, and dt L[phi(w)] vanishes: no operator needed
         w = rho_vals.copy()
-        return finish(w, w - dt * apply_stencil(stencil, c, phi.value(w)) - rho_vals, 0, 0)
+        return finish(w, w - rho_vals, 0, 0)
 
     if resolvent is None:
         resolvent = _Resolvent(stencil, c, rho_vals.shape)
@@ -557,7 +572,12 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
                 f"above the tolerance {tol:.3g}",
                 residual=r, sweeps=sweeps, cell=tuple(int(i) for i in cell))
         sweeps += 1
-        for cand in _newton_candidates(phi, solve, w, res, lo, hi, _CG_SHARE * tol):
+        level = _CG_SHARE * tol
+        if phi.kind != "linear":
+            # the quadratic forcing term
+            norm = math.sqrt(_dot(res, res))
+            level = max(level, min(_CG_SHARE, norm) * norm)
+        for cand in _newton_candidates(phi, solve, w, res, lo, hi, level):
             trial = evaluate(cand)
             if trial[2] < r:
                 w, (ns, res, r) = cand, trial

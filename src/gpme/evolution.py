@@ -269,7 +269,8 @@ class RunReport:
                       - leak_diffusive[j] - leak_convective[j]);
     up to rounding it equals residual_mass_cum[j], the accumulated signed
     mass of the reported solver residuals.  ``stencil`` is the measure
-    stencil the run built, kept for the diagnostics and not serialized.
+    stencil the run built and ``neighbor`` its ``_neighbor_operator`` on the
+    grid's box, both kept for the diagnostics and not serialized.
     """
 
     trajectory: Trajectory
@@ -284,6 +285,7 @@ class RunReport:
     min_value: np.ndarray
     max_value: np.ndarray
     stencil: WeightedStencil
+    neighbor: object
 
     def to_json_dict(self):
         return {
@@ -304,7 +306,8 @@ class RunReport:
 def run(problem, grid, time_grid, config=None):
     """March the implicit scheme across time_grid and account for every
     unit of mass; returns a RunReport.  The operator is built once, on the
-    grid's box, for the escape weights and every step's solve."""
+    grid's box, for the escape weights, every step's solve and the
+    report's tail certificates."""
     cfg = config if config is not None else EpSolveConfig()
     stencil = problem.operator.build_stencil(grid)
     c = problem.operator.c
@@ -371,4 +374,4 @@ def run(problem, grid, time_grid, config=None):
                      residual_mass_cum=res_cum, identity_gap=gap,
                      sweeps=np.array(sweeps, dtype=int), residuals=np.array(residuals),
                      min_value=np.array(mins), max_value=np.array(maxs),
-                     stencil=stencil)
+                     stencil=stencil, neighbor=resolvent.neighbor)

@@ -477,13 +477,15 @@ def _neighbor_matrix(stencil, c, shape):
                              shape=(size, size))
 
 
-def apply_stencil(stencil, c, u):
+def apply_stencil(stencil, c, u, neighbor=None):
     """The operator (stencil, c) applied to u, zero extension outside the
-    box."""
+    box.  ``neighbor`` is the operator's ``_neighbor_operator`` on u's box,
+    for a caller that holds one; it is built here when not given."""
     if c not in (0, 1):
         raise ConfigurationError("local factor c must be 0 or 1", field="operator.c")
     vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    out = _neighbor_sum(stencil, c, vals) - _total_weight(stencil, c) * vals
+    ns = _neighbor_sum(stencil, c, vals) if neighbor is None else neighbor(vals)
+    out = ns - _total_weight(stencil, c) * vals
     if isinstance(u, GridFunction):
         return GridFunction(u.grid, out)
     return out

@@ -15,6 +15,7 @@ import pytest
 
 import gpme
 import gpme.elliptic_solver
+import gpme.evolution
 import gpme.levy_operators
 from gpme.cli import main
 from gpme.config import merge_config
@@ -264,25 +265,38 @@ def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
-    # a dense kernel's operator, spectrum and symbol are built once for the
-    # escape weights and every step's solve; the tail certificate, which
-    # applies the operator once per radius, is left out
+def _neighbor_operator_builds(tmp_path, monkeypatch, cfg):
+    """The stencils _neighbor_operator is built for over one gpme run."""
     build = gpme.levy_operators._neighbor_operator
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[0])
         return build(*args, **kwargs)
 
-    for module in (gpme.levy_operators, gpme.elliptic_solver):
+    for module in (gpme.levy_operators, gpme.elliptic_solver, gpme.evolution):
         monkeypatch.setattr(module, "_neighbor_operator", counted)
-    cfg = write_cfg(tmp_path, {"preset": "frac_heat_poisson_1d",
-                               "problem": {"h": 0.125, "T": 0.25},
-                               "diagnostics": {"R_list": []}})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    return calls
+
+
+def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
+    # a dense kernel's operator, spectrum and symbol are built once for the
+    # escape weights, every step's solve and the tail certificate at each
+    # of the preset's radii
+    calls = _neighbor_operator_builds(tmp_path, monkeypatch, {
+        "preset": "frac_heat_poisson_1d", "problem": {"h": 0.125, "T": 0.25}})
     assert len(calls) == 1
-    assert calls[0][0].n_offsets > gpme.levy_operators._KERNEL_THRESHOLD
+    assert calls[0].n_offsets > gpme.levy_operators._KERNEL_THRESHOLD
+
+
+def test_pure_convection_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
+    # with phi = 0 every step's resolvent is w = rho, whose residual needs
+    # no operator
+    calls = _neighbor_operator_builds(tmp_path, monkeypatch, {
+        "preset": "burgers_riemann_1d", "problem": {"h": 0.125, "T": 0.25}})
+    assert len(calls) == 1
 
 
 def _load_bench_tracing():

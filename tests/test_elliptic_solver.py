@@ -367,6 +367,109 @@ def test_cg_cap_is_left_to_the_safeguard(monkeypatch):
         assert out.residual <= cfg.residual_tol * max(1.0, np.max(np.abs(rho)))
 
 
+def _pcg_levels(mp):
+    """Spy on _pcg: the list of the levels the linear solves ask it for."""
+    levels = []
+    real = gpme.elliptic_solver._pcg
+
+    def record(matvec, precondition, b, tol):
+        levels.append(tol)
+        return real(matvec, precondition, b, tol)
+    mp.setattr(gpme.elliptic_solver, "_pcg", record)
+    return levels
+
+
+@pytest.mark.parametrize("path", ["csr", "dense_circulant"])
+def test_linear_phi_solves_to_the_fixed_level(monkeypatch, path):
+    # a linear phi's Newton system is the problem itself: it is solved to
+    # _CG_SHARE times the stopping level, so every step takes one Newton step
+    if path == "csr":
+        g = UniformGrid.from_box(2, 0.25, 2.0)
+        stencil, c = WeightedStencil.empty(g.h, g.dim), 1
+    else:
+        g = UniformGrid.from_box(1, 0.125, 2.0)
+        stencil, c = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g), 0
+        assert stencil.n_offsets > _KERNEL_THRESHOLD
+    levels = _pcg_levels(monkeypatch)
+    resolvent = _Resolvent(stencil, c, g.shape)
+    cfg = EpSolveConfig()
+    u = 2.0 * np.exp(-g.node_radii() ** 2)
+    for _ in range(3):
+        tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(u))))
+        levels.clear()
+        out = solve_ep(stencil, c, PhiSpec(kind="linear"), 0.1, u, config=cfg,
+                       resolvent=resolvent)
+        assert out.sweeps == 1 and levels == [gpme.elliptic_solver._CG_SHARE * tol]
+        assert out.residual <= tol
+        u = out.w
+
+
+def test_nonlinear_phi_takes_the_forcing_level(monkeypatch):
+    # m = 2 on a dense plane: the first Newton step's linear solve need only
+    # reach min(_CG_SHARE, |F(w)|_2) |F(w)|_2, far above _CG_SHARE tol; in the
+    # w form _pcg is asked for that level over 2 dt W max(s), s = phi'(w)^(1/2)
+    g = UniformGrid.from_box(2, 0.5, 2.0)
+    stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g)
+    phi, dt, share = PhiSpec(kind="power", exponent=2.0), 0.25, gpme.elliptic_solver._CG_SHARE
+    rho = np.random.default_rng(7).uniform(0.0, 1.5, size=g.shape)
+    tol = EpSolveConfig().residual_tol * float(np.max(rho))
+    levels = _pcg_levels(monkeypatch)
+    out = solve_ep(stencil, 1, phi, dt, rho)
+    norm = float(np.linalg.norm(dt * apply_stencil(stencil, 1, phi.value(rho))))
+    dtW2 = 2.0 * dt * _total_weight(stencil, 1)
+    assert norm * norm > share * tol
+    assert levels[0] == pytest.approx(min(share, norm) * norm / (dtW2 * np.sqrt(2.0 * np.max(rho))),
+                                      rel=1e-12)
+    # the levels fall with the residual, and never below the fixed level
+    # (s is at most (2 max rho)^(1/2) inside the bracket)
+    assert levels == sorted(levels, reverse=True) and len(levels) == out.sweeps > 1
+    assert levels[-1] >= share * tol / (dtW2 * np.sqrt(2.0 * np.max(rho)))
+    assert out.residual <= tol
+
+
+# the whole Newton iteration on each conjugate-gradient path: (dim, h,
+# measure reach in cells or None for the box diameter, c)
+NEWTON_PATHS = {
+    "dense_1d_c0": (1, 0.125, None, 0),
+    "dense_1d_c1": (1, 0.125, None, 1),
+    "csr_2d": (2, 0.5, 2, 1),
+    "dense_2d": (2, 0.5, None, 1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(NEWTON_PATHS))
+def test_newton_iteration_property(path):
+    # any nonlinear phi, data from 1e-8 to 1e6, signed or nonnegative with
+    # zeros (where the bracket's 0 is tight), and any dt: the solve meets
+    # the stopping level inside the comparison bracket, or names a cell
+    dim, h, reach, c = NEWTON_PATHS[path]
+    g = UniformGrid.from_box(dim, h, 2.0)
+    stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
+                              support_radius=None if reach is None else reach * h)
+    resolvent = _Resolvent(stencil, c, g.shape)
+    cfg = EpSolveConfig()
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["power_0.5", "power_2", "stefan", "table"]),
+           decades=st.floats(-8.0, 6.0), dt=st.floats(1e-3, 2.0),
+           signed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def check(name, decades, dt, signed, seed):
+        phi = PHIS[name]
+        rho = np.random.default_rng(seed).uniform(-0.5, 1.5, size=g.shape)
+        rho = 10.0 ** decades * (rho if signed else np.maximum(rho, 0.0))
+        tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho))))
+        try:
+            out = solve_ep(stencil, c, phi, dt, rho, config=cfg, resolvent=resolvent)
+        except NonConvergenceError as exc:
+            assert len(exc.cell) == dim and all(0 <= i < n for i, n in zip(exc.cell, g.shape))
+            return
+        w = out.w
+        res = w - dt * apply_stencil(stencil, c, phi.value(w)) - rho
+        assert out.residual <= tol and np.max(np.abs(res)) <= tol
+        assert min(0.0, np.min(rho)) <= np.min(w) and np.max(w) <= max(0.0, np.max(rho))
+    check()
+
+
 def test_stefan_newton_falls_back_and_converges():
     # Newton's linearization misjudges nodes that cross the latent plateau
     g = UniformGrid.from_box(1, 0.1, 3.0)
