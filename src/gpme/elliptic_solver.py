@@ -60,8 +60,7 @@ from scipy.linalg import solveh_banded
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import GridFunction
-from .levy_operators import (_KERNEL_THRESHOLD, _circular, _neighbor_matrix,
-                             _neighbor_operator, _total_weight)
+from .levy_operators import _circular, _neighbor_operator, _total_weight
 # not called here; bench/tracing.py wraps this module's apply_stencil
 from .levy_operators import apply_stencil  # noqa: F401
 
@@ -298,28 +297,20 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
                                cfg.max_scalar_iter)
 
 
-def _banded_cholesky(stencil, c, n, W):
-    """at(dt) -> solve(a, s, b, tol): z with (diag(a) + S K S) z = b for a
-    short stencil on a line of n nodes, by banded Cholesky (LAPACK pbsv, or
-    ptsv for a tridiagonal band) on upper band storage.  Offset gamma > 0
-    of the neighbor sum sits on row k - gamma, k the half-bandwidth: its
-    entry in column j is -dt w_gamma s_(j-gamma) s_j wherever node
-    j - gamma lies on the line, and the mirrored offset's entries are the
-    omitted lower half.  Offsets as long as the line never land on it, so
-    k is at most n - 1."""
-    offsets = stencil.offsets[:, 0].tolist()
-    weights = stencil.weights.tolist()
-    if c:
-        offsets += [1, -1]
-        weights += [1.0 / stencil.h ** 2] * 2
-    k = min(max(map(abs, offsets), default=0), n - 1)
-    band = [(off, w) for off, w in zip(offsets, weights) if 0 < off <= k]
+def _banded_cholesky(matrix, n, W):
+    """at(dt) -> solve(a, s, b, tol): z with (diag(a) + S K S) z = b on a
+    line of n nodes, K = dt (W I - A) and A the short stencil's CSR
+    ``matrix``, by banded Cholesky (LAPACK pbsv, or ptsv for a tridiagonal
+    band) on upper band storage.  Diagonal j > 0 of A sits on row k - j,
+    k the half-bandwidth: its entry in column i is -dt A[i - j, i]
+    s_(i-j) s_i, and the lower half is omitted."""
+    coo = matrix.tocoo()
+    k = int(np.max(coo.col - coo.row, initial=0))
 
     def at(dt):
         upper = np.zeros((k + 1, n))
-        for off, w in band:
-            # a measure offset on a nearest neighbor adds to its weight
-            upper[k - off, off:] -= dt * w
+        for off in range(1, k + 1):
+            upper[k - off, off:] -= dt * matrix.diagonal(off)
 
         def solve(a, s, b, tol):
             ab = upper * s
@@ -346,12 +337,13 @@ def _circulant(neighbor, lam, shape):
     return lambda r: _circular(r.reshape(shape), inverse, neighbor.lengths).ravel()
 
 
-def _linear_solver(stencil, c, shape, W, neighbor):
+def _linear_solver(shape, W, neighbor):
     """at(dt) -> solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs,
     where K = dt (W I - A) is the matrix of -dt L on a box of the given
-    shape, for the two systems a Newton step builds: d = 1 with a >= 0 (in
-    v), or a = 1 with d >= 0 (in w).  Everything that does not depend on
-    dt is built here, once for all the solves on the box.
+    shape, A the neighbor sum ``neighbor``, for the two systems a Newton
+    step builds: d = 1 with a >= 0 (in v), or a = 1 with d >= 0 (in w).
+    Everything that does not depend on dt is built here, once for all the
+    solves on the box.
 
     The weights are symmetric, so K is a symmetric nonsingular M-matrix,
     hence positive definite, and both systems are solved in the SPD form
@@ -360,16 +352,15 @@ def _linear_solver(stencil, c, shape, W, neighbor):
     x = rhs - K S z, which divides by no entry of d (the flat part of a
     Stefan nonlinearity, d = 0, needs no care).
 
-    Up to ``_KERNEL_THRESHOLD`` measure offsets on the line the SPD system
-    is solved directly, by banded Cholesky (``_banded_cholesky``).  For
-    N >= 2 and for every dense kernel it is solved by preconditioned
-    conjugate gradients (``_pcg``).  A short stencil's K is the CSR matrix
-    from ``levy_operators._neighbor_matrix``, with a Jacobi
-    preconditioner.  A dense kernel's A is applied through ``neighbor``'s
-    rFFT spectrum.  There K is block Toeplitz, the restriction to the box
-    of the circulant dt (W - symbol) on ``neighbor``'s circular lengths,
-    so for a constant a > 0 and a constant s (a linear phi) the system is
-    preconditioned by the inverse of the circulant with eigenvalues
+    A short stencil's A is ``neighbor.matrix``.  On the line the SPD
+    system is solved directly, by banded Cholesky on that matrix's band
+    (``_banded_cholesky``); for N >= 2, by conjugate gradients (``_pcg``)
+    on W I - A with a Jacobi preconditioner.  A dense kernel's A is
+    applied through ``neighbor`` and its system solved by ``_pcg``.  There
+    K is block Toeplitz, the restriction to the box of the circulant
+    dt (W - symbol) on ``neighbor``'s circular lengths, so for a constant
+    a > 0 and a constant s (a linear phi) the system is preconditioned by
+    the inverse of the circulant with eigenvalues
     lam = a + s^2 dt (W - symbol) (``_circulant``; T. Chan, SIAM J. Sci.
     Stat. Comput. 9, 1988; Lei & Sun, J. Comput. Phys. 242, 2013).  The
     kept weights sum to at most W, so lam >= a > 0.  Any other a or s,
@@ -384,10 +375,10 @@ def _linear_solver(stencil, c, shape, W, neighbor):
     nonlinear phi and _CG_SHARE times its stopping level for a linear one;
     banded Cholesky reads tol only in that refinement test.
     """
-    short = stencil.n_offsets <= _KERNEL_THRESHOLD
+    short = neighbor.spectrum is None
     if short and len(shape) > 1:
         size = math.prod(shape)
-        base = W * sparse.identity(size, format="csr") - _neighbor_matrix(stencil, c, shape)
+        base = W * sparse.identity(size, format="csr") - neighbor.matrix
         # every row stores its diagonal, so diag(a) + S K S is the same
         # sparsity with the entries rescaled
         rows = np.repeat(np.arange(size), np.diff(base.indptr))
@@ -407,7 +398,7 @@ def _linear_solver(stencil, c, shape, W, neighbor):
             return lambda y: dt * (W * y - neighbor(y.reshape(shape)).ravel())
 
         if short:
-            banded = _banded_cholesky(stencil, c, shape[0], W)
+            banded = _banded_cholesky(neighbor.matrix, shape[0], W)
 
             def system(dt):
                 return matvec(dt), banded(dt)
@@ -453,7 +444,7 @@ class _Resolvent:
     def __init__(self, stencil, c, shape):
         self.W = _total_weight(stencil, c)
         self.neighbor = _neighbor_operator(stencil, c, shape)
-        self.linear_solver = _linear_solver(stencil, c, shape, self.W, self.neighbor)
+        self.linear_solver = _linear_solver(shape, self.W, self.neighbor)
 
 
 def _dot(u, v):

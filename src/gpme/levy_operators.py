@@ -9,18 +9,19 @@ with nonnegative weights.  The discrete operator is the pair (stencil, c):
 
 the measure quadrature plus, for c = 1, the standard second-difference
 Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
-(with ``_neighbor_sum`` for a single array) and ``_total_weight``: a shift
-loop for short stencils, and for dense kernels an rFFT convolution whose
-kernel spectrum is computed once per operator and reused by every
-application; that operator also exposes the real symbol of the whole
-neighbor sum, which the resolvent inverts as a circulant preconditioner.
-``_neighbor_matrix`` writes the neighbor sum of a short stencil in two
-and more dimensions as a sparse matrix, on which the resolvent's Newton
-steps run conjugate gradients, and ``combine_with_laplacian`` merges
-the two parts into one weight list for inspection only (``gpme stencil``
-and the moment checks).  Weights for a jump measure are the measure of
-each lattice cell, so the total mass on any region is preserved by
-construction; the origin cell is excluded.
+(with ``_neighbor_sum`` for a single array) and ``_total_weight``, which
+stores each part of the operator in one form, built once per box: a short
+stencil, c/h^2 nearest neighbors included, as the CSR matrix of
+``_neighbor_matrix``; a dense kernel as its rFFT spectrum, reused by every
+application, plus for c = 1 the nearest neighbors as a CSR matrix.  The
+resolvent's Newton steps read the same object: the short stencil's matrix
+(banded Cholesky on the line, conjugate gradients above it), and the
+dense kernel's real symbol, which it inverts as a circulant
+preconditioner.  ``combine_with_laplacian`` merges the two parts into one
+weight list for inspection only (``gpme stencil`` and the moment checks).
+Weights for a jump measure are the measure of each lattice cell, so the
+total mass on any region is preserved by construction; the origin cell is
+excluded.
 
 ``measure_stencil`` builds them by one path in every dimension.  The
 measures are radial, so a cell and its images under the lattice's
@@ -42,7 +43,7 @@ import numpy as np
 from scipy import fft, integrate, sparse
 
 from .errors import ConfigurationError, StencilError
-from .grid_field import GridFunction, _format_float, shifted
+from .grid_field import GridFunction, _format_float
 from .profiles import sphere_area
 
 __all__ = [
@@ -59,9 +60,9 @@ __all__ = [
     "write_stencil_csv",
 ]
 
-# up to this offset count the shift loop applies a stencil, and the
-# resolvent's Newton steps are solved by banded Cholesky on the line and
-# by conjugate gradients on a CSR matrix above it; beyond it, rFFT
+# up to this offset count a stencil is stored and applied as a CSR matrix,
+# on which the resolvent's Newton steps are solved by banded Cholesky on
+# the line and by conjugate gradients above it; beyond it, by rFFT
 # convolution, and conjugate gradients applying it matrix-free
 _KERNEL_THRESHOLD = 64
 
@@ -351,19 +352,27 @@ class _NeighborOperator:
     """The neighbor sum of the operator (stencil, c) on one box, as
     ``_neighbor_operator`` builds it: calling it applies the map.
 
-    For a dense kernel it also carries the circular lengths L of its rFFT
-    convolution and the real ``symbol`` of the whole neighbor sum on them:
-    the kernel's spectrum plus, for c = 1, 2/h^2 sum_i cos(2 pi k_i / L_i)
-    for the nearest neighbors.  Restricted to the box,
-    ``_circular(values, symbol, lengths)`` is the neighbor sum.  Both are
-    None for a short stencil."""
+    ``matrix`` is a CSR matrix over the C-order flattened nodes: the whole
+    neighbor sum of a short stencil, or the c/h^2 nearest neighbors of a
+    dense kernel (None for c = 0).  A dense kernel also carries its rFFT
+    ``spectrum`` on the circular lengths L and the real ``symbol`` of the
+    whole neighbor sum on them: the spectrum plus, for c = 1,
+    2/h^2 sum_i cos(2 pi k_i / L_i) for the nearest neighbors.  Restricted
+    to the box, ``_circular(values, symbol, lengths)`` is the neighbor sum.
+    The last three are None for a short stencil."""
 
-    apply: object
+    matrix: object = None
+    spectrum: np.ndarray = None
     lengths: tuple = None
     symbol: np.ndarray = None
 
     def __call__(self, values):
-        return self.apply(values)
+        if self.spectrum is None:
+            return self.matrix.dot(values.ravel()).reshape(values.shape)
+        out = _circular(values, self.spectrum, self.lengths)
+        if self.matrix is not None:
+            out += self.matrix.dot(values.ravel()).reshape(values.shape)
+        return out
 
 
 def _circular(values, multiplier, lengths):
@@ -381,62 +390,37 @@ def _neighbor_operator(stencil, c, shape):
     ``_NeighborOperator``.  A caller that applies it many times on one box
     builds it once (``evolution.run`` does, for a whole run).
 
-    Up to ``_KERNEL_THRESHOLD`` offsets the shift loop sums the terms.
-    Above it the measure part is a circular convolution by rFFT with the
-    kernel's spectrum, computed here once for every later call.  The
-    kernel is symmetric, so correlation equals convolution and its
-    spectrum is real.  Offsets at least n_i long on some axis never land
-    in the box and are dropped; with the rest reaching K_i (at least 1 for
-    c = 1), a circular length of n_i + K_i per axis wraps every jump out of
-    the box onto the zero padding, never onto a node.  The same holds for
-    the nearest neighbors, so the symbol, with their cosines added to the
+    Up to ``_KERNEL_THRESHOLD`` offsets the whole map is
+    ``_neighbor_matrix(stencil, c, shape)``.  Above it the measure part is
+    a circular convolution by rFFT with the kernel's spectrum, computed
+    here once for every later call, and for c = 1 the nearest neighbors
+    are ``_neighbor_matrix`` of the empty stencil.  The kernel is
+    symmetric, so correlation equals convolution and its spectrum is
+    real.  Offsets at least n_i long on some axis never land in the box
+    and are dropped; with the rest reaching K_i (at least 1 for c = 1), a
+    circular length of n_i + K_i per axis wraps every jump out of the box
+    onto the zero padding, never onto a node.  The same holds for the
+    nearest neighbors, so the symbol, with their cosines added to the
     spectrum, gives the whole neighbor sum on the box.
     """
-    inv_h2 = 1.0 / stencil.h ** 2
-    lengths = symbol = None
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
-        def measure(values):
-            out = np.zeros_like(values)
-            for off, w in zip(stencil.offsets, stencil.weights):
-                out += w * shifted(values, tuple(off))
-            return out
-    else:
-        inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
-        offsets = stencil.offsets[inside]
-        reach = np.max(np.abs(offsets), axis=0, initial=c)
-        lengths = tuple(fft.next_fast_len(int(n + k), real=True)
-                        for n, k in zip(shape, reach))
-        kernel = np.zeros(lengths)
-        kernel[tuple(offsets.T)] = stencil.weights[inside]
-        spectrum = fft.rfftn(kernel).real
-        symbol = spectrum
-        for axis, L in enumerate(lengths if c else ()):
-            # the last axis holds the rFFT's half spectrum, k <= L/2
-            k = np.arange(spectrum.shape[axis]).reshape(
-                [-1 if i == axis else 1 for i in range(stencil.dim)])
-            symbol = symbol + 2.0 * inv_h2 * np.cos(2.0 * np.pi * k / L)
-
-        def measure(values):
-            return _circular(values, spectrum, lengths)
-    # -e_0, ..., -e_{N-1}, +e_{N-1}, ..., +e_0 is the order the merged
-    # offsets sort in, so a pure Laplacian rounds as its weight list does
-    steps = [(i, -1) for i in range(stencil.dim)]
-    steps += [(i, 1) for i in reversed(range(stencil.dim))]
-    moves = []
-    for axis, step in steps:
-        dst = [slice(None)] * stencil.dim
-        src = [slice(None)] * stencil.dim
-        dst[axis] = slice(1, None) if step < 0 else slice(None, -1)
-        src[axis] = slice(None, -1) if step < 0 else slice(1, None)
-        moves.append((tuple(dst), tuple(src)))
-
-    def apply(values):
-        out = measure(values)
-        if c:
-            for dst, src in moves:
-                out[dst] += inv_h2 * values[src]
-        return out
-    return _NeighborOperator(apply, lengths, symbol)
+        return _NeighborOperator(_neighbor_matrix(stencil, c, shape))
+    inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
+    offsets = stencil.offsets[inside]
+    reach = np.max(np.abs(offsets), axis=0, initial=c)
+    lengths = tuple(fft.next_fast_len(int(n + k), real=True)
+                    for n, k in zip(shape, reach))
+    kernel = np.zeros(lengths)
+    kernel[tuple(offsets.T)] = stencil.weights[inside]
+    spectrum = fft.rfftn(kernel).real
+    symbol = spectrum
+    for axis, L in enumerate(lengths if c else ()):
+        # the last axis holds the rFFT's half spectrum, k <= L/2
+        k = np.arange(spectrum.shape[axis]).reshape(
+            [-1 if i == axis else 1 for i in range(stencil.dim)])
+        symbol = symbol + 2.0 / stencil.h ** 2 * np.cos(2.0 * np.pi * k / L)
+    near = _neighbor_matrix(WeightedStencil.empty(stencil.h, stencil.dim), 1, shape) if c else None
+    return _NeighborOperator(near, spectrum, lengths, symbol)
 
 
 def _neighbor_sum(stencil, c, values):
@@ -445,12 +429,12 @@ def _neighbor_sum(stencil, c, values):
 
 
 def _neighbor_matrix(stencil, c, shape):
-    """The linear map values -> _neighbor_sum(stencil, c, values) on a box
-    of the given shape, as a CSR matrix over the C-order flattened nodes:
-    the same offsets and weights, the same c/h^2 nearest neighbors and the
-    same zero extension (a jump leaving the box has no column).  The
-    resolvent builds it for short stencils with N >= 2; on the line a
-    short stencil's Newton system goes to band storage instead."""
+    """The neighbor sum of the stencil plus c/h^2 times the 2N nearest
+    neighbors on a box of the given shape, as a CSR matrix over the C-order
+    flattened nodes, with zero extension (a jump leaving the box has no
+    column).  A measure offset on a nearest neighbor shares its entry, and
+    each row's entries sit in column order, which is the offsets'
+    lexicographic order."""
     offsets = list(stencil.offsets)
     weights = list(stencil.weights)
     if c:

@@ -88,7 +88,7 @@ class SpatialProfile:
         R = weight.R
         if self.dim == 1:
             def g(x):
-                return abs(float(self.value(np.array([[x]]))[0])) * weight._value_at(abs(x))
+                return _abs_value_at(self, x) * weight._value_at(abs(x))
 
             inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
             inner += integrate.quad(g, -R, -0.5 * R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
@@ -97,8 +97,7 @@ class SpatialProfile:
             area = sphere_area(self.dim)
 
             def g(r):
-                v = abs(float(self.value(np.array([[r] + [0.0] * (self.dim - 1)]))[0]))
-                return area * r ** (self.dim - 1) * v * weight._value_at(r)
+                return area * r ** (self.dim - 1) * _abs_value_at(self, r) * weight._value_at(r)
 
             inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
             return inner + self.abs_tail_mass(R)
@@ -348,9 +347,17 @@ class StepProfile(SpatialProfile):
         return max(abs(self.left), abs(self.right))
 
 
+def _abs_value_at(profile, x):
+    """|f| at the point (x, 0, ..., 0): the one-point evaluation of every
+    quadrature integrand here."""
+    point = np.zeros((1, profile.dim))
+    point[0, 0] = x
+    return abs(float(profile.value(point)[0]))
+
+
 def _tail_abs_quad_1d(profile, R):
     def g(x):
-        return abs(float(profile.value(np.array([[x]]))[0]))
+        return _abs_value_at(profile, x)
 
     lo, hi = profile._quad_window()
     out = 0.0
@@ -365,9 +372,7 @@ def _tail_abs_quad_radial(profile, R):
     area = sphere_area(profile.dim)
 
     def g(r):
-        point = np.zeros((1, profile.dim))
-        point[0, 0] = r
-        return area * r ** (profile.dim - 1) * abs(float(profile.value(point)[0]))
+        return area * r ** (profile.dim - 1) * _abs_value_at(profile, r)
 
     hi = max(profile._quad_window()[1], R + 1.0)
     return integrate.quad(g, R, hi, epsabs=1e-12, epsrel=1e-10, limit=200)[0]

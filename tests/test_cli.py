@@ -266,37 +266,43 @@ def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
 
 
 def _neighbor_operator_builds(tmp_path, monkeypatch, cfg):
-    """The stencils _neighbor_operator is built for over one gpme run."""
-    build = gpme.levy_operators._neighbor_operator
-    calls = []
+    """The stencils _neighbor_operator is built for over one gpme run, and
+    the number of CSR matrices _neighbor_matrix builds for it."""
+    build, assemble = gpme.levy_operators._neighbor_operator, gpme.levy_operators._neighbor_matrix
+    calls, matrices = [], []
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return build(*args, **kwargs)
 
+    def counted_matrix(*args, **kwargs):
+        matrices.append(args[0])
+        return assemble(*args, **kwargs)
+
     for module in (gpme.levy_operators, gpme.elliptic_solver, gpme.evolution):
         monkeypatch.setattr(module, "_neighbor_operator", counted)
+    monkeypatch.setattr(gpme.levy_operators, "_neighbor_matrix", counted_matrix)
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 0
-    return calls
+    return calls, len(matrices)
 
 
 def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
     # a dense kernel's operator, spectrum and symbol are built once for the
     # escape weights, every step's solve and the tail certificate at each
-    # of the preset's radii
-    calls = _neighbor_operator_builds(tmp_path, monkeypatch, {
+    # of the preset's radii; with c = 0 it has no CSR part
+    calls, matrices = _neighbor_operator_builds(tmp_path, monkeypatch, {
         "preset": "frac_heat_poisson_1d", "problem": {"h": 0.125, "T": 0.25}})
-    assert len(calls) == 1
+    assert len(calls) == 1 and matrices == 0
     assert calls[0].n_offsets > gpme.levy_operators._KERNEL_THRESHOLD
 
 
 def test_pure_convection_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
     # with phi = 0 every step's resolvent is w = rho, whose residual needs
-    # no operator
-    calls = _neighbor_operator_builds(tmp_path, monkeypatch, {
+    # no operator; the Laplacian's one CSR matrix serves the escape weights
+    calls, matrices = _neighbor_operator_builds(tmp_path, monkeypatch, {
         "preset": "burgers_riemann_1d", "problem": {"h": 0.125, "T": 0.25}})
-    assert len(calls) == 1
+    assert len(calls) == 1 and matrices == 1
 
 
 def _load_bench_tracing():

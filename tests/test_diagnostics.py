@@ -107,16 +107,15 @@ def test_ct_distance_zero_self_positive_shifted():
         ct_lr_distance(a, c)
 
 
-def _small_run(name, **solver):
+def _small_run(name):
     plan = build_plan(load_config(name))
     rep = run(plan.problem, plan.grid, plan.time_grid,
-              config=EpSolveConfig(residual_tol=1e-13,
-                                   max_sweeps=solver.get("max_sweeps", 200000)))
+              config=EpSolveConfig(residual_tol=1e-13))
     return plan, rep
 
 
 def test_equitightness_bound_holds_for_heat():
-    plan, rep = _small_run("heat_gaussian_1d", max_sweeps=20000)
+    plan, rep = _small_run("heat_gaussian_1d")
     st = plan.problem.operator.build_stencil(plan.grid)
     for R in (1.5, 3.0):
         report = equitightness_check(rep.trajectory, plan.problem, R, stencil=st)
@@ -152,7 +151,7 @@ def test_equitightness_not_asserted_with_flux_at_finite_p():
 
 
 def test_equitightness_report_serializes():
-    plan, rep = _small_run("heat_gaussian_1d", max_sweeps=20000)
+    plan, rep = _small_run("heat_gaussian_1d")
     report = equitightness_check(rep.trajectory, plan.problem, 1.5)
     blob = json.dumps(report.to_json_dict())
     back = json.loads(blob)

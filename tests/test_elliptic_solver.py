@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpme.elliptic_solver
+import gpme.levy_operators
 from gpme.errors import ConfigurationError, NonConvergenceError
 from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg, _Resolvent,
                                   _solve_scalar_batch, solve_ep)
 from gpme.grid_field import GridFunction, UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
-                                 _neighbor_matrix, _neighbor_sum, _total_weight,
-                                 apply_stencil, combine_with_laplacian, laplacian_stencil,
-                                 measure_stencil)
+                                 _neighbor_matrix, _neighbor_operator, _neighbor_sum,
+                                 _total_weight, apply_stencil, combine_with_laplacian,
+                                 laplacian_stencil, measure_stencil)
 
 
 def scalar_root(phi, lam, b):
@@ -87,7 +88,7 @@ def test_sup_norm_bound():
     rng = np.random.default_rng(5)
     rho = rng.uniform(-1.0, 2.0, size=g.shape)
     out = solve_ep(laplacian_stencil(g), 0, phi, 0.4, GridFunction(g, rho),
-                   config=EpSolveConfig(residual_tol=1e-12, max_sweeps=200000))
+                   config=EpSolveConfig(residual_tol=1e-12))
     assert np.max(np.abs(out.w.values)) <= np.max(np.abs(rho)) + 1e-10
 
 
@@ -95,7 +96,7 @@ def test_residual_field_recomputed():
     g = UniformGrid.from_box(1, 0.5, 2.0)
     rho = GridFunction(g, np.ones(g.shape))
     out = solve_ep(laplacian_stencil(g), 0, PhiSpec(kind="power", exponent=2.0),
-                   0.25, rho, config=EpSolveConfig(residual_tol=1e-12, max_sweeps=50000))
+                   0.25, rho, config=EpSolveConfig(residual_tol=1e-12))
     assert np.max(np.abs(out.residual_field)) == pytest.approx(out.residual)
     assert out.residual <= 1e-12
 
@@ -103,7 +104,7 @@ def test_residual_field_recomputed():
 def test_warm_start_reaches_same_fixed_point():
     g = UniformGrid.from_box(1, 0.25, 2.0)
     phi = PhiSpec(kind="power", exponent=2.0)
-    cfg = EpSolveConfig(residual_tol=1e-13, max_sweeps=100000)
+    cfg = EpSolveConfig(residual_tol=1e-13)
     rho = GridFunction(g, np.cos(g.axis_coords(0)))
     cold = solve_ep(laplacian_stencil(g), 0, phi, 0.3, rho, config=cfg).w
     warm = solve_ep(laplacian_stencil(g), 0, phi, 0.3, rho, config=cfg,
@@ -206,15 +207,14 @@ def _line_stencil(name):
     pytest.param("reach_4", 1, 3, id="reach_4-3_nodes"),
 ])
 def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
-    # the line's short-stencil Newton system, solved from band storage,
-    # against the dense matrix of _neighbor_matrix
+    # the line's short-stencil Newton system, solved from the band of the
+    # operator's CSR matrix, against the dense matrix of _neighbor_matrix
     st = _line_stencil(name)
     W, dt = _total_weight(st, c), 0.1
     K = dt * (W * np.eye(n) - _neighbor_matrix(st, c, (n,)).toarray())
-
-    def refuse(*args):
-        raise AssertionError("a sparse matrix was assembled on the line")
-    monkeypatch.setattr(gpme.elliptic_solver, "_neighbor_matrix", refuse)
+    taken = []
+    for spied in ("solveh_banded", "_pcg"):
+        monkeypatch.setattr(gpme.elliptic_solver, spied, _spy(taken, spied))
     solve = _Resolvent(st, c, (n,)).linear_solver(dt)
     rng = np.random.default_rng(n)
     rhs = rng.normal(size=n)
@@ -227,11 +227,12 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
         x = solve(a, d, rhs, 0.0)
         ref = np.linalg.solve(np.diag(a) + K * d, rhs)
         np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
-    # a whole solve on the line takes Newton steps without a sparse matrix
+    # a whole solve on the line takes Newton steps, by Cholesky alone
     g = UniformGrid.from_box(1, st.h, 2.0)
     out = solve_ep(st, c, PhiSpec(kind="power", exponent=2.0), dt,
                    np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape))
     assert out.sweeps > out.fallbacks
+    assert set(taken) == {"solveh_banded"}
 
 
 @pytest.mark.parametrize("n", [15, 60])
@@ -254,10 +255,10 @@ def test_pcg_matches_a_direct_solve(n, preconditioned):
 
 
 def _dense_K(stencil, c, shape, dt):
-    """K = dt (W I - A), A assembled column by column from _neighbor_sum."""
+    """K = dt (W I - A), A assembled column by column from the operator."""
     size = int(np.prod(shape))
-    A = np.column_stack([_neighbor_sum(stencil, c, e.reshape(shape)).ravel()
-                         for e in np.eye(size)])
+    neighbor = _neighbor_operator(stencil, c, shape)
+    A = np.column_stack([neighbor(e.reshape(shape)).ravel() for e in np.eye(size)])
     return dt * (_total_weight(stencil, c) * np.eye(size) - A)
 
 
@@ -275,8 +276,8 @@ SOLVE_PATHS = {
 }
 
 
-def _spy(taken, name):
-    real = getattr(gpme.elliptic_solver, name)
+def _spy(taken, name, module=gpme.elliptic_solver):
+    real = getattr(module, name)
 
     def record(*args, **kwargs):
         taken.append(name)
@@ -291,10 +292,11 @@ def test_linear_solve_property(path):
     stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                               support_radius=None if reach is None else reach * h)
     n = int(np.prod(g.shape))
-    # what the path calls once per box, and per SPD solve: a dense kernel is
-    # preconditioned by its circulant for constant coefficients, by Jacobi
-    # otherwise
-    setup = ["_neighbor_matrix"] if path == "csr_cg" else []
+    # what the path calls per SPD solve: a dense kernel is preconditioned by
+    # its circulant for constant coefficients, by Jacobi otherwise; and the
+    # CSR matrices built per box, one where the operator has a CSR part (a
+    # short stencil, or a dense kernel's nearest neighbors)
+    builds = 1 if reach is not None or c else 0
     per_solve = {"banded": ["solveh_banded"], "csr_cg": ["_jacobi", "_pcg"]}.get(
         path, ["_jacobi" if coefficients == "varying" else "_circulant", "_pcg"])
     taken = []
@@ -316,13 +318,18 @@ def test_linear_solve_property(path):
         W = _total_weight(stencil, c)
         tol = 1e-12 * np.linalg.norm(rhs)
         taken.clear()
+        built = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("solveh_banded", "_pcg", "_neighbor_matrix", "_jacobi", "_circulant"):
+            for name in ("solveh_banded", "_pcg", "_jacobi", "_circulant"):
                 mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
+            mp.setattr(gpme.levy_operators, "_neighbor_matrix",
+                       _spy(built, "_neighbor_matrix", gpme.levy_operators))
             solve = _Resolvent(stencil, c, g.shape).linear_solver(dt)
+            assert len(built) == builds
             x = solve(a, d, rhs, tol)
         # one SPD solve, and one more if x takes a refinement step
-        assert taken in (setup + per_solve, setup + 2 * per_solve)
+        assert taken in (per_solve, 2 * per_solve)
+        assert len(built) == builds
         J = np.diag(a) + _dense_K(stencil, c, g.shape, dt) * d
         assert np.linalg.norm(J @ x - rhs) <= tol + 1e-14 * dt * W * np.linalg.norm(rhs)
         ref = np.linalg.solve(J, rhs)
@@ -468,6 +475,25 @@ def test_newton_iteration_property(path):
         assert out.residual <= tol and np.max(np.abs(res)) <= tol
         assert min(0.0, np.min(rho)) <= np.min(w) and np.max(w) <= max(0.0, np.max(rho))
     check()
+
+
+@pytest.mark.parametrize("name", ["power_2", "power_0.5"])
+def test_newton_candidates_stay_in_the_bracket(name):
+    # a Newton step that overshoots both ends of [lo, hi], in w (m = 2) or
+    # in v = phi(w) (m = 1/2): the step and all its halvings are clipped
+    w = np.array([[0.5, 0.5], [0.1, 0.9]])
+    lo, hi = 0.0, 1.0
+
+    def solve(a, d, rhs, tol):
+        return np.array([40.0, -40.0, 40.0, -40.0])
+    candidates = list(gpme.elliptic_solver._newton_candidates(
+        PHIS[name], solve, w, np.zeros_like(w), lo, hi, 1e-13))
+    assert len(candidates) == gpme.elliptic_solver._HALVINGS + 1
+    for cand in candidates:
+        assert cand.shape == w.shape
+        assert np.all(cand >= lo) and np.all(cand <= hi)
+    # the last halving still leaves the bracket, so every candidate is clipped
+    assert np.array_equal(candidates[-1], [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_stefan_newton_falls_back_and_converges():

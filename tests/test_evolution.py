@@ -61,7 +61,7 @@ def test_escape_weights_boundary_only():
 def test_run_ledger_identity_pme():
     plan = build_plan(load_config("pme_barenblatt_1d"))
     rep = run(plan.problem, plan.grid, plan.time_grid,
-              config=EpSolveConfig(residual_tol=1e-13, max_sweeps=100000))
+              config=EpSolveConfig(residual_tol=1e-13))
     m0 = rep.mass[0]
     assert np.max(np.abs(rep.identity_gap)) <= 1e-9 * (1.0 + m0)
     assert rep.trajectory.time_grid.knots[-1] == pytest.approx(0.5)
@@ -75,7 +75,7 @@ def test_run_with_source_ledger():
     }}})
     plan = build_plan(cfg)
     rep = run(plan.problem, plan.grid, plan.time_grid,
-              config=EpSolveConfig(residual_tol=1e-13, max_sweeps=20000))
+              config=EpSolveConfig(residual_tol=1e-13))
     assert rep.source_cum[-1] > 0.0
     assert np.max(np.abs(rep.identity_gap)) <= 1e-9 * (1.0 + rep.mass[0])
 
@@ -87,7 +87,7 @@ def test_pme_compact_support_no_leak():
                            if hasattr(plan.problem.initial, "coeff")
                            else BarenblattProfile.coeff_for_unit_mass(), 1.0)
     rep = run(plan.problem, plan.grid, plan.time_grid,
-              config=EpSolveConfig(residual_tol=1e-13, max_sweeps=100000))
+              config=EpSolveConfig(residual_tol=1e-13))
     assert abs(rep.leak_diffusive[-1]) <= 1e-12
     final = rep.trajectory.fields[plan.time_grid.n_steps]
     support = prof.at_time(0.5).support_radius
@@ -102,7 +102,7 @@ def test_step_gpme_max_principle_and_positivity():
     rng = np.random.default_rng(23)
     u = rng.uniform(0.0, 3.0, size=g.shape)
     out = step_gpme(_empty(g), 1, phi, 0.1, u,
-                    config=EpSolveConfig(residual_tol=1e-12, max_sweeps=100000)).w
+                    config=EpSolveConfig(residual_tol=1e-12)).w
     assert np.all(out >= -1e-12)
     assert np.max(out) <= np.max(u) + 1e-10
 
@@ -110,7 +110,7 @@ def test_step_gpme_max_principle_and_positivity():
 def test_cde_step_ledger_terms():
     plan = build_plan(load_config("cde_burgers_frac_1d"))
     rep = run(plan.problem, plan.grid, plan.time_grid,
-              config=EpSolveConfig(residual_tol=1e-13, max_sweeps=20000))
+              config=EpSolveConfig(residual_tol=1e-13))
     assert np.max(np.abs(rep.identity_gap)) <= 1e-9 * (1.0 + rep.mass[0])
     # convection moves mass toward the outflow side, some of it out of the box
     assert rep.leak_convective[-1] >= 0.0

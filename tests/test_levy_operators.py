@@ -9,9 +9,8 @@ from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid, shifted
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
                                  WeightedStencil, _circular, _neighbor_matrix,
-                                 _neighbor_operator, _neighbor_sum,
-                                 apply_stencil, combine_with_laplacian, laplacian_stencil,
-                                 measure_stencil)
+                                 _neighbor_operator, _neighbor_sum, apply_stencil,
+                                 combine_with_laplacian, laplacian_stencil, measure_stencil)
 from gpme.profiles import GaussianProfile
 
 
@@ -32,6 +31,18 @@ def test_laplacian_exact_on_quadratics():
     np.testing.assert_allclose(out[1:-1], 2.0, atol=1e-12)
 
 
+def _shift_loop(st, c, v):
+    # the neighbor sum written out as one zero-extended shift per offset,
+    # c/h^2 at the 2N nearest neighbors included
+    ref = np.zeros(v.shape)
+    for off, w in zip(st.offsets, st.weights):
+        ref += w * shifted(v, tuple(off))
+    if c:
+        for off in np.vstack([np.eye(st.dim, dtype=int), -np.eye(st.dim, dtype=int)]):
+            ref += shifted(v, tuple(off)) / st.h ** 2
+    return ref
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("c", [0, 1])
 @pytest.mark.parametrize("kind", ["laplacian", "fractional", "empty", "past_box"])
@@ -46,12 +57,14 @@ def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
     else:
         # for c = 0 the zero operator: an empty matrix of the box's size
         st = WeightedStencil.empty(g.h, dim)
-    # the shift loop applies it, so the solver's Newton steps use this matrix
+    # a short stencil is applied as this CSR matrix, by the Newton steps too
     assert st.n_offsets <= _KERNEL_THRESHOLD
     v = np.random.default_rng(3).normal(size=g.shape)
-    ref = _neighbor_sum(st, c, v)
+    ref = _shift_loop(st, c, v)
     out = (_neighbor_matrix(st, c, g.shape) @ v.ravel()).reshape(g.shape)
     np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
+    np.testing.assert_allclose(_neighbor_sum(st, c, v), ref, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("dim,h,box", [(1, 0.125, 6.0), (2, 0.25, 1.5)])
@@ -70,13 +83,7 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     reach = np.max(np.abs(st.offsets))
     assert reach >= max(g.shape) if support == "diameter" else reach < max(g.shape) - 1
     v = np.random.default_rng(4).normal(size=g.shape)
-    ref = np.zeros(g.shape)
-    for off, w in zip(st.offsets, st.weights):
-        ref += w * shifted(v, tuple(off))
-    if c:
-        for off in np.vstack([np.eye(dim, dtype=int), -np.eye(dim, dtype=int)]):
-            ref += shifted(v, tuple(off)) / h ** 2
-    np.testing.assert_allclose(_neighbor_sum(st, c, v), ref, rtol=0.0,
+    np.testing.assert_allclose(_neighbor_sum(st, c, v), _shift_loop(st, c, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
     op = _neighbor_operator(st, c, g.shape)
     np.testing.assert_allclose(_circular(v, op.symbol, op.lengths), op(v), rtol=0.0,
