@@ -8,7 +8,11 @@ order, so identical configs produce byte-identical artifacts.
 The GPME_THREADS environment variable caps BLAS/OpenMP threading; it is
 applied before any numeric module is imported and never changes results,
 only speed.  Keep imports of the compute modules inside functions so the
-cap can land first.
+cap can land first.  `run` writes its field CSVs from two processes (one
+`fork`, see `grid_field.write_field_csvs`) once they hold 32 768 values or
+more; GPME_THREADS does not govern that, and the bytes written are those
+of one process.  An I/O failure,
+such as an output path that is a file, is a runtime failure (exit 1).
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def cmd_run(args):
     from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
     from .errors import ConfigurationError, DataError
     from .evolution import run
-    from .grid_field import GridFunction, _format_float, _row_labels, write_field_csv
+    from .grid_field import GridFunction, _format_float, _row_labels, write_field_csvs
 
     cfg = load_config(args.config)
     plan = build_plan(cfg)
@@ -93,16 +97,16 @@ def cmd_run(args):
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
         return 0
+    # an unusable output path fails here, before the solve, not after it
+    out = _out_dir(args, cfg)
     report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
 
-    out = _out_dir(args, cfg)
     stride = plan.diagnostics["save_stride"]
     n_knots = len(report.trajectory.fields)
     saved = sorted(set(range(0, n_knots, stride)) | {n_knots - 1})
-    labels = _row_labels(plan.grid)
-    for j in saved:
-        write_field_csv(out / f"field_{j:05d}.csv",
-                        GridFunction(plan.grid, report.trajectory.fields[j]), labels)
+    write_field_csvs([(out / f"field_{j:05d}.csv",
+                       GridFunction(plan.grid, report.trajectory.fields[j]))
+                      for j in saved], _row_labels(plan.grid))
 
     eq_reports = []
     for R in plan.diagnostics["R_list"]:
@@ -287,7 +291,7 @@ def main(argv=None):
     except ConfigurationError as e:
         _emit_error("configuration", e)
         return 2
-    except GpmeError as e:
+    except (GpmeError, OSError) as e:
         _emit_error("runtime", e)
         return 1
 

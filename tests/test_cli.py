@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
 import ast
+import atexit
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +17,7 @@ import pytest
 import gpme
 import gpme.elliptic_solver
 import gpme.evolution
+import gpme.grid_field
 import gpme.levy_operators
 from gpme.cli import main
 from gpme.config import merge_config
@@ -77,6 +79,50 @@ def test_run_dry_run_echoes_config_without_writing(tmp_path, capsys):
     assert echoed["problem"]["h"] == 0.5
     assert echoed["problem"]["phi"]["kind"] == "linear"
     assert not out.exists()
+
+
+def test_out_path_that_is_a_file_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, TINY_RUN)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    calls = []
+    monkeypatch.setattr(gpme.evolution, "run", lambda *a, **k: calls.append(a))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.err.strip().splitlines()]
+    assert len(records) == 1 and records[0]["error"] == "runtime"
+    assert str(out) in records[0]["message"]
+    assert calls == []
+
+
+def test_run_output_comes_from_one_process(tmp_path, capfd, monkeypatch):
+    # the field writer forks; its child must leave through os._exit, so it
+    # never gets back here, runs no atexit handler and flushes no stdio.
+    # capfd reads the shared file descriptors, where a child's output lands
+    monkeypatch.setattr(gpme.grid_field, "_FORK_MIN_VALUES", 0)
+    marker = tmp_path / "child_escaped"
+    cfg = write_cfg(tmp_path, TINY_RUN)
+    out = tmp_path / "out"
+    parent = os.getpid()
+
+    def mark():
+        marker.touch()
+
+    atexit.register(mark)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        if os.getpid() != parent:
+            # a child that got out of the writer: record it, and stop it
+            # before it runs the rest of the suite
+            mark()
+            os._exit(1)
+        atexit.unregister(mark)
+    assert not marker.exists()
+    assert len(json.loads((out / "report.json").read_text())["saved_knots"]) >= 2
+    lines = capfd.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("steps ") and lines[1].startswith("tail bound R=1.5")
 
 
 def test_missing_phi_is_a_config_error(tmp_path, capsys):

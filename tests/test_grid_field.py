@@ -1,12 +1,16 @@
 """Lattice containers: box construction, norms, shifts, interpolants."""
 
+import os
+
 import numpy as np
 import pytest
 
+from gpme import grid_field
 from gpme.errors import ConfigurationError, DataError
 from gpme.grid_field import (GridFunction, TimeGrid, Trajectory, UniformGrid,
                              eval_spacetime_interpolant, lr_norm_of_values,
-                             project_cell_average, shifted, write_field_csv)
+                             project_cell_average, shifted, write_field_csv,
+                             write_field_csvs)
 from gpme.profiles import ConstantProfile, GaussianProfile
 
 
@@ -116,14 +120,21 @@ def test_write_field_csv_deterministic(tmp_path):
     assert header == "beta_1,value"
 
 
+def special_values(g, seed=2):
+    """Signed zero, subnormals, huge and tiny values, inf and nan, with
+    random signs, on every node of g."""
+    special = [-0.0, 5e-324, 1e-5, 1e16, -2.5, -1e-300, 0.1, 1.0 / 3.0, np.inf, np.nan]
+    values = np.resize(np.array(special), g.node_count).reshape(g.shape)
+    values *= np.random.default_rng(seed).choice([1.0, -1.0], size=g.shape)
+    return values
+
+
 @pytest.mark.parametrize("dim,h,box", [(1, 0.5, 2.0), (2, 0.5, 1.0), (3, 1.0, 1.0)])
 def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
     # a plain reference formats one row at a time; the writer must give
     # its bytes exactly, signed zero and subnormals included
     g = UniformGrid.from_box(dim, h, box)
-    special = [-0.0, 5e-324, 1e-5, 1e16, -2.5, -1e-300, 0.1, 1.0 / 3.0, np.inf, np.nan]
-    values = np.resize(np.array(special), g.node_count).reshape(g.shape)
-    values *= np.random.default_rng(2).choice([1.0, -1.0], size=g.shape)
+    values = special_values(g)
     path = tmp_path / "field.csv"
     write_field_csv(path, GridFunction(g, values))
     lines = [",".join(f"beta_{i + 1}" for i in range(dim)) + ",value"]
@@ -131,3 +142,79 @@ def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
         beta = [idx[i] - g.index_bounds[i] for i in range(dim)]
         lines.append(",".join(str(b) for b in beta) + "," + repr(float(values[idx])))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def _field_items(tmp_path, dim, n):
+    g = UniformGrid.from_box(dim, 0.5, 1.0)
+    return [(tmp_path / f"field_{j}.csv",
+             GridFunction(g, np.roll(special_values(g, seed=j), j)))
+            for j in range(n)]
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_write_field_csvs_matches_one_process_loop(tmp_path, monkeypatch, dim, n):
+    monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
+    forks = _count_forks(monkeypatch)
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    for path, u in _field_items(tmp_path / "one", dim, n):
+        write_field_csv(path, u)
+    write_field_csvs(_field_items(tmp_path / "two", dim, n))
+    # the child takes a share only when there are two items to share
+    assert len(forks) == (1 if n >= 2 else 0)
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+    assert len(names) == n
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_write_field_csvs_forks_only_for_enough_values(tmp_path, monkeypatch):
+    # two fields just below and just above the fork's threshold
+    forks = _count_forks(monkeypatch)
+    half = grid_field._FORK_MIN_VALUES // 2
+    for k, expected in [(half // 2 - 1, 0), (half // 2, 1)]:
+        g = UniformGrid(dim=1, h=1.0, index_bounds=(k,))
+        write_field_csvs([(tmp_path / f"{k}_{j}.csv", GridFunction(g, np.zeros(g.shape)))
+                          for j in range(2)])
+        assert len(forks) == expected, (2 * g.node_count, grid_field._FORK_MIN_VALUES)
+        forks.clear()
+
+
+def test_write_field_csvs_without_fork_writes_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
+    monkeypatch.delattr(os, "fork")
+    items = _field_items(tmp_path, 2, 3)
+    write_field_csvs(items)
+    for path, u in items:
+        ref = tmp_path / f"ref_{path.name}"
+        write_field_csv(ref, u)
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_field_csvs_raises_what_the_loop_raises(tmp_path, monkeypatch):
+    # the child writes items 1, 3, ...; a directory at item 1's path makes
+    # it fail, and the parent must raise the loop's error for that item
+    monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
+    items = _field_items(tmp_path, 1, 4)
+    items[1][0].mkdir()
+    with pytest.raises(OSError) as loop:
+        for path, u in items:
+            write_field_csv(path, u)
+    with pytest.raises(OSError) as shared:
+        write_field_csvs(items)
+    assert type(shared.value) is type(loop.value)
+    assert str(shared.value) == str(loop.value)
