@@ -154,6 +154,8 @@ def cmd_study(args):
         print(json.dumps(cfg, indent=2))
         return 0
 
+    # an unusable output path fails here, before the first solve
+    out = _out_dir(args, cfg)
     h0 = cfg["problem"]["h"]
     r = cfg["diagnostics"]["r"]
     rows = []
@@ -183,7 +185,6 @@ def cmd_study(args):
     else:
         order = None
 
-    out = _out_dir(args, cfg)
     lines = ["level,h,error"]
     for level, h, err in rows:
         lines.append(f"{level},{_format_float(h)},{_format_float(err)}")

@@ -2,17 +2,27 @@
 preset merging, and builders turning a validated config into the runtime
 objects (grid, time grid, problem, solver settings, exact reference).
 
+The phi, flux, measure, operator and solver blocks are not listed here:
+``_spec_block`` reads each from its spec dataclass (PhiSpec, FluxSpec,
+MeasureSpec, OperatorSpec, EpSolveConfig).  The keys are the fields, a
+value's JSON type follows its field's annotation, an absent key takes the
+field's default and a field without one is required; build_plan builds
+each spec as ``Spec(**block)``.  A measure's ``density`` callable is no
+key: a custom measure names it by ``form`` and ``exponent`` or
+``location``, the keys this module adds.
+
 The checks are split in two, and each is made once.  load_config checks
 the schema: unknown keys, JSON types (every list element included),
 required presence, the shapes that depend on ``dim``, defaults, and the
 values that exist only here (``dt.policy``, ``exact``, the custom-density
-``form``, ``diagnostics``, ``output_dir``, ``preset``).  Every other value
-is checked by the constructor of the spec that holds it (MeasureSpec,
-OperatorSpec, PhiSpec, FluxSpec, the profiles, UniformGrid, TimeGrid,
-EpSolveConfig) when build_plan builds it, and its ConfigurationError names
-the dotted config path of that value.  The two values that need the grid
-or the time steps (support radius, dt factor) are checked by build_plan
-through the same function the run calls later; the tail radii, which only
+``form``, ``diagnostics``, ``output_dir``, ``preset``, the profiles).
+Every other value is checked by the constructor of the spec that holds it
+(MeasureSpec, OperatorSpec, PhiSpec, FluxSpec, the profiles, UniformGrid,
+TimeGrid, EpSolveConfig) when build_plan builds it, and its
+ConfigurationError names the dotted config path of that value.  The
+values that need the grid or the time steps (support radius, velocity
+length, flux monotonicity, dt factor) are checked by build_plan through
+the same function the run calls later; the tail radii, which only
 ``gpme run`` reads, are checked by that command before it computes.
 
 Unknown keys are errors: a config that parses is a complete provenance
@@ -22,6 +32,7 @@ record of the run.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,13 +75,16 @@ def _get_number(block, key, path, required=False, default=None, positive=False,
         if required:
             raise ConfigurationError(f"missing {path}.{key}", field=f"{path}.{key}")
         return default
-    v = block[key]
+    return _number(block[key], f"{path}.{key}", positive, integer)
+
+
+def _number(v, field, positive=False, integer=False):
     if not _is_number(v):
-        raise ConfigurationError(f"{path}.{key} must be a number", field=f"{path}.{key}")
+        raise ConfigurationError(f"{field} must be a number", field=field)
     if integer and not float(v).is_integer():
-        raise ConfigurationError(f"{path}.{key} must be an integer", field=f"{path}.{key}")
+        raise ConfigurationError(f"{field} must be an integer", field=field)
     if positive and not (v > 0):
-        raise ConfigurationError(f"{path}.{key} must be positive", field=f"{path}.{key}")
+        raise ConfigurationError(f"{field} must be positive", field=field)
     return int(v) if integer else float(v)
 
 
@@ -85,32 +99,54 @@ def _number_list(v, field, length=None, positive=False):
     return [float(x) for x in v]
 
 
-def _optional_number_list(block, key, path, length=None):
-    v = block.get(key)
-    return None if v is None else _number_list(v, f"{path}.{key}", length)
+def _boolean(v, field):
+    if not isinstance(v, bool):
+        raise ConfigurationError(f"{field} must be a boolean", field=field)
+    return v
+
+
+# the JSON check of a spec field's value, by the field's annotation
+_FIELD_CHECKS = {
+    "float": _number,
+    "int": lambda v, field: _number(v, field, integer=True),
+    "tuple": _number_list,
+    "bool": _boolean,
+}
+
+
+def _spec_block(block, spec, path, skip=(), extra=()):
+    """The block at path of the spec dataclass ``spec``, normalized: its
+    keys are the spec's fields but those in skip, plus the extra keys the
+    caller reads itself.  Each value is checked by its field's annotation
+    (``_FIELD_CHECKS``; other annotations pass the value to the spec), an
+    absent or null key takes the field's default, and a field without
+    one is required."""
+    _require_dict(block, path)
+    fields = [f for f in dataclasses.fields(spec) if f.name not in skip]
+    _check_keys(block, {f.name for f in fields} | set(extra), path)
+    out = {}
+    for f in fields:
+        field = f"{path}.{f.name}"
+        if block.get(f.name) is None:
+            if f.default is dataclasses.MISSING:
+                raise ConfigurationError(f"missing {field}", field=field)
+            out[f.name] = f.default
+            continue
+        check = _FIELD_CHECKS.get(getattr(f.type, "__name__", f.type))
+        out[f.name] = block[f.name] if check is None else check(block[f.name], field)
+    return out
+
+
+# the closed forms that name a custom measure's density
+_CUSTOM_KEYS = ("form", "exponent", "location")
 
 
 def _validate_measure(m, path):
+    from .levy_operators import MeasureSpec
     if m is None:
         return None
-    _require_dict(m, path)
-    _check_keys(m, {"kind", "alpha", "beta", "scale", "truncation", "weight_rule",
-                    "tail_order", "finite_first_moment", "form", "exponent",
-                    "location"}, path)
-    kind = m.get("kind")
-    out = {"kind": kind}
-    out["alpha"] = _get_number(m, "alpha", path)
-    out["beta"] = _get_number(m, "beta", path)
-    out["scale"] = _get_number(m, "scale", path, default=1.0)
-    out["truncation"] = _get_number(m, "truncation", path)
-    out["tail_order"] = _get_number(m, "tail_order", path)
-    ffm = m.get("finite_first_moment")
-    if ffm is not None and not isinstance(ffm, bool):
-        raise ConfigurationError(f"{path}.finite_first_moment must be a boolean",
-                                 field=f"{path}.finite_first_moment")
-    out["finite_first_moment"] = ffm
-    out["weight_rule"] = m.get("weight_rule", "cell_mass")
-    if kind == "custom":
+    out = _spec_block(m, MeasureSpec, path, skip=("density",), extra=_CUSTOM_KEYS)
+    if out["kind"] == "custom":
         # the density of a custom measure is named by a closed form that
         # exists only here; MeasureSpec receives the built callable
         form = m.get("form")
@@ -126,33 +162,13 @@ def _validate_measure(m, path):
 
 
 def _validate_phi(p, path):
-    if p is None:
-        raise ConfigurationError(f"missing {path}", field=path)
-    _require_dict(p, path)
-    _check_keys(p, {"kind", "exponent", "latent", "slope", "table_u", "table_phi"}, path)
-    return {
-        "kind": p.get("kind"),
-        "exponent": _get_number(p, "exponent", path),
-        "latent": _get_number(p, "latent", path),
-        "slope": _get_number(p, "slope", path, default=1.0),
-        "table_u": _optional_number_list(p, "table_u", path),
-        "table_phi": _optional_number_list(p, "table_phi", path),
-    }
+    from .elliptic_solver import PhiSpec
+    return _spec_block(p, PhiSpec, path)
 
 
-def _validate_flux(f, path, dim):
-    if f is None:
-        return None
-    _require_dict(f, path)
-    _check_keys(f, {"kind", "u_range", "numerical", "velocity", "table_u", "table_f"}, path)
-    return {
-        "kind": f.get("kind"),
-        "u_range": _number_list(f.get("u_range"), f"{path}.u_range", length=2),
-        "numerical": f.get("numerical", "engquist_osher"),
-        "velocity": _optional_number_list(f, "velocity", path, length=dim),
-        "table_u": _optional_number_list(f, "table_u", path),
-        "table_f": _optional_number_list(f, "table_f", path),
-    }
+def _validate_flux(f, path):
+    from .evolution import FluxSpec
+    return None if f is None else _spec_block(f, FluxSpec, path)
 
 
 _PROFILE_KEYS = {
@@ -178,7 +194,9 @@ def _validate_profile(b, path, dim):
     if kind == "gaussian":
         out["amplitude"] = _get_number(b, "amplitude", path, required=True)
         out["spread"] = _get_number(b, "spread", path, required=True)
-        out["center"] = _optional_number_list(b, "center", path, length=dim) or [0.0] * dim
+        center = b.get("center")
+        out["center"] = [0.0] * dim if center is None else _number_list(
+            center, f"{path}.center", length=dim)
     elif kind == "barenblatt":
         out["coeff"] = _get_number(b, "coeff", path)
         out["time"] = _get_number(b, "time", path, required=True)
@@ -231,16 +249,13 @@ _PROBLEM_KEYS = {"dim", "operator", "phi", "flux", "initial", "source",
 
 
 def _validate_operator(op):
+    from .levy_operators import OperatorSpec
     path = "problem.operator"
     if op is None:
         raise ConfigurationError(f"missing {path}", field=path)
-    _require_dict(op, path)
-    _check_keys(op, {"c", "measure", "support_radius"}, path)
-    return {
-        "c": _get_number(op, "c", path, default=1, integer=True),
-        "measure": _validate_measure(op.get("measure"), f"{path}.measure"),
-        "support_radius": _get_number(op, "support_radius", path),
-    }
+    out = _spec_block(op, OperatorSpec, path)
+    out["measure"] = _validate_measure(op.get("measure"), f"{path}.measure")
+    return out
 
 
 def _validate_problem(p):
@@ -255,7 +270,7 @@ def _validate_problem(p):
     if "phi" not in p:
         raise ConfigurationError("missing problem.phi", field="problem.phi")
     out["phi"] = _validate_phi(p.get("phi"), "problem.phi")
-    out["flux"] = _validate_flux(p.get("flux"), "problem.flux", out["dim"])
+    out["flux"] = _validate_flux(p.get("flux"), "problem.flux")
     out["initial"] = _validate_profile(p.get("initial"), "problem.initial", out["dim"])
     out["source"] = _validate_source(p.get("source"), "problem.source", out["dim"])
     out["box_half_extent"] = _get_number(p, "box_half_extent", path, required=True)
@@ -282,21 +297,7 @@ def _validate_problem(p):
 
 def _validate_solver(s):
     from .elliptic_solver import EpSolveConfig
-    path = "solver"
-    if s is None:
-        s = {}
-    _require_dict(s, path)
-    _check_keys(s, {"residual_tol", "scalar_tol", "max_sweeps", "max_scalar_iter"}, path)
-    # an omitted value takes EpSolveConfig's default, the one home of them
-    return {
-        "residual_tol": _get_number(s, "residual_tol", path,
-                                    default=EpSolveConfig.residual_tol),
-        "scalar_tol": _get_number(s, "scalar_tol", path, default=EpSolveConfig.scalar_tol),
-        "max_sweeps": _get_number(s, "max_sweeps", path, default=EpSolveConfig.max_sweeps,
-                                  integer=True),
-        "max_scalar_iter": _get_number(s, "max_scalar_iter", path,
-                                       default=EpSolveConfig.max_scalar_iter, integer=True),
-    }
+    return _spec_block({} if s is None else s, EpSolveConfig, "solver")
 
 
 def _validate_diagnostics(d):
@@ -440,14 +441,9 @@ def build_operator(ocfg):
         elif mcfg.get("form") == "pole":
             loc = mcfg["location"]
             density = lambda r: 1.0 / np.abs(r - loc)
-        measure = MeasureSpec(kind=mcfg["kind"], alpha=mcfg["alpha"], beta=mcfg["beta"],
-                              density=density, scale=mcfg["scale"],
-                              truncation=mcfg["truncation"],
-                              tail_order=mcfg["tail_order"],
-                              finite_first_moment=mcfg["finite_first_moment"],
-                              weight_rule=mcfg["weight_rule"])
-    return OperatorSpec(c=ocfg["c"], measure=measure,
-                        support_radius=ocfg["support_radius"])
+        measure = MeasureSpec(**{k: v for k, v in mcfg.items() if k not in _CUSTOM_KEYS},
+                              density=density)
+    return OperatorSpec(**{**ocfg, "measure": measure})
 
 
 def _build_profile(bcfg, dim, path):
@@ -508,36 +504,20 @@ def _build_exact(name, initial, init_kind, dim):
     return pr.ShockExact(initial.left, initial.right, initial.position)
 
 
-def _tuple(values):
-    return None if values is None else tuple(values)
-
-
 def build_plan(cfg, h=None):
     """Materialize a validated config; h overrides the configured mesh
     width (refinement studies reuse one config across levels).  Every
     value check not made by load_config is made here, by the spec
     constructors and the checks that need the grid or the time steps."""
     from .elliptic_solver import EpSolveConfig, PhiSpec
-    from .evolution import FluxSpec, ProblemSpec, check_convective_step
+    from .evolution import FluxSpec, ProblemSpec, check_convective_step, validate_flux
     from .grid_field import TimeGrid, UniformGrid
 
     p = cfg["problem"]
     dim = p["dim"]
     operator = build_operator(p["operator"])
-    phi_cfg = p["phi"]
-    phi = PhiSpec(kind=phi_cfg["kind"], exponent=phi_cfg["exponent"],
-                  latent=phi_cfg["latent"], slope=phi_cfg["slope"],
-                  table_u=_tuple(phi_cfg["table_u"]),
-                  table_phi=_tuple(phi_cfg["table_phi"]))
-    flux_cfg = p["flux"]
-    if flux_cfg is None:
-        flux = None
-    else:
-        flux = FluxSpec(kind=flux_cfg["kind"], u_range=tuple(flux_cfg["u_range"]),
-                        numerical=flux_cfg["numerical"],
-                        velocity=_tuple(flux_cfg["velocity"]),
-                        table_u=_tuple(flux_cfg["table_u"]),
-                        table_f=_tuple(flux_cfg["table_f"]))
+    phi = PhiSpec(**p["phi"])
+    flux = None if p["flux"] is None else FluxSpec(**p["flux"])
     initial = _build_profile(p["initial"], dim, "problem.initial")
     problem = ProblemSpec(operator=operator, phi=phi, initial=initial,
                           source=_build_source(p["source"], dim), flux=flux)
@@ -546,6 +526,7 @@ def build_plan(cfg, h=None):
     time_grid = TimeGrid.uniform(p["T"], dt_for(p, hh))
     operator.check_grid(grid)
     if flux is not None:
+        validate_flux(flux, dim)
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
     return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
                    solver=EpSolveConfig(**cfg["solver"]), diagnostics=cfg["diagnostics"],

@@ -79,6 +79,11 @@ _HALVINGS = 4
 # conjugate gradients stop there or after _CG_CAP iterations
 _CG_SHARE = 0.1
 _CG_CAP = 500
+# a Jacobi sweep's per-node scalar solve stops at this absolute residual,
+# once its bracket has collapsed to rounding width, or after
+# _SCALAR_ITER iterations
+_SCALAR_TOL = 1e-14
+_SCALAR_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,9 @@ class PhiSpec:
     table_phi: tuple = None
 
     def __post_init__(self):
+        for name in ("table_u", "table_phi"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if self.kind == "power":
             if self.exponent is None or not (self.exponent > 0.0):
                 raise ConfigurationError("power nonlinearity needs exponent > 0",
@@ -129,8 +137,6 @@ class PhiSpec:
             if abs(float(np.interp(0.0, u, p))) > 1e-14:
                 raise ConfigurationError("table must pass through the origin",
                                          field="problem.phi.table_phi")
-            object.__setattr__(self, "table_u", tuple(float(x) for x in u))
-            object.__setattr__(self, "table_phi", tuple(float(x) for x in p))
         elif self.kind not in ("linear", "zero"):
             raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}",
                                      field="problem.phi.kind")
@@ -198,28 +204,19 @@ class EpSolveConfig:
 
     residual_tol is the sup-norm stopping level for the full residual
     w - dt L[phi(w)] - rho, relative to the data: the solve stops once the
-    residual is at most residual_tol * max(1, |rho|_inf).  scalar_tol is
-    the absolute residual level for each per-node scalar solve; the scalar
-    iteration also stops once its bracket has collapsed to rounding width.
-    max_sweeps caps the iterations of either kind, Newton steps and
-    Jacobi sweeps alike; None means max(1000, 10 * node count).
+    residual is at most residual_tol * max(1, |rho|_inf).  max_sweeps caps
+    the iterations of either kind, Newton steps and Jacobi sweeps alike;
+    None means max(1000, 10 * node count).
     """
 
     residual_tol: float = 1e-13
-    scalar_tol: float = 1e-14
     max_sweeps: int = None
-    max_scalar_iter: int = 300
 
     def __post_init__(self):
         if not (self.residual_tol > 0.0):
             raise ConfigurationError("residual_tol must be positive", field="solver.residual_tol")
-        if not (self.scalar_tol > 0.0):
-            raise ConfigurationError("scalar_tol must be positive", field="solver.scalar_tol")
         if self.max_sweeps is not None and self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be at least 1", field="solver.max_sweeps")
-        if not (self.max_scalar_iter >= 1):
-            raise ConfigurationError("max_scalar_iter must be at least 1",
-                                     field="solver.max_scalar_iter")
 
     def sweep_cap(self, node_count):
         if self.max_sweeps is not None:
@@ -290,11 +287,10 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
     raise NonConvergenceError("scalar resolvent did not converge", residual=worst)
 
 
-def _jacobi_sweep(phi, dt, W, rho, ns, w, cfg):
+def _jacobi_sweep(phi, dt, W, rho, ns, w):
     """One nonlinear Jacobi sweep: every node solves its scalar equation
     against the frozen neighbor sum ns = sum_gamma w_gamma phi(w(.+gamma))."""
-    return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w, cfg.scalar_tol,
-                               cfg.max_scalar_iter)
+    return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w, _SCALAR_TOL, _SCALAR_ITER)
 
 
 def _banded_cholesky(matrix, n, W):
@@ -358,10 +354,10 @@ def _linear_solver(shape, W, neighbor):
     on W I - A with a Jacobi preconditioner.  A dense kernel's A is
     applied through ``neighbor`` and its system solved by ``_pcg``.  There
     K is block Toeplitz, the restriction to the box of the circulant
-    dt (W - symbol) on ``neighbor``'s circular lengths, so for a constant
+    dt (W - spectrum) on ``neighbor``'s circular lengths, so for a constant
     a > 0 and a constant s (a linear phi) the system is preconditioned by
     the inverse of the circulant with eigenvalues
-    lam = a + s^2 dt (W - symbol) (``_circulant``; T. Chan, SIAM J. Sci.
+    lam = a + s^2 dt (W - spectrum) (``_circulant``; T. Chan, SIAM J. Sci.
     Stat. Comput. 9, 1988; Lei & Sun, J. Comput. Phys. 242, 2013).  The
     kept weights sum to at most W, so lam >= a > 0.  Any other a or s,
     a = 0 included, keeps Jacobi.
@@ -403,7 +399,7 @@ def _linear_solver(shape, W, neighbor):
             def system(dt):
                 return matvec(dt), banded(dt)
         else:
-            gap = W - neighbor.symbol
+            gap = W - neighbor.spectrum
 
             def system(dt):
                 K = matvec(dt)
@@ -575,6 +571,6 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
                 break
         else:
             fallbacks += 1
-            w = _jacobi_sweep(phi, dt, W, rho_vals, ns, w, cfg)
+            w = _jacobi_sweep(phi, dt, W, rho_vals, ns, w)
             ns, res, r = evaluate(w)
     return finish(w, res, sweeps, fallbacks)

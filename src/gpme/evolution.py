@@ -64,16 +64,15 @@ class FluxSpec:
         if self.numerical not in ("engquist_osher", "lax_friedrichs"):
             raise ConfigurationError(f"unknown numerical flux {self.numerical!r}",
                                      field="problem.flux.numerical")
-        lo, hi = float(self.u_range[0]), float(self.u_range[1])
-        if not lo < hi:
+        for name in ("u_range", "velocity", "table_u", "table_f"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        if len(self.u_range) != 2 or not self.u_range[0] < self.u_range[1]:
             raise ConfigurationError("u_range must be an increasing pair",
                                      field="problem.flux.u_range")
-        object.__setattr__(self, "u_range", (lo, hi))
-        if self.kind == "linear":
-            if self.velocity is None:
-                raise ConfigurationError("linear flux needs a velocity tuple",
-                                         field="problem.flux.velocity")
-            object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
+        if self.kind == "linear" and self.velocity is None:
+            raise ConfigurationError("linear flux needs a velocity tuple",
+                                     field="problem.flux.velocity")
         if self.kind == "table":
             for name in ("table_u", "table_f"):
                 if getattr(self, name) is None:
@@ -84,8 +83,6 @@ class FluxSpec:
             if u.ndim != 1 or u.shape != f.shape or u.size < 2 or np.any(np.diff(u) <= 0.0):
                 raise ConfigurationError("flux table needs strictly increasing abscissae",
                                          field="problem.flux.table_u")
-            object.__setattr__(self, "table_u", tuple(float(x) for x in u))
-            object.__setattr__(self, "table_f", tuple(float(x) for x in f))
 
     def flux_value(self, u, axis=0):
         u = np.asarray(u, dtype=float)
@@ -145,9 +142,13 @@ def _segment_integral(table_u, table_f, a, positive):
 
 
 def validate_flux(flux, dim=1, samples=33):
-    """Sample the declared range: consistency F(u,u) = f(u) and the
-    monotone property (nondecreasing in the first slot, nonincreasing in
-    the second).  Raises ConfigurationError on a violation."""
+    """Check a velocity's length against dim, then sample the declared
+    range: consistency F(u,u) = f(u) and the monotone property
+    (nondecreasing in the first slot, nonincreasing in the second).
+    Raises ConfigurationError on a violation."""
+    if flux.velocity is not None and len(flux.velocity) != dim:
+        raise ConfigurationError(f"flux velocity needs {dim} components, one per axis",
+                                 field="problem.flux.velocity")
     lo, hi = flux.u_range
     us = np.linspace(lo, hi, samples)
     scale = 1.0 + float(np.max(np.abs(flux.flux_value(us))))

@@ -10,15 +10,15 @@ with nonnegative weights.  The discrete operator is the pair (stencil, c):
 the measure quadrature plus, for c = 1, the standard second-difference
 Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
 (with ``_neighbor_sum`` for a single array) and ``_total_weight``, which
-stores each part of the operator in one form, built once per box: a short
-stencil, c/h^2 nearest neighbors included, as the CSR matrix of
-``_neighbor_matrix``; a dense kernel as its rFFT spectrum, reused by every
-application, plus for c = 1 the nearest neighbors as a CSR matrix.  The
-resolvent's Newton steps read the same object: the short stencil's matrix
-(banded Cholesky on the line, conjugate gradients above it), and the
-dense kernel's real symbol, which it inverts as a circulant
-preconditioner.  ``combine_with_laplacian`` merges the two parts into one
-weight list for inspection only (``gpme stencil`` and the moment checks).
+stores the whole neighbor sum, c/h^2 nearest neighbors included, in one
+form, built once per box: for a short stencil the CSR matrix of
+``_neighbor_matrix``, for a dense kernel its rFFT spectrum, reused by
+every application.  The resolvent's Newton steps read the same object:
+the short stencil's matrix (banded Cholesky on the line, conjugate
+gradients above it), and the dense kernel's real spectrum, which it
+inverts as a circulant preconditioner.  ``combine_with_laplacian``
+merges the two parts into one weight list for inspection only
+(``gpme stencil`` and the moment checks).
 Weights for a jump measure are the measure of each lattice cell, so the
 total mass on any region is preserved by construction; the origin cell is
 excluded.
@@ -352,27 +352,21 @@ class _NeighborOperator:
     """The neighbor sum of the operator (stencil, c) on one box, as
     ``_neighbor_operator`` builds it: calling it applies the map.
 
-    ``matrix`` is a CSR matrix over the C-order flattened nodes: the whole
-    neighbor sum of a short stencil, or the c/h^2 nearest neighbors of a
-    dense kernel (None for c = 0).  A dense kernel also carries its rFFT
-    ``spectrum`` on the circular lengths L and the real ``symbol`` of the
-    whole neighbor sum on them: the spectrum plus, for c = 1,
-    2/h^2 sum_i cos(2 pi k_i / L_i) for the nearest neighbors.  Restricted
-    to the box, ``_circular(values, symbol, lengths)`` is the neighbor sum.
-    The last three are None for a short stencil."""
+    For a short stencil, ``matrix`` is the whole neighbor sum as a CSR
+    matrix over the C-order flattened nodes.  For a dense kernel it is the
+    real rFFT ``spectrum`` of the whole neighbor sum, c/h^2 nearest
+    neighbors included, on the circular lengths L:
+    ``_circular(values, spectrum, lengths)`` restricted to the box.  Each
+    operator holds one of the two forms, and None in the other."""
 
     matrix: object = None
     spectrum: np.ndarray = None
     lengths: tuple = None
-    symbol: np.ndarray = None
 
     def __call__(self, values):
         if self.spectrum is None:
             return self.matrix.dot(values.ravel()).reshape(values.shape)
-        out = _circular(values, self.spectrum, self.lengths)
-        if self.matrix is not None:
-            out += self.matrix.dot(values.ravel()).reshape(values.shape)
-        return out
+        return _circular(values, self.spectrum, self.lengths)
 
 
 def _circular(values, multiplier, lengths):
@@ -391,17 +385,15 @@ def _neighbor_operator(stencil, c, shape):
     builds it once (``evolution.run`` does, for a whole run).
 
     Up to ``_KERNEL_THRESHOLD`` offsets the whole map is
-    ``_neighbor_matrix(stencil, c, shape)``.  Above it the measure part is
-    a circular convolution by rFFT with the kernel's spectrum, computed
-    here once for every later call, and for c = 1 the nearest neighbors
-    are ``_neighbor_matrix`` of the empty stencil.  The kernel is
-    symmetric, so correlation equals convolution and its spectrum is
-    real.  Offsets at least n_i long on some axis never land in the box
-    and are dropped; with the rest reaching K_i (at least 1 for c = 1), a
-    circular length of n_i + K_i per axis wraps every jump out of the box
-    onto the zero padding, never onto a node.  The same holds for the
-    nearest neighbors, so the symbol, with their cosines added to the
-    spectrum, gives the whole neighbor sum on the box.
+    ``_neighbor_matrix(stencil, c, shape)``.  Above it the map is a
+    circular convolution by rFFT with the kernel's spectrum, computed here
+    once for every later call; for c = 1 the kernel also holds 1/h^2 at
+    the 2N unit offsets.  The kernel is symmetric, so correlation equals
+    convolution and its spectrum is real.  Offsets at least n_i long on
+    some axis never land in the box and are dropped; with the rest
+    reaching K_i (at least 1 for c = 1), a circular length of n_i + K_i
+    per axis wraps every jump out of the box onto the zero padding, never
+    onto a node, the nearest neighbors' on a one-node axis included.
     """
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
         return _NeighborOperator(_neighbor_matrix(stencil, c, shape))
@@ -412,15 +404,10 @@ def _neighbor_operator(stencil, c, shape):
                     for n, k in zip(shape, reach))
     kernel = np.zeros(lengths)
     kernel[tuple(offsets.T)] = stencil.weights[inside]
-    spectrum = fft.rfftn(kernel).real
-    symbol = spectrum
-    for axis, L in enumerate(lengths if c else ()):
-        # the last axis holds the rFFT's half spectrum, k <= L/2
-        k = np.arange(spectrum.shape[axis]).reshape(
-            [-1 if i == axis else 1 for i in range(stencil.dim)])
-        symbol = symbol + 2.0 / stencil.h ** 2 * np.cos(2.0 * np.pi * k / L)
-    near = _neighbor_matrix(WeightedStencil.empty(stencil.h, stencil.dim), 1, shape) if c else None
-    return _NeighborOperator(near, spectrum, lengths, symbol)
+    for unit in np.eye(stencil.dim, dtype=int) if c else ():
+        kernel[tuple(unit)] += 1.0 / stencil.h ** 2
+        kernel[tuple(-unit)] += 1.0 / stencil.h ** 2
+    return _NeighborOperator(spectrum=fft.rfftn(kernel).real, lengths=lengths)
 
 
 def _neighbor_sum(stencil, c, values):

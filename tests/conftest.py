@@ -1,8 +1,21 @@
 """Suite-wide guards."""
 
 import os
+from pathlib import Path
 
 import pytest
+
+import gpme
+
+
+@pytest.fixture(autouse=True, scope="session")
+def children_import_this_gpme():
+    """Child interpreters that tests start import gpme from the source
+    tree this session imported it from, installed or not."""
+    src = str(Path(gpme.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(autouse=True)

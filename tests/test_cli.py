@@ -166,6 +166,16 @@ def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys):
     assert record["cell"] == [8]
 
 
+def test_study_out_path_that_is_a_file_fails_before_the_solve(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_RUN)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["study", "--config", cfg, "--levels", "3", "--out", str(out)]) == 1
+    record, stdout = last_err_record(capsys)
+    assert record["error"] == "runtime" and str(out) in record["message"]
+    assert "level 0" not in stdout
+
+
 def test_study_needs_two_levels(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_RUN)
     assert main(["study", "--config", cfg, "--levels", "1"]) == 2
@@ -212,6 +222,24 @@ PROBLEM_REJECTED = {
     "center_string": ({"initial": {"center": ["x"]}}, "problem.initial.center"),
     "velocity_shorter_than_dim": ({"dim": 2, "flux": {
         "kind": "linear", "u_range": [0, 1], "velocity": [1.0]}}, "problem.flux.velocity"),
+    # the spec blocks: types by field annotation, required fields, unknown keys
+    "missing_u_range": ({"flux": {"kind": "burgers"}}, "problem.flux.u_range"),
+    "u_range_of_three": ({"flux": {"kind": "burgers", "u_range": [0, 0.5, 1]}},
+                         "problem.flux.u_range"),
+    "boolean_slope": ({"phi": {"slope": True}}, "problem.phi.slope"),
+    "fractional_c": ({"operator": {"c": 0.5}}, "problem.operator.c"),
+    "string_finite_first_moment": ({"operator": {"measure": {
+        "kind": "fractional", "alpha": 1.0, "finite_first_moment": "yes"}}},
+        "problem.operator.measure.finite_first_moment"),
+    "unknown_phi_key": ({"phi": {"bogus": 1}}, "problem.phi.bogus"),
+    "unknown_flux_key": ({"flux": {"kind": "burgers", "u_range": [0, 1], "bogus": 1}},
+                         "problem.flux.bogus"),
+    "unknown_measure_key": ({"operator": {"measure": {
+        "kind": "fractional", "alpha": 1.0, "bogus": 1}}}, "problem.operator.measure.bogus"),
+    "density_is_no_key": ({"operator": {"measure": {
+        "kind": "fractional", "alpha": 1.0, "density": 1}}},
+        "problem.operator.measure.density"),
+    "unknown_operator_key": ({"operator": {"bogus": 1}}, "problem.operator.bogus"),
     # checks that need the grid or the time steps, made before any computing
     "support_radius_below_half_h": ({"operator": {"c": 1, "support_radius": 0.2, "measure": {
         "kind": "fractional", "alpha": 1.0}}}, "problem.operator.support_radius"),
@@ -222,6 +250,8 @@ PROBLEM_REJECTED = {
 # the same as whole-config overrides, plus the values outside the problem block
 REJECTED = {name: ({"problem": override}, field)
             for name, (override, field) in PROBLEM_REJECTED.items()}
+# the scalar solve's tolerance and cap are constants, no longer keys
+REJECTED["unknown_solver_key"] = ({"solver": {"scalar_tol": 1e-15}}, "solver.scalar_tol")
 REJECTED["tail_radius_beyond_box"] = ({"diagnostics": {"R_list": [1.5, 100.0]}},
                                       "diagnostics.R_list")
 # step data has no closed-form L1 norm, which the tail bound needs
@@ -334,7 +364,7 @@ def _neighbor_operator_builds(tmp_path, monkeypatch, cfg):
 
 
 def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
-    # a dense kernel's operator, spectrum and symbol are built once for the
+    # a dense kernel's operator and its spectrum are built once for the
     # escape weights, every step's solve and the tail certificate at each
     # of the preset's radii; with c = 0 it has no CSR part
     calls, matrices = _neighbor_operator_builds(tmp_path, monkeypatch, {

@@ -158,12 +158,14 @@ PHIS = {
     pytest.param(2, 0.5, None, 1, id="2-0.5-full"),
 ])
 @pytest.mark.parametrize("name", sorted(PHIS))
-def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c):
+def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c, monkeypatch):
     # the Jacobi sweep is the fallback, and the reference: iterate it to
     # its fixed point on c times the Laplacian plus a fractional stencil,
     # short (banded Cholesky steps on the line, conjugate gradients on the
     # CSR matrix on the plane) or over the box diameter (conjugate
-    # gradients through the rFFT)
+    # gradients through the rFFT); its scalar solves go below the default
+    # level, so the reference settles to 1e-15
+    monkeypatch.setattr(gpme.elliptic_solver, "_SCALAR_TOL", 1e-15)
     phi = PHIS[name]
     g = UniformGrid.from_box(dim, h, 2.0)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
@@ -171,11 +173,10 @@ def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c):
     assert (st.n_offsets > _KERNEL_THRESHOLD) == (reach is None)
     rho = np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape)
     dt = 0.1
-    cfg = EpSolveConfig(scalar_tol=1e-15)
     ref = rho.copy()
     for _ in range(20000):
         new = _jacobi_sweep(phi, dt, _total_weight(st, c), rho,
-                            _neighbor_sum(st, c, phi.value(ref)), ref, cfg)
+                            _neighbor_sum(st, c, phi.value(ref)), ref)
         done = np.max(np.abs(new - ref)) <= 1e-15
         ref = new
         if done:
@@ -294,9 +295,9 @@ def test_linear_solve_property(path):
     n = int(np.prod(g.shape))
     # what the path calls per SPD solve: a dense kernel is preconditioned by
     # its circulant for constant coefficients, by Jacobi otherwise; and the
-    # CSR matrices built per box, one where the operator has a CSR part (a
-    # short stencil, or a dense kernel's nearest neighbors)
-    builds = 1 if reach is not None or c else 0
+    # CSR matrices built per box, one for a short stencil and none for a
+    # dense kernel, whose spectrum holds its nearest neighbors too
+    builds = 1 if reach is not None else 0
     per_solve = {"banded": ["solveh_banded"], "csr_cg": ["_jacobi", "_pcg"]}.get(
         path, ["_jacobi" if coefficients == "varying" else "_circulant", "_pcg"])
     taken = []
@@ -340,7 +341,7 @@ def test_linear_solve_property(path):
 def test_zero_a_takes_jacobi():
     # the v system at v = 0 everywhere under m < 1 has a = 0: K alone.  No
     # offset of the box-diameter kernel leaves this box, so the circulant
-    # would have the eigenvalue a + dt (W - symbol(0)) = 0; Jacobi divides
+    # would have the eigenvalue a + dt (W - spectrum(0)) = 0; Jacobi divides
     # by the diagonal dt W instead
     g = UniformGrid.from_box(2, 0.5, 2.0)
     stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g)

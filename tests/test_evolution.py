@@ -6,12 +6,12 @@ import pytest
 from gpme.config import build_plan, load_config
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec
 from gpme.errors import ConfigurationError
-from gpme.evolution import (FluxSpec, cfl_limit, escape_weights, flux_divergence, run,
-                            step_cde, step_gpme)
+from gpme.evolution import (FluxSpec, ProblemSpec, cfl_limit, escape_weights,
+                            flux_divergence, run, step_cde, step_gpme)
 from gpme.grid_field import TimeGrid, UniformGrid
-from gpme.levy_operators import (MeasureSpec, WeightedStencil, apply_stencil,
+from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
                                  measure_stencil)
-from gpme.profiles import BarenblattExact, BarenblattProfile
+from gpme.profiles import BarenblattExact, BarenblattProfile, GaussianProfile
 
 
 def _empty(g):
@@ -130,3 +130,14 @@ def test_flux_table_validation():
                  table_f=(0.0,))
     with pytest.raises(ConfigurationError):
         FluxSpec(kind="burgers", u_range=(1.0, 0.0))
+
+
+def test_run_rejects_a_velocity_shorter_than_dim():
+    # one component on the plane: named before any step, not an IndexError
+    g = UniformGrid.from_box(2, 0.5, 1.0)
+    problem = ProblemSpec(operator=OperatorSpec(c=1), phi=PhiSpec(kind="zero"),
+                          initial=GaussianProfile(1.0, 0.25, (0.0, 0.0), 2),
+                          flux=FluxSpec(kind="linear", u_range=(0.0, 1.0), velocity=(1.0,)))
+    with pytest.raises(ConfigurationError) as err:
+        run(problem, g, TimeGrid.uniform(0.1, 0.05))
+    assert err.value.field == "problem.flux.velocity"

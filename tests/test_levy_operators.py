@@ -74,8 +74,8 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     # the default support is the box diameter: offsets reach past the box
     # and are dropped; on half the box they stop inside it, and a circular
     # length below n + K would wrap the longest jumps onto nodes.  The
-    # operator's exposed symbol, c/h^2 nearest neighbors included, gives
-    # the same neighbor sum on the box
+    # operator's exposed spectrum, c/h^2 nearest neighbors included, gives
+    # the same neighbor sum on the box, and it is the operator's only form
     g = UniformGrid.from_box(dim, h, box)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                          support_radius=None if support == "diameter" else box)
@@ -86,7 +86,21 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     np.testing.assert_allclose(_neighbor_sum(st, c, v), _shift_loop(st, c, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
     op = _neighbor_operator(st, c, g.shape)
-    np.testing.assert_allclose(_circular(v, op.symbol, op.lengths), op(v), rtol=0.0,
+    assert op.matrix is None
+    np.testing.assert_array_equal(_circular(v, op.spectrum, op.lengths), op(v))
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (1, 9)], ids=["column", "row"])
+def test_fft_neighbor_sum_on_a_one_node_axis(shape):
+    # no jump along a one-node axis lands in the box, the nearest
+    # neighbors' included, though the kernel's circular length there is 2
+    g = UniformGrid.from_box(2, 0.25, 1.5)
+    st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g, support_radius=5 * g.h)
+    assert st.n_offsets > _KERNEL_THRESHOLD
+    v = np.random.default_rng(6).normal(size=shape)
+    op = _neighbor_operator(st, 1, shape)
+    assert op.matrix is None and 2 in op.lengths
+    np.testing.assert_allclose(op(v), _shift_loop(st, 1, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
 
 
