@@ -32,8 +32,8 @@ from .grid_field import GridFunction, TimeGrid, UniformGrid
 from .levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
                              check_moments, combine_with_laplacian, laplacian_stencil,
                              measure_stencil, testfunction_moment_bound)
-from .profiles import (BarenblattProfile, ConstantInTime, GaussianProfile,
-                       PoissonKernelProfile, SeparableSource)
+from .profiles import (BarenblattProfile, GaussianProfile, PoissonKernelProfile,
+                       SeparableSource, TimeFactor)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
 
@@ -161,10 +161,10 @@ def _continuum_l1_gap(stencil, c, profile, reference, grid):
     negligible)."""
     pts = grid.coords().reshape(-1, grid.dim)
     merged = combine_with_laplacian(stencil, c)
-    base = profile.value(pts)
+    base = profile.at(pts)
     disc = -merged.total_weight * base
     for off, w in zip(merged.offsets, merged.weights):
-        disc += w * profile.value(pts + merged.h * off)
+        disc += w * profile.at(pts + merged.h * off)
     disc -= base * stencil.tail_mass_beyond_support
     return float(grid.cell_volume * np.sum(np.abs(disc - reference(pts))))
 
@@ -174,7 +174,7 @@ def _gaussian_laplacian(profile):
     def reference(points):
         d2 = np.sum((points - np.asarray(profile.center)) ** 2, axis=-1)
         s = profile.spread
-        return profile.value(points) * (d2 / (4.0 * s * s) - profile.dim / (2.0 * s))
+        return profile.at(points) * (d2 / (4.0 * s * s) - profile.dim / (2.0 * s))
     return reference
 
 
@@ -193,10 +193,10 @@ def _principal_value(measure, profile):
 
     def reference(points):
         x = points[:, 0]
-        base = profile.value(points)
+        base = profile.at(points)
 
         def at(y):
-            return profile.value(y[:, None])
+            return profile.at(y[:, None])
 
         def integrand(s):
             return (at(x + s) + at(x - s) - 2.0 * base) * float(measure.radial_density(s, 1))
@@ -271,7 +271,7 @@ def _small_problem(phi, initial, flux=None, measure=None, c=1, source=None):
 def _barenblatt_run():
     """The m = 2 Barenblatt run that the evolution and tail suites read."""
     prob = _small_problem(PhiSpec(kind="power", exponent=2.0),
-                          BarenblattProfile(BarenblattProfile.coeff_for_unit_mass(), 1.0))
+                          BarenblattProfile(time=1.0))
     rep = run(prob, UniformGrid.from_box(1, 0.1, 6.0), TimeGrid.uniform(0.2, 0.05),
               config=EpSolveConfig(residual_tol=1e-13))
     return prob, rep
@@ -395,7 +395,7 @@ def _equitightness_suite(barenblatt):
                            equitightness_check(repf.trajectory, probf, R=4.0, r=1.0)))
 
     # source term enters the bound through both integrability pieces
-    src = SeparableSource(GaussianProfile(0.5, 0.25), ConstantInTime(1.0))
+    src = SeparableSource(GaussianProfile(0.5, 0.25), TimeFactor("constant", 1.0))
     probs = _small_problem(PhiSpec(kind="power", exponent=2.0),
                            GaussianProfile(1.0, 0.25), source=src)
     grid = rep.trajectory.grid

@@ -2,25 +2,29 @@
 preset merging, and builders turning a validated config into the runtime
 objects (grid, time grid, problem, solver settings, exact reference).
 
-The phi, flux, measure, operator and solver blocks are not listed here:
-``_spec_block`` reads each from its spec dataclass (PhiSpec, FluxSpec,
-MeasureSpec, OperatorSpec, EpSolveConfig).  The keys are the fields, a
-value's JSON type follows its field's annotation, an absent key takes the
-field's default and a field without one is required; build_plan builds
-each spec as ``Spec(**block)``.  A measure's ``density`` callable is no
-key: a custom measure names it by ``form`` and ``exponent`` or
-``location``, the keys this module adds.
+The phi, flux, measure, operator, solver and data blocks are not listed
+here: ``_spec_block`` reads each from its spec dataclass (PhiSpec,
+FluxSpec, MeasureSpec, OperatorSpec, EpSolveConfig; for ``initial`` and
+``source.spatial`` the profile class that ``profiles.PROFILES`` names by
+the block's ``kind``, for ``source.temporal`` TimeFactor).  The keys are
+the fields, a value's JSON type follows its field's annotation, an absent
+key takes the field's default and a field without one is required;
+build_plan builds each spec as ``Spec(**block)``.  A measure's ``density``
+callable is no key: a custom measure names it by ``form`` and ``exponent``
+or ``location``, the keys this module adds.  A profile's ``dim`` is no key
+either: it is problem.dim, and a profile class without that field is
+one-dimensional.
 
 The checks are split in two, and each is made once.  load_config checks
 the schema: unknown keys, JSON types (every list element included),
-required presence, the shapes that depend on ``dim``, defaults, and the
+required presence, the one-dimensional data kinds, defaults, and the
 values that exist only here (``dt.policy``, ``exact``, the custom-density
-``form``, ``diagnostics``, ``output_dir``, ``preset``, the profiles).
-Every other value is checked by the constructor of the spec that holds it
-(MeasureSpec, OperatorSpec, PhiSpec, FluxSpec, the profiles, UniformGrid,
-TimeGrid, EpSolveConfig) when build_plan builds it, and its
-ConfigurationError names the dotted config path of that value.  The
-values that need the grid or the time steps (support radius, velocity
+``form``, a data block's ``kind``, ``diagnostics``, ``output_dir``,
+``preset``).  Every other value is checked by the constructor of the spec
+that holds it (MeasureSpec, OperatorSpec, PhiSpec, FluxSpec, the profiles,
+TimeFactor, UniformGrid, TimeGrid, EpSolveConfig) when build_plan builds
+it, and its ConfigurationError names the dotted config path of that value.
+The values that need the grid or the time steps (support radius, velocity
 length, flux monotonicity, dt factor) are checked by build_plan through
 the same function the run calls later; the tail radii, which only
 ``gpme run`` reads, are checked by that command before it computes.
@@ -88,14 +92,13 @@ def _number(v, field, positive=False, integer=False):
     return int(v) if integer else float(v)
 
 
-def _number_list(v, field, length=None, positive=False):
-    """v as a list of floats, rejected at field unless it is a list (of the
-    given length) whose every entry is a number (positive if asked)."""
-    if not (isinstance(v, list) and (length is None or len(v) == length)
+def _number_list(v, field, positive=False):
+    """v as a list of floats, rejected at field unless it is a list whose
+    every entry is a number (positive if asked)."""
+    if not (isinstance(v, list)
             and all(_is_number(x) and (x > 0 or not positive) for x in v)):
-        size = "" if length is None else f"{length} "
         what = "positive numbers" if positive else "numbers"
-        raise ConfigurationError(f"{field} must be a list of {size}{what}", field=field)
+        raise ConfigurationError(f"{field} must be a list of {what}", field=field)
     return [float(x) for x in v]
 
 
@@ -171,78 +174,45 @@ def _validate_flux(f, path):
     return None if f is None else _spec_block(f, FluxSpec, path)
 
 
-_PROFILE_KEYS = {
-    "gaussian": {"amplitude", "spread", "center"},
-    "barenblatt": {"coeff", "time"},
-    "poisson": {"t0"},
-    "step": {"left", "right", "position"},
-    "indicator": {"lo", "hi"},
-    "constant": {"value"},
-}
+def _has_dim(spec):
+    """Whether a profile class takes the problem's dimension; one without a
+    dim field is one-dimensional."""
+    return "dim" in {f.name for f in dataclasses.fields(spec)}
 
 
 def _validate_profile(b, path, dim):
+    from .profiles import PROFILES
     if b is None:
         raise ConfigurationError(f"missing {path}", field=path)
     _require_dict(b, path)
     kind = b.get("kind")
-    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
+    if not isinstance(kind, str) or kind not in PROFILES:
         raise ConfigurationError(
-            f"{path}.kind must be one of {sorted(_PROFILE_KEYS)}", field=f"{path}.kind")
-    _check_keys(b, _PROFILE_KEYS[kind] | {"kind"}, path)
-    out = {"kind": kind}
-    if kind == "gaussian":
-        out["amplitude"] = _get_number(b, "amplitude", path, required=True)
-        out["spread"] = _get_number(b, "spread", path, required=True)
-        center = b.get("center")
-        out["center"] = [0.0] * dim if center is None else _number_list(
-            center, f"{path}.center", length=dim)
-    elif kind == "barenblatt":
-        out["coeff"] = _get_number(b, "coeff", path)
-        out["time"] = _get_number(b, "time", path, required=True)
-    elif kind == "poisson":
-        out["t0"] = _get_number(b, "t0", path, required=True)
-    elif kind == "step":
-        out["left"] = _get_number(b, "left", path, required=True)
-        out["right"] = _get_number(b, "right", path, required=True)
-        out["position"] = _get_number(b, "position", path, default=0.0)
-    elif kind == "indicator":
-        out["lo"] = _get_number(b, "lo", path, required=True)
-        out["hi"] = _get_number(b, "hi", path, required=True)
-    else:
-        out["value"] = _get_number(b, "value", path, required=True)
+            f"{path}.kind must be one of {sorted(PROFILES)}", field=f"{path}.kind")
+    out = {"kind": kind, **_spec_block(b, PROFILES[kind], path, skip=("dim",),
+                                       extra=("kind",))}
+    # an absent center is the origin, written out in problem.dim's length
+    if kind == "gaussian" and out["center"] is None:
+        out["center"] = [0.0] * dim
     # dim < 1 is left to the grid, which names problem.dim
-    if kind in ("barenblatt", "poisson", "step", "indicator") and dim > 1:
+    if dim > 1 and not _has_dim(PROFILES[kind]):
         raise ConfigurationError(f"{path}.kind {kind!r} is one-dimensional only",
                                  field=f"{path}.kind")
     return out
 
 
 def _validate_source(s, path, dim):
+    from .profiles import TimeFactor
     if s is None:
         return None
     _require_dict(s, path)
     _check_keys(s, {"spatial", "temporal"}, path)
-    out = {"spatial": _validate_profile(s.get("spatial"), f"{path}.spatial", dim)}
+    # no temporal block is a constant factor, every field at its default
     t = s.get("temporal")
-    if t is None:
-        out["temporal"] = {"kind": "constant", "value": 1.0}
-        return out
-    _require_dict(t, f"{path}.temporal")
-    _check_keys(t, {"kind", "value", "slope"}, f"{path}.temporal")
-    tk = t.get("kind")
-    if tk not in ("constant", "linear"):
-        raise ConfigurationError(f"{path}.temporal.kind must be constant or linear",
-                                 field=f"{path}.temporal.kind")
-    out["temporal"] = {"kind": tk,
-                       "value": _get_number(t, "value", f"{path}.temporal", default=1.0),
-                       "slope": _get_number(t, "slope", f"{path}.temporal", default=1.0)}
-    return out
+    return {"spatial": _validate_profile(s.get("spatial"), f"{path}.spatial", dim),
+            "temporal": _spec_block({"kind": "constant"} if t is None else t, TimeFactor,
+                                    f"{path}.temporal")}
 
-
-# the reference each exact solution needs as initial data
-_EXACT_DATA = {"heat_gaussian": "gaussian", "barenblatt": "barenblatt",
-               "poisson": "poisson", "shock": "step"}
 
 _PROBLEM_KEYS = {"dim", "operator", "phi", "flux", "initial", "source",
                  "box_half_extent", "h", "T", "dt", "exact"}
@@ -259,6 +229,7 @@ def _validate_operator(op):
 
 
 def _validate_problem(p):
+    from .profiles import EXACT
     path = "problem"
     if p is None:
         raise ConfigurationError("missing problem block", field=path)
@@ -288,8 +259,8 @@ def _validate_problem(p):
     out["dt"] = {"policy": pol,
                  "factor": _get_number(dt, "factor", "problem.dt", required=True)}
     exact = p.get("exact")
-    if exact not in (None, *_EXACT_DATA):
-        raise ConfigurationError(f"problem.exact must be one of {list(_EXACT_DATA)}",
+    if exact not in (None, *EXACT):
+        raise ConfigurationError(f"problem.exact must be one of {list(EXACT)}",
                                  field="problem.exact")
     out["exact"] = exact
     return out
@@ -446,62 +417,45 @@ def build_operator(ocfg):
     return OperatorSpec(**{**ocfg, "measure": measure})
 
 
-def _build_profile(bcfg, dim, path):
-    """The profile of a validated data block.  Profiles appear at more than
+def _build_data(spec, block, path):
+    """``spec(**block)`` for the data at path.  Data specs sit at more than
     one config location, so their fields are relative and path prefixes
     them here."""
-    from . import profiles as pr
-    kind = bcfg["kind"]
     try:
-        if kind == "gaussian":
-            return pr.GaussianProfile(bcfg["amplitude"], bcfg["spread"],
-                                      tuple(bcfg["center"]), dim)
-        if kind == "barenblatt":
-            coeff = bcfg["coeff"]
-            if coeff is None:
-                coeff = pr.BarenblattProfile.coeff_for_unit_mass()
-            return pr.BarenblattProfile(coeff, bcfg["time"])
-        if kind == "poisson":
-            return pr.PoissonKernelProfile(bcfg["t0"])
-        if kind == "step":
-            return pr.StepProfile(bcfg["left"], bcfg["right"], bcfg["position"])
-        if kind == "indicator":
-            return pr.IndicatorProfile(bcfg["lo"], bcfg["hi"])
-        return pr.ConstantProfile(bcfg["value"], dim)
+        return spec(**block)
     except ConfigurationError as e:
         field = f"{path}.{e.field}" if e.field else path
         raise ConfigurationError(str(e), field=field) from None
 
 
+def _build_profile(bcfg, dim, path):
+    """The profile of a validated data block."""
+    from .profiles import PROFILES
+    spec = PROFILES[bcfg["kind"]]
+    block = {k: v for k, v in bcfg.items() if k != "kind"}
+    if _has_dim(spec):
+        block["dim"] = dim
+    return _build_data(spec, block, path)
+
+
 def _build_source(scfg, dim):
-    from . import profiles as pr
+    from .profiles import SeparableSource, TimeFactor
     if scfg is None:
         return None
-    spatial = _build_profile(scfg["spatial"], dim, "problem.source.spatial")
-    t = scfg["temporal"]
-    if t["kind"] == "constant":
-        temporal = pr.ConstantInTime(t["value"])
-    else:
-        temporal = pr.LinearInTime(t["slope"])
-    return pr.SeparableSource(spatial, temporal)
+    return SeparableSource(_build_profile(scfg["spatial"], dim, "problem.source.spatial"),
+                           _build_data(TimeFactor, scfg["temporal"], "problem.source.temporal"))
 
 
-def _build_exact(name, initial, init_kind, dim):
+def _build_exact(name, initial, kind):
     """The closed-form reference named by problem.exact, started from the
     built initial profile."""
-    from . import profiles as pr
+    from .profiles import EXACT
     if name is None:
         return None
-    if init_kind != _EXACT_DATA[name]:
-        raise ConfigurationError(f"{name} reference needs {_EXACT_DATA[name]} data",
-                                 field="problem.exact")
-    if name == "heat_gaussian":
-        return pr.HeatGaussianExact(initial.amplitude, initial.spread, initial.center, dim)
-    if name == "barenblatt":
-        return pr.BarenblattExact(initial.coeff, initial.t)
-    if name == "poisson":
-        return pr.PoissonExact(initial.t0)
-    return pr.ShockExact(initial.left, initial.right, initial.position)
+    data, spec = EXACT[name]
+    if kind != data:
+        raise ConfigurationError(f"{name} reference needs {data} data", field="problem.exact")
+    return spec(initial)
 
 
 def build_plan(cfg, h=None):
@@ -530,4 +484,4 @@ def build_plan(cfg, h=None):
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
     return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
                    solver=EpSolveConfig(**cfg["solver"]), diagnostics=cfg["diagnostics"],
-                   exact=_build_exact(p["exact"], initial, p["initial"]["kind"], dim))
+                   exact=_build_exact(p["exact"], initial, p["initial"]["kind"]))

@@ -59,7 +59,6 @@ from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from .errors import ConfigurationError, NonConvergenceError
-from .grid_field import GridFunction
 from .levy_operators import _circular, _neighbor_operator, _total_weight
 # not called here; bench/tracing.py wraps this module's apply_stencil
 from .levy_operators import apply_stencil  # noqa: F401
@@ -516,37 +515,31 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
     cfg = config if config is not None else EpSolveConfig()
     if dt < 0.0:
         raise ConfigurationError("dt must be nonnegative", field="dt")
-    grid = rho.grid if isinstance(rho, GridFunction) else None
-    rho_vals = rho.values if isinstance(rho, GridFunction) else np.asarray(rho, dtype=float)
+    rho = np.asarray(rho, dtype=float)
 
     def finish(w, res_field, sweeps, fallbacks):
-        out = GridFunction(grid, w) if grid is not None else w
-        return EpResult(w=out, residual=float(np.max(np.abs(res_field))),
+        return EpResult(w=w, residual=float(np.max(np.abs(res_field))),
                         sweeps=sweeps, residual_field=res_field, fallbacks=fallbacks)
 
     if dt == 0.0 or phi.kind == "zero":
         # w = rho solves it, and dt L[phi(w)] vanishes: no operator needed
-        w = rho_vals.copy()
-        return finish(w, w - rho_vals, 0, 0)
+        w = rho.copy()
+        return finish(w, w - rho, 0, 0)
 
     if resolvent is None:
-        resolvent = _Resolvent(stencil, c, rho_vals.shape)
+        resolvent = _Resolvent(stencil, c, rho.shape)
     W, neighbor = resolvent.W, resolvent.neighbor
-    if warm_start is None:
-        w = rho_vals.copy()
-    else:
-        wv = warm_start.values if isinstance(warm_start, GridFunction) else warm_start
-        w = np.asarray(wv, dtype=float).copy()
-    cap = cfg.sweep_cap(rho_vals.size)
-    tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho_vals))))
-    lo = min(0.0, float(np.min(rho_vals)))
-    hi = max(0.0, float(np.max(rho_vals)))
+    w = np.array(rho if warm_start is None else warm_start, dtype=float)
+    cap = cfg.sweep_cap(rho.size)
+    tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho))))
+    lo = min(0.0, float(np.min(rho)))
+    hi = max(0.0, float(np.max(rho)))
     solve = resolvent.linear_solver(dt)
 
     def evaluate(w):
         p = phi.value(w)
         ns = neighbor(p)
-        res = w - dt * (ns - W * p) - rho_vals
+        res = w - dt * (ns - W * p) - rho
         return ns, res, float(np.max(np.abs(res)))
 
     sweeps = fallbacks = 0
@@ -571,6 +564,6 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
                 break
         else:
             fallbacks += 1
-            w = _jacobi_sweep(phi, dt, W, rho_vals, ns, w)
+            w = _jacobi_sweep(phi, dt, W, rho, ns, w)
             ns, res, r = evaluate(w)
     return finish(w, res, sweeps, fallbacks)

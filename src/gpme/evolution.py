@@ -84,6 +84,13 @@ class FluxSpec:
                 raise ConfigurationError("flux table needs strictly increasing abscissae",
                                          field="problem.flux.table_u")
 
+    def check_dim(self, dim):
+        """Reject a velocity whose length is not dim, one component per
+        axis."""
+        if self.velocity is not None and len(self.velocity) != dim:
+            raise ConfigurationError(f"flux velocity needs {dim} components, one per axis",
+                                     field="problem.flux.velocity")
+
     def flux_value(self, u, axis=0):
         u = np.asarray(u, dtype=float)
         if self.kind == "burgers":
@@ -146,9 +153,7 @@ def validate_flux(flux, dim=1, samples=33):
     range: consistency F(u,u) = f(u) and the monotone property
     (nondecreasing in the first slot, nonincreasing in the second).
     Raises ConfigurationError on a violation."""
-    if flux.velocity is not None and len(flux.velocity) != dim:
-        raise ConfigurationError(f"flux velocity needs {dim} components, one per axis",
-                                 field="problem.flux.velocity")
+    flux.check_dim(dim)
     lo, hi = flux.u_range
     us = np.linspace(lo, hi, samples)
     scale = 1.0 + float(np.max(np.abs(flux.flux_value(us))))
@@ -171,6 +176,7 @@ def flux_divergence(flux, values, h):
     """Conservative divergence sum_i (F_i(U, U_+e) - F_i(U_-e, U)) / h with
     zero extension outside the box."""
     values = np.asarray(values, dtype=float)
+    flux.check_dim(values.ndim)
     out = np.zeros_like(values)
     for axis in range(values.ndim):
         off = [0] * values.ndim
@@ -201,6 +207,7 @@ def boundary_outflow(flux, values, h):
 
 def cfl_limit(flux, h, dim):
     """Largest admissible explicit step for the convective part."""
+    flux.check_dim(dim)
     L = flux.max_lipschitz(dim)
     if L == 0.0:
         return np.inf

@@ -1,10 +1,16 @@
 """Concrete data descriptors: initial profiles, sources, exact solutions.
 
-A spatial profile knows how to evaluate itself pointwise, how to average
-itself exactly over lattice cells, and how to report the continuum norms the
-diagnostics need (sup, L^1, tail mass outside a ball, cutoff-weighted L^1).
-Every family (constant, Gaussian, Barenblatt, Poisson kernel, indicator,
-step) carries closed-form cell averages.
+A spatial profile knows how to evaluate itself pointwise (``at``), how to
+average itself exactly over lattice cells, and how to report the continuum
+norms the diagnostics need (sup, L^1, tail mass outside a ball,
+cutoff-weighted L^1).  Every family (constant, Gaussian, Barenblatt,
+Poisson kernel, indicator, step) carries closed-form cell averages.
+
+The dataclass fields are the config keys: a data block's ``kind`` names its
+class in ``PROFILES``, and a source's ``temporal`` block is a
+``TimeFactor``.  A profile with a ``dim`` field takes the problem's
+dimension; the others are one-dimensional.  An exact solution holds its
+initial profile, and ``EXACT`` names the data kind each one starts from.
 
 A profile can sit at more than one config location (initial data, source),
 so the ``field`` of a ConfigurationError raised here names the key inside
@@ -14,7 +20,7 @@ the data block only; the caller that knows the block's path prefixes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -31,12 +37,13 @@ __all__ = [
     "IndicatorProfile",
     "StepProfile",
     "SeparableSource",
-    "ConstantInTime",
-    "LinearInTime",
+    "TimeFactor",
     "HeatGaussianExact",
     "BarenblattExact",
     "PoissonExact",
     "ShockExact",
+    "PROFILES",
+    "EXACT",
     "sphere_area",
 ]
 
@@ -56,13 +63,13 @@ def _as_points(x, dim):
 
 
 class SpatialProfile:
-    """Base descriptor.  Subclasses give ``value`` and ``cell_averages``
+    """Base descriptor.  Subclasses give ``at`` and ``cell_averages``
     and fill in the closed-form norms they have."""
 
     dim = 1
     is_radial = False
 
-    def value(self, points):
+    def at(self, points):
         raise NotImplementedError
 
     # -- continuum norms ----------------------------------------------------
@@ -109,21 +116,21 @@ class SpatialProfile:
 
 @dataclass(frozen=True)
 class ConstantProfile(SpatialProfile):
-    c: float
+    value: float
     dim: int = 1
 
-    def value(self, points):
+    def at(self, points):
         pts = _as_points(points, self.dim)
-        return np.full(pts.shape[:-1], float(self.c))
+        return np.full(pts.shape[:-1], float(self.value))
 
     def cell_averages(self, grid):
-        return np.full(grid.shape, float(self.c))
+        return np.full(grid.shape, float(self.value))
 
     def sup_norm(self):
-        return abs(self.c)
+        return abs(self.value)
 
     def l1_norm(self):
-        return 0.0 if self.c == 0.0 else math.inf
+        return 0.0 if self.value == 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,7 @@ class GaussianProfile(SpatialProfile):
     def is_radial(self):
         return all(ci == 0.0 for ci in self.center)
 
-    def value(self, points):
+    def at(self, points):
         pts = _as_points(points, self.dim)
         d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)
         return self.amplitude * np.exp(-d2 / (4.0 * self.spread))
@@ -195,30 +202,35 @@ class GaussianProfile(SpatialProfile):
 @dataclass(frozen=True)
 class BarenblattProfile(SpatialProfile):
     """Self-similar source solution of u_t = (u^2)_xx in one dimension,
-    evaluated at a fixed time: max(0, C t^(-1/3) - x^2/(12 t))."""
+    evaluated at a fixed time: max(0, C t^(-1/3) - x^2/(12 t)).  C = coeff,
+    None for unit mass; t = time."""
 
-    coeff: float
-    t: float
+    # keyword-only so that it may default ahead of time: fields() keeps the
+    # order coeff, time, which is the key order of a normalized config
+    coeff: float = field(default=None, kw_only=True)
+    time: float
 
     def __post_init__(self):
+        if self.coeff is None:
+            object.__setattr__(self, "coeff", self.coeff_for_unit_mass())
         if not (self.coeff > 0.0):
             raise ConfigurationError("barenblatt needs coeff > 0", field="coeff")
-        if not (self.t > 0.0):
+        if not (self.time > 0.0):
             raise ConfigurationError("barenblatt needs t > 0", field="time")
 
     @property
     def peak(self):
-        return self.coeff * self.t ** (-1.0 / 3.0)
+        return self.coeff * self.time ** (-1.0 / 3.0)
 
     @property
     def curvature(self):
-        return 1.0 / (12.0 * self.t)
+        return 1.0 / (12.0 * self.time)
 
     @property
     def support_radius(self):
         return math.sqrt(self.peak / self.curvature)
 
-    def value(self, points):
+    def at(self, points):
         pts = _as_points(points, 1)
         x = pts[..., 0]
         return np.maximum(0.0, self.peak - self.curvature * x * x)
@@ -265,7 +277,7 @@ class PoissonKernelProfile(SpatialProfile):
         if not (self.t0 > 0.0):
             raise ConfigurationError("poisson kernel needs t0 > 0", field="t0")
 
-    def value(self, points):
+    def at(self, points):
         pts = _as_points(points, 1)
         x = pts[..., 0]
         return self.t0 / (math.pi * (x * x + self.t0 * self.t0))
@@ -297,7 +309,7 @@ class IndicatorProfile(SpatialProfile):
         if not (self.hi > self.lo):
             raise ConfigurationError("indicator needs hi > lo", field="hi")
 
-    def value(self, points):
+    def at(self, points):
         pts = _as_points(points, 1)
         x = pts[..., 0]
         return ((x >= self.lo) & (x <= self.hi)).astype(float)
@@ -331,7 +343,7 @@ class StepProfile(SpatialProfile):
     right: float
     position: float = 0.0
 
-    def value(self, points):
+    def at(self, points):
         pts = _as_points(points, 1)
         x = pts[..., 0]
         return np.where(x < self.position, float(self.left), float(self.right))
@@ -352,7 +364,7 @@ def _abs_value_at(profile, x):
     quadrature integrand here."""
     point = np.zeros((1, profile.dim))
     point[0, 0] = x
-    return abs(float(profile.value(point)[0]))
+    return abs(float(profile.at(point)[0]))
 
 
 def _tail_abs_quad_1d(profile, R):
@@ -382,29 +394,26 @@ def _tail_abs_quad_radial(profile, R):
 # sources
 
 
-class ConstantInTime:
-    def __init__(self, c=1.0):
-        self.c = float(c)
+@dataclass(frozen=True)
+class TimeFactor:
+    """a(t) = value for kind "constant", a(t) = slope * t for "linear"."""
+
+    kind: str
+    value: float = 1.0
+    slope: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "linear"):
+            raise ConfigurationError("temporal kind must be constant or linear", field="kind")
 
     def integral(self, t0, t1):
-        return self.c * (t1 - t0)
-
-    def abs_integral(self, t0, t1):
-        return abs(self.c) * (t1 - t0)
-
-
-class LinearInTime:
-    """a(t) = slope * t."""
-
-    def __init__(self, slope=1.0):
-        self.slope = float(slope)
-
-    def integral(self, t0, t1):
+        if self.kind == "constant":
+            return self.value * (t1 - t0)
         return 0.5 * self.slope * (t1 * t1 - t0 * t0)
 
     def abs_integral(self, t0, t1):
-        # t >= 0 along every run
-        return abs(0.5 * self.slope) * (t1 * t1 - t0 * t0)
+        # a(t) keeps its sign on t >= 0, the times of every run
+        return abs(self.integral(t0, t1))
 
 
 class SeparableSource:
@@ -434,37 +443,27 @@ class SeparableSource:
 
 
 # ---------------------------------------------------------------------------
-# exact solution families (for studies)
+# exact solution families (for studies): each holds its initial profile
 
 
 @dataclass(frozen=True)
 class HeatGaussianExact:
     """u_t = u_xx started from A exp(-|x - center|^2/(4 s0))."""
 
-    amplitude: float
-    spread: float
-    center: tuple
-    dim: int = 1
-
-    def initial(self):
-        return GaussianProfile(self.amplitude, self.spread, self.center, self.dim)
+    initial: GaussianProfile
 
     def at_time(self, t):
-        s = self.spread + t
-        amp = self.amplitude * (self.spread / s) ** (self.dim / 2.0)
-        return GaussianProfile(amp, s, self.center, self.dim)
+        g = self.initial
+        s = g.spread + t
+        return replace(g, amplitude=g.amplitude * (g.spread / s) ** (g.dim / 2.0), spread=s)
 
 
 @dataclass(frozen=True)
 class BarenblattExact:
-    coeff: float
-    t_ref: float
-
-    def initial(self):
-        return BarenblattProfile(self.coeff, self.t_ref)
+    initial: BarenblattProfile
 
     def at_time(self, t):
-        return BarenblattProfile(self.coeff, self.t_ref + t)
+        return replace(self.initial, time=self.initial.time + t)
 
 
 @dataclass(frozen=True)
@@ -472,13 +471,10 @@ class PoissonExact:
     """Semigroup of the unit-order fractional Laplacian acting on its own
     kernel: the profile just thickens, t0 -> t0 + t."""
 
-    t0: float
-
-    def initial(self):
-        return PoissonKernelProfile(self.t0)
+    initial: PoissonKernelProfile
 
     def at_time(self, t):
-        return PoissonKernelProfile(self.t0 + t)
+        return replace(self.initial, t0=self.initial.t0 + t)
 
 
 @dataclass(frozen=True)
@@ -487,16 +483,23 @@ class ShockExact:
     left > right at ``position``: a single shock moving at the
     Rankine-Hugoniot speed."""
 
-    left: float
-    right: float
-    position: float
+    initial: StepProfile
 
     @property
     def speed(self):
-        return 0.5 * (self.left + self.right)
-
-    def initial(self):
-        return StepProfile(self.left, self.right, self.position)
+        return 0.5 * (self.initial.left + self.initial.right)
 
     def at_time(self, t):
-        return StepProfile(self.left, self.right, self.position + self.speed * t)
+        return replace(self.initial, position=self.initial.position + self.speed * t)
+
+
+# a data block's kind -> its profile class
+PROFILES = {"gaussian": GaussianProfile, "barenblatt": BarenblattProfile,
+            "poisson": PoissonKernelProfile, "step": StepProfile,
+            "indicator": IndicatorProfile, "constant": ConstantProfile}
+
+# problem.exact -> the kind of initial data it starts from, and its class
+EXACT = {"heat_gaussian": ("gaussian", HeatGaussianExact),
+         "barenblatt": ("barenblatt", BarenblattExact),
+         "poisson": ("poisson", PoissonExact),
+         "shock": ("step", ShockExact)}

@@ -240,6 +240,24 @@ PROBLEM_REJECTED = {
         "kind": "fractional", "alpha": 1.0, "density": 1}}},
         "problem.operator.measure.density"),
     "unknown_operator_key": ({"operator": {"bogus": 1}}, "problem.operator.bogus"),
+    # the data blocks: a profile's or time factor's keys are its class's fields
+    "unknown_initial_key": ({"initial": {"bogus": 1}}, "problem.initial.bogus"),
+    "barenblatt_in_the_plane": ({"dim": 2, "source": {"spatial": {
+        "kind": "barenblatt", "time": 1.0}}}, "problem.source.spatial.kind"),
+    "step_in_the_plane": ({"dim": 2, "source": {"spatial": {
+        "kind": "step", "left": 1.0, "right": 0.0}}}, "problem.source.spatial.kind"),
+    "barenblatt_without_time": ({"source": {"spatial": {"kind": "barenblatt"}}},
+                                "problem.source.spatial.time"),
+    "string_constant_value": ({"source": {"spatial": {"kind": "constant", "value": "1"}}},
+                              "problem.source.spatial.value"),
+    "two_number_center_on_the_line": ({"initial": {"center": [0.0, 1.0]}},
+                                      "problem.initial.center"),
+    "unknown_temporal_key": ({"source": {"spatial": {"kind": "constant", "value": 1.0},
+                                         "temporal": {"kind": "linear", "bogus": 1}}},
+                             "problem.source.temporal.bogus"),
+    "unknown_temporal_kind": ({"source": {"spatial": {"kind": "constant", "value": 1.0},
+                                          "temporal": {"kind": "cubic"}}},
+                              "problem.source.temporal.kind"),
     # checks that need the grid or the time steps, made before any computing
     "support_radius_below_half_h": ({"operator": {"c": 1, "support_radius": 0.2, "measure": {
         "kind": "fractional", "alpha": 1.0}}}, "problem.operator.support_radius"),

@@ -37,6 +37,19 @@ EVERY_BLOCK = {
         "operator": {"c": 1, "measure": {"kind": "custom", "form": "pole",
                                          "location": 0.3, "alpha": 1.0}},
     }},
+    # the data blocks: each temporal kind and none, and the plane's Gaussian
+    # with and without its center
+    "constant_source_without_temporal": {"problem": {
+        "source": {"spatial": {"kind": "constant", "value": 0.5}}}},
+    "indicator_source_constant_in_time": {"problem": {
+        "source": {"spatial": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
+                   "temporal": {"kind": "constant", "value": 2.0}}}},
+    "constant_source_linear_in_time": {"problem": {
+        "source": {"spatial": {"kind": "constant", "value": 0.5},
+                   "temporal": {"kind": "linear", "slope": 0.5}}}},
+    "gaussian_plane_with_center": {"problem": {
+        "dim": 2, "initial": {"center": [0.5, -0.25]}}},
+    "gaussian_plane_without_center": {"problem": {"dim": 2}},
 }
 
 
@@ -73,3 +86,14 @@ def test_absent_keys_take_the_spec_defaults():
     assert p["flux"]["numerical"] == "engquist_osher"
     assert p["flux"]["u_range"] == [0.0, 1.0]
     assert cfg["solver"] == {"residual_tol": 1e-13, "max_sweeps": None}
+
+
+def test_absent_data_keys_take_their_defaults():
+    plane = load_config(merge_config(TINY, EVERY_BLOCK["gaussian_plane_without_center"]))
+    assert plane["problem"]["initial"]["center"] == [0.0, 0.0]
+    source = load_config(merge_config(TINY, EVERY_BLOCK["constant_source_without_temporal"]))
+    assert source["problem"]["source"]["temporal"] == {"kind": "constant", "value": 1.0,
+                                                       "slope": 1.0}
+    step = load_config({"preset": "burgers_riemann_1d", "problem": {
+        "initial": {"position": None}}})
+    assert step["problem"]["initial"]["position"] == 0.0

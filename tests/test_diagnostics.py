@@ -240,13 +240,13 @@ def test_weighted_abs_l1_matches_simpson_oracle(case):
     cut = Cutoff(R, dim=prof.dim)
     if prof.dim == 1:
         def f(x):
-            return np.abs(prof.value(x[:, None])) * cut.value_radial(np.abs(x))
+            return np.abs(prof.at(x[:, None])) * cut.value_radial(np.abs(x))
 
         inner = _simpson(f, 0.5 * R, R) + _simpson(f, -R, -0.5 * R)
     else:
         def f(r):
             pts = np.stack([r, np.zeros_like(r)], axis=-1)
-            return 2.0 * math.pi * r * np.abs(prof.value(pts)) * cut.value_radial(r)
+            return 2.0 * math.pi * r * np.abs(prof.at(pts)) * cut.value_radial(r)
 
         inner = _simpson(f, 0.5 * R, R)
     assert prof.weighted_abs_l1(cut) == pytest.approx(inner + tail, rel=1e-10, abs=0.0)

@@ -83,9 +83,9 @@ def test_run_with_source_ledger():
 def test_pme_compact_support_no_leak():
     # box is three times the support: nothing may reach the boundary
     plan = build_plan(load_config("pme_barenblatt_1d"))
-    prof = BarenblattExact(plan.problem.initial.coeff
-                           if hasattr(plan.problem.initial, "coeff")
-                           else BarenblattProfile.coeff_for_unit_mass(), 1.0)
+    prof = BarenblattExact(BarenblattProfile(1.0, coeff=plan.problem.initial.coeff
+                                             if hasattr(plan.problem.initial, "coeff")
+                                             else BarenblattProfile.coeff_for_unit_mass()))
     rep = run(plan.problem, plan.grid, plan.time_grid,
               config=EpSolveConfig(residual_tol=1e-13))
     assert abs(rep.leak_diffusive[-1]) <= 1e-12
@@ -140,4 +140,18 @@ def test_run_rejects_a_velocity_shorter_than_dim():
                           flux=FluxSpec(kind="linear", u_range=(0.0, 1.0), velocity=(1.0,)))
     with pytest.raises(ConfigurationError) as err:
         run(problem, g, TimeGrid.uniform(0.1, 0.05))
+    assert err.value.field == "problem.flux.velocity"
+
+
+@pytest.mark.parametrize("call", [
+    lambda flux, u: step_cde(_empty(UniformGrid.from_box(2, 0.5, 1.0)), 1,
+                             PhiSpec(kind="zero"), flux, 0.01, 0.5, u),
+    lambda flux, u: cfl_limit(flux, 0.5, u.ndim),
+    lambda flux, u: flux_divergence(flux, u, 0.5),
+], ids=["step_cde", "cfl_limit", "flux_divergence"])
+def test_direct_calls_reject_a_velocity_shorter_than_dim(call):
+    # the same check as run's, without the run: a 5 x 5 array, one component
+    flux = FluxSpec(kind="linear", u_range=(0.0, 1.0), velocity=(1.0,))
+    with pytest.raises(ConfigurationError) as err:
+        call(flux, np.zeros((5, 5)))
     assert err.value.field == "problem.flux.velocity"

@@ -176,7 +176,7 @@ def test_operator_norm_bound_splits_near_and_far():
     g = UniformGrid.from_box(1, 0.1, 10.0)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g)
     x = g.axis_coords(0)
-    psi = prof.value(x[:, None])
+    psi = prof.at(x[:, None])
     spread = 0.5
     psi2 = (x ** 2 / (4.0 * spread ** 2) - 1.0 / (2.0 * spread)) * psi
     applied = apply_stencil(st, 0, psi)

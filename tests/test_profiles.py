@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from gpme.errors import ConfigurationError
-from gpme.profiles import (BarenblattExact, BarenblattProfile, ConstantInTime,
-                           GaussianProfile, HeatGaussianExact, IndicatorProfile,
-                           LinearInTime, PoissonExact, PoissonKernelProfile,
-                           ShockExact, StepProfile, sphere_area)
+from gpme.profiles import (BarenblattExact, BarenblattProfile, GaussianProfile,
+                           HeatGaussianExact, IndicatorProfile, PoissonExact,
+                           PoissonKernelProfile, ShockExact, StepProfile, TimeFactor,
+                           sphere_area)
 
 
 def test_sphere_area_low_dims():
@@ -19,7 +19,7 @@ def test_sphere_area_low_dims():
 
 def test_gaussian_closed_forms():
     prof = GaussianProfile(2.0, 0.25)
-    assert prof.value(np.array([[0.0]]))[0] == pytest.approx(2.0)
+    assert prof.at(np.array([[0.0]]))[0] == pytest.approx(2.0)
     # integral of amp * exp(-x^2/(4 s)) over the line
     assert prof.l1_norm() == pytest.approx(2.0 * np.sqrt(4.0 * np.pi * 0.25))
     tail, err = quad(lambda x: 2.0 * np.exp(-x * x), 3.0, 40.0)
@@ -40,55 +40,55 @@ def test_gaussian_cell_average_second_order():
     for h in (0.2, 0.1):
         g = UniformGrid.from_box(1, h, 1.0)
         avg = prof.cell_averages(g)
-        mid = prof.value(g.coords())
+        mid = prof.at(g.coords())
         worst = np.max(np.abs(avg - mid))
         assert worst < 0.2 * h * h
 
 
 def test_barenblatt_support_and_mass():
-    prof = BarenblattProfile(0.25, 1.0)
+    prof = BarenblattProfile(1.0, coeff=0.25)
     r = prof.support_radius
     pts = np.array([[r * 1.001], [r * 0.999]])
-    v = prof.value(pts)
+    v = prof.at(pts)
     assert v[0] == 0.0 and v[1] > 0.0
     # self-similar spreading preserves mass
-    m1 = BarenblattProfile(0.25, 1.0).l1_norm()
-    m2 = BarenblattProfile(0.25, 3.0).l1_norm()
+    m1 = BarenblattProfile(1.0, coeff=0.25).l1_norm()
+    m2 = BarenblattProfile(3.0, coeff=0.25).l1_norm()
     assert m1 == pytest.approx(m2, rel=1e-12)
-    q, err = quad(lambda x: prof.value(np.array([[x]]))[0], -r, r)
+    q, err = quad(lambda x: prof.at(np.array([[x]]))[0], -r, r)
     assert m1 == pytest.approx(q, rel=1e-9)
 
 
 def test_barenblatt_unit_mass_coefficient():
     c = BarenblattProfile.coeff_for_unit_mass()
-    assert BarenblattProfile(c, 1.0).l1_norm() == pytest.approx(1.0, rel=1e-12)
+    assert BarenblattProfile(1.0, coeff=c).l1_norm() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_barenblatt_exact_time_translation():
-    ex = BarenblattExact(0.25, 1.0)
+    ex = BarenblattExact(BarenblattProfile(1.0, coeff=0.25))
     p0 = ex.at_time(0.0)
-    assert p0.support_radius == pytest.approx(BarenblattProfile(0.25, 1.0).support_radius)
+    assert p0.support_radius == pytest.approx(BarenblattProfile(1.0, coeff=0.25).support_radius)
     p2 = ex.at_time(2.0)
-    assert p2.support_radius == pytest.approx(BarenblattProfile(0.25, 3.0).support_radius)
+    assert p2.support_radius == pytest.approx(BarenblattProfile(3.0, coeff=0.25).support_radius)
 
 
 def test_poisson_kernel_normalized():
     prof = PoissonKernelProfile(1.0)
     x = np.array([[0.0], [1.0]])
-    np.testing.assert_allclose(prof.value(x), [1.0 / np.pi, 1.0 / (2.0 * np.pi)])
+    np.testing.assert_allclose(prof.at(x), [1.0 / np.pi, 1.0 / (2.0 * np.pi)])
     assert prof.l1_norm() == pytest.approx(1.0)
     # kernel at a later time stays a kernel
-    ex = PoissonExact(1.0)
+    ex = PoissonExact(PoissonKernelProfile(1.0))
     assert ex.at_time(0.4).l1_norm() == pytest.approx(1.0)
-    assert ex.at_time(0.4).value(np.array([[0.0]]))[0] == pytest.approx(1.0 / (np.pi * 1.4))
+    assert ex.at_time(0.4).at(np.array([[0.0]]))[0] == pytest.approx(1.0 / (np.pi * 1.4))
 
 
 def test_heat_gaussian_exact_spreads_and_conserves():
-    ex = HeatGaussianExact(1.0 / np.sqrt(np.pi), 0.25, (0.0,))
-    assert ex.initial().l1_norm() == pytest.approx(1.0)
+    ex = HeatGaussianExact(GaussianProfile(1.0 / np.sqrt(np.pi), 0.25, (0.0,)))
+    assert ex.initial.l1_norm() == pytest.approx(1.0)
     late = ex.at_time(0.5)
     assert late.l1_norm() == pytest.approx(1.0)
-    assert late.value(np.array([[0.0]]))[0] < ex.initial().value(np.array([[0.0]]))[0]
+    assert late.at(np.array([[0.0]]))[0] < ex.initial.at(np.array([[0.0]]))[0]
 
 
 def test_indicator_partial_cells():
@@ -107,21 +107,21 @@ def test_indicator_partial_cells():
 
 def test_step_profile_and_shift_distance():
     prof = StepProfile(1.0, 0.0, position=0.0)
-    v = prof.value(np.array([[-0.5], [0.5]]))
+    v = prof.at(np.array([[-0.5], [0.5]]))
     np.testing.assert_allclose(v, [1.0, 0.0])
 
 
 def test_shock_exact_moves_at_mean_flux_speed():
-    ex = ShockExact(1.0, 0.0, 0.0)
+    ex = ShockExact(StepProfile(1.0, 0.0, 0.0))
     prof = ex.at_time(0.5)
-    v = prof.value(np.array([[0.2], [0.3]]))
+    v = prof.at(np.array([[0.2], [0.3]]))
     np.testing.assert_allclose(v, [1.0, 0.0])
 
 
 def test_temporal_factors_integrate():
-    c = ConstantInTime(2.0)
+    c = TimeFactor("constant", 2.0)
     assert c.integral(0.0, 0.5) == pytest.approx(1.0)
-    lin = LinearInTime(2.0)
+    lin = TimeFactor("linear", slope=2.0)
     assert lin.integral(0.0, 1.0) == pytest.approx(1.0)
 
 
