@@ -24,7 +24,6 @@ _EXPORTS = {
     # grids and fields
     "UniformGrid": "grid_field",
     "TimeGrid": "grid_field",
-    "GridFunction": "grid_field",
     "Trajectory": "grid_field",
     "project_cell_average": "grid_field",
     "project_source": "grid_field",
@@ -33,7 +32,6 @@ _EXPORTS = {
     "MeasureSpec": "levy_operators",
     "WeightedStencil": "levy_operators",
     "OperatorSpec": "levy_operators",
-    "laplacian_stencil": "levy_operators",
     "measure_stencil": "levy_operators",
     "apply_stencil": "levy_operators",
     "check_moments": "levy_operators",

@@ -28,10 +28,10 @@ from .elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from .errors import ConfigurationError
 from .evolution import (FluxSpec, ProblemSpec, cfl_limit, flux_divergence, run,
                         step_cde, step_gpme)
-from .grid_field import GridFunction, TimeGrid, UniformGrid
+from .grid_field import TimeGrid, UniformGrid
 from .levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
-                             check_moments, combine_with_laplacian, laplacian_stencil,
-                             measure_stencil, testfunction_moment_bound)
+                             check_moments, combine_with_laplacian, measure_stencil,
+                             testfunction_moment_bound)
 from .profiles import (BarenblattProfile, GaussianProfile, PoissonKernelProfile,
                        SeparableSource, TimeFactor)
 
@@ -68,6 +68,12 @@ class CheckResult:
         return msg
 
 
+def _laplacian_weights(h):
+    """The Laplacian on the line as explicit weights 1/h^2 at the nearest
+    neighbours, for the checks that apply it with c = 0."""
+    return combine_with_laplacian(WeightedStencil.empty(h, 1), 1)
+
+
 def _worst(name, pairs, detail=""):
     """The (value, bound) pair with the least slack; a NaN value wins."""
     values, bounds = np.array(pairs, dtype=float).T
@@ -82,11 +88,9 @@ def _worst(name, pairs, detail=""):
 def _moments_suite(barenblatt):
     out = []
     far, gap = [], []
-    # the Laplacian as plain weights and as the local part c = 1 of an
-    # empty measure stencil
-    for stencil in (laplacian_stencil(UniformGrid.from_box(1, 0.5, 4.0)),
-                    combine_with_laplacian(WeightedStencil.empty(0.25, 1), 1)):
-        rep = check_moments(stencil, variant="A")
+    # the Laplacian as explicit weights
+    for h in (0.5, 0.25):
+        rep = check_moments(_laplacian_weights(h), variant="A")
         far.append(rep.far_mass)
         # two offsets at distance h with weight 1/h^2 each
         gap.append(abs(rep.near_second_moment - 2.0))
@@ -129,7 +133,7 @@ def _moments_suite(barenblatt):
     errs = []
     for h in (0.1, 0.05):
         g = UniformGrid.from_box(1, h, 6.0)
-        errs.append(_continuum_l1_gap(laplacian_stencil(g), 0, gauss,
+        errs.append(_continuum_l1_gap(_laplacian_weights(g.h), 0, gauss,
                                       _gaussian_laplacian(gauss), g))
     out.append(CheckResult("laplacian_consistency_order", errs[1] / errs[0], 0.5,
                            "L1 error ratio, h 0.1 -> 0.05, gaussian"))
@@ -216,12 +220,11 @@ def _principal_value(measure, profile):
 def _resolvent_suite(barenblatt):
     out = []
     # 3 nodes, h = dt = 1, rho = e_2: the exact resolvent is (1, 3, 1)/7
-    # for both forms of the Laplacian
-    grid = UniformGrid.from_box(1, 1.0, 1.0)
+    # for both forms of the Laplacian, explicit weights and c = 1
     rho = np.array([0.0, 1.0, 0.0])
     target = np.array([1.0, 3.0, 1.0]) / 7.0
     errs, residuals = [], []
-    for stencil, c in ((laplacian_stencil(grid), 0), (WeightedStencil.empty(1.0, 1), 1)):
+    for stencil, c in ((_laplacian_weights(1.0), 0), (WeightedStencil.empty(1.0, 1), 1)):
         res = solve_ep(stencil, c, PhiSpec(kind="linear"), 1.0, rho,
                        config=EpSolveConfig(residual_tol=1e-12))
         errs.append(float(np.max(np.abs(res.w - target))))
@@ -234,7 +237,7 @@ def _resolvent_suite(barenblatt):
     for h, L, dt, seed in ((0.25, 2.0, 0.1, 7), (0.5, 3.0, 0.3, 11)):
         g = UniformGrid.from_box(1, h, L)
         rho = np.random.default_rng(seed).normal(size=g.shape)
-        res = solve_ep(laplacian_stencil(g), 0, PhiSpec(kind="linear"), dt, rho,
+        res = solve_ep(_laplacian_weights(g.h), 0, PhiSpec(kind="linear"), dt, rho,
                        config=EpSolveConfig(residual_tol=1e-13))
         n, lam = g.shape[0], dt / h ** 2
         A = (1.0 + 2.0 * lam) * np.eye(n) - lam * (np.eye(n, k=1) + np.eye(n, k=-1))
@@ -244,11 +247,11 @@ def _resolvent_suite(barenblatt):
 
     # weighted tail inequality for the solved field
     grid2 = UniformGrid.from_box(1, 0.25, 6.0)
-    st2 = laplacian_stencil(grid2)
+    st2 = _laplacian_weights(grid2.h)
     phi2 = PhiSpec(kind="power", exponent=2.0)
     rho2 = GaussianProfile(1.0, 0.25).cell_averages(grid2)
     res2 = solve_ep(st2, 0, phi2, 0.2, rho2, config=EpSolveConfig(residual_tol=1e-13))
-    X = Cutoff(R=3.0, dim=1).on_grid(grid2).values
+    X = Cutoff(R=3.0, dim=1).on_grid(grid2)
     vol2 = grid2.cell_volume
     lhs = vol2 * float(np.sum(np.abs(res2.w) * X))
     LX = apply_stencil(st2, 0, X - 1.0)
@@ -352,7 +355,7 @@ def _evolution_suite(barenblatt):
     grid = UniformGrid.from_box(1, 0.2, 2.0)
     flux = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
     try:
-        step_cde(laplacian_stencil(grid), 1, PhiSpec(kind="zero"), flux,
+        step_cde(WeightedStencil.empty(grid.h, grid.dim), 1, PhiSpec(kind="zero"), flux,
                  grid.h, grid.h, np.zeros(grid.shape))
         accepted = 1.0
     except ConfigurationError:
@@ -431,8 +434,9 @@ def _equitightness_suite(barenblatt):
                            f"log2 slopes {'; '.join(parts)}"))
 
     # tail mass is monotone in R
-    u = GridFunction(grid, np.abs(GaussianProfile(1.0, 0.3).cell_averages(grid)))
-    out.append(CheckResult("tail_mass_monotone", tail_mass(u, 4.0), tail_mass(u, 2.0)))
+    u = np.abs(GaussianProfile(1.0, 0.3).cell_averages(grid))
+    out.append(CheckResult("tail_mass_monotone", tail_mass(u, grid, 4.0),
+                           tail_mass(u, grid, 2.0)))
     return out
 
 

@@ -81,7 +81,7 @@ def cmd_run(args):
     from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
     from .errors import ConfigurationError, DataError
     from .evolution import run
-    from .grid_field import GridFunction, _format_float, _row_labels, write_field_csvs
+    from .grid_field import _format_float, write_field_csvs
 
     cfg = load_config(args.config)
     plan = build_plan(cfg)
@@ -104,9 +104,8 @@ def cmd_run(args):
     stride = plan.diagnostics["save_stride"]
     n_knots = len(report.trajectory.fields)
     saved = sorted(set(range(0, n_knots, stride)) | {n_knots - 1})
-    write_field_csvs([(out / f"field_{j:05d}.csv",
-                       GridFunction(plan.grid, report.trajectory.fields[j]))
-                      for j in saved], _row_labels(plan.grid))
+    write_field_csvs([(out / f"field_{j:05d}.csv", report.trajectory.fields[j])
+                      for j in saved])
 
     eq_reports = []
     for R in plan.diagnostics["R_list"]:

@@ -16,14 +16,15 @@ either: it is problem.dim, and a profile class without that field is
 one-dimensional.
 
 The checks are split in two, and each is made once.  load_config checks
-the schema: unknown keys, JSON types (every list element included),
-required presence, the one-dimensional data kinds, defaults, and the
-values that exist only here (``dt.policy``, ``exact``, the custom-density
-``form``, a data block's ``kind``, ``diagnostics``, ``output_dir``,
-``preset``).  Every other value is checked by the constructor of the spec
-that holds it (MeasureSpec, OperatorSpec, PhiSpec, FluxSpec, the profiles,
-TimeFactor, UniformGrid, TimeGrid, EpSolveConfig) when build_plan builds
-it, and its ConfigurationError names the dotted config path of that value.
+the schema: unknown keys, JSON types (every list element included, and
+every number finite), required presence, the one-dimensional data kinds,
+defaults, and the values that exist only here (``dt.policy``, ``exact``,
+the custom-density ``form``, a data block's ``kind``, ``diagnostics``,
+``output_dir``, ``preset``).  Every other value is checked by the
+constructor of the spec that holds it (MeasureSpec, OperatorSpec, PhiSpec,
+FluxSpec, the profiles, TimeFactor, UniformGrid, TimeGrid, EpSolveConfig)
+when build_plan builds it, and its ConfigurationError names the dotted
+config path of that value.
 The values that need the grid or the time steps (support radius, velocity
 length, flux monotonicity, dt factor) are checked by build_plan through
 the same function the run calls later; the tail radii, which only
@@ -38,6 +39,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +72,12 @@ def _check_keys(block, allowed, path):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that a double holds finitely: json also parses NaN,
+    Infinity, -Infinity and integers too long for a double."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _get_number(block, key, path, required=False, default=None, positive=False,

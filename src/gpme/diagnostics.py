@@ -19,8 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigurationError, DataError
-from .grid_field import (GridFunction, eval_spacetime_interpolant, lr_norm_of_values,
-                         shifted)
+from .grid_field import eval_spacetime_interpolant, lr_norm_of_values, shifted
 from .levy_operators import apply_stencil
 from .profiles import sphere_area
 
@@ -134,7 +133,8 @@ class Cutoff:
         raise ConfigurationError("derivative order must be 1 or 2", field="order")
 
     def on_grid(self, grid):
-        return GridFunction(grid, self.value_radial(grid.node_radii()))
+        """The nodal values of 𝒳_R on grid."""
+        return self.value_radial(grid.node_radii())
 
     def derivative_norm(self, order, p):
         """L^p(R^N) norm of the k-th radial derivative, k in {1, 2}."""
@@ -177,33 +177,32 @@ def operator_cutoff_norm(stencil, c, X, p, neighbor=None):
     from the nodal cutoff X of build_cutoff: the stencil acts on the nodal
     values of 𝒳_R - 1 (compactly supported, so zero extension is exact), and
     the measure mass beyond the stencil support contributes (1 - 𝒳_R) times
-    the analytic remainder.  ``neighbor`` is the operator's neighbor sum on
-    X's box, as ``apply_stencil`` takes it."""
-    vals = X.values
-    v = (apply_stencil(stencil, c, vals - 1.0, neighbor)
-         + (1.0 - vals) * stencil.tail_mass_beyond_support)
-    return lr_norm_of_values(v, X.grid.cell_volume, p)
+    the analytic remainder.  The stencil's mesh width h gives the cell
+    volume.  ``neighbor`` is the operator's neighbor sum on X's box, as
+    ``apply_stencil`` takes it."""
+    v = (apply_stencil(stencil, c, X - 1.0, neighbor)
+         + (1.0 - X) * stencil.tail_mass_beyond_support)
+    return lr_norm_of_values(v, stencil.h ** X.ndim, p)
 
 
-def forward_difference_norms(X, p):
+def forward_difference_norms(X, h, p):
     """sum_i of the L^p norms of the one-sided differences of the nodal
-    cutoff X at grid spacing; the convective counterpart of
+    cutoff X at mesh width h; the convective counterpart of
     operator_cutoff_norm."""
-    grid = X.grid
-    vals = X.values - 1.0
+    vals = X - 1.0
     total = 0.0
-    for axis in range(grid.dim):
-        off = [0] * grid.dim
+    for axis in range(X.ndim):
+        off = [0] * X.ndim
         off[axis] = 1
-        d = (shifted(vals, tuple(off)) - vals) / grid.h
-        total += lr_norm_of_values(d, grid.cell_volume, p)
+        d = (shifted(vals, tuple(off)) - vals) / h
+        total += lr_norm_of_values(d, h ** X.ndim, p)
     return total
 
 
-def tail_mass(u, R, r=1.0):
-    """h^N sum over |x_beta| > R of |U_beta|^r; straddling cells counted by
-    their center."""
-    return _masked_tail(u.values, u.grid.node_radii() > R, u.grid.cell_volume, r)
+def tail_mass(u, grid, R, r=1.0):
+    """h^N sum over |x_beta| > R of |U_beta|^r for the field u on grid;
+    straddling cells counted by their center."""
+    return _masked_tail(u, grid.node_radii() > R, grid.cell_volume, r)
 
 
 def _masked_tail(values, mask, cell_volume, r):
@@ -358,7 +357,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     if problem.flux is not None:
         L_F = problem.flux.max_lipschitz(grid.dim)
         conv_constant = 2.0 * L_F * M ** (1.0 - 1.0 / q) * data_l1 ** (1.0 / q)
-        conv_piece = T * forward_difference_norms(X_nodal, p)
+        conv_piece = T * forward_difference_norms(X_nodal, grid.h, p)
     else:
         conv_constant = 0.0
         conv_piece = 0.0

@@ -83,6 +83,10 @@ _CG_CAP = 500
 # _SCALAR_ITER iterations
 _SCALAR_TOL = 1e-14
 _SCALAR_ITER = 300
+# a resolvent solve takes at most max(_MIN_SWEEPS, _SWEEPS_PER_NODE * nodes)
+# iterations of either kind, Newton steps and Jacobi sweeps alike
+_MIN_SWEEPS = 1000
+_SWEEPS_PER_NODE = 10
 
 
 @dataclass(frozen=True)
@@ -203,24 +207,14 @@ class EpSolveConfig:
 
     residual_tol is the sup-norm stopping level for the full residual
     w - dt L[phi(w)] - rho, relative to the data: the solve stops once the
-    residual is at most residual_tol * max(1, |rho|_inf).  max_sweeps caps
-    the iterations of either kind, Newton steps and Jacobi sweeps alike;
-    None means max(1000, 10 * node count).
+    residual is at most residual_tol * max(1, |rho|_inf).
     """
 
     residual_tol: float = 1e-13
-    max_sweeps: int = None
 
     def __post_init__(self):
         if not (self.residual_tol > 0.0):
             raise ConfigurationError("residual_tol must be positive", field="solver.residual_tol")
-        if self.max_sweeps is not None and self.max_sweeps < 1:
-            raise ConfigurationError("max_sweeps must be at least 1", field="solver.max_sweeps")
-
-    def sweep_cap(self, node_count):
-        if self.max_sweeps is not None:
-            return int(self.max_sweeps)
-        return max(1000, 10 * int(node_count))
 
 
 @dataclass(frozen=True)
@@ -530,7 +524,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
         resolvent = _Resolvent(stencil, c, rho.shape)
     W, neighbor = resolvent.W, resolvent.neighbor
     w = np.array(rho if warm_start is None else warm_start, dtype=float)
-    cap = cfg.sweep_cap(rho.size)
+    cap = max(_MIN_SWEEPS, _SWEEPS_PER_NODE * rho.size)
     tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho))))
     lo = min(0.0, float(np.min(rho)))
     hi = max(0.0, float(np.max(rho)))

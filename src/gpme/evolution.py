@@ -329,18 +329,18 @@ def run(problem, grid, time_grid, config=None):
     sources = project_source(problem.source, grid, time_grid)
     steps = time_grid.steps
 
-    fields = [u0.values]
-    mass = [u0.mass()]
+    fields = [u0]
+    mass = [vol * float(np.sum(u0))]
     src_cum = [0.0]
     leak_d = [0.0]
     leak_c = [0.0]
     res_cum = [0.0]
     sweeps = []
     residuals = []
-    mins = [float(np.min(u0.values))]
-    maxs = [float(np.max(u0.values))]
+    mins = [float(np.min(u0))]
+    maxs = [float(np.max(u0))]
 
-    u = u0.values
+    u = u0
     for j, dt in enumerate(steps):
         g = sources[j] if sources is not None else None
         try:

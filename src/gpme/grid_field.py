@@ -1,9 +1,10 @@
 """Uniform lattices, cell data, trajectories, and their norms.
 
 The spatial mesh is the scaled integer lattice ``x_beta = h*beta`` restricted
-to a centered box.  A field assigns one value per node and is identified with
-the function that is constant on the half-open cell
-``x_beta + h*(-1/2, 1/2]^N``.  Values outside the box are taken to be zero
+to a centered box.  A field is a float ndarray of ``grid.shape`` in C order,
+one value per node, identified with the function that is constant on the
+half-open cell ``x_beta + h*(-1/2, 1/2]^N``; the grid travels beside it only
+where geometry is read.  Values outside the box are taken to be zero
 everywhere in this package (zero extension).
 """
 
@@ -20,7 +21,6 @@ from .errors import ConfigurationError, DataError
 __all__ = [
     "UniformGrid",
     "TimeGrid",
-    "GridFunction",
     "Trajectory",
     "project_cell_average",
     "project_source",
@@ -179,27 +179,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """One value per node; immutable once built."""
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise DataError(
-                f"value array shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-        vals.flags.writeable = False
-
-    def mass(self):
-        """h^N * sum of values (signed)."""
-        return self.grid.cell_volume * float(np.sum(self.values))
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Fields U^0..U^J on one grid plus the projected sources G^1..G^J.
 
@@ -237,14 +216,13 @@ class Trajectory:
 
 
 def project_cell_average(profile, grid):
-    """Project data onto the lattice by exact cell averages.
-
-    ``profile`` is a spatial descriptor (see :mod:`gpme.profiles`).
+    """Project data onto the lattice by exact cell averages: the field of
+    ``profile``, a spatial descriptor (see :mod:`gpme.profiles`), on grid.
     """
-    vals = profile.cell_averages(grid)
+    vals = np.asarray(profile.cell_averages(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DataError("projection produced non-finite cell averages")
-    return GridFunction(grid, vals)
+    return vals
 
 
 def project_source(source, grid, time_grid):
@@ -317,22 +295,23 @@ def _format_float(x):
     return repr(float(x))
 
 
-def _row_labels(grid):
+def _row_labels(shape):
     """The ``beta_1,...,beta_N,`` label of each row of ``write_field_csv``
-    on the grid, newline first, in C order: built once per grid by a
-    caller that writes many fields on it."""
+    for a field of the given shape, newline first, in C order: built once
+    per shape by a caller that writes many fields of it.  Axis i of length
+    n runs over beta_i = -K..K with K = (n - 1)/2."""
     # the first axis's labels open each row; the product of the per-axis
     # labels runs in C order, as the values do
-    seps = ["\n"] + [""] * (grid.dim - 1)
-    labels = [[f"{sep}{b}," for b in range(-k, k + 1)]
-              for sep, k in zip(seps, grid.index_bounds)]
+    seps = ["\n"] + [""] * (len(shape) - 1)
+    labels = [[f"{sep}{b}," for b in range(-(n // 2), n // 2 + 1)]
+              for sep, n in zip(seps, shape)]
     return list(map("".join, itertools.product(*labels)))
 
 
-def write_field_csv(path, u, labels=None):
+def write_field_csv(path, values, labels=None):
     """Serialize a field as ``beta_1,...,beta_N,value`` rows in lexicographic
     index order, each value in the shortest round-trip form of
-    ``_format_float``.  ``labels`` are the grid's ``_row_labels``, built
+    ``_format_float``.  ``labels`` are the field's ``_row_labels``, built
     here when not given.
 
     ``tolist`` already gives Python floats, so mapping the builtin ``repr``
@@ -344,12 +323,11 @@ def write_field_csv(path, u, labels=None):
     2-core Xeon with Python 3.11, as 93 % of the values of a
     ``frac_heat_poisson_1d`` run need 16 or 17 significant digits.
     ``write_field_csvs`` shares many fields between two processes."""
-    grid = u.grid
-    header = ",".join(f"beta_{i + 1}" for i in range(grid.dim)) + ",value"
-    values = u.values.reshape(-1).tolist()
-    rows = [None] * (2 * len(values))
-    rows[0::2] = _row_labels(grid) if labels is None else labels
-    rows[1::2] = map(repr, values)
+    header = ",".join(f"beta_{i + 1}" for i in range(values.ndim)) + ",value"
+    flat = values.reshape(-1).tolist()
+    rows = [None] * (2 * len(flat))
+    rows[0::2] = _row_labels(values.shape) if labels is None else labels
+    rows[1::2] = map(repr, flat)
     text = header + "".join(rows) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
@@ -364,13 +342,14 @@ _FORK_MIN_VALUES = 1 << 15
 
 
 def _write_each(items, labels):
-    for path, u in items:
-        write_field_csv(path, u, labels)
+    for path, values in items:
+        write_field_csv(path, values, labels)
 
 
-def write_field_csvs(items, labels=None):
-    """``write_field_csv`` for each ``(path, field)`` of ``items``, from two
-    processes: one ``fork``ed child writes every other item.
+def write_field_csvs(items):
+    """``write_field_csv`` for each ``(path, field)`` of ``items``, fields
+    of one shape whose row labels are built once, from two processes: one
+    ``fork``ed child writes every other item.
 
     The child leaves through ``os._exit`` (status 0 on success, 1 on any
     exception), so it never returns to the caller, runs no atexit handler
@@ -381,9 +360,10 @@ def write_field_csvs(items, labels=None):
     fewer than ``_FORK_MIN_VALUES`` values in all, or where there is no
     ``fork``, the one loop runs in this process."""
     items = list(items)
+    labels = _row_labels(items[0][1].shape) if items else None
     # the child only formats and writes: it makes no BLAS call, so it never
     # waits on a BLAS thread, which fork does not copy
-    values = sum(u.values.size for _, u in items)
+    values = sum(u.size for _, u in items)
     fork = len(items) > 1 and values >= _FORK_MIN_VALUES and hasattr(os, "fork")
     theirs = items[1::2] if fork else []
     pid = os.fork() if theirs else None

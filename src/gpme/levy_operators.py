@@ -17,8 +17,10 @@ every application.  The resolvent's Newton steps read the same object:
 the short stencil's matrix (banded Cholesky on the line, conjugate
 gradients above it), and the dense kernel's real spectrum, which it
 inverts as a circulant preconditioner.  ``combine_with_laplacian``
-merges the two parts into one weight list for inspection only
-(``gpme stencil`` and the moment checks).
+merges the two parts into one weight list for inspection
+(``gpme stencil`` and the moment checks); merged into an empty stencil,
+it is the Laplacian as explicit weights, which the checks apply with
+c = 0.
 Weights for a jump measure are the measure of each lattice cell, so the
 total mass on any region is preserved by construction; the origin cell is
 excluded.
@@ -43,7 +45,7 @@ import numpy as np
 from scipy import fft, integrate, sparse
 
 from .errors import ConfigurationError, StencilError
-from .grid_field import GridFunction, _format_float
+from .grid_field import _format_float
 from .profiles import sphere_area
 
 __all__ = [
@@ -51,7 +53,6 @@ __all__ = [
     "WeightedStencil",
     "OperatorSpec",
     "MomentReport",
-    "laplacian_stencil",
     "measure_stencil",
     "apply_stencil",
     "combine_with_laplacian",
@@ -218,21 +219,6 @@ class WeightedStencil:
     def empty(cls, h, dim):
         return cls(h=h, dim=dim, offsets=np.zeros((0, dim), dtype=int),
                    weights=np.zeros(0))
-
-
-def laplacian_stencil(grid):
-    """Nearest-neighbor weights 1/h^2 along each axis: the discrete
-    Laplacian as an explicit stencil."""
-    offs = []
-    for i in range(grid.dim):
-        e = [0] * grid.dim
-        e[i] = 1
-        offs.append(list(e))
-        e2 = [0] * grid.dim
-        e2[i] = -1
-        offs.append(e2)
-    w = np.full(2 * grid.dim, 1.0 / grid.h ** 2)
-    return WeightedStencil(h=grid.h, dim=grid.dim, offsets=np.array(offs), weights=w)
 
 
 def _cell_weight_1d_power(measure, lo, hi):
@@ -454,12 +440,9 @@ def apply_stencil(stencil, c, u, neighbor=None):
     for a caller that holds one; it is built here when not given."""
     if c not in (0, 1):
         raise ConfigurationError("local factor c must be 0 or 1", field="operator.c")
-    vals = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    ns = _neighbor_sum(stencil, c, vals) if neighbor is None else neighbor(vals)
-    out = ns - _total_weight(stencil, c) * vals
-    if isinstance(u, GridFunction):
-        return GridFunction(u.grid, out)
-    return out
+    u = np.asarray(u, dtype=float)
+    ns = _neighbor_sum(stencil, c, u) if neighbor is None else neighbor(u)
+    return ns - _total_weight(stencil, c) * u
 
 
 def combine_with_laplacian(stencil, c):

@@ -20,7 +20,7 @@ import gpme.evolution
 import gpme.grid_field
 import gpme.levy_operators
 from gpme.cli import main
-from gpme.config import merge_config
+from gpme.config import build_plan, load_config, merge_config
 
 TINY_RUN = {
     "preset": "heat_gaussian_1d",
@@ -151,11 +151,12 @@ def test_unknown_preset_is_rejected(capsys):
     assert record["error"] == "configuration"
 
 
-def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys):
+def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys, monkeypatch):
     # nonlinear phi: one Newton step solves a linear problem exactly
+    monkeypatch.setattr(gpme.elliptic_solver, "_MIN_SWEEPS", 1)
+    monkeypatch.setattr(gpme.elliptic_solver, "_SWEEPS_PER_NODE", 0)
     cfg = write_cfg(tmp_path, merge_config(TINY_RUN, {
-        "problem": {"phi": {"kind": "power", "exponent": 2.0}},
-        "solver": {"max_sweeps": 1}}))
+        "problem": {"phi": {"kind": "power", "exponent": 2.0}}}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     record, _ = last_err_record(capsys)
     assert record["error"] == "runtime"
@@ -258,6 +259,13 @@ PROBLEM_REJECTED = {
     "unknown_temporal_kind": ({"source": {"spatial": {"kind": "constant", "value": 1.0},
                                           "temporal": {"kind": "cubic"}}},
                               "problem.source.temporal.kind"),
+    # json parses NaN and +-Infinity: every number must be finite
+    "infinite_T": ({"T": math.inf}, "problem.T"),
+    "infinite_phi_exponent": ({"phi": {"kind": "power", "exponent": math.inf}},
+                              "problem.phi.exponent"),
+    "nan_initial_amplitude": ({"initial": {"amplitude": math.nan}},
+                              "problem.initial.amplitude"),
+    "infinite_integer_box": ({"box_half_extent": 10 ** 400}, "problem.box_half_extent"),
     # checks that need the grid or the time steps, made before any computing
     "support_radius_below_half_h": ({"operator": {"c": 1, "support_radius": 0.2, "measure": {
         "kind": "fractional", "alpha": 1.0}}}, "problem.operator.support_radius"),
@@ -268,8 +276,13 @@ PROBLEM_REJECTED = {
 # the same as whole-config overrides, plus the values outside the problem block
 REJECTED = {name: ({"problem": override}, field)
             for name, (override, field) in PROBLEM_REJECTED.items()}
-# the scalar solve's tolerance and cap are constants, no longer keys
+# the scalar solve's tolerance and cap and the iteration cap are constants,
+# no longer keys
 REJECTED["unknown_solver_key"] = ({"solver": {"scalar_tol": 1e-15}}, "solver.scalar_tol")
+REJECTED["max_sweeps_is_no_key"] = ({"solver": {"max_sweeps": 1}}, "solver.max_sweeps")
+REJECTED["infinite_residual_tol"] = ({"solver": {"residual_tol": math.inf}},
+                                     "solver.residual_tol")
+REJECTED["infinite_norm_exponent"] = ({"diagnostics": {"r": math.inf}}, "diagnostics.r")
 REJECTED["tail_radius_beyond_box"] = ({"diagnostics": {"R_list": [1.5, 100.0]}},
                                       "diagnostics.R_list")
 # step data has no closed-form L1 norm, which the tail bound needs
@@ -282,6 +295,9 @@ REJECTED["tail_radius_without_l1_norm"] = ({"preset": "burgers_riemann_1d",
 def test_dry_run_rejects_what_run_rejects(tmp_path, capsys, override, field):
     cfg = write_cfg(tmp_path, merge_config(TINY_RUN, override))
     commands = [["run", "--dry-run"], ["run", "--out", str(tmp_path / "o")]]
+    if field != "diagnostics.R_list":
+        # study reads no tail radii
+        commands.append(["study", "--levels", "2", "--out", str(tmp_path / "o")])
     if field.startswith("problem.operator"):
         commands += [["stencil", "--dry-run"], ["stencil", "--out", str(tmp_path / "s")]]
     for command in commands:
@@ -438,6 +454,30 @@ def test_bench_tracing_binds_entry_points(tmp_path):
     for name, keys in reads.items():
         for sig in signatures[name]:
             assert keys <= set(sig.parameters), (name, keys - set(sig.parameters))
+
+
+def test_bench_setup_probe_runs(tmp_path):
+    # the benchmark times set-up with this script in a fresh interpreter,
+    # which calls load_config, build_plan, build_stencil, the projections
+    # and node_count by name; a rename must fail here
+    probe = Path(__file__).resolve().parents[1] / "bench" / "setup_probe.py"
+    run = {"preset": "frac_heat_poisson_1d", "problem": {"h": 0.25, "T": 0.25}}
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps([run]))
+    # the probe puts src on its own path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(probe), str(configs)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line["import_s"] > 0.0
+    [row] = line["configs"]
+    assert row["seconds"] > 0.0
+    plan = build_plan(load_config(run))
+    stencil = plan.problem.operator.build_stencil(plan.grid)
+    assert (row["nodes"], row["steps"], row["offsets"]) == (
+        plan.grid.node_count, plan.time_grid.n_steps, stencil.n_offsets)
+    assert row["offsets"] > 0
 
 
 def test_every_export_resolves():

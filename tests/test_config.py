@@ -22,7 +22,7 @@ EVERY_BLOCK = {
         "source": {"spatial": {"kind": "gaussian", "amplitude": 1.0, "spread": 0.5},
                    "temporal": {"kind": "linear", "slope": 2.0}},
         "exact": None,
-    }, "solver": {"residual_tol": 1e-12, "max_sweeps": 50}},
+    }, "solver": {"residual_tol": 1e-12}},
     "linear_flux_plane_custom_measure": {"problem": {
         "dim": 2, "phi": {"kind": "power", "exponent": 2.0},
         "flux": {"kind": "linear", "u_range": [0.0, 1.0], "velocity": [1.0, -0.5]},
@@ -85,7 +85,7 @@ def test_absent_keys_take_the_spec_defaults():
     assert p["phi"]["slope"] == 1.0 and p["phi"]["table_u"] is None
     assert p["flux"]["numerical"] == "engquist_osher"
     assert p["flux"]["u_range"] == [0.0, 1.0]
-    assert cfg["solver"] == {"residual_tol": 1e-13, "max_sweeps": None}
+    assert cfg["solver"] == {"residual_tol": 1e-13}
 
 
 def test_absent_data_keys_take_their_defaults():

@@ -15,7 +15,7 @@ from gpme.diagnostics import (Cutoff, _sample_times, admissible_threshold, build
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec
 from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import ProblemSpec, run
-from gpme.grid_field import GridFunction, TimeGrid, Trajectory, UniformGrid
+from gpme.grid_field import TimeGrid, Trajectory, UniformGrid
 from gpme.levy_operators import MeasureSpec, OperatorSpec
 from gpme.profiles import GaussianProfile, PoissonKernelProfile
 
@@ -57,10 +57,10 @@ def test_cutoff_sup_norm_is_one_and_l2_rejected_at_order_zero():
 
 def test_tail_mass_hand_value_and_monotonicity():
     g = UniformGrid.from_box(1, 0.5, 3.0)
-    u = GridFunction(g, np.ones(g.shape))
+    u = np.ones(g.shape)
     # cells centered beyond 2.0: centers 2.5 and 3.0 on each side
-    assert tail_mass(u, 2.0) == pytest.approx(0.5 * 4)
-    assert tail_mass(u, 1.0) >= tail_mass(u, 2.0) >= tail_mass(u, 2.9)
+    assert tail_mass(u, g, 2.0) == pytest.approx(0.5 * 4)
+    assert tail_mass(u, g, 1.0) >= tail_mass(u, g, 2.0) >= tail_mass(u, g, 2.9)
 
 
 def test_conjugate_exponents():
@@ -92,7 +92,7 @@ def test_operator_cutoff_norm_needs_room():
 def test_forward_difference_norm_tracks_gradient():
     g = UniformGrid.from_box(1, 0.01, 6.0)
     X, _ = build_cutoff(4.0, g)
-    disc = forward_difference_norms(X, np.inf)
+    disc = forward_difference_norms(X, g.h, np.inf)
     assert disc == pytest.approx(Cutoff(4.0).derivative_norm(1, np.inf), rel=0.02)
 
 
@@ -139,7 +139,7 @@ def test_equitightness_not_asserted_with_flux_at_finite_p():
 
     g2 = UniformGrid.from_box(2, 0.5, 4.0)
     prof = GaussianProfile(1.0, 0.25, dim=2)
-    u0 = project_cell_average(prof, g2).values
+    u0 = project_cell_average(prof, g2)
     tr = Trajectory(g2, TimeGrid(np.array([0.0, 0.5])), (u0, u0.copy()))
     prob = ProblemSpec(operator=OperatorSpec(c=1, measure=None),
                        phi=PhiSpec(kind="power", exponent=0.5),
@@ -175,7 +175,7 @@ def test_certificate_lhs_matches_brute_force(dim, h, half_extent, R, r):
                        phi=PhiSpec(kind="linear"),
                        initial=GaussianProfile(1.0, 0.25, dim=dim))
     report = equitightness_check(traj, prob, R, r=r)
-    want = max(tail_mass(GridFunction(traj.grid, traj.values_at_time(float(t))), R, r)
+    want = max(tail_mass(traj.values_at_time(float(t)), traj.grid, R, r)
                for t in _sample_times(traj.time_grid.knots))
     assert report.lhs == want
 

@@ -10,11 +10,11 @@ import gpme.levy_operators
 from gpme.errors import ConfigurationError, NonConvergenceError
 from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg, _Resolvent,
                                   _solve_scalar_batch, solve_ep)
-from gpme.grid_field import GridFunction, UniformGrid, lr_norm_of_values
+from gpme.grid_field import UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
                                  _neighbor_matrix, _neighbor_operator, _neighbor_sum,
                                  _total_weight, apply_stencil, combine_with_laplacian,
-                                 laplacian_stencil, measure_stencil)
+                                 measure_stencil)
 
 
 def scalar_root(phi, lam, b):
@@ -71,14 +71,14 @@ def test_scalar_residual_property(b, lam, m):
 
 def test_fast_paths_identity():
     g = UniformGrid.from_box(1, 0.5, 2.0)
-    rho = GridFunction(g, np.linspace(-1, 1, g.shape[0]))
-    lap = laplacian_stencil(g)
-    # the last pair is the zero operator: no measure and c = 0
-    for st, phi, dt in ((lap, PhiSpec(kind="zero"), 0.7),
-                        (lap, PhiSpec(kind="power", exponent=2.0), 0.0),
-                        (WeightedStencil.empty(g.h, g.dim), PhiSpec(kind="linear"), 0.1)):
-        out = solve_ep(st, 0, phi, dt, rho.values)
-        np.testing.assert_array_equal(out.w, rho.values)
+    rho = np.linspace(-1, 1, g.shape[0])
+    empty = WeightedStencil.empty(g.h, g.dim)
+    # the last triple is the zero operator: no measure and c = 0
+    for c, phi, dt in ((1, PhiSpec(kind="zero"), 0.7),
+                       (1, PhiSpec(kind="power", exponent=2.0), 0.0),
+                       (0, PhiSpec(kind="linear"), 0.1)):
+        out = solve_ep(empty, c, phi, dt, rho)
+        np.testing.assert_array_equal(out.w, rho)
         assert out.sweeps == 0
 
 
@@ -87,16 +87,15 @@ def test_sup_norm_bound():
     phi = PhiSpec(kind="power", exponent=0.5)
     rng = np.random.default_rng(5)
     rho = rng.uniform(-1.0, 2.0, size=g.shape)
-    out = solve_ep(laplacian_stencil(g), 0, phi, 0.4, rho,
+    out = solve_ep(WeightedStencil.empty(g.h, g.dim), 1, phi, 0.4, rho,
                    config=EpSolveConfig(residual_tol=1e-12))
     assert np.max(np.abs(out.w)) <= np.max(np.abs(rho)) + 1e-10
 
 
 def test_residual_field_recomputed():
     g = UniformGrid.from_box(1, 0.5, 2.0)
-    rho = GridFunction(g, np.ones(g.shape))
-    out = solve_ep(laplacian_stencil(g), 0, PhiSpec(kind="power", exponent=2.0),
-                   0.25, rho.values, config=EpSolveConfig(residual_tol=1e-12))
+    out = solve_ep(WeightedStencil.empty(g.h, g.dim), 1, PhiSpec(kind="power", exponent=2.0),
+                   0.25, np.ones(g.shape), config=EpSolveConfig(residual_tol=1e-12))
     assert np.max(np.abs(out.residual_field)) == pytest.approx(out.residual)
     assert out.residual <= 1e-12
 
@@ -105,19 +104,20 @@ def test_warm_start_reaches_same_fixed_point():
     g = UniformGrid.from_box(1, 0.25, 2.0)
     phi = PhiSpec(kind="power", exponent=2.0)
     cfg = EpSolveConfig(residual_tol=1e-13)
-    rho = GridFunction(g, np.cos(g.axis_coords(0)))
-    cold = solve_ep(laplacian_stencil(g), 0, phi, 0.3, rho.values, config=cfg).w
-    warm = solve_ep(laplacian_stencil(g), 0, phi, 0.3, rho.values, config=cfg,
-                    warm_start=rho.values * 0.5).w
+    rho = np.cos(g.axis_coords(0))
+    empty = WeightedStencil.empty(g.h, g.dim)
+    cold = solve_ep(empty, 1, phi, 0.3, rho, config=cfg).w
+    warm = solve_ep(empty, 1, phi, 0.3, rho, config=cfg, warm_start=rho * 0.5).w
     np.testing.assert_allclose(cold, warm, atol=1e-11)
 
 
-def test_sweep_cap_raises():
+def test_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(gpme.elliptic_solver, "_MIN_SWEEPS", 2)
+    monkeypatch.setattr(gpme.elliptic_solver, "_SWEEPS_PER_NODE", 0)
     g = UniformGrid.from_box(1, 0.25, 2.0)
-    rho = GridFunction(g, np.ones(g.shape))
     with pytest.raises(NonConvergenceError) as exc:
-        solve_ep(laplacian_stencil(g), 0, PhiSpec(kind="power", exponent=2.0),
-                 0.5, rho.values, config=EpSolveConfig(residual_tol=1e-13, max_sweeps=2))
+        solve_ep(WeightedStencil.empty(g.h, g.dim), 1, PhiSpec(kind="power", exponent=2.0),
+                 0.5, np.ones(g.shape), config=EpSolveConfig(residual_tol=1e-13))
     assert exc.value.sweeps == 2
     assert "stalled" in str(exc.value)
     assert "tolerance 1e-13" in str(exc.value)
@@ -363,9 +363,11 @@ def test_cg_cap_is_left_to_the_safeguard(monkeypatch):
     # the halvings and the fallback judge it, and the solve either meets
     # the stopping level or names a cell, never returns above it
     monkeypatch.setattr(gpme.elliptic_solver, "_CG_CAP", 1)
+    monkeypatch.setattr(gpme.elliptic_solver, "_MIN_SWEEPS", 40)
+    monkeypatch.setattr(gpme.elliptic_solver, "_SWEEPS_PER_NODE", 0)
     g = UniformGrid.from_box(2, 0.5, 2.0)
     rho = np.random.default_rng(3).uniform(0.0, 1.5, size=g.shape)
-    cfg = EpSolveConfig(max_sweeps=40)
+    cfg = EpSolveConfig()
     try:
         out = solve_ep(WeightedStencil.empty(g.h, g.dim), 1, PhiSpec(kind="power", exponent=2.0),
                        0.25, rho, config=cfg)
@@ -514,18 +516,14 @@ def test_combine_with_laplacian_merges_rows():
     np.testing.assert_allclose(comb.weights, 4.0)
     assert comb.total_weight == pytest.approx(8.0)
     # c = 0 leaves the measure part untouched
-    same = combine_with_laplacian(laplacian_stencil(g), 0)
-    np.testing.assert_allclose(same.weights, 4.0)
+    assert combine_with_laplacian(comb, 0) is comb
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         EpSolveConfig(residual_tol=0.0)
     with pytest.raises(ConfigurationError):
-        EpSolveConfig(max_sweeps=0)
-    with pytest.raises(ConfigurationError):
-        solve_ep(laplacian_stencil(UniformGrid.from_box(1, 0.5, 1.0)), 0,
-                 PhiSpec(kind="linear"), -1.0,
+        solve_ep(WeightedStencil.empty(0.5, 1), 1, PhiSpec(kind="linear"), -1.0,
                  np.zeros(5))
 
 def test_lp_interpolation_bound():
@@ -534,7 +532,7 @@ def test_lp_interpolation_bound():
     phi = PhiSpec(kind="power", exponent=2.0)
     rng = np.random.default_rng(11)
     rho = rng.uniform(-1.0, 2.0, size=g.shape)
-    out = solve_ep(laplacian_stencil(g), 0, phi, 0.3, rho,
+    out = solve_ep(WeightedStencil.empty(g.h, g.dim), 1, phi, 0.3, rho,
                    config=EpSolveConfig(residual_tol=1e-12))
     sup_rho = float(np.max(np.abs(rho)))
     l1_rho = lr_norm_of_values(rho, g.cell_volume, 1)

@@ -7,7 +7,7 @@ import pytest
 
 from gpme import grid_field
 from gpme.errors import ConfigurationError, DataError
-from gpme.grid_field import (GridFunction, TimeGrid, Trajectory, UniformGrid,
+from gpme.grid_field import (TimeGrid, Trajectory, UniformGrid,
                              eval_spacetime_interpolant, lr_norm_of_values,
                              project_cell_average, shifted, write_field_csv,
                              write_field_csvs)
@@ -36,14 +36,6 @@ def test_cell_volume_and_2d_shape():
     assert g.node_count == 25
 
 
-def test_grid_function_mass_and_shape_check():
-    g = UniformGrid.from_box(1, 0.5, 2.0)
-    u = GridFunction(g, np.arange(9, dtype=float))
-    assert u.mass() == pytest.approx(0.5 * 36.0)
-    with pytest.raises(DataError):
-        GridFunction(g, np.zeros(4))
-
-
 def test_shifted_zero_fill():
     v = np.arange(5, dtype=float)
     np.testing.assert_array_equal(shifted(v, (1,)), [1, 2, 3, 4, 0])
@@ -68,7 +60,8 @@ def test_lr_norm_of_values_hand_values():
 def test_project_constant_is_exact():
     g = UniformGrid.from_box(2, 0.25, 1.0)
     u = project_cell_average(ConstantProfile(3.5, dim=2), g)
-    np.testing.assert_allclose(u.values, 3.5)
+    assert u.shape == g.shape and u.dtype == float
+    np.testing.assert_allclose(u, 3.5)
 
 
 def test_project_gaussian_mass_matches_l1_up_to_tails():
@@ -76,7 +69,7 @@ def test_project_gaussian_mass_matches_l1_up_to_tails():
     g = UniformGrid.from_box(1, 0.05, 6.0)
     u = project_cell_average(prof, g)
     box_mass = prof.l1_norm() - prof.abs_tail_mass(g.half_extents[0])
-    assert u.mass() == pytest.approx(box_mass, abs=1e-12)
+    assert g.cell_volume * np.sum(u) == pytest.approx(box_mass, abs=1e-12)
 
 
 def test_time_grid_uniform_hits_T():
@@ -99,6 +92,10 @@ def test_trajectory_linear_interpolation_in_time():
         tr.values_at_time(2.0)
     with pytest.raises(ConfigurationError):
         Trajectory(g, TimeGrid(np.array([0.0, 1.0])), (np.zeros(5),))
+    # each field is stored read-only, and only in the grid's shape
+    assert not any(f.flags.writeable for f in tr.fields)
+    with pytest.raises(ConfigurationError):
+        Trajectory(g, TimeGrid(np.array([0.0, 1.0])), (np.zeros(5), np.zeros(4)))
 
 
 def test_spacetime_interpolant_cell_lookup():
@@ -111,7 +108,7 @@ def test_spacetime_interpolant_cell_lookup():
 
 def test_write_field_csv_deterministic(tmp_path):
     g = UniformGrid.from_box(1, 0.5, 1.0)
-    u = GridFunction(g, np.linspace(-1.0, 1.0, 5))
+    u = np.linspace(-1.0, 1.0, 5)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_field_csv(a, u)
     write_field_csv(b, u)
@@ -129,14 +126,19 @@ def special_values(g, seed=2):
     return values
 
 
-@pytest.mark.parametrize("dim,h,box", [(1, 0.5, 2.0), (2, 0.5, 1.0), (3, 1.0, 1.0)])
+@pytest.mark.parametrize("dim,h,box", [
+    (1, 0.5, 2.0), (2, 0.5, 1.0), (3, 1.0, 1.0),
+    pytest.param(2, 0.5, (1.0, 2.0), id="2-0.5-1.0x2.0"),
+    pytest.param(3, 0.5, (0.5, 1.0, 1.5), id="3-0.5-0.5x1.0x1.5")])
 def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
     # a plain reference formats one row at a time; the writer must give
-    # its bytes exactly, signed zero and subnormals included
+    # its bytes exactly, signed zero and subnormals included.  The labels
+    # come from the field's shape, so the last two boxes give each axis
+    # its own index bound
     g = UniformGrid.from_box(dim, h, box)
     values = special_values(g)
     path = tmp_path / "field.csv"
-    write_field_csv(path, GridFunction(g, values))
+    write_field_csv(path, values)
     lines = [",".join(f"beta_{i + 1}" for i in range(dim)) + ",value"]
     for idx in np.ndindex(*g.shape):
         beta = [idx[i] - g.index_bounds[i] for i in range(dim)]
@@ -146,8 +148,7 @@ def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
 
 def _field_items(tmp_path, dim, n):
     g = UniformGrid.from_box(dim, 0.5, 1.0)
-    return [(tmp_path / f"field_{j}.csv",
-             GridFunction(g, np.roll(special_values(g, seed=j), j)))
+    return [(tmp_path / f"field_{j}.csv", np.roll(special_values(g, seed=j), j))
             for j in range(n)]
 
 
@@ -188,7 +189,7 @@ def test_write_field_csvs_forks_only_for_enough_values(tmp_path, monkeypatch):
     half = grid_field._FORK_MIN_VALUES // 2
     for k, expected in [(half // 2 - 1, 0), (half // 2, 1)]:
         g = UniformGrid(dim=1, h=1.0, index_bounds=(k,))
-        write_field_csvs([(tmp_path / f"{k}_{j}.csv", GridFunction(g, np.zeros(g.shape)))
+        write_field_csvs([(tmp_path / f"{k}_{j}.csv", np.zeros(g.shape))
                           for j in range(2)])
         assert len(forks) == expected, (2 * g.node_count, grid_field._FORK_MIN_VALUES)
         forks.clear()

@@ -10,13 +10,14 @@ from gpme.grid_field import UniformGrid, shifted
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
                                  WeightedStencil, _circular, _neighbor_matrix,
                                  _neighbor_operator, _neighbor_sum, apply_stencil,
-                                 combine_with_laplacian, laplacian_stencil, measure_stencil)
+                                 combine_with_laplacian, measure_stencil)
 from gpme.profiles import GaussianProfile
 
 
 def test_laplacian_stencil_weights():
-    g = UniformGrid.from_box(1, 0.5, 2.0)
-    st = laplacian_stencil(g)
+    # the Laplacian as explicit weights: the local part merged into an
+    # empty measure stencil
+    st = combine_with_laplacian(WeightedStencil.empty(0.5, 1), 1)
     assert st.n_offsets == 2
     np.testing.assert_allclose(st.weights, 4.0)
     assert st.tail_mass_beyond_support == 0.0
@@ -26,7 +27,7 @@ def test_laplacian_exact_on_quadratics():
     g = UniformGrid.from_box(1, 0.5, 3.0)
     x = g.axis_coords(0)
     u = x * x
-    out = apply_stencil(laplacian_stencil(g), 0, u)
+    out = apply_stencil(WeightedStencil.empty(g.h, g.dim), 1, u)
     # zero extension spoils the two boundary cells only
     np.testing.assert_allclose(out[1:-1], 2.0, atol=1e-12)
 
@@ -50,7 +51,7 @@ def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
     # past_box: a 3-node box per axis, offsets reaching 4 past its edges
     g = UniformGrid.from_box(dim, 0.25, 0.3 if kind == "past_box" else 1.5)
     if kind == "laplacian":
-        st = laplacian_stencil(g)
+        st = combine_with_laplacian(WeightedStencil.empty(g.h, dim), 1)
     elif kind in ("fractional", "past_box"):
         st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                              support_radius=4 * g.h)
@@ -110,7 +111,7 @@ def test_c_flag_equals_explicit_laplacian():
     u = rng.normal(size=g.shape)
     empty = WeightedStencil.empty(g.h, g.dim)
     np.testing.assert_allclose(apply_stencil(empty, 1, u),
-                               apply_stencil(laplacian_stencil(g), 0, u),
+                               apply_stencil(combine_with_laplacian(empty, 1), 0, u),
                                atol=1e-14)
     # 2-D measure plus local part: the pair (st, 1) acts as its merged weights
     g2 = UniformGrid.from_box(2, 0.5, 2.0)

@@ -138,4 +138,4 @@ def test_exact_reference_starts_from_the_initial_data(override):
 
     plan = build_plan(load_config(override))
     np.testing.assert_array_equal(plan.exact.at_time(0.0).cell_averages(plan.grid),
-                                  project_cell_average(plan.problem.initial, plan.grid).values)
+                                  project_cell_average(plan.problem.initial, plan.grid))
