@@ -8,11 +8,13 @@ order, so identical configs produce byte-identical artifacts.
 The GPME_THREADS environment variable caps BLAS/OpenMP threading; it is
 applied before any numeric module is imported and never changes results,
 only speed.  Keep imports of the compute modules inside functions so the
-cap can land first.  `run` writes its field CSVs from two processes (one
-`fork`, see `grid_field.write_field_csvs`) once they hold 32 768 values or
-more; GPME_THREADS does not govern that, and the bytes written are those
-of one process.  An I/O failure,
-such as an output path that is a file, is a runtime failure (exit 1).
+cap can land first.  Once the saved fields hold 32 768 values or more,
+`run` forks one child before the solve, which writes each saved knot's
+field CSV while the parent solves the later steps (see
+`grid_field.FieldWriter`); GPME_THREADS does not govern that, and the
+bytes written are those of one process.  A run that fails leaves no field
+file.  An I/O failure, such as an output path that is a file, is a
+runtime failure (exit 1).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def cmd_run(args):
     from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
     from .errors import ConfigurationError, DataError
     from .evolution import run
-    from .grid_field import _format_float, write_field_csvs
+    from .grid_field import FieldWriter, _format_float
 
     cfg = load_config(args.config)
     plan = build_plan(cfg)
@@ -99,19 +101,20 @@ def cmd_run(args):
         return 0
     # an unusable output path fails here, before the solve, not after it
     out = _out_dir(args, cfg)
-    report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
-
     stride = plan.diagnostics["save_stride"]
-    n_knots = len(report.trajectory.fields)
+    n_knots = plan.time_grid.n_steps + 1
     saved = sorted(set(range(0, n_knots, stride)) | {n_knots - 1})
-    write_field_csvs([(out / f"field_{j:05d}.csv", report.trajectory.fields[j])
-                      for j in saved])
-
-    eq_reports = []
-    for R in plan.diagnostics["R_list"]:
-        eq_reports.append(equitightness_check(
-            report.trajectory, plan.problem, R=R, r=plan.diagnostics["r"],
-            stencil=report.stencil, neighbor=report.neighbor))
+    # the fields are written while the later steps are solved and the tail
+    # certificates computed; every one is in place when the block is left
+    with FieldWriter({j: out / f"field_{j:05d}.csv" for j in saved},
+                     n_knots, plan.grid.shape) as writer:
+        report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver,
+                     on_knot=writer.knot)
+        eq_reports = []
+        for R in plan.diagnostics["R_list"]:
+            eq_reports.append(equitightness_check(
+                report.trajectory, plan.problem, R=R, r=plan.diagnostics["r"],
+                stencil=report.stencil, neighbor=report.neighbor))
     lines = ["R,lhs,rhs,pass"]
     for eq in eq_reports:
         flag = "true" if eq.passed else "false"

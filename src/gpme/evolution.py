@@ -311,11 +311,17 @@ class RunReport:
         }
 
 
-def run(problem, grid, time_grid, config=None):
+def run(problem, grid, time_grid, config=None, on_knot=None):
     """March the implicit scheme across time_grid and account for every
     unit of mass; returns a RunReport.  The operator is built once, on the
     grid's box, for the escape weights, every step's solve and the
-    report's tail certificates."""
+    report's tail certificates.
+
+    ``on_knot(j, u)``, when given, is called with each knot's field as
+    soon as it is computed, U^0 first and then after each step, and
+    returns the array that the trajectory keeps as knot j: u itself or a
+    copy of it (``grid_field.FieldWriter.knot`` stores it and writes it
+    while the later steps are solved)."""
     cfg = config if config is not None else EpSolveConfig()
     stencil = problem.operator.build_stencil(grid)
     c = problem.operator.c
@@ -325,7 +331,8 @@ def run(problem, grid, time_grid, config=None):
     esc = escape_weights(stencil, c, grid.shape, resolvent.neighbor)
     vol = grid.cell_volume
 
-    u0 = project_cell_average(problem.initial, grid)
+    keep = on_knot if on_knot is not None else (lambda j, u: u)
+    u0 = keep(0, project_cell_average(problem.initial, grid))
     sources = project_source(problem.source, grid, time_grid)
     steps = time_grid.steps
 
@@ -355,7 +362,7 @@ def run(problem, grid, time_grid, config=None):
         except NonConvergenceError as exc:
             exc.step = j
             raise
-        w = result.w
+        w = keep(j + 1, result.w)
         p = problem.phi.value(w)
         fields.append(w)
         mass.append(vol * float(np.sum(w)))

@@ -10,7 +10,9 @@ everywhere in this package (zero extension).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -27,7 +29,7 @@ __all__ = [
     "eval_spacetime_interpolant",
     "lr_norm_of_values",
     "write_field_csv",
-    "write_field_csvs",
+    "FieldWriter",
     "shifted",
 ]
 
@@ -322,7 +324,7 @@ def write_field_csv(path, values, labels=None):
     ``repr`` is the floor of one process: about 1.1 us per value on a
     2-core Xeon with Python 3.11, as 93 % of the values of a
     ``frac_heat_poisson_1d`` run need 16 or 17 significant digits.
-    ``write_field_csvs`` shares many fields between two processes."""
+    ``FieldWriter`` moves that work off the run's critical path."""
     header = ",".join(f"beta_{i + 1}" for i in range(values.ndim)) + ",value"
     flat = values.reshape(-1).tolist()
     rows = [None] * (2 * len(flat))
@@ -333,52 +335,142 @@ def write_field_csv(path, values, labels=None):
         fh.write(text)
 
 
-# fork only when the fields hold enough values to repay it.  In a process
-# of about 90 MB the fork and the wait cost 7-13 ms inside this call, and
-# the copy-on-write faults the fork leaves the parent a few ms more, while
-# each value the child takes saves 0.5-0.8 us (2-core Xeon): below about
-# 30 000 values a second process loses time
+# fork only when the saved fields hold enough values to repay it.  The
+# child lives for the whole run.  In a process of about 90 MB its fork, the
+# copy-on-write faults it leaves the parent's later steps and the final
+# wait cost 5-7 ms where the run is short: forked at every size,
+# `burgers_riemann_1d` at h = 1/64 (16 705 saved values) took 37.1 ms
+# against 30.2 ms in one process, and the 41 x 41 plane of
+# `heat_gaussian_2d` (10 086) 46.6 against 41.7 ms; `fast_diffusion_1d`
+# (16 705, 77 ms) broke even (medians of 12, 2-core Xeon, Python 3.11)
 _FORK_MIN_VALUES = 1 << 15
 
 
-def _write_each(items, labels):
-    for path, values in items:
-        write_field_csv(path, values, labels)
+def _partial(path):
+    """The name a field CSV is written under until its run is done."""
+    return os.fspath(path) + ".part"
 
 
-def write_field_csvs(items):
-    """``write_field_csv`` for each ``(path, field)`` of ``items``, fields
-    of one shape whose row labels are built once, from two processes: one
-    ``fork``ed child writes every other item.
+class FieldWriter:
+    """Writes the field CSVs of one run's saved knots, while the run goes
+    on where a second process pays.
 
-    The child leaves through ``os._exit`` (status 0 on success, 1 on any
+    ``paths`` maps each saved knot index j to its CSV path, in a run of
+    ``n_knots`` knots on a grid of ``shape``.  The writer is a context
+    manager around the run, and ``knot`` is ``evolution.run``'s
+    ``on_knot`` hook: it stores each knot's field in one
+    ``(n_knots, *shape)`` buffer, and returns the stored row for the
+    trajectory to keep, so no knot is held twice.
+
+    With two or more saved knots of ``_FORK_MIN_VALUES`` values or more in
+    all, and where there is ``fork``, entering forks one child and the
+    buffer is an anonymous shared ``mmap``.  ``knot`` posts each saved
+    index to a pipe, from which the child takes indices and writes those
+    knots while the parent solves the later steps.  The pipe's write end
+    does not block: when it is full (the child is behind, or gone), the
+    parent writes the knot itself.  On leaving, the parent closes the
+    pipe, writes the indices left in it itself, and reaps the child; if
+    the child failed, the parent writes again every knot that it did not
+    write itself, so an I/O error is raised here.  The child makes no BLAS
+    or FFT call, calls ``write_field_csv`` through this module's global,
+    and leaves through ``os._exit`` (status 0 on success, 1 on any
     exception), so it never returns to the caller, runs no atexit handler
-    and flushes no stdio buffer.  The parent writes the rest, then reaps
-    the child before it returns or raises.  If the child failed, the
-    parent writes the child's items again itself, so an I/O error is
-    raised here, as by the one-process loop.  With fewer than two items,
-    fewer than ``_FORK_MIN_VALUES`` values in all, or where there is no
-    ``fork``, the one loop runs in this process."""
-    items = list(items)
-    labels = _row_labels(items[0][1].shape) if items else None
-    # the child only formats and writes: it makes no BLAS call, so it never
-    # waits on a BLAS thread, which fork does not copy
-    values = sum(u.size for _, u in items)
-    fork = len(items) > 1 and values >= _FORK_MIN_VALUES and hasattr(os, "fork")
-    theirs = items[1::2] if fork else []
-    pid = os.fork() if theirs else None
-    if pid == 0:
+    and flushes no stdio buffer.  Otherwise every saved knot is written
+    in this process on leaving.
+
+    Each CSV is written under its ``_partial`` name and renamed to its
+    path only once every saved knot is written.  Leaving on an exception
+    stops and reaps the child and removes the partial files, so a run
+    that fails leaves no field file and those of an earlier run in the
+    same place untouched.  (A rename that fails, say onto a directory,
+    leaves the fields renamed before it.)"""
+
+    def __init__(self, paths, n_knots, shape):
+        self.paths = dict(paths)
+        self.n_knots = n_knots
+        self.shape = tuple(shape)
+        self._fields = None
+        self._pid = None
+        self._mine = set()
+        self._labels = None
+
+    def __enter__(self):
+        size = int(np.prod(self.shape))
+        if not (len(self.paths) > 1 and len(self.paths) * size >= _FORK_MIN_VALUES
+                and hasattr(os, "fork")):
+            self._fields = np.empty((self.n_knots,) + self.shape)
+            return self
+        buffer = mmap.mmap(-1, self.n_knots * size * 8)
+        self._fields = np.frombuffer(buffer, dtype=float).reshape((self.n_knots,) + self.shape)
+        self._read, self._post = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            self._serve()
+        os.set_blocking(self._post, False)
+        return self
+
+    def _serve(self):
+        # the child: formats and writes only, so it never waits on a BLAS
+        # thread, which fork does not copy
         status = 1
         try:
-            _write_each(theirs, labels)
+            os.close(self._post)
+            labels = _row_labels(self.shape)
+            while index := os.read(self._read, 4):
+                j = int.from_bytes(index, "little")
+                write_field_csv(_partial(self.paths[j]), self._fields[j], labels)
             status = 0
         finally:
             os._exit(status)
-    status = 0
-    try:
-        _write_each(items[0::2] if theirs else items, labels)
-    finally:
-        if pid:
-            status = os.waitpid(pid, 0)[1]
-    if status:
-        _write_each(theirs, labels)
+
+    def _write(self, j):
+        if self._labels is None:
+            self._labels = _row_labels(self.shape)
+        write_field_csv(_partial(self.paths[j]), self._fields[j], self._labels)
+        self._mine.add(j)
+
+    def knot(self, j, u):
+        """Store knot j's field u and return the stored row; a saved knot
+        goes to the child at once."""
+        row = self._fields[j]
+        row[...] = u
+        if self._pid and j in self.paths:
+            try:
+                os.write(self._post, j.to_bytes(4, "little"))
+            except BlockingIOError:
+                self._write(j)
+        return row
+
+    def _join(self, write):
+        """Close the queue, take the indices left in it (writing those
+        knots when ``write`` is set) and reap the child; True when the
+        child failed."""
+        try:
+            os.close(self._post)
+            while index := os.read(self._read, 4):
+                if write:
+                    self._write(int.from_bytes(index, "little"))
+        finally:
+            os.close(self._read)
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+        return status != 0
+
+    def __exit__(self, exc_type, exc, tb):
+        done = False
+        try:
+            # without a child, or after a failed one, this process writes
+            # every saved knot that it has not written itself
+            missing = self._join(exc_type is None) if self._pid else True
+            if exc_type is None:
+                for j in self.paths:
+                    if missing and j not in self._mine:
+                        self._write(j)
+                for path in self.paths.values():
+                    os.replace(_partial(path), path)
+                done = True
+        finally:
+            if not done:
+                for path in self.paths.values():
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(_partial(path))

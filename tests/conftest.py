@@ -18,6 +18,20 @@ def children_import_this_gpme():
         yield
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per ``os.fork`` call made during the test."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or unreaped

@@ -21,6 +21,7 @@ import gpme.grid_field
 import gpme.levy_operators
 from gpme.cli import main
 from gpme.config import build_plan, load_config, merge_config
+from gpme.errors import NonConvergenceError
 
 TINY_RUN = {
     "preset": "heat_gaussian_1d",
@@ -43,6 +44,12 @@ PLANE_RUN = {
     },
     "diagnostics": {"R_list": [1.0, 2.0, 3.0], "r": 1.0, "save_stride": 1},
 }
+
+
+# ten steps of 17 nodes, every knot saved
+STEPPED_RUN = merge_config(TINY_RUN, {
+    "problem": {"T": 0.5, "dt": {"policy": "linear", "factor": 0.1}},
+    "diagnostics": {"save_stride": 1}})
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -123,6 +130,48 @@ def test_run_output_comes_from_one_process(tmp_path, capfd, monkeypatch):
     lines = capfd.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("steps ") and lines[1].startswith("tail bound R=1.5")
+
+
+def test_failed_run_leaves_no_field_file(tmp_path, capsys, monkeypatch, forks):
+    # the writer's child has taken knots 0-3 when the solve of step 3
+    # stalls: none of them may be left, and an earlier run's field stays
+    monkeypatch.setattr(gpme.grid_field, "_FORK_MIN_VALUES", 0)
+    solve = gpme.evolution.solve_ep
+    calls = []
+
+    def stalls_at_step_3(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise NonConvergenceError("stalled", residual=0.5, sweeps=7, cell=(8,))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gpme.evolution, "solve_ep", stalls_at_step_3)
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = out / "field_00000.csv"
+    earlier.write_text("beta_1,value\n0,1.0\n")
+    cfg = write_cfg(tmp_path, STEPPED_RUN)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    record, _ = last_err_record(capsys)
+    assert record["error"] == "runtime" and record["step"] == 3
+    assert len(forks) == 1
+    assert [p.name for p in out.iterdir()] == ["field_00000.csv"]
+    assert earlier.read_text() == "beta_1,value\n0,1.0\n"
+
+
+def test_field_write_error_is_a_runtime_record(tmp_path, capsys, monkeypatch):
+    # a directory where knot 4's field goes: the run fails with exit 1 and
+    # a runtime record that names the path, whether or not it forks
+    for threshold in (0, 1 << 30):
+        monkeypatch.setattr(gpme.grid_field, "_FORK_MIN_VALUES", threshold)
+        out = tmp_path / f"out_{threshold}"
+        (out / "field_00004.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, STEPPED_RUN)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        record, _ = last_err_record(capsys)
+        assert record["error"] == "runtime"
+        assert str(out / "field_00004.csv") in record["message"]
+        assert not list(out.glob("*.part"))
 
 
 def test_missing_phi_is_a_config_error(tmp_path, capsys):
@@ -553,13 +602,16 @@ def test_thread_count_does_not_change_bytes(tmp_path):
         for threads in ("1", "4"):
             out = tmp_path / f"{name}_t{threads}"
             env = dict(os.environ, GPME_THREADS=threads)
+            # the field writer forks at every size, so its bytes are checked
+            # against the thread count too
             proc = subprocess.run(
                 [sys.executable, "-c",
-                 "import sys; from gpme.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "import sys, gpme.grid_field; gpme.grid_field._FORK_MIN_VALUES = 0; "
+                 "from gpme.cli import main; sys.exit(main(sys.argv[1:]))",
                  "run", "--config", cfg, "--out", str(out)],
                 env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            outs[threads] = (out / "report.json").read_bytes()
+            outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert outs["1"] == outs["4"], name
 
 

@@ -155,3 +155,27 @@ def test_direct_calls_reject_a_velocity_shorter_than_dim(call):
     with pytest.raises(ConfigurationError) as err:
         call(flux, np.zeros((5, 5)))
     assert err.value.field == "problem.flux.velocity"
+
+
+def test_run_hands_every_knot_to_on_knot_in_order():
+    # the hook sees U^0 and then each step's field as it is finished, and
+    # the trajectory keeps the array the hook returns; without the hook
+    # the run is the same
+    cfg = load_config({"preset": "pme_barenblatt_1d", "problem": {"h": 0.25, "T": 0.5}})
+    plan = build_plan(cfg)
+    seen, kept = [], []
+
+    def on_knot(j, u):
+        seen.append((j, u.copy()))
+        kept.append(u.copy())
+        return kept[-1]
+
+    report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver, on_knot=on_knot)
+    plain = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
+    fields = report.trajectory.fields
+    assert plan.time_grid.n_steps >= 3
+    assert [j for j, _ in seen] == list(range(len(fields)))
+    assert all(a is b for a, b in zip(fields, kept))
+    for (_, u), field, ref in zip(seen, fields, plain.trajectory.fields):
+        assert u.tobytes() == field.tobytes() == ref.tobytes()
+    assert report.to_json_dict() == plain.to_json_dict()

@@ -1,16 +1,16 @@
 """Lattice containers: box construction, norms, shifts, interpolants."""
 
 import os
+import signal
 
 import numpy as np
 import pytest
 
 from gpme import grid_field
 from gpme.errors import ConfigurationError, DataError
-from gpme.grid_field import (TimeGrid, Trajectory, UniformGrid,
+from gpme.grid_field import (FieldWriter, TimeGrid, Trajectory, UniformGrid,
                              eval_spacetime_interpolant, lr_norm_of_values,
-                             project_cell_average, shifted, write_field_csv,
-                             write_field_csvs)
+                             project_cell_average, shifted, write_field_csv)
 from gpme.profiles import ConstantProfile, GaussianProfile
 
 
@@ -152,45 +152,49 @@ def _field_items(tmp_path, dim, n):
             for j in range(n)]
 
 
-def _count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
+def _write_knots(items, stride=1):
+    """Hand a FieldWriter the fields of items as the saved knots 0, stride,
+    2 stride, ... of a run whose other knots hold fields it does not save."""
+    shape = items[0][1].shape if items else (1,)
+    n_knots = (len(items) - 1) * stride + 1 if items else 0
+    with FieldWriter({k * stride: path for k, (path, _) in enumerate(items)},
+                     n_knots, shape) as writer:
+        for j in range(n_knots):
+            u = items[j // stride][1] if j % stride == 0 else np.full(shape, -1.0)
+            assert writer.knot(j, u).tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
-def test_write_field_csvs_matches_one_process_loop(tmp_path, monkeypatch, dim, n):
+def test_write_field_csvs_matches_one_process_loop(tmp_path, monkeypatch, forks, dim, n):
+    # FieldWriter, forked or not, writes the bytes of write_field_csv called
+    # on each saved knot, and no other file
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
-    forks = _count_forks(monkeypatch)
     (tmp_path / "one").mkdir()
-    (tmp_path / "two").mkdir()
     for path, u in _field_items(tmp_path / "one", dim, n):
         write_field_csv(path, u)
-    write_field_csvs(_field_items(tmp_path / "two", dim, n))
-    # the child takes a share only when there are two items to share
-    assert len(forks) == (1 if n >= 2 else 0)
     names = sorted(p.name for p in (tmp_path / "one").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
     assert len(names) == n
-    for name in names:
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    for stride in (1, 3):
+        two = tmp_path / f"two_{stride}"
+        two.mkdir()
+        _write_knots(_field_items(two, dim, n), stride)
+        # the child takes a share only when there are two knots to share
+        assert len(forks) == (1 if n >= 2 else 0)
+        forks.clear()
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (two / name).read_bytes()
 
 
-def test_write_field_csvs_forks_only_for_enough_values(tmp_path, monkeypatch):
-    # two fields just below and just above the fork's threshold
-    forks = _count_forks(monkeypatch)
+def test_write_field_csvs_forks_only_for_enough_values(tmp_path, forks):
+    # two saved fields just below and just above the fork's threshold; the
+    # knot between them is not saved and does not count
     half = grid_field._FORK_MIN_VALUES // 2
     for k, expected in [(half // 2 - 1, 0), (half // 2, 1)]:
         g = UniformGrid(dim=1, h=1.0, index_bounds=(k,))
-        write_field_csvs([(tmp_path / f"{k}_{j}.csv", np.zeros(g.shape))
-                          for j in range(2)])
+        _write_knots([(tmp_path / f"{k}_{j}.csv", np.zeros(g.shape)) for j in range(2)],
+                     stride=2)
         assert len(forks) == expected, (2 * g.node_count, grid_field._FORK_MIN_VALUES)
         forks.clear()
 
@@ -199,7 +203,7 @@ def test_write_field_csvs_without_fork_writes_in_process(tmp_path, monkeypatch):
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
     monkeypatch.delattr(os, "fork")
     items = _field_items(tmp_path, 2, 3)
-    write_field_csvs(items)
+    _write_knots(items)
     for path, u in items:
         ref = tmp_path / f"ref_{path.name}"
         write_field_csv(ref, u)
@@ -207,8 +211,9 @@ def test_write_field_csvs_without_fork_writes_in_process(tmp_path, monkeypatch):
 
 
 def test_write_field_csvs_raises_what_the_loop_raises(tmp_path, monkeypatch):
-    # the child writes items 1, 3, ...; a directory at item 1's path makes
-    # it fail, and the parent must raise the loop's error for that item
+    # a directory at knot 1's path: the one-process loop fails to open it,
+    # and the writer fails to move knot 1's file there, with the same error
+    # naming that path, and leaves no partial file
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
     items = _field_items(tmp_path, 1, 4)
     items[1][0].mkdir()
@@ -216,6 +221,42 @@ def test_write_field_csvs_raises_what_the_loop_raises(tmp_path, monkeypatch):
         for path, u in items:
             write_field_csv(path, u)
     with pytest.raises(OSError) as shared:
-        write_field_csvs(items)
+        _write_knots(items)
     assert type(shared.value) is type(loop.value)
-    assert str(shared.value) == str(loop.value)
+    assert str(items[1][0]) in str(shared.value)
+    assert not list(tmp_path.glob("*.part"))
+
+
+def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, forks):
+    # the child leaves at its first knot.  The parent still holds the
+    # queue's read end, so posting an index never fails: the pipe fills
+    # (a 64 KiB pipe holds 16 384 indices), and every knot after that must
+    # fall to the parent instead of blocking the run
+    monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
+    parent = os.getpid()
+    write = grid_field.write_field_csv
+
+    def child_dies(path, values, labels=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        write(path, values, labels)
+
+    def hung(signum, frame):
+        raise TimeoutError("posting a knot blocked")
+
+    monkeypatch.setattr(grid_field, "write_field_csv", child_dies)
+    n = 20_000
+    # a blocking post would hang here: the alarm bounds the wait
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with FieldWriter({j: tmp_path / f"{j}.csv" for j in range(n)}, n, (1,)) as writer:
+            for j in range(n):
+                writer.knot(j, np.array([float(j)]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    assert len(os.listdir(tmp_path)) == n
+    for j in (0, 1, 16_384, n - 1):
+        assert (tmp_path / f"{j}.csv").read_text() == f"beta_1,value\n0,{float(j)!r}\n"

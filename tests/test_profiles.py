@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from gpme.errors import ConfigurationError
-from gpme.profiles import (BarenblattExact, BarenblattProfile, GaussianProfile,
-                           HeatGaussianExact, IndicatorProfile, PoissonExact,
-                           PoissonKernelProfile, ShockExact, StepProfile, TimeFactor,
-                           sphere_area)
+from gpme.profiles import (BarenblattExact, BarenblattProfile, ConstantProfile,
+                           GaussianProfile, HeatGaussianExact, IndicatorProfile,
+                           PoissonExact, PoissonKernelProfile, ShockExact, StepProfile,
+                           TimeFactor, sphere_area)
 
 
 def test_sphere_area_low_dims():
@@ -139,3 +139,23 @@ def test_exact_reference_starts_from_the_initial_data(override):
     plan = build_plan(load_config(override))
     np.testing.assert_array_equal(plan.exact.at_time(0.0).cell_averages(plan.grid),
                                   project_cell_average(plan.problem.initial, plan.grid))
+
+
+@pytest.mark.parametrize("prof", [
+    ConstantProfile(-2.5), ConstantProfile(1.5, dim=3),
+    GaussianProfile(-2.0, 0.3), GaussianProfile(1.3, 0.2, (0.7,)),
+    GaussianProfile(0.9, 0.25, dim=2), GaussianProfile(1.1, 0.15, dim=3),
+    BarenblattProfile(time=0.7), PoissonKernelProfile(0.125),
+    IndicatorProfile(-0.5, 1.0), StepProfile(1.0, -0.5, 0.25)],
+    ids=lambda p: f"{type(p).__name__}-{p.dim}")
+def test_one_point_evaluation_has_the_bits_of_at(prof):
+    # the quadrature integrands evaluate the profile one float at a time;
+    # they must read the same bits as the array evaluation at (x, 0, ..., 0)
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 4001),
+                         np.random.default_rng(1).normal(0.0, 2.0, 2000),
+                         [-1.0, -0.5, 0.0, 0.25, 1.0, 1e-300, -0.0]])
+    points = np.zeros((xs.size, prof.dim))
+    points[:, 0] = xs
+    want = np.abs(prof.at(points))
+    got = np.array([prof._abs_at(float(x)) for x in xs])
+    assert got.tobytes() == want.tobytes()
