@@ -318,21 +318,23 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     report's tail certificates.
 
     ``on_knot(j, u)``, when given, is called with each knot's field as
-    soon as it is computed, U^0 first and then after each step, and
-    returns the array that the trajectory keeps as knot j: u itself or a
-    copy of it (``grid_field.FieldWriter.knot`` stores it and writes it
-    while the later steps are solved)."""
+    soon as it is computed, and returns the array that the trajectory
+    keeps as knot j: u itself or a copy of it
+    (``grid_field.FieldWriter.knot`` stores it and writes it while the
+    later steps are solved).  U^0 goes first, projected before the
+    operator is built, so a writer can write it while the stencil, the
+    resolvent and the escape weights are built; then each step's field."""
     cfg = config if config is not None else EpSolveConfig()
-    stencil = problem.operator.build_stencil(grid)
-    c = problem.operator.c
     if problem.flux is not None:
         validate_flux(problem.flux, dim=grid.dim)
+    keep = on_knot if on_knot is not None else (lambda j, u: u)
+    u0 = keep(0, project_cell_average(problem.initial, grid))
+
+    stencil = problem.operator.build_stencil(grid)
+    c = problem.operator.c
     resolvent = _Resolvent(stencil, c, grid.shape)
     esc = escape_weights(stencil, c, grid.shape, resolvent.neighbor)
     vol = grid.cell_volume
-
-    keep = on_knot if on_knot is not None else (lambda j, u: u)
-    u0 = keep(0, project_cell_average(problem.initial, grid))
     sources = project_source(problem.source, grid, time_grid)
     steps = time_grid.steps
 

@@ -28,11 +28,13 @@ excluded.
 ``measure_stencil`` builds them by one path in every dimension.  The
 measures are radial, so a cell and its images under the lattice's
 reflections and axis permutations have one mass: each symmetry class,
-represented by sorted(|gamma|), is weighed once.  The rule per class is
-midpoint density times h^N for ``weight_rule = midpoint_density``, the
-closed form for fractional and split measures on the line, and tensor
-Gauss-Legendre (20 nodes on the line, 8 per axis above) otherwise; a
-custom density must also pass a half-cell refinement check.
+represented by sorted(|gamma|) and found by one int64 key per offset, is
+weighed once.  The rule per class is midpoint density times h^N for
+``weight_rule = midpoint_density``, the closed form for fractional and
+split measures on the line (one libm power per cell edge, each weight the
+difference of its two edges' powers), and tensor Gauss-Legendre (20 nodes
+on the line, 8 per axis above) otherwise; a custom density must also pass
+a half-cell refinement check.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numpy as np
 from scipy import fft, integrate, sparse
 
 from .errors import ConfigurationError, StencilError
-from .grid_field import _format_float
 from .profiles import sphere_area
 
 __all__ = [
@@ -198,9 +199,7 @@ class WeightedStencil:
         # symmetry: the mirrored family must be identical
         mirrored = -off
         morder = np.lexsort(tuple(mirrored[:, i] for i in reversed(range(self.dim))))
-        if not np.array_equal(mirrored[morder], off) or not np.allclose(
-            w[morder], w, rtol=0.0, atol=0.0
-        ):
+        if not np.array_equal(mirrored[morder], off) or not np.array_equal(w[morder], w):
             raise StencilError("stencil weights are not symmetric under reflection")
 
     @property
@@ -221,25 +220,27 @@ class WeightedStencil:
                    weights=np.zeros(0))
 
 
-def _cell_weight_1d_power(measure, lo, hi):
-    """Exact mass of the 1D interval [lo, hi] (0 < lo < hi) under a pure or
-    split power density; antiderivative of s^(-1-c) is -s^(-c)/c."""
+def _power_masses(edges, c):
+    """Mass of each interval [edges[k], edges[k + 1]] (positive,
+    nondecreasing edges) under the density s^(-1-c), whose antiderivative
+    is -s^(-c)/c.  Each edge's power is one libm ``pow`` on a Python
+    float; numpy's array power may round otherwise."""
+    power = np.array([e ** -c for e in edges.tolist()])
+    return (power[:-1] - power[1:]) / c
 
-    def power_mass(a, b, c):
-        return (a ** (-c) - b ** (-c)) / c
 
+def _cell_masses_1d_power(measure, edges):
+    """Exact masses of the cells between consecutive edges under a pure or
+    split power density on the line.  Clipped to the truncation, a cell
+    beyond it spans a point and weighs 0; a split measure's two halves are
+    the edges clipped to 1 from above and from below."""
     if measure.truncation is not None:
-        hi = min(hi, measure.truncation)
-        if hi <= lo:
-            return 0.0
+        edges = np.minimum(edges, measure.truncation)
     if measure.kind == "fractional":
-        return measure.scale * power_mass(lo, hi, measure.alpha)
-    out = 0.0
-    if lo < 1.0:
-        out += power_mass(lo, min(hi, 1.0), measure.beta)
-    if hi > 1.0:
-        out += power_mass(max(lo, 1.0), hi, measure.alpha)
-    return measure.scale * out
+        return measure.scale * _power_masses(edges, measure.alpha)
+    below = _power_masses(np.minimum(edges, 1.0), measure.beta)
+    above = _power_masses(np.maximum(edges, 1.0), measure.alpha)
+    return measure.scale * (below + above)
 
 
 def _gl_cell_masses(measure, centers, half):
@@ -264,9 +265,11 @@ def _class_weights(measure, classes, h):
     if measure.weight_rule == "midpoint_density":
         return measure.radial_density(np.sqrt(np.sum(centers ** 2, axis=1)), dim) * h ** dim
     if dim == 1 and measure.kind in ("fractional", "split"):
-        # scalar arithmetic: the vectorized power rounds differently
-        return np.array([_cell_weight_1d_power(measure, (g - 0.5) * h, (g + 0.5) * h)
-                         for g in classes[:, 0]])
+        # one libm power per cell edge k = (k - 0.5) h, k = 1..K+1; class g
+        # spans edges g and g + 1
+        g = classes[:, 0]
+        edges = (np.arange(1, int(g[-1]) + 2) - 0.5) * h
+        return _cell_masses_1d_power(measure, edges)[g - 1]
     coarse = _gl_cell_masses(measure, centers, 0.5 * h)
     if measure.kind != "custom":
         return coarse
@@ -305,9 +308,12 @@ def measure_stencil(measure, grid, support_radius=None):
     One path for every dimension: each class of offsets with the same
     sorted(|gamma|) is weighed once, by the rule per measure that the
     module docstring gives, and its weight gathered back to the class, so
-    the weights are exactly symmetric.  The mass beyond the covered region
-    is recorded in ``tail_mass_beyond_support`` so moment checks can add
-    the analytic remainder instead of silently dropping it.
+    the weights are exactly symmetric.  A class is one value of the int64
+    key sum_i c_i (K+1)^(N-1-i) of the sorted row c = sorted(|gamma|):
+    the first column is the most significant, so the keys sort as the rows
+    do lexicographically.  The mass beyond the covered region is recorded
+    in ``tail_mass_beyond_support`` so moment checks can add the analytic
+    remainder instead of silently dropping it.
     """
     h = grid.h
     dim = grid.dim
@@ -315,9 +321,13 @@ def measure_stencil(measure, grid, support_radius=None):
     offsets = np.indices((2 * kmax + 1,) * dim).reshape(dim, -1).T - kmax
     radii = h * np.sqrt(np.sum(offsets.astype(float) ** 2, axis=1))
     offsets = offsets[(radii > 0.0) & (radii <= support_radius + 1e-12)]
-    classes, members = np.unique(np.sort(np.abs(offsets), axis=1), axis=0,
-                                 return_inverse=True)
-    weights = _class_weights(measure, classes, h)[members.reshape(-1)]
+    folded = np.sort(np.abs(offsets), axis=1)
+    assert (kmax + 1) ** dim <= np.iinfo(np.int64).max
+    key = folded[:, 0]
+    for column in folded[:, 1:].T:
+        key = key * (kmax + 1) + column
+    _, first, members = np.unique(key, return_index=True, return_inverse=True)
+    weights = _class_weights(measure, folded[first], h)[members]
     # on the line the covered cells tile [-edge, edge] exactly
     edge = float(np.max(offsets, initial=0) + 0.5) * h if dim == 1 else support_radius
     return WeightedStencil(h=h, dim=dim, offsets=offsets, weights=weights,
@@ -597,10 +607,13 @@ class OperatorSpec:
 
 
 def write_stencil_csv(path, stencil):
-    """``gamma_1,...,gamma_N,weight`` rows in lexicographic offset order."""
+    """``gamma_1,...,gamma_N,weight`` rows in lexicographic offset order,
+    each weight in the shortest round-trip form of
+    ``grid_field._format_float``, joined once as
+    ``grid_field.write_field_csv`` joins a field's rows."""
     header = ",".join(f"gamma_{i + 1}" for i in range(stencil.dim)) + ",weight"
-    lines = [header]
-    for off, w in zip(stencil.offsets, stencil.weights):
-        lines.append(",".join(str(int(g)) for g in off) + "," + _format_float(w))
+    rows = [None] * (2 * stencil.n_offsets)
+    rows[0::2] = ["\n" + ",".join(map(str, off)) + "," for off in stencil.offsets.tolist()]
+    rows[1::2] = map(repr, stencil.weights.tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "".join(rows) + "\n")

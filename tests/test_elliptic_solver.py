@@ -437,9 +437,11 @@ def test_nonlinear_phi_takes_the_forcing_level(monkeypatch):
     assert out.residual <= tol
 
 
-# the whole Newton iteration on each conjugate-gradient path: (dim, h,
+# the whole Newton iteration on each linear-solve path: (dim, h,
 # measure reach in cells or None for the box diameter, c)
 NEWTON_PATHS = {
+    "banded_1d_c0": (1, 0.125, 2, 0),
+    "banded_1d_c1": (1, 0.125, 2, 1),
     "dense_1d_c0": (1, 0.125, None, 0),
     "dense_1d_c1": (1, 0.125, None, 1),
     "csr_2d": (2, 0.5, 2, 1),

@@ -1,11 +1,16 @@
 """Time stepping: ledger identity, order preservation, CFL, transport."""
 
+import json
+import time
+
 import numpy as np
 import pytest
 
+import gpme.grid_field
+from gpme.cli import main
 from gpme.config import build_plan, load_config
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec
-from gpme.errors import ConfigurationError
+from gpme.errors import ConfigurationError, StencilError
 from gpme.evolution import (FluxSpec, ProblemSpec, cfl_limit, escape_weights,
                             flux_divergence, run, step_cde, step_gpme)
 from gpme.grid_field import TimeGrid, UniformGrid
@@ -179,3 +184,59 @@ def test_run_hands_every_knot_to_on_knot_in_order():
     for (_, u), field, ref in zip(seen, fields, plain.trajectory.fields):
         assert u.tobytes() == field.tobytes() == ref.tobytes()
     assert report.to_json_dict() == plain.to_json_dict()
+
+
+def test_run_hands_knot_0_over_before_building_the_operator(monkeypatch):
+    # a field writer gets U^0 while the stencil, resolvent and escape
+    # weights are built
+    plan = build_plan(load_config({"preset": "frac_heat_poisson_1d",
+                                   "problem": {"h": 0.5, "T": 0.5}}))
+    build = OperatorSpec.build_stencil
+    events = []
+
+    def spied(self, grid):
+        events.append("build")
+        return build(self, grid)
+
+    monkeypatch.setattr(OperatorSpec, "build_stencil", spied)
+    run(plan.problem, plan.grid, plan.time_grid, config=plan.solver,
+        on_knot=lambda j, u: events.append(j) or u)
+    assert events == [0, "build"] + list(range(1, plan.time_grid.n_steps + 1))
+
+
+def test_failed_stencil_build_after_knot_0_leaves_no_field_file(tmp_path, capsys, monkeypatch,
+                                                                forks):
+    # the forked writer has written knot 0 when the stencil build fails:
+    # no field file is left, and the record is the build's error
+    monkeypatch.setattr(gpme.grid_field, "_FORK_MIN_VALUES", 0)
+    out = tmp_path / "out"
+    knot = gpme.grid_field.FieldWriter.knot
+    posted = []
+
+    def spied_knot(self, j, u):
+        posted.append(j)
+        return knot(self, j, u)
+
+    def fails(self, grid):
+        assert posted == [0]
+        # give the child the time to start knot 0's file
+        for _ in range(2000):
+            if (out / "field_00000.csv.part").exists():
+                break
+            time.sleep(0.005)
+        raise StencilError("density not integrable on the cell at (0.5,)", cell=(1,))
+
+    monkeypatch.setattr(gpme.grid_field.FieldWriter, "knot", spied_knot)
+    monkeypatch.setattr(OperatorSpec, "build_stencil", fails)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "preset": "heat_gaussian_1d",
+        "problem": {"h": 0.5, "T": 0.5, "box_half_extent": 4.0,
+                    "dt": {"policy": "linear", "factor": 0.1}},
+        "diagnostics": {"R_list": [1.5], "save_stride": 1}}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "runtime", "cell": [1],
+                      "message": "density not integrable on the cell at (0.5,)"}
+    assert len(forks) == 1 and posted == [0]
+    assert list(out.iterdir()) == []

@@ -7,10 +7,12 @@ from scipy.integrate import dblquad, quad
 
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid, shifted
+from gpme.grid_field import _format_float
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
-                                 WeightedStencil, _circular, _neighbor_matrix,
-                                 _neighbor_operator, _neighbor_sum, apply_stencil,
-                                 combine_with_laplacian, measure_stencil)
+                                 WeightedStencil, _circular, _class_weights,
+                                 _neighbor_matrix, _neighbor_operator, _neighbor_sum,
+                                 _support_index, apply_stencil, combine_with_laplacian,
+                                 measure_stencil, write_stencil_csv)
 from gpme.profiles import GaussianProfile
 
 
@@ -244,3 +246,82 @@ def test_cell_mass_closed_form_on_the_line(measure, h):
         want, _ = quad(lambda r: float(measure.radial_density(r, 1)), lo, hi,
                        points=kinks, epsabs=0.0, epsrel=1e-13, limit=200)
         assert w == pytest.approx(want, rel=1e-12, abs=0.0), off
+
+
+def _scalar_cell_weight_1d_power(measure, lo, hi):
+    # the per-cell closed form in numpy-scalar arithmetic, as measure_stencil
+    # once called it for each class on the line
+    def power_mass(a, b, c):
+        return (a ** (-c) - b ** (-c)) / c
+
+    if measure.truncation is not None:
+        hi = min(hi, measure.truncation)
+        if hi <= lo:
+            return 0.0
+    if measure.kind == "fractional":
+        return measure.scale * power_mass(lo, hi, measure.alpha)
+    out = 0.0
+    if lo < 1.0:
+        out += power_mass(lo, min(hi, 1.0), measure.beta)
+    if hi > 1.0:
+        out += power_mass(max(lo, 1.0), hi, measure.alpha)
+    return measure.scale * out
+
+
+def _reference_stencil(measure, grid):
+    # the earlier build: classes by np.unique over rows, and on the line
+    # one numpy-scalar closed form per class
+    h, dim = grid.h, grid.dim
+    support_radius, kmax = _support_index(measure, grid, None)
+    offsets = np.indices((2 * kmax + 1,) * dim).reshape(dim, -1).T - kmax
+    radii = h * np.sqrt(np.sum(offsets.astype(float) ** 2, axis=1))
+    offsets = offsets[(radii > 0.0) & (radii <= support_radius + 1e-12)]
+    classes, members = np.unique(np.sort(np.abs(offsets), axis=1), axis=0,
+                                 return_inverse=True)
+    if (dim == 1 and measure.kind in ("fractional", "split")
+            and measure.weight_rule == "cell_mass"):
+        weights = np.array([_scalar_cell_weight_1d_power(measure, (g - 0.5) * h, (g + 0.5) * h)
+                            for g in classes[:, 0]])
+    else:
+        weights = _class_weights(measure, classes, h)
+    edge = float(np.max(offsets, initial=0) + 0.5) * h if dim == 1 else support_radius
+    return WeightedStencil(h=h, dim=dim, offsets=offsets, weights=weights[members.reshape(-1)],
+                           tail_mass_beyond_support=float(measure.mass_beyond(edge, dim)))
+
+
+@pytest.mark.parametrize("measure, dim, h, box", [
+    # frac_heat_poisson_1d's kernel across the whole box: 12 290 offsets
+    (MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / np.pi), 1, 1.0 / 64, 48.0),
+    (MeasureSpec(kind="split", alpha=1.5, beta=0.5, scale=0.7), 1, 0.3, 3.0),
+    (MeasureSpec(kind="fractional", alpha=1.2, truncation=2.0), 1, 0.3, 3.0),
+    (MeasureSpec(kind="split", alpha=1.2, beta=0.7, truncation=0.7), 1, 0.3, 3.0),
+    (MeasureSpec(kind="fractional", alpha=1.0, weight_rule="midpoint_density"), 1, 0.25, 4.0),
+    (MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / np.pi), 2, 0.2, 4.0),
+    (MeasureSpec(kind="split", alpha=1.5, beta=0.5, scale=0.7), 3, 0.5, 1.5),
+    (MeasureSpec(kind="custom", density=lambda r: np.exp(-r), tail_order=2.0), 2, 0.5, 2.0),
+], ids=["fractional_whole_box", "split_r1_in_a_cell", "truncated_in_a_cell",
+        "split_truncated_below_1", "midpoint", "fractional_2d", "split_3d", "custom_2d"])
+def test_measure_stencil_is_bit_identical_to_the_row_unique_build(measure, dim, h, box):
+    # the int64 class key and the closed form's one power per edge change
+    # no bit of the stencil
+    g = UniformGrid.from_box(dim, h, box)
+    st, ref = measure_stencil(measure, g), _reference_stencil(measure, g)
+    assert st.offsets.tobytes() == ref.offsets.tobytes()
+    assert st.weights.tobytes() == ref.weights.tobytes()
+    assert st.tail_mass_beyond_support == ref.tail_mass_beyond_support
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_csv_matches_the_row_by_row_format(tmp_path, dim):
+    # the smallest subnormal, a small weight and a large one, each on an
+    # axis offset and (in the plane) on a diagonal one
+    weights = [5e-324, 1e-5, 1e16]
+    offsets = [[k] for k in (1, 2, 3)] if dim == 1 else [[1, 0], [0, 2], [1, -3]]
+    full = [[-g for g in off] for off in offsets] + offsets
+    st = WeightedStencil(h=0.5, dim=dim, offsets=full, weights=weights + weights)
+    for stencil in (st, WeightedStencil.empty(0.5, dim)):
+        lines = [",".join(f"gamma_{i + 1}" for i in range(dim)) + ",weight"]
+        for off, w in zip(stencil.offsets, stencil.weights):
+            lines.append(",".join(str(int(g)) for g in off) + "," + _format_float(w))
+        write_stencil_csv(tmp_path / "stencil.csv", stencil)
+        assert (tmp_path / "stencil.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
