@@ -217,7 +217,7 @@ def cmd_check(args):
 def cmd_stencil(args):
     from .config import build_operator, load_stencil_config
     from .grid_field import UniformGrid
-    from .levy_operators import check_moments, combine_with_laplacian, write_stencil_csv
+    from .levy_operators import check_moments, write_stencil_csv
 
     cfg = load_stencil_config(args.config)
     p = cfg["problem"]
@@ -229,7 +229,7 @@ def cmd_stencil(args):
         return 0
     # dump the weights of the whole operator: the local part contributes
     # its 1/h^2 nearest-neighbor weights alongside the measure cells
-    stencil = combine_with_laplacian(operator.build_stencil(grid), operator.c)
+    stencil = operator.build_stencil(grid)
 
     measure = operator.measure
     if measure is None:

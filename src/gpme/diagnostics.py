@@ -173,11 +173,12 @@ def check_cutoff_radius(R, grid, field):
 
 
 def operator_cutoff_norm(stencil, c, X, p, neighbor=None):
-    """Discrete surrogate for the L^p norm of the operator applied to 𝒳_R,
-    from the nodal cutoff X of build_cutoff: the stencil acts on the nodal
-    values of 𝒳_R - 1 (compactly supported, so zero extension is exact), and
-    the measure mass beyond the stencil support contributes (1 - 𝒳_R) times
-    the analytic remainder.  The stencil's mesh width h gives the cell
+    """Discrete surrogate for the L^p norm of the operator
+    c * Laplacian + stencil applied to 𝒳_R, from the nodal cutoff X of
+    build_cutoff: the operator acts on the nodal values of 𝒳_R - 1
+    (compactly supported, so zero extension is exact), and the measure
+    mass beyond the stencil support contributes (1 - 𝒳_R) times the
+    analytic remainder.  The stencil's mesh width h gives the cell
     volume.  ``neighbor`` is the operator's neighbor sum on X's box, as
     ``apply_stencil`` takes it."""
     v = (apply_stencil(stencil, c, X - 1.0, neighbor)
@@ -250,9 +251,11 @@ def admissible_threshold(operator, dim):
 class EquitightnessReport:
     """Uniform tail certificate for one run and one radius.
 
-    lhs is the worst tail mass over knots and interval midpoints of the
-    time interpolant; rhs_total = M^(r-1) (u0_piece + source_piece
-    + C * operator_piece + conv_constant * convection_piece).  ``passed``
+    lhs is the worst tail mass over the knots, which is its sup over the
+    time interpolant: for r >= 1 the tail functional is convex, so on each
+    linear time segment it is at most its larger end value.  rhs_total =
+    M^(r-1) (u0_piece + source_piece + C * operator_piece
+    + conv_constant * convection_piece).  ``passed``
     is lhs <= ``bound``: rhs_total widened by 1e-9 relative for rounding,
     plus the leakage allowance."""
 
@@ -330,12 +333,12 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
                         neighbor=None):
     """Evaluate the uniform tail bound for a finished trajectory.
 
-    The left side samples the time interpolant at knots and midpoints
-    (piecewise linear in time, so the per-cell sup sits at a knot); the
-    right side assembles the declared data norms, the regularity constants
-    of phi on [-M, M], and the discrete operator norm of the cutoff.
-    ``stencil`` and ``neighbor`` are the run's measure stencil and its
-    neighbor sum on the grid's box (``RunReport`` keeps both); each is
+    The left side is the worst tail mass over the knots (see
+    ``EquitightnessReport``); the right side assembles the declared data
+    norms, the regularity constants of phi on [-M, M], and the discrete
+    operator norm of the cutoff.  ``stencil`` and ``neighbor`` are the
+    run's stencil, ``OperatorSpec.build_stencil``'s whole operator, and
+    its neighbor sum on the grid's box (``RunReport`` keeps both); each is
     built here when not given."""
     grid = traj.grid
     T = traj.time_grid.final_time
@@ -352,7 +355,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     C = seminorm * M ** (ell - 1.0 / q) * data_l1 ** (1.0 / q)
 
     u0_piece = problem.initial.weighted_abs_l1(cutoff)
-    op_piece = T * operator_cutoff_norm(stencil, problem.operator.c, X_nodal, p, neighbor)
+    op_piece = T * operator_cutoff_norm(stencil, 0, X_nodal, p, neighbor)
 
     if problem.flux is not None:
         L_F = problem.flux.max_lipschitz(grid.dim)
@@ -365,10 +368,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     rhs = M ** (r - 1.0) * (u0_piece + g_piece + C * op_piece + conv_constant * conv_piece)
 
     mask = grid.node_radii() > R
-    lhs = 0.0
-    for t in _sample_times(traj.time_grid.knots):
-        vals = traj.values_at_time(float(t))
-        lhs = max(lhs, _masked_tail(vals, mask, grid.cell_volume, r))
+    lhs = max(_masked_tail(vals, mask, grid.cell_volume, r) for vals in traj.fields)
 
     threshold = admissible_threshold(problem.operator, grid.dim)
     asserted = threshold is not None and threshold < ell <= 1.0

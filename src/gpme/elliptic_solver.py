@@ -3,9 +3,9 @@
     F(w) = w - dt * L[phi(w)] - rho = 0
 
 for a monotone nonlinearity phi (phi(0) = 0) and the discrete operator L.
-The operator L is the pair (stencil, c) of ``levy_operators``: the sum runs
-over the measure offsets plus, for c = 1, the 2N nearest neighbors at
-weight 1/h^2, and W = ``_total_weight(stencil, c)`` is their total weight.
+The operator L is one stencil of ``levy_operators``, the Laplacian's
+nearest neighbors merged in for c = 1: the sum runs over its offsets, and
+W = ``stencil.total_weight`` is their total weight.
 
 F is an M-function: its Jacobian I + K D, with K = dt (W I - A) the
 matrix of -dt L and D = diag(phi'(w)), has unit-dominant columns and
@@ -59,7 +59,7 @@ from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from .errors import ConfigurationError, NonConvergenceError
-from .levy_operators import _circular, _neighbor_operator, _total_weight
+from .levy_operators import _circular, _neighbor_operator, combine_with_laplacian
 # not called here; bench/tracing.py wraps this module's apply_stencil
 from .levy_operators import apply_stencil  # noqa: F401
 
@@ -424,15 +424,15 @@ def _linear_solver(shape, W, neighbor):
 
 
 class _Resolvent:
-    """What every resolvent solve of the operator (stencil, c) on a box of
+    """What every resolvent solve of the stencil's operator on a box of
     the given shape shares, whatever its dt and data: the total weight W,
     the neighbor sum of ``_neighbor_operator``, and ``linear_solver``,
     ``_linear_solver``'s at(dt).  ``evolution.run`` builds one per run and
     hands it to every step; ``solve_ep`` builds its own when given none."""
 
-    def __init__(self, stencil, c, shape):
-        self.W = _total_weight(stencil, c)
-        self.neighbor = _neighbor_operator(stencil, c, shape)
+    def __init__(self, stencil, shape):
+        self.W = stencil.total_weight
+        self.neighbor = _neighbor_operator(stencil, shape)
         self.linear_solver = _linear_solver(shape, self.W, self.neighbor)
 
 
@@ -502,10 +502,12 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
 
     Returns an EpResult; raises NonConvergenceError, naming the node with
     the worst residual, when the iteration cap is hit with the residual
-    still above tolerance.  ``resolvent`` is a ``_Resolvent`` of
-    (stencil, c) on rho's box, for a caller that solves many times on one
-    box; by default the solve builds its own.
+    still above tolerance.  The stencil and c are merged on entry by
+    ``combine_with_laplacian``.  ``resolvent`` is a ``_Resolvent`` of the
+    merged stencil on rho's box, for a caller that solves many times on
+    one box; by default the solve builds its own.
     """
+    stencil = combine_with_laplacian(stencil, c)
     cfg = config if config is not None else EpSolveConfig()
     if dt < 0.0:
         raise ConfigurationError("dt must be nonnegative", field="dt")
@@ -521,7 +523,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
         return finish(w, w - rho, 0, 0)
 
     if resolvent is None:
-        resolvent = _Resolvent(stencil, c, rho.shape)
+        resolvent = _Resolvent(stencil, rho.shape)
     W, neighbor = resolvent.W, resolvent.neighbor
     w = np.array(rho if warm_start is None else warm_start, dtype=float)
     cap = max(_MIN_SWEEPS, _SWEEPS_PER_NODE * rho.size)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
-from .grid_field import Trajectory, project_cell_average, project_source, shifted
+from .grid_field import Trajectory, project_cell_average, project_source
 from .elliptic_solver import EpSolveConfig, _Resolvent, solve_ep
-from .levy_operators import OperatorSpec, WeightedStencil, _neighbor_operator, _total_weight
+from .levy_operators import (OperatorSpec, WeightedStencil, _neighbor_operator,
+                             combine_with_laplacian)
 
 __all__ = [
     "FluxSpec",
@@ -172,37 +173,41 @@ def validate_flux(flux, dim=1, samples=33):
                                      field="problem.flux")
 
 
-def flux_divergence(flux, values, h):
-    """Conservative divergence sum_i (F_i(U, U_+e) - F_i(U_-e, U)) / h with
-    zero extension outside the box."""
+def _convection(flux, values, h):
+    """The conservative divergence sum_i (F_i(U, U_+e) - F_i(U_-e, U)) / h
+    with zero extension outside the box, and the net flux through the box
+    boundary per unit time, h^(N-1) * sum_i (sum of the last faces' fluxes
+    - sum of the first faces'): both from one evaluation of the n_i + 1
+    faces per axis of the zero-padded field."""
     values = np.asarray(values, dtype=float)
     flux.check_dim(values.ndim)
     out = np.zeros_like(values)
-    for axis in range(values.ndim):
-        off = [0] * values.ndim
-        off[axis] = 1
-        up = shifted(values, tuple(off))
-        off[axis] = -1
-        down = shifted(values, tuple(off))
-        right = flux.numerical_flux(values, up, axis)
-        left = flux.numerical_flux(down, values, axis)
-        out += (right - left) / h
-    return out
-
-
-def boundary_outflow(flux, values, h):
-    """Net convective flux through the box boundary per unit time:
-    h^(N-1) * (sum of right-face fluxes - sum of left-face fluxes)."""
-    values = np.asarray(values, dtype=float)
-    dim = values.ndim
     total = 0.0
-    for axis in range(dim):
-        last = np.take(values, -1, axis=axis)
-        first = np.take(values, 0, axis=axis)
-        right = flux.numerical_flux(last, np.zeros_like(last), axis)
-        left = flux.numerical_flux(np.zeros_like(first), first, axis)
-        total += float(np.sum(right) - np.sum(left))
-    return h ** (dim - 1) * total
+    for axis in range(values.ndim):
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 1)
+        padded = np.pad(values, pad)
+        n = values.shape[axis]
+        faces = flux.numerical_flux(np.take(padded, range(n + 1), axis),
+                                    np.take(padded, range(1, n + 2), axis), axis)
+        out += np.diff(faces, axis=axis) / h
+        total += float(np.sum(np.take(faces, -1, axis)) - np.sum(np.take(faces, 0, axis)))
+    return out, h ** (values.ndim - 1) * total
+
+
+def flux_divergence(flux, values, h):
+    """Conservative divergence sum_i (F_i(U, U_+e) - F_i(U_-e, U)) / h with
+    zero extension outside the box."""
+    return _convection(flux, values, h)[0]
+
+
+def _convected(flux, dt, h, u):
+    """The explicit convective part of a step from u, once dt passes the
+    CFL check: u - dt div F(u), and the mass dt carries out through the
+    box boundary."""
+    check_convective_step(flux, dt, h, u.ndim)
+    divergence, outflow = _convection(flux, u, h)
+    return u - dt * divergence, dt * outflow
 
 
 def cfl_limit(flux, h, dim):
@@ -224,13 +229,15 @@ def check_convective_step(flux, dt, h, dim):
 
 
 def escape_weights(stencil, c, shape, neighbor=None):
-    """Per node, the total weight of jumps of the operator (stencil, c) that
-    land outside the box; the diffusive mass leak rate is
-    h^N * sum phi(U) * escape.  ``neighbor`` is the operator's
-    ``_neighbor_operator`` on the box, built here when not given."""
+    """Per node, the total weight of jumps of the operator
+    c * Laplacian + stencil that land outside the box; the diffusive mass
+    leak rate is h^N * sum phi(U) * escape.  ``neighbor`` is the merged
+    stencil's ``_neighbor_operator`` on the box, built here when not
+    given."""
+    stencil = combine_with_laplacian(stencil, c)
     if neighbor is None:
-        neighbor = _neighbor_operator(stencil, c, shape)
-    return _total_weight(stencil, c) - neighbor(np.ones(shape))
+        neighbor = _neighbor_operator(stencil, shape)
+    return stencil.total_weight - neighbor(np.ones(shape))
 
 
 @dataclass(frozen=True)
@@ -258,15 +265,12 @@ def step_gpme(stencil, c, phi, dt, u_prev, g=None, config=None, warm_start=None,
 
 def step_cde(stencil, c, phi, flux, dt, h, u_prev, g=None, config=None, warm_start=None,
              resolvent=None):
-    """Explicit monotone convection then the implicit diffusion solve.
-    ``resolvent`` is passed on to ``solve_ep``."""
-    check_convective_step(flux, dt, h, np.asarray(u_prev).ndim)
-    rho = np.asarray(u_prev, dtype=float) - dt * flux_divergence(flux, u_prev, h)
-    if g is not None:
-        rho = rho + dt * np.asarray(g, dtype=float)
-    return solve_ep(stencil, c, phi, dt, rho, config=config,
-                    warm_start=u_prev if warm_start is None else warm_start,
-                    resolvent=resolvent)
+    """Explicit monotone convection then the implicit diffusion solve of
+    ``step_gpme``.  ``resolvent`` is passed on to ``solve_ep``."""
+    rho, _ = _convected(flux, dt, h, np.asarray(u_prev, dtype=float))
+    return step_gpme(stencil, c, phi, dt, rho, g=g, config=config,
+                     warm_start=u_prev if warm_start is None else warm_start,
+                     resolvent=resolvent)
 
 
 @dataclass(frozen=True)
@@ -276,9 +280,11 @@ class RunReport:
     identity_gap[j] = mass[j] - (mass[0] + source_cum[j]
                       - leak_diffusive[j] - leak_convective[j]);
     up to rounding it equals residual_mass_cum[j], the accumulated signed
-    mass of the reported solver residuals.  ``stencil`` is the measure
-    stencil the run built and ``neighbor`` its ``_neighbor_operator`` on the
-    grid's box, both kept for the diagnostics and not serialized.
+    mass of the reported solver residuals.  ``stencil`` is the whole
+    operator's stencil the run built (``OperatorSpec.build_stencil``: the
+    measure's weights, and the Laplacian's for c = 1) and ``neighbor`` its
+    ``_neighbor_operator`` on the grid's box, both kept for the
+    diagnostics and not serialized.
     """
 
     trajectory: Trajectory
@@ -331,9 +337,8 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     u0 = keep(0, project_cell_average(problem.initial, grid))
 
     stencil = problem.operator.build_stencil(grid)
-    c = problem.operator.c
-    resolvent = _Resolvent(stencil, c, grid.shape)
-    esc = escape_weights(stencil, c, grid.shape, resolvent.neighbor)
+    resolvent = _Resolvent(stencil, grid.shape)
+    esc = escape_weights(stencil, 0, grid.shape, resolvent.neighbor)
     vol = grid.cell_volume
     sources = project_source(problem.source, grid, time_grid)
     steps = time_grid.steps
@@ -354,13 +359,11 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
         g = sources[j] if sources is not None else None
         try:
             if problem.flux is not None:
-                conv_inc = dt * boundary_outflow(problem.flux, u, grid.h)
-                result = step_cde(stencil, c, problem.phi, problem.flux, dt, grid.h,
-                                  u, g=g, config=cfg, resolvent=resolvent)
+                rho, conv_inc = _convected(problem.flux, dt, grid.h, u)
             else:
-                conv_inc = 0.0
-                result = step_gpme(stencil, c, problem.phi, dt, u, g=g, config=cfg,
-                                   resolvent=resolvent)
+                rho, conv_inc = u, 0.0
+            result = step_gpme(stencil, 0, problem.phi, dt, rho, g=g, config=cfg,
+                               warm_start=u, resolvent=resolvent)
         except NonConvergenceError as exc:
             exc.step = j
             raise

@@ -2,25 +2,23 @@
 difference quadratures of symmetric jump measures.
 
 A stencil is a finite symmetric family of lattice offsets z_gamma = h*gamma
-with nonnegative weights.  The discrete operator is the pair (stencil, c):
+with nonnegative weights, and it holds the whole discrete operator:
 
-    L[psi](x) = sum_gamma (psi(x + z_gamma) - psi(x)) * w_gamma
-                + c * sum_i (psi(x + h e_i) + psi(x - h e_i) - 2 psi(x)) / h^2,
+    L[psi](x) = sum_gamma (psi(x + z_gamma) - psi(x)) * w_gamma.
 
-the measure quadrature plus, for c = 1, the standard second-difference
-Laplacian.  On a grid it is applied by one path, ``_neighbor_operator``
-(with ``_neighbor_sum`` for a single array) and ``_total_weight``, which
-stores the whole neighbor sum, c/h^2 nearest neighbors included, in one
-form, built once per box: for a short stencil the CSR matrix of
+The Laplacian is the weights 1/h^2 at the 2N nearest neighbors.
+``combine_with_laplacian`` adds them to a measure stencil for c = 1, and
+it is the one place below the config that reads c:
+``OperatorSpec.build_stencil`` returns its result, and the entry points
+that take a pair (stencil, c) merge it on entry.  On a grid the stencil
+is applied by one path, ``_neighbor_operator``, with W its
+``total_weight``.  That path stores the neighbor sum in one form, built
+once per box: for a short stencil the CSR matrix of
 ``_neighbor_matrix``, for a dense kernel its rFFT spectrum, reused by
 every application.  The resolvent's Newton steps read the same object:
 the short stencil's matrix (banded Cholesky on the line, conjugate
 gradients above it), and the dense kernel's real spectrum, which it
-inverts as a circulant preconditioner.  ``combine_with_laplacian``
-merges the two parts into one weight list for inspection
-(``gpme stencil`` and the moment checks); merged into an empty stencil,
-it is the Laplacian as explicit weights, which the checks apply with
-c = 0.
+inverts as a circulant preconditioner.
 Weights for a jump measure are the measure of each lattice cell, so the
 total mass on any region is preserved by construction; the origin cell is
 excluded.
@@ -334,24 +332,14 @@ def measure_stencil(measure, grid, support_radius=None):
                            tail_mass_beyond_support=float(measure.mass_beyond(edge, dim)))
 
 
-def _total_weight(stencil, c):
-    """W = sum_gamma w_gamma + c * 2N/h^2, the total jump weight of the
-    operator (stencil, c) at every node."""
-    W = stencil.total_weight
-    if c:
-        W += 2 * stencil.dim * (1.0 / stencil.h ** 2)
-    return W
-
-
 @dataclass(frozen=True, eq=False)
 class _NeighborOperator:
-    """The neighbor sum of the operator (stencil, c) on one box, as
-    ``_neighbor_operator`` builds it: calling it applies the map.
+    """The neighbor sum of a stencil on one box, as ``_neighbor_operator``
+    builds it: calling it applies the map.
 
-    For a short stencil, ``matrix`` is the whole neighbor sum as a CSR
-    matrix over the C-order flattened nodes.  For a dense kernel it is the
-    real rFFT ``spectrum`` of the whole neighbor sum, c/h^2 nearest
-    neighbors included, on the circular lengths L:
+    For a short stencil, ``matrix`` is the neighbor sum as a CSR matrix
+    over the C-order flattened nodes.  For a dense kernel it is the real
+    rFFT ``spectrum`` of the kernel on the circular lengths L:
     ``_circular(values, spectrum, lengths)`` restricted to the box.  Each
     operator holds one of the two forms, and None in the other."""
 
@@ -373,104 +361,91 @@ def _circular(values, multiplier, lengths):
     return fft.irfftn(fft.rfftn(values, lengths) * multiplier, lengths)[box]
 
 
-def _neighbor_operator(stencil, c, shape):
-    """The map values -> sum_gamma w_gamma * values(beta + gamma) plus c/h^2
-    times the 2N nearest neighbors, with zero extension outside a box of
-    the given shape: the one path by which the operator is applied, as a
-    ``_NeighborOperator``.  A caller that applies it many times on one box
-    builds it once (``evolution.run`` does, for a whole run).
+def _neighbor_operator(stencil, shape):
+    """The map values -> sum_gamma w_gamma * values(beta + gamma), with zero
+    extension outside a box of the given shape: the one path by which the
+    operator is applied, as a ``_NeighborOperator``.  A caller that
+    applies it many times on one box builds it once (``evolution.run``
+    does, for a whole run).
 
-    Up to ``_KERNEL_THRESHOLD`` offsets the whole map is
-    ``_neighbor_matrix(stencil, c, shape)``.  Above it the map is a
-    circular convolution by rFFT with the kernel's spectrum, computed here
-    once for every later call; for c = 1 the kernel also holds 1/h^2 at
-    the 2N unit offsets.  The kernel is symmetric, so correlation equals
+    Up to ``_KERNEL_THRESHOLD`` offsets the map is
+    ``_neighbor_matrix(stencil, shape)``.  Above it the map is a circular
+    convolution by rFFT with the kernel's spectrum, computed here once for
+    every later call.  The kernel is symmetric, so correlation equals
     convolution and its spectrum is real.  Offsets at least n_i long on
     some axis never land in the box and are dropped; with the rest
-    reaching K_i (at least 1 for c = 1), a circular length of n_i + K_i
-    per axis wraps every jump out of the box onto the zero padding, never
-    onto a node, the nearest neighbors' on a one-node axis included.
+    reaching K_i, at least 1, a circular length of n_i + K_i per axis
+    wraps every jump out of the box onto the zero padding, never onto a
+    node.
     """
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
-        return _NeighborOperator(_neighbor_matrix(stencil, c, shape))
+        return _NeighborOperator(_neighbor_matrix(stencil, shape))
     inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
     offsets = stencil.offsets[inside]
-    reach = np.max(np.abs(offsets), axis=0, initial=c)
+    reach = np.max(np.abs(offsets), axis=0, initial=1)
     lengths = tuple(fft.next_fast_len(int(n + k), real=True)
                     for n, k in zip(shape, reach))
     kernel = np.zeros(lengths)
     kernel[tuple(offsets.T)] = stencil.weights[inside]
-    for unit in np.eye(stencil.dim, dtype=int) if c else ():
-        kernel[tuple(unit)] += 1.0 / stencil.h ** 2
-        kernel[tuple(-unit)] += 1.0 / stencil.h ** 2
     return _NeighborOperator(spectrum=fft.rfftn(kernel).real, lengths=lengths)
 
 
-def _neighbor_sum(stencil, c, values):
-    """The neighbor sum of ``_neighbor_operator`` for one array."""
-    return _neighbor_operator(stencil, c, values.shape)(values)
-
-
-def _neighbor_matrix(stencil, c, shape):
-    """The neighbor sum of the stencil plus c/h^2 times the 2N nearest
-    neighbors on a box of the given shape, as a CSR matrix over the C-order
-    flattened nodes, with zero extension (a jump leaving the box has no
-    column).  A measure offset on a nearest neighbor shares its entry, and
-    each row's entries sit in column order, which is the offsets'
-    lexicographic order."""
-    offsets = list(stencil.offsets)
-    weights = list(stencil.weights)
-    if c:
-        unit = np.eye(stencil.dim, dtype=int)
-        offsets += list(unit) + list(-unit)
-        weights += [1.0 / stencil.h ** 2] * (2 * stencil.dim)
+def _neighbor_matrix(stencil, shape):
+    """The neighbor sum of the stencil on a box of the given shape, as a
+    CSR matrix over the C-order flattened nodes, with zero extension (a
+    jump leaving the box has no column).  Each row's entries sit in column
+    order, which is the offsets' lexicographic order."""
     # a jump at least as long as the box on some axis never lands in it
-    pairs = [(off, w) for off, w in zip(offsets, weights) if np.all(np.abs(off) < shape)]
+    inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
     size = math.prod(shape)
-    if not pairs:
-        # the zero operator: no measure and no local part
-        return sparse.csr_matrix((size, size))
     index = np.arange(size).reshape(shape)
-    rows, cols, vals = [], [], []
-    for off, w in pairs:
+    # empty first entries: with no offset inside, the zero matrix
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for off, w in zip(stencil.offsets[inside].tolist(), stencil.weights[inside]):
         # row beta reads column beta + off wherever both lie in the box
         dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(shape, off))
         src = tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off))
         rows.append(index[dst].ravel())
         cols.append(index[src].ravel())
         vals.append(np.full(rows[-1].size, w))
-    # duplicate entries (a measure offset on a nearest neighbor) are summed
     return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(size, size))
 
 
 def apply_stencil(stencil, c, u, neighbor=None):
-    """The operator (stencil, c) applied to u, zero extension outside the
-    box.  ``neighbor`` is the operator's ``_neighbor_operator`` on u's box,
-    for a caller that holds one; it is built here when not given."""
-    if c not in (0, 1):
-        raise ConfigurationError("local factor c must be 0 or 1", field="operator.c")
+    """The operator c * Laplacian + stencil applied to u, zero extension
+    outside the box.  ``neighbor`` is the merged stencil's
+    ``_neighbor_operator`` on u's box, for a caller that holds one; it is
+    built here when not given."""
+    stencil = combine_with_laplacian(stencil, c)
     u = np.asarray(u, dtype=float)
-    ns = _neighbor_sum(stencil, c, u) if neighbor is None else neighbor(u)
-    return ns - _total_weight(stencil, c) * u
+    if neighbor is None:
+        neighbor = _neighbor_operator(stencil, u.shape)
+    return neighbor(u) - stencil.total_weight * u
 
 
 def combine_with_laplacian(stencil, c):
-    """One stencil holding the measure weights plus c/h^2 at the nearest
-    neighbors: the whole operator as a single weight list, for inspection."""
+    """The operator c * Laplacian + stencil as one stencil: for c = 1,
+    1/h^2 added at the 2N nearest neighbors, appended where the stencil
+    has no weight; for c = 0, the stencil itself.  Any other c is
+    rejected."""
+    if c not in (0, 1):
+        raise ConfigurationError("local factor c must be 0 or 1", field="operator.c")
     if c == 0:
         return stencil
     inv_h2 = 1.0 / stencil.h ** 2
-    merged = {}
-    for off, w in zip(stencil.offsets, stencil.weights):
-        merged[tuple(int(g) for g in off)] = float(w)
-    for i in range(stencil.dim):
-        for sign in (1, -1):
-            key = tuple(sign if j == i else 0 for j in range(stencil.dim))
-            merged[key] = merged.get(key, 0.0) + inv_h2
-    offs = np.array(sorted(merged.keys()), dtype=int)
-    wts = np.array([merged[tuple(o)] for o in offs])
-    return WeightedStencil(h=stencil.h, dim=stencil.dim, offsets=offs, weights=wts,
+    dim = stencil.dim
+    units = np.vstack([np.eye(dim, dtype=int), -np.eye(dim, dtype=int)])
+    weights = stencil.weights.copy()
+    rows = np.flatnonzero(np.sum(np.abs(stencil.offsets), axis=1) == 1)
+    weights[rows] += inv_h2
+    # +e_i is row i of units and -e_i row N + i
+    axis = np.argmax(np.abs(stencil.offsets[rows]), axis=1)
+    missing = np.ones(2 * dim, dtype=bool)
+    missing[axis + dim * (stencil.offsets[rows, axis] < 0)] = False
+    return WeightedStencil(h=stencil.h, dim=dim,
+                           offsets=np.concatenate([stencil.offsets, units[missing]]),
+                           weights=np.concatenate([weights, np.full(np.sum(missing), inv_h2)]),
                            tail_mass_beyond_support=stencil.tail_mass_beyond_support)
 
 
@@ -601,9 +576,13 @@ class OperatorSpec:
             _support_index(self.measure, grid, self.support_radius)
 
     def build_stencil(self, grid):
+        """The whole operator as one stencil: the measure's weights, merged
+        with the Laplacian's for c = 1."""
         if self.measure is None:
-            return WeightedStencil.empty(grid.h, grid.dim)
-        return measure_stencil(self.measure, grid, self.support_radius)
+            stencil = WeightedStencil.empty(grid.h, grid.dim)
+        else:
+            stencil = measure_stencil(self.measure, grid, self.support_radius)
+        return combine_with_laplacian(stencil, self.c)
 
 
 def write_stencil_csv(path, stencil):

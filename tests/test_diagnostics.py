@@ -86,7 +86,7 @@ def test_operator_cutoff_norm_needs_room():
         build_cutoff(4.0, g)
     X, _ = build_cutoff(2.0, g)
     st = OperatorSpec(c=1, measure=None).build_stencil(g)
-    assert operator_cutoff_norm(st, 1, X, np.inf) > 0.0
+    assert operator_cutoff_norm(st, 0, X, np.inf) > 0.0
 
 
 def test_forward_difference_norm_tracks_gradient():

@@ -12,9 +12,8 @@ from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg, _
                                   _solve_scalar_batch, solve_ep)
 from gpme.grid_field import UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
-                                 _neighbor_matrix, _neighbor_operator, _neighbor_sum,
-                                 _total_weight, apply_stencil, combine_with_laplacian,
-                                 measure_stencil)
+                                 _neighbor_matrix, _neighbor_operator, apply_stencil,
+                                 combine_with_laplacian, measure_stencil)
 
 
 def scalar_root(phi, lam, b):
@@ -174,9 +173,10 @@ def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c, monkeypatch):
     rho = np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape)
     dt = 0.1
     ref = rho.copy()
+    merged = combine_with_laplacian(st, c)
+    neighbor = _neighbor_operator(merged, g.shape)
     for _ in range(20000):
-        new = _jacobi_sweep(phi, dt, _total_weight(st, c), rho,
-                            _neighbor_sum(st, c, phi.value(ref)), ref)
+        new = _jacobi_sweep(phi, dt, merged.total_weight, rho, neighbor(phi.value(ref)), ref)
         done = np.max(np.abs(new - ref)) <= 1e-15
         ref = new
         if done:
@@ -211,12 +211,13 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
     # the line's short-stencil Newton system, solved from the band of the
     # operator's CSR matrix, against the dense matrix of _neighbor_matrix
     st = _line_stencil(name)
-    W, dt = _total_weight(st, c), 0.1
-    K = dt * (W * np.eye(n) - _neighbor_matrix(st, c, (n,)).toarray())
+    merged = combine_with_laplacian(st, c)
+    W, dt = merged.total_weight, 0.1
+    K = dt * (W * np.eye(n) - _neighbor_matrix(merged, (n,)).toarray())
     taken = []
     for spied in ("solveh_banded", "_pcg"):
         monkeypatch.setattr(gpme.elliptic_solver, spied, _spy(taken, spied))
-    solve = _Resolvent(st, c, (n,)).linear_solver(dt)
+    solve = _Resolvent(merged, (n,)).linear_solver(dt)
     rng = np.random.default_rng(n)
     rhs = rng.normal(size=n)
     w = rng.uniform(-0.5, 1.5, size=n)
@@ -258,9 +259,10 @@ def test_pcg_matches_a_direct_solve(n, preconditioned):
 def _dense_K(stencil, c, shape, dt):
     """K = dt (W I - A), A assembled column by column from the operator."""
     size = int(np.prod(shape))
-    neighbor = _neighbor_operator(stencil, c, shape)
+    merged = combine_with_laplacian(stencil, c)
+    neighbor = _neighbor_operator(merged, shape)
     A = np.column_stack([neighbor(e.reshape(shape)).ravel() for e in np.eye(size)])
-    return dt * (_total_weight(stencil, c) * np.eye(size) - A)
+    return dt * (merged.total_weight * np.eye(size) - A)
 
 
 # each linear-solve path: (dim, h, measure reach in cells or None for the
@@ -316,7 +318,8 @@ def test_linear_solve_property(path):
             system, weights = coefficients, np.full(n, level)
         a, d = (np.ones(n), weights) if system == "w" else (weights, np.ones(n))
         rhs = rng.normal(size=n)
-        W = _total_weight(stencil, c)
+        merged = combine_with_laplacian(stencil, c)
+        W = merged.total_weight
         tol = 1e-12 * np.linalg.norm(rhs)
         taken.clear()
         built = []
@@ -325,7 +328,7 @@ def test_linear_solve_property(path):
                 mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
             mp.setattr(gpme.levy_operators, "_neighbor_matrix",
                        _spy(built, "_neighbor_matrix", gpme.levy_operators))
-            solve = _Resolvent(stencil, c, g.shape).linear_solver(dt)
+            solve = _Resolvent(merged, g.shape).linear_solver(dt)
             assert len(built) == builds
             x = solve(a, d, rhs, tol)
         # one SPD solve, and one more if x takes a refinement step
@@ -351,7 +354,7 @@ def test_zero_a_takes_jacobi():
     with pytest.MonkeyPatch.context() as mp, np.errstate(divide="raise", invalid="raise"):
         for name in ("_jacobi", "_circulant"):
             mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
-        solve = _Resolvent(stencil, 0, g.shape).linear_solver(dt)
+        solve = _Resolvent(stencil, g.shape).linear_solver(dt)
         x = solve(np.zeros(n), np.ones(n), rhs, 1e-12 * np.linalg.norm(rhs))
     assert taken == ["_jacobi"]
     np.testing.assert_allclose(x, np.linalg.solve(_dense_K(stencil, 0, g.shape, dt), rhs),
@@ -401,7 +404,7 @@ def test_linear_phi_solves_to_the_fixed_level(monkeypatch, path):
         stencil, c = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g), 0
         assert stencil.n_offsets > _KERNEL_THRESHOLD
     levels = _pcg_levels(monkeypatch)
-    resolvent = _Resolvent(stencil, c, g.shape)
+    resolvent = _Resolvent(combine_with_laplacian(stencil, c), g.shape)
     cfg = EpSolveConfig()
     u = 2.0 * np.exp(-g.node_radii() ** 2)
     for _ in range(3):
@@ -426,7 +429,7 @@ def test_nonlinear_phi_takes_the_forcing_level(monkeypatch):
     levels = _pcg_levels(monkeypatch)
     out = solve_ep(stencil, 1, phi, dt, rho)
     norm = float(np.linalg.norm(dt * apply_stencil(stencil, 1, phi.value(rho))))
-    dtW2 = 2.0 * dt * _total_weight(stencil, 1)
+    dtW2 = 2.0 * dt * combine_with_laplacian(stencil, 1).total_weight
     assert norm * norm > share * tol
     assert levels[0] == pytest.approx(min(share, norm) * norm / (dtW2 * np.sqrt(2.0 * np.max(rho))),
                                       rel=1e-12)
@@ -458,7 +461,7 @@ def test_newton_iteration_property(path):
     g = UniformGrid.from_box(dim, h, 2.0)
     stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
                               support_radius=None if reach is None else reach * h)
-    resolvent = _Resolvent(stencil, c, g.shape)
+    resolvent = _Resolvent(combine_with_laplacian(stencil, c), g.shape)
     cfg = EpSolveConfig()
 
     @settings(max_examples=25, deadline=None)
@@ -511,6 +514,18 @@ def test_stefan_newton_falls_back_and_converges():
     assert out.residual <= 1e-13 * 1.5
 
 
+def _dict_merge(stencil):
+    # the merge written as one dict entry per offset, 1/h^2 added at each
+    # nearest neighbor, in lexicographic order
+    merged = dict(zip(map(tuple, stencil.offsets.tolist()), stencil.weights.tolist()))
+    for i in range(stencil.dim):
+        for sign in (1, -1):
+            key = tuple(sign if j == i else 0 for j in range(stencil.dim))
+            merged[key] = merged.get(key, 0.0) + 1.0 / stencil.h ** 2
+    offsets = sorted(merged)
+    return np.array(offsets, dtype=int), np.array([merged[off] for off in offsets])
+
+
 def test_combine_with_laplacian_merges_rows():
     g = UniformGrid.from_box(1, 0.5, 2.0)
     comb = combine_with_laplacian(WeightedStencil.empty(g.h, g.dim), 1)
@@ -519,6 +534,19 @@ def test_combine_with_laplacian_merges_rows():
     assert comb.total_weight == pytest.approx(8.0)
     # c = 0 leaves the measure part untouched
     assert combine_with_laplacian(comb, 0) is comb
+    # a 2-D measure's unit rows gain 1/h^2 in place, and a stencil without
+    # them gets them appended: the same bytes as the dict merge
+    g2 = UniformGrid.from_box(2, 0.2, 1.0)
+    frac = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / np.pi), g2)
+    far = WeightedStencil(h=g2.h, dim=2, offsets=[[-2, 1], [2, -1]], weights=[0.5, 0.5])
+    for st in (frac, far):
+        merged = combine_with_laplacian(st, 1)
+        offsets, weights = _dict_merge(st)
+        np.testing.assert_array_equal(merged.offsets, offsets)
+        assert merged.weights.tobytes() == weights.tobytes()
+        assert merged.tail_mass_beyond_support == st.tail_mass_beyond_support
+    assert combine_with_laplacian(frac, 1).n_offsets == frac.n_offsets
+    assert combine_with_laplacian(far, 1).n_offsets == far.n_offsets + 4
 
 
 def test_config_validation():

@@ -9,9 +9,10 @@ import pytest
 import gpme.grid_field
 from gpme.cli import main
 from gpme.config import build_plan, load_config
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec
+from gpme.diagnostics import operator_cutoff_norm
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from gpme.errors import ConfigurationError, StencilError
-from gpme.evolution import (FluxSpec, ProblemSpec, cfl_limit, escape_weights,
+from gpme.evolution import (FluxSpec, ProblemSpec, _convection, cfl_limit, escape_weights,
                             flux_divergence, run, step_cde, step_gpme)
 from gpme.grid_field import TimeGrid, UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
@@ -49,6 +50,47 @@ def test_cfl_limit_inclusive():
     step_cde(_empty(g), 0, PhiSpec(kind="zero"), fl, lim, g.h, u)
     with pytest.raises(ConfigurationError):
         step_cde(_empty(g), 0, PhiSpec(kind="zero"), fl, 2.0 * lim, g.h, u)
+
+
+@pytest.mark.parametrize("c", [2, 0.5, -1])
+def test_operator_factor_outside_0_1_is_rejected(c):
+    # every entry point that takes the pair (stencil, c) merges it on entry,
+    # and the merge accepts c = 0 or 1 only
+    st = WeightedStencil.empty(0.5, 1)
+    rho = np.array([0.0, 1.0, 0.0])
+    linear = PhiSpec(kind="linear")
+    burgers = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
+    calls = [
+        lambda: solve_ep(st, c, linear, 1.0, rho),
+        lambda: solve_ep(st, c, PhiSpec(kind="zero"), 1.0, rho),
+        lambda: apply_stencil(st, c, rho),
+        lambda: escape_weights(st, c, rho.shape),
+        lambda: step_gpme(st, c, linear, 1.0, rho),
+        lambda: step_cde(st, c, linear, burgers, 0.1, st.h, rho),
+        lambda: operator_cutoff_norm(st, c, np.ones(3), 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        assert exc.value.field == "operator.c"
+
+
+@pytest.mark.parametrize("numerical", ["engquist_osher", "lax_friedrichs"])
+def test_divergence_mass_leaves_through_the_boundary_faces(numerical):
+    # the divergence and the outflow come from one set of faces: the
+    # divergence's mass is the net flux out through the box's boundary
+    g = UniformGrid.from_box(2, 0.25, 1.0)
+    u = np.random.default_rng(2).uniform(-0.5, 1.0, size=g.shape)
+    fl = FluxSpec(kind="linear", u_range=(-1.0, 1.0), velocity=(1.0, -0.5),
+                  numerical=numerical)
+    divergence, outflow = _convection(fl, u, g.h)
+    np.testing.assert_array_equal(divergence, flux_divergence(fl, u, g.h))
+    assert g.cell_volume * np.sum(divergence) == pytest.approx(outflow, rel=1e-12)
+    if numerical == "engquist_osher":
+        # upwind: u leaves at velocity 1 through the last faces of axis 0
+        # and at velocity 0.5 through the first faces of axis 1
+        assert outflow == pytest.approx(g.h * (np.sum(u[-1, :]) + 0.5 * np.sum(u[:, 0])),
+                                        rel=1e-12)
 
 
 def test_escape_weights_boundary_only():

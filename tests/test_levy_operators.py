@@ -3,6 +3,7 @@ lives in the ``moments`` suite of gpme.checks."""
 
 import numpy as np
 import pytest
+from scipy import fft, sparse
 from scipy.integrate import dblquad, quad
 
 from gpme.errors import ConfigurationError, StencilError
@@ -10,9 +11,9 @@ from gpme.grid_field import UniformGrid, shifted
 from gpme.grid_field import _format_float
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
                                  WeightedStencil, _circular, _class_weights,
-                                 _neighbor_matrix, _neighbor_operator, _neighbor_sum,
-                                 _support_index, apply_stencil, combine_with_laplacian,
-                                 measure_stencil, write_stencil_csv)
+                                 _neighbor_matrix, _neighbor_operator, _support_index,
+                                 apply_stencil, combine_with_laplacian, measure_stencil,
+                                 write_stencil_csv)
 from gpme.profiles import GaussianProfile
 
 
@@ -64,9 +65,10 @@ def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
     assert st.n_offsets <= _KERNEL_THRESHOLD
     v = np.random.default_rng(3).normal(size=g.shape)
     ref = _shift_loop(st, c, v)
-    out = (_neighbor_matrix(st, c, g.shape) @ v.ravel()).reshape(g.shape)
+    merged = combine_with_laplacian(st, c)
+    out = (_neighbor_matrix(merged, g.shape) @ v.ravel()).reshape(g.shape)
     np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
-    np.testing.assert_allclose(_neighbor_sum(st, c, v), ref, rtol=0.0,
+    np.testing.assert_allclose(_neighbor_operator(merged, g.shape)(v), ref, rtol=0.0,
                                atol=1e-14 * np.max(np.abs(ref)))
 
 
@@ -86,9 +88,9 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     reach = np.max(np.abs(st.offsets))
     assert reach >= max(g.shape) if support == "diameter" else reach < max(g.shape) - 1
     v = np.random.default_rng(4).normal(size=g.shape)
-    np.testing.assert_allclose(_neighbor_sum(st, c, v), _shift_loop(st, c, v), rtol=0.0,
+    op = _neighbor_operator(combine_with_laplacian(st, c), g.shape)
+    np.testing.assert_allclose(op(v), _shift_loop(st, c, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
-    op = _neighbor_operator(st, c, g.shape)
     assert op.matrix is None
     np.testing.assert_array_equal(_circular(v, op.spectrum, op.lengths), op(v))
 
@@ -101,10 +103,102 @@ def test_fft_neighbor_sum_on_a_one_node_axis(shape):
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g, support_radius=5 * g.h)
     assert st.n_offsets > _KERNEL_THRESHOLD
     v = np.random.default_rng(6).normal(size=shape)
-    op = _neighbor_operator(st, 1, shape)
+    op = _neighbor_operator(combine_with_laplacian(st, 1), shape)
     assert op.matrix is None and 2 in op.lengths
     np.testing.assert_allclose(op(v), _shift_loop(st, 1, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
+
+
+def _c_aware_matrix(st, c, shape):
+    # the CSR build of the pair (stencil, c) before the merge: the measure
+    # offsets, then c/h^2 at the 2N nearest neighbors, duplicates summed
+    offsets, weights = list(st.offsets), list(st.weights)
+    if c:
+        unit = np.eye(st.dim, dtype=int)
+        offsets += list(unit) + list(-unit)
+        weights += [1.0 / st.h ** 2] * (2 * st.dim)
+    pairs = [(off, w) for off, w in zip(offsets, weights) if np.all(np.abs(off) < shape)]
+    size = int(np.prod(shape))
+    if not pairs:
+        return sparse.csr_matrix((size, size))
+    index = np.arange(size).reshape(shape)
+    rows, cols, vals = [], [], []
+    for off, w in pairs:
+        dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(shape, off))
+        src = tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off))
+        rows.append(index[dst].ravel())
+        cols.append(index[src].ravel())
+        vals.append(np.full(rows[-1].size, w))
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(size, size))
+
+
+def _c_aware_kernel(st, c, shape):
+    # the dense-kernel build of the pair (stencil, c) before the merge:
+    # c/h^2 added at the units after the measure weights, and a reach of at
+    # least c per axis
+    inside = np.all(np.abs(st.offsets) < np.array(shape), axis=1)
+    offsets = st.offsets[inside]
+    reach = np.max(np.abs(offsets), axis=0, initial=c)
+    lengths = tuple(fft.next_fast_len(int(n + k), real=True) for n, k in zip(shape, reach))
+    kernel = np.zeros(lengths)
+    kernel[tuple(offsets.T)] = st.weights[inside]
+    for unit in np.eye(st.dim, dtype=int) if c else ():
+        kernel[tuple(unit)] += 1.0 / st.h ** 2
+        kernel[tuple(-unit)] += 1.0 / st.h ** 2
+    return fft.rfftn(kernel).real, lengths
+
+
+def _merge_case(kind, g):
+    fractional = MeasureSpec(kind="fractional", alpha=1.0)
+    if kind == "empty":
+        return WeightedStencil.empty(g.h, g.dim)
+    if kind == "short":
+        return measure_stencil(fractional, g, support_radius=2 * g.h)
+    if kind == "dense":
+        return measure_stencil(fractional, g)
+    # no unit offsets: the measure's cells at |gamma|_1 >= 2 only
+    st = measure_stencil(fractional, g, support_radius=2 * g.h)
+    keep = np.sum(np.abs(st.offsets), axis=1) >= 2
+    return WeightedStencil(h=g.h, dim=g.dim, offsets=st.offsets[keep], weights=st.weights[keep])
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("kind", ["empty", "short", "dense", "no_units"])
+@pytest.mark.parametrize("dim,h,box,shape", [
+    (1, 0.125, 3.0, None), (2, 0.3, 1.2, None), (3, 0.4, 1.2, None), (2, 0.25, 1.0, (9, 1)),
+], ids=["dim1", "dim2", "dim3", "one_node_axis"])
+def test_merged_stencil_matches_the_c_aware_builds(dim, h, box, shape, kind, c):
+    # the merged stencil's neighbor sum is the same bytes as the c-aware
+    # builds it replaced, on a short stencil's CSR matrix and on a dense
+    # kernel's spectrum
+    g = UniformGrid.from_box(dim, h, box)
+    shape = g.shape if shape is None else shape
+    st = _merge_case(kind, g)
+    merged = combine_with_laplacian(st, c)
+    assert (st.n_offsets > _KERNEL_THRESHOLD) == (kind == "dense")
+    v = np.random.default_rng(dim).normal(size=shape)
+    if kind == "dense":
+        spectrum, lengths = _c_aware_kernel(st, c, shape)
+        want = _circular(v, spectrum, lengths)
+    else:
+        want = (_c_aware_matrix(st, c, shape) @ v.ravel()).reshape(shape)
+    got = _neighbor_operator(merged, shape)(v)
+    if kind == "dense" and c and 1 in shape:
+        # the c-aware kernel also held the one-node axis's units, wrapped
+        # onto the padding, where they only round: one ulp (measured)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=np.spacing(np.max(np.abs(want))))
+    else:
+        assert got.tobytes() == want.tobytes()
+    # W, the merged weights' sum, against the measure's sum plus 2N/h^2;
+    # with a measure, or six equal weights in 3-D, the sums may round
+    # apart: by one ulp at most here, and by 3 ulps on the 5 260 offsets of
+    # the 2-D fractional measure at h = 0.2 (measured)
+    W = st.total_weight + (2 * dim * (1.0 / h ** 2) if c else 0.0)
+    if c and (st.n_offsets or dim == 3):
+        assert abs(merged.total_weight - W) <= np.spacing(W)
+    else:
+        assert merged.total_weight == W
 
 
 def test_c_flag_equals_explicit_laplacian():
@@ -169,7 +263,8 @@ def test_custom_smooth_density_accepted():
 def test_operator_spec_build():
     g = UniformGrid.from_box(1, 0.5, 2.0)
     local = OperatorSpec(c=1, measure=None)
-    assert local.build_stencil(g).n_offsets == 0
+    # the built stencil is the whole operator: the Laplacian's two weights
+    assert local.build_stencil(g).n_offsets == 2
     with pytest.raises(ConfigurationError):
         MeasureSpec(kind="fractional", alpha=2.5)
 
