@@ -27,7 +27,6 @@ _EXPORTS = {
     "Trajectory": "grid_field",
     "project_cell_average": "grid_field",
     "project_source": "grid_field",
-    "eval_spacetime_interpolant": "grid_field",
     # operators
     "MeasureSpec": "levy_operators",
     "WeightedStencil": "levy_operators",

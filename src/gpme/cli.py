@@ -64,20 +64,6 @@ def _write_json(path, obj):
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _exact_error(traj, exact, r):
-    """sup over knots and midpoints of the L^r distance between the run's
-    interpolant and the exact profile's cell averages."""
-    from .diagnostics import _sample_times
-    from .grid_field import lr_norm_of_values
-
-    worst = 0.0
-    for t in _sample_times(traj.time_grid.knots):
-        ref = exact.at_time(float(t)).cell_averages(traj.grid)
-        vals = traj.values_at_time(float(t))
-        worst = max(worst, lr_norm_of_values(vals - ref, traj.grid.cell_volume, r))
-    return worst
-
-
 def cmd_run(args):
     from .config import build_plan, load_config
     from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
@@ -140,11 +126,9 @@ def cmd_run(args):
 
 def cmd_study(args):
     from .config import build_plan, load_config
-    from .diagnostics import ct_lr_distance
+    from .diagnostics import fitted_order, study_errors
     from .evolution import run
     from .grid_field import _format_float
-
-    import numpy as np
 
     cfg = load_config(args.config)
     if args.levels is None or args.levels < 2:
@@ -160,7 +144,6 @@ def cmd_study(args):
     out = _out_dir(args, cfg)
     h0 = cfg["problem"]["h"]
     r = cfg["diagnostics"]["r"]
-    rows = []
     trajs = []
     for level in range(args.levels):
         h = h0 / 2 ** level
@@ -170,22 +153,9 @@ def cmd_study(args):
         print(f"level {level}: h {h!r}, steps {plan.time_grid.n_steps}")
 
     exact = coarse.exact
-    if exact is not None:
-        for level, traj in enumerate(trajs):
-            err = _exact_error(traj, exact, r)
-            rows.append((level, h0 / 2 ** level, err))
-    else:
-        finest = trajs[-1]
-        for level, traj in enumerate(trajs[:-1]):
-            err = ct_lr_distance(traj, finest, r=r)
-            rows.append((level, h0 / 2 ** level, err))
-
-    hs = np.array([h for _, h, _ in rows])
-    errs = np.array([e for _, _, e in rows])
-    if np.all(errs > 0.0) and len(rows) >= 2:
-        order = float(np.polyfit(np.log2(hs), np.log2(errs), 1)[0])
-    else:
-        order = None
+    errors = study_errors(trajs, exact, r)
+    rows = [(level, h0 / 2 ** level, err) for level, err in enumerate(errors)]
+    order = fitted_order([h for _, h, _ in rows], errors)
 
     lines = ["level,h,error"]
     for level, h, err in rows:

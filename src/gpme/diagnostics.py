@@ -1,6 +1,7 @@
 """Analytical instruments for runs: the smooth radial cutoff family, tail
 masses, the uniform-tail (equitightness) certificate with its explicit
-constants, and sup-in-time L^r distances between space-time interpolants.
+constants, sup-in-time L^r distances between space-time interpolants, and
+the errors and fitted order of a refinement study.
 
 The cutoff 𝒳_R vanishes on |x| <= R/2, equals 1 on |x| >= R, and its
 transition is the classical smooth step sigma(s) = e(s)/(e(s)+e(1-s)) with
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigurationError, DataError
-from .grid_field import eval_spacetime_interpolant, lr_norm_of_values, shifted
+from .grid_field import lr_norm_of_values, shifted
 from .levy_operators import apply_stencil
 from .profiles import sphere_area
 
@@ -39,6 +40,8 @@ __all__ = [
     "data_bounds",
     "equitightness_check",
     "ct_lr_distance",
+    "study_errors",
+    "fitted_order",
 ]
 
 
@@ -312,7 +315,7 @@ class EquitightnessReport:
 
 def _sample_times(knots):
     """The knots and the midpoints between them, in order: the times at
-    which the runs sample the piecewise-linear time interpolant."""
+    which ``study_errors`` compares a run with an exact solution."""
     mids = 0.5 * (knots[:-1] + knots[1:])
     return np.sort(np.concatenate([knots, mids]))
 
@@ -392,20 +395,52 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
 
 
 def ct_lr_distance(traj_a, traj_b, r=1.0):
-    """sup over sampled times of the L^r distance between the two
-    space-time interpolants, evaluated on the finer grid's cells."""
+    """sup over time of the L^r distance between the two space-time
+    interpolants, on the finer grid's cells (zero outside the coarser
+    box).  Both are linear in t between the union of the two time grids'
+    knots, so their difference is too, and for r >= 1 its L^r norm, a
+    convex function of t there, peaks at one of those knots: the sup is
+    their maximum."""
     Ta = traj_a.time_grid.final_time
     Tb = traj_b.time_grid.final_time
     if abs(Ta - Tb) > 1e-12 * max(1.0, Ta):
         raise DataError("trajectories cover different time intervals")
-    if traj_a.grid.h <= traj_b.grid.h:
-        target = traj_a.grid
-    else:
-        target = traj_b.grid
-    pts = target.coords().reshape(-1, target.dim)
+    fine, coarse = (traj_a, traj_b) if traj_a.grid.h <= traj_b.grid.h else (traj_b, traj_a)
+    idx, inside = coarse.grid.cell_of(fine.grid.coords())
+    idx = tuple(np.moveaxis(idx, -1, 0))
     worst = 0.0
-    for t in _sample_times(np.union1d(traj_a.time_grid.knots, traj_b.time_grid.knots)):
-        va = eval_spacetime_interpolant(traj_a, pts, float(t))
-        vb = eval_spacetime_interpolant(traj_b, pts, float(t))
-        worst = max(worst, lr_norm_of_values(va - vb, target.cell_volume, r))
+    for t in np.union1d(traj_a.time_grid.knots, traj_b.time_grid.knots).tolist():
+        vc = np.where(inside, coarse.values_at_time(t)[idx], 0.0)
+        diff = fine.values_at_time(t) - vc
+        worst = max(worst, lr_norm_of_values(diff, fine.grid.cell_volume, r))
     return worst
+
+
+def study_errors(trajectories, exact, r):
+    """The L^r errors of a refinement study's runs, coarsest first.
+
+    With an exact solution, each level's sup over its knots and midpoints
+    of |U(t) - cell averages of exact(t)|_r (the exact solution is not
+    linear in t, so the midpoints are sampled too).  With ``exact`` None,
+    the ``ct_lr_distance`` of each level but the finest to the finest."""
+    if exact is None:
+        finest = trajectories[-1]
+        return [ct_lr_distance(traj, finest, r=r) for traj in trajectories[:-1]]
+    errors = []
+    for traj in trajectories:
+        worst = 0.0
+        for t in _sample_times(traj.time_grid.knots):
+            ref = exact.at_time(float(t)).cell_averages(traj.grid)
+            vals = traj.values_at_time(float(t))
+            worst = max(worst, lr_norm_of_values(vals - ref, traj.grid.cell_volume, r))
+        errors.append(worst)
+    return errors
+
+
+def fitted_order(hs, errors):
+    """The least-squares slope of log2 error against log2 h, or None
+    unless there are two errors or more and all are positive."""
+    errors = np.asarray(errors, dtype=float)
+    if len(errors) < 2 or not np.all(errors > 0.0):
+        return None
+    return float(np.polyfit(np.log2(hs), np.log2(errors), 1)[0])

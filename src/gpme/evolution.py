@@ -387,8 +387,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     leak_c = np.array(leak_c)
     res_cum = np.array(res_cum)
     gap = mass - (mass[0] + src_cum - leak_d - leak_c)
-    traj = Trajectory(grid=grid, time_grid=time_grid, fields=tuple(fields),
-                      sources=tuple(sources) if sources is not None else None)
+    traj = Trajectory(grid=grid, time_grid=time_grid, fields=tuple(fields))
     return RunReport(trajectory=traj, mass=mass, source_cum=src_cum,
                      leak_diffusive=leak_d, leak_convective=leak_c,
                      residual_mass_cum=res_cum, identity_gap=gap,

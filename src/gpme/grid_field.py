@@ -26,7 +26,6 @@ __all__ = [
     "Trajectory",
     "project_cell_average",
     "project_source",
-    "eval_spacetime_interpolant",
     "lr_norm_of_values",
     "write_field_csv",
     "FieldWriter",
@@ -120,12 +119,13 @@ class UniformGrid:
         return np.sqrt(np.sum(self.coords() ** 2, axis=-1))
 
     def cell_of(self, points):
-        """Multi-index of the cell containing each point, or None-marker for
-        points outside the box.
+        """Multi-index of the cell containing each point, and whether the
+        point lies in the box.
 
         points: array (..., dim).  Returns (idx array (..., dim) into the value
-        array, inside mask).  The half-open convention puts a point sitting on
-        a cell's upper face into that cell.
+        array, clipped to the box for points outside it, inside mask).  The
+        half-open convention puts a point sitting on a cell's upper face into
+        that cell.
         """
         points = np.asarray(points, dtype=float)
         if points.shape[-1] != self.dim:
@@ -182,21 +182,16 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fields U^0..U^J on one grid plus the projected sources G^1..G^J.
-
-    ``sources`` may be None when the forcing is identically zero.
-    """
+    """Fields U^0..U^J of one run on one grid, read-only, one per knot of
+    its time grid."""
 
     grid: UniformGrid
     time_grid: TimeGrid
     fields: tuple
-    sources: tuple = None
 
     def __post_init__(self):
         if len(self.fields) != self.time_grid.n_steps + 1:
             raise ConfigurationError("need one field per time knot", field="trajectory")
-        if self.sources is not None and len(self.sources) != self.time_grid.n_steps:
-            raise ConfigurationError("need one source field per time step", field="trajectory")
         for arr in self.fields:
             if arr.shape != self.grid.shape:
                 raise ConfigurationError("field shape does not match grid", field="trajectory")
@@ -240,17 +235,6 @@ def project_source(source, grid, time_grid):
         if not np.all(np.isfinite(arr)):
             raise DataError(f"source projection non-finite at step {j + 1}")
     return arrays
-
-
-def eval_spacetime_interpolant(traj, points, t):
-    """Evaluate the piecewise-constant-in-space, linear-in-time interpolant.
-
-    points: array (..., N).  Points outside the box evaluate to 0.
-    """
-    vals_t = traj.values_at_time(t)
-    idx, inside = traj.grid.cell_of(points)
-    flat = vals_t[tuple(np.moveaxis(idx, -1, 0))]
-    return np.where(inside, flat, 0.0)
 
 
 def lr_norm_of_values(values, cell_volume, r):

@@ -16,9 +16,8 @@ import numpy as np
 
 from gpme.checks import run_suite
 from gpme.config import build_plan, load_config
-from gpme.diagnostics import ct_lr_distance, equitightness_check
+from gpme.diagnostics import equitightness_check, fitted_order, study_errors
 from gpme.evolution import run
-from gpme.grid_field import lr_norm_of_values
 from gpme.presets import preset_names
 
 
@@ -99,23 +98,21 @@ def test_criterion_4_equitightness_bound():
     _verdict(4, ok, "; ".join(parts))
 
 
-def _l1_error_at_final_time(plan, report):
-    T = plan.time_grid.final_time
-    ref = plan.exact.at_time(T).cell_averages(plan.grid)
-    return lr_norm_of_values(report.trajectory.fields[-1] - ref,
-                             plan.grid.cell_volume, 1.0)
+def _study_trajectories(cfg, h0, levels=3):
+    trajs = []
+    for level in range(levels):
+        plan = build_plan(cfg, h=h0 / 2 ** level)
+        trajs.append(run(plan.problem, plan.grid, plan.time_grid,
+                         config=plan.solver).trajectory)
+    return plan, trajs
 
 
 def _study_errors(name, h0, levels=3):
-    cfg = load_config(name)
-    errs = []
-    for level in range(levels):
-        plan = build_plan(cfg, h=h0 / 2 ** level)
-        report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
-        errs.append(_l1_error_at_final_time(plan, report))
-    hs = h0 / 2.0 ** np.arange(levels)
-    order = float(np.polyfit(np.log2(hs), np.log2(errs), 1)[0])
-    return np.array(errs), order
+    """The sup-in-time L1 errors against the exact solution and their
+    fitted order, as `gpme study` reports them."""
+    plan, trajs = _study_trajectories(load_config(name), h0, levels)
+    errs = study_errors(trajs, plan.exact, 1.0)
+    return np.array(errs), fitted_order(h0 / 2.0 ** np.arange(levels), errs)
 
 
 def test_criterion_5_exact_solution_convergence():
@@ -142,15 +139,13 @@ def test_criterion_5_exact_solution_convergence():
     parts.append(f"frac order {order:.2f} {el:.0f}s")
 
     t0 = perf_counter()
-    cfg = load_config("burgers_riemann_1d")
+    _, trajs = _study_trajectories(load_config("burgers_riemann_1d"), h0)
     shock_ok = True
     worst = 0.0
-    for level in range(3):
-        h = h0 / 2 ** level
-        plan = build_plan(cfg, h=h)
-        report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
-        x = plan.grid.axis_coords(0)
-        u = report.trajectory.fields[-1]
+    for traj in trajs:
+        h = traj.grid.h
+        x = traj.grid.axis_coords(0)
+        u = traj.fields[-1]
         above = np.nonzero(u >= 0.5)[0]
         i = above[-1]
         # linear interpolation of the 0.5 level set between cell centers
@@ -177,14 +172,8 @@ def test_criterion_7_cutoff_scalings():
 def test_criterion_8_self_convergence_cde():
     t0 = perf_counter()
     cfg = load_config("cde_burgers_frac_1d")
-    h0 = cfg["problem"]["h"]
-    trajs = []
-    for level in range(3):
-        plan = build_plan(cfg, h=h0 / 2 ** level)
-        trajs.append(run(plan.problem, plan.grid, plan.time_grid,
-                         config=plan.solver).trajectory)
-    d = [ct_lr_distance(trajs[0], trajs[2], r=1.0),
-         ct_lr_distance(trajs[1], trajs[2], r=1.0)]
+    _, trajs = _study_trajectories(cfg, cfg["problem"]["h"])
+    d = study_errors(trajs, None, 1.0)
     elapsed = perf_counter() - t0
     in_time, t_msg = _within(elapsed, 300.0)
     _verdict(8, d[0] > d[1] > 0.0 and in_time,

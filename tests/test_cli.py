@@ -21,7 +21,9 @@ import gpme.grid_field
 import gpme.levy_operators
 from gpme.cli import main
 from gpme.config import build_plan, load_config, merge_config
+from gpme.diagnostics import fitted_order, study_errors
 from gpme.errors import NonConvergenceError
+from gpme.evolution import run
 
 TINY_RUN = {
     "preset": "heat_gaussian_1d",
@@ -231,6 +233,27 @@ def test_study_needs_two_levels(tmp_path, capsys):
     assert main(["study", "--config", cfg, "--levels", "1"]) == 2
     record, _ = last_err_record(capsys)
     assert record["field"] == "levels"
+
+
+@pytest.mark.parametrize("preset", ["heat_gaussian_1d", "stefan_1d"])
+def test_study_reports_study_errors_byte_identically(tmp_path, capsys, preset):
+    # heat_gaussian_1d is measured against its exact solution, stefan_1d
+    # against its finest level
+    cfg_path = write_cfg(tmp_path, {"preset": preset, "problem": {"h": 0.2}})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["study", "--config", cfg_path, "--levels", "3", "--out", str(out)]) == 0
+    for name in ("study.csv", "study.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    cfg = load_config(cfg_path)
+    plans = [build_plan(cfg, h=0.2 / 2 ** level) for level in range(3)]
+    trajs = [run(plan.problem, plan.grid, plan.time_grid, config=plan.solver).trajectory
+             for plan in plans]
+    errors = study_errors(trajs, plans[0].exact, cfg["diagnostics"]["r"])
+    study = json.loads((outs[0] / "study.json").read_text())
+    assert study["reference"] == ("finest" if plans[0].exact is None else "exact")
+    assert [level["error"] for level in study["levels"]] == errors
+    assert study["order"] == fitted_order([level["h"] for level in study["levels"]], errors)
 
 
 def test_unknown_check_suite(capsys):

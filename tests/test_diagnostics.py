@@ -15,7 +15,7 @@ from gpme.diagnostics import (Cutoff, _sample_times, admissible_threshold, build
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec
 from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import ProblemSpec, run
-from gpme.grid_field import TimeGrid, Trajectory, UniformGrid
+from gpme.grid_field import TimeGrid, Trajectory, UniformGrid, lr_norm_of_values
 from gpme.levy_operators import MeasureSpec, OperatorSpec
 from gpme.profiles import GaussianProfile, PoissonKernelProfile
 
@@ -159,12 +159,14 @@ def test_equitightness_report_serializes():
     assert back["passed"] is True
 
 
+_KNOTS = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
+
+
 def _random_trajectory(dim, h, half_extent, seed):
     g = UniformGrid.from_box(dim, h, half_extent)
     rng = np.random.default_rng(seed)
-    knots = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
-    fields = tuple(rng.standard_normal(g.shape) for _ in knots)
-    return Trajectory(g, TimeGrid(knots), fields)
+    fields = tuple(rng.standard_normal(g.shape) for _ in _KNOTS)
+    return Trajectory(g, TimeGrid(_KNOTS), fields)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -178,6 +180,49 @@ def test_certificate_lhs_matches_brute_force(dim, h, half_extent, R, r):
     want = max(tail_mass(traj.values_at_time(float(t)), traj.grid, R, r)
                for t in _sample_times(traj.time_grid.knots))
     assert report.lhs == want
+
+
+def _ct_distance_by_point_lookup(traj_a, traj_b, r):
+    """The sup of the L^r distance over the union knots and the midpoints
+    between them, each interpolant looked up point by point at the finer
+    grid's nodes: a rule that does not rely on the sup lying at a knot."""
+    fine = traj_a.grid if traj_a.grid.h <= traj_b.grid.h else traj_b.grid
+    pts = fine.coords()
+
+    def at(traj, t):
+        idx, inside = traj.grid.cell_of(pts)
+        vals = traj.values_at_time(t)[tuple(np.moveaxis(idx, -1, 0))]
+        return np.where(inside, vals, 0.0)
+
+    knots = np.union1d(traj_a.time_grid.knots, traj_b.time_grid.knots)
+    return max(lr_norm_of_values(at(traj_a, t) - at(traj_b, t), fine.cell_volume, r)
+               for t in _sample_times(knots).tolist())
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+@pytest.mark.parametrize("ratio", [1, 2, 4])
+@pytest.mark.parametrize("mesh", ["h:h", "h:h/2", "h:h/2 wider"])
+@pytest.mark.parametrize("dim,h,half_extent", [(1, 0.125, 2.0), (2, 0.25, 1.5)])
+def test_ct_distance_at_knots_matches_point_lookup(dim, h, half_extent, mesh, ratio, r):
+    # the finer run takes `ratio` steps in each step of the coarser one,
+    # with larger values at the knots of its own, so that for ratio > 1
+    # the sup lies at one of those; in the wider case its box reaches a
+    # cell past the coarser box
+    fine_h = h if mesh == "h:h" else h / 2
+    fine_box = half_extent + h if mesh.endswith("wider") else half_extent
+    fine_knots = np.concatenate([np.linspace(a, b, ratio + 1)[:-1]
+                                 for a, b in zip(_KNOTS[:-1], _KNOTS[1:])] + [_KNOTS[-1:]])
+    coarse = _random_trajectory(dim, h, half_extent, seed=10 * dim + ratio)
+    g = UniformGrid.from_box(dim, fine_h, fine_box)
+    rng = np.random.default_rng(10 * dim + ratio + 5)
+    fine = Trajectory(g, TimeGrid(fine_knots),
+                      tuple(rng.standard_normal(g.shape) * (1.0 if t in _KNOTS else 3.0)
+                            for t in fine_knots))
+    inside = coarse.grid.cell_of(fine.grid.coords())[1]
+    assert inside.all() != mesh.endswith("wider")
+    want = _ct_distance_by_point_lookup(coarse, fine, r)
+    assert ct_lr_distance(coarse, fine, r) == want
+    assert ct_lr_distance(fine, coarse, r) == want
 
 
 def _smooth_step_by_definition(s):

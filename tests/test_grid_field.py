@@ -1,4 +1,5 @@
-"""Lattice containers: box construction, norms, shifts, interpolants."""
+"""Lattice containers: box construction, norms, shifts, cell lookup, time
+interpolants."""
 
 import os
 import signal
@@ -9,8 +10,8 @@ import pytest
 from gpme import grid_field
 from gpme.errors import ConfigurationError, DataError
 from gpme.grid_field import (FieldWriter, TimeGrid, Trajectory, UniformGrid,
-                             eval_spacetime_interpolant, lr_norm_of_values,
-                             project_cell_average, shifted, write_field_csv)
+                             lr_norm_of_values, project_cell_average, shifted,
+                             write_field_csv)
 from gpme.profiles import ConstantProfile, GaussianProfile
 
 
@@ -98,12 +99,21 @@ def test_trajectory_linear_interpolation_in_time():
         Trajectory(g, TimeGrid(np.array([0.0, 1.0])), (np.zeros(5), np.zeros(4)))
 
 
-def test_spacetime_interpolant_cell_lookup():
+def test_cell_of_half_open_cells_and_box():
+    # nodes -1..1 at h = 0.5 own the cells (x - 0.25, x + 0.25]: a point on
+    # a cell's upper face is that cell's, one on its lower face the cell
+    # below's, and the lower face of the first cell lies outside the box
     g = UniformGrid.from_box(1, 0.5, 1.0)
-    tr = Trajectory(g, TimeGrid(np.array([0.0, 1.0])),
-                    (np.zeros(5), np.arange(5, dtype=float)))
-    out = eval_spacetime_interpolant(tr, np.array([[0.0], [1.0]]), 1.0)
-    np.testing.assert_allclose(out, [2.0, 4.0])
+    idx, inside = g.cell_of(np.array([[0.0], [0.25], [-0.25], [1.25], [-1.25], [1.3]]))
+    assert idx[inside, 0].tolist() == [2, 2, 1, 4]
+    assert inside.tolist() == [True, True, True, True, False, False]
+    # per axis in the plane; a point outside along one axis is outside
+    g2 = UniformGrid.from_box(2, 0.5, (1.0, 0.5))
+    idx, inside = g2.cell_of(np.array([[0.25, -0.75], [0.75, 0.25], [-1.0, 0.5]]))
+    assert inside.tolist() == [False, True, True]
+    assert idx[1].tolist() == [3, 1] and idx[2].tolist() == [0, 2]
+    with pytest.raises(DataError):
+        g2.cell_of(np.zeros((3, 1)))
 
 
 def test_write_field_csv_deterministic(tmp_path):
