@@ -14,7 +14,7 @@ analytic remainder of any measure mass beyond the stencil support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
@@ -290,27 +290,12 @@ class EquitightnessReport:
         return bool(self.lhs <= self.bound)
 
     def to_json_dict(self):
-        return {
-            "R": self.R,
-            "r": self.r,
-            "p": "inf" if self.p == math.inf else self.p,
-            "q": self.q,
-            "ell": self.ell,
-            "seminorm": self.seminorm,
-            "M": self.M,
-            "C": self.C,
-            "u0_piece": self.u0_piece,
-            "source_piece": self.source_piece,
-            "operator_piece": self.operator_piece,
-            "convection_piece": self.convection_piece,
-            "conv_constant": self.conv_constant,
-            "rhs_total": self.rhs_total,
-            "lhs": self.lhs,
-            "leakage_allowance": self.leakage_allowance,
-            "passed": self.passed,
-            "bound_asserted": self.bound_asserted,
-            "note": self.note,
-        }
+        """Every field in order, an infinite p as "inf", and ``passed``
+        before the last two."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["p"] = "inf" if self.p == math.inf else self.p
+        last = {name: out.pop(name) for name in ("bound_asserted", "note")}
+        return {**out, "passed": self.passed, **last}
 
 
 def _sample_times(knots):

@@ -43,7 +43,8 @@ scalar equation
 
     s + dt * W * phi(s) = rho_beta + dt * sum_gamma w_gamma phi(w(beta+gamma))
 
-per node, by safeguarded Newton inside the bracket [min(0, b), max(0, b)].
+per node: in closed form for a piecewise-linear phi (every kind but
+``power``), by safeguarded Newton inside [min(0, b), max(0, b)] for a power.
 It is a sup-norm contraction with factor dt*W*Lip(phi) / (1 + dt*W*Lip(phi)),
 so a run of sweeps alone needs a number of iterations that grows with
 dt * W but not with the grid size.
@@ -64,6 +65,7 @@ from .levy_operators import _circular, _neighbor_operator, combine_with_laplacia
 from .levy_operators import apply_stencil  # noqa: F401
 
 __all__ = [
+    "PHI_KINDS",
     "PhiSpec",
     "EpSolveConfig",
     "EpResult",
@@ -89,17 +91,81 @@ _MIN_SWEEPS = 1000
 _SWEEPS_PER_NODE = 10
 
 
+class _PiecewiseLinear:
+    """Continuous and piecewise linear through the knots, the origin among
+    them, with rays beyond the ends: slopes[k] is the slope of piece k,
+    between knots k - 1 and k.  A piece is evaluated from its end nearer
+    the origin (``anchors``), so a linear f is slope * u exactly."""
+
+    def __init__(self, knots, values, ends):
+        knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+        slopes = np.concatenate(([ends[0]], np.diff(values) / np.diff(knots), [ends[1]]))
+        origin = int(np.searchsorted(knots, 0.0))
+        if origin == knots.size or knots[origin] != 0.0:
+            near = min(origin, knots.size - 1)
+            values = np.insert(values, origin, values[near] - slopes[origin] * knots[near])
+            knots = np.insert(knots, origin, 0.0)
+            slopes = np.insert(slopes, origin, slopes[origin])
+        self.knots, self.values, self.slopes, self.origin = knots, values, slopes, origin
+        self.anchors = np.concatenate((np.arange(origin + 1), np.arange(origin, knots.size)))
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        piece = np.searchsorted(self.knots, u, "right")
+        at = self.anchors[piece]
+        return self.values[at] + self.slopes[piece] * (u - self.knots[at])
+
+    def slope(self, u):
+        """A subderivative: at a knot the slope on its right, but at the
+        last knot the slope on its left."""
+        u = np.asarray(u, dtype=float)
+        return self.slopes[np.searchsorted(self.knots[:-1], u, "right") + (u > self.knots[-1])]
+
+    def lipschitz(self):
+        return float(np.max(np.abs(self.slopes)))
+
+    def root(self, lam, b):
+        """The root of s + lam f(s) = b for lam >= 0 and f nondecreasing:
+        b's inverse interpolation through the knots' images, clipped to its
+        piece and to [min(0, b), max(0, b)], so nondecreasing in b."""
+        b = np.asarray(b, dtype=float)
+        images = self.knots + lam * self.values
+        piece = np.searchsorted(images, b, "right")
+        at = self.anchors[piece]
+        s = self.knots[at] + (b - images[at]) / (1.0 + lam * self.slopes[piece])
+        edges = np.concatenate(([-np.inf], self.knots, [np.inf]))
+        return np.clip(s, np.maximum(edges[piece], np.minimum(b, 0.0)),
+                       np.minimum(edges[piece + 1], np.maximum(b, 0.0)))
+
+    def split(self):
+        """a -> integral_0^a max(f', 0) and a -> integral_0^a min(f', 0)."""
+        for part in (np.maximum(self.slopes, 0.0), np.minimum(self.slopes, 0.0)):
+            values = np.concatenate(([0.0], np.cumsum(part[1:-1] * np.diff(self.knots))))
+            yield _PiecewiseLinear(self.knots, values - values[self.origin], part[[0, -1]])
+
+
+# each piecewise-linear phi's knots, values and slopes beyond the ends
+_PHI_PIECES = {
+    "linear": lambda phi: ((0.0,), (0.0,), (phi.slope, phi.slope)),
+    "zero": lambda phi: ((0.0,), (0.0,), (0.0, 0.0)),
+    "stefan": lambda phi: ((0.0, phi.latent), (0.0, 0.0), (1.0, 1.0)),
+    "table": lambda phi: (phi.table_u, phi.table_phi, (0.0, 0.0)),
+}
+PHI_KINDS = ("power", *_PHI_PIECES)
+
+
 @dataclass(frozen=True)
 class PhiSpec:
     """Monotone nonlinearity through the origin.
 
-    kinds:
+    kinds (``PHI_KINDS``; all but ``power`` held once per spec as a
+    ``_PiecewiseLinear``):
       * ``power``: sign(u) |u|^m, exponent m > 0
-      * ``stefan``: (u - latent)^+ + min(u, 0); flat on [0, latent]
       * ``linear``: slope * u
+      * ``zero``: identically zero (pure transport)
+      * ``stefan``: (u - latent)^+ + min(u, 0); flat on [0, latent]
       * ``table``: piecewise-linear through given (u, phi) pairs, constant
         beyond the ends
-      * ``zero``: identically zero (pure transport)
     """
 
     kind: str
@@ -113,21 +179,16 @@ class PhiSpec:
         for name in ("table_u", "table_phi"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        if self.kind == "power":
-            if self.exponent is None or not (self.exponent > 0.0):
-                raise ConfigurationError("power nonlinearity needs exponent > 0",
-                                         field="problem.phi.exponent")
-        elif self.kind == "stefan":
-            if self.latent is None or not (self.latent > 0.0):
-                raise ConfigurationError("stefan nonlinearity needs latent > 0",
-                                         field="problem.phi.latent")
-        elif self.kind == "table":
+        for kind, name in (("power", "exponent"), ("stefan", "latent")):
+            if self.kind == kind and not (getattr(self, name) or 0.0) > 0.0:
+                raise ConfigurationError(f"{kind} nonlinearity needs {name} > 0",
+                                         field=f"problem.phi.{name}")
+        if self.kind == "table":
             for name in ("table_u", "table_phi"):
                 if getattr(self, name) is None:
                     raise ConfigurationError(f"table nonlinearity needs {name}",
                                              field=f"problem.phi.{name}")
-            u = np.asarray(self.table_u, dtype=float)
-            p = np.asarray(self.table_phi, dtype=float)
+            u, p = np.asarray(self.table_u, dtype=float), np.asarray(self.table_phi, dtype=float)
             if u.ndim != 1 or u.shape != p.shape or u.size < 2:
                 raise ConfigurationError("table needs matching 1d arrays, length >= 2",
                                          field="problem.phi")
@@ -140,24 +201,20 @@ class PhiSpec:
             if abs(float(np.interp(0.0, u, p))) > 1e-14:
                 raise ConfigurationError("table must pass through the origin",
                                          field="problem.phi.table_phi")
-        elif self.kind not in ("linear", "zero"):
+        elif self.kind not in PHI_KINDS:
             raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}",
                                      field="problem.phi.kind")
         if not (self.slope >= 0.0):
             raise ConfigurationError("phi slope must be nonnegative",
                                      field="problem.phi.slope")
+        object.__setattr__(self, "_pieces", None if self.kind == "power" else
+                           _PiecewiseLinear(*_PHI_PIECES[self.kind](self)))
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "power":
             return np.sign(u) * np.abs(u) ** self.exponent
-        if self.kind == "stefan":
-            return np.maximum(u - self.latent, 0.0) + np.minimum(u, 0.0)
-        if self.kind == "linear":
-            return self.slope * u
-        if self.kind == "table":
-            return np.interp(u, self.table_u, self.table_phi)
-        return np.zeros_like(u)
+        return self._pieces(u)
 
     def derivative(self, u):
         """A subderivative, for Newton steps only (safeguards tolerate any
@@ -167,23 +224,11 @@ class PhiSpec:
             m = self.exponent
             with np.errstate(divide="ignore", over="ignore"):
                 return m * np.abs(u) ** (m - 1.0)
-        if self.kind == "stefan":
-            return np.where((u > self.latent) | (u < 0.0), 1.0, 0.0)
-        if self.kind == "linear":
-            return np.full_like(u, self.slope)
-        if self.kind == "table":
-            tu, tp = np.asarray(self.table_u), np.asarray(self.table_phi)
-            slopes = np.diff(tp) / np.diff(tu)
-            seg = np.clip(np.searchsorted(tu, u, side="right") - 1, 0, len(slopes) - 1)
-            out = slopes[seg]
-            return np.where((u < tu[0]) | (u > tu[-1]), 0.0, out)
-        return np.zeros_like(u)
+        return self._pieces.slope(u)
 
     def hoelder_exponent(self):
         """Regularity exponent in (0, 1], valid on every bounded interval."""
-        if self.kind == "power" and self.exponent < 1.0:
-            return self.exponent
-        return 1.0
+        return min(self.exponent, 1.0) if self.kind == "power" else 1.0
 
     def hoelder_seminorm(self, bound):
         """Seminorm constant paired with hoelder_exponent on [-bound, bound]."""
@@ -192,13 +237,7 @@ class PhiSpec:
             if m < 1.0:
                 return 2.0 ** (1.0 - m)
             return m * bound ** (m - 1.0)
-        if self.kind == "stefan":
-            return 1.0
-        if self.kind == "linear":
-            return self.slope
-        if self.kind == "table":
-            return float(np.max(np.diff(self.table_phi) / np.diff(self.table_u)))
-        return 0.0
+        return self._pieces.lipschitz()
 
 
 @dataclass(frozen=True)
@@ -239,20 +278,18 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
     """Solve s + lam * phi(s) = b elementwise.
 
     The root lies in [min(0, b), max(0, b)] because s and phi(s) share their
-    sign.  A linear phi solves in closed form; everything else runs Newton
-    from the warm start, clipped to the bracket.  A Newton step is
-    rejected (midpoint instead) when the derivative degenerates or the step
-    leaves the open bracket, and every fourth iteration bisects regardless
-    so the bracket width provably collapses.
+    sign.  A piecewise-linear phi is solved in closed form
+    (``_PiecewiseLinear.root``); a power phi runs Newton from the warm
+    start, clipped to the bracket.  A Newton step is rejected (midpoint
+    instead) when the derivative degenerates or the step leaves the open
+    bracket, and every fourth iteration bisects regardless.
     """
+    if phi.kind != "power":
+        return phi._pieces.root(lam, b)
     b = np.asarray(b, dtype=float)
-    if phi.kind == "zero" or lam == 0.0:
-        return b.copy()
-    if phi.kind == "linear":
-        return b / (1.0 + lam * phi.slope)
     lo = np.minimum(0.0, b)
     hi = np.maximum(0.0, b)
-    s = np.clip(np.asarray(warm, dtype=float).copy(), lo, hi)
+    s = np.clip(np.asarray(warm, dtype=float), lo, hi)
     eps = np.finfo(float).eps
     active = np.ones(b.shape, dtype=bool)
     for it in range(max_iter):

@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
 from .grid_field import Trajectory, project_cell_average, project_source
-from .elliptic_solver import EpSolveConfig, _Resolvent, solve_ep
+from .elliptic_solver import EpSolveConfig, _PiecewiseLinear, _Resolvent, solve_ep
 from .levy_operators import (OperatorSpec, WeightedStencil, _neighbor_operator,
                              combine_with_laplacian)
 
 __all__ = [
+    "FLUX_KINDS",
     "FluxSpec",
     "ProblemSpec",
     "RunReport",
@@ -40,16 +41,33 @@ __all__ = [
 ]
 
 
+# every kind of convective flux
+FLUX_KINDS = ("burgers", "linear", "table")
+
+
+def _flux_axes(flux):
+    """axis -> (f, the two halves of its Engquist-Osher flux) for a
+    piecewise-linear flux: velocity[axis] * u, or the table on every axis."""
+    def upwinded(*pieces):
+        f = _PiecewiseLinear(*pieces)
+        return (f, *f.split())
+    if flux.kind == "linear":
+        return tuple(upwinded((0.0,), (0.0,), (v, v)) for v in flux.velocity).__getitem__
+    table = upwinded(flux.table_u, flux.table_f, (0.0, 0.0))
+    return lambda axis: table
+
+
 @dataclass(frozen=True)
 class FluxSpec:
     """Convective flux, one scalar flux function per axis.
 
-    kind "burgers" uses u^2/2 on every axis; "linear" uses velocity[i] * u;
-    "table" interpolates the given breakpoints piecewise-linearly (constant
-    beyond the ends) on every axis.  ``numerical`` picks the two-point flux:
-    "engquist_osher" (default) or "lax_friedrichs".  ``u_range`` is the
-    declared solution range used for Lipschitz bounds, validation sampling,
-    and the CFL restriction.
+    kinds (``FLUX_KINDS``): "burgers" uses u^2/2 on every axis; "linear"
+    uses velocity[i] * u; "table" interpolates the given breakpoints
+    piecewise-linearly (constant beyond the ends) on every axis.  Both
+    are held once per spec as ``_PiecewiseLinear`` (``_flux_axes``).
+    ``numerical`` picks the two-point flux: "engquist_osher" (default) or
+    "lax_friedrichs".  ``u_range`` is the declared solution range used for
+    Lipschitz bounds, validation sampling, and the CFL restriction.
     """
 
     kind: str
@@ -60,7 +78,7 @@ class FluxSpec:
     table_f: tuple = None
 
     def __post_init__(self):
-        if self.kind not in ("burgers", "linear", "table"):
+        if self.kind not in FLUX_KINDS:
             raise ConfigurationError(f"unknown flux kind {self.kind!r}", field="problem.flux.kind")
         if self.numerical not in ("engquist_osher", "lax_friedrichs"):
             raise ConfigurationError(f"unknown numerical flux {self.numerical!r}",
@@ -79,11 +97,12 @@ class FluxSpec:
                 if getattr(self, name) is None:
                     raise ConfigurationError(f"table flux needs {name}",
                                              field=f"problem.flux.{name}")
-            u = np.asarray(self.table_u, dtype=float)
-            f = np.asarray(self.table_f, dtype=float)
+            u, f = np.asarray(self.table_u, dtype=float), np.asarray(self.table_f, dtype=float)
             if u.ndim != 1 or u.shape != f.shape or u.size < 2 or np.any(np.diff(u) <= 0.0):
                 raise ConfigurationError("flux table needs strictly increasing abscissae",
                                          field="problem.flux.table_u")
+        if self.kind != "burgers":
+            object.__setattr__(self, "_axis", _flux_axes(self))
 
     def check_dim(self, dim):
         """Reject a velocity whose length is not dim, one component per
@@ -96,18 +115,13 @@ class FluxSpec:
         u = np.asarray(u, dtype=float)
         if self.kind == "burgers":
             return 0.5 * u * u
-        if self.kind == "linear":
-            return self.velocity[axis] * u
-        return np.interp(u, self.table_u, self.table_f)
+        return self._axis(axis)[0](u)
 
     def lipschitz(self, axis=0):
         lo, hi = self.u_range
         if self.kind == "burgers":
             return max(abs(lo), abs(hi))
-        if self.kind == "linear":
-            return abs(self.velocity[axis])
-        slopes = np.diff(self.table_f) / np.diff(self.table_u)
-        return float(np.max(np.abs(slopes))) if slopes.size else 0.0
+        return self._axis(axis)[0].lipschitz()
 
     def max_lipschitz(self, dim):
         return max(self.lipschitz(i) for i in range(dim))
@@ -121,32 +135,8 @@ class FluxSpec:
             return 0.5 * (self.flux_value(a, axis) + self.flux_value(b, axis)) - 0.5 * lam * (b - a)
         if self.kind == "burgers":
             return 0.5 * np.maximum(a, 0.0) ** 2 + 0.5 * np.minimum(b, 0.0) ** 2
-        if self.kind == "linear":
-            v = self.velocity[axis]
-            return v * a if v >= 0.0 else v * b
-        return (self.flux_value(0.0, axis)
-                + _segment_integral(self.table_u, self.table_f, a, positive=True)
-                + _segment_integral(self.table_u, self.table_f, b, positive=False))
-
-
-def _segment_integral(table_u, table_f, a, positive):
-    """integral_0^a of the clipped slope of a piecewise-linear table;
-    constant extension outside the table contributes nothing."""
-    u = np.asarray(table_u, dtype=float)
-    f = np.asarray(table_f, dtype=float)
-    slopes = np.diff(f) / np.diff(u)
-    a = np.asarray(a, dtype=float)
-    lo_a = np.minimum(a, 0.0)
-    hi_a = np.maximum(a, 0.0)
-    sgn = np.where(a >= 0.0, 1.0, -1.0)
-    total = np.zeros(a.shape)
-    for k, g in enumerate(slopes):
-        part = max(g, 0.0) if positive else min(g, 0.0)
-        if part == 0.0:
-            continue
-        overlap = np.clip(hi_a, u[k], u[k + 1]) - np.clip(lo_a, u[k], u[k + 1])
-        total += part * overlap
-    return sgn * total
+        f, rising, falling = self._axis(axis)
+        return f(0.0) + rising(a) + falling(b)
 
 
 def validate_flux(flux, dim=1, samples=33):
@@ -302,19 +292,10 @@ class RunReport:
     neighbor: object
 
     def to_json_dict(self):
-        return {
-            "times": [float(t) for t in self.trajectory.time_grid.knots],
-            "mass": [float(x) for x in self.mass],
-            "source_cum": [float(x) for x in self.source_cum],
-            "leak_diffusive": [float(x) for x in self.leak_diffusive],
-            "leak_convective": [float(x) for x in self.leak_convective],
-            "residual_mass_cum": [float(x) for x in self.residual_mass_cum],
-            "identity_gap": [float(x) for x in self.identity_gap],
-            "sweeps": [int(x) for x in self.sweeps],
-            "residuals": [float(x) for x in self.residuals],
-            "min_value": [float(x) for x in self.min_value],
-            "max_value": [float(x) for x in self.max_value],
-        }
+        ledger = ("mass", "source_cum", "leak_diffusive", "leak_convective", "residual_mass_cum",
+                  "identity_gap", "sweeps", "residuals", "min_value", "max_value")
+        return {"times": [float(t) for t in self.trajectory.time_grid.knots],
+                **{name: getattr(self, name).tolist() for name in ledger}}
 
 
 def run(problem, grid, time_grid, config=None, on_knot=None):
@@ -345,12 +326,8 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
 
     fields = [u0]
     mass = [vol * float(np.sum(u0))]
-    src_cum = [0.0]
-    leak_d = [0.0]
-    leak_c = [0.0]
-    res_cum = [0.0]
-    sweeps = []
-    residuals = []
+    src_cum, leak_d, leak_c, res_cum = [0.0], [0.0], [0.0], [0.0]
+    sweeps, residuals = [], []
     mins = [float(np.min(u0))]
     maxs = [float(np.max(u0))]
 

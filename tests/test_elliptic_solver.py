@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import gpme.elliptic_solver
 import gpme.levy_operators
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg, _Resolvent,
-                                  _solve_scalar_batch, solve_ep)
+from gpme.elliptic_solver import (PHI_KINDS, EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg,
+                                  _Resolvent, _solve_scalar_batch, solve_ep)
 from gpme.grid_field import UniformGrid, lr_norm_of_values
 from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
                                  _neighbor_matrix, _neighbor_operator, apply_stencil,
@@ -147,6 +147,69 @@ PHIS = {
                      table_phi=(-2.0, 0.0, 0.25, 1.0)),
     "linear": PhiSpec(kind="linear", slope=2.0),
 }
+# every piecewise-linear kind, whose scalar resolvent has a closed form
+PIECEWISE = {"linear": PHIS["linear"], "zero": PhiSpec(kind="zero"),
+             "stefan": PHIS["stefan"], "table": PHIS["table"]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(PIECEWISE)), lam=st.floats(0.0, 1e6),
+       drawn=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-8, 1e6)),
+                      max_size=12))
+def test_piecewise_linear_root_in_closed_form(name, lam, drawn):
+    # b over +-[1e-8, 1e6], both zeros, every knot's image and, but for
+    # the origin's (subnormal), its two neighbouring doubles: the root
+    # keeps b's sign, is nondecreasing in b (across a knot too), and
+    # leaves a residual of a few ulps of its terms.  One of them is (1 + lam phi'(s)) |s|: a
+    # root one ulp off leaves that much residual (Stefan just above its
+    # plateau at lam = 1e6: |s| ~ 1/2 against b ~ 100)
+    assert set(PIECEWISE) == set(PHI_KINDS) - {"power"}
+    phi = PIECEWISE[name]
+    knots = phi._pieces.knots
+    images = knots + lam * phi.value(knots)
+    off = images[images != 0.0]
+    b = np.sort(np.concatenate(([sign * size for sign, size in drawn], [0.0, -0.0], images,
+                                np.nextafter(off, -np.inf), np.nextafter(off, np.inf))))
+    s = _solve_scalar_batch(phi, lam, b, b, 1e-14, 300)
+    assert np.all((np.minimum(b, 0.0) <= s) & (s <= np.maximum(b, 0.0)))
+    assert np.all(np.diff(s) >= 0.0)
+    f = phi.value(s)
+    terms = np.maximum.reduce([np.abs(b), lam * np.abs(f),
+                               (1.0 + lam * phi.derivative(s)) * np.abs(s)])
+    assert np.all(np.abs(s + lam * f - b) <= 4.0 * np.finfo(float).eps * terms)
+    # the image of a knot at or above the origin is solved by that knot
+    on_knots = _solve_scalar_batch(phi, lam, images, images, 1e-14, 300)
+    np.testing.assert_array_equal(on_knots[knots >= 0.0], knots[knots >= 0.0])
+
+
+def test_closed_form_root_is_monotone_next_to_every_knot_image():
+    # a root evaluated from the lower end of its piece can round past the
+    # upper knot just below that knot's image; for this table (the origin
+    # put in between -0.3 and 0.7) that happens at about 1 lam in 140
+    phi = PhiSpec(kind="table", table_u=(-2.7, -0.3, 0.7, 1.3),
+                  table_phi=(-1.9, -0.27, 0.63, 2.3))
+    rng = np.random.default_rng(2)
+    for lam in np.concatenate((rng.uniform(0.0, 1e6, 2000), 10.0 ** rng.uniform(-8, 6, 2000))):
+        images = phi._pieces.knots + lam * phi._pieces.values
+        off = images[images != 0.0]
+        b = np.sort(np.concatenate((images, np.nextafter(off, -np.inf),
+                                    np.nextafter(off, np.inf))))
+        assert np.all(np.diff(_solve_scalar_batch(phi, lam, b, b, 1e-14, 300)) >= 0.0), lam
+
+
+def test_stefan_fallback_sweep_returns_the_closed_form_root():
+    # s + lam ((s - L)^+ + min(s, 0)) = b, branch by branch: b / (1 + lam)
+    # below 0, b on the plateau [0, L], (b + lam L) / (1 + lam) above it
+    phi, L = PHIS["stefan"], 0.5
+    rng = np.random.default_rng(7)
+    rho, ns, w = rng.uniform(-2.0, 3.0, size=(3, 200))
+    dt, W = 0.3, 8.0
+    b, lam = rho + dt * ns, dt * W
+    swept = _jacobi_sweep(phi, dt, W, rho, ns, w)
+    np.testing.assert_array_equal(swept, phi._pieces.root(lam, b))
+    branches = np.where(b < 0.0, b / (1.0 + lam),
+                        np.where(b <= L, b, (b + lam * L) / (1.0 + lam)))
+    np.testing.assert_allclose(swept, branches, rtol=4.0 * np.finfo(float).eps, atol=0.0)
 
 
 @pytest.mark.parametrize("dim,h,reach,c", [

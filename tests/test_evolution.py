@@ -13,7 +13,7 @@ from gpme.diagnostics import operator_cutoff_norm
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
 from gpme.errors import ConfigurationError, StencilError
 from gpme.evolution import (FluxSpec, ProblemSpec, _convection, cfl_limit, escape_weights,
-                            flux_divergence, run, step_cde, step_gpme)
+                            flux_divergence, run, step_cde, step_gpme, validate_flux)
 from gpme.grid_field import TimeGrid, UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
                                  measure_stencil)
@@ -177,6 +177,53 @@ def test_flux_table_validation():
                  table_f=(0.0,))
     with pytest.raises(ConfigurationError):
         FluxSpec(kind="burgers", u_range=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("velocity", [0.75, -1.25])
+def test_two_knot_flux_table_is_the_linear_flux_on_its_range(velocity):
+    # velocity * u tabulated at the ends of u_range: there the table's
+    # value, bound and both numerical fluxes are the linear flux's bytes
+    lo, hi = -1.0, 1.0
+    us = np.concatenate((np.linspace(lo, hi, 33),
+                         np.random.default_rng(3).uniform(lo, hi, 31)))
+    A, B = np.meshgrid(us, us, indexing="ij")
+    for numerical in ("engquist_osher", "lax_friedrichs"):
+        table = FluxSpec(kind="table", u_range=(lo, hi), numerical=numerical,
+                         table_u=(lo, hi), table_f=(velocity * lo, velocity * hi))
+        linear = FluxSpec(kind="linear", u_range=(lo, hi), numerical=numerical,
+                          velocity=(velocity,))
+        assert table.numerical_flux(A, B).tobytes() == linear.numerical_flux(A, B).tobytes()
+        assert table.flux_value(us).tobytes() == linear.flux_value(us).tobytes()
+        assert table.lipschitz() == linear.lipschitz() == abs(velocity)
+
+
+# u^2/2 sampled at 17 knots on [-1, 1]
+_HALF_SQUARE = {"kind": "table", "u_range": [-1.0, 1.0],
+                "table_u": [float(u) for u in np.linspace(-1.0, 1.0, 17)],
+                "table_f": [float(0.5 * u * u) for u in np.linspace(-1.0, 1.0, 17)]}
+
+
+def test_flux_table_of_burgers_is_a_monotone_engquist_osher_flux():
+    table = FluxSpec(**_HALF_SQUARE)
+    validate_flux(table, dim=1)
+    validate_flux(table, dim=2)
+    # within the interpolation error (1/8)^2/8 of each of its two halves
+    # from Burgers' own Engquist-Osher flux
+    us = np.linspace(-1.0, 1.0, 41)
+    A, B = np.meshgrid(us, us, indexing="ij")
+    burgers = FluxSpec(kind="burgers", u_range=(-1.0, 1.0))
+    np.testing.assert_allclose(table.numerical_flux(A, B), burgers.numerical_flux(A, B),
+                               rtol=0.0, atol=2.0 * 0.125 ** 2 / 8.0)
+
+
+def test_run_with_a_flux_table_keeps_the_ledger():
+    plan = build_plan(load_config({"preset": "cde_burgers_frac_1d",
+                                   "problem": {"flux": _HALF_SQUARE, "h": 0.125, "T": 0.25}}))
+    assert plan.problem.flux.kind == "table"
+    rep = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
+    assert np.max(np.abs(rep.identity_gap)) <= 1e-9 * (1.0 + rep.mass[0])
+    np.testing.assert_allclose(rep.identity_gap, rep.residual_mass_cum, rtol=0.0, atol=1e-13)
+    assert rep.leak_convective[-1] > 0.0
 
 
 def test_run_rejects_a_velocity_shorter_than_dim():
