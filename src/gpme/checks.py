@@ -133,7 +133,7 @@ def _moments_suite(barenblatt):
     errs = []
     for h in (0.1, 0.05):
         g = UniformGrid.from_box(1, h, 6.0)
-        errs.append(_continuum_l1_gap(_laplacian_weights(g.h), 0, gauss,
+        errs.append(_continuum_l1_gap(_laplacian_weights(g.h), gauss,
                                       _gaussian_laplacian(gauss), g))
     out.append(CheckResult("laplacian_consistency_order", errs[1] / errs[0], 0.5,
                            "L1 error ratio, h 0.1 -> 0.05, gaussian"))
@@ -150,25 +150,24 @@ def _moments_suite(barenblatt):
     errs = []
     for h in (0.25, 0.125):
         g = UniformGrid.from_box(1, h, 20.0)
-        errs.append(_continuum_l1_gap(measure_stencil(cauchy, g), 0, kernel, reference, g))
+        errs.append(_continuum_l1_gap(measure_stencil(cauchy, g), kernel, reference, g))
     out.append(CheckResult("fractional_consistency_improves", errs[1] / errs[0], 1.0,
                            "L1 error ratio, h 0.25 -> 0.125, Poisson kernel"))
     return out
 
 
-def _continuum_l1_gap(stencil, c, profile, reference, grid):
-    """Discrete L^1 distance over the grid nodes between the operator
-    (stencil, c) applied to the profile and a continuum reference.  The
+def _continuum_l1_gap(stencil, profile, reference, grid):
+    """Discrete L^1 distance over the grid nodes between the stencil's
+    operator applied to the profile and a continuum reference.  The
     profile is evaluated at the shifted nodes themselves, so the box does
     not truncate it, and the measure mass beyond the support acts on it as
     -psi(x) times that mass (the far values of a decaying profile are
     negligible)."""
     pts = grid.coords().reshape(-1, grid.dim)
-    merged = combine_with_laplacian(stencil, c)
     base = profile.at(pts)
-    disc = -merged.total_weight * base
-    for off, w in zip(merged.offsets, merged.weights):
-        disc += w * profile.at(pts + merged.h * off)
+    disc = -stencil.total_weight * base
+    for off, w in zip(stencil.offsets, stencil.weights):
+        disc += w * profile.at(pts + stencil.h * off)
     disc -= base * stencil.tail_mass_beyond_support
     return float(grid.cell_volume * np.sum(np.abs(disc - reference(pts))))
 

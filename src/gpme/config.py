@@ -109,18 +109,11 @@ def _number_list(v, field, positive=False):
     return [float(x) for x in v]
 
 
-def _boolean(v, field):
-    if not isinstance(v, bool):
-        raise ConfigurationError(f"{field} must be a boolean", field=field)
-    return v
-
-
 # the JSON check of a spec field's value, by the field's annotation
 _FIELD_CHECKS = {
     "float": _number,
     "int": lambda v, field: _number(v, field, integer=True),
     "tuple": _number_list,
-    "bool": _boolean,
 }
 
 

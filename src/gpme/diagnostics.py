@@ -228,26 +228,25 @@ def conjugate_exponents(ell):
 
 def admissible_threshold(operator, dim):
     """Smallest admissible regularity exponent for the uniform tail bound,
-    or None when no covered weight condition applies.
+    or None when no covered weight condition applies, read off the
+    operator itself.
 
-    Local part: (N-2)^+/N.  Measure with a finite first moment: (N-1)/N.
-    Measure with power tail of order alpha: (N-alpha)^+/N.  A combined
-    operator must clear both."""
+    Local part: (N-2)^+/N.  Measure part: (N-a)^+/N, where a is the tail
+    order alpha of a fractional or split measure, raised to 1 by a
+    truncation (a truncated measure has a finite first moment); an
+    untruncated custom measure has none, since its density does not show
+    its tail.  A combined operator must clear both parts."""
     local = max(0.0, dim - 2.0) / dim if operator.c == 1 else None
     measure = operator.measure
     if measure is None:
         return local
-    options = []
-    if measure.finite_first_moment:
-        options.append((dim - 1.0) / dim)
-    if measure.tail_order is not None:
-        options.append(max(0.0, dim - measure.tail_order) / dim)
-    if not options:
+    order = measure.alpha if measure.kind in ("fractional", "split") else None
+    if measure.truncation is not None:
+        order = 1.0 if order is None else max(order, 1.0)
+    if order is None:
         return None
-    nonlocal_thr = min(options)
-    if local is None:
-        return nonlocal_thr
-    return max(local, nonlocal_thr)
+    nonlocal_thr = max(0.0, dim - order) / dim
+    return nonlocal_thr if local is None else max(local, nonlocal_thr)
 
 
 @dataclass(frozen=True)
@@ -258,9 +257,12 @@ class EquitightnessReport:
     time interpolant: for r >= 1 the tail functional is convex, so on each
     linear time segment it is at most its larger end value.  rhs_total =
     M^(r-1) (u0_piece + source_piece + C * operator_piece
-    + conv_constant * convection_piece).  ``passed``
-    is lhs <= ``bound``: rhs_total widened by 1e-9 relative for rounding,
-    plus the leakage allowance."""
+    + conv_constant * convection_piece).  ``passed`` is lhs <= ``bound``,
+    rhs_total widened by 1e-9 relative for rounding.  ``bound_asserted``
+    says whether phi's exponent ell clears ``admissible_threshold`` (and,
+    with convection, p > N), so that the paper's bound holds; when it does
+    not, ``note`` says why, and ``passed`` compares the two sides but
+    certifies nothing."""
 
     R: float
     r: float
@@ -277,13 +279,12 @@ class EquitightnessReport:
     conv_constant: float
     rhs_total: float
     lhs: float
-    leakage_allowance: float
     bound_asserted: bool
     note: str
 
     @property
     def bound(self):
-        return self.rhs_total * (1.0 + 1e-9) + self.leakage_allowance
+        return self.rhs_total * (1.0 + 1e-9)
 
     @property
     def passed(self):
@@ -317,8 +318,7 @@ def data_bounds(problem, T):
     return M, L
 
 
-def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=None,
-                        neighbor=None):
+def equitightness_check(traj, problem, R, r=1.0, stencil=None, neighbor=None):
     """Evaluate the uniform tail bound for a finished trajectory.
 
     The left side is the worst tail mass over the knots (see
@@ -362,7 +362,6 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
     asserted = threshold is not None and threshold < ell <= 1.0
     note = ""
     if threshold is None:
-        asserted = False
         note = "no covered weight condition for this measure; tail bound not asserted"
     elif not asserted:
         note = (f"exponent {ell:g} does not exceed the admissible threshold "
@@ -375,7 +374,7 @@ def equitightness_check(traj, problem, R, r=1.0, leakage_allowance=0.0, stencil=
         R=float(R), r=float(r), p=p, q=q, ell=ell, seminorm=seminorm, M=M, C=C,
         u0_piece=u0_piece, source_piece=g_piece, operator_piece=op_piece,
         convection_piece=conv_piece, conv_constant=conv_constant,
-        rhs_total=rhs, lhs=lhs, leakage_allowance=float(leakage_allowance),
+        rhs_total=rhs, lhs=lhs,
         bound_asserted=bool(asserted), note=note)
 
 

@@ -18,7 +18,14 @@ class ConfigurationError(GpmeError):
 
 
 class DataError(GpmeError):
-    """Rejected input data: non-finite samples, out-of-domain evaluation."""
+    """Rejected input data: non-finite samples, out-of-domain evaluation,
+    a field outside a flux's declared range.  ``step`` is the index of
+    such a field's knot, the number of steps done (0 for U^0), when known.
+    """
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class StencilError(GpmeError):

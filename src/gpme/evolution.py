@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, DataError, NonConvergenceError
 from .grid_field import Trajectory, project_cell_average, project_source
 from .elliptic_solver import EpSolveConfig, _PiecewiseLinear, _Resolvent, solve_ep
 from .levy_operators import (OperatorSpec, WeightedStencil, _neighbor_operator,
@@ -310,11 +310,25 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     (``grid_field.FieldWriter.knot`` stores it and writes it while the
     later steps are solved).  U^0 goes first, projected before the
     operator is built, so a writer can write it while the stencil, the
-    resolvent and the escape weights are built; then each step's field."""
+    resolvent and the escape weights are built; then each step's field.
+    With a flux, a knot whose field leaves the flux's declared u_range
+    fails the run there, before ``on_knot`` sees it: the CFL bound and the
+    flux's Lipschitz constant hold on that range only."""
     cfg = config if config is not None else EpSolveConfig()
-    if problem.flux is not None:
-        validate_flux(problem.flux, dim=grid.dim)
-    keep = on_knot if on_knot is not None else (lambda j, u: u)
+    flux = problem.flux
+    if flux is not None:
+        validate_flux(flux, dim=grid.dim)
+    mins, maxs = [], []
+
+    def keep(j, u):
+        mins.append(float(np.min(u)))
+        maxs.append(float(np.max(u)))
+        if flux is not None and not flux.u_range[0] <= mins[-1] <= maxs[-1] <= flux.u_range[1]:
+            raise DataError(f"the field at knot {j} (t = {time_grid.knots[j]:g}) spans "
+                            f"[{mins[-1]:g}, {maxs[-1]:g}], outside the flux's declared "
+                            f"u_range [{flux.u_range[0]:g}, {flux.u_range[1]:g}]", step=j)
+        return u if on_knot is None else on_knot(j, u)
+
     u0 = keep(0, project_cell_average(problem.initial, grid))
 
     stencil = problem.operator.build_stencil(grid)
@@ -328,15 +342,13 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     mass = [vol * float(np.sum(u0))]
     src_cum, leak_d, leak_c, res_cum = [0.0], [0.0], [0.0], [0.0]
     sweeps, residuals = [], []
-    mins = [float(np.min(u0))]
-    maxs = [float(np.max(u0))]
 
     u = u0
     for j, dt in enumerate(steps):
         g = sources[j] if sources is not None else None
         try:
-            if problem.flux is not None:
-                rho, conv_inc = _convected(problem.flux, dt, grid.h, u)
+            if flux is not None:
+                rho, conv_inc = _convected(flux, dt, grid.h, u)
             else:
                 rho, conv_inc = u, 0.0
             result = step_gpme(stencil, 0, problem.phi, dt, rho, g=g, config=cfg,
@@ -354,8 +366,6 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
         res_cum.append(res_cum[-1] + vol * float(np.sum(result.residual_field)))
         sweeps.append(result.sweeps)
         residuals.append(result.residual)
-        mins.append(float(np.min(w)))
-        maxs.append(float(np.max(w)))
         u = w
 
     mass = np.array(mass)

@@ -89,8 +89,6 @@ class MeasureSpec:
     density: object = None
     scale: float = 1.0
     truncation: float = None
-    tail_order: float = None
-    finite_first_moment: bool = None
     weight_rule: str = "cell_mass"
 
     def __post_init__(self):
@@ -112,18 +110,9 @@ class MeasureSpec:
                                      field=f"{path}.weight_rule")
         if not (self.scale > 0.0):
             raise ConfigurationError("measure scale must be positive", field=f"{path}.scale")
-        for name in ("truncation", "tail_order"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise ConfigurationError(f"measure {name} must be positive",
-                                         field=f"{path}.{name}")
-        if self.tail_order is None and self.kind in ("fractional", "split"):
-            object.__setattr__(self, "tail_order", self.alpha)
-        if self.finite_first_moment is None:
-            ffm = self.tail_order is not None and self.tail_order > 1.0
-            if self.truncation is not None:
-                ffm = True
-            object.__setattr__(self, "finite_first_moment", ffm)
+        if self.truncation is not None and not (self.truncation > 0.0):
+            raise ConfigurationError("measure truncation must be positive",
+                                     field=f"{path}.truncation")
 
     def radial_density(self, r, dim):
         """Density value at radius r (> 0) in dimension dim."""

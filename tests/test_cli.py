@@ -218,6 +218,19 @@ def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys, monkeypatch
     assert record["cell"] == [8]
 
 
+def test_field_outside_the_flux_range_fails_the_run(tmp_path, capsys):
+    # dt passes the CFL check on the declared range [0, 0.2], which the
+    # Riemann data 1 -> 0 leave already at U^0
+    cfg = write_cfg(tmp_path, {"preset": "burgers_riemann_1d", "problem": {
+        "dt": {"policy": "linear", "factor": 2.4}, "flux": {"u_range": [0.0, 0.2]}}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    record, _ = last_err_record(capsys)
+    assert record["error"] == "runtime" and "u_range" in record["message"]
+    assert record["step"] == 0
+    assert list(out.iterdir()) == []
+
+
 def test_study_out_path_that_is_a_file_fails_before_the_solve(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_RUN)
     out = tmp_path / "taken"
@@ -301,8 +314,12 @@ PROBLEM_REJECTED = {
                          "problem.flux.u_range"),
     "boolean_slope": ({"phi": {"slope": True}}, "problem.phi.slope"),
     "fractional_c": ({"operator": {"c": 0.5}}, "problem.operator.c"),
-    "string_finite_first_moment": ({"operator": {"measure": {
-        "kind": "fractional", "alpha": 1.0, "finite_first_moment": "yes"}}},
+    # a measure's tail is read off its kind, alpha and truncation, never declared
+    "declared_tail_order": ({"operator": {"measure": {
+        "kind": "fractional", "alpha": 1.0, "tail_order": 5.0}}},
+        "problem.operator.measure.tail_order"),
+    "declared_finite_first_moment": ({"operator": {"measure": {
+        "kind": "fractional", "alpha": 1.0, "finite_first_moment": True}}},
         "problem.operator.measure.finite_first_moment"),
     "unknown_phi_key": ({"phi": {"bogus": 1}}, "problem.phi.bogus"),
     "unknown_flux_key": ({"flux": {"kind": "burgers", "u_range": [0, 1], "bogus": 1}},

@@ -27,8 +27,7 @@ EVERY_BLOCK = {
         "dim": 2, "phi": {"kind": "power", "exponent": 2.0},
         "flux": {"kind": "linear", "u_range": [0.0, 1.0], "velocity": [1.0, -0.5]},
         "operator": {"c": 1, "measure": {
-            "kind": "custom", "form": "inverse_power", "exponent": 3.0,
-            "tail_order": 1.0, "finite_first_moment": False}},
+            "kind": "custom", "form": "inverse_power", "exponent": 3.0}},
         "initial": {"kind": "gaussian", "amplitude": 1.0, "spread": 0.25},
         "dt": {"policy": "linear", "factor": 0.1}, "exact": None,
     }},

@@ -71,11 +71,31 @@ def test_conjugate_exponents():
 
 
 def test_admissible_threshold():
+    # (N - a)^+/N for a measure of tail order a, alpha raised to 1 by a
+    # truncation, the same for c = 0 and c = 1 since alpha < 2 keeps it
+    # above the Laplacian's (N - 2)^+/N; an untruncated custom density
+    # shows no tail, so no threshold
     local = OperatorSpec(c=1, measure=None)
-    assert admissible_threshold(local, 1) == 0.0
-    assert admissible_threshold(local, 3) == pytest.approx(1.0 / 3.0)
-    frac = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0))
-    assert admissible_threshold(frac, 1) == 0.0
+    assert [admissible_threshold(local, dim) for dim in (1, 2, 3)] == \
+        pytest.approx([0.0, 0.0, 1.0 / 3.0])
+    density = lambda r: np.exp(-r)
+    table = [  # measure, threshold at N = 1, 2, 3
+        (MeasureSpec(kind="fractional", alpha=0.5), [0.5, 0.75, 5 / 6]),
+        (MeasureSpec(kind="fractional", alpha=1.0), [0.0, 0.5, 2 / 3]),
+        (MeasureSpec(kind="fractional", alpha=1.5), [0.0, 0.25, 0.5]),
+        (MeasureSpec(kind="split", alpha=0.5, beta=1.5), [0.5, 0.75, 5 / 6]),
+        (MeasureSpec(kind="fractional", alpha=0.5, truncation=2.0), [0.0, 0.5, 2 / 3]),
+        (MeasureSpec(kind="fractional", alpha=1.5, truncation=2.0), [0.0, 0.25, 0.5]),
+        (MeasureSpec(kind="custom", density=density, truncation=2.0), [0.0, 0.5, 2 / 3]),
+    ]
+    for measure, expected in table:
+        for c in (0, 1):
+            got = [admissible_threshold(OperatorSpec(c=c, measure=measure), dim)
+                   for dim in (1, 2, 3)]
+            assert got == pytest.approx(expected), (measure, c)
+    custom = MeasureSpec(kind="custom", density=density)
+    assert all(admissible_threshold(OperatorSpec(c=c, measure=custom), dim) is None
+               for c in (0, 1) for dim in (1, 2, 3))
 
 
 def test_operator_cutoff_norm_needs_room():

@@ -11,7 +11,7 @@ from gpme.cli import main
 from gpme.config import build_plan, load_config
 from gpme.diagnostics import operator_cutoff_norm
 from gpme.elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
-from gpme.errors import ConfigurationError, StencilError
+from gpme.errors import ConfigurationError, DataError, StencilError
 from gpme.evolution import (FluxSpec, ProblemSpec, _convection, cfl_limit, escape_weights,
                             flux_divergence, run, step_cde, step_gpme, validate_flux)
 from gpme.grid_field import TimeGrid, UniformGrid
@@ -235,6 +235,25 @@ def test_run_rejects_a_velocity_shorter_than_dim():
     with pytest.raises(ConfigurationError) as err:
         run(problem, g, TimeGrid.uniform(0.1, 0.05))
     assert err.value.field == "problem.flux.velocity"
+
+
+def test_run_fails_at_the_first_knot_outside_the_flux_range():
+    # U^0 peaks at 1, above the declared range: the run stops at knot 0,
+    # before on_knot sees it; with room for the data it runs through
+    g = UniformGrid.from_box(1, 0.25, 2.0)
+
+    def problem(hi):
+        return ProblemSpec(operator=OperatorSpec(c=1), phi=PhiSpec(kind="linear"),
+                           initial=GaussianProfile(1.0, 0.25),
+                           flux=FluxSpec(kind="burgers", u_range=(0.0, hi)))
+
+    tg = TimeGrid.uniform(0.25, 0.05)
+    seen = []
+    with pytest.raises(DataError) as err:
+        run(problem(0.5), g, tg, on_knot=lambda j, u: seen.append(j) or u)
+    assert err.value.step == 0 and seen == []
+    rep = run(problem(1.0), g, tg)
+    assert rep.min_value.min() >= 0.0 and rep.max_value.max() <= 1.0
 
 
 @pytest.mark.parametrize("call", [

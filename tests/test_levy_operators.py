@@ -247,15 +247,14 @@ def test_fractional_tail_mass_decreases_with_reach():
 
 
 def test_custom_pole_density_rejected():
-    bad = MeasureSpec(kind="custom", density=lambda r: 1.0 / np.abs(r - 1.0),
-                      tail_order=2.0)
+    bad = MeasureSpec(kind="custom", density=lambda r: 1.0 / np.abs(r - 1.0))
     with pytest.raises(StencilError) as exc:
         measure_stencil(bad, UniformGrid.from_box(1, 0.5, 4.0))
     assert "cell" in str(exc.value)
 
 
 def test_custom_smooth_density_accepted():
-    ok = MeasureSpec(kind="custom", density=lambda r: np.exp(-r), tail_order=2.0)
+    ok = MeasureSpec(kind="custom", density=lambda r: np.exp(-r))
     st = measure_stencil(ok, UniformGrid.from_box(1, 0.5, 4.0))
     assert np.all(st.weights > 0.0)
 
@@ -393,7 +392,7 @@ def _reference_stencil(measure, grid):
     (MeasureSpec(kind="fractional", alpha=1.0, weight_rule="midpoint_density"), 1, 0.25, 4.0),
     (MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / np.pi), 2, 0.2, 4.0),
     (MeasureSpec(kind="split", alpha=1.5, beta=0.5, scale=0.7), 3, 0.5, 1.5),
-    (MeasureSpec(kind="custom", density=lambda r: np.exp(-r), tail_order=2.0), 2, 0.5, 2.0),
+    (MeasureSpec(kind="custom", density=lambda r: np.exp(-r)), 2, 0.5, 2.0),
 ], ids=["fractional_whole_box", "split_r1_in_a_cell", "truncated_in_a_cell",
         "split_truncated_below_1", "midpoint", "fractional_2d", "split_3d", "custom_2d"])
 def test_measure_stencil_is_bit_identical_to_the_row_unique_build(measure, dim, h, box):
