@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import integrate
 
 from .diagnostics import (Cutoff, build_cutoff, equitightness_check,
                           operator_cutoff_norm, tail_mass)
@@ -195,6 +194,8 @@ def _principal_value(measure, profile):
     inner_cut, far_cut = 1e-5, 60.0
 
     def reference(points):
+        from scipy import integrate
+
         x = points[:, 0]
         base = profile.at(points)
 

@@ -8,9 +8,14 @@ order, so identical configs produce byte-identical artifacts.
 The GPME_THREADS environment variable caps BLAS/OpenMP threading; it is
 applied before any numeric module is imported and never changes results,
 only speed.  Keep imports of the compute modules inside functions so the
-cap can land first.  Once the saved fields hold 32 768 values or more,
-`run` forks one child before the solve, which writes each saved knot's
-field CSV while the parent solves the later steps (see
+cap can land first.  The compute modules in turn import each scipy
+submodule inside the function that calls it, and take erf, erfc and gamma
+from ``math``: loading a config, building the plan, the stencil and the
+projected data, ``stencil`` and a config that fails validation import no
+scipy, whose first import costs more than that whole set-up on the line.
+Once the saved fields hold 32 768 values or more, `run` forks one child
+before the solve, which writes each saved knot's field CSV while the
+parent solves the later steps (see
 `grid_field.FieldWriter`); GPME_THREADS does not govern that, and the
 bytes written are those of one process.  A run that fails leaves no field
 file.  An I/O failure, such as an output path that is a file, is a

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, DataError
 from .grid_field import lr_norm_of_values, shifted
@@ -155,6 +154,8 @@ class Cutoff:
         def integrand(r):
             d = self.radial_derivative(r, order)
             return area * r ** (self.dim - 1) * np.abs(d) ** p
+
+        from scipy import integrate
 
         lo, hi = 0.5 * self.R, self.R
         val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=400)

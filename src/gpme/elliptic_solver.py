@@ -56,8 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import solveh_banded
 
 from .errors import ConfigurationError, NonConvergenceError
 from .levy_operators import _circular, _neighbor_operator, combine_with_laplacian
@@ -323,6 +321,13 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w):
     return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w, _SCALAR_TOL, _SCALAR_ITER)
 
 
+def solveh_banded(ab, b, **options):
+    """scipy.linalg.solveh_banded, imported when it is first called."""
+    from scipy import linalg
+
+    return linalg.solveh_banded(ab, b, **options)
+
+
 def _banded_cholesky(matrix, n, W):
     """at(dt) -> solve(a, s, b, tol): z with (diag(a) + S K S) z = b on a
     line of n nodes, K = dt (W I - A) and A the short stencil's CSR
@@ -403,6 +408,8 @@ def _linear_solver(shape, W, neighbor):
     """
     short = neighbor.spectrum is None
     if short and len(shape) > 1:
+        from scipy import sparse
+
         size = math.prod(shape)
         base = W * sparse.identity(size, format="csr") - neighbor.matrix
         # every row stores its diagonal, so diag(a) + S K S is the same

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, integrate, sparse
 
 from .errors import ConfigurationError, StencilError
 from .profiles import sphere_area
@@ -142,6 +141,8 @@ class MeasureSpec:
             a = self.alpha
             top = 0.0 if hi == math.inf else hi ** (-a) / a
             return self.scale * area * (R ** (-a) / a - top)
+
+        from scipy import integrate
 
         def g(r):
             return area * r ** (dim - 1) * float(self.radial_density(r, dim))
@@ -346,6 +347,8 @@ def _circular(values, multiplier, lengths):
     """irfftn(rfftn(values, L) * multiplier, L) on the circular lengths L,
     restricted to the box of values: a circular convolution when the
     multiplier is a kernel's spectrum."""
+    from scipy import fft
+
     box = tuple(slice(0, n) for n in values.shape)
     return fft.irfftn(fft.rfftn(values, lengths) * multiplier, lengths)[box]
 
@@ -369,6 +372,8 @@ def _neighbor_operator(stencil, shape):
     """
     if stencil.n_offsets <= _KERNEL_THRESHOLD:
         return _NeighborOperator(_neighbor_matrix(stencil, shape))
+    from scipy import fft
+
     inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
     offsets = stencil.offsets[inside]
     reach = np.max(np.abs(offsets), axis=0, initial=1)
@@ -384,6 +389,8 @@ def _neighbor_matrix(stencil, shape):
     CSR matrix over the C-order flattened nodes, with zero extension (a
     jump leaving the box has no column).  Each row's entries sit in column
     order, which is the offsets' lexicographic order."""
+    from scipy import sparse
+
     # a jump at least as long as the box on some axis never lands in it
     inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
     size = math.prod(shape)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf, gamma
 
 from .errors import ConfigurationError, DataError
 
@@ -50,7 +48,12 @@ __all__ = [
 
 def sphere_area(dim):
     """Surface measure of the unit sphere in R^dim (2 when dim = 1)."""
-    return 2.0 * math.pi ** (dim / 2.0) / gamma(dim / 2.0)
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+
+def _erf(x):
+    """math.erf of each entry of a one-dimensional array."""
+    return np.array([math.erf(v) for v in x.tolist()])
 
 
 def _as_points(x, dim):
@@ -99,6 +102,8 @@ class SpatialProfile:
         """Integral of |f(x)| * w(|x|) where w is a radial weight that
         vanishes for |x| <= R/2 and equals 1 for |x| >= R (a
         ``diagnostics.Cutoff``, read one float radius at a time)."""
+        from scipy import integrate
+
         R = weight.R
         if self.dim == 1:
             def g(x):
@@ -189,7 +194,7 @@ class GaussianProfile(SpatialProfile):
             x = grid.axis_coords(i) - self.center[i]
             lo = (x - 0.5 * h) / root
             hi = (x + 0.5 * h) / root
-            fac = math.sqrt(math.pi) * self.spread ** 0.5 * (erf(hi) - erf(lo)) / h
+            fac = math.sqrt(math.pi) * self.spread ** 0.5 * (_erf(hi) - _erf(lo)) / h
             shape = [1] * grid.dim
             shape[i] = len(x)
             out = out * fac.reshape(shape)
@@ -204,9 +209,7 @@ class GaussianProfile(SpatialProfile):
     def abs_tail_mass(self, R):
         if self.dim == 1 and self.is_radial:
             z = R / (2.0 * math.sqrt(self.spread))
-            return abs(self.amplitude) * 2.0 * math.sqrt(math.pi * self.spread) * float(
-                1.0 - erf(z)
-            )
+            return abs(self.amplitude) * 2.0 * math.sqrt(math.pi * self.spread) * math.erfc(z)
         return super().abs_tail_mass(R)
 
     def _quad_window(self):
@@ -388,6 +391,8 @@ class StepProfile(SpatialProfile):
 
 
 def _tail_abs_quad_1d(profile, R):
+    from scipy import integrate
+
     g = profile._abs_at
     lo, hi = profile._quad_window()
     out = 0.0
@@ -399,6 +404,8 @@ def _tail_abs_quad_1d(profile, R):
 
 
 def _tail_abs_quad_radial(profile, R):
+    from scipy import integrate
+
     area = sphere_area(profile.dim)
 
     def g(r):

@@ -663,3 +663,41 @@ def test_cli_does_not_import_scipy_signal():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SETUP_IMPORTS_NO_SCIPY = """
+import json, sys
+import gpme.cli
+from gpme import (config, diagnostics, elliptic_solver, evolution, grid_field,
+                  levy_operators)
+from gpme.cli import main
+from gpme.presets import preset_names
+
+runs = [{"preset": name} for name in preset_names()] + [json.loads(sys.argv[1])]
+for run in runs:
+    plan = config.build_plan(config.load_config(json.dumps(run)))
+    plan.problem.operator.build_stencil(plan.grid)
+    grid_field.project_cell_average(plan.problem.initial, plan.grid)
+    grid_field.project_source(plan.problem.source, plan.grid, plan.time_grid)
+codes = [main(["stencil", "--config", json.dumps({"preset": "frac_heat_poisson_1d"}),
+               "--out", sys.argv[2]]),
+         main(["run", "--config", json.dumps({"preset": "heat_gaussian_1d",
+                                              "problem": {"h": -1.0}}),
+               "--out", sys.argv[3]])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_set_up_imports_no_scipy(tmp_path):
+    # any scipy import costs a shared base of about 0.25 s, more than the
+    # whole set-up of a run on the line: loading the config, building the
+    # plan and the stencil, projecting the data, a stencil file and a
+    # config that fails validation import none of it
+    proc = subprocess.run(
+        [sys.executable, "-c", _SETUP_IMPORTS_NO_SCIPY, json.dumps(PLANE_RUN),
+         str(tmp_path / "stencil"), str(tmp_path / "invalid")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line == {"codes": [0, 2], "scipy": []}

@@ -1,8 +1,11 @@
 """Closed-form data profiles and exact solutions against quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf, gamma
 
 from gpme.errors import ConfigurationError
 from gpme.profiles import (BarenblattExact, BarenblattProfile, ConstantProfile,
@@ -17,6 +20,18 @@ def test_sphere_area_low_dims():
     assert sphere_area(3) == pytest.approx(4.0 * np.pi)
 
 
+def test_sphere_area_matches_scipy_gamma():
+    # math.gamma and scipy's gamma agree at integers and at 1/2, and differ
+    # by rounding at the half-integers from 3/2 on
+    def scipy_area(n):
+        return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+
+    for n in (1, 2, 4):
+        assert sphere_area(n) == scipy_area(n)
+    for n in (3, 5, 7):
+        assert abs(sphere_area(n) - scipy_area(n)) <= math.ulp(scipy_area(n))
+
+
 def test_gaussian_closed_forms():
     prof = GaussianProfile(2.0, 0.25)
     assert prof.at(np.array([[0.0]]))[0] == pytest.approx(2.0)
@@ -24,6 +39,29 @@ def test_gaussian_closed_forms():
     assert prof.l1_norm() == pytest.approx(2.0 * np.sqrt(4.0 * np.pi * 0.25))
     tail, err = quad(lambda x: 2.0 * np.exp(-x * x), 3.0, 40.0)
     assert prof.abs_tail_mass(3.0) == pytest.approx(2.0 * tail, rel=1e-10)
+
+
+def test_gaussian_tail_mass_far_out():
+    # spread 1/4 puts z = R; 1 - erf(8) is exactly 0 in floating point
+    prof = GaussianProfile(1.0, 0.25)
+    erfc_8 = 1.1224297172982928e-29
+    tail = prof.abs_tail_mass(8.0) / math.sqrt(math.pi)
+    assert tail == pytest.approx(erfc_8, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("dim,center", [(1, (0.7,)), (2, (0.3, -0.6))])
+def test_gaussian_cell_averages_match_the_scipy_erf_form(dim, center):
+    from gpme.grid_field import UniformGrid
+    prof = GaussianProfile(1.5, 0.25, center, dim)
+    grid = UniformGrid.from_box(dim, 0.1, 6.0 if dim == 1 else 3.0)
+    h, root = grid.h, 2.0 * math.sqrt(prof.spread)
+    scale = math.sqrt(math.pi * prof.spread) / h
+    want = np.full(grid.shape, prof.amplitude)
+    for i in range(dim):
+        x = grid.axis_coords(i) - center[i]
+        fac = scale * (erf((x + 0.5 * h) / root) - erf((x - 0.5 * h) / root))
+        want = want * fac.reshape([-1 if j == i else 1 for j in range(dim)])
+    np.testing.assert_allclose(prof.cell_averages(grid), want, rtol=1e-14, atol=0.0)
 
 
 def test_gaussian_center_length_must_match_dim():
