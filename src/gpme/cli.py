@@ -13,6 +13,11 @@ submodule inside the function that calls it, and take erf, erfc and gamma
 from ``math``: loading a config, building the plan, the stencil and the
 projected data, ``stencil`` and a config that fails validation import no
 scipy, whose first import costs more than that whole set-up on the line.
+A ``run`` imports only the scipy its solve calls (``linalg``, ``sparse``,
+and ``fft`` for a dense kernel): its tail certificate takes the data's
+tails in closed form and the cutoff band by ``profiles.adaptive_quad``.
+``scipy.integrate`` is left to ``check`` and to the far mass of a custom
+measure.
 Once the saved fields hold 32 768 values or more, `run` forks one child
 before the solve, which writes each saved knot's field CSV while the
 parent solves the later steps (see

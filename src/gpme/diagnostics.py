@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .grid_field import lr_norm_of_values, shifted
 from .levy_operators import apply_stencil
-from .profiles import sphere_area
+from .profiles import adaptive_quad, sphere_area
 
 __all__ = [
     "smooth_step",
@@ -109,20 +109,14 @@ class Cutoff:
         r = np.asarray(r, dtype=float)
         return smooth_step(2.0 * r / self.R - 1.0)
 
-    def _value_at(self, r):
-        """value_radial for one float radius, the form the quadrature
-        integrands call: smooth_step's operations on Python floats, with
-        numpy's exp kept (math.exp differs from it by an ulp on some
-        arguments), so it returns value_radial's bits at a fraction of the
-        per-call cost."""
-        s = 2.0 * r / self.R - 1.0
-        if s <= 0.0:
-            return 0.0
-        if s >= 1.0:
-            return 1.0
-        a = float(np.exp(-1.0 / s))
-        b = float(np.exp(-1.0 / (1.0 - s)))
-        return a / (a + b)
+    @property
+    def band(self):
+        """The radii R/2, 5R/8, 3R/4, 7R/8, R: the transition cut in
+        quarters, the pieces its quadratures start from.  The smooth
+        step's ends need pieces of about an eighth of the band at the
+        tolerances asked here, and each bisection round costs about as
+        much as the first, so starting from quarters halves the rounds."""
+        return [self.R * (0.5 + 0.125 * i) for i in range(5)]
 
     def radial_derivative(self, r, order=1):
         r = np.asarray(r, dtype=float)
@@ -155,11 +149,8 @@ class Cutoff:
             d = self.radial_derivative(r, order)
             return area * r ** (self.dim - 1) * np.abs(d) ** p
 
-        from scipy import integrate
-
-        lo, hi = 0.5 * self.R, self.R
-        val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=400)
-        return float(val) ** (1.0 / p)
+        val = adaptive_quad(integrand, self.band, epsabs=1e-15, epsrel=1e-12, limit=400)
+        return val ** (1.0 / p)
 
 
 def build_cutoff(R, grid):

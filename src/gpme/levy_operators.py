@@ -129,8 +129,8 @@ class MeasureSpec:
         return out
 
     def mass_beyond(self, R, dim):
-        """Measure of {|z| > R}; closed form for power tails, quadrature
-        otherwise."""
+        """Measure of {|z| > R}; closed form for the power densities,
+        quadrature of a custom density's user callable."""
         if self.truncation is not None and R >= self.truncation:
             return 0.0
         hi = self.truncation if self.truncation is not None else math.inf
@@ -141,6 +141,13 @@ class MeasureSpec:
             a = self.alpha
             top = 0.0 if hi == math.inf else hi ** (-a) / a
             return self.scale * area * (R ** (-a) / a - top)
+        if self.kind == "split" and R > 0.0:
+            # the beta power up to min(1, hi), then the alpha power to hi
+            a, b = self.alpha, self.beta
+            out = (R ** (-b) - min(1.0, hi) ** (-b)) / b
+            if hi > 1.0:
+                out += (1.0 - (0.0 if hi == math.inf else hi ** (-a))) / a
+            return self.scale * area * out
 
         from scipy import integrate
 

@@ -19,6 +19,7 @@ the data block only; the caller that knows the block's path prefixes it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +44,7 @@ __all__ = [
     "PROFILES",
     "EXACT",
     "sphere_area",
+    "adaptive_quad",
 ]
 
 
@@ -51,9 +53,104 @@ def sphere_area(dim):
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-def _erf(x):
-    """math.erf of each entry of a one-dimensional array."""
-    return np.array([math.erf(v) for v in x.tolist()])
+def _erfc(x):
+    """math.erfc of each entry of a one-dimensional array."""
+    return np.array([math.erfc(v) for v in x.tolist()])
+
+
+def _upper_gamma_q(a, x):
+    """The regularized upper incomplete gamma function Q(a, x) for a
+    positive integer or half-integer a: upward from
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) or Gamma(1, x) = exp(-x) by
+    Gamma(s + 1, x) = s Gamma(s, x) + x^s exp(-x)."""
+    if a % 1.0:
+        s, g = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    else:
+        s, g = 1.0, math.exp(-x)
+    while s < a:
+        g = s * g + x ** s * math.exp(-x)
+        s += 1.0
+    return g / math.gamma(a)
+
+
+@functools.cache
+def _gauss_kronrod_21():
+    """QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (Piessens et al.,
+    1983, routine QK21): its nodes in ascending order, the Kronrod
+    weights, and the Kronrod weights less those of the 10-point Gauss
+    rule, whose nodes are the odd-indexed ones.  Built on first call."""
+    xk = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                   0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                   0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                   0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                   0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                   0.0])
+    wk = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                   0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                   0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                   0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                   0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                   0.149445554002916905664936468389821])
+    wg = np.array([0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                   0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                   0.295524224714752870173892994651338])
+    gauss = np.zeros(21)
+    gauss[1::2] = np.concatenate([wg, wg[::-1]])
+    kronrod = np.concatenate([wk[:-1], wk[::-1]])
+    return np.concatenate([-xk[:-1], xk[::-1]]), kronrod, kronrod - gauss
+
+
+def _qk21(f, lo, hi):
+    """The 21-point Kronrod integral of f over each [lo_i, hi_i] and
+    QK21's error estimate for it."""
+    nodes, kronrod, diff = _gauss_kronrod_21()
+    half = 0.5 * (hi - lo)
+    y = f((0.5 * (lo + hi))[:, None] + half[:, None] * nodes)
+    if not np.all(np.isfinite(y)):
+        raise DataError(f"quadrature integrand is not finite on [{lo.min():g}, {hi.max():g}]")
+    k = np.sum(y * kronrod, axis=1)
+    # QK21 scales the Gauss-Kronrod difference by f's mean deviation
+    dev = half * np.sum(np.abs(y - 0.5 * k[:, None]) * kronrod, axis=1)
+    err = np.abs(half * np.sum(y * diff, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((dev != 0.0) & (err != 0.0),
+                       dev * np.minimum(1.0, (200.0 * err / dev) ** 1.5), err)
+    floor = 50.0 * np.finfo(float).eps * half * np.sum(np.abs(y) * kronrod, axis=1)
+    return half * k, np.maximum(err, floor)
+
+
+def adaptive_quad(f, breaks, epsabs, epsrel, limit=200):
+    """Integral of f over [breaks[0], breaks[-1]] by QUADPACK's adaptive
+    Gauss-Kronrod scheme (QAG with QK21), started on the pieces between
+    the ascending breakpoints and vectorized over pieces: f maps an array
+    of points to the array of its values.  Each round bisects the pieces
+    of largest error estimate until the rest sum to at most half the
+    tolerance max(epsabs, epsrel |integral|), and the integral is returned
+    once all the estimates sum to at most that tolerance.  A non-finite
+    value of f, or ``limit`` pieces short of the tolerance, raises
+    DataError: there is no silent result."""
+    new_lo = np.asarray(breaks[:-1], dtype=float)
+    new_hi = np.asarray(breaks[1:], dtype=float)
+    lo = hi = val = err = np.empty(0)
+    while True:
+        v, e = _qk21(f, new_lo, new_hi)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        val, err = np.concatenate([val, v]), np.concatenate([err, e])
+        total, err_sum = float(np.sum(val)), float(np.sum(err))
+        tol = max(epsabs, epsrel * abs(total))
+        if err_sum <= tol:
+            return total
+        if len(val) >= limit:
+            raise DataError(f"quadrature on [{breaks[0]:g}, {breaks[-1]:g}] is {total!r} with "
+                            f"error estimate {err_sum:.3g} > {tol:.3g} after {limit} pieces")
+        order = np.argsort(-err, kind="stable")
+        rest = err_sum - np.cumsum(err[order])
+        n = min(int(np.searchsorted(-rest, -0.5 * tol)) + 1, limit - len(val))
+        split, kept = order[:n], order[n:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        lo, hi, val, err = lo[kept], hi[kept], val[kept], err[kept]
 
 
 def _as_points(x, dim):
@@ -71,15 +168,10 @@ class SpatialProfile:
 
     dim = 1
     is_radial = False
+    # the points of the line where the profile jumps or has a kink
+    breakpoints = ()
 
     def at(self, points):
-        raise NotImplementedError
-
-    def _abs_at(self, x):
-        """|f| at the point (x, 0, ..., 0), for one float x: the
-        evaluation of every quadrature integrand here.  Each family gives
-        it on Python floats, with the bits of ``at`` on that one point
-        (numpy's exp kept) at a fraction of the cost of a 1x1 array."""
         raise NotImplementedError
 
     # -- continuum norms ----------------------------------------------------
@@ -91,52 +183,45 @@ class SpatialProfile:
         raise DataError(f"{type(self).__name__} does not expose an L1 norm")
 
     def abs_tail_mass(self, R):
-        """Integral of |f| over {|x| > R}."""
-        if self.dim == 1:
-            return _tail_abs_quad_1d(self, R)
-        if self.is_radial:
-            return _tail_abs_quad_radial(self, R)
-        raise DataError("tail mass needs a one-dimensional or radial profile")
+        """Integral of |f| over {|x| > R}, in closed form."""
+        raise DataError(f"{type(self).__name__} does not expose a tail mass")
 
     def weighted_abs_l1(self, weight):
         """Integral of |f(x)| * w(|x|) where w is a radial weight that
         vanishes for |x| <= R/2 and equals 1 for |x| >= R (a
-        ``diagnostics.Cutoff``, read one float radius at a time)."""
-        from scipy import integrate
-
-        R = weight.R
+        ``diagnostics.Cutoff``): the closed-form tail beyond R plus the
+        band R/2 <= |x| <= R by ``adaptive_quad``, from the cutoff's
+        ``band`` pieces split at the profile's breakpoints.  On the line
+        the quadrature runs over [-R, R], where the weight is 0 inside
+        R/2; a radial profile is read along the first axis."""
+        R, band = weight.R, weight.band
         if self.dim == 1:
-            def g(x):
-                return self._abs_at(x) * weight._value_at(abs(x))
+            area, ends = 1.0, [-r for r in reversed(band)] + band
+        elif self.is_radial:
+            area, ends = sphere_area(self.dim), band
+        else:
+            raise DataError("cutoff-weighted L1 needs a one-dimensional or radial profile")
 
-            inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-            inner += integrate.quad(g, -R, -0.5 * R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-            return inner + self.abs_tail_mass(R)
-        if self.is_radial:
-            area = sphere_area(self.dim)
+        def g(r):
+            pts = np.zeros(r.shape + (self.dim,))
+            pts[..., 0] = r
+            return (area * np.abs(r) ** (self.dim - 1) * np.abs(self.at(pts))
+                    * weight.value_radial(np.abs(r)))
 
-            def g(r):
-                return area * r ** (self.dim - 1) * self._abs_at(r) * weight._value_at(r)
-
-            inner = integrate.quad(g, 0.5 * R, R, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-            return inner + self.abs_tail_mass(R)
-        raise DataError("cutoff-weighted L1 needs a one-dimensional or radial profile")
-
-    def _quad_window(self):
-        return (-50.0, 50.0)
+        breaks = sorted(set(ends) | {b for b in self.breakpoints if ends[0] < b < R})
+        inner = adaptive_quad(g, breaks, epsabs=1e-12, epsrel=1e-11)
+        return inner + self.abs_tail_mass(R)
 
 
 @dataclass(frozen=True)
 class ConstantProfile(SpatialProfile):
     value: float
     dim: int = 1
+    is_radial = True
 
     def at(self, points):
         pts = _as_points(points, self.dim)
         return np.full(pts.shape[:-1], float(self.value))
-
-    def _abs_at(self, x):
-        return abs(float(self.value))
 
     def cell_averages(self, grid):
         return np.full(grid.shape, float(self.value))
@@ -146,6 +231,9 @@ class ConstantProfile(SpatialProfile):
 
     def l1_norm(self):
         return 0.0 if self.value == 0.0 else math.inf
+
+    def abs_tail_mass(self, R):
+        return self.l1_norm()
 
 
 @dataclass(frozen=True)
@@ -179,12 +267,6 @@ class GaussianProfile(SpatialProfile):
         d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)
         return self.amplitude * np.exp(-d2 / (4.0 * self.spread))
 
-    def _abs_at(self, x):
-        d2 = 0.0
-        for xi, ci in zip((x,) + (0.0,) * (self.dim - 1), self.center):
-            d2 += (xi - ci) * (xi - ci)
-        return abs(float(self.amplitude * np.exp(-d2 / (4.0 * self.spread))))
-
     def cell_averages(self, grid):
         # separable: product over axes of exact one-dimensional averages
         h = grid.h
@@ -194,7 +276,11 @@ class GaussianProfile(SpatialProfile):
             x = grid.axis_coords(i) - self.center[i]
             lo = (x - 0.5 * h) / root
             hi = (x + 0.5 * h) / root
-            fac = math.sqrt(math.pi) * self.spread ** 0.5 * (_erf(hi) - _erf(lo)) / h
+            # erf(hi) - erf(lo) as a difference of erfc on the side of the
+            # centre the cell lies: erf itself rounds to +-1 in the far tail
+            right = x >= 0.0
+            diff = _erfc(np.where(right, lo, -hi)) - _erfc(np.where(right, hi, -lo))
+            fac = math.sqrt(math.pi) * self.spread ** 0.5 * diff / h
             shape = [1] * grid.dim
             shape[i] = len(x)
             out = out * fac.reshape(shape)
@@ -207,15 +293,15 @@ class GaussianProfile(SpatialProfile):
         return abs(self.amplitude) * (4.0 * math.pi * self.spread) ** (self.dim / 2.0)
 
     def abs_tail_mass(self, R):
-        if self.dim == 1 and self.is_radial:
-            z = R / (2.0 * math.sqrt(self.spread))
-            return abs(self.amplitude) * 2.0 * math.sqrt(math.pi * self.spread) * math.erfc(z)
-        return super().abs_tail_mass(R)
-
-    def _quad_window(self):
-        w = 40.0 * math.sqrt(self.spread)
-        c = self.center[0]
-        return (c - w, c + w)
+        # on the line, one erfc per side; in the plane and above, radial
+        # about the origin, the l1 norm times Q(N/2, R^2/(4 s))
+        if self.dim == 1:
+            root, c = 2.0 * math.sqrt(self.spread), self.center[0]
+            return abs(self.amplitude) * math.sqrt(math.pi * self.spread) * (
+                math.erfc((R - c) / root) + math.erfc((R + c) / root))
+        if self.is_radial:
+            return self.l1_norm() * _upper_gamma_q(0.5 * self.dim, R * R / (4.0 * self.spread))
+        raise DataError("tail mass needs a one-dimensional or radial profile")
 
 
 @dataclass(frozen=True)
@@ -249,13 +335,14 @@ class BarenblattProfile(SpatialProfile):
     def support_radius(self):
         return math.sqrt(self.peak / self.curvature)
 
+    @property
+    def breakpoints(self):
+        return (-self.support_radius, self.support_radius)
+
     def at(self, points):
         pts = _as_points(points, 1)
         x = pts[..., 0]
         return np.maximum(0.0, self.peak - self.curvature * x * x)
-
-    def _abs_at(self, x):
-        return max(0.0, self.peak - self.curvature * x * x)
 
     def cell_averages(self, grid):
         a, b, xs = self.peak, self.curvature, self.support_radius
@@ -304,9 +391,6 @@ class PoissonKernelProfile(SpatialProfile):
         x = pts[..., 0]
         return self.t0 / (math.pi * (x * x + self.t0 * self.t0))
 
-    def _abs_at(self, x):
-        return self.t0 / (math.pi * (x * x + self.t0 * self.t0))
-
     def cell_averages(self, grid):
         x = grid.axis_coords(0)
         lo = x - 0.5 * grid.h
@@ -339,8 +423,9 @@ class IndicatorProfile(SpatialProfile):
         x = pts[..., 0]
         return ((x >= self.lo) & (x <= self.hi)).astype(float)
 
-    def _abs_at(self, x):
-        return 1.0 if self.lo <= x <= self.hi else 0.0
+    @property
+    def breakpoints(self):
+        return (self.lo, self.hi)
 
     def cell_averages(self, grid):
         x = grid.axis_coords(0)
@@ -376,8 +461,9 @@ class StepProfile(SpatialProfile):
         x = pts[..., 0]
         return np.where(x < self.position, float(self.left), float(self.right))
 
-    def _abs_at(self, x):
-        return abs(float(self.left if x < self.position else self.right))
+    @property
+    def breakpoints(self):
+        return (self.position,)
 
     def cell_averages(self, grid):
         x = grid.axis_coords(0)
@@ -389,30 +475,9 @@ class StepProfile(SpatialProfile):
     def sup_norm(self):
         return max(abs(self.left), abs(self.right))
 
-
-def _tail_abs_quad_1d(profile, R):
-    from scipy import integrate
-
-    g = profile._abs_at
-    lo, hi = profile._quad_window()
-    out = 0.0
-    if hi > R:
-        out += integrate.quad(g, R, hi, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
-    if lo < -R:
-        out += integrate.quad(g, lo, -R, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
-    return out
-
-
-def _tail_abs_quad_radial(profile, R):
-    from scipy import integrate
-
-    area = sphere_area(profile.dim)
-
-    def g(r):
-        return area * r ** (profile.dim - 1) * profile._abs_at(r)
-
-    hi = max(profile._quad_window()[1], R + 1.0)
-    return integrate.quad(g, R, hi, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    def abs_tail_mass(self, R):
+        # not integrable unless both states are zero
+        return 0.0 if self.left == 0.0 and self.right == 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -701,3 +701,50 @@ def test_set_up_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     assert line == {"codes": [0, 2], "scipy": []}
+
+
+_RUN_IMPORTS_NO_QUADRATURE = """
+import json, sys
+from gpme.cli import main
+from gpme.presets import preset_names
+
+runs = [{"preset": name} for name in preset_names()] + json.loads(sys.argv[1])
+codes = [main(["run", "--config", json.dumps(run), "--out", f"{sys.argv[2]}/{i}"])
+         for i, run in enumerate(runs)]
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m in ("scipy.integrate", "scipy.optimize",
+                                            "scipy.spatial"))}))
+"""
+
+# a split measure whose stencil reaches only 0.625 < 1: its far mass is the
+# closed form below the knee
+SPLIT_RUN = {"preset": "heat_gaussian_1d", "problem": {
+    "h": 0.25, "T": 0.1, "operator": {"c": 0, "support_radius": 0.5, "measure": {
+        "kind": "split", "alpha": 1.5, "beta": 0.5, "scale": 0.5,
+        "truncation": None, "weight_rule": "cell_mass"}}, "exact": None}}
+
+
+def test_run_imports_no_scipy_quadrature(tmp_path):
+    # a run's tail certificate takes closed-form tails and a numpy
+    # Gauss-Kronrod band: scipy.integrate, and the optimize and spatial
+    # modules it pulls in, stay unloaded through every preset's run
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_IMPORTS_NO_QUADRATURE,
+         json.dumps([PLANE_RUN, SPLIT_RUN]), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line == {"codes": [0] * (len(gpme.presets.preset_names()) + 2), "loaded": []}
+
+
+def test_constant_data_record_an_infinite_tail(tmp_path):
+    # not integrable: the data's piece of the bound is infinite, not the
+    # mass of a quadrature window
+    cfg = gpme.presets.get_preset("heat_gaussian_1d")
+    cfg["problem"].update(h=0.5, T=0.1, exact=None, initial={"kind": "constant", "value": 0.5})
+    cfg["diagnostics"]["R_list"] = [1.5]
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                 str(tmp_path / "o")]) == 0
+    eq = json.loads((tmp_path / "o" / "report.json").read_text())["equitightness"]
+    assert [e["u0_piece"] for e in eq] == [math.inf]

@@ -264,14 +264,22 @@ def test_smooth_step_edge_inputs_match_definition(s):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def test_scalar_cutoff_matches_value_radial():
-    # the form quad integrates gives the array form's bits (well inside an
-    # ulp), so the certificate's u0 and source pieces do not move
-    cut = Cutoff(2.5)
-    r = np.random.default_rng(7).uniform(0.0, 1.5 * cut.R, 100_000)
-    r[:3] = (0.5 * cut.R, cut.R, 0.0)
-    scalar = np.array([cut._value_at(x) for x in r.tolist()])
-    assert np.array_equal(scalar, cut.value_radial(r))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derivative_norm_matches_quad(dim):
+    from scipy.integrate import quad
+
+    from gpme.profiles import sphere_area
+
+    for R in (1.5, 4.0):
+        cut = Cutoff(R, dim=dim)
+        for k in (1, 2):
+            for p in (2.0, 4.0):
+                def g(r):
+                    d = float(cut.radial_derivative(np.array([r]), k)[0])
+                    return sphere_area(dim) * r ** (dim - 1) * abs(d) ** p
+
+                want = quad(g, 0.5 * R, R, epsabs=1e-16, epsrel=1e-13, limit=400)[0] ** (1 / p)
+                assert cut.derivative_norm(k, p) == pytest.approx(want, rel=1e-12), (R, k, p)
 
 
 def _simpson(f, a, b, n=4000):

@@ -1,6 +1,8 @@
 """Stencil assembly: weights, moments, symmetry; the consistency oracle
 lives in the ``moments`` suite of gpme.checks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import fft, sparse
@@ -14,7 +16,7 @@ from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
                                  _neighbor_matrix, _neighbor_operator, _support_index,
                                  apply_stencil, combine_with_laplacian, measure_stencil,
                                  write_stencil_csv)
-from gpme.profiles import GaussianProfile
+from gpme.profiles import GaussianProfile, sphere_area
 
 
 def test_laplacian_stencil_weights():
@@ -244,6 +246,20 @@ def test_fractional_tail_mass_decreases_with_reach():
     near = measure_stencil(m, g, support_radius=4.0)
     far = measure_stencil(m, g, support_radius=8.0)
     assert near.tail_mass_beyond_support > far.tail_mass_beyond_support > 0.0
+
+
+@pytest.mark.parametrize("truncation", [None, 0.7, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_split_mass_beyond_below_the_knee_matches_quad(dim, truncation):
+    m = MeasureSpec(kind="split", alpha=1.5, beta=0.5, scale=0.7, truncation=truncation)
+    area = sphere_area(dim)
+    hi = math.inf if truncation is None else truncation
+    for R in (0.3, 0.9):
+        pieces = [R] + [k for k in (1.0,) if R < k < hi] + [hi]
+        want = sum(quad(lambda r: area * r ** (dim - 1) * float(m.radial_density(r, dim)),
+                        a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                   for a, b in zip(pieces[:-1], pieces[1:]))
+        assert m.mass_beyond(R, dim) == pytest.approx(want, rel=1e-12, abs=0.0), R
 
 
 def test_custom_pole_density_rejected():

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf, gamma
+from scipy.special import erfc, gammaincc, gamma
 
-from gpme.errors import ConfigurationError
+from gpme.diagnostics import Cutoff
+from gpme.errors import ConfigurationError, DataError
+from gpme.presets import PRESETS
 from gpme.profiles import (BarenblattExact, BarenblattProfile, ConstantProfile,
                            GaussianProfile, HeatGaussianExact, IndicatorProfile,
                            PoissonExact, PoissonKernelProfile, ShockExact, StepProfile,
-                           TimeFactor, sphere_area)
+                           TimeFactor, _qk21, _upper_gamma_q, adaptive_quad,
+                           sphere_area)
 
 
 def test_sphere_area_low_dims():
@@ -49,6 +52,13 @@ def test_gaussian_tail_mass_far_out():
     assert tail == pytest.approx(erfc_8, rel=1e-14, abs=0.0)
 
 
+def _scipy_cell_factor(x, h, root):
+    """erf((x + h/2)/root) - erf((x - h/2)/root) as scipy's erfc
+    difference on the cell's side of the centre, free of cancellation."""
+    lo, hi = (x - 0.5 * h) / root, (x + 0.5 * h) / root
+    return np.where(x >= 0.0, erfc(lo) - erfc(hi), erfc(-hi) - erfc(-lo))
+
+
 @pytest.mark.parametrize("dim,center", [(1, (0.7,)), (2, (0.3, -0.6))])
 def test_gaussian_cell_averages_match_the_scipy_erf_form(dim, center):
     from gpme.grid_field import UniformGrid
@@ -58,10 +68,24 @@ def test_gaussian_cell_averages_match_the_scipy_erf_form(dim, center):
     scale = math.sqrt(math.pi * prof.spread) / h
     want = np.full(grid.shape, prof.amplitude)
     for i in range(dim):
-        x = grid.axis_coords(i) - center[i]
-        fac = scale * (erf((x + 0.5 * h) / root) - erf((x - 0.5 * h) / root))
+        fac = scale * _scipy_cell_factor(grid.axis_coords(i) - center[i], h, root)
         want = want * fac.reshape([-1 if j == i else 1 for j in range(dim)])
     np.testing.assert_allclose(prof.cell_averages(grid), want, rtol=1e-14, atol=0.0)
+
+
+def test_gaussian_cell_averages_keep_the_far_tail():
+    # erf(hi) - erf(lo) is exactly 0 from x = 5.77 on at this mesh and off
+    # by 1.5e-4 relative at x = 5; the erfc difference keeps every digit
+    from gpme.grid_field import UniformGrid
+    prof = GaussianProfile(1.0, 0.25)
+    grid = UniformGrid.from_box(1, 1.0 / 64, 8.0)
+    x = grid.axis_coords(0)
+    got = prof.cell_averages(grid)
+    want = math.sqrt(math.pi * prof.spread) / grid.h * _scipy_cell_factor(x, grid.h, 1.0)
+    for at in (5.0, 6.5, -5.0, -6.5):
+        i = int(np.flatnonzero(x == at)[0])
+        assert got[i] == pytest.approx(want[i], rel=1e-13, abs=0.0), at
+        assert got[i] > 0.0
 
 
 def test_gaussian_center_length_must_match_dim():
@@ -179,6 +203,28 @@ def test_exact_reference_starts_from_the_initial_data(override):
                                   project_cell_average(plan.problem.initial, plan.grid))
 
 
+# every tail radius of a preset, and radii at which the indicator's ends,
+# the step and the Barenblatt support edge fall inside the cutoff band
+_RADII = sorted({R for cfg in PRESETS.values() for R in cfg["diagnostics"]["R_list"]}
+                | {0.75, 1.2, 2.0})
+
+
+def _quad_on_axis(prof, lo, hi, weight=None):
+    """scipy's quad of |f| r^(N-1) |S^(N-1)| (times the weight) along the
+    first axis, split at the profile's breakpoints; tight tolerances."""
+    area = 1.0 if prof.dim == 1 else sphere_area(prof.dim)
+
+    def g(r):
+        pt = np.zeros((1, prof.dim))
+        pt[0, 0] = r
+        w = 1.0 if weight is None else float(weight.value_radial(abs(r)))
+        return area * abs(r) ** (prof.dim - 1) * abs(float(prof.at(pt)[0])) * w
+
+    ends = [lo] + sorted(b for b in prof.breakpoints if lo < b < hi) + [hi]
+    return sum(quad(g, a, b, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+               for a, b in zip(ends[:-1], ends[1:]))
+
+
 @pytest.mark.parametrize("prof", [
     ConstantProfile(-2.5), ConstantProfile(1.5, dim=3),
     GaussianProfile(-2.0, 0.3), GaussianProfile(1.3, 0.2, (0.7,)),
@@ -186,14 +232,76 @@ def test_exact_reference_starts_from_the_initial_data(override):
     BarenblattProfile(time=0.7), PoissonKernelProfile(0.125),
     IndicatorProfile(-0.5, 1.0), StepProfile(1.0, -0.5, 0.25)],
     ids=lambda p: f"{type(p).__name__}-{p.dim}")
-def test_one_point_evaluation_has_the_bits_of_at(prof):
-    # the quadrature integrands evaluate the profile one float at a time;
-    # they must read the same bits as the array evaluation at (x, 0, ..., 0)
-    xs = np.concatenate([np.linspace(-6.0, 6.0, 4001),
-                         np.random.default_rng(1).normal(0.0, 2.0, 2000),
-                         [-1.0, -0.5, 0.0, 0.25, 1.0, 1e-300, -0.0]])
-    points = np.zeros((xs.size, prof.dim))
-    points[:, 0] = xs
-    want = np.abs(prof.at(points))
-    got = np.array([prof._abs_at(float(x)) for x in xs])
-    assert got.tobytes() == want.tobytes()
+def test_tail_integrals_match_quad(prof):
+    # the closed-form tail and the Gauss-Kronrod band against scipy's quad,
+    # within the tolerances the certificate asks (1e-12 + 1e-11 relative)
+    for R in _RADII:
+        cut = Cutoff(R, dim=prof.dim)
+        if isinstance(prof, (ConstantProfile, StepProfile)):
+            assert prof.abs_tail_mass(R) == math.inf
+            assert prof.weighted_abs_l1(cut) == math.inf
+            continue
+        if prof.dim == 1:
+            tail = _quad_on_axis(prof, R, math.inf) + _quad_on_axis(prof, -math.inf, -R)
+            band = (_quad_on_axis(prof, 0.5 * R, R, cut)
+                    + _quad_on_axis(prof, -R, -0.5 * R, cut))
+        else:
+            tail = _quad_on_axis(prof, R, math.inf)
+            band = _quad_on_axis(prof, 0.5 * R, R, cut)
+        assert prof.abs_tail_mass(R) == pytest.approx(tail, rel=1e-12, abs=1e-14), R
+        assert prof.weighted_abs_l1(cut) == pytest.approx(band + tail, rel=1e-11,
+                                                          abs=1e-12), R
+
+
+def test_band_quadrature_starts_at_the_breakpoints(monkeypatch):
+    # a jump inside the band is an end of the first pieces, on either side
+    import gpme.profiles
+
+    seen, real = [], adaptive_quad
+    monkeypatch.setattr(gpme.profiles, "adaptive_quad",
+                        lambda f, breaks, **kw: seen.append(breaks) or real(f, breaks, **kw))
+    IndicatorProfile(-1.0, 0.9).weighted_abs_l1(Cutoff(1.5))
+    BarenblattProfile(time=1.0).weighted_abs_l1(Cutoff(3.0))
+    xs = BarenblattProfile(time=1.0).support_radius
+    assert {-1.0, 0.9} <= set(seen[0]) and {-xs, xs} <= set(seen[1])
+
+
+def test_constant_and_step_tails_follow_their_l1_norm():
+    assert ConstantProfile(0.0).abs_tail_mass(1.5) == 0.0
+    assert ConstantProfile(0.5).abs_tail_mass(1.5) == math.inf
+    assert StepProfile(0.0, 0.0).abs_tail_mass(1.5) == 0.0
+    assert StepProfile(1.0, 0.0).abs_tail_mass(1.5) == math.inf
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_upper_gamma_q_matches_scipy(dim):
+    for x in (1e-3, 0.5, 2.25, 9.0, 40.0, 200.0):
+        assert _upper_gamma_q(0.5 * dim, x) == pytest.approx(
+            gammaincc(0.5 * dim, x), rel=1e-13, abs=0.0), x
+
+
+def test_adaptive_quad_meets_its_tolerance():
+    # smooth, a kink declared as a breakpoint, and an end singularity
+    cases = [(np.cos, [0.0, 3.0], math.sin(3.0)),
+             (lambda x: np.abs(x - 0.3), [0.0, 0.3, 1.0], 0.29),
+             (np.log, [0.0, 1.0], -1.0)]
+    for f, breaks, want in cases:
+        got = adaptive_quad(f, breaks, epsabs=1e-13, epsrel=1e-12)
+        assert abs(got - want) <= 1e-13 + 1e-12 * abs(want)
+
+
+def test_gauss_kronrod_rule_is_exact_to_its_degrees():
+    # the Kronrod rule to degree 31, its Gauss part to degree 19: the error
+    # estimate sits at the rounding floor up to 19 and above it beyond
+    for k in (0, 5, 19, 25, 31):
+        val, err = _qk21(lambda x: (k + 1) * x ** k, np.array([0.0]), np.array([1.0]))
+        assert val[0] == pytest.approx(1.0, rel=1e-14), k
+        assert (err[0] < 1e-13) == (k <= 19), k
+
+
+def test_adaptive_quad_raises_rather_than_guess():
+    with pytest.raises(DataError, match="not finite"):
+        adaptive_quad(lambda x: np.where(x > 0.5, np.nan, 1.0), [0.0, 1.0], 1e-12, 1e-11)
+    with pytest.raises(DataError, match="after 8 pieces"):
+        adaptive_quad(lambda x: np.abs(x - 1.0 / 3.0) ** -0.5, [0.0, 1.0], 1e-14, 1e-14,
+                      limit=8)
