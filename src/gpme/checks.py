@@ -23,10 +23,9 @@ import numpy as np
 
 from .diagnostics import (Cutoff, build_cutoff, equitightness_check,
                           operator_cutoff_norm, tail_mass)
-from .elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
+from .elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent, solve_ep
 from .errors import ConfigurationError
-from .evolution import (FluxSpec, ProblemSpec, cfl_limit, flux_divergence, run,
-                        step_cde, step_gpme)
+from .evolution import FluxSpec, ProblemSpec, _convection, cfl_limit, run, step
 from .grid_field import TimeGrid, UniformGrid
 from .levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
                              check_moments, combine_with_laplacian, measure_stencil,
@@ -266,15 +265,10 @@ def _resolvent_suite(barenblatt):
 # evolution
 
 
-def _small_problem(phi, initial, flux=None, measure=None, c=1, source=None):
-    op = OperatorSpec(c=c, measure=measure)
-    return ProblemSpec(operator=op, phi=phi, initial=initial, source=source, flux=flux)
-
-
 def _barenblatt_run():
     """The m = 2 Barenblatt run that the evolution and tail suites read."""
-    prob = _small_problem(PhiSpec(kind="power", exponent=2.0),
-                          BarenblattProfile(time=1.0))
+    prob = ProblemSpec(operator=OperatorSpec(c=1), phi=PhiSpec(kind="power", exponent=2.0),
+                       initial=BarenblattProfile(time=1.0))
     rep = run(prob, UniformGrid.from_box(1, 0.1, 6.0), TimeGrid.uniform(0.2, 0.05),
               config=EpSolveConfig(residual_tol=1e-13))
     return prob, rep
@@ -288,9 +282,8 @@ def _order_sweep():
     grid = UniformGrid.from_box(1, 0.25, 6.0)
     vol = grid.cell_volume
     n = grid.node_count
-    lap = WeightedStencil.empty(grid.h, grid.dim)
-    frac = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0)
-                        ).build_stencil(grid)
+    lap, frac = (_Resolvent(op.build_stencil(grid), grid.shape) for op in (
+        OperatorSpec(c=1), OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0))))
     phis = [PhiSpec(kind="power", exponent=0.5), PhiSpec(kind="linear"),
             PhiSpec(kind="power", exponent=2.0),
             PhiSpec(kind="stefan", latent=0.5)]
@@ -301,7 +294,7 @@ def _order_sweep():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         phi = phis[seed % 4]
-        stencil, c = (lap, 1) if seed % 2 == 0 else (frac, 0)
+        resolvent = lap if seed % 2 == 0 else frac
         flux = FluxSpec(kind="burgers", u_range=(0.0, 1.0)) if seed % 3 == 0 else None
         if flux is None:
             u = rng.uniform(-1.0, 1.0, n)
@@ -318,18 +311,12 @@ def _order_sweep():
             g_hi = g_lo + rng.uniform(0.0, 0.1, (3, n))
         u0, v0 = u.copy(), v.copy()
         src_l1 = src_sup = src_gap = 0.0
-        for step in range(3):
-            if flux is None:
-                u = step_gpme(stencil, c, phi, dt, u, g=g_lo[step], config=cfg).w
-                v = step_gpme(stencil, c, phi, dt, v, g=g_hi[step], config=cfg).w
-            else:
-                u = step_cde(stencil, c, phi, flux, dt, grid.h, u,
-                             g=g_lo[step], config=cfg).w
-                v = step_cde(stencil, c, phi, flux, dt, grid.h, v,
-                             g=g_hi[step], config=cfg).w
-            src_l1 += dt * vol * float(np.sum(np.abs(g_lo[step])))
-            src_sup += dt * float(np.max(np.abs(g_lo[step])))
-            src_gap += dt * vol * float(np.sum(np.maximum(g_hi[step] - g_lo[step], 0.0)))
+        for j in range(3):
+            u = step(resolvent, phi, dt, u, g=g_lo[j], flux=flux, config=cfg)[0].w
+            v = step(resolvent, phi, dt, v, g=g_hi[j], flux=flux, config=cfg)[0].w
+            src_l1 += dt * vol * float(np.sum(np.abs(g_lo[j])))
+            src_sup += dt * float(np.max(np.abs(g_lo[j])))
+            src_gap += dt * vol * float(np.sum(np.maximum(g_hi[j] - g_lo[j], 0.0)))
             # ordered data stay ordered, pointwise and in the L^1 positive part
             pairs["evolution_monotone"].append(
                 (max(np.max(u - v), vol * np.sum(np.maximum(u - v, 0.0))), tol))
@@ -355,8 +342,8 @@ def _evolution_suite(barenblatt):
     grid = UniformGrid.from_box(1, 0.2, 2.0)
     flux = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
     try:
-        step_cde(WeightedStencil.empty(grid.h, grid.dim), 1, PhiSpec(kind="zero"), flux,
-                 grid.h, grid.h, np.zeros(grid.shape))
+        step(_Resolvent(OperatorSpec(c=1).build_stencil(grid), grid.shape),
+             PhiSpec(kind="zero"), grid.h, np.zeros(grid.shape), flux=flux)
         accepted = 1.0
     except ConfigurationError:
         accepted = 0.0
@@ -367,7 +354,7 @@ def _evolution_suite(barenblatt):
     h = 0.5
     u = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
     lin = FluxSpec(kind="linear", u_range=(0.0, 1.0), velocity=(1.0,))
-    stepped = u - cfl_limit(lin, h, 1) * flux_divergence(lin, u, h)
+    stepped = u - cfl_limit(lin, h, 1) * _convection(lin, u, h)[0]
     expected = np.array([0.0, 0.5, 0.5, 0.0, 0.0])
     out.append(CheckResult("upwind_hand_oracle", np.max(np.abs(stepped - expected)), 1e-14))
     return out
@@ -390,8 +377,8 @@ def _equitightness_suite(barenblatt):
                            equitightness_check(rep.trajectory, prob, R=3.0, r=1.0)))
 
     m = MeasureSpec(kind="fractional", alpha=1.0, scale=1.0 / math.pi)
-    probf = _small_problem(PhiSpec(kind="linear", slope=1.0),
-                           PoissonKernelProfile(1.0), measure=m, c=0)
+    probf = ProblemSpec(operator=OperatorSpec(c=0, measure=m),
+                        phi=PhiSpec(kind="linear", slope=1.0), initial=PoissonKernelProfile(1.0))
     repf = run(probf, UniformGrid.from_box(1, 0.2, 8.0), TimeGrid.uniform(0.2, 0.1),
                config=EpSolveConfig(residual_tol=1e-12))
     out.append(_tail_bound("tail_bound_fractional_linear",
@@ -399,8 +386,8 @@ def _equitightness_suite(barenblatt):
 
     # source term enters the bound through both integrability pieces
     src = SeparableSource(GaussianProfile(0.5, 0.25), TimeFactor("constant", 1.0))
-    probs = _small_problem(PhiSpec(kind="power", exponent=2.0),
-                           GaussianProfile(1.0, 0.25), source=src)
+    probs = ProblemSpec(operator=OperatorSpec(c=1), phi=PhiSpec(kind="power", exponent=2.0),
+                        initial=GaussianProfile(1.0, 0.25), source=src)
     grid = rep.trajectory.grid
     reps = run(probs, grid, rep.trajectory.time_grid,
                config=EpSolveConfig(residual_tol=1e-13))
@@ -421,10 +408,10 @@ def _equitightness_suite(barenblatt):
     # operator-applied cutoff decays like R^(N/p - alpha)
     m1 = MeasureSpec(kind="fractional", alpha=1.0)
     gbig = UniformGrid.from_box(1, 0.125, 9.0)
-    stb = measure_stencil(m1, gbig, support_radius=18.0)
+    big = _Resolvent(measure_stencil(m1, gbig, support_radius=18.0), gbig.shape)
     gaps, parts = [], []
     for p in (2.0, math.inf):
-        norms = [operator_cutoff_norm(stb, 0, build_cutoff(R, gbig)[0], p)
+        norms = [operator_cutoff_norm(big, build_cutoff(R, gbig)[0], p)
                  for R in (2.0, 4.0, 8.0)]
         slopes = np.diff(np.log2(norms))
         target = 1.0 / p - 1.0

@@ -86,11 +86,12 @@ def cmd_run(args):
     for R in plan.diagnostics["R_list"]:
         check_cutoff_radius(R, plan.grid, "diagnostics.R_list")
     if plan.diagnostics["R_list"]:
-        # the tail bound reads the data's norms: ask for them before any computing
+        # the tail bound reads the data's norms and radial tails: ask for
+        # them before any computing
         try:
             data_bounds(plan.problem, plan.time_grid.final_time)
         except DataError as e:
-            raise ConfigurationError(f"a tail radius needs the data's norms: {e}",
+            raise ConfigurationError(f"a tail radius needs the data's norms and tails: {e}",
                                      field="diagnostics.R_list") from e
     if args.dry_run:
         print(json.dumps(cfg, indent=2))
@@ -110,7 +111,7 @@ def cmd_run(args):
         for R in plan.diagnostics["R_list"]:
             eq_reports.append(equitightness_check(
                 report.trajectory, plan.problem, R=R, r=plan.diagnostics["r"],
-                stencil=report.stencil, neighbor=report.neighbor))
+                resolvent=report.resolvent))
     lines = ["R,lhs,rhs,pass"]
     for eq in eq_reports:
         flag = "true" if eq.passed else "false"

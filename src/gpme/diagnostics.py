@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
+from .elliptic_solver import _Resolvent
 from .errors import ConfigurationError, DataError
 from .grid_field import lr_norm_of_values, shifted
 from .levy_operators import apply_stencil
@@ -91,7 +93,14 @@ def smooth_step_d2(s):
     return out
 
 
-_SUP_GRID = np.linspace(0.0, 1.0, 200001)
+@cache
+def _sup_grid():
+    """The points of [0, 1] on which ``Cutoff.derivative_norm`` takes a
+    derivative's sup; built on first call, which only ``gpme check``
+    makes.  Every caller shares it, so it is read-only."""
+    grid = np.linspace(0.0, 1.0, 200001)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ class Cutoff:
             if order == 0:
                 return 1.0
             fn = smooth_step_d1 if order == 1 else smooth_step_d2
-            return (2.0 / self.R) ** order * float(np.max(np.abs(fn(_SUP_GRID))))
+            return (2.0 / self.R) ** order * float(np.max(np.abs(fn(_sup_grid()))))
         if not (p >= 1.0):
             raise ConfigurationError("p must be >= 1", field="p")
         if order == 0:
@@ -167,16 +176,16 @@ def check_cutoff_radius(R, grid, field):
         raise ConfigurationError("cutoff radius exceeds the box", field=field)
 
 
-def operator_cutoff_norm(stencil, c, X, p, neighbor=None):
-    """Discrete surrogate for the L^p norm of the operator
-    c * Laplacian + stencil applied to 𝒳_R, from the nodal cutoff X of
-    build_cutoff: the operator acts on the nodal values of 𝒳_R - 1
-    (compactly supported, so zero extension is exact), and the measure
-    mass beyond the stencil support contributes (1 - 𝒳_R) times the
-    analytic remainder.  The stencil's mesh width h gives the cell
-    volume.  ``neighbor`` is the operator's neighbor sum on X's box, as
-    ``apply_stencil`` takes it."""
-    v = (apply_stencil(stencil, c, X - 1.0, neighbor)
+def operator_cutoff_norm(resolvent, X, p):
+    """Discrete surrogate for the L^p norm of the operator applied to
+    𝒳_R, from the nodal cutoff X of build_cutoff and the operator on X's
+    box, an ``elliptic_solver._Resolvent``: its stencil acts on the nodal
+    values of 𝒳_R - 1 (compactly supported, so zero extension is exact)
+    through its neighbor sum, and the measure mass beyond the stencil
+    support contributes (1 - 𝒳_R) times the analytic remainder.  The
+    stencil's mesh width h gives the cell volume."""
+    stencil = resolvent.stencil
+    v = (apply_stencil(stencil, 0, X - 1.0, resolvent.neighbor)
          + (1.0 - X) * stencil.tail_mass_beyond_support)
     return lr_norm_of_values(v, stencil.h ** X.ndim, p)
 
@@ -302,29 +311,33 @@ def data_bounds(problem, T):
     """(M, L) for the tail bound over [0, T]: the sup bound
     M = |u0|_inf + |g|_{L1(0,T; L_inf)} and the data size
     L = |u0|_1 + |g|_{L1(0,T; L1)}, from the data's closed-form norms.
-    Raises DataError when the data expose no such norm."""
+    Raises DataError when the data expose no such norm, or when the
+    initial data or the source's spatial profile has no radial tails
+    (``SpatialProfile.check_radial_tails``), which the bound's
+    cutoff-weighted pieces need."""
+    problem.initial.check_radial_tails("the tail bound")
     M, L = problem.initial.sup_norm(), problem.initial.l1_norm()
     if problem.source is not None:
+        problem.source.spatial.check_radial_tails("the tail bound")
         M += problem.source.l1linf_norm(T)
         L += problem.source.l1l1_norm(T)
     return M, L
 
 
-def equitightness_check(traj, problem, R, r=1.0, stencil=None, neighbor=None):
+def equitightness_check(traj, problem, R, r=1.0, resolvent=None):
     """Evaluate the uniform tail bound for a finished trajectory.
 
     The left side is the worst tail mass over the knots (see
     ``EquitightnessReport``); the right side assembles the declared data
     norms, the regularity constants of phi on [-M, M], and the discrete
-    operator norm of the cutoff.  ``stencil`` and ``neighbor`` are the
-    run's stencil, ``OperatorSpec.build_stencil``'s whole operator, and
-    its neighbor sum on the grid's box (``RunReport`` keeps both); each is
-    built here when not given."""
+    operator norm of the cutoff.  ``resolvent`` is the run's operator on
+    the grid's box, the ``_Resolvent`` that ``RunReport.resolvent``
+    keeps; it is built here from ``problem.operator`` when not given."""
     grid = traj.grid
     T = traj.time_grid.final_time
     X_nodal, cutoff = build_cutoff(R, grid)
-    if stencil is None:
-        stencil = problem.operator.build_stencil(grid)
+    if resolvent is None:
+        resolvent = _Resolvent(problem.operator.build_stencil(grid), grid.shape)
 
     M, data_l1 = data_bounds(problem, T)
     g_piece = 0.0 if problem.source is None else problem.source.weighted_l1l1(cutoff, T)
@@ -335,7 +348,7 @@ def equitightness_check(traj, problem, R, r=1.0, stencil=None, neighbor=None):
     C = seminorm * M ** (ell - 1.0 / q) * data_l1 ** (1.0 / q)
 
     u0_piece = problem.initial.weighted_abs_l1(cutoff)
-    op_piece = T * operator_cutoff_norm(stencil, 0, X_nodal, p, neighbor)
+    op_piece = T * operator_cutoff_norm(resolvent, X_nodal, p)
 
     if problem.flux is not None:
         L_F = problem.flux.max_lipschitz(grid.dim)

@@ -468,15 +468,24 @@ def _linear_solver(shape, W, neighbor):
 
 
 class _Resolvent:
-    """What every resolvent solve of the stencil's operator on a box of
-    the given shape shares, whatever its dt and data: the total weight W,
-    the neighbor sum of ``_neighbor_operator``, and ``linear_solver``,
-    ``_linear_solver``'s at(dt).  ``evolution.run`` builds one per run and
-    hands it to every step; ``solve_ep`` builds its own when given none."""
+    """The operator of one whole stencil (c merged in, as
+    ``OperatorSpec.build_stencil`` returns it) on a box of the given
+    shape, with everything its resolvent solves share whatever their dt
+    and data: the ``stencil`` itself, its total weight W, the neighbor
+    sum of ``_neighbor_operator``, ``escape``, W - neighbor(1) per node,
+    the total weight of the jumps that leave the box (the diffusive leak
+    rate is h^N sum phi(U) escape), and ``linear_solver``,
+    ``_linear_solver``'s at(dt).
+
+    ``evolution.run`` builds one per run and hands it to every
+    ``evolution.step`` and to the tail certificate; ``solve_ep`` builds
+    its own when given none."""
 
     def __init__(self, stencil, shape):
+        self.stencil = stencil
         self.W = stencil.total_weight
         self.neighbor = _neighbor_operator(stencil, shape)
+        self.escape = self.W - self.neighbor(np.ones(shape))
         self.linear_solver = _linear_solver(shape, self.W, self.neighbor)
 
 

@@ -6,11 +6,17 @@ Each step solves the resolvent problem
     U^j - dt_j L[phi(U^j)] = U^{j-1} + dt_j G^j  (- dt_j div F(U^{j-1}))
 
 with the convective divergence, when present, taken explicitly through a
-monotone two-point numerical flux under a CFL restriction.  Everything
-outside the computational box is held at zero, and the run keeps an exact
-mass ledger: interior mass changes only through the projected source, the
-diffusive flux out of the box (escape weights), the convective flux through
-the boundary faces, and the reported solver residuals.
+monotone two-point numerical flux under a CFL restriction.  ``step`` is
+that one step, in that order (convection, then the source, then the
+resolvent solve), and everything that takes a step calls it: ``run``, and
+the comparison and contraction properties of ``checks``.  The operator
+on the box is one ``elliptic_solver._Resolvent``, built once per run and
+read by every step, the ledger's escape weights and the tail
+certificate.  Everything outside the computational box is held at zero,
+and the run keeps an exact mass ledger: interior mass changes only
+through the projected source, the diffusive flux out of the box (the
+resolvent's escape weights), the convective flux through the boundary
+faces, and the reported solver residuals.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, NonConvergenceError
 from .grid_field import Trajectory, project_cell_average, project_source
 from .elliptic_solver import EpSolveConfig, _PiecewiseLinear, _Resolvent, solve_ep
-from .levy_operators import (OperatorSpec, WeightedStencil, _neighbor_operator,
-                             combine_with_laplacian)
+from .levy_operators import OperatorSpec
 
 __all__ = [
     "FLUX_KINDS",
@@ -31,10 +36,7 @@ __all__ = [
     "ProblemSpec",
     "RunReport",
     "validate_flux",
-    "flux_divergence",
-    "escape_weights",
-    "step_gpme",
-    "step_cde",
+    "step",
     "cfl_limit",
     "check_convective_step",
     "run",
@@ -185,21 +187,6 @@ def _convection(flux, values, h):
     return out, h ** (values.ndim - 1) * total
 
 
-def flux_divergence(flux, values, h):
-    """Conservative divergence sum_i (F_i(U, U_+e) - F_i(U_-e, U)) / h with
-    zero extension outside the box."""
-    return _convection(flux, values, h)[0]
-
-
-def _convected(flux, dt, h, u):
-    """The explicit convective part of a step from u, once dt passes the
-    CFL check: u - dt div F(u), and the mass dt carries out through the
-    box boundary."""
-    check_convective_step(flux, dt, h, u.ndim)
-    divergence, outflow = _convection(flux, u, h)
-    return u - dt * divergence, dt * outflow
-
-
 def cfl_limit(flux, h, dim):
     """Largest admissible explicit step for the convective part."""
     flux.check_dim(dim)
@@ -218,18 +205,6 @@ def check_convective_step(flux, dt, h, dim):
             field="problem.dt.factor")
 
 
-def escape_weights(stencil, c, shape, neighbor=None):
-    """Per node, the total weight of jumps of the operator
-    c * Laplacian + stencil that land outside the box; the diffusive mass
-    leak rate is h^N * sum phi(U) * escape.  ``neighbor`` is the merged
-    stencil's ``_neighbor_operator`` on the box, built here when not
-    given."""
-    stencil = combine_with_laplacian(stencil, c)
-    if neighbor is None:
-        neighbor = _neighbor_operator(stencil, shape)
-    return stencil.total_weight - neighbor(np.ones(shape))
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Operator + nonlinearity + data; flux None means no convection."""
@@ -241,26 +216,26 @@ class ProblemSpec:
     flux: object = None
 
 
-def step_gpme(stencil, c, phi, dt, u_prev, g=None, config=None, warm_start=None,
-              resolvent=None):
-    """One implicit step without convection; returns the EpResult.
-    ``resolvent`` is passed on to ``solve_ep``."""
-    rho = np.asarray(u_prev, dtype=float)
+def step(resolvent, phi, dt, u_prev, g=None, flux=None, config=None):
+    """One step of the scheme from u_prev on ``resolvent``'s box, an
+    ``elliptic_solver._Resolvent``: with a flux, the explicit monotone
+    convection u_prev - dt div F(u_prev) once dt passes the CFL check at
+    the stencil's mesh width; then dt g added; then the resolvent solve
+    of ``solve_ep``, warm-started at u_prev.  Returns the EpResult and
+    the mass the convection carried out through the box boundary (0
+    without a flux)."""
+    u_prev = np.asarray(u_prev, dtype=float)
+    rho, outflow = u_prev, 0.0
+    if flux is not None:
+        h = resolvent.stencil.h
+        check_convective_step(flux, dt, h, u_prev.ndim)
+        divergence, rate = _convection(flux, u_prev, h)
+        rho, outflow = u_prev - dt * divergence, dt * rate
     if g is not None:
         rho = rho + dt * np.asarray(g, dtype=float)
-    return solve_ep(stencil, c, phi, dt, rho, config=config,
-                    warm_start=u_prev if warm_start is None else warm_start,
-                    resolvent=resolvent)
-
-
-def step_cde(stencil, c, phi, flux, dt, h, u_prev, g=None, config=None, warm_start=None,
-             resolvent=None):
-    """Explicit monotone convection then the implicit diffusion solve of
-    ``step_gpme``.  ``resolvent`` is passed on to ``solve_ep``."""
-    rho, _ = _convected(flux, dt, h, np.asarray(u_prev, dtype=float))
-    return step_gpme(stencil, c, phi, dt, rho, g=g, config=config,
-                     warm_start=u_prev if warm_start is None else warm_start,
-                     resolvent=resolvent)
+    result = solve_ep(resolvent.stencil, 0, phi, dt, rho, config=config,
+                      warm_start=u_prev, resolvent=resolvent)
+    return result, outflow
 
 
 @dataclass(frozen=True)
@@ -270,11 +245,11 @@ class RunReport:
     identity_gap[j] = mass[j] - (mass[0] + source_cum[j]
                       - leak_diffusive[j] - leak_convective[j]);
     up to rounding it equals residual_mass_cum[j], the accumulated signed
-    mass of the reported solver residuals.  ``stencil`` is the whole
-    operator's stencil the run built (``OperatorSpec.build_stencil``: the
-    measure's weights, and the Laplacian's for c = 1) and ``neighbor`` its
-    ``_neighbor_operator`` on the grid's box, both kept for the
-    diagnostics and not serialized.
+    mass of the reported solver residuals.  ``resolvent`` is the run's
+    operator on the grid's box, an ``elliptic_solver._Resolvent`` of the
+    whole stencil (``OperatorSpec.build_stencil``: the measure's weights,
+    and the Laplacian's for c = 1), kept for the tail certificate and
+    for stepping on from a knot, and not serialized.
     """
 
     trajectory: Trajectory
@@ -288,8 +263,7 @@ class RunReport:
     residuals: np.ndarray
     min_value: np.ndarray
     max_value: np.ndarray
-    stencil: WeightedStencil
-    neighbor: object
+    resolvent: _Resolvent
 
     def to_json_dict(self):
         ledger = ("mass", "source_cum", "leak_diffusive", "leak_convective", "residual_mass_cum",
@@ -301,8 +275,8 @@ class RunReport:
 def run(problem, grid, time_grid, config=None, on_knot=None):
     """March the implicit scheme across time_grid and account for every
     unit of mass; returns a RunReport.  The operator is built once, on the
-    grid's box, for the escape weights, every step's solve and the
-    report's tail certificates.
+    grid's box, as one ``_Resolvent`` for the escape weights, every
+    ``step`` and the report's tail certificates.
 
     ``on_knot(j, u)``, when given, is called with each knot's field as
     soon as it is computed, and returns the array that the trajectory
@@ -331,9 +305,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
 
     u0 = keep(0, project_cell_average(problem.initial, grid))
 
-    stencil = problem.operator.build_stencil(grid)
-    resolvent = _Resolvent(stencil, grid.shape)
-    esc = escape_weights(stencil, 0, grid.shape, resolvent.neighbor)
+    resolvent = _Resolvent(problem.operator.build_stencil(grid), grid.shape)
     vol = grid.cell_volume
     sources = project_source(problem.source, grid, time_grid)
     steps = time_grid.steps
@@ -347,12 +319,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     for j, dt in enumerate(steps):
         g = sources[j] if sources is not None else None
         try:
-            if flux is not None:
-                rho, conv_inc = _convected(flux, dt, grid.h, u)
-            else:
-                rho, conv_inc = u, 0.0
-            result = step_gpme(stencil, 0, problem.phi, dt, rho, g=g, config=cfg,
-                               warm_start=u, resolvent=resolvent)
+            result, conv_inc = step(resolvent, problem.phi, dt, u, g=g, flux=flux, config=cfg)
         except NonConvergenceError as exc:
             exc.step = j
             raise
@@ -361,7 +328,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
         fields.append(w)
         mass.append(vol * float(np.sum(w)))
         src_cum.append(src_cum[-1] + (dt * vol * float(np.sum(g)) if g is not None else 0.0))
-        leak_d.append(leak_d[-1] + dt * vol * float(np.sum(p * esc)))
+        leak_d.append(leak_d[-1] + dt * vol * float(np.sum(p * resolvent.escape)))
         leak_c.append(leak_c[-1] + conv_inc)
         res_cum.append(res_cum[-1] + vol * float(np.sum(result.residual_field)))
         sweeps.append(result.sweeps)
@@ -380,4 +347,4 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
                      residual_mass_cum=res_cum, identity_gap=gap,
                      sweeps=np.array(sweeps, dtype=int), residuals=np.array(residuals),
                      min_value=np.array(mins), max_value=np.array(maxs),
-                     stencil=stencil, neighbor=resolvent.neighbor)
+                     resolvent=resolvent)

@@ -9,8 +9,12 @@ with nonnegative weights, and it holds the whole discrete operator:
 The Laplacian is the weights 1/h^2 at the 2N nearest neighbors.
 ``combine_with_laplacian`` adds them to a measure stencil for c = 1, and
 it is the one place below the config that reads c:
-``OperatorSpec.build_stencil`` returns its result, and the entry points
-that take a pair (stencil, c) merge it on entry.  On a grid the stencil
+``OperatorSpec.build_stencil`` returns its result, the whole operator,
+and everything past it takes that one stencil (a run holds it, with its
+neighbor sum and escape weights, in ``elliptic_solver._Resolvent``).
+Only ``apply_stencil`` and ``elliptic_solver.solve_ep`` still take the
+pair (stencil, c) and merge it on entry: the benchmark's tracer binds
+both arguments by name to count a call's offsets.  On a grid the stencil
 is applied by one path, ``_neighbor_operator``, with W its
 ``total_weight``.  That path stores the neighbor sum in one form, built
 once per box: for a short stencil the CSR matrix of
@@ -215,13 +219,13 @@ class WeightedStencil:
                    weights=np.zeros(0))
 
 
-def _power_masses(edges, c):
+def _power_masses(edges, a):
     """Mass of each interval [edges[k], edges[k + 1]] (positive,
-    nondecreasing edges) under the density s^(-1-c), whose antiderivative
-    is -s^(-c)/c.  Each edge's power is one libm ``pow`` on a Python
+    nondecreasing edges) under the density s^(-1-a), whose antiderivative
+    is -s^(-a)/a.  Each edge's power is one libm ``pow`` on a Python
     float; numpy's array power may round otherwise."""
-    power = np.array([e ** -c for e in edges.tolist()])
-    return (power[:-1] - power[1:]) / c
+    power = np.array([e ** -a for e in edges.tolist()])
+    return (power[:-1] - power[1:]) / a
 
 
 def _cell_masses_1d_power(measure, edges):

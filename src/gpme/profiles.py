@@ -186,6 +186,16 @@ class SpatialProfile:
         """Integral of |f| over {|x| > R}, in closed form."""
         raise DataError(f"{type(self).__name__} does not expose a tail mass")
 
+    def check_radial_tails(self, what):
+        """Raise DataError, naming ``what``, unless the profile's tails
+        beyond a radius reduce to one variable: on the line, or for a
+        profile radial about the origin.  Only then do ``abs_tail_mass``
+        and ``weighted_abs_l1`` exist."""
+        if not (self.dim == 1 or self.is_radial):
+            raise DataError(f"{what} needs a one-dimensional or radial profile; "
+                            f"this {type(self).__name__} in {self.dim} dimensions is not "
+                            "radial about the origin")
+
     def weighted_abs_l1(self, weight):
         """Integral of |f(x)| * w(|x|) where w is a radial weight that
         vanishes for |x| <= R/2 and equals 1 for |x| >= R (a
@@ -194,13 +204,12 @@ class SpatialProfile:
         ``band`` pieces split at the profile's breakpoints.  On the line
         the quadrature runs over [-R, R], where the weight is 0 inside
         R/2; a radial profile is read along the first axis."""
+        self.check_radial_tails("cutoff-weighted L1")
         R, band = weight.R, weight.band
         if self.dim == 1:
             area, ends = 1.0, [-r for r in reversed(band)] + band
-        elif self.is_radial:
-            area, ends = sphere_area(self.dim), band
         else:
-            raise DataError("cutoff-weighted L1 needs a one-dimensional or radial profile")
+            area, ends = sphere_area(self.dim), band
 
         def g(r):
             pts = np.zeros(r.shape + (self.dim,))
@@ -295,13 +304,12 @@ class GaussianProfile(SpatialProfile):
     def abs_tail_mass(self, R):
         # on the line, one erfc per side; in the plane and above, radial
         # about the origin, the l1 norm times Q(N/2, R^2/(4 s))
+        self.check_radial_tails("tail mass")
         if self.dim == 1:
             root, c = 2.0 * math.sqrt(self.spread), self.center[0]
             return abs(self.amplitude) * math.sqrt(math.pi * self.spread) * (
                 math.erfc((R - c) / root) + math.erfc((R + c) / root))
-        if self.is_radial:
-            return self.l1_norm() * _upper_gamma_q(0.5 * self.dim, R * R / (4.0 * self.spread))
-        raise DataError("tail mass needs a one-dimensional or radial profile")
+        return self.l1_norm() * _upper_gamma_q(0.5 * self.dim, R * R / (4.0 * self.spread))
 
 
 @dataclass(frozen=True)

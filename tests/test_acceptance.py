@@ -84,12 +84,11 @@ def test_criterion_4_equitightness_bound():
         plan = build_plan(cfg)
         t0 = perf_counter()
         report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
-        stencil = plan.problem.operator.build_stencil(plan.grid)
         L = plan.grid.half_extents[0]
         margins = []
         for R in (L / 4, L / 2, 3 * L / 4):
             eq = equitightness_check(report.trajectory, plan.problem, R,
-                                     r=cfg["diagnostics"]["r"], stencil=stencil)
+                                     r=cfg["diagnostics"]["r"], resolvent=report.resolvent)
             ok = ok and eq.passed and eq.bound_asserted
             margins.append(eq.rhs_total - eq.lhs)
         elapsed = perf_counter() - t0

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gpme
+import gpme.diagnostics
 import gpme.elliptic_solver
 import gpme.evolution
 import gpme.grid_field
@@ -378,6 +379,14 @@ REJECTED["tail_radius_beyond_box"] = ({"diagnostics": {"R_list": [1.5, 100.0]}},
 REJECTED["tail_radius_without_l1_norm"] = ({"preset": "burgers_riemann_1d",
                                             "diagnostics": {"R_list": [1.0]}},
                                            "diagnostics.R_list")
+# the tail bound needs data whose tails are one-dimensional or radial about
+# the origin, which an off-centre Gaussian in the plane is not
+_OFF_CENTRE = {"kind": "gaussian", "amplitude": 0.5, "spread": 0.25, "center": [0.5, 0.0]}
+for _name, _block in (("initial", {"initial": _OFF_CENTRE}),
+                      ("source", {"source": {"spatial": _OFF_CENTRE}})):
+    REJECTED[f"tail_radius_with_off_centre_plane_{_name}"] = (
+        {"problem": {"dim": 2, **_block}, "diagnostics": {"R_list": [1.0]}},
+        "diagnostics.R_list")
 
 
 @pytest.mark.parametrize("override, field", REJECTED.values(), ids=REJECTED.keys())
@@ -396,6 +405,15 @@ def test_dry_run_rejects_what_run_rejects(tmp_path, capsys, override, field):
         record = json.loads(captured.err.strip().splitlines()[-1])
         assert (record["error"], record["field"]) == ("configuration", field), command
     assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+
+def test_run_with_tail_radii_builds_no_sup_grid(tmp_path):
+    # only the cutoff's sup norms in gpme check read the fine grid of [0, 1]
+    gpme.diagnostics._sup_grid.cache_clear()
+    cfg = write_cfg(tmp_path, TINY_RUN)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["equitightness"]
+    assert gpme.diagnostics._sup_grid.cache_info().currsize == 0
 
 
 def test_study_accepts_tail_radii_it_does_not_read(tmp_path, capsys):
@@ -478,7 +496,7 @@ def _neighbor_operator_builds(tmp_path, monkeypatch, cfg):
         matrices.append(args[0])
         return assemble(*args, **kwargs)
 
-    for module in (gpme.levy_operators, gpme.elliptic_solver, gpme.evolution):
+    for module in (gpme.levy_operators, gpme.elliptic_solver):
         monkeypatch.setattr(module, "_neighbor_operator", counted)
     monkeypatch.setattr(gpme.levy_operators, "_neighbor_matrix", counted_matrix)
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
@@ -540,6 +558,10 @@ def test_bench_tracing_binds_entry_points(tmp_path):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     assert set(tracing._COUNTS) <= {s["name"] for s in tracer.spans}
+    # evolution.step calls solve_ep through gpme.evolution once per step
+    [traced_run] = [s for s in tracer.spans if s["name"] == "evolution.run"]
+    solves = [s for s in tracer.spans if s["name"] == "elliptic_solver.solve_ep"]
+    assert len(solves) == traced_run["steps"] > 0
     for name, keys in reads.items():
         for sig in signatures[name]:
             assert keys <= set(sig.parameters), (name, keys - set(sig.parameters))

@@ -12,7 +12,7 @@ from gpme.diagnostics import (Cutoff, _sample_times, admissible_threshold, build
                               equitightness_check, forward_difference_norms,
                               operator_cutoff_norm, smooth_step, smooth_step_d1,
                               smooth_step_d2, tail_mass)
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent
 from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import ProblemSpec, run
 from gpme.grid_field import TimeGrid, Trajectory, UniformGrid, lr_norm_of_values
@@ -105,8 +105,8 @@ def test_operator_cutoff_norm_needs_room():
     with pytest.raises(ConfigurationError):
         build_cutoff(4.0, g)
     X, _ = build_cutoff(2.0, g)
-    st = OperatorSpec(c=1, measure=None).build_stencil(g)
-    assert operator_cutoff_norm(st, 0, X, np.inf) > 0.0
+    resolvent = _Resolvent(OperatorSpec(c=1, measure=None).build_stencil(g), g.shape)
+    assert operator_cutoff_norm(resolvent, X, np.inf) > 0.0
 
 
 def test_forward_difference_norm_tracks_gradient():
@@ -136,9 +136,8 @@ def _small_run(name):
 
 def test_equitightness_bound_holds_for_heat():
     plan, rep = _small_run("heat_gaussian_1d")
-    st = plan.problem.operator.build_stencil(plan.grid)
     for R in (1.5, 3.0):
-        report = equitightness_check(rep.trajectory, plan.problem, R, stencil=st)
+        report = equitightness_check(rep.trajectory, plan.problem, R, resolvent=rep.resolvent)
         assert report.bound_asserted
         assert report.passed
         assert report.lhs <= report.rhs_total * (1.0 + 1e-9)

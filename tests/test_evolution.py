@@ -9,19 +9,19 @@ import pytest
 import gpme.grid_field
 from gpme.cli import main
 from gpme.config import build_plan, load_config
-from gpme.diagnostics import operator_cutoff_norm
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec, solve_ep
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent, solve_ep
 from gpme.errors import ConfigurationError, DataError, StencilError
-from gpme.evolution import (FluxSpec, ProblemSpec, _convection, cfl_limit, escape_weights,
-                            flux_divergence, run, step_cde, step_gpme, validate_flux)
+from gpme.evolution import (FluxSpec, ProblemSpec, _convection, cfl_limit, run, step,
+                            validate_flux)
 from gpme.grid_field import TimeGrid, UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
-                                 measure_stencil)
+                                 combine_with_laplacian, measure_stencil)
 from gpme.profiles import BarenblattExact, BarenblattProfile, GaussianProfile
 
 
-def _empty(g):
-    return WeightedStencil.empty(g.h, g.dim)
+def _laplacian(g):
+    """The Laplacian's operator on g's box."""
+    return _Resolvent(OperatorSpec(c=1).build_stencil(g), g.shape)
 
 
 def test_upwind_hand_oracle():
@@ -31,14 +31,15 @@ def test_upwind_hand_oracle():
     g = UniformGrid.from_box(1, 0.5, 1.0)
     u = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
     fl = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
-    out = step_cde(_empty(g), 0, PhiSpec(kind="zero"), fl, 0.25, g.h, u)
+    out, outflow = step(_laplacian(g), PhiSpec(kind="zero"), 0.25, u, flux=fl)
     np.testing.assert_allclose(out.w, [0.0, 0.75, 0.25, 0.0, 0.0], atol=1e-14)
+    assert outflow == 0.0
 
 
 def test_flux_divergence_upwind_direction():
     fl = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
     v = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(flux_divergence(fl, v, 0.5), [0.0, 1.0, -1.0, 0.0, 0.0])
+    np.testing.assert_allclose(_convection(fl, v, 0.5)[0], [0.0, 1.0, -1.0, 0.0, 0.0])
 
 
 def test_cfl_limit_inclusive():
@@ -47,27 +48,21 @@ def test_cfl_limit_inclusive():
     lim = cfl_limit(fl, g.h, g.dim)
     assert lim == pytest.approx(0.25)
     u = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    step_cde(_empty(g), 0, PhiSpec(kind="zero"), fl, lim, g.h, u)
+    step(_laplacian(g), PhiSpec(kind="zero"), lim, u, flux=fl)
     with pytest.raises(ConfigurationError):
-        step_cde(_empty(g), 0, PhiSpec(kind="zero"), fl, 2.0 * lim, g.h, u)
+        step(_laplacian(g), PhiSpec(kind="zero"), 2.0 * lim, u, flux=fl)
 
 
 @pytest.mark.parametrize("c", [2, 0.5, -1])
 def test_operator_factor_outside_0_1_is_rejected(c):
-    # every entry point that takes the pair (stencil, c) merges it on entry,
-    # and the merge accepts c = 0 or 1 only
+    # the two entry points that still take the pair (stencil, c) merge it
+    # on entry, and the merge accepts c = 0 or 1 only
     st = WeightedStencil.empty(0.5, 1)
     rho = np.array([0.0, 1.0, 0.0])
-    linear = PhiSpec(kind="linear")
-    burgers = FluxSpec(kind="burgers", u_range=(0.0, 1.0))
     calls = [
-        lambda: solve_ep(st, c, linear, 1.0, rho),
+        lambda: solve_ep(st, c, PhiSpec(kind="linear"), 1.0, rho),
         lambda: solve_ep(st, c, PhiSpec(kind="zero"), 1.0, rho),
         lambda: apply_stencil(st, c, rho),
-        lambda: escape_weights(st, c, rho.shape),
-        lambda: step_gpme(st, c, linear, 1.0, rho),
-        lambda: step_cde(st, c, linear, burgers, 0.1, st.h, rho),
-        lambda: operator_cutoff_norm(st, c, np.ones(3), 1.0),
     ]
     for call in calls:
         with pytest.raises(ConfigurationError) as exc:
@@ -84,7 +79,6 @@ def test_divergence_mass_leaves_through_the_boundary_faces(numerical):
     fl = FluxSpec(kind="linear", u_range=(-1.0, 1.0), velocity=(1.0, -0.5),
                   numerical=numerical)
     divergence, outflow = _convection(fl, u, g.h)
-    np.testing.assert_array_equal(divergence, flux_divergence(fl, u, g.h))
     assert g.cell_volume * np.sum(divergence) == pytest.approx(outflow, rel=1e-12)
     if numerical == "engquist_osher":
         # upwind: u leaves at velocity 1 through the last faces of axis 0
@@ -95,13 +89,12 @@ def test_divergence_mass_leaves_through_the_boundary_faces(numerical):
 
 def test_escape_weights_boundary_only():
     g = UniformGrid.from_box(1, 0.5, 1.0)
-    esc = escape_weights(_empty(g), 1, g.shape)
-    np.testing.assert_allclose(esc, [4.0, 0.0, 0.0, 0.0, 4.0])
+    np.testing.assert_allclose(_laplacian(g).escape, [4.0, 0.0, 0.0, 0.0, 4.0])
     # in 2-D with a measure, the escape rate is minus the operator on ones
     g2 = UniformGrid.from_box(2, 0.5, 1.0)
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g2)
     ones = np.ones(g2.shape)
-    np.testing.assert_array_equal(escape_weights(st, 1, g2.shape),
+    np.testing.assert_array_equal(_Resolvent(combine_with_laplacian(st, 1), g2.shape).escape,
                                   -apply_stencil(st, 1, ones))
 
 
@@ -143,13 +136,12 @@ def test_pme_compact_support_no_leak():
     assert np.all(np.abs(final[outside]) <= 1e-13)
 
 
-def test_step_gpme_max_principle_and_positivity():
+def test_step_max_principle_and_positivity():
     g = UniformGrid.from_box(1, 0.25, 2.0)
     phi = PhiSpec(kind="power", exponent=2.0)
     rng = np.random.default_rng(23)
     u = rng.uniform(0.0, 3.0, size=g.shape)
-    out = step_gpme(_empty(g), 1, phi, 0.1, u,
-                    config=EpSolveConfig(residual_tol=1e-12)).w
+    out = step(_laplacian(g), phi, 0.1, u, config=EpSolveConfig(residual_tol=1e-12))[0].w
     assert np.all(out >= -1e-12)
     assert np.max(out) <= np.max(u) + 1e-10
 
@@ -161,6 +153,36 @@ def test_cde_step_ledger_terms():
     assert np.max(np.abs(rep.identity_gap)) <= 1e-9 * (1.0 + rep.mass[0])
     # convection moves mass toward the outflow side, some of it out of the box
     assert rep.leak_convective[-1] >= 0.0
+
+
+def test_run_with_flux_source_and_measure_keeps_the_ledger():
+    # Burgers convection, a Gaussian source and the fractional measure in
+    # one run: every ledger term moves, and the identity still closes
+    plan = build_plan(load_config({"preset": "cde_burgers_frac_1d", "problem": {
+        "initial": {"amplitude": 0.8},
+        "source": {"spatial": {"kind": "gaussian", "amplitude": 0.5, "spread": 0.25}}}}))
+    rep = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
+    assert np.max(np.abs(rep.identity_gap)) <= 1e-14
+    np.testing.assert_allclose(rep.identity_gap, rep.residual_mass_cum, rtol=0.0, atol=1e-14)
+    # T times the source's mass 0.5 sqrt(pi), nearly all of it in the box
+    assert rep.source_cum[-1] == pytest.approx(0.3 * 0.5 * np.sqrt(np.pi), rel=1e-9)
+    assert 0.0 < rep.leak_convective[-1] < 1e-6
+    assert rep.leak_diffusive[-1] == pytest.approx(0.028, rel=0.01)
+    lo, hi = plan.problem.flux.u_range
+    assert lo <= rep.min_value.min() and rep.max_value.max() <= hi
+    assert rep.max_value.max() == pytest.approx(0.799, rel=1e-3)
+    # knot 1 is one step from U^0 on the run's operator, bit for bit, and
+    # that step is convection, then the source, then the solve
+    u0, knot1 = rep.trajectory.fields[:2]
+    g0 = gpme.grid_field.project_source(plan.problem.source, plan.grid, plan.time_grid)[0]
+    dt, phi, flux = plan.time_grid.steps[0], plan.problem.phi, plan.problem.flux
+    result, outflow = step(rep.resolvent, phi, dt, u0, g=g0, flux=flux, config=plan.solver)
+    assert result.w.tobytes() == knot1.tobytes()
+    assert outflow == rep.leak_convective[1]
+    rho = u0 - dt * _convection(flux, u0, plan.grid.h)[0] + dt * g0
+    by_hand = solve_ep(rep.resolvent.stencil, 0, phi, dt, rho, config=plan.solver,
+                       warm_start=u0, resolvent=rep.resolvent)
+    assert by_hand.w.tobytes() == knot1.tobytes()
 
 
 def test_run_rejects_cfl_violating_time_grid():
@@ -257,11 +279,11 @@ def test_run_fails_at_the_first_knot_outside_the_flux_range():
 
 
 @pytest.mark.parametrize("call", [
-    lambda flux, u: step_cde(_empty(UniformGrid.from_box(2, 0.5, 1.0)), 1,
-                             PhiSpec(kind="zero"), flux, 0.01, 0.5, u),
+    lambda flux, u: step(_laplacian(UniformGrid.from_box(2, 0.5, 1.0)),
+                         PhiSpec(kind="zero"), 0.01, u, flux=flux),
     lambda flux, u: cfl_limit(flux, 0.5, u.ndim),
-    lambda flux, u: flux_divergence(flux, u, 0.5),
-], ids=["step_cde", "cfl_limit", "flux_divergence"])
+    lambda flux, u: _convection(flux, u, 0.5),
+], ids=["step", "cfl_limit", "convection"])
 def test_direct_calls_reject_a_velocity_shorter_than_dim(call):
     # the same check as run's, without the run: a 5 x 5 array, one component
     flux = FluxSpec(kind="linear", u_range=(0.0, 1.0), velocity=(1.0,))
