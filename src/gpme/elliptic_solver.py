@@ -19,15 +19,18 @@ bounded there), and clip the result to the comparison bracket
 [min(0, min rho), max(0, max rho)].  The step is kept if it lowers the
 sup-norm residual; otherwise it is halved, up to four times, and if no
 length does, the iteration falls back to one nonlinear Jacobi sweep from
-the previous iterate.  The stencil weights are symmetric, so K is
-symmetric positive definite and ``_linear_solver`` solves each Newton
-system in an SPD form: by banded Cholesky on the line for a short
-stencil, and otherwise by preconditioned conjugate gradients (an inexact
-Newton step, Kelley, Iterative Methods for Linear and Nonlinear
-Equations, 1995, ch. 6), preconditioned by Jacobi, or for a dense kernel
-with constant coefficients by the inverse of the operator's circulant.
-The operator, and whatever of the linear solver does not depend on dt,
-is built once per box (``_Resolvent``).
+the previous iterate.  The iteration starts from the caller's warm
+start, clipped to the bracket, where the solution lies.
+``_linear_solver`` solves each Newton system: on the line for a short
+stencil as it stands, by one banded LU, which needs no row exchange on
+a column diagonally dominant M-matrix; otherwise, as the stencil weights
+are symmetric and K is symmetric positive definite, in an SPD form by
+preconditioned conjugate gradients (an inexact Newton step, Kelley,
+Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 6),
+preconditioned by Jacobi, or for a dense kernel with constant
+coefficients by the inverse of the operator's circulant.  The operator,
+and whatever of the linear solver does not depend on dt, is built once
+per box (``_Resolvent``).
 
 For a nonlinear phi each linear solve is asked only for the quadratic
 forcing level max(_CG_SHARE tol, min(_CG_SHARE, |F(w)|_2) |F(w)|_2) in
@@ -321,34 +324,47 @@ def _jacobi_sweep(phi, dt, W, rho, ns, w):
     return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w, _SCALAR_TOL, _SCALAR_ITER)
 
 
-def solveh_banded(ab, b, **options):
-    """scipy.linalg.solveh_banded, imported when it is first called."""
-    from scipy import linalg
+def banded_lu(ab, b):
+    """x with M x = b, M a band matrix of half-bandwidth k held in LAPACK's
+    dgbsv layout: 3k + 1 rows, M[i, j] at ab[2k + i - j, j], the first k
+    rows left for the fill-in of row interchanges.  One banded LU: dgtsv
+    for a tridiagonal M, dgbsv otherwise, both from scipy.linalg.lapack,
+    imported when first called.  ab is overwritten."""
+    from scipy.linalg import lapack
 
-    return linalg.solveh_banded(ab, b, **options)
+    k = (len(ab) - 1) // 3
+    if k == 1:
+        *_, x, info = lapack.dgtsv(ab[3, :-1], ab[2], ab[1, 1:], b, 1, 1, 1, 0)
+    else:
+        *_, x, info = lapack.dgbsv(k, k, ab, b, 1, 0)
+    if info:
+        raise np.linalg.LinAlgError(f"banded LU failed with LAPACK info {info}")
+    return x
 
 
-def _banded_cholesky(matrix, n, W):
-    """at(dt) -> solve(a, s, b, tol): z with (diag(a) + S K S) z = b on a
-    line of n nodes, K = dt (W I - A) and A the short stencil's CSR
-    ``matrix``, by banded Cholesky (LAPACK pbsv, or ptsv for a tridiagonal
-    band) on upper band storage.  Diagonal j > 0 of A sits on row k - j,
-    k the half-bandwidth: its entry in column i is -dt A[i - j, i]
-    s_(i-j) s_i, and the lower half is omitted."""
+def _banded_lu(matrix, n, W):
+    """at(dt) -> solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs
+    on a line of n nodes, K = dt (W I - A) and A the short stencil's CSR
+    ``matrix``, by ``banded_lu``.  The band of W I - A is laid out once;
+    the system's band is K's with column j scaled by d_j, and a added on
+    the diagonal.  A is symmetric, so its diagonal j > 0 fills row 2k - j
+    (above the diagonal, from column j) and row 2k + j (below it, up to
+    column n - j), k the half-bandwidth.  The solve is direct and reads
+    no tol."""
     coo = matrix.tocoo()
     k = int(np.max(coo.col - coo.row, initial=0))
+    band = np.zeros((3 * k + 1, n))
+    band[2 * k] = W
+    for j in range(1, k + 1):
+        band[2 * k - j, j:] = band[2 * k + j, :n - j] = -matrix.diagonal(j)
 
     def at(dt):
-        upper = np.zeros((k + 1, n))
-        for off in range(1, k + 1):
-            upper[k - off, off:] -= dt * matrix.diagonal(off)
+        scaled = dt * band
 
-        def solve(a, s, b, tol):
-            ab = upper * s
-            for off in range(1, k + 1):
-                ab[k - off, off:] *= s[:n - off]
-            ab[k] = a + dt * W * s * s
-            return solveh_banded(ab, b, check_finite=False)
+        def solve(a, d, rhs, tol):
+            ab = scaled * d
+            ab[2 * k] += a
+            return banded_lu(ab, rhs)
         return solve
     return at
 
@@ -376,19 +392,23 @@ def _linear_solver(shape, W, neighbor):
     Everything that does not depend on dt is built here, once for all the
     solves on the box.
 
-    The weights are symmetric, so K is a symmetric nonsingular M-matrix,
-    hence positive definite, and both systems are solved in the SPD form
-    diag(a) + S K S: with S = I for d = 1, and otherwise as
+    Both systems are column diagonally dominant M-matrices: the
+    off-diagonal entries of column j sum to at most dt W d_j in magnitude.
+    On the line a short stencil's A is ``neighbor.matrix``, a band, and the
+    system is solved as it stands by one banded LU (``_banded_lu``), which
+    on such a matrix exchanges no rows (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 9.5).
+
+    For N >= 2 and for a dense kernel the weights' symmetry makes K a
+    symmetric nonsingular M-matrix, hence positive definite, and both
+    systems are solved in the SPD form diag(a) + S K S by conjugate
+    gradients (``_pcg``): with S = I for d = 1, and otherwise as
     (I + S K S) z = S rhs, S = diag(d)^(1/2), mapped back by
     x = rhs - K S z, which divides by no entry of d (the flat part of a
-    Stefan nonlinearity, d = 0, needs no care).
-
-    A short stencil's A is ``neighbor.matrix``.  On the line the SPD
-    system is solved directly, by banded Cholesky on that matrix's band
-    (``_banded_cholesky``); for N >= 2, by conjugate gradients (``_pcg``)
-    on W I - A with a Jacobi preconditioner.  A dense kernel's A is
-    applied through ``neighbor`` and its system solved by ``_pcg``.  There
-    K is block Toeplitz, the restriction to the box of the circulant
+    Stefan nonlinearity, d = 0, needs no care).  A short stencil's system
+    is the CSR matrix W I - A, rescaled, with a Jacobi preconditioner.  A
+    dense kernel's A is applied through ``neighbor``.  There K is block
+    Toeplitz, the restriction to the box of the circulant
     dt (W - spectrum) on ``neighbor``'s circular lengths, so for a constant
     a > 0 and a constant s (a linear phi) the system is preconditioned by
     the inverse of the circulant with eigenvalues
@@ -404,10 +424,12 @@ def _linear_solver(shape, W, neighbor):
     rounding by that factor, an x left above tol gets one iterative
     refinement step.  ``solve_ep`` passes the forcing level as tol for a
     nonlinear phi and _CG_SHARE times its stopping level for a linear one;
-    banded Cholesky reads tol only in that refinement test.
+    the banded LU is direct and reads no tol.
     """
     short = neighbor.spectrum is None
-    if short and len(shape) > 1:
+    if short and len(shape) == 1:
+        return _banded_lu(neighbor.matrix, shape[0], W)
+    if short:
         from scipy import sparse
 
         size = math.prod(shape)
@@ -427,28 +449,19 @@ def _linear_solver(shape, W, neighbor):
                 return _pcg(M.dot, _jacobi(M.data[on_diagonal]), b, tol)
             return matrix.dot, spd
     else:
-        def matvec(dt):
-            return lambda y: dt * (W * y - neighbor(y.reshape(shape)).ravel())
+        gap = W - neighbor.spectrum
 
-        if short:
-            banded = _banded_cholesky(neighbor.matrix, shape[0], W)
+        def system(dt):
+            def K(y):
+                return dt * (W * y - neighbor(y.reshape(shape)).ravel())
 
-            def system(dt):
-                return matvec(dt), banded(dt)
-        else:
-            gap = W - neighbor.spectrum
-
-            def system(dt):
-                K = matvec(dt)
-
-                def spd(a, s, b, tol):
-                    if a[0] > 0.0 and (a == a[0]).all() and (s == s[0]).all():
-                        precondition = _circulant(neighbor, a[0] + s[0] * s[0] * dt * gap,
-                                                  shape)
-                    else:
-                        precondition = _jacobi(a + dt * W * s * s)
-                    return _pcg(lambda x: a * x + s * K(s * x), precondition, b, tol)
-                return K, spd
+            def spd(a, s, b, tol):
+                if a[0] > 0.0 and (a == a[0]).all() and (s == s[0]).all():
+                    precondition = _circulant(neighbor, a[0] + s[0] * s[0] * dt * gap, shape)
+                else:
+                    precondition = _jacobi(a + dt * W * s * s)
+                return _pcg(lambda x: a * x + s * K(s * x), precondition, b, tol)
+            return K, spd
 
     def at(dt):
         K, spd = system(dt)
@@ -555,10 +568,13 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
 
     Returns an EpResult; raises NonConvergenceError, naming the node with
     the worst residual, when the iteration cap is hit with the residual
-    still above tolerance.  The stencil and c are merged on entry by
-    ``combine_with_laplacian``.  ``resolvent`` is a ``_Resolvent`` of the
-    merged stencil on rho's box, for a caller that solves many times on
-    one box; by default the solve builds its own.
+    still above tolerance.  The iteration starts from ``warm_start``, rho
+    by default, clipped to the comparison bracket
+    [min(0, min rho), max(0, max rho)]: the solution lies in it, so the
+    clip only moves the start closer.  The stencil and c are merged on
+    entry by ``combine_with_laplacian``.  ``resolvent`` is a
+    ``_Resolvent`` of the merged stencil on rho's box, for a caller that
+    solves many times on one box; by default the solve builds its own.
     """
     stencil = combine_with_laplacian(stencil, c)
     cfg = config if config is not None else EpSolveConfig()
@@ -578,11 +594,11 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
     if resolvent is None:
         resolvent = _Resolvent(stencil, rho.shape)
     W, neighbor = resolvent.W, resolvent.neighbor
-    w = np.array(rho if warm_start is None else warm_start, dtype=float)
     cap = max(_MIN_SWEEPS, _SWEEPS_PER_NODE * rho.size)
     tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho))))
     lo = min(0.0, float(np.min(rho)))
     hi = max(0.0, float(np.max(rho)))
+    w = np.clip(np.asarray(rho if warm_start is None else warm_start, dtype=float), lo, hi)
     solve = resolvent.linear_solver(dt)
 
     def evaluate(w):

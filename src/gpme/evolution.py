@@ -216,14 +216,14 @@ class ProblemSpec:
     flux: object = None
 
 
-def step(resolvent, phi, dt, u_prev, g=None, flux=None, config=None):
+def step(resolvent, phi, dt, u_prev, g=None, flux=None, config=None, guess=None):
     """One step of the scheme from u_prev on ``resolvent``'s box, an
     ``elliptic_solver._Resolvent``: with a flux, the explicit monotone
     convection u_prev - dt div F(u_prev) once dt passes the CFL check at
     the stencil's mesh width; then dt g added; then the resolvent solve
-    of ``solve_ep``, warm-started at u_prev.  Returns the EpResult and
-    the mass the convection carried out through the box boundary (0
-    without a flux)."""
+    of ``solve_ep``, warm-started at ``guess``, or at u_prev without one.
+    Returns the EpResult and the mass the convection carried out through
+    the box boundary (0 without a flux)."""
     u_prev = np.asarray(u_prev, dtype=float)
     rho, outflow = u_prev, 0.0
     if flux is not None:
@@ -234,7 +234,7 @@ def step(resolvent, phi, dt, u_prev, g=None, flux=None, config=None):
     if g is not None:
         rho = rho + dt * np.asarray(g, dtype=float)
     result = solve_ep(resolvent.stencil, 0, phi, dt, rho, config=config,
-                      warm_start=u_prev, resolvent=resolvent)
+                      warm_start=u_prev if guess is None else guess, resolvent=resolvent)
     return result, outflow
 
 
@@ -245,9 +245,10 @@ class RunReport:
     identity_gap[j] = mass[j] - (mass[0] + source_cum[j]
                       - leak_diffusive[j] - leak_convective[j]);
     up to rounding it equals residual_mass_cum[j], the accumulated signed
-    mass of the reported solver residuals.  ``resolvent`` is the run's
-    operator on the grid's box, an ``elliptic_solver._Resolvent`` of the
-    whole stencil (``OperatorSpec.build_stencil``: the measure's weights,
+    mass of the reported solver residuals.  sweeps, fallbacks and
+    residuals are each step's ``EpResult`` figures.  ``resolvent`` is the
+    run's operator on the grid's box, an ``elliptic_solver._Resolvent`` of
+    the whole stencil (``OperatorSpec.build_stencil``: the measure's weights,
     and the Laplacian's for c = 1), kept for the tail certificate and
     for stepping on from a knot, and not serialized.
     """
@@ -260,6 +261,7 @@ class RunReport:
     residual_mass_cum: np.ndarray
     identity_gap: np.ndarray
     sweeps: np.ndarray
+    fallbacks: np.ndarray
     residuals: np.ndarray
     min_value: np.ndarray
     max_value: np.ndarray
@@ -267,7 +269,7 @@ class RunReport:
 
     def to_json_dict(self):
         ledger = ("mass", "source_cum", "leak_diffusive", "leak_convective", "residual_mass_cum",
-                  "identity_gap", "sweeps", "residuals", "min_value", "max_value")
+                  "identity_gap", "sweeps", "fallbacks", "residuals", "min_value", "max_value")
         return {"times": [float(t) for t in self.trajectory.time_grid.knots],
                 **{name: getattr(self, name).tolist() for name in ledger}}
 
@@ -287,7 +289,13 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     resolvent and the escape weights are built; then each step's field.
     With a flux, a knot whose field leaves the flux's declared u_range
     fails the run there, before ``on_knot`` sees it: the CFL bound and the
-    flux's Lipschitz constant hold on that range only."""
+    flux's Lipschitz constant hold on that range only.
+
+    Every step after the first starts its resolvent solve from the linear
+    extrapolation of the last two knots, u^j + (u^j - u^(j-1)) dt_j /
+    dt_(j-1), the predictor of implicit time stepping (Brenan, Campbell &
+    Petzold, Numerical Solution of Initial-Value Problems in DAEs, 1996,
+    ch. 5); the first starts from U^0."""
     cfg = config if config is not None else EpSolveConfig()
     flux = problem.flux
     if flux is not None:
@@ -313,13 +321,15 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     fields = [u0]
     mass = [vol * float(np.sum(u0))]
     src_cum, leak_d, leak_c, res_cum = [0.0], [0.0], [0.0], [0.0]
-    sweeps, residuals = [], []
+    sweeps, fallbacks, residuals = [], [], []
 
-    u = u0
+    u = previous = u0
     for j, dt in enumerate(steps):
         g = sources[j] if sources is not None else None
+        guess = u + (u - previous) * (dt / steps[j - 1]) if j else None
         try:
-            result, conv_inc = step(resolvent, problem.phi, dt, u, g=g, flux=flux, config=cfg)
+            result, conv_inc = step(resolvent, problem.phi, dt, u, g=g, flux=flux, config=cfg,
+                                    guess=guess)
         except NonConvergenceError as exc:
             exc.step = j
             raise
@@ -332,8 +342,9 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
         leak_c.append(leak_c[-1] + conv_inc)
         res_cum.append(res_cum[-1] + vol * float(np.sum(result.residual_field)))
         sweeps.append(result.sweeps)
+        fallbacks.append(result.fallbacks)
         residuals.append(result.residual)
-        u = w
+        previous, u = u, w
 
     mass = np.array(mass)
     src_cum = np.array(src_cum)
@@ -345,6 +356,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     return RunReport(trajectory=traj, mass=mass, source_cum=src_cum,
                      leak_diffusive=leak_d, leak_convective=leak_c,
                      residual_mass_cum=res_cum, identity_gap=gap,
-                     sweeps=np.array(sweeps, dtype=int), residuals=np.array(residuals),
+                     sweeps=np.array(sweeps, dtype=int),
+                     fallbacks=np.array(fallbacks, dtype=int), residuals=np.array(residuals),
                      min_value=np.array(mins), max_value=np.array(maxs),
                      resolvent=resolvent)

@@ -20,7 +20,7 @@ is applied by one path, ``_neighbor_operator``, with W its
 once per box: for a short stencil the CSR matrix of
 ``_neighbor_matrix``, for a dense kernel its rFFT spectrum, reused by
 every application.  The resolvent's Newton steps read the same object:
-the short stencil's matrix (banded Cholesky on the line, conjugate
+the short stencil's matrix (banded LU on the line, conjugate
 gradients above it), and the dense kernel's real spectrum, which it
 inverts as a circulant preconditioner.
 Weights for a jump measure are the measure of each lattice cell, so the
@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 # up to this offset count a stencil is stored and applied as a CSR matrix,
-# on which the resolvent's Newton steps are solved by banded Cholesky on
-# the line and by conjugate gradients above it; beyond it, by rFFT
+# on which the resolvent's Newton steps are solved by banded LU on the
+# line and by conjugate gradients above it; beyond it, by rFFT
 # convolution, and conjugate gradients applying it matrix-free
 _KERNEL_THRESHOLD = 64
 

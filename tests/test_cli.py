@@ -646,35 +646,40 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     # whose inner products must not change with the thread count; the one
     # step on 12289 nodes of the line, and the one on the plane's 16641,
     # take them past the length at which OpenBLAS splits a dot product.
-    # The Stefan run takes banded Cholesky steps on 1537 nodes (LAPACK
-    # ptsv, the tridiagonal case of scipy's solveh_banded).
+    # The Stefan run takes banded LU steps on 1537 nodes (LAPACK dgtsv, a
+    # tridiagonal band), and the run whose measure is cut at 4h takes them
+    # on a band of half-width 4 (dgbsv).
     runs = {"tiny": TINY_RUN,
             "frac_coarse": {"preset": "frac_heat_poisson_1d",
                             "problem": {"h": 0.125, "T": 0.125}},
             "frac_long": {"preset": "frac_heat_poisson_1d",
                           "problem": {"h": 1.0 / 128, "T": 1.0 / 256}},
+            "frac_band_4": {"preset": "frac_heat_poisson_1d",
+                            "problem": {"h": 0.125, "T": 0.125,
+                                        "operator": {"support_radius": 0.5}}},
             "stefan_fine": {"preset": "stefan_1d",
                             "problem": {"h": 1.0 / 128, "T": 1.0 / 64}},
             # m = 2 under the Laplacian alone, on the CSR path
             "plane_fine": merge_config(PLANE_RUN, {"problem": {
                 "operator": {"measure": None}, "h": 1.0 / 16, "T": 1.0 / 32}})}
-    for name, run in runs.items():
-        cfg = write_cfg(tmp_path, run, name=f"{name}.json")
-        outs = {}
-        for threads in ("1", "4"):
-            out = tmp_path / f"{name}_t{threads}"
-            env = dict(os.environ, GPME_THREADS=threads)
-            # the field writer forks at every size, so its bytes are checked
-            # against the thread count too
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys, gpme.grid_field; gpme.grid_field._FORK_MIN_VALUES = 0; "
-                 "from gpme.cli import main; sys.exit(main(sys.argv[1:]))",
-                 "run", "--config", cfg, "--out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            outs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert outs["1"] == outs["4"], name
+    args = [write_cfg(tmp_path, run, name=f"{name}.json") for name, run in runs.items()]
+    for threads in ("1", "4"):
+        # one process per thread count runs them all, and the field writer
+        # forks at every size, so its bytes are checked against the thread
+        # count too
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gpme.grid_field; gpme.grid_field._FORK_MIN_VALUES = 0; "
+             "from gpme.cli import main; "
+             "sys.exit(max([main(['run', '--config', cfg, '--out', f'{cfg}_t{sys.argv[1]}']) "
+             "for cfg in sys.argv[2:]]))",
+             threads, *args],
+            env=dict(os.environ, GPME_THREADS=threads), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    for name, cfg in zip(runs, args):
+        outs = [{p.name: p.read_bytes() for p in sorted(Path(f"{cfg}_t{threads}").iterdir())}
+                for threads in ("1", "4")]
+        assert outs[0] == outs[1], name
 
 
 def test_cli_does_not_import_scipy_signal():
@@ -758,6 +763,26 @@ def test_run_imports_no_scipy_quadrature(tmp_path):
     assert proc.returncode == 0, proc.stderr
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     assert line == {"codes": [0] * (len(gpme.presets.preset_names()) + 2), "loaded": []}
+
+
+_RUN_LOADS_LINALG = """
+import json, sys
+from gpme.cli import main
+
+code = main(["run", "--config", json.dumps({"preset": "burgers_riemann_1d"}),
+             "--out", sys.argv[1]])
+print(json.dumps({"code": code, "linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_run_that_never_solves_leaves_scipy_linalg_unloaded(tmp_path):
+    # LAPACK is imported at the first banded solve, not when the line's
+    # operator is built: pure convection builds the operator and solves
+    # nothing, and scipy.linalg would cost it about 6 MB of memory
+    proc = subprocess.run([sys.executable, "-c", _RUN_LOADS_LINALG, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "linalg": False}
 
 
 def test_constant_data_record_an_infinite_tail(tmp_path):

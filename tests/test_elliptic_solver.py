@@ -110,6 +110,27 @@ def test_warm_start_reaches_same_fixed_point():
     np.testing.assert_allclose(cold, warm, atol=1e-11)
 
 
+def test_warm_start_is_clipped_to_the_comparison_bracket(monkeypatch):
+    # the solution lies in [min(0, min rho), max(0, max rho)] = [0, 1.5],
+    # so the first Newton step starts from the warm start clipped to it
+    g = UniformGrid.from_box(1, 0.25, 2.0)
+    phi = PhiSpec(kind="power", exponent=2.0)
+    rho = 0.75 * (1.0 + np.cos(g.axis_coords(0) * np.pi / 2.0))
+    warm = np.random.default_rng(3).uniform(-3.0, 4.0, size=g.shape)
+    starts = []
+    real = gpme.elliptic_solver._newton_candidates
+
+    def record(phi, solve, w, *args):
+        starts.append(w.copy())
+        return real(phi, solve, w, *args)
+    monkeypatch.setattr(gpme.elliptic_solver, "_newton_candidates", record)
+    empty = WeightedStencil.empty(g.h, g.dim)
+    out = solve_ep(empty, 1, phi, 0.3, rho, warm_start=warm)
+    assert np.min(warm) < 0.0 and np.max(warm) > 1.5
+    np.testing.assert_array_equal(starts[0], np.clip(warm, 0.0, 1.5))
+    np.testing.assert_allclose(out.w, solve_ep(empty, 1, phi, 0.3, rho).w, rtol=0.0, atol=1e-11)
+
+
 def test_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(gpme.elliptic_solver, "_MIN_SWEEPS", 2)
     monkeypatch.setattr(gpme.elliptic_solver, "_SWEEPS_PER_NODE", 0)
@@ -223,7 +244,7 @@ def test_stefan_fallback_sweep_returns_the_closed_form_root():
 def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c, monkeypatch):
     # the Jacobi sweep is the fallback, and the reference: iterate it to
     # its fixed point on c times the Laplacian plus a fractional stencil,
-    # short (banded Cholesky steps on the line, conjugate gradients on the
+    # short (banded LU steps on the line, conjugate gradients on the
     # CSR matrix on the plane) or over the box diameter (conjugate
     # gradients through the rFFT); its scalar solves go below the default
     # level, so the reference settles to 1e-15
@@ -277,27 +298,32 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
     merged = combine_with_laplacian(st, c)
     W, dt = merged.total_weight, 0.1
     K = dt * (W * np.eye(n) - _neighbor_matrix(merged, (n,)).toarray())
-    taken = []
-    for spied in ("solveh_banded", "_pcg"):
+    taken, applied = [], []
+    for spied in ("banded_lu", "_pcg"):
         monkeypatch.setattr(gpme.elliptic_solver, spied, _spy(taken, spied))
     solve = _Resolvent(merged, (n,)).linear_solver(dt)
+    monkeypatch.setattr(gpme.levy_operators._NeighborOperator, "__call__",
+                        _spy(applied, "__call__", gpme.levy_operators._NeighborOperator))
     rng = np.random.default_rng(n)
     rhs = rng.normal(size=n)
     w = rng.uniform(-0.5, 1.5, size=n)
     stefan, root = PhiSpec(kind="stefan", latent=0.5), PhiSpec(kind="power", exponent=0.5)
     # the w form across the Stefan plateau (d = 0 there), and the v form
-    # of m = 1/2, a = (phi^(-1))'(v), d = 1
+    # of m = 1/2, a = (phi^(-1))'(v), d = 1: each one LU as it stands,
+    # with no application of K and no second solve
     for a, d in ((np.ones(n), stefan.derivative(w)),
                  (2.0 * np.abs(root.value(w)), np.ones(n))):
+        taken.clear()
         x = solve(a, d, rhs, 0.0)
+        assert taken == ["banded_lu"] and applied == []
         ref = np.linalg.solve(np.diag(a) + K * d, rhs)
         np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
-    # a whole solve on the line takes Newton steps, by Cholesky alone
+    # a whole solve on the line takes Newton steps, by the LU alone
     g = UniformGrid.from_box(1, st.h, 2.0)
     out = solve_ep(st, c, PhiSpec(kind="power", exponent=2.0), dt,
                    np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape))
     assert out.sweeps > out.fallbacks
-    assert set(taken) == {"solveh_banded"}
+    assert set(taken) == {"banded_lu"}
 
 
 @pytest.mark.parametrize("n", [15, 60])
@@ -363,7 +389,7 @@ def test_linear_solve_property(path):
     # CSR matrices built per box, one for a short stencil and none for a
     # dense kernel, whose spectrum holds its nearest neighbors too
     builds = 1 if reach is not None else 0
-    per_solve = {"banded": ["solveh_banded"], "csr_cg": ["_jacobi", "_pcg"]}.get(
+    per_solve = {"banded": ["banded_lu"], "csr_cg": ["_jacobi", "_pcg"]}.get(
         path, ["_jacobi" if coefficients == "varying" else "_circulant", "_pcg"])
     taken = []
 
@@ -387,15 +413,16 @@ def test_linear_solve_property(path):
         taken.clear()
         built = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("solveh_banded", "_pcg", "_jacobi", "_circulant"):
+            for name in ("banded_lu", "_pcg", "_jacobi", "_circulant"):
                 mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
             mp.setattr(gpme.levy_operators, "_neighbor_matrix",
                        _spy(built, "_neighbor_matrix", gpme.levy_operators))
             solve = _Resolvent(merged, g.shape).linear_solver(dt)
             assert len(built) == builds
             x = solve(a, d, rhs, tol)
-        # one SPD solve, and one more if x takes a refinement step
-        assert taken in (per_solve, 2 * per_solve)
+        # one solve; on a conjugate-gradient path one more if x takes a
+        # refinement step, while the banded LU solves the system as it stands
+        assert taken in ((per_solve,) if path == "banded" else (per_solve, 2 * per_solve))
         assert len(built) == builds
         J = np.diag(a) + _dense_K(stencil, c, g.shape, dt) * d
         assert np.linalg.norm(J @ x - rhs) <= tol + 1e-14 * dt * W * np.linalg.norm(rhs)
