@@ -32,12 +32,12 @@ _EXPORTS = {
     "WeightedStencil": "levy_operators",
     "OperatorSpec": "levy_operators",
     "measure_stencil": "levy_operators",
-    "apply_stencil": "levy_operators",
     "check_moments": "levy_operators",
     # resolvent
     "PhiSpec": "elliptic_solver",
     "EpSolveConfig": "elliptic_solver",
     "solve_ep": "elliptic_solver",
+    "apply_stencil": "elliptic_solver",
     # evolution
     "FluxSpec": "evolution",
     "ProblemSpec": "evolution",

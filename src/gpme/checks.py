@@ -23,12 +23,12 @@ import numpy as np
 
 from .diagnostics import (Cutoff, build_cutoff, equitightness_check,
                           operator_cutoff_norm, tail_mass)
-from .elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent, solve_ep
+from .elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent, apply_stencil, solve_ep
 from .errors import ConfigurationError
 from .evolution import FluxSpec, ProblemSpec, _convection, cfl_limit, run, step
 from .grid_field import TimeGrid, UniformGrid
-from .levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
-                             check_moments, combine_with_laplacian, measure_stencil,
+from .levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, check_moments,
+                             combine_with_laplacian, measure_stencil,
                              testfunction_moment_bound)
 from .profiles import (BarenblattProfile, GaussianProfile, PoissonKernelProfile,
                        SeparableSource, TimeFactor)

@@ -19,10 +19,9 @@ from functools import cache
 
 import numpy as np
 
-from .elliptic_solver import _Resolvent
+from .elliptic_solver import _Resolvent, apply_stencil
 from .errors import ConfigurationError, DataError
 from .grid_field import lr_norm_of_values, shifted
-from .levy_operators import apply_stencil
 from .profiles import adaptive_quad, sphere_area
 
 __all__ = [
@@ -185,7 +184,7 @@ def operator_cutoff_norm(resolvent, X, p):
     support contributes (1 - 𝒳_R) times the analytic remainder.  The
     stencil's mesh width h gives the cell volume."""
     stencil = resolvent.stencil
-    v = (apply_stencil(stencil, 0, X - 1.0, resolvent.neighbor)
+    v = (apply_stencil(stencil, 0, X - 1.0, resolvent)
          + (1.0 - X) * stencil.tail_mass_beyond_support)
     return lr_norm_of_values(v, stencil.h ** X.ndim, p)
 

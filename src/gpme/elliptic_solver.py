@@ -21,16 +21,15 @@ sup-norm residual; otherwise it is halved, up to four times, and if no
 length does, the iteration falls back to one nonlinear Jacobi sweep from
 the previous iterate.  The iteration starts from the caller's warm
 start, clipped to the bracket, where the solution lies.
-``_linear_solver`` solves each Newton system: on the line for a short
-stencil as it stands, by one banded LU, which needs no row exchange on
-a column diagonally dominant M-matrix; otherwise, as the stencil weights
-are symmetric and K is symmetric positive definite, in an SPD form by
-preconditioned conjugate gradients (an inexact Newton step, Kelley,
-Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 6),
-preconditioned by Jacobi, or for a dense kernel with constant
-coefficients by the inverse of the operator's circulant.  The operator,
-and whatever of the linear solver does not depend on dt, is built once
-per box (``_Resolvent``).
+The operator is one ``_Resolvent`` per box, which stores, applies and
+solves it.  ``_Resolvent.solve`` solves each Newton system: on the line
+for a short stencil as it stands, by one banded LU, which needs no row
+exchange on a column diagonally dominant M-matrix; otherwise, as the
+stencil weights are symmetric and K is symmetric positive definite, in
+an SPD form by preconditioned conjugate gradients (an inexact Newton
+step, Kelley, Iterative Methods for Linear and Nonlinear Equations,
+1995, ch. 6), preconditioned by Jacobi, or for a dense kernel with
+constant coefficients by the inverse of the operator's circulant.
 
 For a nonlinear phi each linear solve is asked only for the quadratic
 forcing level max(_CG_SHARE tol, min(_CG_SHARE, |F(w)|_2) |F(w)|_2) in
@@ -55,15 +54,14 @@ dt * W but not with the grid size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
-from .levy_operators import _circular, _neighbor_operator, combine_with_laplacian
-# not called here; bench/tracing.py wraps this module's apply_stencil
-from .levy_operators import apply_stencil  # noqa: F401
+from .levy_operators import _neighbor_matrix, combine_with_laplacian
 
 __all__ = [
     "PHI_KINDS",
@@ -71,6 +69,7 @@ __all__ = [
     "EpSolveConfig",
     "EpResult",
     "solve_ep",
+    "apply_stencil",
 ]
 
 # a rejected Newton step is halved up to this many times before the
@@ -342,164 +341,179 @@ def banded_lu(ab, b):
     return x
 
 
-def _banded_lu(matrix, n, W):
-    """at(dt) -> solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs
-    on a line of n nodes, K = dt (W I - A) and A the short stencil's CSR
-    ``matrix``, by ``banded_lu``.  The band of W I - A is laid out once;
-    the system's band is K's with column j scaled by d_j, and a added on
-    the diagonal.  A is symmetric, so its diagonal j > 0 fills row 2k - j
-    (above the diagonal, from column j) and row 2k + j (below it, up to
-    column n - j), k the half-bandwidth.  The solve is direct and reads
-    no tol."""
-    coo = matrix.tocoo()
-    k = int(np.max(coo.col - coo.row, initial=0))
-    band = np.zeros((3 * k + 1, n))
-    band[2 * k] = W
-    for j in range(1, k + 1):
-        band[2 * k - j, j:] = band[2 * k + j, :n - j] = -matrix.diagonal(j)
-
-    def at(dt):
-        scaled = dt * band
-
-        def solve(a, d, rhs, tol):
-            ab = scaled * d
-            ab[2 * k] += a
-            return banded_lu(ab, rhs)
-        return solve
-    return at
-
-
 def _jacobi(diagonal):
     """r -> r / diagonal: the Jacobi preconditioner of a matrix with that
     diagonal."""
     return lambda r: r / diagonal
 
 
-def _circulant(neighbor, lam, shape):
-    """r -> irfftn(rfftn(r, L) / lam, L) on the box of the given shape: the
-    inverse of the circulant with eigenvalues lam on ``neighbor``'s lengths
-    L, restricted to the box.  For lam > 0 it is a principal block of an
-    SPD matrix, hence SPD."""
-    inverse = 1.0 / lam
-    return lambda r: _circular(r.reshape(shape), inverse, neighbor.lengths).ravel()
+# up to this offset count a stencil is stored and applied as a CSR matrix;
+# beyond it, by rFFT convolution (``_Resolvent``)
+_KERNEL_THRESHOLD = 64
 
 
-def _linear_solver(shape, W, neighbor):
-    """at(dt) -> solve(a, d, rhs, tol): x with (diag(a) + K diag(d)) x = rhs,
-    where K = dt (W I - A) is the matrix of -dt L on a box of the given
-    shape, A the neighbor sum ``neighbor``, for the two systems a Newton
-    step builds: d = 1 with a >= 0 (in v), or a = 1 with d >= 0 (in w).
-    Everything that does not depend on dt is built here, once for all the
-    solves on the box.
+def _circular(values, multiplier, lengths):
+    """irfftn(rfftn(values, L) * multiplier, L) on the circular lengths L,
+    restricted to the box of values: a circular convolution when the
+    multiplier is a kernel's spectrum."""
+    from scipy import fft
 
-    Both systems are column diagonally dominant M-matrices: the
-    off-diagonal entries of column j sum to at most dt W d_j in magnitude.
-    On the line a short stencil's A is ``neighbor.matrix``, a band, and the
-    system is solved as it stands by one banded LU (``_banded_lu``), which
-    on such a matrix exchanges no rows (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, sec. 9.5).
-
-    For N >= 2 and for a dense kernel the weights' symmetry makes K a
-    symmetric nonsingular M-matrix, hence positive definite, and both
-    systems are solved in the SPD form diag(a) + S K S by conjugate
-    gradients (``_pcg``): with S = I for d = 1, and otherwise as
-    (I + S K S) z = S rhs, S = diag(d)^(1/2), mapped back by
-    x = rhs - K S z, which divides by no entry of d (the flat part of a
-    Stefan nonlinearity, d = 0, needs no care).  A short stencil's system
-    is the CSR matrix W I - A, rescaled, with a Jacobi preconditioner.  A
-    dense kernel's A is applied through ``neighbor``.  There K is block
-    Toeplitz, the restriction to the box of the circulant
-    dt (W - spectrum) on ``neighbor``'s circular lengths, so for a constant
-    a > 0 and a constant s (a linear phi) the system is preconditioned by
-    the inverse of the circulant with eigenvalues
-    lam = a + s^2 dt (W - spectrum) (``_circulant``; T. Chan, SIAM J. Sci.
-    Stat. Comput. 9, 1988; Lei & Sun, J. Comput. Phys. 242, 2013).  The
-    kept weights sum to at most W, so lam >= a > 0.  Any other a or s,
-    a = 0 included, keeps Jacobi.
-
-    The result is an inexact Newton step whose residual is at most tol in
-    the 2-norm, up to rounding (the caller's safeguard judges it).  In w
-    it is K S r_z for the residual r_z of z, at most 2 dt W max(s) |r_z|:
-    z is solved to that share of tol, and as the map back grows z's
-    rounding by that factor, an x left above tol gets one iterative
-    refinement step.  ``solve_ep`` passes the forcing level as tol for a
-    nonlinear phi and _CG_SHARE times its stopping level for a linear one;
-    the banded LU is direct and reads no tol.
-    """
-    short = neighbor.spectrum is None
-    if short and len(shape) == 1:
-        return _banded_lu(neighbor.matrix, shape[0], W)
-    if short:
-        from scipy import sparse
-
-        size = math.prod(shape)
-        base = W * sparse.identity(size, format="csr") - neighbor.matrix
-        # every row stores its diagonal, so diag(a) + S K S is the same
-        # sparsity with the entries rescaled
-        rows = np.repeat(np.arange(size), np.diff(base.indptr))
-        on_diagonal = np.flatnonzero(rows == base.indices)
-
-        def system(dt):
-            matrix = dt * base
-
-            def spd(a, s, b, tol):
-                M = matrix.copy()
-                M.data *= s[rows] * s[M.indices]
-                M.data[on_diagonal] += a
-                return _pcg(M.dot, _jacobi(M.data[on_diagonal]), b, tol)
-            return matrix.dot, spd
-    else:
-        gap = W - neighbor.spectrum
-
-        def system(dt):
-            def K(y):
-                return dt * (W * y - neighbor(y.reshape(shape)).ravel())
-
-            def spd(a, s, b, tol):
-                if a[0] > 0.0 and (a == a[0]).all() and (s == s[0]).all():
-                    precondition = _circulant(neighbor, a[0] + s[0] * s[0] * dt * gap, shape)
-                else:
-                    precondition = _jacobi(a + dt * W * s * s)
-                return _pcg(lambda x: a * x + s * K(s * x), precondition, b, tol)
-            return K, spd
-
-    def at(dt):
-        K, spd = system(dt)
-
-        def solve(a, d, rhs, tol):
-            if (d == 1.0).all():
-                return spd(a, d, rhs, tol)
-            s = np.sqrt(d)
-            z_tol = tol / (2.0 * dt * W * float(s.max()) or 1.0)
-            x = rhs - K(s * spd(a, s, s * rhs, z_tol))
-            r = rhs - x - K(d * x)
-            if _dot(r, r) > tol * tol:
-                x += r - K(s * spd(a, s, s * r, z_tol))
-            return x
-        return solve
-    return at
+    box = tuple(slice(0, n) for n in values.shape)
+    return fft.irfftn(fft.rfftn(values, lengths) * multiplier, lengths)[box]
 
 
 class _Resolvent:
     """The operator of one whole stencil (c merged in, as
     ``OperatorSpec.build_stencil`` returns it) on a box of the given
-    shape, with everything its resolvent solves share whatever their dt
-    and data: the ``stencil`` itself, its total weight W, the neighbor
-    sum of ``_neighbor_operator``, ``escape``, W - neighbor(1) per node,
-    the total weight of the jumps that leave the box (the diffusive leak
-    rate is h^N sum phi(U) escape), and ``linear_solver``,
-    ``_linear_solver``'s at(dt).
+    shape, built once for every application and resolvent solve on that
+    box, whatever their dt and data: the ``stencil``, its total weight
+    W, the neighbor sum A, values -> sum_gamma w_gamma values(. + gamma)
+    with zero extension outside the box (``neighbor``), ``escape``,
+    W - A 1 per node, the total weight of the jumps that leave the box
+    (the diffusive leak rate is h^N sum phi(U) escape), and the Newton
+    systems' solve (``solve``).  ``evolution.run`` builds one per run
+    and hands it to every ``evolution.step`` and to the tail
+    certificate; ``solve_ep`` and ``apply_stencil`` build their own when
+    given none, and reject one built for another box.
 
-    ``evolution.run`` builds one per run and hands it to every
-    ``evolution.step`` and to the tail certificate; ``solve_ep`` builds
-    its own when given none."""
+    A is stored in one form.  Up to ``_KERNEL_THRESHOLD`` offsets it is
+    the CSR ``matrix`` of ``_neighbor_matrix`` over the C-order flattened
+    nodes.  Above it A is a circular convolution by rFFT with the real
+    ``spectrum`` of the kernel on the circular ``lengths`` L: the kernel
+    is symmetric, so correlation equals convolution and its spectrum is
+    real.  Offsets at least n_i long on some axis never land in the box
+    and are dropped; with the rest reaching K_i, at least 1, a circular
+    length of n_i + K_i per axis wraps every jump out of the box onto the
+    zero padding, never onto a node.  On the line a short stencil's A is
+    also laid out as the ``band`` of W I - A, in ``banded_lu``'s layout."""
 
     def __init__(self, stencil, shape):
-        self.stencil = stencil
-        self.W = stencil.total_weight
-        self.neighbor = _neighbor_operator(stencil, shape)
-        self.escape = self.W - self.neighbor(np.ones(shape))
-        self.linear_solver = _linear_solver(shape, self.W, self.neighbor)
+        self.stencil, self.shape = stencil, tuple(shape)
+        self.W = W = stencil.total_weight
+        self.matrix = self.spectrum = self.lengths = self.band = None
+        if stencil.n_offsets <= _KERNEL_THRESHOLD:
+            self.matrix = _neighbor_matrix(stencil, shape)
+        else:
+            from scipy import fft
+
+            inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
+            offsets = stencil.offsets[inside]
+            reach = np.max(np.abs(offsets), axis=0, initial=1)
+            self.lengths = tuple(fft.next_fast_len(int(n + k), real=True)
+                                 for n, k in zip(shape, reach))
+            kernel = np.zeros(self.lengths)
+            kernel[tuple(offsets.T)] = stencil.weights[inside]
+            self.spectrum = fft.rfftn(kernel).real
+        self.escape = W - self.neighbor(np.ones(shape))
+        if self.matrix is not None and len(shape) == 1:
+            # A is symmetric, so its diagonal j > 0 fills row 2k - j (above
+            # the diagonal, from column j) and row 2k + j (below it, up to
+            # column n - j), k the half-bandwidth
+            coo, n = self.matrix.tocoo(), shape[0]
+            k = int(np.max(coo.col - coo.row, initial=0))
+            self.band = np.zeros((3 * k + 1, n))
+            self.band[2 * k] = W
+            for j in range(1, k + 1):
+                self.band[2 * k - j, j:] = self.band[2 * k + j, :n - j] = -self.matrix.diagonal(j)
+        elif self.matrix is not None:
+            from scipy import sparse
+
+            # every row of W I - A stores its diagonal, so diag(a) + S K S
+            # is the same sparsity with the entries rescaled
+            self.base = W * sparse.identity(self.matrix.shape[0], format="csr") - self.matrix
+            self.rows = np.repeat(np.arange(self.matrix.shape[0]), np.diff(self.base.indptr))
+            self.on_diagonal = np.flatnonzero(self.rows == self.base.indices)
+
+    def neighbor(self, values):
+        """A values, for values on the operator's box."""
+        if values.shape != self.shape:
+            raise ConfigurationError(f"an operator built for a box of shape {self.shape} "
+                                     f"cannot act on shape {values.shape}")
+        if self.spectrum is None:
+            return self.matrix.dot(values.ravel()).reshape(values.shape)
+        return _circular(values, self.spectrum, self.lengths)
+
+    def solve(self, dt, a, d, rhs, tol):
+        """x with (diag(a) + K diag(d)) x = rhs, K = dt (W I - A) the matrix
+        of -dt L, for the two systems a Newton step builds: d = 1 with
+        a >= 0 (in v), or a = 1 with d >= 0 (in w).
+
+        Both are column diagonally dominant M-matrices: the off-diagonal
+        entries of column j sum to at most dt W d_j in magnitude.  On the
+        line a short stencil's system is banded and is solved as it stands
+        by one ``banded_lu``, which on such a matrix exchanges no rows
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        sec. 9.5); it is direct and reads no tol.
+
+        Otherwise the weights' symmetry makes K a symmetric nonsingular
+        M-matrix, hence positive definite, and both systems are solved in
+        the SPD form diag(a) + S K S (``_spd``): with S = I for d = 1, and
+        otherwise as (I + S K S) z = S rhs, S = diag(d)^(1/2), mapped back
+        by x = rhs - K S z, which divides by no entry of d (the flat part
+        of a Stefan nonlinearity, d = 0, needs no care).  The result is an
+        inexact Newton step whose residual is at most tol in the 2-norm,
+        up to rounding (the caller's safeguard judges it).  In w it is
+        K S r_z for the residual r_z of z, at most 2 dt W max(s) |r_z|: z
+        is solved to that share of tol, and as the map back grows z's
+        rounding by that factor, an x left above tol gets one iterative
+        refinement step."""
+        if self.band is not None:
+            ab = dt * self.band * d
+            ab[2 * (len(ab) - 1) // 3] += a
+            return banded_lu(ab, rhs)
+        if (d == 1.0).all():
+            return self._spd(dt, a, d, rhs, tol)
+        s = np.sqrt(d)
+        z_tol = tol / (2.0 * dt * self.W * float(s.max()) or 1.0)
+        x = rhs - self._stiffness(dt, s * self._spd(dt, a, s, s * rhs, z_tol))
+        r = rhs - x - self._stiffness(dt, d * x)
+        if _dot(r, r) > tol * tol:
+            x += r - self._stiffness(dt, s * self._spd(dt, a, s, s * r, z_tol))
+        return x
+
+    def _stiffness(self, dt, y):
+        """K y for the flattened y."""
+        if self.spectrum is None:
+            return (dt * self.base).dot(y)
+        return dt * (self.W * y - self.neighbor(y.reshape(self.shape)).ravel())
+
+    def _spd(self, dt, a, s, b, tol):
+        """x with (diag(a) + S K S) x = b, S = diag(s), by conjugate
+        gradients (``_pcg``).  A short stencil's system is the CSR matrix
+        W I - A, rescaled, with a Jacobi preconditioner.  A dense kernel's
+        K is the restriction to the box of the circulant dt (W - spectrum)
+        on the circular lengths, so for a constant a > 0 and a constant s
+        (a linear phi) the system is preconditioned by the inverse of the
+        circulant with eigenvalues lam = a + s^2 dt (W - spectrum) (T. Chan,
+        SIAM J. Sci. Stat. Comput. 9, 1988; Lei & Sun, J. Comput. Phys.
+        242, 2013), a principal block of an SPD matrix: the kept weights
+        sum to at most W, so lam >= a > 0.  Any other a or s, a = 0
+        included, keeps Jacobi."""
+        if self.spectrum is None:
+            M = dt * self.base
+            M.data *= s[self.rows] * s[M.indices]
+            M.data[self.on_diagonal] += a
+            return _pcg(M.dot, _jacobi(M.data[self.on_diagonal]), b, tol)
+        if a[0] > 0.0 and (a == a[0]).all() and (s == s[0]).all():
+            inverse = 1.0 / (a[0] + s[0] * s[0] * dt * (self.W - self.spectrum))
+
+            def precondition(r):
+                return _circular(r.reshape(self.shape), inverse, self.lengths).ravel()
+        else:
+            precondition = _jacobi(a + dt * self.W * s * s)
+        return _pcg(lambda x: a * x + s * self._stiffness(dt, s * x), precondition, b, tol)
+
+
+def apply_stencil(stencil, c, u, resolvent=None):
+    """The operator c * Laplacian + stencil applied to u, zero extension
+    outside the box.  ``resolvent`` is the merged stencil's
+    ``_Resolvent`` on u's box, for a caller that holds one; it is built
+    here when not given."""
+    stencil = combine_with_laplacian(stencil, c)
+    u = np.asarray(u, dtype=float)
+    if resolvent is None:
+        resolvent = _Resolvent(stencil, u.shape)
+    return resolvent.neighbor(u) - stencil.total_weight * u
 
 
 def _dot(u, v):
@@ -599,7 +613,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
     lo = min(0.0, float(np.min(rho)))
     hi = max(0.0, float(np.max(rho)))
     w = np.clip(np.asarray(rho if warm_start is None else warm_start, dtype=float), lo, hi)
-    solve = resolvent.linear_solver(dt)
+    solve = functools.partial(resolvent.solve, dt)
 
     def evaluate(w):
         p = phi.value(w)

@@ -10,19 +10,11 @@ The Laplacian is the weights 1/h^2 at the 2N nearest neighbors.
 ``combine_with_laplacian`` adds them to a measure stencil for c = 1, and
 it is the one place below the config that reads c:
 ``OperatorSpec.build_stencil`` returns its result, the whole operator,
-and everything past it takes that one stencil (a run holds it, with its
-neighbor sum and escape weights, in ``elliptic_solver._Resolvent``).
-Only ``apply_stencil`` and ``elliptic_solver.solve_ep`` still take the
-pair (stencil, c) and merge it on entry: the benchmark's tracer binds
-both arguments by name to count a call's offsets.  On a grid the stencil
-is applied by one path, ``_neighbor_operator``, with W its
-``total_weight``.  That path stores the neighbor sum in one form, built
-once per box: for a short stencil the CSR matrix of
-``_neighbor_matrix``, for a dense kernel its rFFT spectrum, reused by
-every application.  The resolvent's Newton steps read the same object:
-the short stencil's matrix (banded LU on the line, conjugate
-gradients above it), and the dense kernel's real spectrum, which it
-inverts as a circulant preconditioner.
+and everything past it takes that one stencil.  On a grid the stencil is
+stored, applied and solved by one object, ``elliptic_solver._Resolvent``;
+only ``elliptic_solver.apply_stencil`` and ``elliptic_solver.solve_ep``
+still take the pair (stencil, c) and merge it on entry: the benchmark's
+tracer binds both arguments by name to count a call's offsets.
 Weights for a jump measure are the measure of each lattice cell, so the
 total mass on any region is preserved by construction; the origin cell is
 excluded.
@@ -56,18 +48,11 @@ __all__ = [
     "OperatorSpec",
     "MomentReport",
     "measure_stencil",
-    "apply_stencil",
     "combine_with_laplacian",
     "check_moments",
     "testfunction_moment_bound",
     "write_stencil_csv",
 ]
-
-# up to this offset count a stencil is stored and applied as a CSR matrix,
-# on which the resolvent's Newton steps are solved by banded LU on the
-# line and by conjugate gradients above it; beyond it, by rFFT
-# convolution, and conjugate gradients applying it matrix-free
-_KERNEL_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -333,68 +318,6 @@ def measure_stencil(measure, grid, support_radius=None):
                            tail_mass_beyond_support=float(measure.mass_beyond(edge, dim)))
 
 
-@dataclass(frozen=True, eq=False)
-class _NeighborOperator:
-    """The neighbor sum of a stencil on one box, as ``_neighbor_operator``
-    builds it: calling it applies the map.
-
-    For a short stencil, ``matrix`` is the neighbor sum as a CSR matrix
-    over the C-order flattened nodes.  For a dense kernel it is the real
-    rFFT ``spectrum`` of the kernel on the circular lengths L:
-    ``_circular(values, spectrum, lengths)`` restricted to the box.  Each
-    operator holds one of the two forms, and None in the other."""
-
-    matrix: object = None
-    spectrum: np.ndarray = None
-    lengths: tuple = None
-
-    def __call__(self, values):
-        if self.spectrum is None:
-            return self.matrix.dot(values.ravel()).reshape(values.shape)
-        return _circular(values, self.spectrum, self.lengths)
-
-
-def _circular(values, multiplier, lengths):
-    """irfftn(rfftn(values, L) * multiplier, L) on the circular lengths L,
-    restricted to the box of values: a circular convolution when the
-    multiplier is a kernel's spectrum."""
-    from scipy import fft
-
-    box = tuple(slice(0, n) for n in values.shape)
-    return fft.irfftn(fft.rfftn(values, lengths) * multiplier, lengths)[box]
-
-
-def _neighbor_operator(stencil, shape):
-    """The map values -> sum_gamma w_gamma * values(beta + gamma), with zero
-    extension outside a box of the given shape: the one path by which the
-    operator is applied, as a ``_NeighborOperator``.  A caller that
-    applies it many times on one box builds it once (``evolution.run``
-    does, for a whole run).
-
-    Up to ``_KERNEL_THRESHOLD`` offsets the map is
-    ``_neighbor_matrix(stencil, shape)``.  Above it the map is a circular
-    convolution by rFFT with the kernel's spectrum, computed here once for
-    every later call.  The kernel is symmetric, so correlation equals
-    convolution and its spectrum is real.  Offsets at least n_i long on
-    some axis never land in the box and are dropped; with the rest
-    reaching K_i, at least 1, a circular length of n_i + K_i per axis
-    wraps every jump out of the box onto the zero padding, never onto a
-    node.
-    """
-    if stencil.n_offsets <= _KERNEL_THRESHOLD:
-        return _NeighborOperator(_neighbor_matrix(stencil, shape))
-    from scipy import fft
-
-    inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
-    offsets = stencil.offsets[inside]
-    reach = np.max(np.abs(offsets), axis=0, initial=1)
-    lengths = tuple(fft.next_fast_len(int(n + k), real=True)
-                    for n, k in zip(shape, reach))
-    kernel = np.zeros(lengths)
-    kernel[tuple(offsets.T)] = stencil.weights[inside]
-    return _NeighborOperator(spectrum=fft.rfftn(kernel).real, lengths=lengths)
-
-
 def _neighbor_matrix(stencil, shape):
     """The neighbor sum of the stencil on a box of the given shape, as a
     CSR matrix over the C-order flattened nodes, with zero extension (a
@@ -417,18 +340,6 @@ def _neighbor_matrix(stencil, shape):
         vals.append(np.full(rows[-1].size, w))
     return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(size, size))
-
-
-def apply_stencil(stencil, c, u, neighbor=None):
-    """The operator c * Laplacian + stencil applied to u, zero extension
-    outside the box.  ``neighbor`` is the merged stencil's
-    ``_neighbor_operator`` on u's box, for a caller that holds one; it is
-    built here when not given."""
-    stencil = combine_with_laplacian(stencil, c)
-    u = np.asarray(u, dtype=float)
-    if neighbor is None:
-        neighbor = _neighbor_operator(stencil, u.shape)
-    return neighbor(u) - stencil.total_weight * u
 
 
 def combine_with_laplacian(stencil, c):

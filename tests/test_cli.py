@@ -482,23 +482,22 @@ def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _neighbor_operator_builds(tmp_path, monkeypatch, cfg):
-    """The stencils _neighbor_operator is built for over one gpme run, and
-    the number of CSR matrices _neighbor_matrix builds for it."""
-    build, assemble = gpme.levy_operators._neighbor_operator, gpme.levy_operators._neighbor_matrix
+def _resolvent_builds(tmp_path, monkeypatch, cfg):
+    """The stencils a _Resolvent is built for over one gpme run, and the
+    number of CSR matrices _neighbor_matrix builds for them."""
+    init, assemble = gpme.elliptic_solver._Resolvent.__init__, gpme.elliptic_solver._neighbor_matrix
     calls, matrices = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return build(*args, **kwargs)
+    def counted(self, stencil, shape):
+        calls.append(stencil)
+        init(self, stencil, shape)
 
     def counted_matrix(*args, **kwargs):
         matrices.append(args[0])
         return assemble(*args, **kwargs)
 
-    for module in (gpme.levy_operators, gpme.elliptic_solver):
-        monkeypatch.setattr(module, "_neighbor_operator", counted)
-    monkeypatch.setattr(gpme.levy_operators, "_neighbor_matrix", counted_matrix)
+    monkeypatch.setattr(gpme.elliptic_solver._Resolvent, "__init__", counted)
+    monkeypatch.setattr(gpme.elliptic_solver, "_neighbor_matrix", counted_matrix)
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 0
     return calls, len(matrices)
@@ -508,16 +507,16 @@ def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
     # a dense kernel's operator and its spectrum are built once for the
     # escape weights, every step's solve and the tail certificate at each
     # of the preset's radii; with c = 0 it has no CSR part
-    calls, matrices = _neighbor_operator_builds(tmp_path, monkeypatch, {
+    calls, matrices = _resolvent_builds(tmp_path, monkeypatch, {
         "preset": "frac_heat_poisson_1d", "problem": {"h": 0.125, "T": 0.25}})
     assert len(calls) == 1 and matrices == 0
-    assert calls[0].n_offsets > gpme.levy_operators._KERNEL_THRESHOLD
+    assert calls[0].n_offsets > gpme.elliptic_solver._KERNEL_THRESHOLD
 
 
 def test_pure_convection_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
     # with phi = 0 every step's resolvent is w = rho, whose residual needs
     # no operator; the Laplacian's one CSR matrix serves the escape weights
-    calls, matrices = _neighbor_operator_builds(tmp_path, monkeypatch, {
+    calls, matrices = _resolvent_builds(tmp_path, monkeypatch, {
         "preset": "burgers_riemann_1d", "problem": {"h": 0.125, "T": 0.25}})
     assert len(calls) == 1 and matrices == 1
 
@@ -631,6 +630,18 @@ def test_every_public_name_is_used_in_the_package():
     unused = [f"{module}.{name}" for module, tree in trees.items() for name in _public(tree)
               if all(n != name or where == (module, name) for n, where in loads)]
     assert unused == []
+
+
+def test_the_stored_operator_is_read_in_one_module():
+    # the operator's stored form, a CSR matrix up to _KERNEL_THRESHOLD
+    # offsets and an rFFT spectrum on circular lengths above, is chosen,
+    # kept and applied by elliptic_solver._Resolvent alone
+    stored = {"spectrum", "lengths", "_KERNEL_THRESHOLD", "_circular"}
+    readers = {f"{path.stem}.{name}"
+               for path in Path(gpme.__file__).parent.glob("*.py")
+               if path.stem != "elliptic_solver"
+               for name, _ in _loads(ast.parse(path.read_text())) if name in stored}
+    assert readers == set()
 
 
 def test_report_json_identical_across_out_dirs(tmp_path):

@@ -12,11 +12,12 @@ from gpme.diagnostics import (Cutoff, _sample_times, admissible_threshold, build
                               equitightness_check, forward_difference_norms,
                               operator_cutoff_norm, smooth_step, smooth_step_d1,
                               smooth_step_d2, tail_mass)
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent
+from gpme.elliptic_solver import (_KERNEL_THRESHOLD, EpSolveConfig, PhiSpec, _Resolvent,
+                                  apply_stencil, solve_ep)
 from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import ProblemSpec, run
 from gpme.grid_field import TimeGrid, Trajectory, UniformGrid, lr_norm_of_values
-from gpme.levy_operators import MeasureSpec, OperatorSpec
+from gpme.levy_operators import MeasureSpec, OperatorSpec, measure_stencil
 from gpme.profiles import GaussianProfile, PoissonKernelProfile
 
 
@@ -107,6 +108,29 @@ def test_operator_cutoff_norm_needs_room():
     X, _ = build_cutoff(2.0, g)
     resolvent = _Resolvent(OperatorSpec(c=1, measure=None).build_stencil(g), g.shape)
     assert operator_cutoff_norm(resolvent, X, np.inf) > 0.0
+
+
+@pytest.mark.parametrize("support", [0.5, None], ids=["short", "dense"])
+def test_an_operator_built_for_another_box_is_rejected(support):
+    # the operator of a 49-node line's stencil, built on 33 nodes: a dense
+    # kernel's spectrum would wrap jumps onto nodes and drop the offsets
+    # past 32, and a short stencil's matrix would fail inside scipy.  Each
+    # entry point that takes it names both shapes
+    large, small = UniformGrid.from_box(1, 0.25, 6.0), UniformGrid.from_box(1, 0.25, 4.0)
+    operator = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0),
+                            support_radius=support)
+    stencil = operator.build_stencil(large)
+    assert (stencil.n_offsets > _KERNEL_THRESHOLD) == (support is None)
+    resolvent = _Resolvent(stencil, small.shape)
+    prof = GaussianProfile(1.0, 0.25)
+    u = prof.at(large.axis_coords(0)[:, None])
+    traj = Trajectory(large, TimeGrid(np.array([0.0, 0.5])), (u, u))
+    problem = ProblemSpec(operator=operator, phi=PhiSpec(kind="linear"), initial=prof)
+    for call in (lambda: apply_stencil(stencil, 0, u, resolvent),
+                 lambda: solve_ep(stencil, 0, problem.phi, 0.1, u, resolvent=resolvent),
+                 lambda: equitightness_check(traj, problem, 1.5, resolvent=resolvent)):
+        with pytest.raises(ConfigurationError, match=r"shape \(33,\).* shape \(49,\)"):
+            call()
 
 
 def test_forward_difference_norm_tracks_gradient():

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpme.elliptic_solver
-import gpme.levy_operators
 from gpme.errors import ConfigurationError, NonConvergenceError
-from gpme.elliptic_solver import (PHI_KINDS, EpSolveConfig, PhiSpec, _jacobi_sweep, _pcg,
-                                  _Resolvent, _solve_scalar_batch, solve_ep)
+from gpme.elliptic_solver import (_KERNEL_THRESHOLD, PHI_KINDS, EpSolveConfig, PhiSpec,
+                                  _jacobi_sweep, _pcg, _Resolvent, _solve_scalar_batch,
+                                  apply_stencil, solve_ep)
 from gpme.grid_field import UniformGrid, lr_norm_of_values
-from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, WeightedStencil,
-                                 _neighbor_matrix, _neighbor_operator, apply_stencil,
+from gpme.levy_operators import (MeasureSpec, WeightedStencil, _neighbor_matrix,
                                  combine_with_laplacian, measure_stencil)
 
 
@@ -258,7 +257,7 @@ def test_newton_matches_jacobi_fixed_point(name, dim, h, reach, c, monkeypatch):
     dt = 0.1
     ref = rho.copy()
     merged = combine_with_laplacian(st, c)
-    neighbor = _neighbor_operator(merged, g.shape)
+    neighbor = _Resolvent(merged, g.shape).neighbor
     for _ in range(20000):
         new = _jacobi_sweep(phi, dt, merged.total_weight, rho, neighbor(phi.value(ref)), ref)
         done = np.max(np.abs(new - ref)) <= 1e-15
@@ -301,9 +300,9 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
     taken, applied = [], []
     for spied in ("banded_lu", "_pcg"):
         monkeypatch.setattr(gpme.elliptic_solver, spied, _spy(taken, spied))
-    solve = _Resolvent(merged, (n,)).linear_solver(dt)
-    monkeypatch.setattr(gpme.levy_operators._NeighborOperator, "__call__",
-                        _spy(applied, "__call__", gpme.levy_operators._NeighborOperator))
+    resolvent = _Resolvent(merged, (n,))
+    for spied in ("neighbor", "_stiffness"):
+        monkeypatch.setattr(_Resolvent, spied, _spy(applied, spied, _Resolvent))
     rng = np.random.default_rng(n)
     rhs = rng.normal(size=n)
     w = rng.uniform(-0.5, 1.5, size=n)
@@ -314,7 +313,7 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
     for a, d in ((np.ones(n), stefan.derivative(w)),
                  (2.0 * np.abs(root.value(w)), np.ones(n))):
         taken.clear()
-        x = solve(a, d, rhs, 0.0)
+        x = resolvent.solve(dt, a, d, rhs, 0.0)
         assert taken == ["banded_lu"] and applied == []
         ref = np.linalg.solve(np.diag(a) + K * d, rhs)
         np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
@@ -349,7 +348,7 @@ def _dense_K(stencil, c, shape, dt):
     """K = dt (W I - A), A assembled column by column from the operator."""
     size = int(np.prod(shape))
     merged = combine_with_laplacian(stencil, c)
-    neighbor = _neighbor_operator(merged, shape)
+    neighbor = _Resolvent(merged, shape).neighbor
     A = np.column_stack([neighbor(e.reshape(shape)).ravel() for e in np.eye(size)])
     return dt * (merged.total_weight * np.eye(size) - A)
 
@@ -385,12 +384,13 @@ def test_linear_solve_property(path):
                               support_radius=None if reach is None else reach * h)
     n = int(np.prod(g.shape))
     # what the path calls per SPD solve: a dense kernel is preconditioned by
-    # its circulant for constant coefficients, by Jacobi otherwise; and the
-    # CSR matrices built per box, one for a short stencil and none for a
-    # dense kernel, whose spectrum holds its nearest neighbors too
+    # its circulant for constant coefficients (no _jacobi), by Jacobi
+    # otherwise; and the CSR matrices built per box, one for a short stencil
+    # and none for a dense kernel, whose spectrum holds its nearest neighbors
+    # too
     builds = 1 if reach is not None else 0
     per_solve = {"banded": ["banded_lu"], "csr_cg": ["_jacobi", "_pcg"]}.get(
-        path, ["_jacobi" if coefficients == "varying" else "_circulant", "_pcg"])
+        path, ["_jacobi", "_pcg"] if coefficients == "varying" else ["_pcg"])
     taken = []
 
     @settings(max_examples=25, deadline=None)
@@ -413,13 +413,13 @@ def test_linear_solve_property(path):
         taken.clear()
         built = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("banded_lu", "_pcg", "_jacobi", "_circulant"):
+            for name in ("banded_lu", "_pcg", "_jacobi"):
                 mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
-            mp.setattr(gpme.levy_operators, "_neighbor_matrix",
-                       _spy(built, "_neighbor_matrix", gpme.levy_operators))
-            solve = _Resolvent(merged, g.shape).linear_solver(dt)
+            mp.setattr(gpme.elliptic_solver, "_neighbor_matrix",
+                       _spy(built, "_neighbor_matrix"))
+            resolvent = _Resolvent(merged, g.shape)
             assert len(built) == builds
-            x = solve(a, d, rhs, tol)
+            x = resolvent.solve(dt, a, d, rhs, tol)
         # one solve; on a conjugate-gradient path one more if x takes a
         # refinement step, while the banded LU solves the system as it stands
         assert taken in ((per_solve,) if path == "banded" else (per_solve, 2 * per_solve))
@@ -442,10 +442,9 @@ def test_zero_a_takes_jacobi():
     rhs = np.random.default_rng(5).normal(size=n)
     taken = []
     with pytest.MonkeyPatch.context() as mp, np.errstate(divide="raise", invalid="raise"):
-        for name in ("_jacobi", "_circulant"):
-            mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
-        solve = _Resolvent(stencil, g.shape).linear_solver(dt)
-        x = solve(np.zeros(n), np.ones(n), rhs, 1e-12 * np.linalg.norm(rhs))
+        mp.setattr(gpme.elliptic_solver, "_jacobi", _spy(taken, "_jacobi"))
+        x = _Resolvent(stencil, g.shape).solve(dt, np.zeros(n), np.ones(n), rhs,
+                                               1e-12 * np.linalg.norm(rhs))
     assert taken == ["_jacobi"]
     np.testing.assert_allclose(x, np.linalg.solve(_dense_K(stencil, 0, g.shape, dt), rhs),
                                rtol=0.0, atol=1e-9 * np.max(np.abs(x)))

@@ -10,12 +10,12 @@ import gpme.evolution
 import gpme.grid_field
 from gpme.cli import main
 from gpme.config import build_plan, load_config
-from gpme.elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent, solve_ep
+from gpme.elliptic_solver import EpSolveConfig, PhiSpec, _Resolvent, apply_stencil, solve_ep
 from gpme.errors import ConfigurationError, DataError, StencilError
 from gpme.evolution import (FluxSpec, ProblemSpec, _convection, cfl_limit, run, step,
                             validate_flux)
 from gpme.grid_field import TimeGrid, UniformGrid
-from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, apply_stencil,
+from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
                                  combine_with_laplacian, measure_stencil)
 from gpme.profiles import BarenblattExact, BarenblattProfile, GaussianProfile
 

@@ -11,11 +11,10 @@ from scipy.integrate import dblquad, quad
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid, shifted
 from gpme.grid_field import _format_float
-from gpme.levy_operators import (_KERNEL_THRESHOLD, MeasureSpec, OperatorSpec,
-                                 WeightedStencil, _circular, _class_weights,
-                                 _neighbor_matrix, _neighbor_operator, _support_index,
-                                 apply_stencil, combine_with_laplacian, measure_stencil,
-                                 write_stencil_csv)
+from gpme.elliptic_solver import _KERNEL_THRESHOLD, _circular, _Resolvent, apply_stencil
+from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, _class_weights,
+                                 _neighbor_matrix, _support_index, combine_with_laplacian,
+                                 measure_stencil, write_stencil_csv)
 from gpme.profiles import GaussianProfile, sphere_area
 
 
@@ -51,27 +50,34 @@ def _shift_loop(st, c, v):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("c", [0, 1])
-@pytest.mark.parametrize("kind", ["laplacian", "fractional", "empty", "past_box"])
+@pytest.mark.parametrize("kind", ["laplacian", "fractional", "empty", "past_box", "dense"])
 def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
-    # past_box: a 3-node box per axis, offsets reaching 4 past its edges
-    g = UniformGrid.from_box(dim, 0.25, 0.3 if kind == "past_box" else 1.5)
+    # past_box: a 3-node box per axis, offsets reaching 4 past its edges;
+    # dense: the default support, the box diameter, past the CSR threshold
+    box = {"past_box": 0.3, "dense": 6.0 if dim == 1 else 1.5}.get(kind, 1.5)
+    g = UniformGrid.from_box(dim, 0.25, box)
     if kind == "laplacian":
         st = combine_with_laplacian(WeightedStencil.empty(g.h, dim), 1)
-    elif kind in ("fractional", "past_box"):
+    elif kind in ("fractional", "past_box", "dense"):
         st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g,
-                             support_radius=4 * g.h)
+                             support_radius=None if kind == "dense" else 4 * g.h)
     else:
         # for c = 0 the zero operator: an empty matrix of the box's size
         st = WeightedStencil.empty(g.h, dim)
-    # a short stencil is applied as this CSR matrix, by the Newton steps too
-    assert st.n_offsets <= _KERNEL_THRESHOLD
+    # a short stencil is applied as this CSR matrix, by the Newton steps
+    # too; a dense kernel by the rFFT
+    assert (st.n_offsets > _KERNEL_THRESHOLD) == (kind == "dense")
     v = np.random.default_rng(3).normal(size=g.shape)
     ref = _shift_loop(st, c, v)
     merged = combine_with_laplacian(st, c)
-    out = (_neighbor_matrix(merged, g.shape) @ v.ravel()).reshape(g.shape)
-    np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
-    np.testing.assert_allclose(_neighbor_operator(merged, g.shape)(v), ref, rtol=0.0,
-                               atol=1e-14 * np.max(np.abs(ref)))
+    atol = (1e-13 if kind == "dense" else 1e-14) * np.max(np.abs(ref))
+    if kind != "dense":
+        out = (_neighbor_matrix(merged, g.shape) @ v.ravel()).reshape(g.shape)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=atol)
+    resolvent = _Resolvent(merged, g.shape)
+    np.testing.assert_allclose(resolvent.neighbor(v), ref, rtol=0.0, atol=atol)
+    # a held operator gives the bytes of one built for the call
+    assert apply_stencil(st, c, v).tobytes() == apply_stencil(st, c, v, resolvent).tobytes()
 
 
 @pytest.mark.parametrize("dim,h,box", [(1, 0.125, 6.0), (2, 0.25, 1.5)])
@@ -90,11 +96,11 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     reach = np.max(np.abs(st.offsets))
     assert reach >= max(g.shape) if support == "diameter" else reach < max(g.shape) - 1
     v = np.random.default_rng(4).normal(size=g.shape)
-    op = _neighbor_operator(combine_with_laplacian(st, c), g.shape)
-    np.testing.assert_allclose(op(v), _shift_loop(st, c, v), rtol=0.0,
+    op = _Resolvent(combine_with_laplacian(st, c), g.shape)
+    np.testing.assert_allclose(op.neighbor(v), _shift_loop(st, c, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
     assert op.matrix is None
-    np.testing.assert_array_equal(_circular(v, op.spectrum, op.lengths), op(v))
+    np.testing.assert_array_equal(_circular(v, op.spectrum, op.lengths), op.neighbor(v))
 
 
 @pytest.mark.parametrize("shape", [(9, 1), (1, 9)], ids=["column", "row"])
@@ -105,9 +111,9 @@ def test_fft_neighbor_sum_on_a_one_node_axis(shape):
     st = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g, support_radius=5 * g.h)
     assert st.n_offsets > _KERNEL_THRESHOLD
     v = np.random.default_rng(6).normal(size=shape)
-    op = _neighbor_operator(combine_with_laplacian(st, 1), shape)
+    op = _Resolvent(combine_with_laplacian(st, 1), shape)
     assert op.matrix is None and 2 in op.lengths
-    np.testing.assert_allclose(op(v), _shift_loop(st, 1, v), rtol=0.0,
+    np.testing.assert_allclose(op.neighbor(v), _shift_loop(st, 1, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
 
 
@@ -185,7 +191,7 @@ def test_merged_stencil_matches_the_c_aware_builds(dim, h, box, shape, kind, c):
         want = _circular(v, spectrum, lengths)
     else:
         want = (_c_aware_matrix(st, c, shape) @ v.ravel()).reshape(shape)
-    got = _neighbor_operator(merged, shape)(v)
+    got = _Resolvent(merged, shape).neighbor(v)
     if kind == "dense" and c and 1 in shape:
         # the c-aware kernel also held the one-node axis's units, wrapped
         # onto the padding, where they only round: one ulp (measured)
