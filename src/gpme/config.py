@@ -26,8 +26,9 @@ FluxSpec, the profiles, TimeFactor, UniformGrid, TimeGrid, EpSolveConfig)
 when build_plan builds it, and its ConfigurationError names the dotted
 config path of that value.
 The values that need the grid or the time steps (support radius, velocity
-length, flux monotonicity, dt factor) are checked by build_plan through
-the same function the run calls later; the tail radii, which only
+length, dt factor) are checked by build_plan through the same function
+the run calls later; a flux's consistency and monotonicity hold by its
+construction (FluxSpec) and are not sampled; the tail radii, which only
 ``gpme run`` reads, are checked by that command before it computes.
 
 Unknown keys are errors: a config that parses is a complete provenance
@@ -464,7 +465,7 @@ def build_plan(cfg, h=None):
     value check not made by load_config is made here, by the spec
     constructors and the checks that need the grid or the time steps."""
     from .elliptic_solver import EpSolveConfig, PhiSpec
-    from .evolution import FluxSpec, ProblemSpec, check_convective_step, validate_flux
+    from .evolution import FluxSpec, ProblemSpec, check_convective_step
     from .grid_field import TimeGrid, UniformGrid
 
     p = cfg["problem"]
@@ -480,7 +481,6 @@ def build_plan(cfg, h=None):
     time_grid = TimeGrid.uniform(p["T"], dt_for(p, hh))
     operator.check_grid(grid)
     if flux is not None:
-        validate_flux(flux, dim)
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
     return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
                    solver=EpSolveConfig(**cfg["solver"]), diagnostics=cfg["diagnostics"],

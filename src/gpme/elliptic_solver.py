@@ -374,7 +374,7 @@ class _Resolvent:
     systems' solve (``solve``).  ``evolution.run`` builds one per run
     and hands it to every ``evolution.step`` and to the tail
     certificate; ``solve_ep`` and ``apply_stencil`` build their own when
-    given none, and reject one built for another box.
+    given none, and reject one built for another stencil or box.
 
     A is stored in one form.  Up to ``_KERNEL_THRESHOLD`` offsets it is
     the CSR ``matrix`` of ``_neighbor_matrix`` over the C-order flattened
@@ -473,8 +473,6 @@ class _Resolvent:
 
     def _stiffness(self, dt, y):
         """K y for the flattened y."""
-        if self.spectrum is None:
-            return (dt * self.base).dot(y)
         return dt * (self.W * y - self.neighbor(y.reshape(self.shape)).ravel())
 
     def _spd(self, dt, a, s, b, tol):
@@ -504,6 +502,22 @@ class _Resolvent:
         return _pcg(lambda x: a * x + s * self._stiffness(dt, s * x), precondition, b, tol)
 
 
+def _held(stencil, shape, resolvent):
+    """``resolvent`` if it holds the merged ``stencil`` (the same object,
+    or equal offsets and weights), else a ConfigurationError; a new
+    ``_Resolvent`` on ``shape`` when none is given.  Another box is
+    rejected by ``neighbor``."""
+    if resolvent is None:
+        return _Resolvent(stencil, shape)
+    held = resolvent.stencil
+    if not (held is stencil or (np.array_equal(held.offsets, stencil.offsets)
+                                and np.array_equal(held.weights, stencil.weights))):
+        raise ConfigurationError(f"an operator built for another stencil ({held.n_offsets} "
+                                 f"offsets) cannot act as this one ({stencil.n_offsets} "
+                                 "offsets)")
+    return resolvent
+
+
 def apply_stencil(stencil, c, u, resolvent=None):
     """The operator c * Laplacian + stencil applied to u, zero extension
     outside the box.  ``resolvent`` is the merged stencil's
@@ -511,8 +525,7 @@ def apply_stencil(stencil, c, u, resolvent=None):
     here when not given."""
     stencil = combine_with_laplacian(stencil, c)
     u = np.asarray(u, dtype=float)
-    if resolvent is None:
-        resolvent = _Resolvent(stencil, u.shape)
+    resolvent = _held(stencil, u.shape, resolvent)
     return resolvent.neighbor(u) - stencil.total_weight * u
 
 
@@ -605,8 +618,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
         w = rho.copy()
         return finish(w, w - rho, 0, 0)
 
-    if resolvent is None:
-        resolvent = _Resolvent(stencil, rho.shape)
+    resolvent = _held(stencil, rho.shape, resolvent)
     W, neighbor = resolvent.W, resolvent.neighbor
     cap = max(_MIN_SWEEPS, _SWEEPS_PER_NODE * rho.size)
     tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(rho))))

@@ -6,11 +6,11 @@ Each step solves the resolvent problem
     U^j - dt_j L[phi(U^j)] = U^{j-1} + dt_j G^j  (- dt_j div F(U^{j-1}))
 
 with the convective divergence, when present, taken explicitly through a
-monotone two-point numerical flux under a CFL restriction.  ``step`` is
-that one step, in that order (convection, then the source, then the
-resolvent solve), and everything that takes a step calls it: ``run``, and
-the comparison and contraction properties of ``checks``.  The operator
-on the box is one ``elliptic_solver._Resolvent``, built once per run and
+two-point numerical flux, consistent and monotone by construction
+(``FluxSpec``), under a CFL restriction.  ``step`` is that one step, in
+that order (convection, then the source, then the resolvent solve), and
+everything that takes a step calls it: ``run``, and the comparison and
+contraction properties of ``checks``.  The operator on the box is one ``elliptic_solver._Resolvent``, built once per run and
 read by every step, the ledger's escape weights and the tail
 certificate.  Everything outside the computational box is held at zero,
 and the run keeps an exact mass ledger: interior mass changes only
@@ -35,7 +35,6 @@ __all__ = [
     "FluxSpec",
     "ProblemSpec",
     "RunReport",
-    "validate_flux",
     "step",
     "cfl_limit",
     "check_convective_step",
@@ -48,11 +47,18 @@ FLUX_KINDS = ("burgers", "linear", "table")
 
 
 def _flux_axes(flux):
-    """axis -> (f, the two halves of its Engquist-Osher flux) for a
-    piecewise-linear flux: velocity[axis] * u, or the table on every axis."""
+    """axis -> (f, f_+, f_-), f and the halves of its Engquist-Osher flux,
+    f_+(a) = integral_0^a max(f', 0) and f_-(b) = integral_0^b min(f', 0):
+    u^2/2, max(a, 0)^2/2 and min(b, 0)^2/2 for Burgers on every axis, and
+    for a piecewise-linear flux (velocity[axis] * u, or the table on every
+    axis) its ``_PiecewiseLinear`` and that one's ``split``."""
     def upwinded(*pieces):
         f = _PiecewiseLinear(*pieces)
         return (f, *f.split())
+    if flux.kind == "burgers":
+        burgers = (lambda u: 0.5 * u * u, lambda a: 0.5 * np.maximum(a, 0.0) ** 2,
+                   lambda b: 0.5 * np.minimum(b, 0.0) ** 2)
+        return lambda axis: burgers
     if flux.kind == "linear":
         return tuple(upwinded((0.0,), (0.0,), (v, v)) for v in flux.velocity).__getitem__
     table = upwinded(flux.table_u, flux.table_f, (0.0, 0.0))
@@ -65,11 +71,16 @@ class FluxSpec:
 
     kinds (``FLUX_KINDS``): "burgers" uses u^2/2 on every axis; "linear"
     uses velocity[i] * u; "table" interpolates the given breakpoints
-    piecewise-linearly (constant beyond the ends) on every axis.  Both
-    are held once per spec as ``_PiecewiseLinear`` (``_flux_axes``).
-    ``numerical`` picks the two-point flux: "engquist_osher" (default) or
-    "lax_friedrichs".  ``u_range`` is the declared solution range used for
-    Lipschitz bounds, validation sampling, and the CFL restriction.
+    piecewise-linearly (constant beyond the ends) on every axis.
+    ``numerical`` picks the two-point flux: "engquist_osher" (default),
+    f(0) + f_+(a) + f_-(b) from the nondecreasing and nonincreasing halves
+    of f - f(0) that ``_flux_axes`` holds once per spec (Engquist & Osher,
+    Math. Comp. 36, 1981), or "lax_friedrichs", whose viscosity takes the
+    Lipschitz constant of f (Crandall & Majda, Math. Comp. 34, 1980).
+    Both are consistent and monotone by construction; nothing samples them
+    at run time.  ``u_range`` is the declared solution range that Burgers'
+    Lipschitz bound and the CFL restriction hold on; a run fails at a knot
+    whose field leaves it.
     """
 
     kind: str
@@ -103,8 +114,7 @@ class FluxSpec:
             if u.ndim != 1 or u.shape != f.shape or u.size < 2 or np.any(np.diff(u) <= 0.0):
                 raise ConfigurationError("flux table needs strictly increasing abscissae",
                                          field="problem.flux.table_u")
-        if self.kind != "burgers":
-            object.__setattr__(self, "_axis", _flux_axes(self))
+        object.__setattr__(self, "_axis", _flux_axes(self))
 
     def check_dim(self, dim):
         """Reject a velocity whose length is not dim, one component per
@@ -114,10 +124,7 @@ class FluxSpec:
                                      field="problem.flux.velocity")
 
     def flux_value(self, u, axis=0):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "burgers":
-            return 0.5 * u * u
-        return self._axis(axis)[0](u)
+        return self._axis(axis)[0](np.asarray(u, dtype=float))
 
     def lipschitz(self, axis=0):
         lo, hi = self.u_range
@@ -135,34 +142,8 @@ class FluxSpec:
         if self.numerical == "lax_friedrichs":
             lam = self.lipschitz(axis)
             return 0.5 * (self.flux_value(a, axis) + self.flux_value(b, axis)) - 0.5 * lam * (b - a)
-        if self.kind == "burgers":
-            return 0.5 * np.maximum(a, 0.0) ** 2 + 0.5 * np.minimum(b, 0.0) ** 2
         f, rising, falling = self._axis(axis)
         return f(0.0) + rising(a) + falling(b)
-
-
-def validate_flux(flux, dim=1, samples=33):
-    """Check a velocity's length against dim, then sample the declared
-    range: consistency F(u,u) = f(u) and the monotone property
-    (nondecreasing in the first slot, nonincreasing in the second).
-    Raises ConfigurationError on a violation."""
-    flux.check_dim(dim)
-    lo, hi = flux.u_range
-    us = np.linspace(lo, hi, samples)
-    scale = 1.0 + float(np.max(np.abs(flux.flux_value(us))))
-    for axis in range(dim):
-        diag = flux.numerical_flux(us, us, axis)
-        if np.max(np.abs(diag - flux.flux_value(us, axis))) > 1e-10 * scale:
-            raise ConfigurationError("numerical flux is not consistent on the declared range",
-                                     field="problem.flux")
-        A, B = np.meshgrid(us, us, indexing="ij")
-        F = flux.numerical_flux(A, B, axis)
-        if np.min(np.diff(F, axis=0)) < -1e-10 * scale:
-            raise ConfigurationError("numerical flux decreases in its first argument",
-                                     field="problem.flux")
-        if np.max(np.diff(F, axis=1)) > 1e-10 * scale:
-            raise ConfigurationError("numerical flux increases in its second argument",
-                                     field="problem.flux")
 
 
 def _convection(flux, values, h):
@@ -299,7 +280,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     cfg = config if config is not None else EpSolveConfig()
     flux = problem.flux
     if flux is not None:
-        validate_flux(flux, dim=grid.dim)
+        flux.check_dim(grid.dim)
     mins, maxs = [], []
 
     def keep(j, u):

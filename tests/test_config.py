@@ -2,10 +2,13 @@
 fixed point of load_config, and absent keys take the specs' defaults.  The
 rejections, each naming its dotted field, are in test_cli's REJECTED."""
 
+import copy
+
 import pytest
 
 from gpme.config import build_plan, load_config, merge_config
-from gpme.presets import preset_names
+from gpme.errors import ConfigurationError
+from gpme.presets import PRESETS, preset_names
 
 TINY = {"preset": "heat_gaussian_1d", "problem": {"h": 0.5, "T": 0.1}}
 
@@ -60,6 +63,34 @@ def _standalone(cfg):
 def test_preset_config_is_a_fixed_point(name):
     cfg = _standalone(load_config(name))
     assert load_config(cfg) == cfg
+
+
+def _key_paths(block, prefix=()):
+    for key, value in block.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_key_is_a_choice(name):
+    # a preset names only what its experiment chooses: without any one of
+    # its keys, at any depth, the config loads differently or not at all
+    preset = PRESETS[name]
+    full = load_config(preset)
+    defaults = []
+    for path in _key_paths(preset):
+        cfg = copy.deepcopy(preset)
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        del block[path[-1]]
+        try:
+            if load_config(cfg) == full:
+                defaults.append(".".join(path))
+        except ConfigurationError:
+            pass
+    assert defaults == []
 
 
 @pytest.mark.parametrize("override", EVERY_BLOCK.values(), ids=EVERY_BLOCK.keys())

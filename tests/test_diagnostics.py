@@ -133,6 +133,34 @@ def test_an_operator_built_for_another_box_is_rejected(support):
             call()
 
 
+@pytest.mark.parametrize("half_extent", [2.0, 6.0], ids=["short", "dense"])
+def test_an_operator_built_for_another_stencil_is_rejected(half_extent):
+    # the fractional measure's operator on the right box, handed to a
+    # Laplacian solve and to the measure merged with the Laplacian: each
+    # entry point rejects it rather than applying the wrong weights.  An
+    # equal stencil built anew is accepted and gives the same bits
+    g = UniformGrid.from_box(1, 0.25, half_extent)
+    operator = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0))
+    frac = operator.build_stencil(g)
+    assert (frac.n_offsets > _KERNEL_THRESHOLD) == (half_extent == 6.0)
+    lap = OperatorSpec(c=1).build_stencil(g)
+    resolvent = _Resolvent(frac, g.shape)
+    u = GaussianProfile(1.0, 0.25).cell_averages(g)
+    phi = PhiSpec(kind="linear")
+    for call in (lambda: apply_stencil(lap, 0, u, resolvent),
+                 lambda: apply_stencil(frac, 1, u, resolvent),
+                 lambda: solve_ep(lap, 0, phi, 0.1, u, resolvent=resolvent),
+                 lambda: solve_ep(frac, 1, phi, 0.1, u, resolvent=resolvent)):
+        with pytest.raises(ConfigurationError, match="another stencil"):
+            call()
+    again = operator.build_stencil(g)
+    assert again is not frac
+    assert (apply_stencil(again, 0, u, resolvent).tobytes()
+            == apply_stencil(frac, 0, u).tobytes())
+    assert (solve_ep(again, 0, phi, 0.1, u, resolvent=resolvent).w.tobytes()
+            == solve_ep(frac, 0, phi, 0.1, u).w.tobytes())
+
+
 def test_forward_difference_norm_tracks_gradient():
     g = UniformGrid.from_box(1, 0.01, 6.0)
     X, _ = build_cutoff(4.0, g)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc, gammaincc, gamma
 
+from gpme.config import load_config
 from gpme.diagnostics import Cutoff
 from gpme.errors import ConfigurationError, DataError
 from gpme.presets import PRESETS
@@ -205,7 +206,7 @@ def test_exact_reference_starts_from_the_initial_data(override):
 
 # every tail radius of a preset, and radii at which the indicator's ends,
 # the step and the Barenblatt support edge fall inside the cutoff band
-_RADII = sorted({R for cfg in PRESETS.values() for R in cfg["diagnostics"]["R_list"]}
+_RADII = sorted({R for name in PRESETS for R in load_config(name)["diagnostics"]["R_list"]}
                 | {0.75, 1.2, 2.0})
 
 
