@@ -20,11 +20,14 @@ tails in closed form and the cutoff band by ``profiles.adaptive_quad``.
 measure.
 Once the saved fields hold 32 768 values or more, `run` forks one child
 before the solve, which writes each saved knot's field CSV while the
-parent solves the later steps (see
-`grid_field.FieldWriter`); GPME_THREADS does not govern that, and the
-bytes written are those of one process.  A run that fails leaves no field
-file.  An I/O failure, such as an output path that is a file, is a
-runtime failure (exit 1).
+parent solves the later steps (see `grid_field.FieldWriter`);
+GPME_THREADS does not govern that, and the bytes written are those of
+one process.  `run` streams each knot to the field writer, which holds
+at most its ring of ``grid_field._RING_SLOTS`` knots (or, without a
+child, the few small saved ones), and to the per-radius tail reduction
+``diagnostics.KnotTails``; the solve holds its current and previous
+knot.  A run that fails leaves no field file.  An I/O failure, such as
+an output path that is a file, is a runtime failure (exit 1).
 """
 
 from __future__ import annotations
@@ -76,16 +79,17 @@ def _write_json(path, obj):
 
 def cmd_run(args):
     from .config import build_plan, load_config
-    from .diagnostics import check_cutoff_radius, data_bounds, equitightness_check
+    from .diagnostics import KnotTails, check_cutoff_radius, data_bounds, equitightness_check
     from .errors import ConfigurationError, DataError
     from .evolution import run
     from .grid_field import FieldWriter, _format_float
 
     cfg = load_config(args.config)
     plan = build_plan(cfg)
-    for R in plan.diagnostics["R_list"]:
+    R_list, r = plan.diagnostics["R_list"], plan.diagnostics["r"]
+    for R in R_list:
         check_cutoff_radius(R, plan.grid, "diagnostics.R_list")
-    if plan.diagnostics["R_list"]:
+    if R_list:
         # the tail bound reads the data's norms and radial tails: ask for
         # them before any computing
         try:
@@ -101,17 +105,21 @@ def cmd_run(args):
     stride = plan.diagnostics["save_stride"]
     n_knots = plan.time_grid.n_steps + 1
     saved = sorted(set(range(0, n_knots, stride)) | {n_knots - 1})
+    tails = KnotTails(plan.grid, plan.time_grid, R_list, r)
     # the fields are written while the later steps are solved and the tail
     # certificates computed; every one is in place when the block is left
     with FieldWriter({j: out / f"field_{j:05d}.csv" for j in saved},
-                     n_knots, plan.grid.shape) as writer:
+                     plan.grid.shape) as writer:
+        def on_knot(j, u):
+            # each knot goes to the writer and to the tail reduction, and
+            # the run keeps none
+            writer.knot(j, u)
+            tails.knot(j, u)
+
         report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver,
-                     on_knot=writer.knot)
-        eq_reports = []
-        for R in plan.diagnostics["R_list"]:
-            eq_reports.append(equitightness_check(
-                report.trajectory, plan.problem, R=R, r=plan.diagnostics["r"],
-                resolvent=report.resolvent))
+                     on_knot=on_knot)
+        eq_reports = [equitightness_check(tails, plan.problem, R=R, r=r,
+                                          resolvent=report.resolvent) for R in R_list]
     lines = ["R,lhs,rhs,pass"]
     for eq in eq_reports:
         flag = "true" if eq.passed else "false"

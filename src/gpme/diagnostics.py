@@ -21,7 +21,7 @@ import numpy as np
 
 from .elliptic_solver import _Resolvent, apply_stencil
 from .errors import ConfigurationError, DataError
-from .grid_field import lr_norm_of_values, shifted
+from .grid_field import Trajectory, lr_norm_of_values, shifted
 from .profiles import adaptive_quad, sphere_area
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "operator_cutoff_norm",
     "forward_difference_norms",
     "tail_mass",
+    "KnotTails",
     "conjugate_exponents",
     "admissible_threshold",
     "EquitightnessReport",
@@ -216,6 +217,41 @@ def _masked_tail(values, mask, cell_volume, r):
     return cell_volume * float(np.sum(np.where(mask, np.abs(values) ** r, 0.0)))
 
 
+class KnotTails:
+    """The tail certificate's left side reduced knot by knot: for each
+    radius R in ``R_list``, the worst tail mass h^N sum over |x_beta| > R
+    of |U^j_beta|^r over the knots seen.  ``knot`` is an
+    ``evolution.run`` ``on_knot`` hook that keeps no field, so a run
+    certified this way holds its current and previous knot only; ``of``
+    reduces a stored trajectory."""
+
+    def __init__(self, grid, time_grid, R_list, r=1.0):
+        self.grid, self.time_grid, self.r = grid, time_grid, r
+        radii = grid.node_radii() if R_list else None
+        self._masks = {float(R): radii > R for R in R_list}
+        self._worst = {}
+
+    @classmethod
+    def of(cls, traj, R_list, r=1.0):
+        tails = cls(traj.grid, traj.time_grid, R_list, r)
+        for j, values in enumerate(traj.fields):
+            tails.knot(j, values)
+        return tails
+
+    def knot(self, j, u):
+        for R, mask in self._masks.items():
+            tail = _masked_tail(u, mask, self.grid.cell_volume, self.r)
+            self._worst[R] = max(self._worst.get(R, tail), tail)
+
+    def worst(self, R, r):
+        """The worst tail mass at radius R and exponent r over every knot."""
+        if r != self.r or float(R) not in self._masks:
+            raise ConfigurationError(f"no tail reduced at R = {R:g}, r = {r:g}", field="R")
+        if float(R) not in self._worst:
+            raise DataError("no knot reduced")
+        return self._worst[float(R)]
+
+
 def conjugate_exponents(ell):
     """(p, q) with p = 1/(1-ell) capped at infinity, q its conjugate."""
     if not (0.0 < ell <= 1.0):
@@ -324,19 +360,26 @@ def data_bounds(problem, T):
 
 
 def equitightness_check(traj, problem, R, r=1.0, resolvent=None):
-    """Evaluate the uniform tail bound for a finished trajectory.
+    """Evaluate the uniform tail bound for one run of ``problem``.
 
-    The left side is the worst tail mass over the knots (see
-    ``EquitightnessReport``); the right side assembles the declared data
-    norms, the regularity constants of phi on [-M, M], and the discrete
-    operator norm of the cutoff.  ``resolvent`` is the run's operator on
-    the grid's box, the ``_Resolvent`` that ``RunReport.resolvent``
-    keeps; it is built here from ``problem.operator`` when not given."""
-    grid = traj.grid
-    T = traj.time_grid.final_time
+    ``traj`` is the run: its ``Trajectory`` with every field, or the
+    ``KnotTails`` that reduced its knots while it ran (as ``gpme run``
+    does) at R and r.  The left side is the worst tail mass over the
+    knots (see ``EquitightnessReport``); the right side assembles the
+    declared data norms, the regularity constants of phi on [-M, M], and
+    the discrete operator norm of the cutoff.  ``resolvent`` is the run's
+    operator on the grid's box, the ``_Resolvent`` that
+    ``RunReport.resolvent`` keeps, and must hold ``problem.operator``
+    (``_Resolvent.check_operator``, a ConfigurationError otherwise); it is
+    built here from ``problem.operator`` when not given."""
+    tails = KnotTails.of(traj, [R], r) if isinstance(traj, Trajectory) else traj
+    grid = tails.grid
+    T = tails.time_grid.final_time
     X_nodal, cutoff = build_cutoff(R, grid)
     if resolvent is None:
-        resolvent = _Resolvent(problem.operator.build_stencil(grid), grid.shape)
+        resolvent = _Resolvent.of(problem.operator, grid)
+    else:
+        resolvent.check_operator(problem.operator, grid)
 
     M, data_l1 = data_bounds(problem, T)
     g_piece = 0.0 if problem.source is None else problem.source.weighted_l1l1(cutoff, T)
@@ -359,8 +402,7 @@ def equitightness_check(traj, problem, R, r=1.0, resolvent=None):
 
     rhs = M ** (r - 1.0) * (u0_piece + g_piece + C * op_piece + conv_constant * conv_piece)
 
-    mask = grid.node_radii() > R
-    lhs = max(_masked_tail(vals, mask, grid.cell_volume, r) for vals in traj.fields)
+    lhs = tails.worst(R, r)
 
     threshold = admissible_threshold(problem.operator, grid.dim)
     asserted = threshold is not None and threshold < ell <= 1.0

@@ -372,9 +372,11 @@ class _Resolvent:
     W - A 1 per node, the total weight of the jumps that leave the box
     (the diffusive leak rate is h^N sum phi(U) escape), and the Newton
     systems' solve (``solve``).  ``evolution.run`` builds one per run
-    and hands it to every ``evolution.step`` and to the tail
-    certificate; ``solve_ep`` and ``apply_stencil`` build their own when
-    given none, and reject one built for another stencil or box.
+    from its ``OperatorSpec`` (``of``, which records the spec) and hands
+    it to every ``evolution.step`` and to the tail certificate, which
+    checks it against its problem (``check_operator``); ``solve_ep`` and
+    ``apply_stencil`` build their own when given none, and reject one
+    built for another stencil or box.
 
     A is stored in one form.  Up to ``_KERNEL_THRESHOLD`` offsets it is
     the CSR ``matrix`` of ``_neighbor_matrix`` over the C-order flattened
@@ -389,6 +391,7 @@ class _Resolvent:
 
     def __init__(self, stencil, shape):
         self.stencil, self.shape = stencil, tuple(shape)
+        self.operator = None
         self.W = W = stencil.total_weight
         self.matrix = self.spectrum = self.lengths = self.band = None
         if stencil.n_offsets <= _KERNEL_THRESHOLD:
@@ -423,6 +426,27 @@ class _Resolvent:
             self.base = W * sparse.identity(self.matrix.shape[0], format="csr") - self.matrix
             self.rows = np.repeat(np.arange(self.matrix.shape[0]), np.diff(self.base.indptr))
             self.on_diagonal = np.flatnonzero(self.rows == self.base.indices)
+
+    @classmethod
+    def of(cls, operator, grid):
+        """The operator of an ``OperatorSpec`` on grid's box, from its
+        ``build_stencil``, recording ``operator`` for ``check_operator``."""
+        resolvent = cls(operator.build_stencil(grid), grid.shape)
+        resolvent.operator = operator
+        return resolvent
+
+    def check_operator(self, operator, grid):
+        """Raise a ConfigurationError unless this is ``operator`` at grid's
+        mesh width: read off the ``OperatorSpec`` recorded by ``of``, or,
+        for one built from a bare stencil, by building ``operator``'s
+        stencil and comparing (``_held``).  Another box is rejected by
+        ``neighbor``."""
+        if self.operator is None:
+            _held(operator.build_stencil(grid), grid.shape, self)
+        elif self.operator != operator or self.stencil.h != grid.h:
+            raise ConfigurationError(f"an operator built for another operator ({self.operator}, "
+                                     f"h = {self.stencil.h:g}) cannot act as this one "
+                                     f"({operator}, h = {grid.h:g})")
 
     def neighbor(self, values):
         """A values, for values on the operator's box."""

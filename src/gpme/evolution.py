@@ -223,15 +223,20 @@ def step(resolvent, phi, dt, u_prev, g=None, flux=None, config=None, guess=None)
 class RunReport:
     """Trajectory plus the per-knot mass ledger.
 
+    ``trajectory`` holds the fields that ``run``'s ``on_knot`` kept: every
+    knot without a hook, none under ``gpme run``, whose hook streams each
+    knot to the field writer and the tail reduction.
+
     identity_gap[j] = mass[j] - (mass[0] + source_cum[j]
                       - leak_diffusive[j] - leak_convective[j]);
     up to rounding it equals residual_mass_cum[j], the accumulated signed
     mass of the reported solver residuals.  sweeps, fallbacks and
     residuals are each step's ``EpResult`` figures.  ``resolvent`` is the
-    run's operator on the grid's box, an ``elliptic_solver._Resolvent`` of
-    the whole stencil (``OperatorSpec.build_stencil``: the measure's weights,
-    and the Laplacian's for c = 1), kept for the tail certificate and
-    for stepping on from a knot, and not serialized.
+    run's operator on the grid's box, the ``elliptic_solver._Resolvent``
+    of ``problem.operator`` (``_Resolvent.of``: the measure's weights, and
+    the Laplacian's for c = 1), which records that ``OperatorSpec`` so that
+    the tail certificate can check it against its problem; it is kept for
+    the certificate and for stepping on from a knot, and not serialized.
     """
 
     trajectory: Trajectory
@@ -261,13 +266,17 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     grid's box, as one ``_Resolvent`` for the escape weights, every
     ``step`` and the report's tail certificates.
 
+    The run steps from its own current and previous fields.
     ``on_knot(j, u)``, when given, is called with each knot's field as
     soon as it is computed, and returns the array that the trajectory
-    keeps as knot j: u itself or a copy of it
-    (``grid_field.FieldWriter.knot`` stores it and writes it while the
-    later steps are solved).  U^0 goes first, projected before the
-    operator is built, so a writer can write it while the stencil, the
-    resolvent and the escape weights are built; then each step's field.
+    keeps as knot j (u itself or a copy of it), or None to keep nothing:
+    the trajectory keeps a field for every knot or for none, so a hook
+    that streams every knot to its consumers (``gpme run``'s field writer
+    and tail reduction) leaves the run holding two fields, not one per
+    knot.  Without a hook every knot is kept.  U^0 goes first, projected
+    before the operator is built, so a writer can write it while the
+    stencil, the resolvent and the escape weights are built; then each
+    step's field.
     With a flux, a knot whose field leaves the flux's declared u_range
     fails the run there, before ``on_knot`` sees it: the CFL bound and the
     flux's Lipschitz constant hold on that range only.
@@ -281,7 +290,7 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
     flux = problem.flux
     if flux is not None:
         flux.check_dim(grid.dim)
-    mins, maxs = [], []
+    mins, maxs, fields = [], [], []
 
     def keep(j, u):
         mins.append(float(np.min(u)))
@@ -290,16 +299,18 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
             raise DataError(f"the field at knot {j} (t = {time_grid.knots[j]:g}) spans "
                             f"[{mins[-1]:g}, {maxs[-1]:g}], outside the flux's declared "
                             f"u_range [{flux.u_range[0]:g}, {flux.u_range[1]:g}]", step=j)
-        return u if on_knot is None else on_knot(j, u)
+        kept = u if on_knot is None else on_knot(j, u)
+        if kept is not None:
+            fields.append(kept)
 
-    u0 = keep(0, project_cell_average(problem.initial, grid))
+    u0 = project_cell_average(problem.initial, grid)
+    keep(0, u0)
 
-    resolvent = _Resolvent(problem.operator.build_stencil(grid), grid.shape)
+    resolvent = _Resolvent.of(problem.operator, grid)
     vol = grid.cell_volume
     sources = project_source(problem.source, grid, time_grid)
     steps = time_grid.steps
 
-    fields = [u0]
     mass = [vol * float(np.sum(u0))]
     src_cum, leak_d, leak_c, res_cum = [0.0], [0.0], [0.0], [0.0]
     sweeps, fallbacks, residuals = [], [], []
@@ -314,9 +325,9 @@ def run(problem, grid, time_grid, config=None, on_knot=None):
         except NonConvergenceError as exc:
             exc.step = j
             raise
-        w = keep(j + 1, result.w)
+        w = result.w
+        keep(j + 1, w)
         p = problem.phi.value(w)
-        fields.append(w)
         mass.append(vol * float(np.sum(w)))
         src_cum.append(src_cum[-1] + (dt * vol * float(np.sum(g)) if g is not None else 0.0))
         leak_d.append(leak_d[-1] + dt * vol * float(np.sum(p * resolvent.escape)))

@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import mmap
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "Trajectory",
     "project_cell_average",
     "project_source",
+    "SourceSteps",
     "lr_norm_of_values",
     "write_field_csv",
     "FieldWriter",
@@ -183,15 +185,17 @@ class TimeGrid:
 @dataclass(frozen=True)
 class Trajectory:
     """Fields U^0..U^J of one run on one grid, read-only, one per knot of
-    its time grid."""
+    its time grid, or none when the run streamed its knots to their
+    consumers and kept none (``evolution.run``'s ``on_knot``)."""
 
     grid: UniformGrid
     time_grid: TimeGrid
     fields: tuple
 
     def __post_init__(self):
-        if len(self.fields) != self.time_grid.n_steps + 1:
-            raise ConfigurationError("need one field per time knot", field="trajectory")
+        if len(self.fields) not in (0, self.time_grid.n_steps + 1):
+            raise ConfigurationError("need one field per time knot, or none",
+                                     field="trajectory")
         for arr in self.fields:
             if arr.shape != self.grid.shape:
                 raise ConfigurationError("field shape does not match grid", field="trajectory")
@@ -200,6 +204,8 @@ class Trajectory:
     def values_at_time(self, t):
         """Nodal values of the interpolant at time t (linear in t between
         knots, U^0 at t = 0)."""
+        if not self.fields:
+            raise DataError("the trajectory kept no fields")
         knots = self.time_grid.knots
         T = knots[-1]
         if not np.isfinite(t) or t < -1e-12 or t > T + 1e-12:
@@ -222,19 +228,39 @@ def project_cell_average(profile, grid):
     return vals
 
 
-def project_source(source, grid, time_grid):
-    """Per-step space-time averages of the forcing term.
+class SourceSteps:
+    """A source's space-time averages, step j = 1..J at index j - 1: the
+    spatial cell ``averages`` times the step's temporal mean in
+    ``factors``, formed when a step asks for it, so that a run holds one
+    field of its source, not one per step."""
 
-    Returns a list of value arrays, one per step j = 1..J, each the average of
-    g over cell x time slab.  A source of None (no forcing) gives None.
-    """
+    def __init__(self, averages, factors):
+        self.averages, self.factors = averages, factors
+
+    def __len__(self):
+        return len(self.factors)
+
+    def __getitem__(self, j):
+        return self.averages * self.factors[j]
+
+
+def project_source(source, grid, time_grid):
+    """Per-step space-time averages of the forcing term, as
+    ``SourceSteps``: item j - 1 is the average of g over the cell x time
+    slab of step j.  A source of None (no forcing) gives None.
+
+    A step whose field is not finite everywhere is a DataError naming the
+    step.  Rounding is monotone, so the largest |cell average| times the
+    step's factor is the largest |value| of that step's field: one
+    product per step decides it."""
     if source is None:
         return None
-    arrays = source.project(grid, time_grid)
-    for j, arr in enumerate(arrays):
-        if not np.all(np.isfinite(arr)):
+    steps = SourceSteps(*source.project(grid, time_grid))
+    peak = np.max(np.abs(steps.averages))
+    for j, factor in enumerate(steps.factors):
+        if not np.isfinite(peak * factor):
             raise DataError(f"source projection non-finite at step {j + 1}")
-    return arrays
+    return steps
 
 
 def lr_norm_of_values(values, cell_volume, r):
@@ -330,6 +356,22 @@ def write_field_csv(path, values, labels=None):
 _FORK_MIN_VALUES = 1 << 15
 
 
+# slots of one field each in the forked writer's ring.  Two batches of 14
+# alternating rounds over the seven 1-D presets at h = 1/64, run in
+# process, summed the medians to 1004 and 840 ms with 2 slots, 838 and 785
+# with 4, 820 and 781 with 8, 884 and 761 with 16, 887 and 754 with 64
+# (2-core Xeon, Python 3.11): with 2 the child of `frac_heat_poisson_1d`
+# (65 saved knots of 6145 values) falls behind and the parent writes more
+# knots itself, and from 4 on the gaps are within the batches' spread.
+# Each slot a run fills holds one field resident: 8 give a slow child
+# twice the slack of 4 and bound the ring at 17 MB on the 513 x 513 plane
+_RING_SLOTS = 8
+
+
+# one record of the writer's pipe: a posted knot's index and its slot
+_RECORD = struct.Struct("<II")
+
+
 def _partial(path):
     """The name a field CSV is written under until its run is done."""
     return os.fspath(path) + ".part"
@@ -337,30 +379,36 @@ def _partial(path):
 
 class FieldWriter:
     """Writes the field CSVs of one run's saved knots, while the run goes
-    on where a second process pays.
+    on where a second process pays, holding each saved knot only until it
+    is written.
 
-    ``paths`` maps each saved knot index j to its CSV path, in a run of
-    ``n_knots`` knots on a grid of ``shape``.  The writer is a context
-    manager around the run, and ``knot`` is ``evolution.run``'s
-    ``on_knot`` hook: it stores each knot's field in one
-    ``(n_knots, *shape)`` buffer, and returns the stored row for the
-    trajectory to keep, so no knot is held twice.
+    ``paths`` maps each saved knot index j to its CSV path, for fields of
+    ``shape``.  The writer is a context manager around the run, and
+    ``knot`` is the part of ``evolution.run``'s ``on_knot`` hook that
+    takes each knot's field; it keeps none for the run.
 
     With two or more saved knots of ``_FORK_MIN_VALUES`` values or more in
-    all, and where there is ``fork``, entering forks one child and the
-    buffer is an anonymous shared ``mmap``.  ``knot`` posts each saved
-    index to a pipe, from which the child takes indices and writes those
-    knots while the parent solves the later steps.  The pipe's write end
-    does not block: when it is full (the child is behind, or gone), the
-    parent writes the knot itself.  On leaving, the parent closes the
-    pipe, writes the indices left in it itself, and reaps the child; if
-    the child failed, the parent writes again every knot that it did not
-    write itself, so an I/O error is raised here.  The child makes no BLAS
-    or FFT call, calls ``write_field_csv`` through this module's global,
-    and leaves through ``os._exit`` (status 0 on success, 1 on any
-    exception), so it never returns to the caller, runs no atexit handler
-    and flushes no stdio buffer.  Otherwise every saved knot is written
-    in this process on leaving.
+    all, and where there is ``fork``, entering forks one child, which
+    shares an anonymous ``mmap`` with the parent: a header that counts the
+    knots the child has written, and a ring of ``_RING_SLOTS`` slots of
+    one field each.  ``knot`` copies a saved knot into the next slot and
+    posts its index and slot to a pipe, from which the child takes them
+    in posting order and writes those knots while the parent solves the
+    later steps.  A slot is reused only once the child has counted the
+    knot it last held, that is, closed its file.  When the ring is full
+    (the child is behind, or gone), or the pipe is, whose write end does
+    not block, the parent writes the knot itself from the run's array.
+    On leaving, the parent closes the pipe, writes the knots left in it
+    itself from their slots, and reaps the child; if the child failed,
+    the parent writes again every posted knot that the child had not
+    counted, from its slot, which was never reused, so an I/O error is
+    raised here.  The child makes no BLAS or FFT call, calls
+    ``write_field_csv`` through this module's global, and leaves through
+    ``os._exit`` (status 0 on success, 1 on any exception), so it never
+    returns to the caller, runs no atexit handler and flushes no stdio
+    buffer.  Otherwise the writer holds a copy of each saved knot, by the
+    threshold fewer than ``_FORK_MIN_VALUES`` values or a single knot,
+    and writes them all in this process on leaving.
 
     Each CSV is written under its ``_partial`` name and renamed to its
     path only once every saved knot is written.  Leaving on an exception
@@ -369,23 +417,23 @@ class FieldWriter:
     same place untouched.  (A rename that fails, say onto a directory,
     leaves the fields renamed before it.)"""
 
-    def __init__(self, paths, n_knots, shape):
+    def __init__(self, paths, shape):
         self.paths = dict(paths)
-        self.n_knots = n_knots
         self.shape = tuple(shape)
-        self._fields = None
+        self._held = {}
         self._pid = None
-        self._mine = set()
+        self._posted = []
         self._labels = None
 
     def __enter__(self):
         size = int(np.prod(self.shape))
         if not (len(self.paths) > 1 and len(self.paths) * size >= _FORK_MIN_VALUES
                 and hasattr(os, "fork")):
-            self._fields = np.empty((self.n_knots,) + self.shape)
             return self
-        buffer = mmap.mmap(-1, self.n_knots * size * 8)
-        self._fields = np.frombuffer(buffer, dtype=float).reshape((self.n_knots,) + self.shape)
+        buffer = mmap.mmap(-1, 8 + _RING_SLOTS * size * 8)
+        self._written = np.frombuffer(buffer, dtype=np.int64, count=1)
+        self._slots = np.frombuffer(buffer, dtype=float, offset=8).reshape(
+            (_RING_SLOTS,) + self.shape)
         self._read, self._post = os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
@@ -400,40 +448,51 @@ class FieldWriter:
         try:
             os.close(self._post)
             labels = _row_labels(self.shape)
-            while index := os.read(self._read, 4):
-                j = int.from_bytes(index, "little")
-                write_field_csv(_partial(self.paths[j]), self._fields[j], labels)
+            while record := os.read(self._read, _RECORD.size):
+                j, slot = _RECORD.unpack(record)
+                write_field_csv(_partial(self.paths[j]), self._slots[slot], labels)
+                self._written[0] += 1
             status = 0
         finally:
             os._exit(status)
 
-    def _write(self, j):
+    def _write(self, j, values):
         if self._labels is None:
             self._labels = _row_labels(self.shape)
-        write_field_csv(_partial(self.paths[j]), self._fields[j], self._labels)
-        self._mine.add(j)
+        write_field_csv(_partial(self.paths[j]), values, self._labels)
 
     def knot(self, j, u):
-        """Store knot j's field u and return the stored row; a saved knot
-        goes to the child at once."""
-        row = self._fields[j]
-        row[...] = u
-        if self._pid and j in self.paths:
+        """Take knot j's field u: a saved knot goes to the child through
+        the ring, or is written here when the ring or the pipe is full;
+        without a child it is held until leaving."""
+        if j not in self.paths:
+            return
+        if not self._pid:
+            self._held[j] = np.array(u, dtype=float)
+            return
+        k = len(self._posted)
+        # the slot last held the knot posted _RING_SLOTS before this one
+        if self._written[0] > k - _RING_SLOTS:
+            slot = k % _RING_SLOTS
+            self._slots[slot] = u
             try:
-                os.write(self._post, j.to_bytes(4, "little"))
+                os.write(self._post, _RECORD.pack(j, slot))
+                self._posted.append(j)
+                return
             except BlockingIOError:
-                self._write(j)
-        return row
+                pass
+        self._write(j, u)
 
     def _join(self, write):
-        """Close the queue, take the indices left in it (writing those
-        knots when ``write`` is set) and reap the child; True when the
-        child failed."""
+        """Close the queue, take the knots left in it (writing them from
+        their slots when ``write`` is set) and reap the child; True when
+        the child failed."""
         try:
             os.close(self._post)
-            while index := os.read(self._read, 4):
+            while record := os.read(self._read, _RECORD.size):
                 if write:
-                    self._write(int.from_bytes(index, "little"))
+                    j, slot = _RECORD.unpack(record)
+                    self._write(j, self._slots[slot])
         finally:
             os.close(self._read)
             status = os.waitpid(self._pid, 0)[1]
@@ -443,13 +502,16 @@ class FieldWriter:
     def __exit__(self, exc_type, exc, tb):
         done = False
         try:
-            # without a child, or after a failed one, this process writes
-            # every saved knot that it has not written itself
-            missing = self._join(exc_type is None) if self._pid else True
+            failed = self._join(exc_type is None) if self._pid else False
             if exc_type is None:
-                for j in self.paths:
-                    if missing and j not in self._mine:
-                        self._write(j)
+                for j, values in self._held.items():
+                    self._write(j, values)
+                if failed:
+                    # the child wrote in posting order, and the slots of the
+                    # knots from the first it had not counted on were never
+                    # reused
+                    for k in range(int(self._written[0]), len(self._posted)):
+                        self._write(self._posted[k], self._slots[k % _RING_SLOTS])
                 for path in self.paths.values():
                     os.replace(_partial(path), path)
                 done = True

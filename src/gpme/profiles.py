@@ -522,13 +522,13 @@ class SeparableSource:
         self.temporal = temporal
 
     def project(self, grid, time_grid):
-        avgs = self.spatial.cell_averages(grid)
-        out = []
+        """The spatial cell averages, and for each step j = 1..J the mean
+        of the temporal factor over it, integral / dt: step j's space-time
+        average of g is their product."""
         knots = time_grid.knots
-        for j in range(time_grid.n_steps):
-            dt = knots[j + 1] - knots[j]
-            out.append(avgs * (self.temporal.integral(knots[j], knots[j + 1]) / dt))
-        return out
+        factors = [self.temporal.integral(knots[j], knots[j + 1]) / (knots[j + 1] - knots[j])
+                   for j in range(time_grid.n_steps)]
+        return self.spatial.cell_averages(grid), factors
 
     def l1l1_norm(self, T):
         return self.spatial.l1_norm() * self.temporal.abs_integral(0.0, T)

@@ -741,6 +741,35 @@ def test_set_up_imports_no_scipy(tmp_path):
     assert line == {"codes": [0, 2], "scipy": []}
 
 
+_PEAK_RSS_OF_A_RUN = """
+import json, resource, sys
+from gpme.cli import main
+
+steps, h = int(sys.argv[1]), 1.0 / 512
+run = {"preset": "heat_gaussian_1d",
+       "problem": {"h": h, "T": steps * h / 2, "box_half_extent": 16.0,
+                   "dt": {"policy": "linear", "factor": 0.5}},
+       "diagnostics": {"R_list": [], "save_stride": 100000}}
+assert main(["run", "--config", json.dumps(run), "--out", sys.argv[2]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+def test_run_memory_does_not_grow_with_its_knot_count(tmp_path):
+    # 16 385 nodes over 400 steps and over 1, each in a fresh interpreter:
+    # the run holds its current and previous knot and the writer its two
+    # saved ones, so the peaks agree within a few MB, where the 401 knots
+    # alone are 52 MB
+    peaks = []
+    for steps in (400, 1):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_OF_A_RUN, str(steps), str(tmp_path / str(steps))],
+            capture_output=True, text=True, env={**os.environ, "GPME_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(float(proc.stdout.split()[-1]))
+    assert peaks[0] - peaks[1] < 4.0, peaks
+
+
 _RUN_IMPORTS_NO_QUADRATURE = """
 import json, sys
 from gpme.cli import main

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gpme.config import build_plan, load_config
-from gpme.diagnostics import (Cutoff, _sample_times, admissible_threshold, build_cutoff,
+from gpme.diagnostics import (Cutoff, KnotTails, _sample_times, admissible_threshold, build_cutoff,
                               conjugate_exponents, ct_lr_distance,
                               equitightness_check, forward_difference_norms,
                               operator_cutoff_norm, smooth_step, smooth_step_d1,
@@ -159,6 +159,48 @@ def test_an_operator_built_for_another_stencil_is_rejected(half_extent):
             == apply_stencil(frac, 0, u).tobytes())
     assert (solve_ep(again, 0, phi, 0.1, u, resolvent=resolvent).w.tobytes()
             == solve_ep(frac, 0, phi, 0.1, u).w.tobytes())
+
+
+def test_certificate_rejects_another_operators_resolvent():
+    # a Laplacian problem (h = 0.25, box 6, R = 1.5) handed the operator of
+    # the fractional measure on the same box, from a run (whose resolvent
+    # records its OperatorSpec) and built from the bare stencil, or the
+    # Laplacian's at h = 0.5 on a box of the same shape: each is rejected,
+    # rather than certifying the problem with another operator's bound.
+    # The problem's own gives the certificate that one built anew gives
+    g, coarse = UniformGrid.from_box(1, 0.25, 6.0), UniformGrid.from_box(1, 0.5, 12.0)
+    assert g.shape == coarse.shape
+    prof, phi, tg = GaussianProfile(1.0, 0.25), PhiSpec(kind="linear"), TimeGrid.uniform(0.25, 0.125)
+    lap = ProblemSpec(operator=OperatorSpec(c=1), phi=phi, initial=prof)
+    frac = ProblemSpec(operator=OperatorSpec(c=0, measure=MeasureSpec(kind="fractional",
+                                                                      alpha=1.0)),
+                       phi=phi, initial=prof)
+    rep = run(lap, g, tg)
+    for other in (run(frac, g, tg).resolvent, _Resolvent(frac.operator.build_stencil(g), g.shape),
+                  run(lap, coarse, tg).resolvent):
+        with pytest.raises(ConfigurationError, match="another"):
+            equitightness_check(rep.trajectory, lap, 1.5, resolvent=other)
+    own = equitightness_check(rep.trajectory, lap, 1.5, resolvent=rep.resolvent)
+    assert own.to_json_dict() == equitightness_check(rep.trajectory, lap, 1.5).to_json_dict()
+
+
+def test_certificate_from_knot_tails_matches_the_stored_trajectory():
+    # the tails reduced knot by knot, as a run streams them, give the
+    # certificate of the stored fields, for the radii and exponent they
+    # were reduced at only
+    plan, rep = _small_run("heat_gaussian_1d")
+    tails = KnotTails(plan.grid, plan.time_grid, [1.5, 3.0], r=1.0)
+    with pytest.raises(DataError):
+        tails.worst(1.5, 1.0)
+    for j, u in enumerate(rep.trajectory.fields):
+        tails.knot(j, u)
+    for R in (1.5, 3.0):
+        streamed = equitightness_check(tails, plan.problem, R, resolvent=rep.resolvent)
+        stored = equitightness_check(rep.trajectory, plan.problem, R, resolvent=rep.resolvent)
+        assert streamed.to_json_dict() == stored.to_json_dict()
+    for R, r in ((2.0, 1.0), (1.5, 2.0)):
+        with pytest.raises(ConfigurationError):
+            equitightness_check(tails, plan.problem, R, r=r)
 
 
 def test_forward_difference_norm_tracks_gradient():

@@ -1,5 +1,6 @@
 """Time stepping: ledger identity, order preservation, CFL, transport."""
 
+import hashlib
 import json
 import time
 
@@ -18,7 +19,8 @@ from gpme.evolution import FluxSpec, ProblemSpec, _convection, cfl_limit, run, s
 from gpme.grid_field import TimeGrid, UniformGrid
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil,
                                  combine_with_laplacian, measure_stencil)
-from gpme.profiles import BarenblattExact, BarenblattProfile, GaussianProfile
+from gpme.profiles import (BarenblattExact, BarenblattProfile, GaussianProfile,
+                           SeparableSource, TimeFactor)
 
 
 def _laplacian(g):
@@ -393,6 +395,64 @@ def test_run_hands_every_knot_to_on_knot_in_order():
     for (_, u), field, ref in zip(seen, fields, plain.trajectory.fields):
         assert u.tobytes() == field.tobytes() == ref.tobytes()
     assert report.to_json_dict() == plain.to_json_dict()
+
+
+def test_run_steps_from_its_own_fields_whatever_on_knot_keeps():
+    # a hook that keeps nothing, or hands back an array that is not the
+    # knot (as a writer's reused slot would be), changes no knot the run
+    # computes and no ledger figure; keeping nothing leaves no field
+    plan = build_plan(load_config({"preset": "pme_barenblatt_1d", "problem": {"h": 0.25}}))
+    plain = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver)
+    knots = [field.tobytes() for field in plain.trajectory.fields]
+    for keep, kept in ((lambda u: None, 0), (np.zeros_like, len(knots))):
+        seen = []
+        report = run(plan.problem, plan.grid, plan.time_grid, config=plan.solver,
+                     on_knot=lambda j, u: seen.append(u.tobytes()) or keep(u))
+        assert seen == knots
+        assert report.to_json_dict() == plain.to_json_dict()
+        assert len(report.trajectory.fields) == kept
+
+
+# the first 16 hex digits of each artifact's sha256 from the one-field-per-
+# step source projection, a list of avgs * (integral / dt) arrays
+_SOURCE_RUN_DIGESTS = {
+    "equitightness.csv": "5dba6b9b441c9db9",
+    "field_00000.csv": "ecf3e392a166d5c0",
+    "field_00003.csv": "6d61cc73d3dafae3",
+    "field_00006.csv": "3feb6af55391efab",
+    "field_00008.csv": "ace9dd168db82222",
+    "report.json": "54e1b46b3feb492f",
+}
+
+
+def test_run_with_a_source_writes_the_bytes_of_one_field_per_step(tmp_path):
+    # the source's cell averages are projected once and scaled by each
+    # step's temporal mean when the step needs them: a source that moves
+    # in time gives the artifacts of the projection that held every step.
+    # Its 8 steps of 0.05625 are no power of two, so a reordered product
+    # shows in the bits
+    cfg = {"preset": "cde_burgers_frac_1d",
+           "problem": {"h": 0.125, "T": 0.45, "initial": {"amplitude": 0.8},
+                       "source": {"spatial": {"kind": "gaussian", "amplitude": 0.5,
+                                              "spread": 0.25},
+                                  "temporal": {"kind": "linear", "slope": 3.0}}},
+           "diagnostics": {"R_list": [1.5], "save_stride": 3}}
+    assert main(["run", "--config", json.dumps(cfg), "--out", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in tmp_path.iterdir()} == _SOURCE_RUN_DIGESTS
+
+
+def test_source_projection_names_the_first_step_that_overflows():
+    # cell averages near 1e300 times a temporal mean of 1e8 t: steps 1 and
+    # 2 (means 0.5e8 and 1.5e8) stay finite, step 3 (2.5e8) overflows
+    g = UniformGrid.from_box(1, 0.25, 2.0)
+    source = SeparableSource(GaussianProfile(1e300, 0.25), TimeFactor("linear", slope=1e8))
+    tg = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0]))
+    averages, factors = source.project(g, tg)
+    with np.errstate(over="ignore"):
+        assert [bool(np.all(np.isfinite(averages * f))) for f in factors] == [True, True, False]
+        with pytest.raises(DataError, match="non-finite at step 3"):
+            gpme.grid_field.project_source(source, g, tg)
 
 
 def test_run_hands_knot_0_over_before_building_the_operator(monkeypatch):

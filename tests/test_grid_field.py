@@ -3,6 +3,8 @@ interpolants."""
 
 import os
 import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,10 @@ def test_trajectory_linear_interpolation_in_time():
     assert not any(f.flags.writeable for f in tr.fields)
     with pytest.raises(ConfigurationError):
         Trajectory(g, TimeGrid(np.array([0.0, 1.0])), (np.zeros(5), np.zeros(4)))
+    # a run that streamed its knots keeps none, and has no interpolant
+    empty = Trajectory(g, TimeGrid(np.array([0.0, 1.0])), ())
+    with pytest.raises(DataError):
+        empty.values_at_time(0.5)
 
 
 def test_cell_of_half_open_cells_and_box():
@@ -162,16 +168,21 @@ def _field_items(tmp_path, dim, n):
             for j in range(n)]
 
 
-def _write_knots(items, stride=1):
+def _write_knots(items, stride=1, pause=0.0):
     """Hand a FieldWriter the fields of items as the saved knots 0, stride,
-    2 stride, ... of a run whose other knots hold fields it does not save."""
+    2 stride, ... of a run whose other knots hold fields it does not save,
+    pause seconds apart.  Every knot comes in the same array, overwritten
+    for the next one as a run's array is, so the writer must copy what it
+    keeps; it keeps none for the run."""
     shape = items[0][1].shape if items else (1,)
     n_knots = (len(items) - 1) * stride + 1 if items else 0
+    u = np.empty(shape)
     with FieldWriter({k * stride: path for k, (path, _) in enumerate(items)},
-                     n_knots, shape) as writer:
+                     shape) as writer:
         for j in range(n_knots):
-            u = items[j // stride][1] if j % stride == 0 else np.full(shape, -1.0)
-            assert writer.knot(j, u).tobytes() == u.tobytes()
+            u[...] = items[j // stride][1] if j % stride == 0 else -1.0
+            assert writer.knot(j, u) is None
+            time.sleep(pause)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -239,9 +250,10 @@ def test_write_field_csvs_raises_what_the_loop_raises(tmp_path, monkeypatch):
 
 def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, forks):
     # the child leaves at its first knot.  The parent still holds the
-    # queue's read end, so posting an index never fails: the pipe fills
-    # (a 64 KiB pipe holds 16 384 indices), and every knot after that must
-    # fall to the parent instead of blocking the run
+    # queue's read end, so posting an index never fails.  With a ring as
+    # long as the run, the pipe fills (a 64 KiB pipe holds 8 192 records),
+    # and every knot after that must fall to the parent instead of
+    # blocking the run
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
     parent = os.getpid()
     write = grid_field.write_field_csv
@@ -256,11 +268,12 @@ def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, for
 
     monkeypatch.setattr(grid_field, "write_field_csv", child_dies)
     n = 20_000
+    monkeypatch.setattr(grid_field, "_RING_SLOTS", n)
     # a blocking post would hang here: the alarm bounds the wait
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with FieldWriter({j: tmp_path / f"{j}.csv" for j in range(n)}, n, (1,)) as writer:
+        with FieldWriter({j: tmp_path / f"{j}.csv" for j in range(n)}, (1,)) as writer:
             for j in range(n):
                 writer.knot(j, np.array([float(j)]))
     finally:
@@ -268,5 +281,79 @@ def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, for
         signal.signal(signal.SIGALRM, previous)
     assert len(forks) == 1
     assert len(os.listdir(tmp_path)) == n
-    for j in (0, 1, 16_384, n - 1):
+    for j in (0, 1, 8_192, n - 1):
         assert (tmp_path / f"{j}.csv").read_text() == f"beta_1,value\n0,{float(j)!r}\n"
+
+
+def _in_child(monkeypatch, child_writes):
+    """Route the writer's ``write_field_csv`` calls in the forked child
+    through child_writes(path, values, write), and return the paths the
+    parent writes itself."""
+    monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
+    parent, write, by_parent = os.getpid(), grid_field.write_field_csv, []
+
+    def routed(path, values, labels=None):
+        if os.getpid() == parent:
+            by_parent.append(path)
+            return write(path, values, labels)
+        return child_writes(path, values, lambda: write(path, values, labels))
+
+    monkeypatch.setattr(grid_field, "write_field_csv", routed)
+    return by_parent
+
+
+def _loop_bytes(tmp_path, items):
+    one = tmp_path / "one"
+    one.mkdir()
+    for path, u in items:
+        write_field_csv(one / path.name, u)
+    return {path.name: (one / path.name).read_bytes() for path, _ in items}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ring_reuses_a_slot_only_after_its_knot_is_written(tmp_path, monkeypatch, forks, dim):
+    # a child slower than the run, and four times as many saved knots as
+    # slots: the ring fills and the parent writes some knots itself, the
+    # child writes more knots than there are slots, so slots are reused,
+    # and it finds each slot it reads unchanged until it has written it
+    overwritten = tmp_path / "overwritten"
+
+    def slow(path, values, write):
+        before = values.tobytes()
+        time.sleep(0.004)
+        write()
+        if values.tobytes() != before:
+            overwritten.touch()
+
+    by_parent = _in_child(monkeypatch, slow)
+    (tmp_path / "two").mkdir()
+    items = _field_items(tmp_path / "two", dim, 4 * grid_field._RING_SLOTS)
+    _write_knots(items, pause=0.003)
+    assert len(forks) == 1
+    assert not overwritten.exists()
+    assert 0 < len(by_parent) < len(items) - grid_field._RING_SLOTS
+    assert {path.name: path.read_bytes() for path, _ in items} == _loop_bytes(tmp_path, items)
+
+
+def test_parent_rewrites_from_their_slots_the_knots_a_dead_child_left(tmp_path, monkeypatch,
+                                                                     forks):
+    # the child writes two knots and dies on its third.  The parent writes
+    # that one and every knot posted after it from the slots, which were
+    # never reused; the array the knots came in holds only the last one
+    written = []
+
+    def dies_on_third(path, values, write):
+        if len(written) == 2:
+            os._exit(3)
+        write()
+        written.append(path)
+
+    by_parent = _in_child(monkeypatch, dies_on_third)
+    (tmp_path / "two").mkdir()
+    items = _field_items(tmp_path / "two", 1, 4 * grid_field._RING_SLOTS)
+    _write_knots(items, pause=0.002)
+    assert len(forks) == 1
+    assert items[2][0].with_name(items[2][0].name + ".part") in map(Path, by_parent)
+    assert {path.name: path.read_bytes() for path, _ in items} == _loop_bytes(tmp_path, items)
+    assert sorted(p.name for p in (tmp_path / "two").iterdir()) == sorted(
+        path.name for path, _ in items)
