@@ -13,9 +13,13 @@ submodule inside the function that calls it, and take erf, erfc and gamma
 from ``math``: loading a config, building the plan, the stencil and the
 projected data, ``stencil`` and a config that fails validation import no
 scipy, whose first import costs more than that whole set-up on the line.
-A ``run`` imports only the scipy its solve calls (``linalg``, ``sparse``,
-and ``fft`` for a dense kernel): its tail certificate takes the data's
-tails in closed form and the cutoff band by ``profiles.adaptive_quad``.
+A ``run`` imports only the scipy its solve calls: a dense kernel goes
+through ``numpy.fft``, the line's short stencil is applied from its band
+and loads ``scipy.linalg`` at its first banded LU, and only a short
+stencil in N >= 2 dimensions loads ``scipy.sparse``, for its CSR matrix.
+So a run on the line with a dense kernel or phi = 0 imports no scipy.
+Its tail certificate takes the data's tails in closed form and the
+cutoff band by ``profiles.adaptive_quad``.
 ``scipy.integrate`` is left to ``check`` and to the far mass of a custom
 measure.
 Once the saved fields hold 32 768 values or more, `run` forks one child

@@ -347,19 +347,34 @@ def _jacobi(diagonal):
     return lambda r: r / diagonal
 
 
-# up to this offset count a stencil is stored and applied as a CSR matrix;
-# beyond it, by rFFT convolution (``_Resolvent``)
+# up to this offset count a stencil is stored and applied as its band on
+# the line and as a CSR matrix above it; beyond it, by rFFT convolution
+# (``_Resolvent``)
 _KERNEL_THRESHOLD = 64
+
+
+def _next_fast_len(n):
+    """The smallest 2-3-5-smooth integer at least n >= 1, a length whose
+    real FFT pocketfft factors into its fastest radices (the value of
+    ``scipy.fft.next_fast_len(n, real=True)``)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _circular(values, multiplier, lengths):
     """irfftn(rfftn(values, L) * multiplier, L) on the circular lengths L,
     restricted to the box of values: a circular convolution when the
     multiplier is a kernel's spectrum."""
-    from scipy import fft
-
+    axes = tuple(range(values.ndim))
     box = tuple(slice(0, n) for n in values.shape)
-    return fft.irfftn(fft.rfftn(values, lengths) * multiplier, lengths)[box]
+    return np.fft.irfftn(np.fft.rfftn(values, lengths, axes) * multiplier, lengths, axes)[box]
 
 
 class _Resolvent:
@@ -378,54 +393,56 @@ class _Resolvent:
     ``apply_stencil`` build their own when given none, and reject one
     built for another stencil or box.
 
-    A is stored in one form.  Up to ``_KERNEL_THRESHOLD`` offsets it is
+    A is stored in one form, with numpy alone except where noted.
+    Offsets at least n_i long on some axis never land in the box and are
+    dropped.  Up to ``_KERNEL_THRESHOLD`` offsets on the line, A is held
+    in the ``band`` of W I - A, in ``banded_lu``'s layout, which the
+    Newton systems' LU reads (scipy.linalg at the first solve); A is
+    applied from it by one shifted slice per offset that lands
+    (``diagonals``, ascending), summed from zeros, the order and so the
+    bits of a CSR row sum.  Up to the threshold in N >= 2 dimensions it is
     the CSR ``matrix`` of ``_neighbor_matrix`` over the C-order flattened
-    nodes.  Above it A is a circular convolution by rFFT with the real
-    ``spectrum`` of the kernel on the circular ``lengths`` L: the kernel
-    is symmetric, so correlation equals convolution and its spectrum is
-    real.  Offsets at least n_i long on some axis never land in the box
-    and are dropped; with the rest reaching K_i, at least 1, a circular
-    length of n_i + K_i per axis wraps every jump out of the box onto the
-    zero padding, never onto a node.  On the line a short stencil's A is
-    also laid out as the ``band`` of W I - A, in ``banded_lu``'s layout."""
+    nodes (scipy.sparse).  Above it A is a circular convolution by
+    numpy's rFFT with the real ``spectrum`` of the kernel on the circular
+    ``lengths`` L: the kernel is symmetric, so correlation equals
+    convolution and its spectrum is real.  With the kept offsets reaching
+    K_i, at least 1, a circular length of at least n_i + K_i per axis
+    (``_next_fast_len``) wraps every jump out of the box onto the zero
+    padding, never onto a node."""
 
     def __init__(self, stencil, shape):
         self.stencil, self.shape = stencil, tuple(shape)
         self.operator = None
         self.W = W = stencil.total_weight
         self.matrix = self.spectrum = self.lengths = self.band = None
-        if stencil.n_offsets <= _KERNEL_THRESHOLD:
-            self.matrix = _neighbor_matrix(stencil, shape)
-        else:
-            from scipy import fft
-
-            inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
-            offsets = stencil.offsets[inside]
+        inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
+        offsets, weights = stencil.offsets[inside], stencil.weights[inside]
+        if stencil.n_offsets > _KERNEL_THRESHOLD:
             reach = np.max(np.abs(offsets), axis=0, initial=1)
-            self.lengths = tuple(fft.next_fast_len(int(n + k), real=True)
-                                 for n, k in zip(shape, reach))
+            self.lengths = tuple(_next_fast_len(int(n + k)) for n, k in zip(shape, reach))
             kernel = np.zeros(self.lengths)
-            kernel[tuple(offsets.T)] = stencil.weights[inside]
-            self.spectrum = fft.rfftn(kernel).real
-        self.escape = W - self.neighbor(np.ones(shape))
-        if self.matrix is not None and len(shape) == 1:
-            # A is symmetric, so its diagonal j > 0 fills row 2k - j (above
-            # the diagonal, from column j) and row 2k + j (below it, up to
-            # column n - j), k the half-bandwidth
-            coo, n = self.matrix.tocoo(), shape[0]
-            k = int(np.max(coo.col - coo.row, initial=0))
+            kernel[tuple(offsets.T)] = weights
+            self.spectrum = np.fft.rfftn(kernel).real
+        elif len(shape) == 1:
+            # the weight at offset j is A[i, i + j], so it fills row 2k - j
+            # of the band wherever i + j is a node, k the half-bandwidth
+            n = shape[0]
+            self.diagonals = tuple(np.unique(offsets).tolist())
+            k = max(self.diagonals, default=0)
             self.band = np.zeros((3 * k + 1, n))
             self.band[2 * k] = W
-            for j in range(1, k + 1):
-                self.band[2 * k - j, j:] = self.band[2 * k + j, :n - j] = -self.matrix.diagonal(j)
-        elif self.matrix is not None:
+            for (j,), w in zip(offsets.tolist(), weights):
+                self.band[2 * k - j, max(j, 0):n + min(j, 0)] -= w
+        else:
             from scipy import sparse
 
+            self.matrix = _neighbor_matrix(stencil, shape)
             # every row of W I - A stores its diagonal, so diag(a) + S K S
             # is the same sparsity with the entries rescaled
             self.base = W * sparse.identity(self.matrix.shape[0], format="csr") - self.matrix
             self.rows = np.repeat(np.arange(self.matrix.shape[0]), np.diff(self.base.indptr))
             self.on_diagonal = np.flatnonzero(self.rows == self.base.indices)
+        self.escape = W - self.neighbor(np.ones(shape))
 
     @classmethod
     def of(cls, operator, grid):
@@ -453,9 +470,17 @@ class _Resolvent:
         if values.shape != self.shape:
             raise ConfigurationError(f"an operator built for a box of shape {self.shape} "
                                      f"cannot act on shape {values.shape}")
-        if self.spectrum is None:
+        if self.spectrum is not None:
+            return _circular(values, self.spectrum, self.lengths)
+        if self.band is None:
             return self.matrix.dot(values.ravel()).reshape(values.shape)
-        return _circular(values, self.spectrum, self.lengths)
+        # A[i, i + j] = -band[2k - j, i + j]: minus its product adds w v
+        # exactly, as negation is exact
+        out, n, k = np.zeros(self.shape), self.shape[0], (len(self.band) - 1) // 3
+        for j in self.diagonals:
+            src = slice(max(j, 0), n + min(j, 0))
+            out[max(-j, 0):n - max(j, 0)] -= self.band[2 * k - j, src] * values[src]
+        return out
 
     def solve(self, dt, a, d, rhs, tol):
         """x with (diag(a) + K diag(d)) x = rhs, K = dt (W I - A) the matrix
@@ -501,8 +526,9 @@ class _Resolvent:
 
     def _spd(self, dt, a, s, b, tol):
         """x with (diag(a) + S K S) x = b, S = diag(s), by conjugate
-        gradients (``_pcg``).  A short stencil's system is the CSR matrix
-        W I - A, rescaled, with a Jacobi preconditioner.  A dense kernel's
+        gradients (``_pcg``).  A short stencil's system (N >= 2; the line
+        solves its band) is the CSR matrix W I - A, rescaled, with a Jacobi
+        preconditioner.  A dense kernel's
         K is the restriction to the box of the circulant dt (W - spectrum)
         on the circular lengths, so for a constant a > 0 and a constant s
         (a linear phi) the system is preconditioned by the inverse of the

@@ -322,7 +322,10 @@ def _neighbor_matrix(stencil, shape):
     """The neighbor sum of the stencil on a box of the given shape, as a
     CSR matrix over the C-order flattened nodes, with zero extension (a
     jump leaving the box has no column).  Each row's entries sit in column
-    order, which is the offsets' lexicographic order."""
+    order, which is the offsets' lexicographic order.  It is the stored
+    form of a short stencil in N >= 2 dimensions only
+    (``elliptic_solver._Resolvent``): the line holds its band, a dense
+    kernel its spectrum."""
     from scipy import sparse
 
     # a jump at least as long as the box on some axis never lands in it

@@ -515,10 +515,11 @@ def test_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
 
 def test_pure_convection_run_builds_neighbor_operator_once(tmp_path, monkeypatch):
     # with phi = 0 every step's resolvent is w = rho, whose residual needs
-    # no operator; the Laplacian's one CSR matrix serves the escape weights
+    # no operator; the Laplacian's one band serves the escape weights, and
+    # the line builds no CSR matrix
     calls, matrices = _resolvent_builds(tmp_path, monkeypatch, {
         "preset": "burgers_riemann_1d", "problem": {"h": 0.125, "T": 0.25}})
-    assert len(calls) == 1 and matrices == 1
+    assert len(calls) == 1 and matrices == 0
 
 
 def _load_bench_tracing():
@@ -633,10 +634,12 @@ def test_every_public_name_is_used_in_the_package():
 
 
 def test_the_stored_operator_is_read_in_one_module():
-    # the operator's stored form, a CSR matrix up to _KERNEL_THRESHOLD
-    # offsets and an rFFT spectrum on circular lengths above, is chosen,
-    # kept and applied by elliptic_solver._Resolvent alone
-    stored = {"spectrum", "lengths", "_KERNEL_THRESHOLD", "_circular"}
+    # the operator's stored form, up to _KERNEL_THRESHOLD offsets the
+    # line's band (applied over its diagonals) or a CSR matrix, and an
+    # rFFT spectrum on circular lengths above, is chosen, kept and applied
+    # by elliptic_solver._Resolvent alone
+    stored = {"spectrum", "lengths", "diagonals", "_KERNEL_THRESHOLD", "_circular",
+              "_next_fast_len"}
     readers = {f"{path.stem}.{name}"
                for path in Path(gpme.__file__).parent.glob("*.py")
                if path.stem != "elliptic_solver"
@@ -659,7 +662,8 @@ def test_thread_count_does_not_change_bytes(tmp_path):
     # take them past the length at which OpenBLAS splits a dot product.
     # The Stefan run takes banded LU steps on 1537 nodes (LAPACK dgtsv, a
     # tridiagonal band), and the run whose measure is cut at 4h takes them
-    # on a band of half-width 4 (dgbsv).
+    # on a band of half-width 4 (dgbsv).  The coarse plane under its
+    # fractional measure applies a dense kernel by numpy's 2-D rFFT.
     runs = {"tiny": TINY_RUN,
             "frac_coarse": {"preset": "frac_heat_poisson_1d",
                             "problem": {"h": 0.125, "T": 0.125}},
@@ -670,6 +674,7 @@ def test_thread_count_does_not_change_bytes(tmp_path):
                                         "operator": {"support_radius": 0.5}}},
             "stefan_fine": {"preset": "stefan_1d",
                             "problem": {"h": 1.0 / 128, "T": 1.0 / 64}},
+            "plane_dense": PLANE_RUN,
             # m = 2 under the Laplacian alone, on the CSR path
             "plane_fine": merge_config(PLANE_RUN, {"problem": {
                 "operator": {"measure": None}, "h": 1.0 / 16, "T": 1.0 / 32}})}
@@ -805,24 +810,36 @@ def test_run_imports_no_scipy_quadrature(tmp_path):
     assert line == {"codes": [0] * (len(gpme.presets.preset_names()) + 2), "loaded": []}
 
 
-_RUN_LOADS_LINALG = """
+_RUN_IMPORT_MAP = """
 import json, sys
 from gpme.cli import main
 
-code = main(["run", "--config", json.dumps({"preset": "burgers_riemann_1d"}),
-             "--out", sys.argv[1]])
-print(json.dumps({"code": code, "linalg": "scipy.linalg" in sys.modules}))
+def loaded(names):
+    codes = [main(["run", "--config", json.dumps({"preset": name, "problem": {
+                       "h": 0.25, "T": 0.25}}), "--out", f"{sys.argv[1]}/{name}"])
+             for name in names]
+    return {"codes": codes, "scipy": sorted(m for m in ("scipy.linalg", "scipy.sparse",
+                                                          "scipy.fft", "scipy.special")
+                                            if m in sys.modules),
+            "any": any(m.split(".")[0] == "scipy" for m in sys.modules)}
+
+print(json.dumps([loaded(["burgers_riemann_1d", "frac_heat_poisson_1d", "cde_burgers_frac_1d"]),
+                  loaded(["heat_gaussian_1d"])]))
 """
 
 
-def test_run_that_never_solves_leaves_scipy_linalg_unloaded(tmp_path):
-    # LAPACK is imported at the first banded solve, not when the line's
-    # operator is built: pure convection builds the operator and solves
-    # nothing, and scipy.linalg would cost it about 6 MB of memory
-    proc = subprocess.run([sys.executable, "-c", _RUN_LOADS_LINALG, str(tmp_path)],
+def test_line_runs_import_only_the_scipy_their_solve_calls(tmp_path):
+    # a dense kernel goes through numpy.fft, the line's short stencil is
+    # applied from its band, and phi = 0 solves nothing: those runs load no
+    # module of scipy.  LAPACK comes in at the first banded LU, and the
+    # line never loads scipy.sparse, scipy.fft or scipy.special, which
+    # held about 26 MB of a line run's 64 MB peak
+    proc = subprocess.run([sys.executable, "-c", _RUN_IMPORT_MAP, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"code": 0, "linalg": False}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [
+        {"codes": [0, 0, 0], "scipy": [], "any": False},
+        {"codes": [0], "scipy": ["scipy.linalg"], "any": True}]
 
 
 def test_constant_data_record_an_infinite_tail(tmp_path):

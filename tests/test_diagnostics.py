@@ -114,7 +114,7 @@ def test_operator_cutoff_norm_needs_room():
 def test_an_operator_built_for_another_box_is_rejected(support):
     # the operator of a 49-node line's stencil, built on 33 nodes: a dense
     # kernel's spectrum would wrap jumps onto nodes and drop the offsets
-    # past 32, and a short stencil's matrix would fail inside scipy.  Each
+    # past 32, and a short stencil's band would not fit the values.  Each
     # entry point that takes it names both shapes
     large, small = UniformGrid.from_box(1, 0.25, 6.0), UniformGrid.from_box(1, 0.25, 4.0)
     operator = OperatorSpec(c=0, measure=MeasureSpec(kind="fractional", alpha=1.0),

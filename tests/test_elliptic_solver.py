@@ -1,11 +1,14 @@
 """Resolvent solves: scalar roots, sweep fixed points, order properties."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpme.elliptic_solver
+from gpme.config import build_plan, load_config
 from gpme.errors import ConfigurationError, NonConvergenceError
 from gpme.elliptic_solver import (_KERNEL_THRESHOLD, PHI_KINDS, EpSolveConfig, PhiSpec,
                                   _jacobi_sweep, _pcg, _Resolvent, _solve_scalar_batch,
@@ -291,8 +294,8 @@ def _line_stencil(name):
     pytest.param("reach_4", 1, 3, id="reach_4-3_nodes"),
 ])
 def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
-    # the line's short-stencil Newton system, solved from the band of the
-    # operator's CSR matrix, against the dense matrix of _neighbor_matrix
+    # the line's short-stencil Newton system, solved from the operator's
+    # band, against the dense matrix of _neighbor_matrix
     st = _line_stencil(name)
     merged = combine_with_laplacian(st, c)
     W, dt = merged.total_weight, 0.1
@@ -323,6 +326,48 @@ def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
                    np.random.default_rng(1).uniform(-0.5, 1.5, size=g.shape))
     assert out.sweeps > out.fallbacks
     assert set(taken) == {"banded_lu"}
+
+
+def _csr_band(matrix, W, n):
+    """The band of W I - A in banded_lu's layout, filled from the
+    diagonals of A's CSR matrix by symmetry."""
+    coo = matrix.tocoo()
+    k = int(np.max(coo.col - coo.row, initial=0))
+    band = np.zeros((3 * k + 1, n))
+    band[2 * k] = W
+    for j in range(1, k + 1):
+        band[2 * k - j, j:] = band[2 * k + j, :n - j] = -matrix.diagonal(j)
+    return band
+
+
+def _line_operator(name):
+    """A whole short stencil on the line and its node count."""
+    if name == "laplacian":
+        return combine_with_laplacian(_line_stencil("empty"), 1), 17
+    if name == "reach_4-3_nodes":
+        return combine_with_laplacian(_line_stencil("reach_4"), 1), 3
+    # frac_heat_poisson_1d's measure cut at 4h, h = 0.1
+    plan = build_plan(load_config(json.dumps({"preset": "frac_heat_poisson_1d", "problem": {
+        "operator": {"c": int(name[-1]), "support_radius": 0.4}}})))
+    return plan.problem.operator.build_stencil(plan.grid), plan.grid.shape[0]
+
+
+@pytest.mark.parametrize("name,half_width", [
+    ("laplacian", 1), ("frac_4h-c0", 4), ("frac_4h-c1", 4), ("reach_4-3_nodes", 1)])
+def test_line_band_is_the_bytes_of_the_csr_matrix(name, half_width):
+    # the line's short stencil is stored only as its band and applied by
+    # shifted slices, in the CSR row sums' order: the neighbor sum, the
+    # escape weights W - A 1 and the band are the bytes of the CSR matrix
+    # they replace, on a box shorter than the stencil's reach too
+    stencil, n = _line_operator(name)
+    assert stencil.n_offsets <= _KERNEL_THRESHOLD
+    A, W = _neighbor_matrix(stencil, (n,)), stencil.total_weight
+    resolvent = _Resolvent(stencil, (n,))
+    assert resolvent.matrix is None and len(resolvent.band) == 3 * half_width + 1
+    v = np.random.default_rng(n).normal(size=n) * np.logspace(-3, 3, n)
+    assert resolvent.neighbor(v).tobytes() == A.dot(v).tobytes()
+    assert resolvent.escape.tobytes() == (W - A.dot(np.ones(n))).tobytes()
+    assert resolvent.band.tobytes() == _csr_band(A, W, n).tobytes()
 
 
 @pytest.mark.parametrize("n", [15, 60])
@@ -386,9 +431,9 @@ def test_linear_solve_property(path):
     # what the path calls per SPD solve: a dense kernel is preconditioned by
     # its circulant for constant coefficients (no _jacobi), by Jacobi
     # otherwise; and the CSR matrices built per box, one for a short stencil
-    # and none for a dense kernel, whose spectrum holds its nearest neighbors
-    # too
-    builds = 1 if reach is not None else 0
+    # on the plane, none on the line, whose band is the stored form, and
+    # none for a dense kernel, whose spectrum holds its nearest neighbors too
+    builds = 1 if path == "csr_cg" else 0
     per_solve = {"banded": ["banded_lu"], "csr_cg": ["_jacobi", "_pcg"]}.get(
         path, ["_jacobi", "_pcg"] if coefficients == "varying" else ["_pcg"])
     taken = []
