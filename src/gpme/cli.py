@@ -14,10 +14,13 @@ from ``math``: loading a config, building the plan, the stencil and the
 projected data, ``stencil`` and a config that fails validation import no
 scipy, whose first import costs more than that whole set-up on the line.
 A ``run`` imports only the scipy its solve calls: a dense kernel goes
-through ``numpy.fft``, the line's short stencil is applied from its band
-and loads ``scipy.linalg`` at its first banded LU, and only a short
-stencil in N >= 2 dimensions loads ``scipy.sparse``, for its CSR matrix.
-So a run on the line with a dense kernel or phi = 0 imports no scipy.
+through ``numpy.fft``, a short stencil is applied by shifted slices, the
+line's loads ``scipy.linalg`` at its first banded LU, and every
+constant-coefficient system (a linear phi) is preconditioned by its
+circulant through ``numpy.fft``.  Only the first variable-coefficient
+Newton system of a short stencil in N >= 2 dimensions loads
+``scipy.sparse``, for its CSR matrix.  So a run with a dense kernel or
+phi = 0, and a plane run with a linear phi, import no scipy.
 Its tail certificate takes the data's tails in closed form and the
 cutoff band by ``profiles.adaptive_quad``.
 ``scipy.integrate`` is left to ``check`` and to the far mass of a custom

@@ -447,16 +447,21 @@ def _build_source(scfg, dim):
                            _build_data(TimeFactor, scfg["temporal"], "problem.source.temporal"))
 
 
-def _build_exact(name, initial, kind):
+def _build_exact(name, problem, kind):
     """The closed-form reference named by problem.exact, started from the
-    built initial profile."""
+    built initial profile; a ConfigurationError unless it solves the
+    built ``problem``, naming the first part that differs."""
     from .profiles import EXACT
     if name is None:
         return None
     data, spec = EXACT[name]
     if kind != data:
         raise ConfigurationError(f"{name} reference needs {data} data", field="problem.exact")
-    return spec(initial)
+    need = spec.mismatch(problem)
+    if need is not None:
+        raise ConfigurationError(f"the {name} reference solves only problems with {need}",
+                                 field="problem.exact")
+    return spec(problem.initial)
 
 
 def build_plan(cfg, h=None):
@@ -484,4 +489,4 @@ def build_plan(cfg, h=None):
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
     return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
                    solver=EpSolveConfig(**cfg["solver"]), diagnostics=cfg["diagnostics"],
-                   exact=_build_exact(p["exact"], initial, p["initial"]["kind"]))
+                   exact=_build_exact(p["exact"], problem, p["initial"]["kind"]))

@@ -28,17 +28,19 @@ exchange on a column diagonally dominant M-matrix; otherwise, as the
 stencil weights are symmetric and K is symmetric positive definite, in
 an SPD form by preconditioned conjugate gradients (an inexact Newton
 step, Kelley, Iterative Methods for Linear and Nonlinear Equations,
-1995, ch. 6), preconditioned by Jacobi, or for a dense kernel with
-constant coefficients by the inverse of the operator's circulant.
+1995, ch. 6), preconditioned by the inverse of the operator's circulant
+for constant coefficients (every linear phi), by Jacobi otherwise.
 
-For a nonlinear phi each linear solve is asked only for the quadratic
+For a power phi each linear solve is asked only for the quadratic
 forcing level max(_CG_SHARE tol, min(_CG_SHARE, |F(w)|_2) |F(w)|_2) in
 the 2-norm, tol the stopping level: far from the root the solve stops
 early, and a forcing term O(|F(w)|) keeps Newton's local quadratic
 convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
-Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  A linear phi's
-Newton system is the problem itself, so it is solved to _CG_SHARE tol
-at once, and one Newton step meets the stopping level.
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  Every other phi is
+piecewise linear and is solved to the fixed level _CG_SHARE tol: its
+Newton map is not smooth at the knots, where loose early solves cost
+outer steps instead of saving work.  A linear phi's Newton system is the
+problem itself, so one Newton step meets the stopping level.
 
 The sweep freezes the neighbor sum and solves the strictly increasing
 scalar equation
@@ -347,8 +349,8 @@ def _jacobi(diagonal):
     return lambda r: r / diagonal
 
 
-# up to this offset count a stencil is stored and applied as its band on
-# the line and as a CSR matrix above it; beyond it, by rFFT convolution
+# up to this offset count a stencil is applied by shifted slices, and on
+# the line solved by its band; beyond it, applied by rFFT convolution
 # (``_Resolvent``)
 _KERNEL_THRESHOLD = 64
 
@@ -393,55 +395,58 @@ class _Resolvent:
     ``apply_stencil`` build their own when given none, and reject one
     built for another stencil or box.
 
-    A is stored in one form, with numpy alone except where noted.
-    Offsets at least n_i long on some axis never land in the box and are
-    dropped.  Up to ``_KERNEL_THRESHOLD`` offsets on the line, A is held
-    in the ``band`` of W I - A, in ``banded_lu``'s layout, which the
-    Newton systems' LU reads (scipy.linalg at the first solve); A is
-    applied from it by one shifted slice per offset that lands
-    (``diagonals``, ascending), summed from zeros, the order and so the
-    bits of a CSR row sum.  Up to the threshold in N >= 2 dimensions it is
-    the CSR ``matrix`` of ``_neighbor_matrix`` over the C-order flattened
-    nodes (scipy.sparse).  Above it A is a circular convolution by
-    numpy's rFFT with the real ``spectrum`` of the kernel on the circular
-    ``lengths`` L: the kernel is symmetric, so correlation equals
-    convolution and its spectrum is real.  With the kept offsets reaching
-    K_i, at least 1, a circular length of at least n_i + K_i per axis
-    (``_next_fast_len``) wraps every jump out of the box onto the zero
-    padding, never onto a node."""
+    A is applied by one path per stencil size, with numpy alone.  Offsets
+    at least n_i long on some axis never land in the box and are dropped.
+    Up to ``_KERNEL_THRESHOLD`` offsets, in any dimension, A is applied by
+    one shifted slice per offset, with its scalar weight, in the offsets'
+    lexicographic order (``shifts``), summed from zeros: the order, and so
+    the bits, of the row sums of the CSR matrix of ``_neighbor_matrix``
+    over the C-order flattened nodes.  Above it A is a circular
+    convolution by numpy's rFFT with the real ``spectrum`` of the kernel
+    on the circular ``lengths`` L: the kernel is symmetric, so
+    correlation equals convolution and its spectrum is real.  With the
+    kept offsets reaching K_i, at least 1, a circular length of at least
+    n_i + K_i per axis (``_next_fast_len``) wraps every jump out of the
+    box onto the zero padding, never onto a node.
+
+    The Newton systems read a second form.  On the line a short stencil
+    is also held as the ``band`` of W I - A, in ``banded_lu``'s layout
+    (scipy.linalg at the first solve).  Every other stencil, dense or
+    short in N >= 2 dimensions, is solved by conjugate gradients and has
+    the ``spectrum`` on its ``lengths``, which preconditions its
+    constant-coefficient systems (``_spd``).  Only the first
+    variable-coefficient system of a short stencil in N >= 2 dimensions
+    builds the CSR matrix W I - A (scipy.sparse), for Jacobi-PCG."""
 
     def __init__(self, stencil, shape):
         self.stencil, self.shape = stencil, tuple(shape)
         self.operator = None
         self.W = W = stencil.total_weight
-        self.matrix = self.spectrum = self.lengths = self.band = None
+        self.shifts = self.spectrum = self.lengths = self.band = self._csr = None
         inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
         offsets, weights = stencil.offsets[inside], stencil.weights[inside]
-        if stencil.n_offsets > _KERNEL_THRESHOLD:
-            reach = np.max(np.abs(offsets), axis=0, initial=1)
-            self.lengths = tuple(_next_fast_len(int(n + k)) for n, k in zip(shape, reach))
-            kernel = np.zeros(self.lengths)
-            kernel[tuple(offsets.T)] = weights
-            self.spectrum = np.fft.rfftn(kernel).real
-        elif len(shape) == 1:
+        short = stencil.n_offsets <= _KERNEL_THRESHOLD
+        if short:
+            # row beta reads beta + off wherever both lie in the box
+            order = np.lexsort(offsets.T[::-1])
+            self.shifts = [(w, tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(shape, off)),
+                            tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off)))
+                           for off, w in zip(offsets[order].tolist(), weights[order].tolist())]
+        if short and len(shape) == 1:
             # the weight at offset j is A[i, i + j], so it fills row 2k - j
             # of the band wherever i + j is a node, k the half-bandwidth
             n = shape[0]
-            self.diagonals = tuple(np.unique(offsets).tolist())
-            k = max(self.diagonals, default=0)
+            k = int(np.max(offsets, initial=0))
             self.band = np.zeros((3 * k + 1, n))
             self.band[2 * k] = W
             for (j,), w in zip(offsets.tolist(), weights):
                 self.band[2 * k - j, max(j, 0):n + min(j, 0)] -= w
         else:
-            from scipy import sparse
-
-            self.matrix = _neighbor_matrix(stencil, shape)
-            # every row of W I - A stores its diagonal, so diag(a) + S K S
-            # is the same sparsity with the entries rescaled
-            self.base = W * sparse.identity(self.matrix.shape[0], format="csr") - self.matrix
-            self.rows = np.repeat(np.arange(self.matrix.shape[0]), np.diff(self.base.indptr))
-            self.on_diagonal = np.flatnonzero(self.rows == self.base.indices)
+            reach = np.max(np.abs(offsets), axis=0, initial=1)
+            self.lengths = tuple(_next_fast_len(int(n + k)) for n, k in zip(shape, reach))
+            kernel = np.zeros(self.lengths)
+            kernel[tuple(offsets.T)] = weights
+            self.spectrum = np.fft.rfftn(kernel).real
         self.escape = W - self.neighbor(np.ones(shape))
 
     @classmethod
@@ -470,16 +475,11 @@ class _Resolvent:
         if values.shape != self.shape:
             raise ConfigurationError(f"an operator built for a box of shape {self.shape} "
                                      f"cannot act on shape {values.shape}")
-        if self.spectrum is not None:
+        if self.shifts is None:
             return _circular(values, self.spectrum, self.lengths)
-        if self.band is None:
-            return self.matrix.dot(values.ravel()).reshape(values.shape)
-        # A[i, i + j] = -band[2k - j, i + j]: minus its product adds w v
-        # exactly, as negation is exact
-        out, n, k = np.zeros(self.shape), self.shape[0], (len(self.band) - 1) // 3
-        for j in self.diagonals:
-            src = slice(max(j, 0), n + min(j, 0))
-            out[max(-j, 0):n - max(j, 0)] -= self.band[2 * k - j, src] * values[src]
+        out = np.zeros(self.shape)
+        for w, dst, src in self.shifts:
+            out[dst] += w * values[src]
         return out
 
     def solve(self, dt, a, d, rhs, tol):
@@ -526,29 +526,40 @@ class _Resolvent:
 
     def _spd(self, dt, a, s, b, tol):
         """x with (diag(a) + S K S) x = b, S = diag(s), by conjugate
-        gradients (``_pcg``).  A short stencil's system (N >= 2; the line
-        solves its band) is the CSR matrix W I - A, rescaled, with a Jacobi
-        preconditioner.  A dense kernel's
-        K is the restriction to the box of the circulant dt (W - spectrum)
-        on the circular lengths, so for a constant a > 0 and a constant s
-        (a linear phi) the system is preconditioned by the inverse of the
-        circulant with eigenvalues lam = a + s^2 dt (W - spectrum) (T. Chan,
-        SIAM J. Sci. Stat. Comput. 9, 1988; Lei & Sun, J. Comput. Phys.
-        242, 2013), a principal block of an SPD matrix: the kept weights
-        sum to at most W, so lam >= a > 0.  Any other a or s, a = 0
-        included, keeps Jacobi."""
-        if self.spectrum is None:
-            M = dt * self.base
-            M.data *= s[self.rows] * s[M.indices]
-            M.data[self.on_diagonal] += a
-            return _pcg(M.dot, _jacobi(M.data[self.on_diagonal]), b, tol)
+        gradients (``_pcg``).  K is the restriction to the box of the
+        circulant dt (W - spectrum) on the circular lengths, so for a
+        constant a > 0 and a constant s (every linear phi) the system, with
+        matvec a x + s K (s x), is preconditioned by the inverse of the
+        circulant with eigenvalues lam = a + s^2 dt (W - spectrum)
+        (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988; Lei & Sun, J. Comput.
+        Phys. 242, 2013), a principal block of an SPD matrix: the kept
+        weights sum to at most W, so lam >= a > 0.  Any other a or s, a = 0
+        included, keeps Jacobi: on a dense kernel with that matvec, on a
+        short stencil (N >= 2; the line solves its band) with the CSR
+        matrix W I - A, rescaled, built at its first such system."""
         if a[0] > 0.0 and (a == a[0]).all() and (s == s[0]).all():
-            inverse = 1.0 / (a[0] + s[0] * s[0] * dt * (self.W - self.spectrum))
+            a, s = a[0], s[0]
+            inverse = 1.0 / (a + s * s * dt * (self.W - self.spectrum))
 
             def precondition(r):
                 return _circular(r.reshape(self.shape), inverse, self.lengths).ravel()
-        else:
+        elif self.shifts is None:
             precondition = _jacobi(a + dt * self.W * s * s)
+        else:
+            if self._csr is None:
+                from scipy import sparse
+
+                # every row of W I - A stores its diagonal, so diag(a) + S K S
+                # is the same sparsity with the entries rescaled
+                base = (self.W * sparse.identity(b.size, format="csr")
+                        - _neighbor_matrix(self.stencil, self.shape))
+                rows = np.repeat(np.arange(b.size), np.diff(base.indptr))
+                self._csr = base, rows, np.flatnonzero(rows == base.indices)
+            base, rows, on_diagonal = self._csr
+            M = dt * base
+            M.data *= s[rows] * s[M.indices]
+            M.data[on_diagonal] += a
+            return _pcg(M.dot, _jacobi(M.data[on_diagonal]), b, tol)
         return _pcg(lambda x: a * x + s * self._stiffness(dt, s * x), precondition, b, tol)
 
 
@@ -589,19 +600,28 @@ def _pcg(matvec, precondition, b, tol):
     """Conjugate gradients (Hestenes & Stiefel 1952; Saad, Iterative
     Methods for Sparse Linear Systems, 2003, ch. 6 and 9) for the SPD
     system A x = b from x = 0, preconditioned by the SPD map
-    ``precondition``, r -> M^(-1) r.  Returns x once the recurred residual
-    |b - A x|_2 is at most tol, or its iterate after ``_CG_CAP``
-    iterations for the caller's safeguard to judge.  Every reduction is a
-    numpy sum, so the iterates are the same bits under any thread count."""
+    ``precondition``, r -> M^(-1) r, applied once per iteration.  Returns
+    x once the recurred residual |b - A x|_2 is at most tol, or its
+    iterate after ``_CG_CAP`` iterations for the caller's safeguard to
+    judge.  Every reduction is a numpy sum, so the iterates are the same
+    bits under any thread count."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = _dot(r, z)
+    p = rz = None
     for _ in range(_CG_CAP):
-        # rz = 0 at r = 0; p^T A p = 0 only if p underflows
-        if rz == 0.0 or math.sqrt(_dot(r, r)) <= tol:
+        # the recurred residual is tested before it is preconditioned
+        if math.sqrt(_dot(r, r)) <= tol:
             break
+        z = precondition(r)
+        rz, previous = _dot(r, z), rz
+        # rz = 0 at r = 0; p^T A p = 0 only if p underflows
+        if rz == 0.0:
+            break
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rz / previous
+            p += z
         q = matvec(p)
         pq = _dot(p, q)
         if pq <= 0.0:
@@ -609,10 +629,6 @@ def _pcg(matvec, precondition, b, tol):
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        z = precondition(r)
-        rz, previous = _dot(r, z), rz
-        p *= rz / previous
-        p += z
     return x
 
 
@@ -694,7 +710,7 @@ def solve_ep(stencil, c, phi, dt, rho, config=None, warm_start=None, resolvent=N
                 residual=r, sweeps=sweeps, cell=tuple(int(i) for i in cell))
         sweeps += 1
         level = _CG_SHARE * tol
-        if phi.kind != "linear":
+        if phi.kind == "power":
             # the quadratic forcing term
             norm = math.sqrt(_dot(res, res))
             level = max(level, min(_CG_SHARE, norm) * norm)

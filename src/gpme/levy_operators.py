@@ -322,10 +322,11 @@ def _neighbor_matrix(stencil, shape):
     """The neighbor sum of the stencil on a box of the given shape, as a
     CSR matrix over the C-order flattened nodes, with zero extension (a
     jump leaving the box has no column).  Each row's entries sit in column
-    order, which is the offsets' lexicographic order.  It is the stored
-    form of a short stencil in N >= 2 dimensions only
-    (``elliptic_solver._Resolvent``): the line holds its band, a dense
-    kernel its spectrum."""
+    order, which is the offsets' lexicographic order.  It is built only
+    for the variable-coefficient Newton systems of a short stencil in
+    N >= 2 dimensions (``elliptic_solver._Resolvent._spd``): every
+    stencil is applied by shifted slices or its spectrum, and the line
+    solves its band."""
     from scipy import sparse
 
     # a jump at least as long as the box on some axis never lands in it

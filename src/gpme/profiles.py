@@ -10,7 +10,8 @@ The dataclass fields are the config keys: a data block's ``kind`` names its
 class in ``PROFILES``, and a source's ``temporal`` block is a
 ``TimeFactor``.  A profile with a ``dim`` field takes the problem's
 dimension; the others are one-dimensional.  An exact solution holds its
-initial profile, and ``EXACT`` names the data kind each one starts from.
+initial profile, and ``EXACT`` names the data kind each one starts from;
+``mismatch`` names the first part of a problem it does not solve.
 
 A profile can sit at more than one config location (initial data, source),
 so the ``field`` of a ConfigurationError raised here names the key inside
@@ -544,10 +545,36 @@ class SeparableSource:
 # exact solution families (for studies): each holds its initial profile
 
 
+class _ClosedForm:
+    """An exact solution family.  ``requires`` maps dotted attribute paths
+    of an ``evolution.ProblemSpec`` to the value the closed form needs
+    there, in the order they are checked; a path through None reads
+    None."""
+
+    requires = {}
+
+    @classmethod
+    def mismatch(cls, problem):
+        """The first requirement that problem does not meet, written out,
+        or None when the closed form solves it."""
+        for path, want in cls.requires.items():
+            value = problem
+            for name in path.split("."):
+                value = getattr(value, name, None)
+            if value != want:
+                return f"problem.{path} = {want!r}"
+        return None
+
+
+# c = 1 without a measure, no convection and no source
+_LOCAL = {"operator.c": 1, "operator.measure.kind": None, "flux.kind": None, "source": None}
+
+
 @dataclass(frozen=True)
-class HeatGaussianExact:
+class HeatGaussianExact(_ClosedForm):
     """u_t = u_xx started from A exp(-|x - center|^2/(4 s0))."""
 
+    requires = {**_LOCAL, "phi.kind": "linear", "phi.slope": 1.0}
     initial: GaussianProfile
 
     def at_time(self, t):
@@ -557,7 +584,8 @@ class HeatGaussianExact:
 
 
 @dataclass(frozen=True)
-class BarenblattExact:
+class BarenblattExact(_ClosedForm):
+    requires = {**_LOCAL, "phi.kind": "power", "phi.exponent": 2.0}
     initial: BarenblattProfile
 
     def at_time(self, t):
@@ -565,10 +593,14 @@ class BarenblattExact:
 
 
 @dataclass(frozen=True)
-class PoissonExact:
+class PoissonExact(_ClosedForm):
     """Semigroup of the unit-order fractional Laplacian acting on its own
     kernel: the profile just thickens, t0 -> t0 + t."""
 
+    requires = {"operator.c": 0, "operator.measure.kind": "fractional",
+                "operator.measure.alpha": 1.0, "operator.measure.scale": 1.0 / math.pi,
+                "operator.measure.truncation": None, "phi.kind": "linear", "phi.slope": 1.0,
+                "flux.kind": None, "source": None}
     initial: PoissonKernelProfile
 
     def at_time(self, t):
@@ -576,12 +608,20 @@ class PoissonExact:
 
 
 @dataclass(frozen=True)
-class ShockExact:
+class ShockExact(_ClosedForm):
     """Entropy solution of the quadratic conservation law for step data
     left > right at ``position``: a single shock moving at the
     Rankine-Hugoniot speed."""
 
+    requires = {"phi.kind": "zero", "flux.kind": "burgers", "source": None}
     initial: StepProfile
+
+    @classmethod
+    def mismatch(cls, problem):
+        need = super().mismatch(problem)
+        if need is None and not problem.initial.left > problem.initial.right:
+            need = "problem.initial.left > problem.initial.right"
+        return need
 
     @property
     def speed(self):

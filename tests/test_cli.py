@@ -23,7 +23,7 @@ import gpme.levy_operators
 from gpme.cli import main
 from gpme.config import build_plan, load_config, merge_config
 from gpme.diagnostics import fitted_order, study_errors
-from gpme.errors import NonConvergenceError
+from gpme.errors import ConfigurationError, NonConvergenceError
 from gpme.evolution import run
 
 TINY_RUN = {
@@ -208,7 +208,7 @@ def test_stalled_solve_reports_residual_and_sweeps(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(gpme.elliptic_solver, "_MIN_SWEEPS", 1)
     monkeypatch.setattr(gpme.elliptic_solver, "_SWEEPS_PER_NODE", 0)
     cfg = write_cfg(tmp_path, merge_config(TINY_RUN, {
-        "problem": {"phi": {"kind": "power", "exponent": 2.0}}}))
+        "problem": {"phi": {"kind": "power", "exponent": 2.0}, "exact": None}}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     record, _ = last_err_record(capsys)
     assert record["error"] == "runtime"
@@ -383,10 +383,42 @@ REJECTED["tail_radius_without_l1_norm"] = ({"preset": "burgers_riemann_1d",
 # the origin, which an off-centre Gaussian in the plane is not
 _OFF_CENTRE = {"kind": "gaussian", "amplitude": 0.5, "spread": 0.25, "center": [0.5, 0.0]}
 for _name, _block in (("initial", {"initial": _OFF_CENTRE}),
-                      ("source", {"source": {"spatial": _OFF_CENTRE}})):
+                      ("source", {"source": {"spatial": _OFF_CENTRE}, "exact": None})):
     REJECTED[f"tail_radius_with_off_centre_plane_{_name}"] = (
         {"problem": {"dim": 2, **_block}, "diagnostics": {"R_list": [1.0]}},
         "diagnostics.R_list")
+
+# a closed form named for a problem it does not solve, with the first part
+# that differs: build_plan accepted each, and a study then fitted an order
+# against the wrong solution.  Step data has no tail bound, so the shock
+# cases read no radii
+_NO_RADII = {"diagnostics": {"R_list": []}}
+WRONG_REFERENCE = {
+    "heat_power_phi": ({"problem": {"phi": {"kind": "power", "exponent": 2.0}}},
+                       "problem.phi.kind = 'linear'"),
+    "heat_slope_2": ({"problem": {"phi": {"kind": "linear", "slope": 2.0}}},
+                     "problem.phi.slope = 1.0"),
+    "heat_fractional_measure": ({"problem": {"operator": {"measure": {
+        "kind": "fractional", "alpha": 1.0}}}}, "problem.operator.measure.kind = None"),
+    "heat_source": ({"problem": {"source": {"spatial": {"kind": "constant", "value": 0.5}}}},
+                    "problem.source = None"),
+    "barenblatt_m_3": ({"preset": "pme_barenblatt_1d", "problem": {"phi": {"exponent": 3.0}}},
+                       "problem.phi.exponent = 2.0"),
+    "poisson_on_the_laplacian": ({"preset": "frac_heat_poisson_1d", "problem": {
+        "operator": {"c": 1, "measure": None}}}, "problem.operator.c = 0"),
+    "poisson_c_1_added": ({"preset": "frac_heat_poisson_1d", "problem": {"operator": {"c": 1}}},
+                          "problem.operator.c = 0"),
+    "shock_rarefaction": ({"preset": "burgers_riemann_1d", "problem": {
+        "initial": {"left": 0.0, "right": 1.0}}, **_NO_RADII},
+        "problem.initial.left > problem.initial.right"),
+    "shock_linear_phi": ({"preset": "burgers_riemann_1d", "problem": {
+        "phi": {"kind": "linear"}}, **_NO_RADII}, "problem.phi.kind = 'zero'"),
+    "shock_linear_flux": ({"preset": "burgers_riemann_1d", "problem": {
+        "flux": {"kind": "linear", "velocity": [1.0]}}, **_NO_RADII},
+        "problem.flux.kind = 'burgers'"),
+}
+for _name, (_override, _part) in WRONG_REFERENCE.items():
+    REJECTED[f"wrong_reference_{_name}"] = (_override, "problem.exact")
 
 
 @pytest.mark.parametrize("override, field", REJECTED.values(), ids=REJECTED.keys())
@@ -405,6 +437,29 @@ def test_dry_run_rejects_what_run_rejects(tmp_path, capsys, override, field):
         record = json.loads(captured.err.strip().splitlines()[-1])
         assert (record["error"], record["field"]) == ("configuration", field), command
     assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("override, part", WRONG_REFERENCE.values(), ids=WRONG_REFERENCE.keys())
+def test_a_reference_names_the_first_part_it_does_not_solve(override, part):
+    with pytest.raises(ConfigurationError) as exc:
+        build_plan(load_config(merge_config(TINY_RUN, override)))
+    assert exc.value.field == "problem.exact" and str(exc.value).endswith(part)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_preset_and_bench_operation_meets_its_reference(seed, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    configs = [{"preset": name} for name in gpme.presets.preset_names()]
+    configs += [op.config for name in workloads.WORKLOADS
+                for op in workloads.operations(name, seed)]
+    exact = [build_plan(load_config(json.dumps(cfg))).exact for cfg in configs]
+    # four presets and five bench operations name a reference
+    assert sum(e is not None for e in exact) == 9
 
 
 def test_run_with_tail_radii_builds_no_sup_grid(tmp_path):
@@ -634,11 +689,11 @@ def test_every_public_name_is_used_in_the_package():
 
 
 def test_the_stored_operator_is_read_in_one_module():
-    # the operator's stored form, up to _KERNEL_THRESHOLD offsets the
-    # line's band (applied over its diagonals) or a CSR matrix, and an
-    # rFFT spectrum on circular lengths above, is chosen, kept and applied
-    # by elliptic_solver._Resolvent alone
-    stored = {"spectrum", "lengths", "diagonals", "_KERNEL_THRESHOLD", "_circular",
+    # the operator's stored form, up to _KERNEL_THRESHOLD offsets its
+    # shifted slices (and the line's band), and an rFFT spectrum on
+    # circular lengths above and for every conjugate-gradient solve, is
+    # chosen, kept and applied by elliptic_solver._Resolvent alone
+    stored = {"spectrum", "lengths", "shifts", "_KERNEL_THRESHOLD", "_circular",
               "_next_fast_len"}
     readers = {f"{path.stem}.{name}"
                for path in Path(gpme.__file__).parent.glob("*.py")
@@ -658,8 +713,9 @@ def test_report_json_identical_across_out_dirs(tmp_path):
 def test_thread_count_does_not_change_bytes(tmp_path):
     # the dense-kernel runs and the plane take conjugate-gradient steps,
     # whose inner products must not change with the thread count; the one
-    # step on 12289 nodes of the line, and the one on the plane's 16641,
-    # take them past the length at which OpenBLAS splits a dot product.
+    # step on 12289 nodes of the line, and the one on the plane's 16641 for
+    # phi = u^2 and for a linear phi, take them past the length at which
+    # OpenBLAS splits a dot product.
     # The Stefan run takes banded LU steps on 1537 nodes (LAPACK dgtsv, a
     # tridiagonal band), and the run whose measure is cut at 4h takes them
     # on a band of half-width 4 (dgbsv).  The coarse plane under its
@@ -677,7 +733,12 @@ def test_thread_count_does_not_change_bytes(tmp_path):
             "plane_dense": PLANE_RUN,
             # m = 2 under the Laplacian alone, on the CSR path
             "plane_fine": merge_config(PLANE_RUN, {"problem": {
-                "operator": {"measure": None}, "h": 1.0 / 16, "T": 1.0 / 32}})}
+                "operator": {"measure": None}, "h": 1.0 / 16, "T": 1.0 / 32}}),
+            # linear heat under the Laplacian alone: shifted slices and the
+            # circulant preconditioner on the same 16641 nodes
+            "plane_fine_linear": merge_config(PLANE_RUN, {"problem": {
+                "operator": {"measure": None}, "phi": {"kind": "linear", "slope": 1.0},
+                "h": 1.0 / 16, "T": 1.0 / 32}})}
     args = [write_cfg(tmp_path, run, name=f"{name}.json") for name, run in runs.items()]
     for threads in ("1", "4"):
         # one process per thread count runs them all, and the field writer
@@ -814,32 +875,54 @@ _RUN_IMPORT_MAP = """
 import json, sys
 from gpme.cli import main
 
-def loaded(names):
-    codes = [main(["run", "--config", json.dumps({"preset": name, "problem": {
-                       "h": 0.25, "T": 0.25}}), "--out", f"{sys.argv[1]}/{name}"])
-             for name in names]
+def loaded(runs):
+    codes = [main(["run", "--config", json.dumps(run), "--out", f"{sys.argv[1]}/{i}"])
+             for i, run in enumerate(runs)]
     return {"codes": codes, "scipy": sorted(m for m in ("scipy.linalg", "scipy.sparse",
                                                           "scipy.fft", "scipy.special")
                                             if m in sys.modules),
             "any": any(m.split(".")[0] == "scipy" for m in sys.modules)}
 
-print(json.dumps([loaded(["burgers_riemann_1d", "frac_heat_poisson_1d", "cde_burgers_frac_1d"]),
-                  loaded(["heat_gaussian_1d"])]))
+print(json.dumps([loaded(runs) for runs in json.loads(sys.argv[2])]))
 """
+
+
+def _import_map(tmp_path, groups):
+    """For each group of run configs, run in turn in one fresh
+    interpreter, the exit codes and the scipy modules loaded so far."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_IMPORT_MAP, str(tmp_path),
+                           json.dumps(groups)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_line_runs_import_only_the_scipy_their_solve_calls(tmp_path):
     # a dense kernel goes through numpy.fft, the line's short stencil is
-    # applied from its band, and phi = 0 solves nothing: those runs load no
-    # module of scipy.  LAPACK comes in at the first banded LU, and the
-    # line never loads scipy.sparse, scipy.fft or scipy.special, which
-    # held about 26 MB of a line run's 64 MB peak
-    proc = subprocess.run([sys.executable, "-c", _RUN_IMPORT_MAP, str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [
+    # applied by shifted slices, and phi = 0 solves nothing: those runs
+    # load no module of scipy.  LAPACK comes in at the first banded LU,
+    # and the line never loads scipy.sparse, scipy.fft or scipy.special,
+    # which held about 26 MB of a line run's 64 MB peak
+    def runs(*names):
+        return [{"preset": name, "problem": {"h": 0.25, "T": 0.25}} for name in names]
+    assert _import_map(tmp_path, [
+        runs("burgers_riemann_1d", "frac_heat_poisson_1d", "cde_burgers_frac_1d"),
+        runs("heat_gaussian_1d")]) == [
         {"codes": [0, 0, 0], "scipy": [], "any": False},
         {"codes": [0], "scipy": ["scipy.linalg"], "any": True}]
+
+
+def test_plane_runs_import_only_the_scipy_their_solve_calls(tmp_path):
+    # the plane's Laplacian is applied by shifted slices, and a linear
+    # phi's constant-coefficient Newton systems are preconditioned by the
+    # circulant through numpy.fft: that run loads no module of scipy.
+    # phi = u^2 gives variable coefficients, whose Jacobi-PCG builds the
+    # CSR matrix, so scipy.sparse comes in, and scipy.linalg does not
+    laplacian = merge_config(PLANE_RUN, {"problem": {"operator": {"measure": None}}})
+    linear = merge_config(laplacian, {"problem": {"phi": {"kind": "linear", "slope": 1.0},
+                                                  "exact": "heat_gaussian"}})
+    assert _import_map(tmp_path, [[linear], [laplacian]]) == [
+        {"codes": [0], "scipy": [], "any": False},
+        {"codes": [0], "scipy": ["scipy.sparse"], "any": True}]
 
 
 def test_constant_data_record_an_infinite_tail(tmp_path):

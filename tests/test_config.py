@@ -38,17 +38,18 @@ EVERY_BLOCK = {
         "phi": {"kind": "stefan", "latent": 0.5},
         "operator": {"c": 1, "measure": {"kind": "custom", "form": "pole",
                                          "location": 0.3, "alpha": 1.0}},
+        "exact": None,
     }},
     # the data blocks: each temporal kind and none, and the plane's Gaussian
     # with and without its center
     "constant_source_without_temporal": {"problem": {
-        "source": {"spatial": {"kind": "constant", "value": 0.5}}}},
+        "source": {"spatial": {"kind": "constant", "value": 0.5}}, "exact": None}},
     "indicator_source_constant_in_time": {"problem": {
         "source": {"spatial": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
-                   "temporal": {"kind": "constant", "value": 2.0}}}},
+                   "temporal": {"kind": "constant", "value": 2.0}}, "exact": None}},
     "constant_source_linear_in_time": {"problem": {
         "source": {"spatial": {"kind": "constant", "value": 0.5},
-                   "temporal": {"kind": "linear", "slope": 0.5}}}},
+                   "temporal": {"kind": "linear", "slope": 0.5}}, "exact": None}},
     "gaussian_plane_with_center": {"problem": {
         "dim": 2, "initial": {"center": [0.5, -0.25]}}},
     "gaussian_plane_without_center": {"problem": {"dim": 2}},

@@ -116,7 +116,7 @@ def test_run_with_source_ledger():
     cfg = load_config({"preset": "heat_gaussian_1d", "problem": {"source": {
         "spatial": {"kind": "gaussian", "amplitude": 0.3, "spread": 0.5},
         "temporal": {"kind": "linear", "slope": 1.0},
-    }}})
+    }, "exact": None}})
     plan = build_plan(cfg)
     rep = run(plan.problem, plan.grid, plan.time_grid,
               config=EpSolveConfig(residual_tol=1e-13))

@@ -100,7 +100,7 @@ def test_fft_neighbor_sum_matches_shift_loop(dim, h, box, c, support):
     op = _Resolvent(combine_with_laplacian(st, c), g.shape)
     np.testing.assert_allclose(op.neighbor(v), _shift_loop(st, c, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
-    assert op.matrix is None
+    assert op.shifts is None
     np.testing.assert_array_equal(_circular(v, op.spectrum, op.lengths), op.neighbor(v))
 
 
@@ -121,7 +121,7 @@ def test_fft_neighbor_sum_on_a_one_node_axis(shape):
     assert st.n_offsets > _KERNEL_THRESHOLD
     v = np.random.default_rng(6).normal(size=shape)
     op = _Resolvent(combine_with_laplacian(st, 1), shape)
-    assert op.matrix is None and 2 in op.lengths
+    assert op.shifts is None and 2 in op.lengths
     np.testing.assert_allclose(op.neighbor(v), _shift_loop(st, 1, v), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(v)))
 
