@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 usage.  Failures print one machine-readable JSON record to stderr.  All
 file outputs use shortest round-trip float formatting and fixed row
-order, so identical configs produce byte-identical artifacts.
+order, so identical configs produce byte-identical artifacts.  The field
+and stencil CSVs take their values' bytes from one numpy kernel that
+gives ``repr``'s by construction (``grid_field.write_field_csv``).
 
 The GPME_THREADS environment variable caps BLAS/OpenMP threading; it is
 applied before any numeric module is imported and never changes results,
@@ -27,7 +29,8 @@ cutoff band by ``profiles.adaptive_quad``.
 measure.
 Once the saved fields hold 32 768 values or more, `run` forks one child
 before the solve, which writes each saved knot's field CSV while the
-parent solves the later steps (see `grid_field.FieldWriter`);
+parent solves the later steps, formatting the knots ready in its queue
+in one call of the kernel (see `grid_field.FieldWriter`);
 GPME_THREADS does not govern that, and the bytes written are those of
 one process.  `run` streams each knot to the field writer, which holds
 at most its ring of ``grid_field._RING_SLOTS`` knots (or, without a

@@ -11,6 +11,7 @@ everywhere in this package (zero extension).
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import mmap
 import os
@@ -30,6 +31,7 @@ __all__ = [
     "SourceSteps",
     "lr_norm_of_values",
     "write_field_csv",
+    "write_field_csvs",
     "FieldWriter",
     "shifted",
 ]
@@ -307,17 +309,300 @@ def _format_float(x):
     return repr(float(x))
 
 
+# the field CSV kernel.  A value x goes to repr, whose bytes the kernel
+# gives by construction, unless 1e-280 <= |x| <= 1e280: then S = |x| 10^k,
+# in [1e16, 1e17), is formed as a double-double from a table of 10^k, so
+# that S = N + f with N an int64 and f in [0, 1) is known to about 1e-14.
+# x's rounding interval is S -+ g in these units, with g half of x's
+# spacing times 10^k; the nearest candidate of fewer digits is
+# shortest-round-trip when its distance to S is below g.  Every decision
+# that the error of S, g or the distance could flip is sent to repr: S
+# within _UNSURE of an integer or a half (where rounding ties and exact
+# decimals lie), or a distance within _UNSURE of g.  Where S is an integer
+# and 10^k a double, as for integers and short dyadics, nothing is
+# rounded, and only exact ties and hits of the boundary go to repr.
+_SPLIT = 134217729.0                       # Veltkamp's splitter, 2^27 + 1
+_FAST_RANGE = (1e-280, 1e280)              # keeps every product normal
+_K_LO, _K_HI = -266, 299                   # the scales k = 16 - e that range needs
+_UNSURE = 1e-7
+_P16, _P17 = 10 ** 16, 10 ** 17
+
+# one value's bytes in a row of _WIDTH, zero bytes as padding: a sign, a
+# lead "0.000" for the exponents -4..-1, digit i at _DIGIT + 2i followed by
+# a '.' slot, and 'e', the exponent's sign and three exponent digits
+_SIGN, _LEAD, _DIGIT, _EXP, _WIDTH = 0, 1, 6, 40, 45
+# pattern (sign, class, length): class e + 4 for the positional exponents
+# -4..15, then 20 + 2 (e < 0) + (|e| >= 100) for the scientific ones
+_CLASSES, _LENGTHS = 24, 17
+_ZERO = 2 * _CLASSES * _LENGTHS            # then -0.0, then repr's rows
+_FALLBACK = _ZERO + 2
+_E_LO = -330
+
+# values per call of the kernel.  Writing 8 fields of 6145 values took
+# 0.43, 0.34, 0.30, 0.28 and 0.27 us a value in calls of 1024 to 16 384
+# values, whose temporaries peaked at 0.26, 0.52, 1.0, 2.0 and 4.1 MB
+# (2-core Xeon, Python 3.11): the kernel's fixed cost, about 0.15 ms a
+# call, is 40 % of a call this size, and a larger call raises the peak
+# memory of a run that writes its fields in this process
+_CHUNK_VALUES = 1 << 11
+# below this many values, repr formats them all for less than that cost
+_KERNEL_MIN_VALUES = 128
+
+
+@functools.cache
+def _format_tables():
+    """The kernel's constant tables, built at the first field write:
+    10^k as the double-double hi + lo with Veltkamp's halves of hi and
+    hi/2, per k in _K_LO.._K_HI, from Python ints; the pattern rows, with
+    0xff in the digit slots a pattern shows; each exponent's class times
+    _LENGTHS; and the four ASCII digits of 0..9999, one uint32 each."""
+    hi, lo = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den                      # int division rounds correctly
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    scaled = hi * _SPLIT
+    head = scaled - (scaled - hi)
+    pow10 = np.stack([hi, np.array(lo), head, hi - head, hi / 2])
+
+    patterns = np.zeros((_FALLBACK + 1, _WIDTH), dtype=np.uint8)
+    for neg, cls, n in itertools.product(range(2), range(_CLASSES), range(1, _LENGTHS + 1)):
+        row = patterns[(neg * _CLASSES + cls) * _LENGTHS + n - 1]
+        row[_SIGN] = ord("-") if neg else 0
+        shown = n
+        if cls < 4:
+            row[_LEAD:_LEAD + 5 - cls] = np.frombuffer(b"0." + b"0" * (3 - cls), np.uint8)
+        elif cls < 20:
+            row[_DIGIT + 2 * (cls - 4) + 1] = ord(".")
+            shown = max(n, cls - 2)
+        else:
+            negative, three = divmod(cls - 20, 2)
+            row[_DIGIT + 1] = ord(".") if n > 1 else 0
+            row[_EXP:_EXP + 2] = np.frombuffer(b"e-" if negative else b"e+", np.uint8)
+            row[_EXP + 3 - three:_EXP + 5] = 0xff
+        row[_DIGIT:_DIGIT + 2 * shown:2] = 0xff
+    patterns[_ZERO, _LEAD:_LEAD + 3] = patterns[_ZERO + 1, _LEAD:_LEAD + 3] = np.frombuffer(
+        b"0.0", np.uint8)
+    patterns[_ZERO + 1, _SIGN] = ord("-")
+
+    e = np.arange(_E_LO, -_E_LO + 1)
+    classes = np.where((e >= -4) & (e <= 15), e + 4, 20 + 2 * (e < 0) + (np.abs(e) >= 100))
+    quads = (np.indices((10,) * 4, dtype=np.uint8) + 48).reshape(4, -1).T.copy().view(
+        np.uint32).ravel()
+    return pow10, patterns, classes * _LENGTHS, quads
+
+
+def _scaled(ax, e, pow10):
+    """S = ax 10^(16 - e) as N + f, N an int64 and f in [0, 1), and the
+    half-gap g of ax's rounding interval in the units of S."""
+    hi, lo, head, tail, half = pow10.take((16 - _K_LO) - e, axis=1)
+    xh = ax * _SPLIT
+    xh -= xh - ax
+    xl = ax - xh
+    p = ax * hi
+    # the rounding error of p, exactly, plus ax lo
+    err = xh * head
+    err -= p
+    err += xh * tail
+    err += xl * head
+    err += xl * tail
+    err += ax * lo
+    s = p + err
+    p -= s
+    p += err                               # the low part of s
+    floor = np.floor(p)
+    p -= floor
+    N = s.astype(np.int64)
+    N += floor.astype(np.int64)
+    g = np.spacing(ax)
+    g *= half
+    return N, p, g
+
+
+def _nearest(r, step, f, g, tol):
+    """For S = N + f with N = r mod step: whether the nearest multiple of
+    step to S lies above it, whether it is within g of S, and whether that
+    is unsure: within tol of g, or a tie."""
+    down, up = r + f, (step - r) - f
+    d = np.minimum(down, up) - g
+    return down > up, d < 0, (np.abs(d) <= tol) | (down == up)
+
+
+def _shortest(ax, pow10):
+    """For ax in _FAST_RANGE: the shortest round-trip digits as a 17-digit
+    int64 D (trailing zeros past the n digits), the decimal exponent e of
+    the first digit, n, and where a decision was unsure."""
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    N, f, g = _scaled(ax, e, pow10)
+    # log10 may miss the decade at a power of ten
+    off = np.flatnonzero((N < _P16) | (N >= _P17))
+    if off.size:
+        e[off] += np.where(N[off] < _P16, -1, 1)
+        N[off], f[off], g[off] = _scaled(ax[off], e[off], pow10)
+    # where S is an integer and 10^k = 10^(16 - e) a double, S, g and every
+    # distance are exact, and only exact ties and boundaries are unsure
+    exact = (f == 0) & (e >= -6) & (e <= 16)
+    tol = np.where(exact, 0.0, _UNSURE)
+    twice = f + f
+    unsure = (np.abs(twice - np.rint(twice)) < 2 * _UNSURE) & ~exact
+    r15 = N - N // 100 * 100
+    r16 = r15 - r15 // 10 * 10
+    up16, ok16, near16 = _nearest(r16, 10, f, g, tol)
+    up15, ok15, near15 = _nearest(r15, 100, f, g, tol)
+    unsure |= near16 | near15
+    D = np.where(ok15, (N - r15) + 100 * up15,
+                 np.where(ok16, (N - r16) + 10 * up16, N + (f > 0.5)))
+    n = 17 - ok16.astype(np.int64) - ok15
+    # shorter lengths, on the few values whose 15 digits round-trip: one
+    # digit first, where short exact values such as 1.0 end, then down from
+    # 14 digits while they round-trip
+    rows = np.flatnonzero(ok15 & ~unsure)
+    for j in (16, *range(3, 16)):
+        if not rows.size:
+            break
+        r = N[rows] - N[rows] // 10 ** j * 10 ** j
+        up, ok, near = _nearest(r, 10 ** j, f[rows], g[rows], tol[rows])
+        unsure[rows] |= near
+        ok &= ~near
+        done = rows[ok]
+        D[done] = (N[done] - r[ok]) + 10 ** j * up[ok]
+        n[done] = 17 - j
+        rows = rows[~(ok | near)] if j == 16 else done
+    # below a power of two the interval is half as wide: only a candidate
+    # that is S itself is certain
+    unsure |= ((ax.view(np.int64) & ((1 << 52) - 1)) == 0) & ~(exact & (D == N))
+    # a value that rounds up to a power of ten has the one digit 1
+    carry = np.flatnonzero(D == _P17)
+    D[carry] = _P16
+    e[carry] += 1
+    return D, e, n, unsure
+
+
+def _repr_bytes(values):
+    """repr of each value, in uint8 rows of 24 padded with zero bytes."""
+    return np.array(list(map(repr, values.tolist())), dtype="S24").view(np.uint8).reshape(-1, 24)
+
+
+def _value_rows(values, out):
+    """Write the bytes of repr of each value into its row of ``out``, a
+    uint8 matrix of _WIDTH columns, padded with zero bytes, and return the
+    indices of the values formatted by repr."""
+    values = np.ravel(np.asarray(values, dtype=float))
+    if values.size < _KERNEL_MIN_VALUES:
+        out[:] = 0
+        out[:, :24] = _repr_bytes(values)
+        return np.arange(values.size)
+    pow10, patterns, classes, quads = _format_tables()
+    x, rows = values, out
+    # zeros take their pattern and no digit search
+    if np.count_nonzero(values) < values.size:
+        out[:] = patterns[_ZERO]
+        out[np.signbit(values), _SIGN] = ord("-")
+        nonzero = np.flatnonzero(values)
+        x = values[nonzero]
+        rows = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    ax = np.abs(x)
+    fast = (ax >= _FAST_RANGE[0]) & (ax <= _FAST_RANGE[1])
+    D, e, n, unsure = _shortest(np.where(fast, ax, 1.5), pow10)
+    slow = np.flatnonzero(unsure | ~fast)
+    p = classes[e - _E_LO] + n - 1
+    p += np.signbit(x) * (_CLASSES * _LENGTHS)
+    p[slow] = _FALLBACK
+    patterns.take(p, axis=0, out=rows, mode="clip")
+    digits = np.empty((x.size, 5), dtype=np.uint32)
+    for i in range(4, 0, -1):
+        q = D // 10000
+        digits[:, i] = quads[D - q * 10000]
+        D = q
+    digits[:, 0] = quads[D]
+    rows[:, _DIGIT:_EXP:2] &= digits.view(np.uint8)[:, 3:]
+    # the exponent's digits, on the few scientific rows
+    sci = np.flatnonzero((e < -4) | (e > 15))
+    if sci.size:
+        rows[sci, _EXP + 2:] &= quads[np.abs(e[sci])].view(np.uint8).reshape(-1, 4)[:, 1:]
+    if slow.size:
+        rows[slow, :24] = _repr_bytes(x[slow])
+    if rows is out:
+        return slow
+    out[nonzero] = rows
+    return nonzero[slow]
+
+
+def _int_labels(ints, prefix):
+    """``prefix + str(b) + ","`` for each int b, in uint8 rows padded with
+    zero bytes."""
+    labels = np.array([f"{prefix}{b}," for b in ints.tolist()], dtype="S")
+    return labels.view(np.uint8).reshape(len(labels), labels.itemsize)
+
+
+def _csv_rows(labels, values):
+    """CSV rows as a uint8 matrix, padded with zero bytes: each label's
+    bytes, then its value's.  ``rows.tobytes().translate(None, b"\\0")``
+    is their text."""
+    rows = np.empty((len(values), labels.shape[1] + _WIDTH), dtype=np.uint8)
+    rows[:, :labels.shape[1]] = labels
+    _value_rows(values, rows[:, labels.shape[1]:])
+    return rows
+
+
 def _row_labels(shape):
     """The ``beta_1,...,beta_N,`` label of each row of ``write_field_csv``
-    for a field of the given shape, newline first, in C order: built once
-    per shape by a caller that writes many fields of it.  Axis i of length
-    n runs over beta_i = -K..K with K = (n - 1)/2."""
-    # the first axis's labels open each row; the product of the per-axis
-    # labels runs in C order, as the values do
-    seps = ["\n"] + [""] * (len(shape) - 1)
-    labels = [[f"{sep}{b}," for b in range(-(n // 2), n // 2 + 1)]
-              for sep, n in zip(seps, shape)]
-    return list(map("".join, itertools.product(*labels)))
+    for a field of the given shape, newline first, in C order, as the
+    uint8 rows ``_csv_rows`` takes: built once per shape by a caller that
+    writes many fields of it.  Axis i of length n runs over beta_i = -K..K
+    with K = (n - 1)/2."""
+    # each axis's labels broadcast along the others; the first opens a row
+    axes = [_int_labels(np.arange(-(n // 2), n // 2 + 1), "\n" if i == 0 else "")
+            for i, n in enumerate(shape)]
+    return np.concatenate(
+        [np.broadcast_to(a.reshape((1,) * i + (len(a),) + (1,) * (len(shape) - i - 1) + (-1,)),
+                         tuple(shape) + (a.shape[1],)) for i, a in enumerate(axes)],
+        axis=-1).reshape(int(np.prod(shape)), -1)
+
+
+def _segments(start, stop, size):
+    """(field j, first row, row count) for the values start..stop of
+    fields of size values laid end to end."""
+    while start < stop:
+        j, row = divmod(start, size)
+        n = min(size - row, stop - start)
+        yield j, row, n
+        start += n
+
+
+def write_field_csvs(paths, fields, labels=None):
+    """Write each field of ``fields``, all of one shape, to its path, as
+    ``write_field_csv`` does.  The values of all of them, laid end to end,
+    go to the kernel ``_CHUNK_VALUES`` at a time."""
+    if not paths:
+        return
+    shape = np.shape(fields[0])
+    labels = _row_labels(shape) if labels is None else labels
+    header = (",".join(f"beta_{i + 1}" for i in range(len(shape))) + ",value").encode()
+    size = len(labels)
+    fh = None
+    try:
+        for start in range(0, size * len(paths), _CHUNK_VALUES):
+            stop = min(start + _CHUNK_VALUES, size * len(paths))
+            parts = list(_segments(start, stop, size))
+            rows = _csv_rows(np.concatenate([labels[row:row + n] for _, row, n in parts]),
+                             np.concatenate([np.ravel(fields[j])[row:row + n]
+                                             for j, row, n in parts]))
+            for j, row, n in parts:
+                if row == 0:
+                    fh = open(paths[j], "wb")
+                    fh.write(header)
+                fh.write(rows[:n].tobytes().translate(None, b"\0"))
+                rows = rows[n:]
+                if row + n == size:
+                    fh.write(b"\n")
+                    fh.close()
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def write_field_csv(path, values, labels=None):
@@ -326,45 +611,46 @@ def write_field_csv(path, values, labels=None):
     ``_format_float``.  ``labels`` are the field's ``_row_labels``, built
     here when not given.
 
-    ``tolist`` already gives Python floats, so mapping the builtin ``repr``
-    over them calls ``float.__repr__`` on each, the bytes of
-    ``_format_float``, without a Python-level call per value.  (One ``repr``
-    of the whole list, split at ", ", gives the same bytes no faster and
-    raises the peak resident memory of a run by about 0.6 MB.)  That
-    ``repr`` is the floor of one process: about 1.1 us per value on a
-    2-core Xeon with Python 3.11, as 93 % of the values of a
-    ``frac_heat_poisson_1d`` run need 16 or 17 significant digits.
-    ``FieldWriter`` moves that work off the run's critical path."""
-    header = ",".join(f"beta_{i + 1}" for i in range(values.ndim)) + ",value"
-    flat = values.reshape(-1).tolist()
-    rows = [None] * (2 * len(flat))
-    rows[0::2] = _row_labels(values.shape) if labels is None else labels
-    rows[1::2] = map(repr, flat)
-    text = header + "".join(rows) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    The bytes are those of ``repr``, by construction, from ``_value_rows``:
+    a fixed-precision estimate of each value's 17 significant digits that
+    certifies its shortest candidate, or hands the value to ``repr``
+    where the certificate is unsure (the comment above ``_SPLIT``; the
+    scheme of Loitsch's Grisu3, PLDI 2010).  Each row's label and value
+    sit side by side in a uint8 matrix padded with zero bytes, which one
+    ``bytes.translate`` drops.  The kernel runs numpy elementwise
+    operations only, no BLAS call, so the forked writer may run it.  On a
+    ``frac_heat_poisson_1d`` field of 6145 values it takes about 0.2 us a
+    value against 0.6 us for ``repr``, with a fixed cost of about 0.15 ms
+    a call, so a call of fewer than ``_KERNEL_MIN_VALUES`` values is
+    ``repr``'s alone (2-core Xeon, Python 3.11)."""
+    write_field_csvs([path], [values], labels)
 
 
 # fork only when the saved fields hold enough values to repay it.  The
 # child lives for the whole run.  In a process of about 90 MB its fork, the
 # copy-on-write faults it leaves the parent's later steps and the final
-# wait cost 5-7 ms where the run is short: forked at every size,
-# `burgers_riemann_1d` at h = 1/64 (16 705 saved values) took 37.1 ms
-# against 30.2 ms in one process, and the 41 x 41 plane of
-# `heat_gaussian_2d` (10 086) 46.6 against 41.7 ms; `fast_diffusion_1d`
-# (16 705, 77 ms) broke even (medians of 12, 2-core Xeon, Python 3.11)
+# wait cost several ms where the run is short.  With the kernel, forked at
+# every size against one process, two batches of medians of 12 alternating
+# rounds at h = 1/64 gave `burgers_riemann_1d` (16 705 saved values) 41.8
+# and 47.3 ms against 24.4 and 54.8, `fast_diffusion_1d` (16 705) 47.5 and
+# 55.3 against 30.8 and 69.0, and the 41 x 41 plane of `heat_gaussian_2d`
+# (10 086) 25.4 and 28.6 against 14.5 and 26.8 (2-core Xeon, Python
+# 3.11): no steady winner below the threshold.  Above it, one process
+# holds every saved knot to the end, 3.2 MB on `frac_heat_poisson_1d`,
+# and the bench's `nonlocal_1d` ran slower unforked in 3 of 4 pairs
 _FORK_MIN_VALUES = 1 << 15
 
 
 # slots of one field each in the forked writer's ring.  Two batches of 14
 # alternating rounds over the seven 1-D presets at h = 1/64, run in
-# process, summed the medians to 1004 and 840 ms with 2 slots, 838 and 785
-# with 4, 820 and 781 with 8, 884 and 761 with 16, 887 and 754 with 64
-# (2-core Xeon, Python 3.11): with 2 the child of `frac_heat_poisson_1d`
-# (65 saved knots of 6145 values) falls behind and the parent writes more
-# knots itself, and from 4 on the gaps are within the batches' spread.
-# Each slot a run fills holds one field resident: 8 give a slow child
-# twice the slack of 4 and bound the ring at 17 MB on the 513 x 513 plane
+# process, summed the medians to 553 and 678 ms with 2 slots, 493 and 657
+# with 4, 500 and 637 with 8, 496 and 622 with 16 (2-core Xeon, Python
+# 3.11): with 2 the child of `frac_heat_poisson_1d` (65 saved knots of 6145
+# values) falls behind and the parent writes more knots itself, and from 4
+# on the gaps are within the batches' spread.  Each slot a run fills holds
+# one field resident, and the child formats up to a ring's knots in one
+# call: 8 give a slow child twice the slack of 4 and bound the ring at
+# 17 MB on the 513 x 513 plane
 _RING_SLOTS = 8
 
 
@@ -393,22 +679,23 @@ class FieldWriter:
     knots the child has written, and a ring of ``_RING_SLOTS`` slots of
     one field each.  ``knot`` copies a saved knot into the next slot and
     posts its index and slot to a pipe, from which the child takes them
-    in posting order and writes those knots while the parent solves the
-    later steps.  A slot is reused only once the child has counted the
-    knot it last held, that is, closed its file.  When the ring is full
-    (the child is behind, or gone), or the pipe is, whose write end does
-    not block, the parent writes the knot itself from the run's array.
-    On leaving, the parent closes the pipe, writes the knots left in it
+    in posting order, every one ready at once, and writes those knots in
+    one call while the parent solves the later steps.  A slot is reused
+    only once the child has counted the knot it last held, which it does
+    once the whole call has closed its files.  When the ring is full (the
+    child is behind, or gone), or the pipe is, whose write end does not
+    block, the parent writes the knot itself from the run's array.  On
+    leaving, the parent closes the pipe, writes the knots left in it
     itself from their slots, and reaps the child; if the child failed,
     the parent writes again every posted knot that the child had not
     counted, from its slot, which was never reused, so an I/O error is
     raised here.  The child makes no BLAS or FFT call, calls
-    ``write_field_csv`` through this module's global, and leaves through
+    ``write_field_csvs`` through this module's global, and leaves through
     ``os._exit`` (status 0 on success, 1 on any exception), so it never
     returns to the caller, runs no atexit handler and flushes no stdio
     buffer.  Otherwise the writer holds a copy of each saved knot, by the
     threshold fewer than ``_FORK_MIN_VALUES`` values or a single knot,
-    and writes them all in this process on leaving.
+    and writes them all in this process on leaving, in one call.
 
     Each CSV is written under its ``_partial`` name and renamed to its
     path only once every saved knot is written.  Leaving on an exception
@@ -423,7 +710,6 @@ class FieldWriter:
         self._held = {}
         self._pid = None
         self._posted = []
-        self._labels = None
 
     def __enter__(self):
         size = int(np.prod(self.shape))
@@ -443,23 +729,27 @@ class FieldWriter:
 
     def _serve(self):
         # the child: formats and writes only, so it never waits on a BLAS
-        # thread, which fork does not copy
+        # thread, which fork does not copy.  It takes every record ready in
+        # the pipe, up to a ring's worth, formats those knots in one call,
+        # so that the kernel's fixed cost is paid once, and counts them
         status = 1
         try:
             os.close(self._post)
-            labels = _row_labels(self.shape)
-            while record := os.read(self._read, _RECORD.size):
-                j, slot = _RECORD.unpack(record)
-                write_field_csv(_partial(self.paths[j]), self._slots[slot], labels)
-                self._written[0] += 1
+            while records := os.read(self._read, _RECORD.size * _RING_SLOTS):
+                knots = list(_RECORD.iter_unpack(records))
+                write_field_csvs([_partial(self.paths[j]) for j, _ in knots],
+                                 [self._slots[slot] for _, slot in knots], self._labels)
+                self._written[0] += len(knots)
             status = 0
         finally:
             os._exit(status)
 
-    def _write(self, j, values):
-        if self._labels is None:
-            self._labels = _row_labels(self.shape)
-        write_field_csv(_partial(self.paths[j]), values, self._labels)
+    @functools.cached_property
+    def _labels(self):
+        return _row_labels(self.shape)
+
+    def _write(self, knots, fields):
+        write_field_csvs([_partial(self.paths[j]) for j in knots], fields, self._labels)
 
     def knot(self, j, u):
         """Take knot j's field u: a saved knot goes to the child through
@@ -481,7 +771,7 @@ class FieldWriter:
                 return
             except BlockingIOError:
                 pass
-        self._write(j, u)
+        write_field_csv(_partial(self.paths[j]), u, self._labels)
 
     def _join(self, write):
         """Close the queue, take the knots left in it (writing them from
@@ -489,10 +779,11 @@ class FieldWriter:
         the child failed."""
         try:
             os.close(self._post)
-            while record := os.read(self._read, _RECORD.size):
-                if write:
-                    j, slot = _RECORD.unpack(record)
-                    self._write(j, self._slots[slot])
+            knots = []
+            while records := os.read(self._read, _RECORD.size * _RING_SLOTS):
+                knots += _RECORD.iter_unpack(records)
+            if write:
+                self._write([j for j, _ in knots], [self._slots[slot] for _, slot in knots])
         finally:
             os.close(self._read)
             status = os.waitpid(self._pid, 0)[1]
@@ -504,14 +795,14 @@ class FieldWriter:
         try:
             failed = self._join(exc_type is None) if self._pid else False
             if exc_type is None:
-                for j, values in self._held.items():
-                    self._write(j, values)
+                self._write(list(self._held), list(self._held.values()))
                 if failed:
                     # the child wrote in posting order, and the slots of the
                     # knots from the first it had not counted on were never
                     # reused
-                    for k in range(int(self._written[0]), len(self._posted)):
-                        self._write(self._posted[k], self._slots[k % _RING_SLOTS])
+                    left = range(int(self._written[0]), len(self._posted))
+                    self._write([self._posted[k] for k in left],
+                                [self._slots[k % _RING_SLOTS] for k in left])
                 for path in self.paths.values():
                     os.replace(_partial(path), path)
                 done = True

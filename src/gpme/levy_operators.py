@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, StencilError
+from .grid_field import _csv_rows, _int_labels
 from .profiles import sphere_area
 
 __all__ = [
@@ -510,11 +511,12 @@ class OperatorSpec:
 def write_stencil_csv(path, stencil):
     """``gamma_1,...,gamma_N,weight`` rows in lexicographic offset order,
     each weight in the shortest round-trip form of
-    ``grid_field._format_float``, joined once as
-    ``grid_field.write_field_csv`` joins a field's rows."""
+    ``grid_field._format_float``, given by the kernel that formats the
+    field CSVs and joined as ``grid_field.write_field_csvs`` joins a
+    field's rows."""
     header = ",".join(f"gamma_{i + 1}" for i in range(stencil.dim)) + ",weight"
-    rows = [None] * (2 * stencil.n_offsets)
-    rows[0::2] = ["\n" + ",".join(map(str, off)) + "," for off in stencil.offsets.tolist()]
-    rows[1::2] = map(repr, stencil.weights.tolist())
-    with open(path, "w") as fh:
-        fh.write(header + "".join(rows) + "\n")
+    labels = np.concatenate([_int_labels(stencil.offsets[:, i], "\n" if i == 0 else "")
+                             for i in range(stencil.dim)], axis=1)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + _csv_rows(labels, stencil.weights).tobytes().translate(
+            None, b"\0") + b"\n")

@@ -783,13 +783,16 @@ for run in runs:
     plan.problem.operator.build_stencil(plan.grid)
     grid_field.project_cell_average(plan.problem.initial, plan.grid)
     grid_field.project_source(plan.problem.source, plan.grid, plan.time_grid)
+tables = grid_field._format_tables.cache_info().currsize
 codes = [main(["stencil", "--config", json.dumps({"preset": "frac_heat_poisson_1d"}),
                "--out", sys.argv[2]]),
          main(["run", "--config", json.dumps({"preset": "heat_gaussian_1d",
                                               "problem": {"h": -1.0}}),
                "--out", sys.argv[3]])]
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "tables": [tables, grid_field._format_tables.cache_info().currsize],
+                  "exact": sorted(m for m in ("fractions", "decimal") if m in sys.modules)}))
 """
 
 
@@ -797,14 +800,16 @@ def test_set_up_imports_no_scipy(tmp_path):
     # any scipy import costs a shared base of about 0.25 s, more than the
     # whole set-up of a run on the line: loading the config, building the
     # plan and the stencil, projecting the data, a stencil file and a
-    # config that fails validation import none of it
+    # config that fails validation import none of it.  Nor do they, or the
+    # kernel that formats the stencil file, import fractions or decimal,
+    # and set-up leaves the kernel's tables to the first file it writes
     proc = subprocess.run(
         [sys.executable, "-c", _SETUP_IMPORTS_NO_SCIPY, json.dumps(PLANE_RUN),
          str(tmp_path / "stencil"), str(tmp_path / "invalid")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     line = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert line == {"codes": [0, 2], "scipy": []}
+    assert line == {"codes": [0, 2], "scipy": [], "tables": [0, 1], "exact": []}
 
 
 _PEAK_RSS_OF_A_RUN = """

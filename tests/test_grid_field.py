@@ -1,16 +1,22 @@
 """Lattice containers: box construction, norms, shifts, cell lookup, time
 interpolants."""
 
+import math
 import os
 import signal
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpme import grid_field
+from gpme.config import build_plan, load_config
 from gpme.errors import ConfigurationError, DataError
+from gpme.evolution import run
 from gpme.grid_field import (FieldWriter, TimeGrid, Trajectory, UniformGrid,
                              lr_norm_of_values, project_cell_average, shifted,
                              write_field_csv)
@@ -162,6 +168,79 @@ def test_write_field_csv_matches_row_by_row_format(tmp_path, dim, h, box):
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
+def _nudged(x, ulps):
+    """x moved ulps units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+_SIGNS = st.sampled_from([1.0, -1.0])
+# where the kernel's certificate is tight, or its format switches, or it
+# hands the value to repr
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, d, s: s * _nudged(2.0 ** k, d),
+              st.integers(-1074, 1023), st.integers(-1, 1), _SIGNS),
+    st.integers(0, 63).flatmap(lambda b: st.integers(-2 ** b, 2 ** b)).map(float),
+    st.builds(lambda m, k: float(f"{m}e{k}"), st.integers(-10 ** 6, 10 ** 6),
+              st.integers(-30, 30)),
+    st.builds(lambda b, d, s: s * _nudged(b, d), st.sampled_from([1e-5, 1e-4, 1e15, 1e16]),
+              st.integers(-2, 2), _SIGNS),
+    st.builds(lambda k, d: _nudged(float(f"1e{k}"), d), st.integers(-300, 300),
+              st.integers(-1, 1)),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(_DOUBLES, max_size=40))
+def test_kernel_gives_the_bytes_of_repr(values):
+    # the digit search runs at every size here, not from
+    # _KERNEL_MIN_VALUES on, so each drawn value meets the certificate
+    rows = np.empty((len(values), grid_field._WIDTH), dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_field, "_KERNEL_MIN_VALUES", 0)
+        grid_field._value_rows(np.array(values, dtype=float), rows)
+    assert rows.tobytes().translate(None, b"\0") == "".join(map(repr, values)).encode()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(7,), (3, 5), (3, 1, 5)]),
+       values=st.lists(_DOUBLES, min_size=1, max_size=15))
+def test_field_csv_gives_repr_rows_in_every_dimension(shape, values):
+    # the kernel's rows beside their labels, in 1-D, 2-D and 3-D, and two
+    # fields in one call of the kernel
+    fields = [np.resize(np.array(values), shape), -np.resize(np.array(values[::-1]), shape)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_field, "_KERNEL_MIN_VALUES", 0)
+        paths = [Path(tmp) / f"{k}.csv" for k in range(2)]
+        grid_field.write_field_csvs(paths, fields)
+        for path, u in zip(paths, fields):
+            lines = [",".join(f"beta_{i + 1}" for i in range(len(shape))) + ",value"]
+            for idx in np.ndindex(*shape):
+                lines.append(",".join(str(i - n // 2) for i, n in zip(idx, shape))
+                             + "," + repr(float(u[idx])))
+            assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_kernel_sends_few_values_of_a_preset_field_to_repr():
+    # a certificate that broke would cost repr's price, not fail: on
+    # frac_heat_poisson_1d's final field at h = 1/64 (6145 values, 94 % of
+    # them needing 16 or 17 digits) under 0.1 % of the values take repr
+    plan = build_plan(load_config({"preset": "frac_heat_poisson_1d",
+                                   "problem": {"h": 1.0 / 64, "T": 0.5}}))
+    final = {}
+    run(plan.problem, plan.grid, plan.time_grid, config=plan.solver,
+        on_knot=lambda j, u: final.update(u=u.copy()))
+    rows = np.empty((final["u"].size, grid_field._WIDTH), dtype=np.uint8)
+    slow = grid_field._value_rows(final["u"], rows)
+    assert final["u"].size == 6145
+    assert len(slow) < 1e-3 * final["u"].size
+    assert rows.tobytes().translate(None, b"\0") == "".join(
+        map(repr, final["u"].ravel().tolist())).encode()
+
+
 def _field_items(tmp_path, dim, n):
     g = UniformGrid.from_box(dim, 0.5, 1.0)
     return [(tmp_path / f"field_{j}.csv", np.roll(special_values(g, seed=j), j))
@@ -256,17 +335,17 @@ def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, for
     # blocking the run
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
     parent = os.getpid()
-    write = grid_field.write_field_csv
+    write = grid_field.write_field_csvs
 
-    def child_dies(path, values, labels=None):
+    def child_dies(paths, fields, labels=None):
         if os.getpid() != parent:
             os._exit(3)
-        write(path, values, labels)
+        write(paths, fields, labels)
 
     def hung(signum, frame):
         raise TimeoutError("posting a knot blocked")
 
-    monkeypatch.setattr(grid_field, "write_field_csv", child_dies)
+    monkeypatch.setattr(grid_field, "write_field_csvs", child_dies)
     n = 20_000
     monkeypatch.setattr(grid_field, "_RING_SLOTS", n)
     # a blocking post would hang here: the alarm bounds the wait
@@ -286,19 +365,20 @@ def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, for
 
 
 def _in_child(monkeypatch, child_writes):
-    """Route the writer's ``write_field_csv`` calls in the forked child
-    through child_writes(path, values, write), and return the paths the
-    parent writes itself."""
+    """Route the writer's ``write_field_csvs`` calls in the forked child,
+    one per batch of knots, through child_writes(paths, fields, write),
+    where write(paths, fields) writes those knots, and return the paths
+    the parent writes itself."""
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
-    parent, write, by_parent = os.getpid(), grid_field.write_field_csv, []
+    parent, write, by_parent = os.getpid(), grid_field.write_field_csvs, []
 
-    def routed(path, values, labels=None):
+    def routed(paths, fields, labels=None):
         if os.getpid() == parent:
-            by_parent.append(path)
-            return write(path, values, labels)
-        return child_writes(path, values, lambda: write(path, values, labels))
+            by_parent.extend(paths)
+            return write(paths, fields, labels)
+        return child_writes(paths, fields, lambda ps, us: write(ps, us, labels))
 
-    monkeypatch.setattr(grid_field, "write_field_csv", routed)
+    monkeypatch.setattr(grid_field, "write_field_csvs", routed)
     return by_parent
 
 
@@ -312,17 +392,18 @@ def _loop_bytes(tmp_path, items):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ring_reuses_a_slot_only_after_its_knot_is_written(tmp_path, monkeypatch, forks, dim):
-    # a child slower than the run, and four times as many saved knots as
-    # slots: the ring fills and the parent writes some knots itself, the
-    # child writes more knots than there are slots, so slots are reused,
-    # and it finds each slot it reads unchanged until it has written it
+    # a child slower than the run, 4 ms a knot in each batch it takes, and
+    # four times as many saved knots as slots: the ring fills and the
+    # parent writes some knots itself, the child writes more knots than
+    # there are slots, so slots are reused, and it finds each slot of a
+    # batch unchanged until it has written the whole batch
     overwritten = tmp_path / "overwritten"
 
-    def slow(path, values, write):
-        before = values.tobytes()
-        time.sleep(0.004)
-        write()
-        if values.tobytes() != before:
+    def slow(paths, fields, write):
+        before = [u.tobytes() for u in fields]
+        time.sleep(0.004 * len(paths))
+        write(paths, fields)
+        if [u.tobytes() for u in fields] != before:
             overwritten.touch()
 
     by_parent = _in_child(monkeypatch, slow)
@@ -337,16 +418,19 @@ def test_ring_reuses_a_slot_only_after_its_knot_is_written(tmp_path, monkeypatch
 
 def test_parent_rewrites_from_their_slots_the_knots_a_dead_child_left(tmp_path, monkeypatch,
                                                                      forks):
-    # the child writes two knots and dies on its third.  The parent writes
-    # that one and every knot posted after it from the slots, which were
-    # never reused; the array the knots came in holds only the last one
+    # the child writes two knots, one at a time whatever batches it takes,
+    # and dies on its third.  It counts a batch only once it is written,
+    # so the parent writes that knot and every knot posted after it, and
+    # any of the batch the child wrote, from the slots, which were never
+    # reused; the array the knots came in holds only the last one
     written = []
 
-    def dies_on_third(path, values, write):
-        if len(written) == 2:
-            os._exit(3)
-        write()
-        written.append(path)
+    def dies_on_third(paths, fields, write):
+        for path, u in zip(paths, fields):
+            if len(written) == 2:
+                os._exit(3)
+            write([path], [u])
+            written.append(path)
 
     by_parent = _in_child(monkeypatch, dies_on_third)
     (tmp_path / "two").mkdir()

@@ -8,6 +8,7 @@ import pytest
 from scipy import fft, sparse
 from scipy.integrate import dblquad, quad
 
+from gpme import grid_field
 from gpme.errors import ConfigurationError, StencilError
 from gpme.grid_field import UniformGrid, shifted
 from gpme.grid_field import _format_float
@@ -439,9 +440,11 @@ def test_measure_stencil_is_bit_identical_to_the_row_unique_build(measure, dim, 
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_stencil_csv_matches_the_row_by_row_format(tmp_path, dim):
+def test_stencil_csv_matches_the_row_by_row_format(tmp_path, monkeypatch, dim):
     # the smallest subnormal, a small weight and a large one, each on an
-    # axis offset and (in the plane) on a diagonal one
+    # axis offset and (in the plane) on a diagonal one, through the field
+    # CSVs' kernel at any size
+    monkeypatch.setattr(grid_field, "_KERNEL_MIN_VALUES", 0)
     weights = [5e-324, 1e-5, 1e16]
     offsets = [[k] for k in (1, 2, 3)] if dim == 1 else [[1, 0], [0, 2], [1, -3]]
     full = [[-g for g in off] for off in offsets] + offsets
