@@ -320,7 +320,7 @@ def _format_float(x):
 # within _UNSURE of an integer or a half (where rounding ties and exact
 # decimals lie), or a distance within _UNSURE of g.  Where S is an integer
 # and 10^k a double, as for integers and short dyadics, nothing is
-# rounded, and only exact ties and hits of the boundary go to repr.
+# rounded, and S being an integer sends nothing to repr.
 _SPLIT = 134217729.0                       # Veltkamp's splitter, 2^27 + 1
 _FAST_RANGE = (1e-280, 1e280)              # keeps every product normal
 _K_LO, _K_HI = -266, 299                   # the scales k = 16 - e that range needs
@@ -422,13 +422,13 @@ def _scaled(ax, e, pow10):
     return N, p, g
 
 
-def _nearest(r, step, f, g, tol):
+def _nearest(r, step, f, g):
     """For S = N + f with N = r mod step: whether the nearest multiple of
     step to S lies above it, whether it is within g of S, and whether that
-    is unsure: within tol of g, or a tie."""
+    is unsure: within _UNSURE of g, or a tie."""
     down, up = r + f, (step - r) - f
     d = np.minimum(down, up) - g
-    return down > up, d < 0, (np.abs(d) <= tol) | (down == up)
+    return down > up, d < 0, (np.abs(d) <= _UNSURE) | (down == up)
 
 
 def _shortest(ax, pow10):
@@ -443,15 +443,15 @@ def _shortest(ax, pow10):
         e[off] += np.where(N[off] < _P16, -1, 1)
         N[off], f[off], g[off] = _scaled(ax[off], e[off], pow10)
     # where S is an integer and 10^k = 10^(16 - e) a double, S, g and every
-    # distance are exact, and only exact ties and boundaries are unsure
+    # distance are exact, so S being an integer leaves nothing unsure; a
+    # tie, or a distance within _UNSURE of g, still goes to repr
     exact = (f == 0) & (e >= -6) & (e <= 16)
-    tol = np.where(exact, 0.0, _UNSURE)
     twice = f + f
     unsure = (np.abs(twice - np.rint(twice)) < 2 * _UNSURE) & ~exact
     r15 = N - N // 100 * 100
     r16 = r15 - r15 // 10 * 10
-    up16, ok16, near16 = _nearest(r16, 10, f, g, tol)
-    up15, ok15, near15 = _nearest(r15, 100, f, g, tol)
+    up16, ok16, near16 = _nearest(r16, 10, f, g)
+    up15, ok15, near15 = _nearest(r15, 100, f, g)
     unsure |= near16 | near15
     D = np.where(ok15, (N - r15) + 100 * up15,
                  np.where(ok16, (N - r16) + 10 * up16, N + (f > 0.5)))
@@ -464,7 +464,7 @@ def _shortest(ax, pow10):
         if not rows.size:
             break
         r = N[rows] - N[rows] // 10 ** j * 10 ** j
-        up, ok, near = _nearest(r, 10 ** j, f[rows], g[rows], tol[rows])
+        up, ok, near = _nearest(r, 10 ** j, f[rows], g[rows])
         unsure[rows] |= near
         ok &= ~near
         done = rows[ok]
