@@ -337,10 +337,10 @@ def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, for
     parent = os.getpid()
     write = grid_field.write_field_csvs
 
-    def child_dies(paths, fields, labels=None):
+    def child_dies(paths, fields, *args):
         if os.getpid() != parent:
             os._exit(3)
-        write(paths, fields, labels)
+        write(paths, fields, *args)
 
     def hung(signum, frame):
         raise TimeoutError("posting a knot blocked")
@@ -372,11 +372,11 @@ def _in_child(monkeypatch, child_writes):
     monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
     parent, write, by_parent = os.getpid(), grid_field.write_field_csvs, []
 
-    def routed(paths, fields, labels=None):
+    def routed(paths, fields, *args):
         if os.getpid() == parent:
             by_parent.extend(paths)
-            return write(paths, fields, labels)
-        return child_writes(paths, fields, lambda ps, us: write(ps, us, labels))
+            return write(paths, fields, *args)
+        return child_writes(paths, fields, lambda ps, us: write(ps, us, *args))
 
     monkeypatch.setattr(grid_field, "write_field_csvs", routed)
     return by_parent
