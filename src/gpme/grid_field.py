@@ -318,9 +318,10 @@ def _format_float(x):
 # shortest-round-trip when its distance to S is below g.  Every decision
 # that the error of S, g or the distance could flip is sent to repr: S
 # within _UNSURE of an integer or a half (where rounding ties and exact
-# decimals lie), or a distance within _UNSURE of g.  Where S is an integer
-# and 10^k a double, as for integers and short dyadics, nothing is
-# rounded, and S being an integer sends nothing to repr.
+# decimals lie), a distance within _UNSURE of g, and a power of two, whose
+# interval is half as wide below, unless its candidate is S itself.  Where
+# S is an integer and 10^k a double, as for integers and short dyadics,
+# nothing is rounded, and S being an integer sends nothing to repr.
 _SPLIT = 134217729.0                       # Veltkamp's splitter, 2^27 + 1
 _FAST_RANGE = (1e-280, 1e280)              # keeps every product normal
 _K_LO, _K_HI = -266, 299                   # the scales k = 16 - e that range needs
@@ -350,7 +351,8 @@ _CHUNK_VALUES = 1 << 11
 # `frac_heat_poisson_1d` at h = 1/64 its CPU time fell from 182 to 146 ms
 # (medians of 12 interleaved runs, 2-core Xeon, Python 3.11)
 _CHILD_CHUNK_VALUES = 1 << 14
-# below this many values, repr formats them all for less than that cost
+# below this many values, repr formats them all for less than the
+# kernel's fixed cost
 _KERNEL_MIN_VALUES = 128
 
 
