@@ -24,12 +24,15 @@ start, clipped to the bracket, where the solution lies.
 The operator is one ``_Resolvent`` per box, which stores, applies and
 solves it.  ``_Resolvent.solve`` solves each Newton system: on the line
 for a short stencil as it stands, by one banded LU, which needs no row
-exchange on a column diagonally dominant M-matrix; otherwise, as the
-stencil weights are symmetric and K is symmetric positive definite, in
-an SPD form by preconditioned conjugate gradients (an inexact Newton
-step, Kelley, Iterative Methods for Linear and Nonlinear Equations,
-1995, ch. 6), preconditioned by the inverse of the operator's circulant
-for constant coefficients (every linear phi), by Jacobi otherwise.
+exchange on a column diagonally dominant M-matrix; on the line for a
+dense kernel with constant coefficients (every linear phi) directly,
+as the symmetric positive definite Toeplitz system it is, by the
+Gohberg-Semencul form of its inverse in three rFFT round trips;
+otherwise, as the stencil weights are symmetric and K is symmetric
+positive definite, in an SPD form by preconditioned conjugate gradients
+(an inexact Newton step, Kelley, Iterative Methods for Linear and
+Nonlinear Equations, 1995, ch. 6), preconditioned by the inverse of the
+operator's circulant for constant coefficients, by Jacobi otherwise.
 
 For a power phi each linear solve is asked only for the quadratic
 forcing level max(_CG_SHARE tol, min(_CG_SHARE, |F(w)|_2) |F(w)|_2) in
@@ -353,6 +356,10 @@ def _jacobi(diagonal):
 # the line solved by its band; beyond it, applied by rFFT convolution
 # (``_Resolvent``)
 _KERNEL_THRESHOLD = 64
+# the line's Toeplitz generator T^(-1) e_1 (``_Resolvent._toeplitz``) is
+# solved for by conjugate gradients to this residual in the 2-norm, then
+# refined once to its square, which leaves its error at rounding level
+_GENERATOR_SHARE = 1e-8
 
 
 def _next_fast_len(n):
@@ -412,17 +419,22 @@ class _Resolvent:
     The Newton systems read a second form.  On the line a short stencil
     is also held as the ``band`` of W I - A, in ``banded_lu``'s layout
     (scipy.linalg at the first solve).  Every other stencil, dense or
-    short in N >= 2 dimensions, is solved by conjugate gradients and has
-    the ``spectrum`` on its ``lengths``, which preconditions its
-    constant-coefficient systems (``_spd``).  Only the first
-    variable-coefficient system of a short stencil in N >= 2 dimensions
-    builds the CSR matrix W I - A (scipy.sparse), for Jacobi-PCG."""
+    short in N >= 2 dimensions, has the ``spectrum`` on its ``lengths``,
+    which preconditions its constant-coefficient conjugate gradients
+    (``_spd``).  On the line a dense kernel's constant-coefficient
+    systems are solved directly instead, from one Toeplitz generator,
+    computed by those conjugate gradients at the first such system and
+    held as two spectra until one with another mu comes (``_toeplitz``).
+    Only the first variable-coefficient system of a short stencil in
+    N >= 2 dimensions builds the CSR matrix W I - A (scipy.sparse), for
+    Jacobi-PCG."""
 
     def __init__(self, stencil, shape):
         self.stencil, self.shape = stencil, tuple(shape)
         self.operator = None
         self.W = W = stencil.total_weight
         self.shifts = self.spectrum = self.lengths = self.band = self._csr = None
+        self._generator = None
         inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
         offsets, weights = stencil.offsets[inside], stencil.weights[inside]
         short = stencil.n_offsets <= _KERNEL_THRESHOLD
@@ -494,9 +506,16 @@ class _Resolvent:
         (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
         sec. 9.5); it is direct and reads no tol.
 
-        Otherwise the weights' symmetry makes K a symmetric nonsingular
-        M-matrix, hence positive definite, and both systems are solved in
-        the SPD form diag(a) + S K S (``_spd``): with S = I for d = 1, and
+        The weights' symmetry makes K a symmetric nonsingular M-matrix,
+        hence positive definite.  On the line a dense kernel's system with
+        a constant a > 0 and a constant d, in v or in w (every linear phi,
+        whatever its slope), is a symmetric positive definite Toeplitz
+        matrix, a (I + mu (W I - A)) with mu = dt d / a, and is solved as
+        it stands by ``_toeplitz``, directly; it reads tol only to decide
+        whether a generator held for a nearby mu serves.
+
+        Otherwise both systems are solved in the SPD form
+        diag(a) + S K S (``_spd``): with S = I for d = 1, and
         otherwise as (I + S K S) z = S rhs, S = diag(d)^(1/2), mapped back
         by x = rhs - K S z, which divides by no entry of d (the flat part
         of a Stefan nonlinearity, d = 0, needs no care).  The result is an
@@ -510,6 +529,8 @@ class _Resolvent:
             ab = dt * self.band * d
             ab[2 * (len(ab) - 1) // 3] += a
             return banded_lu(ab, rhs)
+        if len(self.shape) == 1 and a[0] > 0.0 and (a == a[0]).all() and (d == d[0]).all():
+            return self._toeplitz(dt * d[0] / a[0], rhs / a[0], tol / a[0])
         if (d == 1.0).all():
             return self._spd(dt, a, d, rhs, tol)
         s = np.sqrt(d)
@@ -524,11 +545,59 @@ class _Resolvent:
         """K y for the flattened y."""
         return dt * (self.W * y - self.neighbor(y.reshape(self.shape)).ravel())
 
+    def _toeplitz(self, mu, b, tol):
+        """x with T x = b for the symmetric positive definite Toeplitz
+        matrix T = I + mu (W I - A) of a dense kernel on the line, n nodes,
+        to a residual of at most tol in the 2-norm, up to rounding.
+
+        T's inverse is fixed by its first column x = T^(-1) e_1, the
+        generator, by the Gohberg-Semencul formula (Gohberg & Semencul,
+        Mat. Issled. 7, 1972; Ammar & Gader, SIAM J. Matrix Anal. Appl. 12,
+        1991): T^(-1) = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0, L(v) the
+        lower triangular Toeplitz matrix with first column v, J the
+        reversal and Z the down-shift.  The generator is computed by the
+        circulant-preconditioned conjugate gradients of ``_spd`` to
+        ``_GENERATOR_SHARE`` and refined once, and held, scaled by
+        x_0^(-1/2), as the rFFTs of x and ZJx on its own circular length,
+        at least 2n - 1, whatever the kernel's ``lengths`` (a support cut
+        below the box makes those shorter).  On it L(v) y is the first n
+        entries of a circular convolution, and L(v)^T y = J L(v) J y:
+        three rFFT round trips per solve, from one transform of J b, and
+        two spectra held, one row at a time in flight.
+
+        A generator is kept for the systems that follow.  One held for mu_0
+        solves T_0 x = b instead, whose residual in T x = b is
+        (mu - mu_0)(W I - A) x, at most 2 W |mu - mu_0| |b|_2 as T_0 >= I:
+        while that is at most tol the held generator serves, so the steps
+        of ``TimeGrid.uniform``, which differ by rounding, share one, and
+        otherwise it is replaced."""
+        n = b.size
+        held = self._generator
+        if held is None or 2.0 * self.W * abs(mu - held[0]) * math.sqrt(_dot(b, b)) > tol:
+            one, e1 = np.ones(1), np.zeros(n)
+            e1[0] = 1.0
+            x = self._spd(mu, one, one, e1, _GENERATOR_SHARE)
+            x += self._spd(mu, one, one, e1 - x - self._stiffness(mu, x), _GENERATOR_SHARE ** 2)
+            x /= math.sqrt(x[0])
+            length = _next_fast_len(2 * n - 1)
+            # ZJx = (0, x_(n-1), ..., x_1)
+            held = self._generator = (mu, length, np.fft.rfft(x, length),
+                                      np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), length))
+        _, length, first, second = held
+        flipped = np.fft.rfft(b[::-1], length)
+
+        def product(spectrum):
+            # the spectrum of L(v) L(v)^T b, as L(v)^T b = J L(v) J b
+            return np.fft.rfft(np.fft.irfft(flipped * spectrum, length)[n - 1::-1],
+                               length) * spectrum
+        return np.fft.irfft(product(first) - product(second), length)[:n]
+
     def _spd(self, dt, a, s, b, tol):
         """x with (diag(a) + S K S) x = b, S = diag(s), by conjugate
         gradients (``_pcg``).  K is the restriction to the box of the
         circulant dt (W - spectrum) on the circular lengths, so for a
-        constant a > 0 and a constant s (every linear phi) the system, with
+        constant a > 0 and a constant s (every linear phi in N >= 2
+        dimensions, and the line's Toeplitz generator) the system, with
         matvec a x + s K (s x), is preconditioned by the inverse of the
         circulant with eigenvalues lam = a + s^2 dt (W - spectrum)
         (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988; Lei & Sun, J. Comput.

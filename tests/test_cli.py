@@ -711,11 +711,13 @@ def test_report_json_identical_across_out_dirs(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
-    # the dense-kernel runs and the plane take conjugate-gradient steps,
-    # whose inner products must not change with the thread count; the one
-    # step on 12289 nodes of the line, and the one on the plane's 16641 for
-    # phi = u^2 and for a linear phi, take them past the length at which
-    # OpenBLAS splits a dot product.
+    # the plane takes conjugate-gradient steps, whose inner products must
+    # not change with the thread count, and so does the line's dense
+    # kernel for the Toeplitz generator of its direct solves; the one step
+    # on 12289 nodes of the line (frac_long: the generator, then one direct
+    # solve), and the one on the plane's 16641 for phi = u^2 and for a
+    # linear phi, take them past the length at which OpenBLAS splits a dot
+    # product.
     # The Stefan run takes banded LU steps on 1537 nodes (LAPACK dgtsv, a
     # tridiagonal band), and the run whose measure is cut at 4h takes them
     # on a band of half-width 4 (dgbsv).  The coarse plane under its

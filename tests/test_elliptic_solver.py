@@ -477,10 +477,13 @@ SOLVE_PATHS = {
     "banded": (1, 0.125, 2, 1, "varying"),
     "csr_cg": (2, 0.5, 2, 1, "varying"),
     "short_circulant_w": (2, 0.5, 2, 1, "w"),
+    "dense_cg_line": (1, 0.125, None, 0, "varying"),
     "dense_cg_c0": (2, 0.5, None, 0, "varying"),
     "dense_cg_c1": (2, 0.5, None, 1, "varying"),
-    "dense_circulant_v": (1, 0.125, None, 0, "v"),
+    "dense_circulant_v": (2, 0.5, None, 0, "v"),
     "dense_circulant_w": (2, 0.5, None, 1, "w"),
+    "dense_toeplitz_v": (1, 0.125, None, 0, "v"),
+    "dense_toeplitz_w": (1, 0.125, None, 1, "w"),
 }
 
 
@@ -502,12 +505,15 @@ def test_linear_solve_property(path):
     n = int(np.prod(g.shape))
     # what the path calls per SPD solve: every stencil solved by conjugate
     # gradients is preconditioned by its circulant for constant
-    # coefficients (no _jacobi), by Jacobi otherwise; and the CSR matrices
-    # built per box, one for a short stencil on the plane at its first
-    # variable-coefficient system, none on the line, whose band it solves,
-    # and none for a dense kernel, whose spectrum holds its nearest
-    # neighbors too
+    # coefficients (no _jacobi), by Jacobi otherwise; the line's dense
+    # kernel solves constant coefficients directly, from a generator that
+    # its first system computes by two circulant-preconditioned solves;
+    # and the CSR matrices built per box, one for a short stencil on the
+    # plane at its first variable-coefficient system, none on the line,
+    # whose band it solves, and none for a dense kernel, whose spectrum
+    # holds its nearest neighbors too
     builds = 1 if path == "csr_cg" else 0
+    toeplitz = path.startswith("dense_toeplitz")
     per_solve = {"banded": ["banded_lu"], "csr_cg": ["_jacobi", "_pcg"]}.get(
         path, ["_jacobi", "_pcg"] if coefficients == "varying" else ["_pcg"])
     taken = []
@@ -539,15 +545,79 @@ def test_linear_solve_property(path):
             resolvent = _Resolvent(merged, g.shape)
             assert built == []
             x = resolvent.solve(dt, a, d, rhs, tol)
-        # one solve; on a conjugate-gradient path one more if x takes a
-        # refinement step, while the banded LU solves the system as it stands
-        assert taken in ((per_solve,) if path == "banded" else (per_solve, 2 * per_solve))
+            # one solve; on a conjugate-gradient path one more if x takes a
+            # refinement step, while the banded LU solves the system as it
+            # stands, and so does the Toeplitz solve once its generator is
+            # computed: no conjugate gradients for the next system
+            assert taken in ((per_solve,) if path == "banded" else (per_solve, 2 * per_solve))
+            if toeplitz:
+                taken.clear()
+                assert resolvent.solve(dt, a, d, -rhs, tol).tobytes() == (-x).tobytes()
+                assert taken == []
         assert len(built) == builds
         J = np.diag(a) + _dense_K(stencil, c, g.shape, dt) * d
         assert np.linalg.norm(J @ x - rhs) <= tol + 1e-14 * dt * W * np.linalg.norm(rhs)
         ref = np.linalg.solve(J, rhs)
         np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9 * np.max(np.abs(ref)))
     check()
+
+
+_TOEPLITZ_STENCILS = {}
+
+
+def _toeplitz_case(c, alpha, cut):
+    """The line's merged dense kernel (65 nodes, h = 1/16) of a fractional
+    measure of order alpha, on the whole box or cut at 48 cells, below the
+    box diameter of 64, with its assembled K at dt = 1."""
+    key = c, alpha, cut
+    if key not in _TOEPLITZ_STENCILS:
+        g = UniformGrid.from_box(1, 1.0 / 16, 2.0)
+        stencil = measure_stencil(MeasureSpec(kind="fractional", alpha=alpha), g,
+                                  support_radius=cut and cut * g.h)
+        merged = combine_with_laplacian(stencil, c)
+        assert merged.n_offsets > _KERNEL_THRESHOLD
+        _TOEPLITZ_STENCILS[key] = merged, _dense_K(stencil, c, g.shape, 1.0)
+    return _TOEPLITZ_STENCILS[key]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(c=st.sampled_from([0, 1]), alpha=st.sampled_from([0.5, 1.0, 1.5]),
+       cut=st.sampled_from([None, 48]), system=st.sampled_from(["w", "v"]),
+       dt=st.floats(1e-3, 1e4), level=st.floats(0.05, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_toeplitz_solve_matches_a_dense_solve(c, alpha, cut, system, dt, level, seed):
+    # the line's dense kernel, constant coefficients: the w system with any
+    # slope d, a = 1, or the v system with any a, d = 1, solved directly
+    # on the generator's own circular length, also where the cut kernel's
+    # lengths are shorter, to a residual at the rounding level of the
+    # matrix a I + d K (K = dt (W I - A)), against a dense solve
+    merged, K1 = _toeplitz_case(c, alpha, cut)
+    resolvent = _Resolvent(merged, (K1.shape[0],))
+    n = K1.shape[0]
+    assert cut is None or resolvent.lengths[0] < 2 * n - 1
+    a, d = (1.0, level) if system == "w" else (level, 1.0)
+    rhs = np.random.default_rng(seed).normal(size=n)
+    x = resolvent.solve(dt, np.full(n, a), np.full(n, d), rhs, 0.0)
+    J = a * np.eye(n) + dt * d * K1
+    eps = np.finfo(float).eps
+    scale = (a + dt * merged.total_weight * d) / a
+    assert np.linalg.norm(J @ x - rhs) <= 16 * eps * scale * np.linalg.norm(rhs)
+    ref = np.linalg.solve(J, rhs)
+    np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+    # a step a few ulps longer reuses the generator, with no further
+    # conjugate gradients, as long as the held generator's mismatch is
+    # within the level asked for, and meets that level; a step twice as
+    # long computes a generator of its own
+    W = merged.total_weight
+    asked = 2.0 * W * (8 * eps * dt * d / a) * np.linalg.norm(rhs) * 1.5
+    for factor, pcg_calls in ((1.0 + 8 * eps, 0), (2.0, 2)):
+        taken = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gpme.elliptic_solver, "_pcg", _spy(taken, "_pcg"))
+            y = resolvent.solve(factor * dt, np.full(n, a), np.full(n, d), rhs, asked)
+        assert taken == ["_pcg"] * pcg_calls
+        J = a * np.eye(n) + factor * dt * d * K1
+        bound = 16 * eps * (a + factor * dt * W * d) / a
+        assert np.linalg.norm(J @ y - rhs) <= asked + bound * np.linalg.norm(rhs)
 
 
 def test_zero_a_takes_jacobi():
@@ -600,28 +670,40 @@ def _pcg_levels(mp):
     return levels
 
 
-@pytest.mark.parametrize("path", ["csr", "dense_circulant"])
+@pytest.mark.parametrize("path", ["csr", "dense_circulant", "dense_toeplitz"])
 def test_linear_phi_solves_to_the_fixed_level(monkeypatch, path):
     # a linear phi's Newton system is the problem itself: it is solved to
-    # _CG_SHARE times the stopping level, so every step takes one Newton step
+    # _CG_SHARE times the stopping level, so every step takes one Newton
+    # step.  On the line a dense kernel's system is solved directly: only
+    # the first step runs conjugate gradients, for the Toeplitz generator
     if path == "csr":
         g = UniformGrid.from_box(2, 0.25, 2.0)
         stencil, c = WeightedStencil.empty(g.h, g.dim), 1
     else:
-        g = UniformGrid.from_box(1, 0.125, 2.0)
+        g = (UniformGrid.from_box(2, 0.25, 1.0) if path == "dense_circulant"
+             else UniformGrid.from_box(1, 0.125, 2.0))
         stencil, c = measure_stencil(MeasureSpec(kind="fractional", alpha=1.0), g), 0
         assert stencil.n_offsets > _KERNEL_THRESHOLD
     levels = _pcg_levels(monkeypatch)
     resolvent = _Resolvent(combine_with_laplacian(stencil, c), g.shape)
     cfg = EpSolveConfig()
     u = 2.0 * np.exp(-g.node_radii() ** 2)
-    for _ in range(3):
+    n = u.size
+    J = np.eye(n) + _dense_K(stencil, c, g.shape, 0.1)
+    for j in range(3):
         tol = cfg.residual_tol * max(1.0, float(np.max(np.abs(u))))
         levels.clear()
         out = solve_ep(stencil, c, PhiSpec(kind="linear"), 0.1, u, config=cfg,
                        resolvent=resolvent)
-        assert out.sweeps == 1 and levels == [gpme.elliptic_solver._CG_SHARE * tol]
-        assert out.residual <= tol
+        assert out.sweeps == 1 and out.residual <= tol
+        if path != "dense_toeplitz":
+            assert levels == [gpme.elliptic_solver._CG_SHARE * tol]
+        elif j == 0:
+            assert len(levels) == 2 and levels[0] == gpme.elliptic_solver._GENERATOR_SHARE
+        else:
+            assert levels == []
+        ref = np.linalg.solve(J, u.ravel()).reshape(g.shape)
+        np.testing.assert_allclose(out.w, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(u)))
         u = out.w
 
 
