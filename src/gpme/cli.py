@@ -30,9 +30,10 @@ measure.
 Once the saved fields hold 32 768 values or more, `run` forks one child
 before the solve, which writes each saved knot's field CSV while the
 parent solves the later steps, formatting the knots ready in its queue
-in one call of the kernel (see `grid_field.FieldWriter`);
-GPME_THREADS does not govern that, and the bytes written are those of
-one process.  `run` streams each knot to the field writer, which holds
+in one call of the kernel (see `grid_field.FieldWriter`); at most
+``grid_field._RING_SLOTS`` knots are posted and unwritten, so a post
+never waits.  GPME_THREADS does not govern that, and the bytes written
+are those of one process.  `run` streams each knot to the field writer, which holds
 at most its ring of ``grid_field._RING_SLOTS`` knots (or, without a
 child, the few small saved ones), and to the per-radius tail reduction
 ``diagnostics.KnotTails``; the solve holds its current and previous
@@ -148,8 +149,9 @@ def cmd_run(args):
     print(f"steps {plan.time_grid.n_steps}, final mass {float(report.mass[-1])!r}, "
           f"max ledger gap {gap!r}")
     for eq in eq_reports:
-        print(f"tail bound R={eq.R:g}: lhs {eq.lhs!r} <= rhs {eq.rhs_total!r} "
-              f"-> {'pass' if eq.passed else 'FAIL'}")
+        # a bound the theory does not assert has no verdict, only its note
+        verdict = ("pass" if eq.passed else "FAIL") if eq.bound_asserted else eq.note
+        print(f"tail bound R={eq.R:g}: lhs {eq.lhs!r} <= rhs {eq.rhs_total!r} -> {verdict}")
     return 0
 
 

@@ -391,7 +391,6 @@ def dt_for(cfg_problem, h):
 class RunPlan:
     """Everything cmd_run needs, built once from a validated config."""
 
-    config: dict
     problem: object
     grid: object
     time_grid: object
@@ -487,6 +486,6 @@ def build_plan(cfg, h=None):
     operator.check_grid(grid)
     if flux is not None:
         check_convective_step(flux, float(np.max(time_grid.steps)), hh, dim)
-    return RunPlan(config=cfg, problem=problem, grid=grid, time_grid=time_grid,
+    return RunPlan(problem=problem, grid=grid, time_grid=time_grid,
                    solver=EpSolveConfig(**cfg["solver"]), diagnostics=cfg["diagnostics"],
                    exact=_build_exact(p["exact"], problem, p["initial"]["kind"]))

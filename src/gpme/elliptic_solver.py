@@ -279,7 +279,7 @@ class EpResult:
     fallbacks: int
 
 
-def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
+def _solve_scalar_batch(phi, lam, b, warm):
     """Solve s + lam * phi(s) = b elementwise.
 
     The root lies in [min(0, b), max(0, b)] because s and phi(s) share their
@@ -297,12 +297,12 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
     s = np.clip(np.asarray(warm, dtype=float), lo, hi)
     eps = np.finfo(float).eps
     active = np.ones(b.shape, dtype=bool)
-    for it in range(max_iter):
+    for it in range(_SCALAR_ITER):
         fval = s + lam * phi.value(s) - b
         pos = fval > 0.0
         hi = np.where(active & pos, s, hi)
         lo = np.where(active & ~pos, s, lo)
-        small = np.abs(fval) <= tol
+        small = np.abs(fval) <= _SCALAR_TOL
         collapsed = (hi - lo) <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
         active = active & ~(small | collapsed)
         if not np.any(active):
@@ -325,7 +325,7 @@ def _solve_scalar_batch(phi, lam, b, warm, tol, max_iter):
 def _jacobi_sweep(phi, dt, W, rho, ns, w):
     """One nonlinear Jacobi sweep: every node solves its scalar equation
     against the frozen neighbor sum ns = sum_gamma w_gamma phi(w(.+gamma))."""
-    return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w, _SCALAR_TOL, _SCALAR_ITER)
+    return _solve_scalar_batch(phi, dt * W, rho + dt * ns, w)
 
 
 def banded_lu(ab, b):

@@ -239,9 +239,6 @@ class SourceSteps:
     def __init__(self, averages, factors):
         self.averages, self.factors = averages, factors
 
-    def __len__(self):
-        return len(self.factors)
-
     def __getitem__(self, j):
         return self.averages * self.factors[j]
 
@@ -691,8 +688,9 @@ class FieldWriter:
     while the parent solves the later steps.  A slot is reused
     only once the child has counted the knot it last held, which it does
     once the whole call has closed its files.  When the ring is full (the
-    child is behind, or gone), or the pipe is, whose write end does not
-    block, the parent writes the knot itself from the run's array.  On
+    child is behind, or gone), the parent writes the knot itself from the
+    run's array.  So at most ``_RING_SLOTS`` knots are posted and
+    unwritten, their records fit in any pipe, and a post never waits.  On
     leaving, the parent closes the pipe, writes the knots left in it
     itself from their slots, and reaps the child; if the child failed,
     the parent writes again every posted knot that the child had not
@@ -732,7 +730,6 @@ class FieldWriter:
         self._pid = os.fork()
         if self._pid == 0:
             self._serve()
-        os.set_blocking(self._post, False)
         return self
 
     def _serve(self):
@@ -762,8 +759,8 @@ class FieldWriter:
 
     def knot(self, j, u):
         """Take knot j's field u: a saved knot goes to the child through
-        the ring, or is written here when the ring or the pipe is full;
-        without a child it is held until leaving."""
+        the ring, or is written here when the ring is full; without a
+        child it is held until leaving."""
         if j not in self.paths:
             return
         if not self._pid:
@@ -774,12 +771,9 @@ class FieldWriter:
         if self._written[0] > k - _RING_SLOTS:
             slot = k % _RING_SLOTS
             self._slots[slot] = u
-            try:
-                os.write(self._post, _RECORD.pack(j, slot))
-                self._posted.append(j)
-                return
-            except BlockingIOError:
-                pass
+            os.write(self._post, _RECORD.pack(j, slot))
+            self._posted.append(j)
+            return
         write_field_csv(_partial(self.paths[j]), u, self._labels)
 
     def _join(self, write):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gpme
+import gpme.config
 import gpme.diagnostics
 import gpme.elliptic_solver
 import gpme.evolution
@@ -89,6 +90,48 @@ def test_run_dry_run_echoes_config_without_writing(tmp_path, capsys):
     assert echoed["problem"]["h"] == 0.5
     assert echoed["problem"]["phi"]["kind"] == "linear"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, load", [(["study", "--levels", "2"], "load_config"),
+                                           (["stencil"], "load_stencil_config")])
+def test_dry_run_of_study_and_stencil_echoes_config_without_writing(tmp_path, capsys,
+                                                                     command, load):
+    cfg = write_cfg(tmp_path, TINY_RUN)
+    out = tmp_path / "out"
+    assert main([command[0], "--config", cfg, "--out", str(out), "--dry-run",
+                 *command[1:]]) == 0
+    assert json.loads(capsys.readouterr().out) == getattr(gpme.config, load)(cfg)
+    assert not out.exists()
+
+
+# runs the theory certifies nothing for, at h = 0.25, box 4, T = 0.25:
+# phi = u^0.4 under a fractional measure of order 1/2 (ell = 0.4 does not
+# exceed the threshold 1/2), and an untruncated custom measure, which has
+# no threshold
+NOT_ASSERTED = {
+    "below_threshold": ({"operator": {"c": 0, "measure": {"kind": "fractional", "alpha": 0.5}},
+                         "phi": {"kind": "power", "exponent": 0.4}},
+                        "exponent 0.4 does not exceed the admissible threshold 0.5"),
+    "custom_measure": ({"operator": {"c": 0, "measure": {
+        "kind": "custom", "form": "inverse_power", "exponent": 2.0}}},
+        "no covered weight condition"),
+}
+
+
+@pytest.mark.parametrize("problem, note", NOT_ASSERTED.values(), ids=NOT_ASSERTED.keys())
+def test_run_prints_a_tail_bound_it_does_not_assert_as_such(tmp_path, capsys, problem, note):
+    cfg = write_cfg(tmp_path, {
+        "preset": "fast_diffusion_1d",
+        "problem": {"h": 0.25, "box_half_extent": 4.0, "T": 0.25, **problem},
+        "diagnostics": {"R_list": [1.0, 2.0]}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    eqs = json.loads((out / "report.json").read_text())["equitightness"]
+    assert [(eq["R"], eq["bound_asserted"]) for eq in eqs] == [(1.0, False), (2.0, False)]
+    assert all(eq["note"].startswith(note) for eq in eqs)
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(" -> ")[1] for line in lines] == [eq["note"] for eq in eqs]
+    assert all("not asserted" in line for line in lines)
 
 
 def test_out_path_that_is_a_file_fails_before_the_solve(tmp_path, capsys, monkeypatch):
@@ -523,6 +566,35 @@ def test_stencil_dumps_laplacian_weights(tmp_path):
     assert moments["far_mass"] == 0.0
 
 
+STENCIL_MOMENTS = {
+    # README's example, a bare preset name: every radius of its R_list
+    "fractional_preset": ("frac_heat_poisson_1d",
+                          {"variant": "A_double_prime", "alpha": 1.0,
+                           "R_list": [12.0, 24.0, 36.0]}),
+    # only the radii above 1 are moment radii
+    "fractional_radii_above_1": (json.dumps({"preset": "frac_heat_poisson_1d",
+                                             "diagnostics": {"R_list": [0.5, 1.0, 12.0]}}),
+                                 {"variant": "A_double_prime", "alpha": 1.0, "R_list": [12.0]}),
+    # a measure without alpha takes the far first moment
+    "custom_measure": (json.dumps({"problem": {"h": 0.5, "box_half_extent": 2.0, "operator": {
+        "c": 0, "measure": {"kind": "custom", "form": "inverse_power", "exponent": 2.0}}}}),
+        {"variant": "A_prime"}),
+}
+
+
+@pytest.mark.parametrize("config, moments", STENCIL_MOMENTS.values(),
+                         ids=STENCIL_MOMENTS.keys())
+def test_stencil_reports_the_moments_of_a_measure(tmp_path, config, moments):
+    out = tmp_path / "o"
+    assert main(["stencil", "--config", config, "--out", str(out)]) == 0
+    p = gpme.config.load_stencil_config(config)["problem"]
+    grid = gpme.grid_field.UniformGrid.from_box(p["dim"], p["h"], p["box_half_extent"])
+    stencil = gpme.config.build_operator(p["operator"]).build_stencil(grid)
+    expected = gpme.levy_operators.check_moments(stencil, **moments).to_json_dict()
+    written = json.loads((out / "moments.json").read_text())["moments"]
+    assert written == json.loads(json.dumps(expected))
+
+
 def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
     build = gpme.levy_operators.measure_stencil
     calls = []
@@ -646,10 +718,16 @@ def test_bench_setup_probe_runs(tmp_path):
     assert row["offsets"] > 0
 
 
-def test_every_export_resolves():
-    # a deleted name must not leave a dangling lazy export behind
-    for name in gpme.__all__:
-        getattr(gpme, name)
+def test_importing_the_cli_loads_no_numpy():
+    # main applies GPME_THREADS before its first numeric import, so neither
+    # the package nor the CLI module may load numpy when imported
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gpme, gpme.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _public(tree):
@@ -678,7 +756,6 @@ def _loads(tree):
 def test_every_public_name_is_used_in_the_package():
     # the package is what its commands reach: a name in a module's __all__
     # is loaded somewhere in src/gpme outside its own definition
-    # (gpme/__init__.py re-exports names from these lists)
     trees = {path.stem: ast.parse(path.read_text())
              for path in Path(gpme.__file__).parent.glob("*.py")}
     loads = [(name, (module, owner))

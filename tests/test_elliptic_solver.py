@@ -20,7 +20,7 @@ from gpme.levy_operators import (MeasureSpec, WeightedStencil, _neighbor_matrix,
 
 def scalar_root(phi, lam, b):
     """Root of s + lam * phi(s) = b for one value, warm-started at b."""
-    return float(_solve_scalar_batch(phi, lam, np.array([b]), np.array([b]), 1e-13, 300)[0])
+    return float(_solve_scalar_batch(phi, lam, np.array([b]), np.array([b]))[0])
 
 
 def test_scalar_closed_forms():
@@ -193,7 +193,7 @@ def test_piecewise_linear_root_in_closed_form(name, lam, drawn):
     off = images[images != 0.0]
     b = np.sort(np.concatenate(([sign * size for sign, size in drawn], [0.0, -0.0], images,
                                 np.nextafter(off, -np.inf), np.nextafter(off, np.inf))))
-    s = _solve_scalar_batch(phi, lam, b, b, 1e-14, 300)
+    s = _solve_scalar_batch(phi, lam, b, b)
     assert np.all((np.minimum(b, 0.0) <= s) & (s <= np.maximum(b, 0.0)))
     assert np.all(np.diff(s) >= 0.0)
     f = phi.value(s)
@@ -201,7 +201,7 @@ def test_piecewise_linear_root_in_closed_form(name, lam, drawn):
                                (1.0 + lam * phi.derivative(s)) * np.abs(s)])
     assert np.all(np.abs(s + lam * f - b) <= 4.0 * np.finfo(float).eps * terms)
     # the image of a knot at or above the origin is solved by that knot
-    on_knots = _solve_scalar_batch(phi, lam, images, images, 1e-14, 300)
+    on_knots = _solve_scalar_batch(phi, lam, images, images)
     np.testing.assert_array_equal(on_knots[knots >= 0.0], knots[knots >= 0.0])
 
 
@@ -217,7 +217,7 @@ def test_closed_form_root_is_monotone_next_to_every_knot_image():
         off = images[images != 0.0]
         b = np.sort(np.concatenate((images, np.nextafter(off, -np.inf),
                                     np.nextafter(off, np.inf))))
-        assert np.all(np.diff(_solve_scalar_batch(phi, lam, b, b, 1e-14, 300)) >= 0.0), lam
+        assert np.all(np.diff(_solve_scalar_batch(phi, lam, b, b)) >= 0.0), lam
 
 
 def test_stefan_fallback_sweep_returns_the_closed_form_root():

@@ -1,11 +1,8 @@
 """Lattice containers: box construction, norms, shifts, cell lookup, time
 interpolants."""
 
-import contextlib
-import fcntl
 import math
 import os
-import signal
 import tempfile
 import time
 from pathlib import Path
@@ -327,89 +324,6 @@ def test_write_field_csvs_raises_what_the_loop_raises(tmp_path, monkeypatch):
     assert type(shared.value) is type(loop.value)
     assert str(items[1][0]) in str(shared.value)
     assert not list(tmp_path.glob("*.part"))
-
-
-def _smallest_pipe(pipe=os.pipe):
-    """A pipe shrunk to the least capacity the system allows, where a
-    process may size its own pipes (Linux's F_SETPIPE_SZ; one page)."""
-    read, write = pipe()
-    with contextlib.suppress(AttributeError, OSError):
-        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1)
-    return read, write
-
-
-def _records_until_full(pipe):
-    """How many of the writer's records a new pipe takes before a write
-    to it would block."""
-    read, write = pipe()
-    os.set_blocking(write, False)
-    count = 0
-    try:
-        while True:
-            os.write(write, bytes(grid_field._RECORD.size))
-            count += 1
-    except BlockingIOError:
-        return count
-    finally:
-        os.close(read)
-        os.close(write)
-
-
-def test_writer_outlives_a_dead_child_and_a_full_pipe(tmp_path, monkeypatch, forks):
-    # the child leaves at its first batch of knots.  The parent still holds
-    # the queue's read end, so posting an index never fails.  With a ring as
-    # long as the run, the pipe fills, and a knot posted to a full pipe
-    # must fall to the parent instead of blocking the run.  The first
-    # pipeful is always posted; the child's one read took at most a
-    # pipeful, so at most two are ever posted, and a run longer than that
-    # by a margin always fills the pipe.  The pipe is made as small as the
-    # system allows, so the run writes a few thousand files, not tens of
-    # thousands
-    monkeypatch.setattr(grid_field, "_FORK_MIN_VALUES", 0)
-    monkeypatch.setattr(os, "pipe", _smallest_pipe)
-    capacity = _records_until_full(os.pipe)
-    n = 2 * capacity + 64
-    monkeypatch.setattr(grid_field, "_RING_SLOTS", n)
-    parent = os.getpid()
-    write = grid_field.write_field_csvs
-    rewritten, fallen = [], []
-
-    def child_dies(paths, fields, *args):
-        if os.getpid() != parent:
-            os._exit(3)
-        rewritten.extend(paths)
-        write(paths, fields, *args)
-
-    def falls(path, u, *args):
-        fallen.append(path)
-        write([path], [u], *args)
-
-    def hung(signum, frame):
-        raise TimeoutError("posting a knot blocked")
-
-    monkeypatch.setattr(grid_field, "write_field_csvs", child_dies)
-    monkeypatch.setattr(grid_field, "write_field_csv", falls)
-    paths = {j: tmp_path / f"{j}.csv" for j in range(n)}
-    # a blocking post would hang here: the alarm bounds the wait
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with FieldWriter(paths, (1,)) as writer:
-            for j in range(n):
-                writer.knot(j, np.array([float(j)]))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(forks) == 1
-    # every posted knot, from a pipeful to two, was left by the dead child,
-    # and the parent writes it again from its slot; every other knot fell
-    # to the parent
-    fell = {grid_field._partial(paths[j]) for j in range(n)} - set(rewritten)
-    assert capacity <= len(set(rewritten)) <= 2 * capacity
-    assert sorted(fallen) == sorted(fell)
-    assert len(os.listdir(tmp_path)) == n
-    for j in range(n):
-        assert paths[j].read_text() == f"beta_1,value\n0,{float(j)!r}\n"
 
 
 def _in_child(monkeypatch, child_writes):
