@@ -133,7 +133,7 @@ def cmd_run(args):
                                           resolvent=report.resolvent) for R in R_list]
     lines = ["R,lhs,rhs,pass"]
     for eq in eq_reports:
-        flag = "true" if eq.passed else "false"
+        flag = ("true" if eq.passed else "false") if eq.bound_asserted else "not_asserted"
         lines.append(f"{_format_float(eq.R)},{_format_float(eq.lhs)},"
                      f"{_format_float(eq.rhs_total)},{flag}")
     (out / "equitightness.csv").write_text("\n".join(lines) + "\n")

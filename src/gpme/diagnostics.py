@@ -21,7 +21,7 @@ import numpy as np
 
 from .elliptic_solver import _Resolvent, apply_stencil
 from .errors import ConfigurationError, DataError
-from .grid_field import Trajectory, lr_norm_of_values, shifted
+from .grid_field import Trajectory, lr_norm_of_values
 from .profiles import adaptive_quad, sphere_area
 
 __all__ = [
@@ -197,10 +197,7 @@ def forward_difference_norms(X, h, p):
     vals = X - 1.0
     total = 0.0
     for axis in range(X.ndim):
-        off = [0] * X.ndim
-        off[axis] = 1
-        d = (shifted(vals, tuple(off)) - vals) / h
-        total += lr_norm_of_values(d, h ** X.ndim, p)
+        total += lr_norm_of_values(np.diff(vals, axis=axis, append=0.0) / h, h ** X.ndim, p)
     return total
 
 

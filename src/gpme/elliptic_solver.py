@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
-from .levy_operators import _neighbor_matrix, combine_with_laplacian
+from .levy_operators import combine_with_laplacian
 
 __all__ = [
     "PHI_KINDS",
@@ -402,15 +402,19 @@ class _Resolvent:
     ``apply_stencil`` build their own when given none, and reject one
     built for another stencil or box.
 
-    A is applied by one path per stencil size, with numpy alone.  Offsets
-    at least n_i long on some axis never land in the box and are dropped.
-    Up to ``_KERNEL_THRESHOLD`` offsets, in any dimension, A is applied by
-    one shifted slice per offset, with its scalar weight, in the offsets'
-    lexicographic order (``shifts``), summed from zeros: the order, and so
-    the bits, of the row sums of the CSR matrix of ``_neighbor_matrix``
-    over the C-order flattened nodes.  Above it A is a circular
-    convolution by numpy's rFFT with the real ``spectrum`` of the kernel
-    on the circular ``lengths`` L: the kernel is symmetric, so
+    The box's zero extension lives here alone: u = 0 outside the box, so
+    a jump beta -> beta + gamma lands on a node or leaves the box, into
+    the escape.  Offsets at least n_i long on some axis never land and
+    are dropped.  Up to ``_KERNEL_THRESHOLD`` offsets, in any dimension,
+    the ``shifts`` hold each kept offset, in lexicographic order, as its
+    scalar weight and the slices of the nodes beta (dst) and beta + gamma
+    (src) that both lie in the box.  A is applied by numpy alone, here by
+    one shifted slice per offset, summed from zeros; the line's band and
+    the CSR matrix (``_assemble``) are filled from the shifts too, so a
+    CSR row sum over the C-order flattened nodes adds the terms of
+    ``neighbor`` in its order, to its bits.  Above the threshold A is a
+    circular convolution by numpy's rFFT with the real ``spectrum`` of
+    the kernel on the circular ``lengths`` L: the kernel is symmetric, so
     correlation equals convolution and its spectrum is real.  With the
     kept offsets reaching K_i, at least 1, a circular length of at least
     n_i + K_i per axis (``_next_fast_len``) wraps every jump out of the
@@ -426,8 +430,8 @@ class _Resolvent:
     computed by those conjugate gradients at the first such system and
     held as two spectra until one with another mu comes (``_toeplitz``).
     Only the first variable-coefficient system of a short stencil in
-    N >= 2 dimensions builds the CSR matrix W I - A (scipy.sparse), for
-    Jacobi-PCG."""
+    N >= 2 dimensions assembles the CSR matrix W I - A (scipy.sparse),
+    for Jacobi-PCG."""
 
     def __init__(self, stencil, shape):
         self.stencil, self.shape = stencil, tuple(shape)
@@ -445,14 +449,13 @@ class _Resolvent:
                             tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off)))
                            for off, w in zip(offsets[order].tolist(), weights[order].tolist())]
         if short and len(shape) == 1:
-            # the weight at offset j is A[i, i + j], so it fills row 2k - j
-            # of the band wherever i + j is a node, k the half-bandwidth
-            n = shape[0]
-            k = int(np.max(offsets, initial=0))
-            self.band = np.zeros((3 * k + 1, n))
+            # the weight at offset j = src - dst is A[i, i + j], so it fills
+            # row 2k - j of the band over the columns src, k the half-bandwidth
+            k = max((src.start - dst.start for _, (dst,), (src,) in self.shifts), default=0)
+            self.band = np.zeros((3 * k + 1, shape[0]))
             self.band[2 * k] = W
-            for (j,), w in zip(offsets.tolist(), weights):
-                self.band[2 * k - j, max(j, 0):n + min(j, 0)] -= w
+            for w, (dst,), (src,) in self.shifts:
+                self.band[2 * k + dst.start - src.start, src] -= w
         else:
             reach = np.max(np.abs(offsets), axis=0, initial=1)
             self.lengths = tuple(_next_fast_len(int(n + k)) for n, k in zip(shape, reach))
@@ -616,20 +619,32 @@ class _Resolvent:
             precondition = _jacobi(a + dt * self.W * s * s)
         else:
             if self._csr is None:
-                from scipy import sparse
-
-                # every row of W I - A stores its diagonal, so diag(a) + S K S
-                # is the same sparsity with the entries rescaled
-                base = (self.W * sparse.identity(b.size, format="csr")
-                        - _neighbor_matrix(self.stencil, self.shape))
-                rows = np.repeat(np.arange(b.size), np.diff(base.indptr))
-                self._csr = base, rows, np.flatnonzero(rows == base.indices)
+                self._csr = self._assemble()
             base, rows, on_diagonal = self._csr
             M = dt * base
             M.data *= s[rows] * s[M.indices]
             M.data[on_diagonal] += a
             return _pcg(M.dot, _jacobi(M.data[on_diagonal]), b, tol)
         return _pcg(lambda x: a * x + s * self._stiffness(dt, s * x), precondition, b, tol)
+
+    def _assemble(self):
+        """The CSR matrix W I - A over the C-order flattened nodes
+        (scipy.sparse), from the ``shifts``, with each entry's row and the
+        positions of the diagonal, which every row stores: diag(a) + S K S
+        is the same sparsity with the entries rescaled."""
+        from scipy import sparse
+
+        index = np.arange(math.prod(self.shape)).reshape(self.shape)
+        # (values, rows, columns) per shift, after an empty block: with no
+        # offset in the box, A = 0
+        blocks = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))]
+        blocks += [(np.full(index[dst].size, w), index[dst].ravel(), index[src].ravel())
+                   for w, dst, src in self.shifts]
+        vals, rows, cols = (np.concatenate(part) for part in zip(*blocks))
+        base = (self.W * sparse.identity(index.size, format="csr")
+                - sparse.csr_matrix((vals, (rows, cols)), shape=(index.size,) * 2))
+        rows = np.repeat(np.arange(index.size), np.diff(base.indptr))
+        return base, rows, np.flatnonzero(rows == base.indices)
 
 
 def _held(stencil, shape, resolvent):

@@ -33,7 +33,6 @@ __all__ = [
     "write_field_csv",
     "write_field_csvs",
     "FieldWriter",
-    "shifted",
 ]
 
 
@@ -276,29 +275,6 @@ def lr_norm_of_values(values, cell_volume, r):
     if r == 1:
         return float(cell_volume * np.sum(np.abs(values)))
     return float((cell_volume * np.sum(np.abs(values) ** r)) ** (1.0 / r))
-
-
-def shifted(values, offset):
-    """values translated by a lattice offset with zero fill.
-
-    out[beta] = values[beta + offset] wherever beta + offset stays in the
-    index box, 0 elsewhere.
-    """
-    values = np.asarray(values)
-    out = np.zeros_like(values)
-    src = []
-    dst = []
-    for n, k in zip(values.shape, offset):
-        if abs(k) >= n:
-            return out
-        if k >= 0:
-            src.append(slice(k, n))
-            dst.append(slice(0, n - k))
-        else:
-            src.append(slice(0, n + k))
-            dst.append(slice(-k, n))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
 
 
 def _format_float(x):

@@ -319,34 +319,6 @@ def measure_stencil(measure, grid, support_radius=None):
                            tail_mass_beyond_support=float(measure.mass_beyond(edge, dim)))
 
 
-def _neighbor_matrix(stencil, shape):
-    """The neighbor sum of the stencil on a box of the given shape, as a
-    CSR matrix over the C-order flattened nodes, with zero extension (a
-    jump leaving the box has no column).  Each row's entries sit in column
-    order, which is the offsets' lexicographic order.  It is built only
-    for the variable-coefficient Newton systems of a short stencil in
-    N >= 2 dimensions (``elliptic_solver._Resolvent._spd``): every
-    stencil is applied by shifted slices or its spectrum, and the line
-    solves its band."""
-    from scipy import sparse
-
-    # a jump at least as long as the box on some axis never lands in it
-    inside = np.all(np.abs(stencil.offsets) < np.array(shape), axis=1)
-    size = math.prod(shape)
-    index = np.arange(size).reshape(shape)
-    # empty first entries: with no offset inside, the zero matrix
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for off, w in zip(stencil.offsets[inside].tolist(), stencil.weights[inside]):
-        # row beta reads column beta + off wherever both lie in the box
-        dst = tuple(slice(max(-k, 0), n - max(k, 0)) for n, k in zip(shape, off))
-        src = tuple(slice(max(k, 0), n + min(k, 0)) for n, k in zip(shape, off))
-        rows.append(index[dst].ravel())
-        cols.append(index[src].ravel())
-        vals.append(np.full(rows[-1].size, w))
-    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(size, size))
-
-
 def combine_with_laplacian(stencil, c):
     """The operator c * Laplacian + stencil as one stencil: for c = 1,
     1/h^2 added at the 2N nearest neighbors, appended where the stencil

@@ -129,6 +129,8 @@ def test_run_prints_a_tail_bound_it_does_not_assert_as_such(tmp_path, capsys, pr
     eqs = json.loads((out / "report.json").read_text())["equitightness"]
     assert [(eq["R"], eq["bound_asserted"]) for eq in eqs] == [(1.0, False), (2.0, False)]
     assert all(eq["note"].startswith(note) for eq in eqs)
+    rows = (out / "equitightness.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["not_asserted", "not_asserted"]
     lines = capsys.readouterr().out.splitlines()[1:]
     assert [line.split(" -> ")[1] for line in lines] == [eq["note"] for eq in eqs]
     assert all("not asserted" in line for line in lines)
@@ -611,20 +613,21 @@ def test_run_builds_measure_stencil_once(tmp_path, monkeypatch):
 
 def _resolvent_builds(tmp_path, monkeypatch, cfg):
     """The stencils a _Resolvent is built for over one gpme run, and the
-    number of CSR matrices _neighbor_matrix builds for them."""
-    init, assemble = gpme.elliptic_solver._Resolvent.__init__, gpme.elliptic_solver._neighbor_matrix
+    number of CSR matrices their ``_assemble`` builds."""
+    resolvent = gpme.elliptic_solver._Resolvent
+    init, assemble = resolvent.__init__, resolvent._assemble
     calls, matrices = [], []
 
     def counted(self, stencil, shape):
         calls.append(stencil)
         init(self, stencil, shape)
 
-    def counted_matrix(*args, **kwargs):
-        matrices.append(args[0])
-        return assemble(*args, **kwargs)
+    def counted_matrix(self):
+        matrices.append(self.stencil)
+        return assemble(self)
 
-    monkeypatch.setattr(gpme.elliptic_solver._Resolvent, "__init__", counted)
-    monkeypatch.setattr(gpme.elliptic_solver, "_neighbor_matrix", counted_matrix)
+    monkeypatch.setattr(resolvent, "__init__", counted)
+    monkeypatch.setattr(resolvent, "_assemble", counted_matrix)
     assert main(["run", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 0
     return calls, len(matrices)
@@ -647,6 +650,15 @@ def test_pure_convection_run_builds_neighbor_operator_once(tmp_path, monkeypatch
     calls, matrices = _resolvent_builds(tmp_path, monkeypatch, {
         "preset": "burgers_riemann_1d", "problem": {"h": 0.125, "T": 0.25}})
     assert len(calls) == 1 and matrices == 0
+
+
+def test_plane_run_assembles_one_csr_matrix(tmp_path, monkeypatch):
+    # the plane's Laplacian under phi = u^2: one operator, and one CSR
+    # matrix, assembled at the first variable-coefficient Newton system and
+    # held for every later one
+    calls, matrices = _resolvent_builds(tmp_path, monkeypatch, merge_config(
+        PLANE_RUN, {"problem": {"operator": {"measure": None}}}))
+    assert len(calls) == 1 and matrices == 1
 
 
 def _load_bench_tracing():

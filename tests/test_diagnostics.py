@@ -19,6 +19,7 @@ from gpme.evolution import ProblemSpec, run
 from gpme.grid_field import TimeGrid, Trajectory, UniformGrid, lr_norm_of_values
 from gpme.levy_operators import MeasureSpec, OperatorSpec, measure_stencil
 from gpme.profiles import GaussianProfile, PoissonKernelProfile
+from zero_extension import shifted
 
 
 def test_smooth_step_endpoints_and_monotone():
@@ -208,6 +209,22 @@ def test_forward_difference_norm_tracks_gradient():
     X, _ = build_cutoff(4.0, g)
     disc = forward_difference_norms(X, g.h, np.inf)
     assert disc == pytest.approx(Cutoff(4.0).derivative_norm(1, np.inf), rel=0.02)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+@pytest.mark.parametrize("dim,h", [(1, 0.05), (2, 0.125), (3, 0.25)])
+def test_forward_differences_are_the_zero_filled_shift_differences(dim, h, p):
+    # the one-sided difference at the box's last node reads the zero
+    # extension of X - 1 beyond it.  A cutoff's X - 1 vanishes there, so
+    # random values in [0, 1] stand in for X, nonzero at the edge too
+    g = UniformGrid.from_box(dim, h, 1.0)
+    X = np.random.default_rng(dim).uniform(size=g.shape)
+    vals = X - 1.0
+    want = 0.0
+    for axis in range(dim):
+        d = (shifted(vals, tuple(np.eye(dim, dtype=int)[axis])) - vals) / h
+        want += lr_norm_of_values(d, h ** dim, p)
+    assert forward_difference_norms(X, h, p) == want
 
 
 def test_ct_distance_zero_self_positive_shifted():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import gpme.elliptic_solver
 from gpme.config import build_plan, load_config
@@ -14,8 +15,9 @@ from gpme.elliptic_solver import (_KERNEL_THRESHOLD, PHI_KINDS, EpSolveConfig, P
                                   _jacobi_sweep, _pcg, _Resolvent, _solve_scalar_batch,
                                   apply_stencil, solve_ep)
 from gpme.grid_field import UniformGrid, lr_norm_of_values
-from gpme.levy_operators import (MeasureSpec, WeightedStencil, _neighbor_matrix,
-                                 combine_with_laplacian, measure_stencil)
+from gpme.levy_operators import (MeasureSpec, WeightedStencil, combine_with_laplacian,
+                                 measure_stencil)
+from zero_extension import neighbor_matrix
 
 
 def scalar_root(phi, lam, b):
@@ -295,11 +297,11 @@ def _line_stencil(name):
 ])
 def test_banded_solve_matches_a_dense_solve(monkeypatch, name, c, n):
     # the line's short-stencil Newton system, solved from the operator's
-    # band, against the dense matrix of _neighbor_matrix
+    # band, against the dense matrix of the reference neighbor_matrix
     st = _line_stencil(name)
     merged = combine_with_laplacian(st, c)
     W, dt = merged.total_weight, 0.1
-    K = dt * (W * np.eye(n) - _neighbor_matrix(merged, (n,)).toarray())
+    K = dt * (W * np.eye(n) - neighbor_matrix(merged, (n,)).toarray())
     taken, applied = [], []
     for spied in ("banded_lu", "_pcg"):
         monkeypatch.setattr(gpme.elliptic_solver, spied, _spy(taken, spied))
@@ -362,7 +364,7 @@ def test_line_band_is_the_bytes_of_the_csr_matrix(name, half_width):
     # reach too
     stencil, n = _line_operator(name)
     assert stencil.n_offsets <= _KERNEL_THRESHOLD
-    A, W = _neighbor_matrix(stencil, (n,)), stencil.total_weight
+    A, W = neighbor_matrix(stencil, (n,)), stencil.total_weight
     resolvent = _Resolvent(stencil, (n,))
     assert resolvent.spectrum is None and len(resolvent.band) == 3 * half_width + 1
     v = np.random.default_rng(n).normal(size=n) * np.logspace(-3, 3, n)
@@ -385,7 +387,7 @@ def test_short_stencil_is_applied_with_the_bytes_of_the_csr_matrix(dim, h, measu
                                   support_radius=2 * h)
     merged = combine_with_laplacian(stencil, 1)
     assert merged.n_offsets <= _KERNEL_THRESHOLD and (merged.n_offsets > 2 * dim) == measure
-    A = _neighbor_matrix(merged, g.shape)
+    A = neighbor_matrix(merged, g.shape)
     resolvent = _Resolvent(merged, g.shape)
     assert resolvent.band is None and resolvent._csr is None
     scale = np.logspace(-3, 3, g.shape[0]).reshape((-1,) + (1,) * (dim - 1))
@@ -393,6 +395,38 @@ def test_short_stencil_is_applied_with_the_bytes_of_the_csr_matrix(dim, h, measu
     assert resolvent.neighbor(v).tobytes() == (A @ v.ravel()).reshape(g.shape).tobytes()
     ones = (A @ np.ones(A.shape[0])).reshape(g.shape)
     assert resolvent.escape.tobytes() == (merged.total_weight - ones).tobytes()
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("shape", [
+    pytest.param((9, 9), id="2d"),
+    pytest.param((5, 5, 5), id="3d"),
+    pytest.param((2, 9), id="2d-jump_as_long_as_the_box"),
+    pytest.param((5, 2, 4), id="3d-jump_as_long_as_the_box"),
+    pytest.param((1, 1), id="2d-no_offset_lands"),
+    pytest.param((1, 1, 1), id="3d-no_offset_lands"),
+])
+def test_csr_matrix_is_the_reference_matrix(shape, c):
+    # the Jacobi-PCG matrix W I - A, assembled from the operator's shifts,
+    # has the indptr, indices and data of one built node by node from the
+    # stencil's offsets.  The measure reaches 2 cells: on a box 2 nodes
+    # long on one axis its jumps of 2 cells along that axis never land,
+    # and on a single node no jump lands, A = 0
+    dim = len(shape)
+    g = UniformGrid.from_box(dim, 0.25, 1.0)
+    stencil = combine_with_laplacian(measure_stencil(
+        MeasureSpec(kind="fractional", alpha=1.0), g, support_radius=2 * g.h), c)
+    assert stencil.n_offsets <= _KERNEL_THRESHOLD and np.max(stencil.offsets) == 2
+    A = neighbor_matrix(stencil, shape)
+    assert (A.nnz == 0) == (shape.count(1) == dim)
+    ref = stencil.total_weight * sparse.identity(A.shape[0], format="csr") - A
+    base, rows, on_diagonal = _Resolvent(stencil, shape)._assemble()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(base, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    nodes = np.arange(A.shape[0])
+    assert np.array_equal(rows[on_diagonal], nodes)
+    assert np.array_equal(base.indices[on_diagonal], nodes)
 
 
 def _pcg_textbook(matvec, precondition, b, tol):
@@ -540,8 +574,7 @@ def test_linear_solve_property(path):
         with pytest.MonkeyPatch.context() as mp:
             for name in ("banded_lu", "_pcg", "_jacobi"):
                 mp.setattr(gpme.elliptic_solver, name, _spy(taken, name))
-            mp.setattr(gpme.elliptic_solver, "_neighbor_matrix",
-                       _spy(built, "_neighbor_matrix"))
+            mp.setattr(_Resolvent, "_assemble", _spy(built, "_assemble", _Resolvent))
             resolvent = _Resolvent(merged, g.shape)
             assert built == []
             x = resolvent.solve(dt, a, d, rhs, tol)

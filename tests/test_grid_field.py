@@ -1,4 +1,4 @@
-"""Lattice containers: box construction, norms, shifts, cell lookup, time
+"""Lattice containers: box construction, norms, cell lookup, time
 interpolants."""
 
 import math
@@ -17,8 +17,7 @@ from gpme.config import build_plan, load_config
 from gpme.errors import ConfigurationError, DataError
 from gpme.evolution import run
 from gpme.grid_field import (FieldWriter, TimeGrid, Trajectory, UniformGrid,
-                             lr_norm_of_values, project_cell_average, shifted,
-                             write_field_csv)
+                             lr_norm_of_values, project_cell_average, write_field_csv)
 from gpme.profiles import ConstantProfile, GaussianProfile
 
 
@@ -42,20 +41,6 @@ def test_cell_volume_and_2d_shape():
     assert g.cell_volume == 0.25
     assert g.shape == (5, 5)
     assert g.node_count == 25
-
-
-def test_shifted_zero_fill():
-    v = np.arange(5, dtype=float)
-    np.testing.assert_array_equal(shifted(v, (1,)), [1, 2, 3, 4, 0])
-    np.testing.assert_array_equal(shifted(v, (-1,)), [0, 0, 1, 2, 3])
-    np.testing.assert_array_equal(shifted(v, (0,)), v)
-
-
-def test_shifted_2d_axis():
-    v = np.arange(9, dtype=float).reshape(3, 3)
-    out = shifted(v, (0, 1))
-    np.testing.assert_array_equal(out[:, :2], v[:, 1:])
-    np.testing.assert_array_equal(out[:, 2], 0.0)
 
 
 def test_lr_norm_of_values_hand_values():

@@ -10,14 +10,15 @@ from scipy.integrate import dblquad, quad
 
 from gpme import grid_field
 from gpme.errors import ConfigurationError, StencilError
-from gpme.grid_field import UniformGrid, shifted
+from gpme.grid_field import UniformGrid
 from gpme.grid_field import _format_float
 from gpme.elliptic_solver import (_KERNEL_THRESHOLD, _circular, _next_fast_len, _Resolvent,
                                   apply_stencil)
 from gpme.levy_operators import (MeasureSpec, OperatorSpec, WeightedStencil, _class_weights,
-                                 _neighbor_matrix, _support_index, combine_with_laplacian,
-                                 measure_stencil, write_stencil_csv)
+                                 _support_index, combine_with_laplacian, measure_stencil,
+                                 write_stencil_csv)
 from gpme.profiles import GaussianProfile, sphere_area
+from zero_extension import neighbor_matrix, shifted
 
 
 def test_laplacian_stencil_weights():
@@ -74,7 +75,7 @@ def test_neighbor_matrix_matches_neighbor_sum(dim, c, kind):
     merged = combine_with_laplacian(st, c)
     atol = (1e-13 if kind == "dense" else 1e-14) * np.max(np.abs(ref))
     if kind != "dense":
-        out = (_neighbor_matrix(merged, g.shape) @ v.ravel()).reshape(g.shape)
+        out = (neighbor_matrix(merged, g.shape) @ v.ravel()).reshape(g.shape)
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=atol)
     resolvent = _Resolvent(merged, g.shape)
     np.testing.assert_allclose(resolvent.neighbor(v), ref, rtol=0.0, atol=atol)
